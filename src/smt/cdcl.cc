@@ -724,13 +724,18 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
           }
         }
       }
+      // The assertions are substituted from scratch, so every round may meet any atom.
+      uint64_t mask = 0;
+      for (const auto& [atom, lit] : values) {
+        mask |= atom->atom_sig();
+      }
       std::unordered_map<Term, Term> memo;
       std::unordered_map<Term, Term> atom_memo;
       Term branch_atom = nullptr;
       bool all_true = true;
       for (size_t ai = 0; ai < pending.size(); ++ai) {
         ++stats_.evaluations;
-        Term r = SubstFixpoint(factory, pending[ai], values, memo);
+        Term r = SubstFixpoint(factory, pending[ai], values, mask, mask, memo);
         if (r->IsBoolLit(true)) {
           continue;
         }

@@ -158,30 +158,13 @@ Term Grounder::Ground(Term t) {
   return result;
 }
 
-bool Grounder::IsGroundAtom(Term t) {
-  if (t->kind() == TermKind::kConst) {
-    return !t->sort()->is_array() && !t->sort()->is_tuple();
-  }
-  if (t->kind() == TermKind::kSelect) {
-    Term base = t->child(0);
-    return base->kind() == TermKind::kConst && IsGroundIndex(t->child(1)) &&
-           !t->sort()->is_tuple();
-  }
-  if (t->kind() == TermKind::kProj) {
-    Term cell = t->child(0);
-    return cell->kind() == TermKind::kSelect && cell->child(0)->kind() == TermKind::kConst &&
-           IsGroundIndex(cell->child(1));
-  }
-  return false;
-}
-
 void Grounder::CollectAtoms(Term grounded, std::vector<Term>* atoms) {
   std::unordered_set<Term> seen;
   auto walk = [&](Term t, auto&& self) -> void {
     if (!seen.insert(t).second) {
       return;
     }
-    if (IsGroundAtom(t)) {
+    if (t->is_ground_atom()) {
       atoms->push_back(t);
       return;
     }
@@ -267,7 +250,10 @@ std::string GroundAtomName(Term atom) {
 }
 
 Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 std::unordered_map<Term, Term>& memo) {
+                 uint64_t mask, std::unordered_map<Term, Term>& memo) {
+  if ((t->atom_sig() & mask) == 0) {
+    return t;
+  }
   auto vit = values.find(t);
   if (vit != values.end()) {
     return vit->second;
@@ -283,7 +269,7 @@ Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& v
   kids.reserve(t->children().size());
   bool changed = false;
   for (Term c : t->children()) {
-    Term nc = SubstGround(f, c, values, memo);
+    Term nc = SubstGround(f, c, values, mask, memo);
     changed = changed || nc != c;
     kids.push_back(nc);
   }
@@ -298,15 +284,19 @@ Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& v
 }
 
 Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   std::unordered_map<Term, Term>& memo) {
-  for (int round = 0; round < 16; ++round) {
-    Term r = SubstGround(f, t, values, memo);
+                   uint64_t first_mask, uint64_t mask, std::unordered_map<Term, Term>& memo) {
+  uint64_t round_mask = first_mask;
+  for (int round = 1;; ++round) {
+    Term r = SubstGround(f, t, values, round_mask, memo);
     if (r == t) {
       return r;
     }
+    // Fatal rather than silent: the caller would keep an assigned atom in a residual, and
+    // the DFS's one-bit first rounds would never substitute it.
+    NOCTUA_CHECK_MSG(round < 16, "substitution did not reach a fixpoint in 16 rounds");
     t = r;
+    round_mask = mask;
   }
-  return t;
 }
 
 Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo) {
@@ -315,7 +305,7 @@ Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo) {
     return it->second;
   }
   Term found = nullptr;
-  if (Grounder::IsGroundAtom(t)) {
+  if (t->is_ground_atom()) {
     found = t;
   } else {
     for (Term c : t->children()) {

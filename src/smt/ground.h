@@ -1,7 +1,7 @@
 // Finite-scope grounding: expands every binder (quantifiers, aggregates, lambdas) over
 // the scope's domains, producing a quantifier-free term whose only irreducible leaves are
 // *ground atoms* — scalar constants, `Select(array_const, ground_index)` cells, and
-// `Proj(cell, field)` tuple slots.
+// `Proj(cell, field)` tuple slots (TermData::is_ground_atom, judged at interning).
 //
 // This is the Kodkod/Alloy move: with Ref domains of size k fixed, first-order structure
 // is compiled away, and the solver's search happens by substituting ground atoms with
@@ -30,9 +30,6 @@ class Grounder {
   // Ground atoms of a grounded term, in deterministic first-occurrence order:
   // scalar constants, Select(const, ground index), Proj(Select(const, ground index), i).
   static void CollectAtoms(Term grounded, std::vector<Term>* atoms);
-
-  // True if `t` is a ground atom in the sense above.
-  static bool IsGroundAtom(Term t);
 
   // Number of binder nodes this grounder expanded over their domains (memoized re-visits
   // of the same binder term do not recount). Observability reports this as
@@ -97,15 +94,22 @@ class IncrementalGrounder {
 std::string GroundAtomName(Term atom);
 
 // Multi-atom substitution with rebuild through the factory (simplifications re-fire).
-// Note that substituting a Ref-valued atom can *materialize* new ground atoms (assigning
-// x := #0 turns Select(data, x) into the cell Select(data, #0)), so callers must iterate
-// with the full assignment trail until a fixpoint is reached — or use SubstFixpoint.
+// A subterm whose atom signature misses `mask` is returned as it is, without a lookup,
+// so `mask` must hold the signature bits of every assigned atom that can occur in `t`;
+// an all-ones mask skips only atom-free subterms. Note that substituting a Ref-valued
+// atom can *materialize* new ground atoms (assigning x := #0 turns Select(data, x) into
+// the cell Select(data, #0)), so callers must iterate with the full assignment trail
+// until a fixpoint is reached — or use SubstFixpoint.
 Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 std::unordered_map<Term, Term>& memo);
+                 uint64_t mask, std::unordered_map<Term, Term>& memo);
 
-// Substitutes until no assigned atom remains reachable.
+// Substitutes until no assigned atom remains reachable; a run of 16 rounds without
+// reaching the fixpoint is a fatal error. The first round prunes by `first_mask`, which
+// need only cover the assigned atoms `t` itself can contain; the later rounds prune by
+// `mask`, which must cover all of `values`, since a materialized atom may be any of them.
+// `memo` may be shared across calls with the same `values`.
 Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   std::unordered_map<Term, Term>& memo);
+                   uint64_t first_mask, uint64_t mask, std::unordered_map<Term, Term>& memo);
 
 // First ground atom in DFS order, memoized (nullptr when the term contains none). This is
 // the shared branching heuristic: backends decide atoms that survive in simplified

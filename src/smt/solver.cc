@@ -273,6 +273,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     std::vector<Term> domain;
     size_t next_value = 0;
     std::vector<Term> pending;  // residual assertions before this frame's assignment
+    uint64_t trail_mask = 0;    // signature bits of the trail's atoms, this one included
   };
 
   auto pick_atom = [&](const std::vector<Term>& ps) -> Term {
@@ -334,7 +335,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   stats_.num_atoms = 1;
 
   std::vector<Frame> stack;
-  stack.push_back(Frame{first, make_domain(first, trail_map), 0, pending});
+  stack.push_back(Frame{first, make_domain(first, trail_map), 0, pending, first->atom_sig()});
 
   bool timed_out = false;
   while (!stack.empty()) {
@@ -365,14 +366,16 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     }
     trail_map[frame.atom] = value;
 
-    // Substitute and simplify every residual assertion. The whole trail participates:
-    // assigning a Ref atom can materialize array cells that earlier frames already fixed.
+    // Substitute and simplify every residual assertion. The residuals are fixpoints of
+    // the trail without this frame's atom, so the first round looks for that atom's
+    // signature bit alone. The confirming rounds take the whole trail's bits: assigning a
+    // Ref atom can materialize array cells that earlier frames already fixed.
     std::unordered_map<Term, Term> memo;
     std::vector<Term> next_pending;
     bool conflict = false;
     for (Term a : frame.pending) {
       ++stats_.evaluations;
-      Term r = SubstFixpoint(f, a, trail_map, memo);
+      Term r = SubstFixpoint(f, a, trail_map, frame.atom->atom_sig(), frame.trail_mask, memo);
       if (r->IsBoolLit(false)) {
         conflict = true;
         break;
@@ -401,7 +404,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     NOCTUA_CHECK_MSG(next_atom != nullptr, "undecided residual without atoms");
     stats_.num_atoms = std::max(stats_.num_atoms, stack.size() + 1);
     stack.push_back(Frame{next_atom, make_domain(next_atom, trail_map), 0,
-                          std::move(next_pending)});
+                          std::move(next_pending), frame.trail_mask | next_atom->atom_sig()});
   }
 
   stats_.seconds = watch.ElapsedSeconds();

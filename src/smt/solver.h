@@ -19,6 +19,15 @@
 // re-evaluated; any definitely-false assertion prunes the subtree, and assertions that
 // become definitely-true are dropped from deeper levels.
 //
+// Re-evaluation is substitute-and-simplify (SubstFixpoint, ground.h), pruned by atom
+// signatures (term.h): a subterm whose signature misses every bit being substituted is
+// kept as it is, unvisited. A frame's residual assertions are fixpoints of the trail
+// above it, so they hold no assigned atom, and the first round after assigning an atom
+// looks for that atom's bit alone. Only the confirming rounds, which catch atoms that
+// assigning a Ref atom materializes, take the whole trail's bits. The results are the
+// unpruned ones term for term, and SolverStats::evaluations still counts one per residual
+// assertion per node, however little of it the pruned walk visits.
+//
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
 // within the scope; kUnknown means the budget was exhausted (or a portfolio race cancelled
 // the search), which the verifier treats conservatively (restrict the pair), mirroring the

@@ -45,6 +45,34 @@ bool IsBinderKind(TermKind k) {
   }
 }
 
+// True for fully-ground array indices (a Ref literal or a pair of Ref literals).
+bool IsGroundIndex(Term t) {
+  if (t->kind() == TermKind::kRefLit) {
+    return true;
+  }
+  return t->kind() == TermKind::kMkPair && t->child(0)->kind() == TermKind::kRefLit &&
+         t->child(1)->kind() == TermKind::kRefLit;
+}
+
+// The one definition of a ground atom (TermData::is_ground_atom), judged at interning
+// from the node's own shape and its already-interned children.
+bool IsGroundAtomShape(TermKind kind, const Sort& sort, const std::vector<Term>& children) {
+  switch (kind) {
+    case TermKind::kConst:
+      return !sort->is_array() && !sort->is_tuple();
+    case TermKind::kSelect:
+      return children[0]->kind() == TermKind::kConst && IsGroundIndex(children[1]) &&
+             !sort->is_tuple();
+    case TermKind::kProj: {
+      Term cell = children[0];
+      return cell->kind() == TermKind::kSelect && cell->child(0)->kind() == TermKind::kConst &&
+             IsGroundIndex(cell->child(1));
+    }
+    default:
+      return false;
+  }
+}
+
 const char* KindName(TermKind k) {
   switch (k) {
     case TermKind::kConst: return "const";
@@ -163,11 +191,15 @@ Term TermFactory::Intern(TermKind kind, Sort sort, std::vector<Term> children,
   t->binder_sort_ = std::move(binder_sort);
   t->hash_ = h;
   t->id_ = all_terms_.size();
+  t->is_ground_atom_ = IsGroundAtomShape(kind, t->sort_, t->children_);
   // Free bound-variable tracking: a binder removes its own variable from scope.
   bool hbv = kind == TermKind::kBoundVar;
+  uint64_t sig = t->is_ground_atom_ ? uint64_t{1} << (t->id_ & 63) : 0;
   for (Term c : t->children_) {
     hbv = hbv || c->has_bound_var();
+    sig |= c->atom_sig();
   }
+  t->atom_sig_ = sig;
   if (IsBinderKind(kind)) {
     // Conservative: we do not track exact free-variable sets, so a binder only clears the
     // flag when its body mentions no *other* variables. We detect that cheaply by checking
@@ -605,14 +637,6 @@ Term TermFactory::ConstArray(const Sort& index_sort, Term default_value) {
 
 // True for fully-ground array indices: a Ref literal or a pair of Ref literals. Ground
 // indices of the same sort are pointer-distinct when distinct, enabling store folding.
-bool IsGroundIndex(Term t) {
-  if (t->kind() == TermKind::kRefLit) {
-    return true;
-  }
-  return t->kind() == TermKind::kMkPair && t->child(0)->kind() == TermKind::kRefLit &&
-         t->child(1)->kind() == TermKind::kRefLit;
-}
-
 Term TermFactory::Store(Term array, Term index, Term value) {
   NOCTUA_CHECK(array->sort()->is_array());
   NOCTUA_DCHECK(SortEq(array->sort()->index_sort(), index->sort()));

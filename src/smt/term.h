@@ -98,6 +98,17 @@ class TermData {
   uint64_t hash() const { return hash_; }
   uint64_t id() const { return id_; }
 
+  // True for a *ground atom*, a leaf of the solvers' search (see ground.h): a scalar
+  // constant (not array- or tuple-sorted), a non-tuple cell Select(const, ground index),
+  // or a tuple slot Proj(Select(const, ground index), i).
+  bool is_ground_atom() const { return is_ground_atom_; }
+  // The atom signature: one bit per ground atom occurring in this term, the atom setting
+  // bit (id & 63). A term whose signature shares no bit with an atom's contains no
+  // occurrence of that atom; a shared bit may be a collision. The substitution helpers
+  // (ground.h) skip, as unchanged, every subterm whose signature misses the bits of the
+  // atoms being substituted.
+  uint64_t atom_sig() const { return atom_sig_; }
+
   bool IsBoolLit(bool v) const {
     return kind_ == TermKind::kBoolLit && (int_payload_ != 0) == v;
   }
@@ -121,6 +132,8 @@ class TermData {
   Sort binder_sort_;          // domain sort for binder kinds / index for kArrayLambda
   bool has_bound_var_ = false;  // true if any kBoundVar occurs underneath (binders strip
                                 // their own variable)
+  bool is_ground_atom_ = false;
+  uint64_t atom_sig_ = 0;
   uint64_t hash_ = 0;
   uint64_t id_ = 0;  // creation index, used for deterministic ordering
 };
@@ -250,9 +263,6 @@ class TermFactory {
 
 // True if `t` contains a free bound variable whose id differs from `self_id`.
 bool HasOtherBoundVar(Term t, int64_t self_id);
-
-// True for fully-ground array indices (a Ref literal or a pair of Ref literals).
-bool IsGroundIndex(Term t);
 
 // Capture-free substitution of bound variable `var_id` by `value` in `body`, rebuilding
 // nodes through the factory so simplifications re-fire (beta reduction).

@@ -3,11 +3,13 @@
 //     (the two implementations share no evaluation code);
 //   * grounding preserves truth under the evaluator;
 //   * the linear-arithmetic normal form respects integer semantics;
+//   * the model finder's pruned substitution returns what an unpruned one returns;
 //   * ORM databases keep their structural invariants under random operation streams;
 //   * the simulator converges for every evaluated app under its computed restriction set.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
@@ -310,6 +312,91 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
       }
     }
   }
+}
+
+// Substitution prunes by atom signature and never changes a result. Random grounded
+// formulas are driven down random branches the way the model finder drives them: assign
+// an atom surviving in the residuals, substitute the residuals with the new atom's bit
+// for the first round and the trail's bits for the confirming rounds, keep the undecided
+// results. Every result must be the term an all-ones mask gives, which does not rely on
+// the residuals being fixpoints of the trail.
+//
+// Each formula also reads a cell of a tuple array through a store of a conditional
+// tuple. Once the store index and the conditional settle, the projection is pushed into
+// the conditional, which builds a cell atom inside a rebuilt node; when that atom is
+// already assigned (the bounded conjunct reads field 0 of every cell), only a confirming
+// round substitutes it. Along the way, no atom surviving in the residuals may be on the
+// trail: that is the invariant the one-bit first round relies on.
+TEST_P(SolverPropertyTest, PrunedSubstitutionMatchesUnpruned) {
+  Rng rng(GetParam() * 43 + 11);
+  Scope scope(2);
+  Sort rs = smt::RefSort(0);
+  constexpr uint64_t kAllBits = ~uint64_t{0};
+  int substitutions = 0;
+  int confirmed = 0;  // substitutions one unpruned round did not finish
+  for (int round = 0; round < 40; ++round) {
+    TermFactory f;
+    RandomTerms gen(&f, &rng);
+    Term rec =
+        f.Const("rec", smt::ArraySort(rs, smt::TupleSort({smt::IntSort(), smt::IntSort()})));
+    Term v = f.NewBoundVar(rs);
+    Term bounded = f.Forall(v, f.Le(f.Proj(f.Select(rec, v), 0), gen.Int(1)));
+    Term choice = f.Ite(gen.Bool(1), f.Select(rec, f.RefLit(rs, rng.NextBelow(2))),
+                        f.MkTuple({gen.Int(1), gen.Int(1)}));
+    Term stored = f.Select(f.Store(rec, f.Const(rng.NextBool() ? "r0" : "r1", rs), choice),
+                           f.RefLit(rs, rng.NextBelow(2)));
+    Term tuple_read = f.Le(f.Proj(stored, 0), gen.Int(1));
+    smt::Grounder grounder(&f, scope);
+    std::vector<Term> residuals;
+    if (!smt::GroundAndFlatten(grounder, f, {gen.Bool(3), gen.Bool(3), bounded, tuple_read},
+                               &residuals)) {
+      continue;
+    }
+    smt::ValueDomains domains;
+    domains.Harvest(residuals, 8, 6);
+    std::unordered_map<Term, Term> trail;
+    uint64_t trail_mask = 0;
+    while (!residuals.empty()) {
+      std::vector<Term> atoms;
+      for (Term r : residuals) {
+        smt::Grounder::CollectAtoms(r, &atoms);
+      }
+      ASSERT_FALSE(atoms.empty());
+      for (Term a : atoms) {
+        ASSERT_EQ(trail.count(a), 0u) << "assigned atom survives: " << a->ToString();
+      }
+      Term atom = atoms[rng.NextBelow(atoms.size())];
+      std::vector<Term> values = domains.LiteralsFor(f, scope, atom);
+      trail[atom] = values[rng.NextBelow(values.size())];
+      trail_mask |= atom->atom_sig();
+      std::unordered_map<Term, Term> memo;
+      std::unordered_map<Term, Term> reference_memo;
+      std::vector<Term> next;
+      bool conflict = false;
+      for (Term a : residuals) {
+        Term r = smt::SubstFixpoint(f, a, trail, atom->atom_sig(), trail_mask, memo);
+        ASSERT_EQ(r, smt::SubstFixpoint(f, a, trail, kAllBits, kAllBits, reference_memo))
+            << a->ToString();
+        ++substitutions;
+        confirmed += smt::SubstGround(f, a, trail, kAllBits, reference_memo) != r;
+        if (r->IsBoolLit(false)) {
+          conflict = true;
+          break;
+        }
+        if (r->kind() == smt::TermKind::kAnd) {
+          next.insert(next.end(), r->children().begin(), r->children().end());
+        } else if (!r->IsBoolLit(true)) {
+          next.push_back(r);
+        }
+      }
+      if (conflict) {
+        break;
+      }
+      residuals = std::move(next);
+    }
+  }
+  EXPECT_GT(substitutions, 200);
+  EXPECT_GT(confirmed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverPropertyTest, ::testing::Values(1, 2, 3, 4, 5));

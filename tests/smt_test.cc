@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_set>
 
+#include "src/analyzer/analyzer.h"
+#include "src/apps/zhihu.h"
 #include "src/smt/backend.h"
 #include "src/smt/eval.h"
+#include "src/smt/ground.h"
 #include "src/smt/solver.h"
 #include "src/smt/sort.h"
 #include "src/smt/term.h"
+#include "src/verifier/encoder.h"
 
 namespace noctua::smt {
 namespace {
@@ -282,6 +287,51 @@ TEST(AtomTableTest, DecomposesCompositeConstants) {
   EXPECT_GE(atoms.Find(ids, 1, -1), 0);
   EXPECT_GE(atoms.Find(data, 0, 1), 0);
   EXPECT_EQ(atoms.Find(data, 0, 5), -1);
+}
+
+// The atom signatures the substitution helpers prune by, on a real pair query: Zhihu's
+// DeleteAnswer#p1 self-commutativity query, the app's hardest, encoded the way the
+// verifier's pair check encodes it, then grounded. Every atom of a grounded conjunct is
+// flagged at interning and sets its bit in the conjunct's signature; since an atom's
+// children hold no atoms, the signature is exactly the OR of those bits.
+TEST(AtomSignatureTest, GroundedPairQueryAtomsAreFlaggedAndCoveredByTheRootSignature) {
+  app::App a = apps::MakeZhihuApp();
+  analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
+  const soir::CodePath* p = nullptr;
+  for (const soir::CodePath& path : res.EffectfulPaths()) {
+    if (path.op_name == "DeleteAnswer#p1") {
+      p = &path;
+    }
+  }
+  ASSERT_NE(p, nullptr);
+  TermFactory f;
+  verifier::Encoder enc(a.schema(), &f, verifier::EncoderOptions{});
+  verifier::EncState s0 = enc.FreshState("S0");
+  verifier::Encoder::PathResult pq1 = enc.ApplyPath(*p, s0, "x");
+  verifier::Encoder::PathResult pq2 = enc.ApplyPath(*p, pq1.post, "y");
+  verifier::Encoder::PathResult qp1 = enc.ApplyPath(*p, s0, "y");
+  verifier::Encoder::PathResult qp2 = enc.ApplyPath(*p, qp1.post, "x");
+  std::vector<Term> query = {f.Not(enc.StateEq(pq2.post, qp2.post, {})),
+                             enc.UniqueIdAxiom(s0), pq1.pre, qp1.pre, enc.StateAxioms(s0)};
+  Grounder grounder(&f, Scope(2));
+  std::vector<Term> grounded;
+  ASSERT_TRUE(GroundAndFlatten(grounder, f, query, &grounded));
+  std::unordered_set<Term> distinct;
+  for (Term root : grounded) {
+    std::vector<Term> atoms;
+    Grounder::CollectAtoms(root, &atoms);
+    uint64_t bits = 0;
+    for (Term atom : atoms) {
+      EXPECT_TRUE(atom->is_ground_atom()) << atom->ToString();
+      uint64_t bit = uint64_t{1} << (atom->id() & 63);
+      EXPECT_NE(root->atom_sig() & bit, 0u) << atom->ToString();
+      bits |= bit;
+    }
+    EXPECT_EQ(root->atom_sig(), bits) << root->ToString();
+    distinct.insert(atoms.begin(), atoms.end());
+  }
+  // More atoms than bits, so atoms share bits, as in every app-sized query.
+  EXPECT_GT(distinct.size(), 64u);
 }
 
 // --- Solver -------------------------------------------------------------------------------
