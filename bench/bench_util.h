@@ -23,31 +23,21 @@ namespace noctua::bench {
 //   v3: preamble stamps the resolved solver backend and portfolio race tallies.
 //   v4: preamble stamps solver optimization tallies (incremental reuse, symmetry
 //       pruning, CDCL restarts/forgetting).
-inline constexpr int kBenchSchemaVersion = 4;
+//   v5: preamble drops the v3 race tallies and the v4 solver tallies; it stamps the
+//       backend only.
+inline constexpr int kBenchSchemaVersion = 5;
 
 // The leading members every BENCH_*.json document starts with. Callers embed it right
 // after their opening brace: json = "{" + BenchJsonPreamble("fault_sweep") + ", ...".
 //
-// The backend members make sweep artifacts self-describing under NOCTUA_SOLVER: a
+// The backend member makes sweep artifacts self-describing under NOCTUA_SOLVER: a
 // longitudinal regression between two commits means nothing if one ran dfs and the
-// other raced the portfolio. The portfolio tallies are process-lifetime totals at the
-// moment the document is assembled (zero for single backends).
+// other cdcl.
 inline std::string BenchJsonPreamble(const std::string& bench_name) {
-  smt::PortfolioCounts pc = smt::GetPortfolioCounts();
-  smt::SolverSharedCounts sc = smt::GetSolverSharedCounts();
   return "\"bench\": \"" + bench_name +
          "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion) +
          ", \"solver_backend\": \"" +
-         smt::BackendKindName(smt::ResolveBackendKind(smt::BackendKind::kAuto)) +
-         "\", \"portfolio\": {\"races\": " + std::to_string(pc.races) +
-         ", \"wins_dfs\": " + std::to_string(pc.wins_dfs) +
-         ", \"wins_cdcl\": " + std::to_string(pc.wins_cdcl) +
-         ", \"undecided\": " + std::to_string(pc.undecided) +
-         "}, \"solver\": {\"incremental_reuse_hits\": " +
-         std::to_string(sc.incremental_reuse_hits) +
-         ", \"symmetry_pruned_nodes\": " + std::to_string(sc.symmetry_pruned) +
-         ", \"cdcl_restarts\": " + std::to_string(sc.cdcl_restarts) +
-         ", \"cdcl_clauses_forgotten\": " + std::to_string(sc.cdcl_clauses_forgotten) + "}";
+         smt::BackendKindName(smt::ResolveBackendKind(smt::BackendKind::kAuto)) + "\"";
 }
 
 // Percentiles of a sample set, exact by sorting (benches deal in hundreds of samples,

@@ -69,8 +69,7 @@ void BM_GroundQuantifier(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundQuantifier)->Arg(2)->Arg(3)->Arg(4);
 
-// Runs once per backend so the CI artifact carries a dfs/cdcl/portfolio row each; the
-// workflow gates on the portfolio row staying within 10% of the best single backend.
+// Runs once per backend so the CI artifact carries a dfs and a cdcl row.
 void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
   for (auto _ : state) {
     TermFactory f;
@@ -94,7 +93,6 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
 }
 BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, dfs, smt::BackendKind::kDfs);
 BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, cdcl, smt::BackendKind::kCdcl);
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, portfolio, smt::BackendKind::kPortfolio);
 
 // One full commutativity + semantic check on a real pair (the verifier's unit of work).
 void BM_FullPairCheck(benchmark::State& state) {
@@ -138,8 +136,6 @@ BENCHMARK_CAPTURE(BM_PairQuery, dfs_off, smt::BackendKind::kDfs, false);
 BENCHMARK_CAPTURE(BM_PairQuery, dfs_on, smt::BackendKind::kDfs, true);
 BENCHMARK_CAPTURE(BM_PairQuery, cdcl_off, smt::BackendKind::kCdcl, false);
 BENCHMARK_CAPTURE(BM_PairQuery, cdcl_on, smt::BackendKind::kCdcl, true);
-BENCHMARK_CAPTURE(BM_PairQuery, portfolio_off, smt::BackendKind::kPortfolio, false);
-BENCHMARK_CAPTURE(BM_PairQuery, portfolio_on, smt::BackendKind::kPortfolio, true);
 
 void BM_AnalyzeSmallBank(benchmark::State& state) {
   app::App a = apps::MakeSmallBankApp();
@@ -178,16 +174,15 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
 
 // Stamps per-app, per-backend verdict fingerprints into the benchmark context, after
 // CHECK-ing that the optimized and unoptimized runs produce identical verdicts. Gated
-// behind NOCTUA_BENCH_FINGERPRINTS=1 because it runs 18 full verifies (~half a minute);
-// plain timing runs skip it. Only the fast apps are fingerprinted — the slow trio
+// behind NOCTUA_BENCH_FINGERPRINTS=1 because it runs 12 full verifies, which plain
+// timing runs skip. Only the fast apps are fingerprinted — the slow trio
 // (Zhihu, OwnPhotos, PostGraduation) is covered by the tier-1 identity tests instead.
 void AddVerdictFingerprints() {
   for (const apps::AppEntry& entry : apps::EvaluatedApps()) {
     if (entry.name != "Todo" && entry.name != "SmallBank" && entry.name != "Courseware") {
       continue;
     }
-    for (smt::BackendKind kind :
-         {smt::BackendKind::kDfs, smt::BackendKind::kCdcl, smt::BackendKind::kPortfolio}) {
+    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
       uint64_t off = VerdictFingerprint(entry, kind, /*optimized=*/false);
       uint64_t on = VerdictFingerprint(entry, kind, /*optimized=*/true);
       NOCTUA_CHECK_MSG(off == on, "optimizations changed a restriction set");

@@ -252,14 +252,6 @@ const char* CounterName(Counter c) {
       return "cdcl.restarts";
     case Counter::kCdclClausesForgotten:
       return "cdcl.clauses_forgotten";
-    case Counter::kPortfolioRaces:
-      return "smt.portfolio_races";
-    case Counter::kPortfolioWinsDfs:
-      return "smt.portfolio_wins_dfs";
-    case Counter::kPortfolioWinsCdcl:
-      return "smt.portfolio_wins_cdcl";
-    case Counter::kPortfolioUndecided:
-      return "smt.portfolio_undecided";
     case Counter::kEndpointsAnalyzed:
       return "analyzer.endpoints_analyzed";
     case Counter::kEndpointsMemoized:

@@ -89,10 +89,6 @@ enum class Counter : uint8_t {
   kSolverSymmetryPruned,
   kCdclRestarts,
   kCdclClausesForgotten,
-  kPortfolioRaces,
-  kPortfolioWinsDfs,
-  kPortfolioWinsCdcl,
-  kPortfolioUndecided,
   // Analyzer / incremental engine.
   kEndpointsAnalyzed,
   kEndpointsMemoized,

@@ -12,9 +12,9 @@ EngineConfig EngineConfig::FromEnv() {
   env::Snapshot snap = env::CaptureSnapshot();
   EngineConfig config;
   config.threads = snap.threads;
-  smt::ParseBackendKind(snap.solver, &config.solver);
-  config.symmetry = snap.symmetry;
-  config.incremental = snap.incremental;
+  config.solver = smt::BackendKindFromEnv();
+  config.symmetry = smt::SymmetryFromEnv();
+  config.incremental = smt::IncrementalFromEnv();
   // Verbatim, unprobed: Run/Verify never touch the artifact root, and the throwaway
   // engines inside the static facade must not suddenly mkdir (or die on) a directory
   // the old facade never looked at. Daemons that DO persist call ArtifactDirFromEnv
@@ -29,7 +29,6 @@ Engine::Engine(EngineConfig config)
       pool_(std::make_unique<ThreadPool>(config_.threads > 0
                                              ? config_.threads
                                              : ThreadPool::DefaultThreads())),
-      counters_(std::make_unique<smt::SolverCounterSink>()),
       verdicts_(std::make_unique<verifier::VerdictCache>(config_.verdict_cache_capacity)) {}
 
 Engine::~Engine() = default;
@@ -45,9 +44,6 @@ PipelineOptions Engine::ResolveOptions(const PipelineOptions& options) const {
   }
   if (solver.incremental == smt::Toggle::kAuto) {
     solver.incremental = config_.incremental ? smt::Toggle::kOn : smt::Toggle::kOff;
-  }
-  if (o.parallel.counters == nullptr) {
-    o.parallel.counters = counters_.get();
   }
   // The engine pool has a fixed width; a caller that pinned a different `threads` gets
   // the classic run-local pool so the requested width is honored exactly.

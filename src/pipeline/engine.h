@@ -1,7 +1,7 @@
 // The long-lived heart of Noctua-as-a-service: one Engine owns every piece of state
 // the static Pipeline facade used to conjure per call or keep in process-wide globals —
-// the worker pool, the renaming-invariant verdict cache, the solver tally sink, and a
-// snapshot of every environment knob.
+// the worker pool, the renaming-invariant verdict cache, and a snapshot of every
+// environment knob.
 //
 // Lifecycle contract:
 //
@@ -13,8 +13,8 @@
 //     serialized on an internal mutex because the work-stealing ThreadPool supports one
 //     ParallelFor at a time. Callers queue; admission control (bounding that queue)
 //     belongs to the service layer above, not here.
-//   - Solver tallies land in the engine's own SolverCounterSink, so two engines (or an
-//     engine and a bare Pipeline::Run) never read each other's before/after deltas.
+//   - Solver tallies are not engine state: every query flushes them into the obs
+//     registry, so a run's tallies are what an obs::Collector around it records.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
 //     canonical query fingerprints, which are app-content-addressed, so a hit is always
 //     semantically valid. Tenant isolation applies to the on-disk artifact namespace
@@ -72,11 +72,10 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
   ThreadPool& pool() { return *pool_; }
-  smt::SolverCounterSink& counters() { return *counters_; }
   verifier::VerdictCache& verdicts() { return *verdicts_; }
 
   // The pipeline entry points, semantically identical to the static Pipeline ones but
-  // running on this engine's pool, sink, and (for Run/Verify, when the caller did not
+  // running on this engine's pool and (for Run/Verify, when the caller did not
   // bring a store or a run-local cache bound) its shared verdict cache.
   PipelineResult Run(const app::App& app, const PipelineOptions& options = {});
   verifier::RestrictionReport Verify(const app::App& app,
@@ -95,16 +94,15 @@ class Engine {
   static bool ValidTenantName(const std::string& tenant);
 
   // Copies `options` with this engine's resolutions applied: kAuto solver knobs pinned
-  // to the config, pool/counters injected when the caller left them null (the pool only
-  // when `threads` does not demand a different width), and the engine verdict cache
-  // installed as the store when the caller asked for neither a store nor a bounded
-  // run-local cache. Idempotent. Exposed for tests and the service layer.
+  // to the config, the pool injected when the caller left it null and `threads` does not
+  // demand a different width, and the engine verdict cache installed as the store when
+  // the caller asked for neither a store nor a bounded run-local cache. Idempotent.
+  // Exposed for tests and the service layer.
   PipelineOptions ResolveOptions(const PipelineOptions& options) const;
 
  private:
   EngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<smt::SolverCounterSink> counters_;
   std::unique_ptr<verifier::VerdictCache> verdicts_;
   // Serializes verify stages: the pool supports one ParallelFor at a time.
   std::mutex run_mutex_;

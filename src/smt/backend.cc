@@ -1,7 +1,6 @@
 #include "src/smt/backend.h"
 
 #include "src/smt/cdcl.h"
-#include "src/smt/portfolio.h"
 #include "src/support/check.h"
 #include "src/support/env.h"
 
@@ -15,8 +14,6 @@ const char* BackendKindName(BackendKind k) {
       return "dfs";
     case BackendKind::kCdcl:
       return "cdcl";
-    case BackendKind::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -26,8 +23,6 @@ bool ParseBackendKind(const std::string& name, BackendKind* out) {
     *out = BackendKind::kDfs;
   } else if (name == "cdcl") {
     *out = BackendKind::kCdcl;
-  } else if (name == "portfolio") {
-    *out = BackendKind::kPortfolio;
   } else {
     return false;
   }
@@ -37,7 +32,7 @@ bool ParseBackendKind(const std::string& name, BackendKind* out) {
 BackendKind BackendKindFromEnv() {
   // Strict-parse discipline lives in env::EnumOr: unset means dfs, a typo is rejected
   // with a one-shot warning rather than silently absorbed into the default.
-  std::string name = env::EnumOr("NOCTUA_SOLVER", {"dfs", "cdcl", "portfolio"}, "dfs");
+  std::string name = env::EnumOr("NOCTUA_SOLVER", {"dfs", "cdcl"}, "dfs");
   BackendKind k = BackendKind::kDfs;
   ParseBackendKind(name, &k);
   return k;
@@ -70,80 +65,6 @@ bool IncrementalEnabled(const SolverOptions& options) {
                                               : options.incremental == Toggle::kOn;
 }
 
-void SolverCounterSink::AddShared(const SolverStats& stats) {
-  if (stats.incremental_reuse_hits > 0) {
-    reuse_hits_.fetch_add(stats.incremental_reuse_hits, std::memory_order_relaxed);
-  }
-  if (stats.symmetry_pruned > 0) {
-    symmetry_pruned_.fetch_add(stats.symmetry_pruned, std::memory_order_relaxed);
-  }
-  if (stats.restarts > 0) {
-    cdcl_restarts_.fetch_add(stats.restarts, std::memory_order_relaxed);
-  }
-  if (stats.clauses_forgotten > 0) {
-    cdcl_forgotten_.fetch_add(stats.clauses_forgotten, std::memory_order_relaxed);
-  }
-}
-
-void SolverCounterSink::AddRace(int winner) {
-  races_.fetch_add(1, std::memory_order_relaxed);
-  if (winner == 0) {
-    wins_dfs_.fetch_add(1, std::memory_order_relaxed);
-  } else if (winner == 1) {
-    wins_cdcl_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    undecided_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-namespace {
-
-// Leaked, never destroyed: worker threads may still accumulate during static teardown.
-SolverCounterSink& ProcessSinkStorage() {
-  static SolverCounterSink* sink = new SolverCounterSink();
-  return *sink;
-}
-
-thread_local SolverCounterSink* tls_sink = nullptr;
-
-}  // namespace
-
-SolverCounterSink& ProcessSolverCounters() { return ProcessSinkStorage(); }
-
-SolverCounterSink* CurrentSolverCounterSink() {
-  return tls_sink != nullptr ? tls_sink : &ProcessSinkStorage();
-}
-
-ScopedSolverCounterSink::ScopedSolverCounterSink(SolverCounterSink* sink) : prev_(tls_sink) {
-  if (sink != nullptr) {
-    tls_sink = sink;
-  }
-}
-
-ScopedSolverCounterSink::~ScopedSolverCounterSink() { tls_sink = prev_; }
-
-SolverSharedCounts GetSolverSharedCounts() { return ProcessSolverCounters().Shared(); }
-
-PortfolioCounts GetPortfolioCounts() { return ProcessSolverCounters().Portfolio(); }
-
-void AccumulateSolverSharedCounts(const SolverStats& stats) {
-  SolverCounterSink* sink = CurrentSolverCounterSink();
-  sink->AddShared(stats);
-  // Process totals always accumulate, so lifetime counters (bench preambles) keep their
-  // historical meaning even when a scoped engine sink is installed.
-  if (sink != &ProcessSolverCounters()) {
-    ProcessSolverCounters().AddShared(stats);
-  }
-}
-
-void AccumulatePortfolioRace(int winner) {
-  SolverCounterSink* sink = CurrentSolverCounterSink();
-  sink->AddRace(winner);
-  if (sink != &ProcessSolverCounters()) {
-    ProcessSolverCounters().AddRace(winner);
-  }
-}
-
 namespace {
 
 // The bounded model finder behind the backend interface: a thin adapter over Solver.
@@ -152,19 +73,12 @@ class DfsBackend : public SolverBackend {
   explicit DfsBackend(const SolverOptions& options) : solver_(options) {}
 
   const char* name() const override { return "dfs"; }
-  BackendCaps caps() const override {
-    return BackendCaps{/*deterministic_budget=*/true, /*produces_model=*/true,
-                       /*cancellable=*/true, /*incremental=*/true};
-  }
   const SmtModel& model() const override { return solver_.model(); }
   const SolverStats& stats() const override { return solver_.stats(); }
-  void set_cancel(const std::atomic<bool>* cancel) override { solver_.set_cancel(cancel); }
 
  protected:
   SolveResult DoCheck(TermFactory& factory, const std::vector<Term>& assertions) override {
-    SolveResult r = solver_.CheckSat(factory, assertions);
-    AccumulateSolverSharedCounts(solver_.stats());
-    return r;
+    return solver_.CheckSat(factory, assertions);
   }
 
  private:
@@ -179,8 +93,6 @@ std::unique_ptr<SolverBackend> MakeBackend(BackendKind kind, const SolverOptions
       return std::make_unique<DfsBackend>(options);
     case BackendKind::kCdcl:
       return std::make_unique<CdclBackend>(options);
-    case BackendKind::kPortfolio:
-      return std::make_unique<PortfolioBackend>(options);
     case BackendKind::kAuto:
       break;  // ResolveBackendKind never returns kAuto
   }

@@ -3,9 +3,9 @@
 // The paper treats its solver as a black box behind a fixed query shape (assert a
 // refutation query, ask sat/unsat under a budget, read a counterexample model). This
 // header makes that boundary explicit so decision procedures can be swapped without
-// touching the verifier: the bounded model finder ("dfs", solver.h), a CDCL-style ground
-// SAT solver ("cdcl", cdcl.h), and a portfolio that races the two per query
-// ("portfolio", portfolio.h).
+// touching the verifier: the bounded model finder ("dfs", solver.h), the production
+// procedure, and a CDCL-style ground SAT solver ("cdcl", cdcl.h), which shares no search
+// code with it and serves as the reference the cross-backend tests compare it against.
 //
 // Construction happens in exactly one place — MakeBackend — so every call site (verifier,
 // tests, benches) picks its procedure through SolverOptions::backend / NOCTUA_SOLVER
@@ -16,12 +16,14 @@
 // candidate values from ValueDomains (identical domains), so for any query that no
 // backend abandons (kUnknown), all backends must return the same verdict. Models may
 // differ — a satisfiable query can have many witnesses — but sat/unsat may not. The
-// portfolio backend and the cross-backend tests check this invariant at runtime.
+// cross-backend tests check this invariant on every evaluated app.
+//
+// Solver tallies have one route: a backend records its work in stats(), and the verifier
+// flushes that into the obs registry after every Check (verifier/checker.cc). Every
+// Check returns on the thread that called it, so nothing else needs a counter.
 #ifndef SRC_SMT_BACKEND_H_
 #define SRC_SMT_BACKEND_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -31,25 +33,6 @@
 #include "src/support/check.h"
 
 namespace noctua::smt {
-
-// What a backend can do, beyond deciding satisfiability. The verifier consults these
-// rather than switching on the backend's name.
-struct BackendCaps {
-  // Honors Budget::deterministic: bounded by max_nodes only, verdicts independent of
-  // machine speed. False for backends whose verdict can depend on wall-clock timing
-  // (the portfolio race).
-  bool deterministic_budget = false;
-  // Fills model() with a witness on kSat.
-  bool produces_model = false;
-  // Polls a set_cancel flag at budget checkpoints and abandons with kUnknown.
-  bool cancellable = false;
-  // Retains grounding work across Checks on the same factory, so a Push/Assert/Check/Pop
-  // sequence over a stable frame re-grounds only the pushed deltas. All backends accept
-  // the Push/Pop interface (it lives in the base class); this cap advertises that
-  // repeated Checks actually get cheaper, which is what the verifier's pair sessions
-  // key on.
-  bool incremental = false;
-};
 
 // One decision procedure. Usage:
 //
@@ -66,9 +49,9 @@ struct BackendCaps {
 // Incremental use: Push opens an assertion frame, Pop discards everything asserted since
 // the matching Push. The verifier asserts one pair's common frame (axioms, shared path
 // definitions) at level zero, then solves each query direction as Push / Assert(negated
-// goal) / Check / Pop on the same backend instance — the persistent ground cache inside
-// the concrete backends (see caps().incremental) makes the repeated frame essentially
-// free.
+// goal) / Check / Pop on the same backend instance. With incremental solving on, the
+// persistent ground cache inside both backends makes the repeated frame essentially
+// free; with it off, every Check re-grounds its whole assertion stack.
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
@@ -97,8 +80,8 @@ class SolverBackend {
 
   // Decides satisfiability of the conjunction of all asserted terms. Assertions from the
   // innermost frame are passed to the procedure first: the newest frame holds the
-  // (negated) per-query goal, and goal-first ordering is the search heuristic every
-  // caller of the non-incremental path already encodes by hand.
+  // (negated) per-query goal, and goal-first ordering is a search heuristic — the
+  // solver's atom selection is then driven by what can actually refute the property.
   SolveResult Check(TermFactory& factory) {
     if (frames_.empty()) {
       return DoCheck(factory, assertions_);
@@ -116,17 +99,13 @@ class SolverBackend {
     return DoCheck(factory, ordered);
   }
 
-  // Stable lower-case identifier ("dfs", "cdcl", "portfolio"): the tag verdict caches
-  // and bench JSON use.
+  // Stable lower-case identifier ("dfs", "cdcl"): the tag verdict caches and bench JSON
+  // use.
   virtual const char* name() const = 0;
-  virtual BackendCaps caps() const = 0;
 
-  // Valid after Check returned kSat (when caps().produces_model).
+  // Valid after Check returned kSat.
   virtual const SmtModel& model() const = 0;
   virtual const SolverStats& stats() const = 0;
-
-  // Installs a cooperative cancellation flag (nullptr to clear); see Solver::set_cancel.
-  virtual void set_cancel(const std::atomic<bool>* cancel) = 0;
 
  protected:
   virtual SolveResult DoCheck(TermFactory& factory, const std::vector<Term>& assertions) = 0;
@@ -140,108 +119,9 @@ class SolverBackend {
 // options.backend (kAuto consults NOCTUA_SOLVER) and returns the matching procedure.
 std::unique_ptr<SolverBackend> MakeBackend(const SolverOptions& options);
 
-// Same, with the kind pinned explicitly (ignoring options.backend). The portfolio uses
-// this to build its two contestants; tests use it to pin a procedure under test.
+// Same, with the kind pinned explicitly (ignoring options.backend). Tests and benches use
+// this to pin a procedure under test.
 std::unique_ptr<SolverBackend> MakeBackend(BackendKind kind, const SolverOptions& options);
-
-// Portfolio tallies, accumulated across portfolio Checks. The verifier snapshots these
-// around a run to report win deltas; bench JSON stamps the process-lifetime totals into
-// sweep preambles.
-struct PortfolioCounts {
-  uint64_t races = 0;      // portfolio Checks executed
-  uint64_t wins_dfs = 0;   // races where the model finder answered first
-  uint64_t wins_cdcl = 0;  // races where the SAT backend answered first
-  uint64_t undecided = 0;  // races where neither produced a decisive verdict
-};
-
-// Optimization tallies, accumulated by every concrete backend at the end of each Check
-// (portfolio contestants count individually). Same reporting pattern as PortfolioCounts:
-// the verifier snapshots before/after a run and reports the deltas.
-struct SolverSharedCounts {
-  uint64_t incremental_reuse_hits = 0;   // root assertions served from a ground cache
-  uint64_t symmetry_pruned = 0;          // values (dfs) / clause slots (cdcl) pruned
-  uint64_t cdcl_restarts = 0;            // Luby restarts performed
-  uint64_t cdcl_clauses_forgotten = 0;   // learned clauses dropped by DB reduction
-};
-
-// Where one run's solver tallies land. Historically these were process-wide statics,
-// which a long-lived multi-tenant engine would cross-contaminate: two concurrent runs
-// snapshotting before/after deltas of one shared set of atomics read each other's work.
-// A sink is now an owned object — each noctua::Engine holds one — installed per worker
-// task through ScopedSolverCounterSink. Accumulations always ALSO land in the
-// process-wide instance (ProcessSolverCounters), so process-lifetime totals (bench JSON
-// preambles, GetSolverSharedCounts/GetPortfolioCounts) keep their historical meaning.
-class SolverCounterSink {
- public:
-  SolverCounterSink() = default;
-  SolverCounterSink(const SolverCounterSink&) = delete;
-  SolverCounterSink& operator=(const SolverCounterSink&) = delete;
-
-  SolverSharedCounts Shared() const {
-    SolverSharedCounts c;
-    c.incremental_reuse_hits = reuse_hits_.load(std::memory_order_relaxed);
-    c.symmetry_pruned = symmetry_pruned_.load(std::memory_order_relaxed);
-    c.cdcl_restarts = cdcl_restarts_.load(std::memory_order_relaxed);
-    c.cdcl_clauses_forgotten = cdcl_forgotten_.load(std::memory_order_relaxed);
-    return c;
-  }
-  PortfolioCounts Portfolio() const {
-    PortfolioCounts c;
-    c.races = races_.load(std::memory_order_relaxed);
-    c.wins_dfs = wins_dfs_.load(std::memory_order_relaxed);
-    c.wins_cdcl = wins_cdcl_.load(std::memory_order_relaxed);
-    c.undecided = undecided_.load(std::memory_order_relaxed);
-    return c;
-  }
-
-  void AddShared(const SolverStats& stats);
-  void AddRace(int winner);  // 0 = dfs, 1 = cdcl, -1 = undecided
-
- private:
-  std::atomic<uint64_t> reuse_hits_{0};
-  std::atomic<uint64_t> symmetry_pruned_{0};
-  std::atomic<uint64_t> cdcl_restarts_{0};
-  std::atomic<uint64_t> cdcl_forgotten_{0};
-  std::atomic<uint64_t> races_{0};
-  std::atomic<uint64_t> wins_dfs_{0};
-  std::atomic<uint64_t> wins_cdcl_{0};
-  std::atomic<uint64_t> undecided_{0};
-};
-
-// The process-wide sink: the default target when no scoped sink is installed, and the
-// always-written lifetime totals behind GetSolverSharedCounts/GetPortfolioCounts.
-SolverCounterSink& ProcessSolverCounters();
-
-// The calling thread's current sink (never null; defaults to ProcessSolverCounters).
-SolverCounterSink* CurrentSolverCounterSink();
-
-// Installs `sink` as the calling thread's accumulation target for its lifetime; restores
-// the previous sink on destruction. The verifier's pair loop installs its engine's sink
-// inside every worker task, and the portfolio race re-installs the caller's sink on its
-// contestant threads. Passing nullptr is a no-op install (the current sink stays).
-class ScopedSolverCounterSink {
- public:
-  explicit ScopedSolverCounterSink(SolverCounterSink* sink);
-  ~ScopedSolverCounterSink();
-  ScopedSolverCounterSink(const ScopedSolverCounterSink&) = delete;
-  ScopedSolverCounterSink& operator=(const ScopedSolverCounterSink&) = delete;
-
- private:
-  SolverCounterSink* prev_;
-};
-
-// Process-lifetime totals (reads ProcessSolverCounters). Bench JSON stamps these into
-// sweep preambles; per-run deltas come from an engine-owned sink instead.
-PortfolioCounts GetPortfolioCounts();
-SolverSharedCounts GetSolverSharedCounts();
-
-// Folds one Check's stats into the current sink (and the process totals); called by
-// concrete backends.
-void AccumulateSolverSharedCounts(const SolverStats& stats);
-
-// Records one portfolio race outcome into the current sink (and the process totals);
-// winner is 0 = dfs, 1 = cdcl, -1 = undecided.
-void AccumulatePortfolioRace(int winner);
 
 // Resolved values of the optimization toggles for a given options struct (kAuto defers
 // to NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL; both default to on).

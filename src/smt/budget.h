@@ -20,7 +20,7 @@ struct Budget {
   double timeout_seconds = 2.0;
   // Search-node ceiling. A "node" is one unit of backend work: a DFS assignment for the
   // bounded model finder, a decision or propagation for the CDCL backend. Every backend
-  // counts nodes, so this bound is meaningful portfolio-wide.
+  // counts nodes, so this bound means the same thing whichever one answers.
   uint64_t max_nodes = 50'000'000;
   // Bound the search by max_nodes only, ignoring the wall clock. Searches are
   // deterministic given the term DAG, so with this set the verdict is too — independent
@@ -30,10 +30,9 @@ struct Budget {
 };
 
 enum class BackendKind : uint8_t {
-  kAuto,       // resolve from NOCTUA_SOLVER, defaulting to kDfs
-  kDfs,        // the bounded model finder: DFS over atoms with three-valued pruning
-  kCdcl,       // ground SAT: unit propagation, watched literals, first-UIP learning
-  kPortfolio,  // race dfs and cdcl per query; first decisive verdict wins
+  kAuto,  // resolve from NOCTUA_SOLVER, defaulting to kDfs
+  kDfs,   // the bounded model finder: DFS over atoms with three-valued pruning
+  kCdcl,  // ground SAT: unit propagation, watched literals, first-UIP learning
 };
 
 // Tri-state switch for an individual solver optimization. kAuto defers to the matching
@@ -58,7 +57,7 @@ bool IncrementalFromEnv();
 // Lower-case knob value, e.g. "dfs"; "auto" for kAuto.
 const char* BackendKindName(BackendKind k);
 
-// Strict parse of a backend name ("dfs", "cdcl", "portfolio"); returns false — leaving
+// Strict parse of a backend name ("dfs" or "cdcl"); returns false — leaving
 // *out untouched — on anything else, including "auto" (the sentinel is not a knob value).
 bool ParseBackendKind(const std::string& name, BackendKind* out);
 

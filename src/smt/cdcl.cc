@@ -511,12 +511,10 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
   }
   if (!feasible) {
     stats_.seconds = watch.ElapsedSeconds();
-    AccumulateSolverSharedCounts(stats_);
     return SolveResult::kUnsat;
   }
   if (pending.empty()) {
     stats_.seconds = watch.ElapsedSeconds();
-    AccumulateSolverSharedCounts(stats_);
     return SolveResult::kSat;
   }
 
@@ -782,11 +780,7 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
   };
 
   auto over_budget = [&]() {
-    if (search.nodes() > budget.max_nodes) {
-      return true;
-    }
-    return deadline.Expired() ||
-           (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed));
+    return search.nodes() > budget.max_nodes || deadline.Expired();
   };
 
   // Luby restarts with activity-based DB reduction; the restart hook drains the queued
@@ -820,7 +814,6 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
     }
   }
   stats_.seconds = watch.ElapsedSeconds();
-  AccumulateSolverSharedCounts(stats_);
   return result;
 }
 

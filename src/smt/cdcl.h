@@ -26,7 +26,6 @@
 #ifndef SRC_SMT_CDCL_H_
 #define SRC_SMT_CDCL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -191,13 +190,8 @@ class CdclBackend : public SolverBackend {
   explicit CdclBackend(SolverOptions options) : options_(std::move(options)) {}
 
   const char* name() const override { return "cdcl"; }
-  BackendCaps caps() const override {
-    return BackendCaps{/*deterministic_budget=*/true, /*produces_model=*/true,
-                       /*cancellable=*/true, /*incremental=*/true};
-  }
   const SmtModel& model() const override { return model_; }
   const SolverStats& stats() const override { return stats_; }
-  void set_cancel(const std::atomic<bool>* cancel) override { cancel_ = cancel; }
 
  protected:
   SolveResult DoCheck(TermFactory& factory, const std::vector<Term>& assertions) override;
@@ -209,7 +203,6 @@ class CdclBackend : public SolverBackend {
   // Persistent ground cache: repeated Checks over a stable frame (the verifier's pair
   // sessions) re-ground only their fresh roots. Used when incremental solving is on.
   IncrementalGrounder inc_ground_;
-  const std::atomic<bool>* cancel_ = nullptr;
 };
 
 }  // namespace noctua::smt

@@ -339,9 +339,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
 
   bool timed_out = false;
   while (!stack.empty()) {
-    if ((++stats_.nodes_visited & 0x3f) == 0 &&
-        (deadline.Expired() ||
-         (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)))) {
+    if ((++stats_.nodes_visited & 0x3f) == 0 && deadline.Expired()) {
       timed_out = true;
       break;
     }

@@ -29,13 +29,11 @@
 // assertion per node, however little of it the pruned walk visits.
 //
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
-// within the scope; kUnknown means the budget was exhausted (or a portfolio race cancelled
-// the search), which the verifier treats conservatively (restrict the pair), mirroring the
-// paper's 2s timeout.
+// within the scope; kUnknown means the budget was exhausted, which the verifier treats
+// conservatively (restrict the pair), mirroring the paper's 2s timeout.
 #ifndef SRC_SMT_SOLVER_H_
 #define SRC_SMT_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -86,9 +84,6 @@ struct SolverStats {
   // CDCL-only: Luby restarts performed and learned clauses dropped by DB reduction.
   uint64_t restarts = 0;
   uint64_t clauses_forgotten = 0;
-  // Portfolio-only: which sub-backend produced the verdict (0 = dfs, 1 = cdcl,
-  // -1 = not a portfolio run or no decisive winner).
-  int portfolio_winner = -1;
 };
 
 struct SolverOptions {
@@ -189,11 +184,6 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   const SolverOptions& options() const { return options_; }
 
-  // Installs a cooperative cancellation flag (nullptr to clear): the search polls it at
-  // its budget checkpoints and abandons with kUnknown when set. This is how a portfolio
-  // race stops the losing backend mid-search.
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
  private:
   SolverOptions options_;
   SmtModel model_;
@@ -201,9 +191,8 @@ class Solver {
   ValueDomains domains_;
   // Survives across CheckSat calls: repeated queries over a shared frame (the verifier's
   // pair sessions) re-ground only their fresh roots. Only used when incremental solving
-  // is enabled; the legacy path builds a throwaway Grounder per call.
+  // is enabled; otherwise every call builds a throwaway Grounder.
   IncrementalGrounder inc_ground_;
-  const std::atomic<bool>* cancel_ = nullptr;
 };
 
 }  // namespace noctua::smt

@@ -929,52 +929,4 @@ Term TermFactory::InternBoundVar(const Sort& sort, int64_t id) {
   return Intern(TermKind::kBoundVar, sort, {}, id, 0, "", nullptr);
 }
 
-namespace {
-
-Term CloneRec(TermFactory& f, Term t, std::unordered_map<Term, Term>& memo) {
-  auto it = memo.find(t);
-  if (it != memo.end()) {
-    return it->second;
-  }
-  Term result;
-  switch (t->kind()) {
-    case TermKind::kConst:
-      result = f.Const(t->str_payload(), t->sort());
-      break;
-    case TermKind::kBoundVar:
-      result = f.InternBoundVar(t->sort(), t->int_payload());
-      break;
-    case TermKind::kBoolLit:
-      result = f.BoolLit(t->IsBoolLit(true));
-      break;
-    case TermKind::kIntLit:
-      result = f.IntLit(t->int_payload());
-      break;
-    case TermKind::kStrLit:
-      result = f.StrLit(t->str_payload());
-      break;
-    case TermKind::kRefLit:
-      result = f.RefLit(t->sort(), t->int_payload());
-      break;
-    default: {
-      std::vector<Term> kids;
-      kids.reserve(t->children().size());
-      for (Term c : t->children()) {
-        kids.push_back(CloneRec(f, c, memo));
-      }
-      result = RebuildTerm(f, t, std::move(kids));
-      break;
-    }
-  }
-  memo.emplace(t, result);
-  return result;
-}
-
-}  // namespace
-
-Term CloneTermInto(TermFactory& f, Term t) {
-  std::unordered_map<Term, Term> memo;
-  return CloneRec(f, t, memo);
-}
-
 }  // namespace noctua::smt

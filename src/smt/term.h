@@ -272,13 +272,6 @@ Term SubstituteBoundVar(TermFactory& f, Term body, int64_t var_id, Term value);
 Term RebuildTerm(TermFactory& f, Term t, std::vector<Term> kids);
 Term RebuildBinder(TermFactory& f, Term t, std::vector<Term> kids);
 
-// Deep-copies `t` (and everything it reaches) into factory `f`, preserving DAG sharing;
-// sorts are global singletons and shared as-is. This is how a query crosses a factory
-// boundary: the portfolio backend clones its assertions into a private factory per
-// contestant, because a TermFactory is not thread-safe and must not be shared between
-// racing searches.
-Term CloneTermInto(TermFactory& f, Term t);
-
 }  // namespace noctua::smt
 
 #endif  // SRC_SMT_TERM_H_

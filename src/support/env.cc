@@ -189,9 +189,6 @@ Snapshot CaptureSnapshot() {
   unsigned hw = std::thread::hardware_concurrency();
   s.threads = static_cast<int>(
       PositiveIntOr("NOCTUA_THREADS", hw == 0 ? 1 : static_cast<long>(hw), kMaxThreads));
-  s.solver = EnumOr("NOCTUA_SOLVER", {"dfs", "cdcl", "portfolio"}, "dfs");
-  s.symmetry = OnOffOr("NOCTUA_SYMMETRY", true);
-  s.incremental = OnOffOr("NOCTUA_INCREMENTAL", true);
   if (const char* dir = Raw("NOCTUA_ARTIFACT_DIR")) {
     s.artifact_dir = dir;
   }

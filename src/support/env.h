@@ -87,18 +87,13 @@ bool RequireBool01(const char* var, bool fallback);
 // Snapshot
 
 // One-shot capture of every analysis-affecting knob, taken at engine construction and
-// never re-read. Fields hold *resolved* values (parse policy already applied), typed as
-// far as this layer can without depending on smt — the engine layer lifts `solver` into
-// a BackendKind.
+// never re-read. Fields hold *resolved* values (parse policy already applied). The
+// solver knobs (NOCTUA_SOLVER, NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL) are not here: their
+// one parser each lives with their valid values in smt/backend.cc, and the engine calls
+// those alongside this capture.
 struct Snapshot {
   // Resolved degree of parallelism: NOCTUA_THREADS if valid, else hardware concurrency.
   int threads = 1;
-  // Validated backend name ("dfs", "cdcl", "portfolio"); unset resolves to the built-in
-  // default, "dfs".
-  std::string solver = "dfs";
-  // Resolved optimization toggles (default on).
-  bool symmetry = true;
-  bool incremental = true;
   // NOCTUA_ARTIFACT_DIR verbatim ("" = no persistence). Writability is probed by
   // ArtifactDirFromEnv, not here: capturing a snapshot must not touch the filesystem.
   std::string artifact_dir;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
-#include <string_view>
 
 #include "src/obs/obs.h"
 #include "src/smt/backend.h"
@@ -124,22 +122,8 @@ CheckOutcome Checker::WorseOutcome(CheckOutcome a, CheckOutcome b) {
   return severity(a) >= severity(b) ? a : b;
 }
 
-CheckOutcome Checker::RunSolver(smt::TermFactory& factory,
-                                const std::vector<Term>& assertions, bool any_unsupported,
-                                CheckStats* stats) const {
-  if (any_unsupported) {
-    return CheckOutcome::kUnsupported;
-  }
-  std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options_.solver);
-  backend->AssertAll(assertions);
-  return RunSolverOn(*backend, factory, false, stats);
-}
-
 CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
-                                  bool any_unsupported, CheckStats* stats) const {
-  if (any_unsupported) {
-    return CheckOutcome::kUnsupported;
-  }
+                                  CheckStats* stats) const {
   obs::ScopedSpan span("solve", obs::kCatSolve);
   smt::SolveResult r = backend.Check(factory);
   const smt::SolverStats& ss = backend.stats();
@@ -174,16 +158,6 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
     if (ss.clauses_forgotten > 0) {
       obs::Add(obs::Counter::kCdclClausesForgotten, ss.clauses_forgotten);
     }
-    if (std::string_view(backend.name()) == "portfolio") {
-      obs::Add(obs::Counter::kPortfolioRaces);
-      if (ss.portfolio_winner == 0) {
-        obs::Add(obs::Counter::kPortfolioWinsDfs);
-      } else if (ss.portfolio_winner == 1) {
-        obs::Add(obs::Counter::kPortfolioWinsCdcl);
-      } else {
-        obs::Add(obs::Counter::kPortfolioUndecided);
-      }
-    }
     obs::Observe(obs::Hist::kSolveMicros, static_cast<uint64_t>(ss.seconds * 1e6));
     obs::Observe(obs::Hist::kSolverNodesPerQuery, ss.nodes_visited);
     obs::Observe(obs::Hist::kSolverAssignmentsPerQuery, ss.evaluations);
@@ -200,193 +174,16 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
   return CheckOutcome::kTimeout;
 }
 
-CheckOutcome Checker::CheckCommutativity(const soir::CodePath& p, const soir::CodePath& q,
-                                         const std::set<int>* order_models,
-                                         CheckStats* stats) const {
-  Stopwatch watch;
-  if (options_.independence_prefilter && Independent(p, q)) {
-    if (stats != nullptr) {
-      stats->prefiltered = true;
-      stats->seconds = watch.ElapsedSeconds();
-    }
-    return CheckOutcome::kPass;
-  }
-
-  // Order information is materialized only for models whose order this pair (or, when
-  // provided by the caller, any operation of the app) observes — the decoupling of §4.2.
-  std::set<int> order;
-  if (order_models != nullptr) {
-    order = *order_models;
-  } else {
-    order = Encoder::OrderRelevantModels(p);
-    std::set<int> oq = Encoder::OrderRelevantModels(q);
-    order.insert(oq.begin(), oq.end());
-  }
-  EncoderOptions enc_options = options_.encoder;
-  enc_options.order_models = order;
-  ApplyProjection(p, q, &enc_options);
-
-  // The encode span covers query construction (path application, axioms); it ends just
-  // before RunSolver opens the solve span.
-  std::optional<obs::ScopedSpan> encode_span;
-  encode_span.emplace("encode_com", obs::kCatEncode);
-
-  smt::TermFactory factory;
-  Encoder enc(schema_, &factory, enc_options);
-
-  EncState s0 = enc.FreshState("S0");
-
-  // S0 + P(x) + Q(y)
-  Encoder::PathResult pq1 = enc.ApplyPath(p, s0, "x");
-  Encoder::PathResult pq2 = enc.ApplyPath(q, pq1.post, "y");
-  // S0 + Q(y) + P(x)  (same argument constants: same prefixes)
-  Encoder::PathResult qp1 = enc.ApplyPath(q, s0, "y");
-  Encoder::PathResult qp2 = enc.ApplyPath(p, qp1.post, "x");
-
-  bool unsupported =
-      pq1.unsupported || pq2.unsupported || qp1.unsupported || qp2.unsupported;
-
-  // Assertion order is a search heuristic: the (negated) goal first, so the solver's
-  // atom selection is driven by what can actually refute the property; then the most
-  // constraining facts; axioms last.
-  std::vector<Term> assertions;
-  assertions.push_back(factory.Not(enc.StateEq(pq2.post, qp2.post, order)));
-
-  // The replayed effects must be producible: assert their preconditions on fresh origin
-  // states (paper §5.2), or directly on S0 in the cheaper shared mode.
-  if (options_.fresh_origin_states) {
-    EncState sa = enc.FreshState("Sa");
-    EncState sb = enc.FreshState("Sb");
-    Encoder::PathResult pre_p = enc.ApplyPath(p, sa, "x");
-    Encoder::PathResult pre_q = enc.ApplyPath(q, sb, "y");
-    unsupported = unsupported || pre_p.unsupported || pre_q.unsupported;
-    // Freshness of database-generated IDs holds w.r.t. the shared initial state only:
-    // an op's origin state may causally follow the other op (e.g. following a question
-    // right after it was created), so new IDs may be live there.
-    assertions.push_back(enc.UniqueIdAxiom(s0));
-    assertions.push_back(pre_p.pre);
-    assertions.push_back(pre_q.pre);
-    assertions.push_back(enc.StateAxioms(sa));
-    assertions.push_back(enc.StateAxioms(sb));
-  } else {
-    assertions.push_back(enc.UniqueIdAxiom(s0));
-    assertions.push_back(pq1.pre);
-    assertions.push_back(qp1.pre);
-  }
-  assertions.push_back(pq1.defs);
-  assertions.push_back(pq2.defs);
-  assertions.push_back(qp1.defs);
-  assertions.push_back(qp2.defs);
-  assertions.push_back(enc.StateAxioms(s0));
-
-  if (encode_span) {
-    encode_span->Arg("terms", factory.size());
-    encode_span.reset();
-  }
-  CheckOutcome outcome = RunSolver(factory, {factory.And(std::move(assertions))}, unsupported, stats);
-  if (stats != nullptr) {
-    stats->seconds = watch.ElapsedSeconds();
-  }
-  return outcome;
+CheckOutcome Checker::CheckCommutativity(const soir::CodePath& p,
+                                         const soir::CodePath& q) const {
+  return PairSession(*this, p, q).Commutativity();
 }
 
-CheckOutcome Checker::CheckNotInvalidate(const soir::CodePath& p, const soir::CodePath& q,
-                                         CheckStats* stats) const {
-  Stopwatch watch;
-  if (options_.independence_prefilter && Independent(p, q)) {
-    if (stats != nullptr) {
-      stats->prefiltered = true;
-      stats->seconds = watch.ElapsedSeconds();
-    }
-    return CheckOutcome::kPass;
-  }
-
-  EncoderOptions enc_options = options_.encoder;
-  {
-    std::set<int> order = Encoder::OrderRelevantModels(p);
-    std::set<int> oq = Encoder::OrderRelevantModels(q);
-    order.insert(oq.begin(), oq.end());
-    enc_options.order_models = order;
-  }
-  ApplyProjection(p, q, &enc_options);
-
-  std::optional<obs::ScopedSpan> encode_span;
-  encode_span.emplace("encode_ni", obs::kCatEncode);
-
-  smt::TermFactory factory;
-  Encoder enc(schema_, &factory, enc_options);
-
-  EncState s0 = enc.FreshState("S0");
-
-  // g_P(x, S0) holds...
-  Encoder::PathResult p_before = enc.ApplyPath(p, s0, "x");
-
-  // ...Q's effect is applied (replayed on S0; its own precondition is asserted on a fresh
-  // origin state, since the effect was generated elsewhere)...
-  Encoder::PathResult q_applied = enc.ApplyPath(q, s0, "y");
-  bool unsupported = p_before.unsupported || q_applied.unsupported;
-
-  // ...and yet g_P(x, S0 + Q(y)) is violated. The negated goal goes first (search
-  // heuristic, see CheckCommutativity).
-  Encoder::PathResult p_after = enc.ApplyPath(p, q_applied.post, "x");
-  unsupported = unsupported || p_after.unsupported;
-
-  std::vector<Term> assertions;
-  assertions.push_back(factory.Not(p_after.pre));
-  assertions.push_back(p_before.pre);
-  assertions.push_back(enc.UniqueIdAxiom(s0));
-  if (options_.fresh_origin_states) {
-    EncState sb = enc.FreshState("Sb");
-    Encoder::PathResult pre_q = enc.ApplyPath(q, sb, "y");
-    unsupported = unsupported || pre_q.unsupported;
-    assertions.push_back(pre_q.pre);
-    assertions.push_back(enc.StateAxioms(sb));
-  } else {
-    assertions.push_back(q_applied.pre);
-  }
-  assertions.push_back(q_applied.defs);
-  assertions.push_back(enc.StateAxioms(s0));
-
-  if (encode_span) {
-    encode_span->Arg("terms", factory.size());
-    encode_span.reset();
-  }
-  CheckOutcome outcome = RunSolver(factory, {factory.And(std::move(assertions))}, unsupported, stats);
-  if (stats != nullptr) {
-    stats->seconds = watch.ElapsedSeconds();
-  }
-  return outcome;
-}
-
-CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePath& q,
-                                    CheckStats* stats) const {
-  return CheckSemantic(p, q, stats, nullptr, nullptr);
-}
-
-CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePath& q,
-                                    CheckStats* stats, CheckStats* dir1_stats,
-                                    CheckStats* dir2_stats) const {
+CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePath& q) const {
   PairSession session(*this, p, q);
-  CheckStats s1, s2;
-  CheckOutcome a = session.NotInvalidatePQ(&s1);
-  CheckOutcome b = a == CheckOutcome::kPass ? session.NotInvalidateQP(&s2)
-                                            : CheckOutcome::kPass;
-  if (stats != nullptr) {
-    stats->seconds = s1.seconds + s2.seconds;
-    stats->solver_nodes = s1.solver_nodes + s2.solver_nodes;
-    // One prefilter decision covers both directions (footprint disjointness is
-    // symmetric); s2 stays default-initialized — not measured — when direction two is
-    // skipped, so ANDing it in would misreport a prefiltered pair as solved.
-    stats->prefiltered = s1.prefiltered;
-  }
-  if (dir1_stats != nullptr) {
-    *dir1_stats = s1;
-  }
-  if (dir2_stats != nullptr) {
-    *dir2_stats = s2;
-  }
-  // The worse of the two directions decides.
-  return WorseOutcome(a, b);
+  CheckOutcome a = session.NotInvalidatePQ();
+  // The worse of the two directions decides; a restricting direction one settles it.
+  return a == CheckOutcome::kPass ? session.NotInvalidateQP() : a;
 }
 
 // ---------------------------------------------------------------------------
@@ -400,10 +197,10 @@ struct Checker::PairSession::Shared {
   std::unique_ptr<Encoder> com_enc;
   std::unique_ptr<Encoder> ni_enc;
   std::unique_ptr<smt::SolverBackend> backend;
-  bool incremental = false;
 
   // What the backend currently holds asserted; commutativity and NotInvalidate
-  // interleave by re-asserting their base (cheap: grounding is cached per root).
+  // interleave by re-asserting their base (cheap with incremental solving on: grounding
+  // is cached per root).
   enum class Mode : uint8_t { kNone, kCom, kNi };
   Mode mode = Mode::kNone;
 
@@ -423,6 +220,8 @@ Checker::PairSession::PairSession(const Checker& checker, const soir::CodePath& 
                                   const soir::CodePath& q,
                                   const std::set<int>* order_models)
     : checker_(checker), p_(p), q_(q) {
+  // Order information is materialized only for models whose order this pair (or, when
+  // provided by the caller, any operation of the app) observes — the decoupling of §4.2.
   ni_order_ = Encoder::OrderRelevantModels(p);
   std::set<int> oq = Encoder::OrderRelevantModels(q);
   ni_order_.insert(oq.begin(), oq.end());
@@ -439,8 +238,6 @@ void Checker::PairSession::EnsureShared() {
   }
   shared_ = std::make_unique<Shared>();
   shared_->backend = smt::MakeBackend(checker_.options_.solver);
-  shared_->incremental = smt::IncrementalEnabled(checker_.options_.solver) &&
-                         shared_->backend->caps().incremental;
 }
 
 CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
@@ -453,9 +250,6 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     return CheckOutcome::kPass;
   }
   EnsureShared();
-  if (!shared_->incremental) {
-    return checker_.CheckCommutativity(p_, q_, &com_order_, stats);
-  }
   Shared& sh = *shared_;
   if (!sh.com_built) {
     sh.com_built = true;
@@ -468,24 +262,33 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     Encoder& enc = *sh.com_enc;
 
     EncState s0 = enc.FreshState("S0");
+    // S0 + P(x) + Q(y)
     Encoder::PathResult pq1 = enc.ApplyPath(p_, s0, "x");
     Encoder::PathResult pq2 = enc.ApplyPath(q_, pq1.post, "y");
+    // S0 + Q(y) + P(x)  (same argument constants: same prefixes)
     Encoder::PathResult qp1 = enc.ApplyPath(q_, s0, "y");
     Encoder::PathResult qp2 = enc.ApplyPath(p_, qp1.post, "x");
     sh.com_unsupported =
         pq1.unsupported || pq2.unsupported || qp1.unsupported || qp2.unsupported;
 
-    // Same assertion content and order as CheckCommutativity, kept as separate roots so
-    // the incremental grounder can cache the ones shared with the NotInvalidate frame
-    // (S0's axioms, the unique-id axiom).
+    // Assertion order is a search heuristic: the (negated) goal first, so the solver's
+    // atom selection is driven by what can actually refute the property; then the most
+    // constraining facts; axioms last. The assertions stay separate roots so the
+    // incremental grounder can cache the ones shared with the NotInvalidate frame (S0's
+    // axioms, the unique-id axiom).
     std::vector<Term>& assertions = sh.com_assertions;
     assertions.push_back(sh.factory.Not(enc.StateEq(pq2.post, qp2.post, com_order_)));
+    // The replayed effects must be producible: assert their preconditions on fresh origin
+    // states (paper §5.2), or directly on S0 in the cheaper shared mode.
     if (checker_.options_.fresh_origin_states) {
       EncState sa = enc.FreshState("Sa");
       EncState sb = enc.FreshState("Sb");
       Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
       Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
       sh.com_unsupported = sh.com_unsupported || pre_p.unsupported || pre_q.unsupported;
+      // Freshness of database-generated IDs holds w.r.t. the shared initial state only:
+      // an op's origin state may causally follow the other op (e.g. following a question
+      // right after it was created), so new IDs may be live there.
       assertions.push_back(enc.UniqueIdAxiom(s0));
       assertions.push_back(pre_p.pre);
       assertions.push_back(pre_q.pre);
@@ -513,7 +316,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
       sh.backend->AssertAll(sh.com_assertions);
       sh.mode = Shared::Mode::kCom;
     }
-    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, false, stats);
+    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, stats);
   }
   if (stats != nullptr) {
     stats->seconds = watch.ElapsedSeconds();
@@ -554,10 +357,10 @@ void Checker::PairSession::BuildNiFrame() {
 
   if (checker_.options_.fresh_origin_states) {
     // Frame: both effects producible from fresh origin states, plus all state axioms.
-    // Relative to the legacy per-direction query this also asserts the *checked* (not
-    // replayed) path's origin precondition — satisfiability-preserving, because any
-    // legacy witness extends by choosing that origin state to be S0 itself, where the
-    // checked precondition already holds.
+    // The rule itself needs only the *replayed* path's origin precondition; asserting
+    // the checked path's as well lets both directions share the frame, and it preserves
+    // satisfiability: any witness of the rule extends by choosing that origin state to
+    // be S0 itself, where the rule already asserts the checked precondition.
     EncState sa = enc.FreshState("Sa");
     EncState sb = enc.FreshState("Sb");
     Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
@@ -573,15 +376,17 @@ void Checker::PairSession::BuildNiFrame() {
     sh.ni_delta_pq = {nullptr, p0.pre, q0.defs};  // goal filled below
     sh.ni_delta_qp = {nullptr, q0.pre, p0.defs};
   } else {
-    // Shared-origin mode: frame + delta is content-identical to the legacy query.
+    // Shared-origin mode: both preconditions hold on S0 itself — the checked one as the
+    // rule's hypothesis, the replayed one as its effect's producibility — so frame +
+    // delta is exactly the rule's query in either direction.
     sh.ni_frame = {uid, p0.pre, q0.pre, enc.StateAxioms(s0)};
     sh.ni_delta_pq = {nullptr, q0.defs};
     sh.ni_delta_qp = {nullptr, p0.defs};
   }
 
   // Direction goals: replay the other path's effect on S0 and negate the checked path's
-  // precondition there. Goal first — the innermost frame is asserted before the shared
-  // frame, preserving the legacy goal-first search heuristic.
+  // precondition there. Check hands the innermost frame to the solver first, so each
+  // direction's goal leads, as the commutativity query's does.
   Encoder::PathResult p_after = enc.ApplyPath(p_, q0.post, "x");
   sh.ni_unsupported_pq = frame_unsupported || p_after.unsupported;
   sh.ni_delta_pq[0] = sh.factory.Not(p_after.pre);
@@ -603,10 +408,6 @@ CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) 
     return CheckOutcome::kPass;
   }
   EnsureShared();
-  if (!shared_->incremental) {
-    return pq ? checker_.CheckNotInvalidate(p_, q_, stats)
-              : checker_.CheckNotInvalidate(q_, p_, stats);
-  }
   Shared& sh = *shared_;
   BuildNiFrame();
 
@@ -624,7 +425,7 @@ CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) 
     for (const Term& t : (pq ? sh.ni_delta_pq : sh.ni_delta_qp)) {
       sh.backend->AddAssertion(t);
     }
-    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, false, stats);
+    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, stats);
     sh.backend->Pop();
   }
   if (stats != nullptr) {

@@ -9,6 +9,7 @@
 // violation (§5.2 "Generation"). Preconditions of the replayed effects are asserted on
 // fresh states (the effect must be producible somewhere). A pair is restricted iff either
 // rule fails, times out, or hits an unsupported construct (conservative fallback, §3.3).
+// All three queries of a pair run through one PairSession.
 #ifndef SRC_VERIFIER_CHECKER_H_
 #define SRC_VERIFIER_CHECKER_H_
 
@@ -67,41 +68,29 @@ class Checker {
 
   // A check is a pure function of (schema, options, pair): all methods are const and a
   // single Checker may be shared by concurrent verification workers. Each check builds
-  // its own TermFactory/Encoder/Solver, so nothing mutable is shared.
+  // its own PairSession, so nothing mutable is shared.
 
-  // Rule 1. `order_models` is the set of models whose relative order matters for state
-  // equality (models whose insertion order is observed by any operation of the app);
-  // pass nullptr to derive it from the pair alone.
-  CheckOutcome CheckCommutativity(const soir::CodePath& p, const soir::CodePath& q,
-                                  const std::set<int>* order_models = nullptr,
-                                  CheckStats* stats = nullptr) const;
+  // Rule 1 on one pair, through a one-query PairSession (order models derived from the
+  // pair alone).
+  CheckOutcome CheckCommutativity(const soir::CodePath& p, const soir::CodePath& q) const;
 
-  // Rule 2, one direction: can Q's effect invalidate P's precondition?
-  CheckOutcome CheckNotInvalidate(const soir::CodePath& p, const soir::CodePath& q,
-                                  CheckStats* stats = nullptr) const;
+  // Rule 2, both directions (the paper's semantic check), through one PairSession.
+  CheckOutcome CheckSemantic(const soir::CodePath& p, const soir::CodePath& q) const;
 
-  // Rule 2, both directions (the paper's semantic check).
-  CheckOutcome CheckSemantic(const soir::CodePath& p, const soir::CodePath& q,
-                             CheckStats* stats = nullptr) const;
-
-  // As above, additionally reporting each direction's own stats (direction two is left
-  // untouched when it is skipped because direction one already restricts).
-  CheckOutcome CheckSemantic(const soir::CodePath& p, const soir::CodePath& q,
-                             CheckStats* stats, CheckStats* dir1_stats,
-                             CheckStats* dir2_stats) const;
-
-  // The per-pair hot path: one TermFactory, one solver backend, and one grounding pass
+  // The one pair code path: one TermFactory, one solver backend, and one grounding pass
   // shared by a pair's commutativity query and both NotInvalidate directions. The
   // NotInvalidate frame — initial-state axioms, both preconditions, the unique-id axiom —
   // is asserted once; each direction pushes only its negated goal (plus the replayed
-  // effect's definitions) and pops it afterwards, so an incremental backend re-grounds
-  // only the per-direction roots. Falls back to the per-call legacy methods when the
-  // backend is not incremental or NOCTUA_INCREMENTAL=off; verdicts are identical either
-  // way (the shared frame is content-identical in shared-origin mode and differs only by
-  // satisfiability-preserving origin constraints in fresh-origin mode).
+  // effect's definitions) and pops it afterwards. With incremental solving on, the
+  // backend then re-grounds only the per-direction roots; with NOCTUA_INCREMENTAL=off it
+  // re-grounds every Check, and the verdicts are the same. In shared-origin mode the
+  // frame plus a direction's delta is exactly the rule's query; in fresh-origin mode the
+  // frame adds the checked path's origin precondition, which preserves satisfiability
+  // (see BuildNiFrame).
   //
-  // Both NotInvalidate directions encode p's arguments with prefix "x" and q's with "y"
-  // (the legacy direction two swaps them); verdicts are invariant under that renaming.
+  // Both NotInvalidate directions encode p's arguments with prefix "x" and q's with "y",
+  // so NotInvalidateQP names the checked path's arguments "y" where the rule writes x;
+  // verdicts are invariant under that renaming.
   //
   // A session is single-threaded and must not outlive its Checker.
   class PairSession {
@@ -113,9 +102,9 @@ class Checker {
     PairSession& operator=(const PairSession&) = delete;
 
     CheckOutcome Commutativity(CheckStats* stats = nullptr);
-    // "Can q's effect invalidate p's precondition?" == CheckNotInvalidate(p, q).
+    // Rule 2, one direction: can q's effect invalidate p's precondition?
     CheckOutcome NotInvalidatePQ(CheckStats* stats = nullptr);
-    // The mirror direction == CheckNotInvalidate(q, p).
+    // The mirror direction: can p's effect invalidate q's precondition?
     CheckOutcome NotInvalidateQP(CheckStats* stats = nullptr);
 
    private:
@@ -155,12 +144,10 @@ class Checker {
  private:
   // True when the two paths' footprints are disjoint, so both rules trivially pass.
   bool Independent(const soir::CodePath& p, const soir::CodePath& q) const;
-  CheckOutcome RunSolver(smt::TermFactory& factory, const std::vector<smt::Term>& assertions,
-                         bool any_unsupported, CheckStats* stats) const;
-  // Runs a Check on an already-asserted backend and flushes the per-query solver
-  // introspection; both the legacy per-call path and PairSession funnel through here.
+  // Runs a Check on an already-asserted backend and flushes its stats into the obs
+  // registry, the only home of the solver's tallies.
   CheckOutcome RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
-                           bool any_unsupported, CheckStats* stats) const;
+                           CheckStats* stats) const;
   // Applies project_footprint to a per-check encoder configuration.
   void ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
                        EncoderOptions* enc_options) const;

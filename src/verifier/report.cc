@@ -189,13 +189,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       backend_kind == smt::BackendKind::kDfs
           ? std::string()
           : std::string(smt::BackendKindName(backend_kind)) + "|";
-  // This run's tallies accumulate into the caller's sink when one is provided (an
-  // engine-owned sink keeps concurrent runs from reading each other's deltas), else
-  // into the process-wide sink exactly as before.
-  smt::SolverCounterSink* sink =
-      parallel.counters != nullptr ? parallel.counters : &smt::ProcessSolverCounters();
-  const smt::PortfolioCounts portfolio_before = sink->Portfolio();
-  const smt::SolverSharedCounts shared_before = sink->Shared();
 
   VerdictCache local_cache(parallel.store != nullptr ? 0 : parallel.cache_capacity);
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
@@ -268,9 +261,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
 
   auto run_job = [&](size_t k) {
-    // Route every solver accumulation this task performs (including portfolio races,
-    // which re-install the current sink on their contestant threads) to this run's sink.
-    smt::ScopedSolverCounterSink scoped_sink(sink);
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
     const soir::CodePath& p = paths[job.i];
@@ -365,22 +355,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   report.stats.pool_steals = pool_stats.steals - pool_before.steals;
   report.stats.cache_evictions = cache->evictions() - evictions_before;
   report.stats.solver_backend = smt::BackendKindName(backend_kind);
-  {
-    const smt::PortfolioCounts after = sink->Portfolio();
-    report.stats.portfolio_races = after.races - portfolio_before.races;
-    report.stats.portfolio_wins_dfs = after.wins_dfs - portfolio_before.wins_dfs;
-    report.stats.portfolio_wins_cdcl = after.wins_cdcl - portfolio_before.wins_cdcl;
-    report.stats.portfolio_undecided = after.undecided - portfolio_before.undecided;
-  }
-  {
-    const smt::SolverSharedCounts after = sink->Shared();
-    report.stats.incremental_reuse_hits =
-        after.incremental_reuse_hits - shared_before.incremental_reuse_hits;
-    report.stats.symmetry_pruned = after.symmetry_pruned - shared_before.symmetry_pruned;
-    report.stats.cdcl_restarts = after.cdcl_restarts - shared_before.cdcl_restarts;
-    report.stats.cdcl_clauses_forgotten =
-        after.cdcl_clauses_forgotten - shared_before.cdcl_clauses_forgotten;
-  }
   for (const VerdictCache::ShardStats& s : cache->PerShardStats()) {
     report.stats.cache_shards.push_back(
         ReportStats::CacheShardStat{s.entries, s.hits, s.misses, s.evictions});

@@ -20,9 +20,6 @@
 
 namespace noctua {
 class ThreadPool;
-namespace smt {
-class SolverCounterSink;
-}  // namespace smt
 }  // namespace noctua
 
 namespace noctua::verifier {
@@ -61,10 +58,6 @@ struct ParallelOptions {
   // ThreadPool supports one ParallelFor at a time); pool-task stats are reported as
   // before/after deltas. When set, `threads` is ignored. nullptr = run-local pool.
   ThreadPool* pool = nullptr;
-  // Where this run's solver tallies (reuse hits, symmetry pruning, portfolio wins, ...)
-  // are accumulated and delta'd from. nullptr = the process-wide sink, which preserves
-  // the historical single-run behavior but cross-contaminates concurrent runs.
-  smt::SolverCounterSink* counters = nullptr;
 };
 
 // Where a pair's verdicts came from, for incremental-run provenance.
@@ -113,24 +106,10 @@ struct ReportStats {
   uint64_t pool_steals = 0;      // tasks a participant stole from another's deque
   uint64_t cache_evictions = 0;  // verdicts dropped by a bounded run-local cache
 
-  // Resolved solver backend name ("dfs", "cdcl", "portfolio") every query of this run
-  // went through.
+  // Resolved solver backend name ("dfs" or "cdcl") every query of this run went
+  // through. The solver's own tallies (incremental reuse, symmetry pruning, CDCL
+  // restarts and forgetting) live in the obs registry, not here.
   std::string solver_backend = "dfs";
-  // Portfolio race tallies for this run (all zero for single backends): races executed,
-  // wins per contestant, races with no decisive verdict.
-  uint64_t portfolio_races = 0;
-  uint64_t portfolio_wins_dfs = 0;
-  uint64_t portfolio_wins_cdcl = 0;
-  uint64_t portfolio_undecided = 0;
-
-  // Solver-optimization tallies for this run (deltas of the process-wide counters in
-  // smt/backend.h): grounding roots served from an incremental backend's cache, work
-  // removed by lex-leader symmetry reduction, CDCL Luby restarts, and learned clauses
-  // dropped by clause-DB reduction.
-  uint64_t incremental_reuse_hits = 0;
-  uint64_t symmetry_pruned = 0;
-  uint64_t cdcl_restarts = 0;
-  uint64_t cdcl_clauses_forgotten = 0;
 
   // Per-shard snapshot of the verdict cache after the run (occupancy plus lifetime
   // hit/miss/eviction counts of the cache object — for a persistent store these span

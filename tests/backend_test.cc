@@ -2,10 +2,9 @@
 //   * the CdclSearch propositional core, driven piecewise — unit propagation chains,
 //     first-UIP conflict analysis, learned-clause implication, pigeonhole pure SAT;
 //   * backend selection — strict NOCTUA_SOLVER parsing and the MakeBackend factory;
-//   * the portfolio race — cancellation, win accounting, verdict agreement;
 //   * the headline soundness claim: every evaluated app's restriction set is
-//     byte-identical across dfs, cdcl, and portfolio.
-#include <atomic>
+//     byte-identical across dfs and cdcl, and with the solver optimizations off and on.
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -14,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/obs/obs.h"
 #include "src/pipeline/pipeline.h"
 #include "src/smt/backend.h"
 #include "src/smt/cdcl.h"
-#include "src/smt/portfolio.h"
 #include "src/smt/solver.h"
 #include "src/smt/term.h"
 
@@ -237,13 +236,11 @@ TEST(BackendKindTest, ParseAcceptsExactlyTheThreeKnobValues) {
   EXPECT_EQ(k, BackendKind::kDfs);
   EXPECT_TRUE(smt::ParseBackendKind("cdcl", &k));
   EXPECT_EQ(k, BackendKind::kCdcl);
-  EXPECT_TRUE(smt::ParseBackendKind("portfolio", &k));
-  EXPECT_EQ(k, BackendKind::kPortfolio);
 
-  for (const char* bad : {"auto", "DFS", "Cdcl", "", "z3", "dfs ", " dfs", "portfolio2"}) {
-    BackendKind untouched = BackendKind::kPortfolio;
+  for (const char* bad : {"auto", "DFS", "Cdcl", "", "z3", "dfs ", " dfs", "portfolio"}) {
+    BackendKind untouched = BackendKind::kCdcl;
     EXPECT_FALSE(smt::ParseBackendKind(bad, &untouched)) << '"' << bad << '"';
-    EXPECT_EQ(untouched, BackendKind::kPortfolio) << '"' << bad << '"';
+    EXPECT_EQ(untouched, BackendKind::kCdcl) << '"' << bad << '"';
   }
 }
 
@@ -252,13 +249,17 @@ TEST(BackendKindTest, EnvSelectionIsStrict) {
   EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kDfs);
   ASSERT_EQ(setenv("NOCTUA_SOLVER", "cdcl", 1), 0);
   EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kCdcl);
-  ASSERT_EQ(setenv("NOCTUA_SOLVER", "portfolio", 1), 0);
-  EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kPortfolio);
-  // Typos fall back to dfs (with a one-shot stderr warning) instead of being absorbed.
-  for (const char* bad : {"Portfolio", "z3", "dfs,cdcl", "auto"}) {
+  // Anything else, the retired "portfolio" included, falls back to dfs instead of being
+  // absorbed, with a one-shot stderr warning: the first rejected value warns, later ones
+  // stay silent. (No earlier test in this binary rejects a NOCTUA_SOLVER value.)
+  ::testing::internal::CaptureStderr();
+  for (const char* bad : {"portfolio", "Portfolio", "z3", "dfs,cdcl", "auto"}) {
     ASSERT_EQ(setenv("NOCTUA_SOLVER", bad, 1), 0);
     EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kDfs) << '"' << bad << '"';
   }
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(warnings.begin(), warnings.end(), '\n'), 1) << warnings;
+  EXPECT_NE(warnings.find("NOCTUA_SOLVER=\"portfolio\""), std::string::npos) << warnings;
   ASSERT_EQ(unsetenv("NOCTUA_SOLVER"), 0);
 }
 
@@ -266,28 +267,13 @@ TEST(BackendFactoryTest, PinnedKindOverridesOptionsAndEnv) {
   smt::SolverOptions options;
   options.backend = BackendKind::kCdcl;
   EXPECT_STREQ(smt::MakeBackend(options)->name(), "cdcl");
-  EXPECT_STREQ(smt::MakeBackend(BackendKind::kPortfolio, options)->name(), "portfolio");
+  EXPECT_STREQ(smt::MakeBackend(BackendKind::kDfs, options)->name(), "dfs");
 
   ASSERT_EQ(setenv("NOCTUA_SOLVER", "cdcl", 1), 0);
   smt::SolverOptions from_env;  // backend = kAuto
   EXPECT_STREQ(smt::MakeBackend(from_env)->name(), "cdcl");
   ASSERT_EQ(unsetenv("NOCTUA_SOLVER"), 0);
   EXPECT_STREQ(smt::MakeBackend(from_env)->name(), "dfs");
-}
-
-TEST(BackendFactoryTest, CapabilitiesMatchTheContract) {
-  smt::SolverOptions options;
-  EXPECT_TRUE(smt::MakeBackend(BackendKind::kDfs, options)->caps().cancellable);
-  EXPECT_TRUE(smt::MakeBackend(BackendKind::kCdcl, options)->caps().cancellable);
-  // The race is synchronous: external cancellation is honored only between races.
-  EXPECT_FALSE(smt::MakeBackend(BackendKind::kPortfolio, options)->caps().cancellable);
-  for (BackendKind k : {BackendKind::kDfs, BackendKind::kCdcl, BackendKind::kPortfolio}) {
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().deterministic_budget);
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().produces_model);
-    // All three retain grounding work across Checks (the portfolio through its
-    // persistent contestants), which is what the verifier's pair sessions key on.
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().incremental);
-  }
 }
 
 // ------------------------------------------------------------- optimization toggles
@@ -337,84 +323,6 @@ TEST(ToggleTest, EnvKnobsAreStrictAndDefaultOn) {
   ASSERT_EQ(unsetenv("NOCTUA_INCREMENTAL"), 0);
 }
 
-// ------------------------------------------------------------------- portfolio race
-
-// Pin the threaded race on, even on single-core machines where the backend would
-// normally fall back to the sequential cascade — these tests are about the race.
-class PortfolioTest : public ::testing::Test {
- protected:
-  void SetUp() override { smt::PortfolioBackend::SetRaceModeForTesting(1); }
-  void TearDown() override { smt::PortfolioBackend::SetRaceModeForTesting(-1); }
-};
-
-TEST_F(PortfolioTest, DecidesAndCountsWins) {
-  smt::PortfolioCounts before = smt::GetPortfolioCounts();
-
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  smt::SolverOptions options;
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, options);
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  backend->Assert(f.Eq(x, f.IntLit(2)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
-  // A decisive race records exactly one winner.
-  int w = backend->stats().portfolio_winner;
-  EXPECT_TRUE(w == 0 || w == 1) << w;
-
-  smt::PortfolioCounts after = smt::GetPortfolioCounts();
-  EXPECT_EQ(after.races, before.races + 1);
-  EXPECT_EQ(after.wins_dfs + after.wins_cdcl, before.wins_dfs + before.wins_cdcl + 1);
-}
-
-TEST_F(PortfolioTest, SatRaceProducesAWitnessModel) {
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  ASSERT_EQ(backend->Check(f), SolveResult::kSat);
-  EXPECT_FALSE(backend->model().ToString().empty());
-}
-
-TEST_F(PortfolioTest, ExternalCancellationShortCircuitsTheRace) {
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  std::atomic<bool> cancel{true};
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->set_cancel(&cancel);
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnknown);
-  // Clearing the flag lets the same backend race normally.
-  cancel.store(false);
-  EXPECT_EQ(backend->Check(f), SolveResult::kSat);
-}
-
-// The single-core fallback: same verdicts and the same tally bookkeeping as the race,
-// with dfs deciding first and cdcl only consulted when dfs abandons.
-TEST(PortfolioCascadeTest, SequentialFallbackDecidesAndTallies) {
-  smt::PortfolioBackend::SetRaceModeForTesting(0);
-  smt::PortfolioCounts before = smt::GetPortfolioCounts();
-
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  backend->Assert(f.Eq(x, f.IntLit(2)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
-  // dfs refutes this outright, so the cascade never reaches cdcl.
-  EXPECT_EQ(backend->stats().portfolio_winner, 0);
-
-  auto sat = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  sat->Assert(f.Eq(x, f.IntLit(7)));
-  ASSERT_EQ(sat->Check(f), SolveResult::kSat);
-  EXPECT_FALSE(sat->model().ToString().empty());
-
-  smt::PortfolioCounts after = smt::GetPortfolioCounts();
-  EXPECT_EQ(after.races, before.races + 2);
-  EXPECT_EQ(after.wins_dfs, before.wins_dfs + 2);
-  EXPECT_EQ(after.wins_cdcl, before.wins_cdcl);
-  smt::PortfolioBackend::SetRaceModeForTesting(-1);
-}
-
 // ---------------------------------------------------- cross-backend restriction sets
 
 std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
@@ -427,8 +335,8 @@ std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report)
   return out;
 }
 
-// The acceptance bar for the whole redesign: on every evaluated app, the dfs, cdcl, and
-// portfolio backends must produce byte-identical restriction sets. Budgets are pinned to
+// The acceptance bar for the whole redesign: on every evaluated app, the dfs and cdcl
+// backends must produce byte-identical restriction sets. Budgets are pinned to
 // deterministic (node-only) mode so the comparison is exact on any machine.
 class BackendIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
@@ -455,19 +363,6 @@ TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
   EXPECT_EQ(cdcl.stats.solver_backend, "cdcl");
   EXPECT_EQ(VerdictLines(cdcl), expected);
   EXPECT_EQ(cdcl.RestrictedPairNames(), dfs.RestrictedPairNames());
-
-  verifier::RestrictionReport portfolio = run(BackendKind::kPortfolio);
-  EXPECT_EQ(portfolio.stats.solver_backend, "portfolio");
-  EXPECT_EQ(VerdictLines(portfolio), expected);
-  EXPECT_EQ(portfolio.RestrictedPairNames(), dfs.RestrictedPairNames());
-  // Every solver query of the portfolio run was a race, and the report's tallies are
-  // deltas for this run alone.
-  if (portfolio.stats.solver_checks > 0) {
-    EXPECT_GT(portfolio.stats.portfolio_races, 0u);
-    EXPECT_EQ(portfolio.stats.portfolio_wins_dfs + portfolio.stats.portfolio_wins_cdcl +
-                  portfolio.stats.portfolio_undecided,
-              portfolio.stats.portfolio_races);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -477,9 +372,8 @@ INSTANTIATE_TEST_SUITE_P(
 // The acceptance bar for the hot-path optimizations: on every evaluated app, turning
 // incremental solving and symmetry reduction off must not move a single verdict. The
 // off-mode reference runs on dfs and is compared against pinned-on runs of dfs and
-// cdcl; the portfolio needs no row of its own — it is composed of the other two, and
-// BackendIdentityTest already pins its restriction set to theirs with the toggles at
-// their defaults.
+// cdcl. Each run records under its own obs::Collector, the only home of the solver's
+// tallies, so the test also sees that the toggles really switch the optimizations.
 class OptimizationIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
 TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
@@ -488,28 +382,44 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   analysis_only.verify = false;
   analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
 
+  struct Run {
+    verifier::RestrictionReport report;
+    uint64_t reuse_hits = 0;
+    uint64_t symmetry_pruned = 0;
+  };
   auto run = [&](BackendKind kind, smt::Toggle mode) {
+    obs::Collector collector(obs::ObsOptions{.enabled = true});
     PipelineOptions options;
     options.parallel.threads = 2;
     options.checker.solver.backend = kind;
     options.checker.solver.budget.deterministic = true;
     options.checker.solver.symmetry = mode;
     options.checker.solver.incremental = mode;
-    return Pipeline::Verify(a, analysis, options);
+    Run r{Pipeline::Verify(a, analysis, options)};
+    collector.Stop();
+    r.reuse_hits = collector.counter(obs::Counter::kSolverIncrementalReuse);
+    r.symmetry_pruned = collector.counter(obs::Counter::kSolverSymmetryPruned);
+    return r;
   };
 
-  verifier::RestrictionReport off = run(BackendKind::kDfs, smt::Toggle::kOff);
-  ASSERT_FALSE(off.pairs.empty());
+  Run off = run(BackendKind::kDfs, smt::Toggle::kOff);
+  ASSERT_FALSE(off.report.pairs.empty());
   // The toggles are really off: nothing was reused or pruned.
-  EXPECT_EQ(off.stats.incremental_reuse_hits, 0u);
-  EXPECT_EQ(off.stats.symmetry_pruned, 0u);
-  std::vector<std::string> expected = VerdictLines(off);
+  EXPECT_EQ(off.reuse_hits, 0u);
+  EXPECT_EQ(off.symmetry_pruned, 0u);
+  std::vector<std::string> expected = VerdictLines(off.report);
 
   for (BackendKind kind : {BackendKind::kDfs, BackendKind::kCdcl}) {
-    verifier::RestrictionReport on = run(kind, smt::Toggle::kOn);
-    EXPECT_EQ(VerdictLines(on), expected) << smt::BackendKindName(kind);
-    EXPECT_EQ(on.RestrictedPairNames(), off.RestrictedPairNames())
+    Run on = run(kind, smt::Toggle::kOn);
+    EXPECT_EQ(VerdictLines(on.report), expected) << smt::BackendKindName(kind);
+    EXPECT_EQ(on.report.RestrictedPairNames(), off.report.RestrictedPairNames())
         << smt::BackendKindName(kind);
+    if (kind == BackendKind::kDfs) {
+      // And really on: the pair sessions reused their frames' grounding, and the search
+      // pruned symmetric values.
+      EXPECT_GT(on.reuse_hits, 0u);
+      EXPECT_GT(on.symmetry_pruned, 0u);
+    }
   }
 }
 

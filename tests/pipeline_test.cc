@@ -369,35 +369,9 @@ TEST(EngineTest, WarmEngineAnswersRepeatRunsFromItsVerdictCache) {
             cold.restrictions.RestrictedPairNames());
 }
 
-TEST(EngineTest, SequentialEnginesKeepIndependentSolverTallies) {
-  // Regression for the cross-run counter bleed: portfolio/solver tallies used to live in
-  // process-wide globals, so a second pipeline's lifetime counters started wherever the
-  // first left off. Each Engine owns its sink now — its tally is exactly its own work.
-  EngineConfig config;
-  config.solver = smt::BackendKind::kPortfolio;
-  app::App todo = apps::MakeTodoApp();
-
-  Engine first(config);
-  PipelineResult r1 = first.Run(todo);
-  const smt::PortfolioCounts p1 = first.counters().Portfolio();
-
-  Engine second(config);
-  PipelineResult r2 = second.Run(todo);
-  const smt::PortfolioCounts p2 = second.counters().Portfolio();
-
-  ASSERT_GT(r1.restrictions.stats.portfolio_races, 0u);
-  EXPECT_EQ(p1.races, r1.restrictions.stats.portfolio_races);
-  EXPECT_EQ(p2.races, r2.restrictions.stats.portfolio_races);
-  EXPECT_EQ(p1.races, p2.races);  // identical work, not first's tally plus second's
-  // Running the second engine must not have moved the first engine's counters.
-  EXPECT_EQ(first.counters().Portfolio().races, p1.races);
-  EXPECT_EQ(p1.wins_dfs + p1.wins_cdcl + p1.undecided, p1.races);
-}
-
 TEST(EngineTest, IdleEngineConstructsAndDestructsCleanly) {
   Engine engine{EngineConfig{}};
   EXPECT_EQ(engine.verdicts().size(), 0u);
-  EXPECT_EQ(engine.counters().Shared().incremental_reuse_hits, 0u);
 }
 
 TEST(EngineTest, VerdictCacheCapacityKnobReachesTheEngineCache) {
@@ -424,7 +398,6 @@ TEST(EngineTest, ResolveOptionsPinsAutoKnobsAndInjectsEngineState) {
   EXPECT_EQ(resolved.checker.solver.backend, smt::BackendKind::kCdcl);
   EXPECT_EQ(resolved.checker.solver.symmetry, smt::Toggle::kOff);
   EXPECT_EQ(resolved.parallel.pool, &engine.pool());
-  EXPECT_EQ(resolved.parallel.counters, &engine.counters());
   EXPECT_EQ(resolved.parallel.store, &engine.verdicts());
 
   // A caller that brought its own store (or asked for a bounded run-local cache, or a

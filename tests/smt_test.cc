@@ -1,5 +1,5 @@
 // Unit tests for the SMT substrate: sorts, term construction/simplification, evaluation,
-// and the solver backends (every solver test runs against dfs, cdcl, and portfolio).
+// and the solver backends (every solver test runs against both dfs and cdcl).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -337,7 +337,7 @@ TEST(AtomSignatureTest, GroundedPairQueryAtomsAreFlaggedAndCoveredByTheRootSigna
 // --- Solver -------------------------------------------------------------------------------
 
 // Every solver-behavior test runs against each backend: the same queries must get the
-// same verdicts from the model finder, the CDCL backend, and the portfolio race.
+// same verdicts from the model finder and the CDCL backend.
 class SolverTest : public ::testing::TestWithParam<BackendKind> {
  protected:
   SolveResult Check(const std::vector<Term>& assertions) {
@@ -474,8 +474,7 @@ TEST_P(SolverTest, CommutativityStyleQuery) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SolverTest,
-                         ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl,
-                                           BackendKind::kPortfolio),
+                         ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl),
                          [](const ::testing::TestParamInfo<BackendKind>& info) {
                            return std::string(BackendKindName(info.param));
                          });
@@ -506,8 +505,7 @@ TEST_P(ScopeSweepTest, PigeonholePrinciple) {
 INSTANTIATE_TEST_SUITE_P(
     Scopes, ScopeSweepTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl,
-                                         BackendKind::kPortfolio)),
+                       ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl)),
     [](const ::testing::TestParamInfo<std::tuple<int, BackendKind>>& info) {
       return "k" + std::to_string(std::get<0>(info.param)) +
              std::string(BackendKindName(std::get<1>(info.param)));
@@ -539,7 +537,6 @@ TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
     Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
 
     std::unique_ptr<SolverBackend> inc = MakeBackend(options);
-    ASSERT_TRUE(inc->caps().incremental) << BackendKindName(kind);
     inc->AssertAll({wf, both_in});
     const std::vector<Term> frame = inc->assertions();
 

@@ -1,8 +1,10 @@
 // Verifier tests: the paper's Table 5 results, the §6.4 case-study pairs, the unique-ID
-// optimization ablation (§5.2), the order-encoding ablation (§4.2 / Table 7), and
-// differential testing of verdicts against concrete execution.
+// optimization ablation (§5.2), the order-encoding ablation (§4.2 / Table 7), the pair
+// session's query-order independence, and differential testing of verdicts against
+// concrete execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/analyzer/analyzer.h"
@@ -212,6 +214,55 @@ TEST(OrderEncoding, OrderUsingPathsAreConservativeWithoutOrder) {
   Checker checker2(a.schema(), with_order);
   EXPECT_NE(checker2.CheckCommutativity(*order_path, *order_path),
             CheckOutcome::kUnsupported);
+}
+
+// --- PairSession -----------------------------------------------------------------------------
+
+// The pair session is the verifier's only pair code path: one backend whose base switches
+// between the commutativity query and the NotInvalidate frame, each direction pushed on
+// top and popped after its Check. Asked out of report order, a session must answer exactly
+// like a fresh session asked in report order: a switch that kept the wrong base asserted,
+// or an unpopped goal, would change a later verdict. The mixed order runs NotInvalidate
+// directions back to back, because only there does a goal left unpopped meet another
+// direction's. Every effectful pair of SmallBank and Todo, prefilter off so every query
+// reaches the solver, with incremental solving on and off — which must agree too.
+TEST(PairSessionTest, OutOfOrderQueriesMatchAFreshSessionInReportOrder) {
+  for (app::App (*make)() : {&apps::MakeSmallBankApp, &apps::MakeTodoApp}) {
+    app::App a = make();
+    std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
+    std::map<smt::Toggle, std::vector<CheckOutcome>> by_mode;
+    for (smt::Toggle incremental : {smt::Toggle::kOn, smt::Toggle::kOff}) {
+      CheckerOptions options;
+      options.solver.budget.deterministic = true;
+      options.solver.incremental = incremental;
+      options.independence_prefilter = false;
+      Checker checker(a.schema(), options);
+      std::vector<CheckOutcome>& outcomes = by_mode[incremental];
+      for (size_t i = 0; i < eff.size(); ++i) {
+        for (size_t j = i; j < eff.size(); ++j) {
+          const std::string pair = a.name() + " " + eff[i].op_name + "|" + eff[j].op_name;
+          Checker::PairSession fresh(checker, eff[i], eff[j]);
+          CheckOutcome com = fresh.Commutativity();
+          CheckOutcome pq = fresh.NotInvalidatePQ();
+          CheckOutcome qp = fresh.NotInvalidateQP();
+          outcomes.insert(outcomes.end(), {com, pq, qp});
+
+          Checker::PairSession mixed(checker, eff[i], eff[j]);
+          EXPECT_EQ(mixed.NotInvalidateQP(), qp) << pair;
+          EXPECT_EQ(mixed.NotInvalidatePQ(), pq) << pair;
+          EXPECT_EQ(mixed.NotInvalidateQP(), qp) << pair;
+          EXPECT_EQ(mixed.Commutativity(), com) << pair;
+          EXPECT_EQ(mixed.NotInvalidatePQ(), pq) << pair;
+          EXPECT_EQ(mixed.Commutativity(), com) << pair;
+        }
+      }
+    }
+    EXPECT_EQ(by_mode[smt::Toggle::kOff], by_mode[smt::Toggle::kOn]) << a.name();
+    // Not vacuous: both verdicts occur.
+    const std::vector<CheckOutcome>& on = by_mode[smt::Toggle::kOn];
+    EXPECT_NE(std::count(on.begin(), on.end(), CheckOutcome::kPass), 0) << a.name();
+    EXPECT_NE(std::count(on.begin(), on.end(), CheckOutcome::kFail), 0) << a.name();
+  }
 }
 
 // --- Differential testing: verifier verdicts vs concrete execution --------------------------
