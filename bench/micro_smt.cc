@@ -53,9 +53,9 @@ void BM_GroundQuantifier(benchmark::State& state) {
   int scope = static_cast<int>(state.range(0));
   for (auto _ : state) {
     TermFactory f;
-    Sort rs = smt::RefSort(0);
-    Term ids = f.Const("ids", smt::SetSort(rs));
-    Term data = f.Const("data", smt::ArraySort(rs, smt::TupleSort({rs, smt::IntSort()})));
+    Sort rs = f.RefSort(0);
+    Term ids = f.Const("ids", f.SetSort(rs));
+    Term data = f.Const("data", f.ArraySort(rs, f.TupleSort({rs, smt::IntSort()})));
     Term x = f.NewBoundVar(rs);
     Term y = f.NewBoundVar(rs);
     Term axiom = f.Forall(
@@ -73,10 +73,10 @@ BENCHMARK(BM_GroundQuantifier)->Arg(2)->Arg(3)->Arg(4);
 void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
   for (auto _ : state) {
     TermFactory f;
-    Sort rs = smt::RefSort(0);
-    Sort obj = smt::TupleSort({rs, smt::IntSort()});
-    Term data = f.Const("data", smt::ArraySort(rs, obj));
-    Term ids = f.Const("ids", smt::SetSort(rs));
+    Sort rs = f.RefSort(0);
+    Sort obj = f.TupleSort({rs, smt::IntSort()});
+    Term data = f.Const("data", f.ArraySort(rs, obj));
+    Term ids = f.Const("ids", f.SetSort(rs));
     Term v = f.NewBoundVar(rs);
     Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
     Term x = f.Const("x", rs);

@@ -477,15 +477,13 @@ Term PermuteRefs(TermFactory& f, Term t, int model, int a, int b) {
   if (t->children().empty()) {
     return t;
   }
-  std::vector<Term> kids;
-  kids.reserve(t->children().size());
+  ChildBuffer kids(t->children().size());
   bool changed = false;
-  for (Term c : t->children()) {
-    Term n = PermuteRefs(f, c, model, a, b);
-    changed = changed || n != c;
-    kids.push_back(n);
+  for (size_t i = 0; i < t->children().size(); ++i) {
+    kids[i] = PermuteRefs(f, t->child(i), model, a, b);
+    changed = changed || kids[i] != t->child(i);
   }
-  return changed ? RebuildTerm(f, t, std::move(kids)) : t;
+  return changed ? RebuildTerm(f, t, kids.span()) : t;
 }
 
 }  // namespace
@@ -518,12 +516,19 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
     return SolveResult::kSat;
   }
 
+  // Scratch keyed by the factory's terms, on lease for this call: the domain and
+  // symmetry walks, and the theory's assignment, substitution memo and branching memo.
+  ScratchMap walk(factory);
+  ScratchMap values(factory);
+  ScratchMap memo(factory);
+  ScratchMap atom_memo(factory);
+
   ValueDomains domains;
-  domains.Harvest(pending, options_.max_int_domain, options_.max_string_domain);
+  domains.Harvest(pending, options_.max_int_domain, options_.max_string_domain, *walk);
 
   SymmetryBreaker symmetry;
   if (SymmetryEnabled(options_)) {
-    symmetry.Analyze(assertions, pending, options_.scope);
+    symmetry.Analyze(assertions, pending, options_.scope, *walk);
   }
 
   // Per-assertion support approximation: the constants an assertion mentions. Every atom
@@ -563,7 +568,7 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
   std::vector<std::vector<Term>> lits_of;  // atom id -> candidate literal terms
   std::vector<std::vector<int>> vars_of;   // atom id -> variable block ({} for facts)
   std::unordered_map<Term, int> atom_id;
-  std::unordered_map<Term, Term> forced;   // the facts, as a standing substitution
+  std::vector<std::pair<Term, Term>> forced;  // the facts, as a standing substitution
   // Variable -> (atom id, value index): the decode table the symmetric-nogood multiplier
   // uses to lift propositional nogood literals back to [atom = value] facts.
   std::vector<std::pair<int, int>> var_origin;
@@ -579,7 +584,7 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
     std::vector<Term> lits = domains.LiteralsFor(factory, options_.scope, atom);
     std::vector<int> block;
     if (lits.size() == 1) {
-      forced.emplace(atom, lits[0]);
+      forced.emplace_back(atom, lits[0]);
     } else {
       block.reserve(lits.size());
       std::vector<int> alo;
@@ -712,28 +717,31 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
   // branching rule, which never touches atoms the simplifier eliminated).
   auto theory = [&]() -> TheoryResult {
     for (;;) {
-      std::unordered_map<Term, Term> values = forced;
+      // The assertions are substituted from scratch, so every round may meet any atom:
+      // the mask covers every assigned atom.
+      uint64_t mask = 0;
+      values->Clear();
+      for (const auto& [atom, lit] : forced) {
+        values->Set(atom, lit);
+        mask |= atom->atom_sig();
+      }
       for (size_t i = 0; i < atom_terms.size(); ++i) {
         const std::vector<int>& block = vars_of[i];
         for (size_t j = 0; j < block.size(); ++j) {
           if (search.value(block[j]) == 1) {
-            values.emplace(atom_terms[i], lits_of[i][j]);
+            values->Set(atom_terms[i], lits_of[i][j]);
+            mask |= atom_terms[i]->atom_sig();
             break;
           }
         }
       }
-      // The assertions are substituted from scratch, so every round may meet any atom.
-      uint64_t mask = 0;
-      for (const auto& [atom, lit] : values) {
-        mask |= atom->atom_sig();
-      }
-      std::unordered_map<Term, Term> memo;
-      std::unordered_map<Term, Term> atom_memo;
+      memo->Clear();
+      atom_memo->Clear();
       Term branch_atom = nullptr;
       bool all_true = true;
       for (size_t ai = 0; ai < pending.size(); ++ai) {
         ++stats_.evaluations;
-        Term r = SubstFixpoint(factory, pending[ai], values, mask, mask, memo);
+        Term r = SubstFixpoint(factory, pending[ai], *values, mask, mask, *memo);
         if (r->IsBoolLit(true)) {
           continue;
         }
@@ -757,7 +765,7 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
         }
         all_true = false;
         if (branch_atom == nullptr) {
-          branch_atom = FindFirstAtom(r, atom_memo);
+          branch_atom = FindFirstAtom(r, *atom_memo);
           NOCTUA_CHECK_MSG(branch_atom != nullptr, "undecided residual without atoms");
         }
       }

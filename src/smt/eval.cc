@@ -192,7 +192,7 @@ std::string Value::ToString() const {
 // --- Atom / AtomTable ---------------------------------------------------------------------
 
 std::string Atom::Name() const {
-  std::string n = base->str_payload();
+  std::string n(base->str_payload());
   if (index >= 0) {
     n += "[" + std::to_string(index) + "]";
   }
@@ -518,7 +518,7 @@ Value Evaluator::EvalRec(Term t) {
       result = Value::Int(t->int_payload());
       break;
     case TermKind::kStrLit:
-      result = Value::Str(t->str_payload());
+      result = Value::Str(std::string(t->str_payload()));
       break;
     case TermKind::kRefLit:
       result = Value::Ref(t->int_payload());

@@ -1,13 +1,12 @@
 #include "src/smt/ground.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/support/check.h"
 
 namespace noctua::smt {
 
-std::vector<Term> Grounder::DomainElements(const Sort& sort) {
+std::vector<Term> Grounder::DomainElements(Sort sort) {
   std::vector<Term> out;
   if (sort->is_ref()) {
     int n = scope_.RefSize(sort->model_id());
@@ -16,8 +15,8 @@ std::vector<Term> Grounder::DomainElements(const Sort& sort) {
       out.push_back(f_->RefLit(sort, i));
     }
   } else if (sort->is_pair()) {
-    const Sort& s1 = sort->children()[0];
-    const Sort& s2 = sort->children()[1];
+    Sort s1 = sort->children()[0];
+    Sort s2 = sort->children()[1];
     int n1 = scope_.RefSize(s1->model_id());
     int n2 = scope_.RefSize(s2->model_id());
     out.reserve(static_cast<size_t>(n1) * n2);
@@ -35,7 +34,7 @@ std::vector<Term> Grounder::DomainElements(const Sort& sort) {
 Term Grounder::GroundBinder(Term t) {
   ++binders_expanded_;
   int64_t var_id = t->int_payload();
-  const Sort& dom = t->binder_sort();
+  Sort dom = t->binder_sort();
   std::vector<Term> elems = DomainElements(dom);
 
   // Instantiates body child `c` at domain element `e` and grounds the result (the body
@@ -119,9 +118,8 @@ Term Grounder::GroundBinder(Term t) {
 
 Term Grounder::Ground(Term t) {
   if (!t->has_bound_var()) {
-    auto it = memo_.find(t);
-    if (it != memo_.end()) {
-      return it->second;
+    if (const Term* done = memo_->Find(t)) {
+      return *done;
     }
   }
   Term result;
@@ -140,30 +138,29 @@ Term Grounder::Ground(Term t) {
         result = t;
         break;
       }
-      std::vector<Term> kids;
-      kids.reserve(t->children().size());
+      ChildBuffer kids(t->children().size());
       bool changed = false;
-      for (Term c : t->children()) {
-        Term g = Ground(c);
-        changed = changed || g != c;
-        kids.push_back(g);
+      for (size_t i = 0; i < t->children().size(); ++i) {
+        kids[i] = Ground(t->child(i));
+        changed = changed || kids[i] != t->child(i);
       }
-      result = changed ? RebuildTerm(*f_, t, std::move(kids)) : t;
+      result = changed ? RebuildTerm(*f_, t, kids.span()) : t;
       break;
     }
   }
   if (!t->has_bound_var()) {
-    memo_.emplace(t, result);
+    memo_->Set(t, result);
   }
   return result;
 }
 
-void Grounder::CollectAtoms(Term grounded, std::vector<Term>* atoms) {
-  std::unordered_set<Term> seen;
+void Grounder::CollectAtoms(Term grounded, TermMap& seen, std::vector<Term>* atoms) {
+  seen.Clear();
   auto walk = [&](Term t, auto&& self) -> void {
-    if (!seen.insert(t).second) {
+    if (seen.Find(t) != nullptr) {
       return;
     }
+    seen.Set(t, t);
     if (t->is_ground_atom()) {
       atoms->push_back(t);
       return;
@@ -233,7 +230,7 @@ bool IncrementalGrounder::Ground(TermFactory& f, const Scope& scope,
 std::string GroundAtomName(Term atom) {
   switch (atom->kind()) {
     case TermKind::kConst:
-      return atom->str_payload();
+      return std::string(atom->str_payload());
     case TermKind::kSelect: {
       Term idx = atom->child(1);
       std::string i = idx->kind() == TermKind::kRefLit
@@ -249,42 +246,36 @@ std::string GroundAtomName(Term atom) {
   }
 }
 
-Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 uint64_t mask, std::unordered_map<Term, Term>& memo) {
+Term SubstGround(TermFactory& f, Term t, const TermMap& values, uint64_t mask, TermMap& memo) {
   if ((t->atom_sig() & mask) == 0) {
     return t;
   }
-  auto vit = values.find(t);
-  if (vit != values.end()) {
-    return vit->second;
+  if (const Term* v = values.Find(t)) {
+    return *v;
   }
   if (t->children().empty()) {
     return t;
   }
-  auto it = memo.find(t);
-  if (it != memo.end()) {
-    return it->second;
+  if (const Term* done = memo.Find(t)) {
+    return *done;
   }
-  std::vector<Term> kids;
-  kids.reserve(t->children().size());
+  ChildBuffer kids(t->children().size());
   bool changed = false;
-  for (Term c : t->children()) {
-    Term nc = SubstGround(f, c, values, mask, memo);
-    changed = changed || nc != c;
-    kids.push_back(nc);
+  for (size_t i = 0; i < t->children().size(); ++i) {
+    kids[i] = SubstGround(f, t->child(i), values, mask, memo);
+    changed = changed || kids[i] != t->child(i);
   }
-  Term result = changed ? RebuildTerm(f, t, std::move(kids)) : t;
+  Term result = changed ? RebuildTerm(f, t, kids.span()) : t;
   // The rebuilt term may expose an assigned atom (e.g. a fresh Select cell).
-  vit = values.find(result);
-  if (vit != values.end()) {
-    result = vit->second;
+  if (const Term* v = values.Find(result)) {
+    result = *v;
   }
-  memo.emplace(t, result);
+  memo.Set(t, result);
   return result;
 }
 
-Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   uint64_t first_mask, uint64_t mask, std::unordered_map<Term, Term>& memo) {
+Term SubstFixpoint(TermFactory& f, Term t, const TermMap& values, uint64_t first_mask,
+                   uint64_t mask, TermMap& memo) {
   uint64_t round_mask = first_mask;
   for (int round = 1;; ++round) {
     Term r = SubstGround(f, t, values, round_mask, memo);
@@ -299,10 +290,9 @@ Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>&
   }
 }
 
-Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo) {
-  auto it = memo.find(t);
-  if (it != memo.end()) {
-    return it->second;
+Term FindFirstAtom(Term t, TermMap& memo) {
+  if (const Term* done = memo.Find(t)) {
+    return *done;
   }
   Term found = nullptr;
   if (t->is_ground_atom()) {
@@ -315,7 +305,7 @@ Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo) {
       }
     }
   }
-  memo.emplace(t, found);
+  memo.Set(t, found);
   return found;
 }
 

@@ -21,7 +21,8 @@ namespace noctua::smt {
 
 class Grounder {
  public:
-  Grounder(TermFactory* factory, const Scope& scope) : f_(factory), scope_(scope) {}
+  Grounder(TermFactory* factory, const Scope& scope)
+      : f_(factory), scope_(scope), memo_(*factory) {}
 
   // Expands all binders in `t` over the scope. The result contains no binder nodes and no
   // bound variables.
@@ -29,7 +30,8 @@ class Grounder {
 
   // Ground atoms of a grounded term, in deterministic first-occurrence order:
   // scalar constants, Select(const, ground index), Proj(Select(const, ground index), i).
-  static void CollectAtoms(Term grounded, std::vector<Term>* atoms);
+  // `seen` is the walk's scratch; it is cleared first.
+  static void CollectAtoms(Term grounded, TermMap& seen, std::vector<Term>* atoms);
 
   // Number of binder nodes this grounder expanded over their domains (memoized re-visits
   // of the same binder term do not recount). Observability reports this as
@@ -38,12 +40,12 @@ class Grounder {
 
  private:
   // Domain elements of a Ref or Pair sort as literal terms.
-  std::vector<Term> DomainElements(const Sort& sort);
+  std::vector<Term> DomainElements(Sort sort);
   Term GroundBinder(Term t);
 
   TermFactory* f_;
   Scope scope_;
-  std::unordered_map<Term, Term> memo_;
+  ScratchMap memo_;
   uint64_t binders_expanded_ = 0;
 };
 
@@ -100,21 +102,20 @@ std::string GroundAtomName(Term atom);
 // atom can *materialize* new ground atoms (assigning x := #0 turns Select(data, x) into
 // the cell Select(data, #0)), so callers must iterate with the full assignment trail
 // until a fixpoint is reached — or use SubstFixpoint.
-Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 uint64_t mask, std::unordered_map<Term, Term>& memo);
+Term SubstGround(TermFactory& f, Term t, const TermMap& values, uint64_t mask, TermMap& memo);
 
 // Substitutes until no assigned atom remains reachable; a run of 16 rounds without
 // reaching the fixpoint is a fatal error. The first round prunes by `first_mask`, which
 // need only cover the assigned atoms `t` itself can contain; the later rounds prune by
 // `mask`, which must cover all of `values`, since a materialized atom may be any of them.
 // `memo` may be shared across calls with the same `values`.
-Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   uint64_t first_mask, uint64_t mask, std::unordered_map<Term, Term>& memo);
+Term SubstFixpoint(TermFactory& f, Term t, const TermMap& values, uint64_t first_mask,
+                   uint64_t mask, TermMap& memo);
 
 // First ground atom in DFS order, memoized (nullptr when the term contains none). This is
 // the shared branching heuristic: backends decide atoms that survive in simplified
 // residuals, never don't-care atoms the simplifier already collapsed away.
-Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo);
+Term FindFirstAtom(Term t, TermMap& memo);
 
 }  // namespace noctua::smt
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/smt/backend.h"  // SymmetryEnabled / IncrementalEnabled
 #include "src/smt/ground.h"
@@ -32,21 +30,22 @@ std::string SmtModel::ToString() const {
 }
 
 void ValueDomains::Harvest(const std::vector<Term>& roots, int max_int_domain,
-                           int max_string_domain) {
+                           int max_string_domain, TermMap& seen) {
   std::set<int64_t> ints;
   std::set<std::string> strings;
-  std::unordered_set<Term> seen;
+  seen.Clear();
   std::vector<Term> stack(roots.begin(), roots.end());
   while (!stack.empty()) {
     Term t = stack.back();
     stack.pop_back();
-    if (!seen.insert(t).second) {
+    if (seen.Find(t) != nullptr) {
       continue;
     }
+    seen.Set(t, t);
     if (t->kind() == TermKind::kIntLit) {
       ints.insert(t->int_payload());
     } else if (t->kind() == TermKind::kStrLit) {
-      strings.insert(t->str_payload());
+      strings.emplace(t->str_payload());
     }
     for (Term c : t->children()) {
       stack.push_back(c);
@@ -87,7 +86,7 @@ void ValueDomains::Harvest(const std::vector<Term>& roots, int max_int_domain,
 
 std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
                                             Term atom) const {
-  const Sort& sort = atom->sort();
+  Sort sort = atom->sort();
   std::vector<Term> out;
   if (sort->is_bool()) {
     out = {f.False(), f.True()};
@@ -113,7 +112,7 @@ std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
   return out;
 }
 
-std::vector<Value> ValueDomains::ValuesFor(const Scope& scope, const Sort& sort) const {
+std::vector<Value> ValueDomains::ValuesFor(const Scope& scope, Sort sort) const {
   std::vector<Value> out;
   if (sort->is_bool()) {
     out = {Value::Bool(false), Value::Bool(true)};
@@ -140,7 +139,8 @@ std::vector<Value> ValueDomains::ValuesFor(const Scope& scope, const Sort& sort)
 }
 
 void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
-                              const std::vector<Term>& grounded, const Scope& scope) {
+                              const std::vector<Term>& grounded, const Scope& scope,
+                              TermMap& seen) {
   groups_.clear();
   position_.clear();
 
@@ -150,7 +150,7 @@ void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
   // elements is not an automorphism of the grounded formula). Judged before grounding:
   // grounding itself introduces element literals everywhere.
   std::set<int> dirty;
-  auto mark_sort = [&](const Sort& s) {
+  auto mark_sort = [&](Sort s) {
     if (s->is_ref()) {
       dirty.insert(s->model_id());
     } else if (s->is_pair()) {
@@ -158,14 +158,15 @@ void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
       dirty.insert(s->children()[1]->model_id());
     }
   };
-  std::unordered_set<Term> seen;
+  seen.Clear();
   std::vector<Term> stack(raw.begin(), raw.end());
   while (!stack.empty()) {
     Term t = stack.back();
     stack.pop_back();
-    if (t == nullptr || !seen.insert(t).second) {
+    if (t == nullptr || seen.Find(t) != nullptr) {
       continue;
     }
+    seen.Set(t, t);
     if (t->kind() == TermKind::kRefLit || t->kind() == TermKind::kArgExtreme) {
       mark_sort(t->sort());
     }
@@ -178,9 +179,10 @@ void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
   // at least two interchangeable elements, in deterministic first-occurrence order.
   std::vector<Term> atoms;
   for (Term g : grounded) {
-    Grounder::CollectAtoms(g, &atoms);
+    Grounder::CollectAtoms(g, seen, &atoms);
   }
-  std::unordered_set<Term> taken;
+  TermMap& taken = seen;  // the walks are done: the scratch now holds the constants taken
+  taken.Clear();
   std::map<int, std::vector<Term>> per_model;
   for (Term a : atoms) {
     if (a->kind() != TermKind::kConst || !a->sort()->is_ref()) {
@@ -190,9 +192,10 @@ void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
     if (dirty.count(m) != 0 || scope.RefSize(m) < 2) {
       continue;
     }
-    if (!taken.insert(a).second) {
+    if (taken.Find(a) != nullptr) {
       continue;
     }
+    taken.Set(a, a);
     per_model[m].push_back(a);
   }
   for (auto& [m, consts] : per_model) {
@@ -256,17 +259,24 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     return SolveResult::kUnsat;
   }
 
-  domains_.Harvest(pending, options_.max_int_domain, options_.max_string_domain);
+  // Scratch keyed by the factory's terms, on lease for this call: the domain and
+  // symmetry walks, the branching memo, the saved phases, the assignment trail, and the
+  // per-node substitution memo.
+  ScratchMap walk(f);
+  ScratchMap atom_memo(f);
+  ScratchMap saved_phase(f);
+  ScratchMap trail_map(f);
+  ScratchMap memo(f);
+
+  domains_.Harvest(pending, options_.max_int_domain, options_.max_string_domain, *walk);
 
   SymmetryBreaker symmetry;
   if (SymmetryEnabled(options_)) {
-    symmetry.Analyze(raw_assertions, pending, options_.scope);
+    symmetry.Analyze(raw_assertions, pending, options_.scope, *walk);
   }
 
-  std::unordered_map<Term, Term> atom_memo;
   std::map<std::string, std::string>& model_values = model_.values;
-  std::vector<std::pair<Term, Term>> assigned;  // (atom, literal) trail
-  std::unordered_map<Term, Term> trail_map;     // same content, for substitution
+  std::vector<std::pair<Term, Term>> assigned;  // (atom, literal) trail; also in trail_map
 
   struct Frame {
     Term atom;
@@ -278,7 +288,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
 
   auto pick_atom = [&](const std::vector<Term>& ps) -> Term {
     for (Term a : ps) {
-      Term atom = FindFirstAtom(a, atom_memo);
+      Term atom = FindFirstAtom(a, *atom_memo);
       if (atom != nullptr) {
         return atom;
       }
@@ -286,32 +296,29 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     return nullptr;
   };
 
-  // Conflict-guided assignment ordering (phase saving): the last value of an atom that
-  // did NOT immediately conflict is tried first when the atom is re-decided on another
-  // branch — backtracking over an unrelated decision usually leaves it viable.
-  std::unordered_map<Term, Term> saved_phase;
-
   // Builds one frame's candidate list: the shared domain, truncated to the symmetry
   // breaker's lex-leader bound (Ref literals come in element order, so truncating by
   // index IS the value-precedence cut), with the saved phase rotated to the front.
-  auto make_domain = [&](Term atom, const std::unordered_map<Term, Term>& trail) {
+  // Phase saving (saved_phase) is conflict-guided assignment ordering: the last value of
+  // an atom that did NOT immediately conflict is tried first when the atom is re-decided
+  // on another branch — backtracking over an unrelated decision usually leaves it viable.
+  auto make_domain = [&](Term atom) {
     std::vector<Term> dom = domains_.LiteralsFor(f, options_.scope, atom);
     if (symmetry.active() && atom->sort()->is_ref()) {
       int ub = symmetry.MaxAllowedIndex(atom, [&](Term c) -> int {
-        auto it = trail.find(c);
-        if (it == trail.end() || it->second->kind() != TermKind::kRefLit) {
+        const Term* v = trail_map->Find(c);
+        if (v == nullptr || (*v)->kind() != TermKind::kRefLit) {
           return -1;
         }
-        return static_cast<int>(it->second->int_payload());
+        return static_cast<int>((*v)->int_payload());
       });
       if (ub >= 0 && static_cast<size_t>(ub) + 1 < dom.size()) {
         stats_.symmetry_pruned += dom.size() - (static_cast<size_t>(ub) + 1);
         dom.resize(static_cast<size_t>(ub) + 1);
       }
     }
-    auto it = saved_phase.find(atom);
-    if (it != saved_phase.end()) {
-      auto pos = std::find(dom.begin(), dom.end(), it->second);
+    if (const Term* phase = saved_phase->Find(atom)) {
+      auto pos = std::find(dom.begin(), dom.end(), *phase);
       if (pos != dom.end() && pos != dom.begin()) {
         std::rotate(dom.begin(), pos, pos + 1);
       }
@@ -335,7 +342,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   stats_.num_atoms = 1;
 
   std::vector<Frame> stack;
-  stack.push_back(Frame{first, make_domain(first, trail_map), 0, pending, first->atom_sig()});
+  stack.push_back(Frame{first, make_domain(first), 0, pending, first->atom_sig()});
 
   bool timed_out = false;
   while (!stack.empty()) {
@@ -350,7 +357,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     Frame& frame = stack.back();
     if (frame.next_value >= frame.domain.size()) {
       if (!assigned.empty() && assigned.back().first == frame.atom) {
-        trail_map.erase(assigned.back().first);
+        trail_map->Erase(assigned.back().first);
         assigned.pop_back();
       }
       stack.pop_back();
@@ -362,18 +369,19 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     } else {
       assigned.emplace_back(frame.atom, value);
     }
-    trail_map[frame.atom] = value;
+    trail_map->Set(frame.atom, value);
 
     // Substitute and simplify every residual assertion. The residuals are fixpoints of
     // the trail without this frame's atom, so the first round looks for that atom's
     // signature bit alone. The confirming rounds take the whole trail's bits: assigning a
     // Ref atom can materialize array cells that earlier frames already fixed.
-    std::unordered_map<Term, Term> memo;
+    memo->Clear();
     std::vector<Term> next_pending;
     bool conflict = false;
     for (Term a : frame.pending) {
       ++stats_.evaluations;
-      Term r = SubstFixpoint(f, a, trail_map, frame.atom->atom_sig(), frame.trail_mask, memo);
+      Term r =
+          SubstFixpoint(f, a, *trail_map, frame.atom->atom_sig(), frame.trail_mask, *memo);
       if (r->IsBoolLit(false)) {
         conflict = true;
         break;
@@ -392,7 +400,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     if (conflict) {
       continue;
     }
-    saved_phase[frame.atom] = value;
+    saved_phase->Set(frame.atom, value);
     if (next_pending.empty()) {
       record_model();
       stats_.seconds = watch.ElapsedSeconds();
@@ -401,8 +409,8 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     Term next_atom = pick_atom(next_pending);
     NOCTUA_CHECK_MSG(next_atom != nullptr, "undecided residual without atoms");
     stats_.num_atoms = std::max(stats_.num_atoms, stack.size() + 1);
-    stack.push_back(Frame{next_atom, make_domain(next_atom, trail_map), 0,
-                          std::move(next_pending), frame.trail_mask | next_atom->atom_sig()});
+    stack.push_back(Frame{next_atom, make_domain(next_atom), 0, std::move(next_pending),
+                          frame.trail_mask | next_atom->atom_sig()});
   }
 
   stats_.seconds = watch.ElapsedSeconds();

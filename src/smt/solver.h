@@ -109,8 +109,9 @@ struct SolverOptions {
 class ValueDomains {
  public:
   // Harvests int/string literals from the grounded assertions and assembles the bounded
-  // domains described in the header comment.
-  void Harvest(const std::vector<Term>& roots, int max_int_domain, int max_string_domain);
+  // domains described in the header comment. `seen` is the walk's scratch.
+  void Harvest(const std::vector<Term>& roots, int max_int_domain, int max_string_domain,
+               TermMap& seen);
 
   const std::vector<int64_t>& ints() const { return int_domain_; }
   const std::vector<std::string>& strings() const { return string_domain_; }
@@ -120,7 +121,7 @@ class ValueDomains {
 
   // Candidate Values for one decomposed scalar atom of `sort` (the CDCL direct
   // encoding). Same values, same order, as LiteralsFor.
-  std::vector<Value> ValuesFor(const Scope& scope, const Sort& sort) const;
+  std::vector<Value> ValuesFor(const Scope& scope, Sort sort) const;
 
  private:
   std::vector<int64_t> int_domain_;
@@ -146,9 +147,10 @@ class ValueDomains {
 class SymmetryBreaker {
  public:
   // Computes dirty models from `raw`, then collects the governed scalar Ref constants
-  // per clean model from the grounded conjuncts' atoms (first-occurrence order).
+  // per clean model from the grounded conjuncts' atoms (first-occurrence order). `seen`
+  // is the walks' scratch.
   void Analyze(const std::vector<Term>& raw, const std::vector<Term>& grounded,
-               const Scope& scope);
+               const Scope& scope, TermMap& seen);
 
   bool active() const { return !groups_.empty(); }
 

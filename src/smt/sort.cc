@@ -18,7 +18,7 @@ std::string SortData::ToString() const {
       return "Pair<" + children_[0]->ToString() + "," + children_[1]->ToString() + ">";
     case SortKind::kTuple: {
       std::string out = "Tuple<";
-      for (size_t i = 0; i < children_.size(); ++i) {
+      for (uint32_t i = 0; i < num_children_; ++i) {
         if (i != 0) {
           out += ",";
         }
@@ -31,57 +31,5 @@ std::string SortData::ToString() const {
   }
   NOCTUA_UNREACHABLE("bad sort kind");
 }
-
-bool SortEq(const Sort& a, const Sort& b) {
-  if (a.get() == b.get()) {
-    return true;
-  }
-  if (a->kind() != b->kind() || a->model_id() != b->model_id() ||
-      a->children().size() != b->children().size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a->children().size(); ++i) {
-    if (!SortEq(a->children()[i], b->children()[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Sort BoolSort() {
-  static const Sort s = std::make_shared<SortData>(SortKind::kBool, -1, std::vector<Sort>{});
-  return s;
-}
-
-Sort IntSort() {
-  static const Sort s = std::make_shared<SortData>(SortKind::kInt, -1, std::vector<Sort>{});
-  return s;
-}
-
-Sort StringSort() {
-  static const Sort s = std::make_shared<SortData>(SortKind::kString, -1, std::vector<Sort>{});
-  return s;
-}
-
-Sort RefSort(int model_id) {
-  NOCTUA_CHECK(model_id >= 0);
-  return std::make_shared<SortData>(SortKind::kRef, model_id, std::vector<Sort>{});
-}
-
-Sort PairSort(const Sort& ref1, const Sort& ref2) {
-  NOCTUA_CHECK(ref1->is_ref() && ref2->is_ref());
-  return std::make_shared<SortData>(SortKind::kPair, -1, std::vector<Sort>{ref1, ref2});
-}
-
-Sort TupleSort(std::vector<Sort> fields) {
-  return std::make_shared<SortData>(SortKind::kTuple, -1, std::move(fields));
-}
-
-Sort ArraySort(const Sort& index, const Sort& element) {
-  NOCTUA_CHECK_MSG(index->is_finite_domain(), "array index sort must be Ref or Pair");
-  return std::make_shared<SortData>(SortKind::kArray, -1, std::vector<Sort>{index, element});
-}
-
-Sort SetSort(const Sort& index) { return ArraySort(index, BoolSort()); }
 
 }  // namespace noctua::smt

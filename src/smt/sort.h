@@ -16,9 +16,8 @@
 #define SRC_SMT_SORT_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace noctua::smt {
 
@@ -33,17 +32,20 @@ enum class SortKind : uint8_t {
 };
 
 class SortData;
-// Sorts are immutable shared values; structural equality (operator==) is what matters.
-using Sort = std::shared_ptr<const SortData>;
+// Sorts are interned, immutable values, so sort equality is pointer equality: `==` on two
+// Sorts of one TermFactory is structural equality. The three scalar sorts are
+// process-wide constants that are only ever read; the composite sorts (Ref, Pair, Tuple,
+// Array) are interned by the TermFactory that builds them (term.h) and live as long as it
+// does. Handling a sort therefore writes no memory another verifier worker can see.
+using Sort = const SortData*;
 
 class SortData {
  public:
-  SortData(SortKind kind, int model_id, std::vector<Sort> children)
-      : kind_(kind), model_id_(model_id), children_(std::move(children)) {}
-
   SortKind kind() const { return kind_; }
   int model_id() const { return model_id_; }
-  const std::vector<Sort>& children() const { return children_; }
+  std::span<const Sort> children() const { return {children_, num_children_}; }
+  // Structural hash, fixed when the sort is interned.
+  uint64_t hash() const { return hash_; }
 
   bool is_bool() const { return kind_ == SortKind::kBool; }
   bool is_int() const { return kind_ == SortKind::kInt; }
@@ -54,8 +56,8 @@ class SortData {
   bool is_array() const { return kind_ == SortKind::kArray; }
 
   // Array accessors (only valid for kArray).
-  const Sort& index_sort() const { return children_[0]; }
-  const Sort& element_sort() const { return children_[1]; }
+  Sort index_sort() const { return children_[0]; }
+  Sort element_sort() const { return children_[1]; }
 
   // True for Array(_, Bool), the representation of sets.
   bool is_set() const { return is_array() && children_[1]->is_bool(); }
@@ -67,24 +69,40 @@ class SortData {
   std::string ToString() const;
 
  private:
+  friend class TermFactory;
+  friend Sort BoolSort();
+  friend Sort IntSort();
+  friend Sort StringSort();
+
+  constexpr SortData(SortKind kind, int model_id, const Sort* children, uint32_t num_children,
+                     uint64_t hash)
+      : kind_(kind),
+        num_children_(num_children),
+        model_id_(model_id),
+        children_(children),
+        hash_(hash) {}
+
+  static const SortData kBool;
+  static const SortData kInt;
+  static const SortData kString;
+
   SortKind kind_;
+  uint32_t num_children_;
   int model_id_;  // only meaningful for kRef
-  std::vector<Sort> children_;
+  const Sort* children_;
+  uint64_t hash_;
 };
 
-// Structural sort equality.
-bool SortEq(const Sort& a, const Sort& b);
+inline constexpr SortData SortData::kBool{SortKind::kBool, -1, nullptr, 0, 0x9ae16a3b2f90404fULL};
+inline constexpr SortData SortData::kInt{SortKind::kInt, -1, nullptr, 0, 0xc3a5c85c97cb3127ULL};
+inline constexpr SortData SortData::kString{SortKind::kString, -1, nullptr, 0,
+                                            0xb492b66fbe98f273ULL};
 
-// Sort constructors. Scalar sorts are interned singletons; composite sorts are cheap
-// shared values (equality is structural, so duplicates are harmless).
-Sort BoolSort();
-Sort IntSort();
-Sort StringSort();
-Sort RefSort(int model_id);
-Sort PairSort(const Sort& ref1, const Sort& ref2);
-Sort TupleSort(std::vector<Sort> fields);
-Sort ArraySort(const Sort& index, const Sort& element);
-Sort SetSort(const Sort& index);  // == ArraySort(index, Bool)
+// The scalar sorts. Ref, Pair, Tuple, Array and Set sorts come from
+// TermFactory::RefSort and its siblings.
+inline Sort BoolSort() { return &SortData::kBool; }
+inline Sort IntSort() { return &SortData::kInt; }
+inline Sort StringSort() { return &SortData::kString; }
 
 }  // namespace noctua::smt
 

@@ -1,6 +1,8 @@
 #include "src/smt/term.h"
 
 #include <algorithm>
+#include <new>
+#include <type_traits>
 
 #include "src/support/check.h"
 
@@ -12,21 +14,51 @@ uint64_t HashMix(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t HashSort(const Sort& s) {
-  uint64_t h = static_cast<uint64_t>(s->kind()) * 0x100000001b3ULL;
-  h = HashMix(h, static_cast<uint64_t>(s->model_id() + 1));
-  for (const Sort& c : s->children()) {
-    h = HashMix(h, HashSort(c));
-  }
+// Spreads the mixed bits over the low ones, which index the intern tables.
+uint64_t HashFinish(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
   return h;
 }
 
-uint64_t HashString(const std::string& s) {
+uint64_t HashString(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : s) {
     h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }
   return h;
+}
+
+// The slot of `table` (power-of-two size, never full) holding an entry of `generation`
+// with hash `h` that `same` accepts, or else the empty slot where such an entry belongs.
+// Slots carry the low half of their entry's hash, so a probe dereferences only entries
+// whose hash matches; a slot written in another generation is empty.
+template <typename Slot, typename Same>
+Slot* Probe(std::vector<Slot>& table, uint32_t generation, uint64_t h, const Same& same) {
+  const size_t mask = table.size() - 1;
+  const auto low = static_cast<uint32_t>(h);
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    Slot& s = table[i];
+    if (s.generation != generation || (s.hash == low && same(s.entry))) {
+      return &s;
+    }
+  }
+}
+
+// Doubles `table` once it holds `count` entries of `generation` and is half full.
+template <typename Slot>
+void MaybeGrow(std::vector<Slot>& table, uint32_t generation, size_t count) {
+  if (2 * count <= table.size()) {
+    return;
+  }
+  std::vector<Slot> old(2 * table.size());
+  old.swap(table);
+  for (const Slot& s : old) {
+    if (s.generation == generation) {
+      *Probe(table, generation, s.hash, [](const auto*) { return false; }) = s;
+    }
+  }
 }
 
 bool IsBinderKind(TermKind k) {
@@ -56,7 +88,7 @@ bool IsGroundIndex(Term t) {
 
 // The one definition of a ground atom (TermData::is_ground_atom), judged at interning
 // from the node's own shape and its already-interned children.
-bool IsGroundAtomShape(TermKind kind, const Sort& sort, const std::vector<Term>& children) {
+bool IsGroundAtomShape(TermKind kind, Sort sort, std::span<const Term> children) {
   switch (kind) {
     case TermKind::kConst:
       return !sort->is_array() && !sort->is_tuple();
@@ -120,7 +152,7 @@ const char* KindName(TermKind k) {
 std::string TermData::ToString() const {
   switch (kind_) {
     case TermKind::kConst:
-      return str_payload_;
+      return std::string(str_payload());
     case TermKind::kBoundVar:
       return "$" + std::to_string(int_payload_);
     case TermKind::kBoolLit:
@@ -128,18 +160,18 @@ std::string TermData::ToString() const {
     case TermKind::kIntLit:
       return std::to_string(int_payload_);
     case TermKind::kStrLit:
-      return "\"" + str_payload_ + "\"";
+      return "\"" + std::string(str_payload()) + "\"";
     case TermKind::kRefLit:
       return "#" + std::to_string(int_payload_);
     case TermKind::kProj:
-      return "(proj." + std::to_string(int_payload_) + " " + children_[0]->ToString() + ")";
+      return "(proj." + std::to_string(int_payload_) + " " + child(0)->ToString() + ")";
     default: {
       std::string out = "(";
       out += KindName(kind_);
       if (IsBinderKind(kind_)) {
         out += " $" + std::to_string(int_payload_);
       }
-      for (Term c : children_) {
+      for (Term c : children()) {
         out += " " + c->ToString();
       }
       return out + ")";
@@ -148,54 +180,155 @@ std::string TermData::ToString() const {
 }
 
 TermFactory::TermFactory() {
-  // A typical verification query interns a few thousand terms; reserving up front saves
-  // the rehash/reallocation churn on every check (factories are created per check).
-  buckets_.reserve(4096);
-  all_terms_.reserve(4096);
+  // A pair session interns a few thousand terms at least; starting there saves the
+  // early growth steps.
+  terms_.resize(4096);
+  sorts_.resize(64);
 }
-TermFactory::~TermFactory() = default;
+TermFactory::~TermFactory() {
+  NOCTUA_CHECK_MSG(leased_maps_ == 0, "TermFactory destroyed with a ScratchMap on lease");
+}
 
-Term TermFactory::Intern(TermKind kind, Sort sort, std::vector<Term> children,
-                         int64_t int_payload, int64_t int_payload2, std::string str_payload,
-                         Sort binder_sort) {
-  uint64_t h = static_cast<uint64_t>(kind);
-  h = HashMix(h, HashSort(sort));
-  for (Term c : children) {
+void TermFactory::Reset() {
+  NOCTUA_CHECK_MSG(leased_maps_ == 0, "TermFactory::Reset with a ScratchMap on lease");
+  if (++generation_ == 0) {  // wrapped: no old slot may carry the new generation
+    for (auto& s : terms_) {
+      s.generation = 0;
+    }
+    for (auto& s : sorts_) {
+      s.generation = 0;
+    }
+    generation_ = 1;
+  }
+  num_terms_ = 0;
+  num_sorts_ = 0;
+  blocks_in_use_ = 0;
+  block_next_ = nullptr;
+  block_end_ = nullptr;
+  next_bound_var_ = 0;
+  intern_hits_ = 0;
+}
+
+void* TermFactory::Allocate(size_t bytes) {
+  bytes = (bytes + 7) & ~size_t{7};
+  if (static_cast<size_t>(block_end_ - block_next_) < bytes) {
+    NextBlock(bytes);
+  }
+  void* out = block_next_;
+  block_next_ += bytes;
+  return out;
+}
+
+void TermFactory::NextBlock(size_t bytes) {
+  // The blocks kept by Reset come first, in order; a request too large for the next one
+  // gets a new block in its place.
+  if (blocks_in_use_ == blocks_.size() || blocks_[blocks_in_use_].size < bytes) {
+    const size_t size = std::max(bytes, next_block_bytes_);
+    blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(blocks_in_use_),
+                   Block{std::make_unique_for_overwrite<std::byte[]>(size), size});
+    next_block_bytes_ = std::min(2 * next_block_bytes_, size_t{1} << 20);
+  }
+  Block& b = blocks_[blocks_in_use_++];
+  block_next_ = b.bytes.get();
+  block_end_ = block_next_ + b.size;
+}
+
+Sort TermFactory::InternSort(SortKind kind, int model_id, std::span<const Sort> children) {
+  uint64_t h = HashMix(static_cast<uint64_t>(kind) * 0x100000001b3ULL,
+                       static_cast<uint64_t>(model_id + 1));
+  for (Sort c : children) {
     h = HashMix(h, c->hash());
-    h = HashMix(h, reinterpret_cast<uintptr_t>(c));
+  }
+  h = HashFinish(h);
+  auto* slot = Probe(sorts_, generation_, h, [&](const SortData* s) {
+    return s->kind_ == kind && s->model_id_ == model_id &&
+           std::ranges::equal(s->children(), children);
+  });
+  if (slot->generation == generation_) {
+    return slot->entry;
+  }
+  Sort* kids = static_cast<Sort*>(Allocate(children.size() * sizeof(Sort)));
+  std::ranges::copy(children, kids);
+  auto* s = new (Allocate(sizeof(SortData)))
+      SortData(kind, model_id, kids, static_cast<uint32_t>(children.size()), h);
+  *slot = {static_cast<uint32_t>(h), generation_, s};
+  MaybeGrow(sorts_, generation_, ++num_sorts_);
+  return s;
+}
+
+Sort TermFactory::RefSort(int model_id) {
+  NOCTUA_CHECK(model_id >= 0);
+  return InternSort(SortKind::kRef, model_id, {});
+}
+
+Sort TermFactory::PairSort(Sort ref1, Sort ref2) {
+  NOCTUA_CHECK(ref1->is_ref() && ref2->is_ref());
+  const Sort kids[] = {ref1, ref2};
+  return InternSort(SortKind::kPair, -1, kids);
+}
+
+Sort TermFactory::TupleSort(std::span<const Sort> fields) {
+  return InternSort(SortKind::kTuple, -1, fields);
+}
+
+Sort TermFactory::ArraySort(Sort index, Sort element) {
+  NOCTUA_CHECK_MSG(index->is_finite_domain(), "array index sort must be Ref or Pair");
+  const Sort kids[] = {index, element};
+  return InternSort(SortKind::kArray, -1, kids);
+}
+
+Term TermFactory::Intern(TermKind kind, Sort sort, std::span<const Term> children,
+                         int64_t int_payload, int64_t int_payload2, std::string_view str_payload,
+                         Sort binder_sort) {
+  uint64_t h = HashMix(static_cast<uint64_t>(kind), sort->hash());
+  for (Term c : children) {
+    h = HashMix(h, c->id());
   }
   h = HashMix(h, static_cast<uint64_t>(int_payload));
   h = HashMix(h, static_cast<uint64_t>(int_payload2));
   h = HashMix(h, HashString(str_payload));
-  if (binder_sort) {
-    h = HashMix(h, HashSort(binder_sort));
+  if (binder_sort != nullptr) {
+    h = HashMix(h, binder_sort->hash());
+  }
+  h = HashFinish(h);
+
+  auto* slot = Probe(terms_, generation_, h, [&](const TermData* t) {
+    return t->kind_ == kind && t->sort_ == sort && t->int_payload_ == int_payload &&
+           t->int_payload2_ == int_payload2 && t->binder_sort_ == binder_sort &&
+           t->str_payload() == str_payload && std::ranges::equal(t->children(), children);
+  });
+  if (slot->generation == generation_) {
+    ++intern_hits_;
+    return slot->entry;
   }
 
-  auto& bucket = buckets_[h];
-  for (const auto& t : bucket) {
-    if (t->kind_ == kind && t->int_payload_ == int_payload && t->int_payload2_ == int_payload2 &&
-        t->str_payload_ == str_payload && t->children_ == children && SortEq(t->sort_, sort) &&
-        (!binder_sort || (t->binder_sort_ && SortEq(t->binder_sort_, binder_sort)))) {
-      ++intern_hits_;
-      return t.get();
-    }
-  }
-
-  auto t = std::unique_ptr<TermData>(new TermData());
+  // One allocation holds the node, then its children, then its string payload. Nothing
+  // in the factory's blocks is ever destroyed one by one.
+  static_assert(std::is_trivially_destructible_v<TermData>);
+  static_assert(std::is_trivially_destructible_v<SortData>);
+  static_assert(sizeof(TermData) % alignof(Term) == 0);
+  auto* mem = static_cast<std::byte*>(
+      Allocate(sizeof(TermData) + children.size() * sizeof(Term) + str_payload.size()));
+  auto* t = new (mem) TermData();
+  Term* kids = reinterpret_cast<Term*>(mem + sizeof(TermData));
+  std::ranges::copy(children, kids);
+  char* str = reinterpret_cast<char*>(kids + children.size());
+  std::ranges::copy(str_payload, str);
   t->kind_ = kind;
-  t->sort_ = std::move(sort);
-  t->children_ = std::move(children);
+  t->sort_ = sort;
+  t->children_ = kids;
+  t->num_children_ = static_cast<uint32_t>(children.size());
   t->int_payload_ = int_payload;
   t->int_payload2_ = int_payload2;
-  t->str_payload_ = std::move(str_payload);
-  t->binder_sort_ = std::move(binder_sort);
-  t->hash_ = h;
-  t->id_ = all_terms_.size();
-  t->is_ground_atom_ = IsGroundAtomShape(kind, t->sort_, t->children_);
+  t->str_payload_ = str;
+  t->str_size_ = str_payload.size();
+  t->binder_sort_ = binder_sort;
+  t->id_ = num_terms_;
+  t->is_ground_atom_ = IsGroundAtomShape(kind, sort, children);
   // Free bound-variable tracking: a binder removes its own variable from scope.
   bool hbv = kind == TermKind::kBoundVar;
   uint64_t sig = t->is_ground_atom_ ? uint64_t{1} << (t->id_ & 63) : 0;
-  for (Term c : t->children_) {
+  for (Term c : children) {
     hbv = hbv || c->has_bound_var();
     sig |= c->atom_sig();
   }
@@ -205,16 +338,15 @@ Term TermFactory::Intern(TermKind kind, Sort sort, std::vector<Term> children,
     // flag when its body mentions no *other* variables. We detect that cheaply by checking
     // whether the body's variables are all equal to the binder's own id.
     bool other = false;
-    for (Term c : t->children_) {
+    for (Term c : children) {
       other = other || HasOtherBoundVar(c, int_payload);
     }
     hbv = other;
   }
   t->has_bound_var_ = hbv;
-  Term result = t.get();
-  all_terms_.push_back(t.get());
-  bucket.push_back(std::move(t));
-  return result;
+  *slot = {static_cast<uint32_t>(h), generation_, t};
+  MaybeGrow(terms_, generation_, ++num_terms_);
+  return t;
 }
 
 // Returns true if `t` contains a bound variable whose id differs from `self_id`.
@@ -238,7 +370,7 @@ bool HasOtherBoundVar(Term t, int64_t self_id) { return HasOtherBoundVarImpl(t, 
 
 // --- Leaves -----------------------------------------------------------------------------
 
-Term TermFactory::Const(const std::string& name, const Sort& sort) {
+Term TermFactory::Const(std::string_view name, Sort sort) {
   return Intern(TermKind::kConst, sort, {}, 0, 0, name, nullptr);
 }
 
@@ -250,115 +382,86 @@ Term TermFactory::IntLit(int64_t v) {
   return Intern(TermKind::kIntLit, IntSort(), {}, v, 0, "", nullptr);
 }
 
-Term TermFactory::StrLit(const std::string& v) {
+Term TermFactory::StrLit(std::string_view v) {
   return Intern(TermKind::kStrLit, StringSort(), {}, 0, 0, v, nullptr);
 }
 
-Term TermFactory::RefLit(const Sort& ref_sort, int64_t index) {
+Term TermFactory::RefLit(Sort ref_sort, int64_t index) {
   NOCTUA_CHECK(ref_sort->is_ref());
   NOCTUA_CHECK(index >= 0);
   return Intern(TermKind::kRefLit, ref_sort, {}, index, 0, "", nullptr);
 }
 
-Term TermFactory::NewBoundVar(const Sort& sort) {
+Term TermFactory::NewBoundVar(Sort sort) {
   return Intern(TermKind::kBoundVar, sort, {}, next_bound_var_++, 0, "", nullptr);
 }
 
 // --- Boolean ----------------------------------------------------------------------------
 
-Term TermFactory::And(std::vector<Term> xs) {
-  std::vector<Term> flat;
-  for (Term x : xs) {
-    NOCTUA_DCHECK(x->sort()->is_bool());
-    if (x->IsBoolLit(true)) {
-      continue;
-    }
-    if (x->IsBoolLit(false)) {
-      return False();
-    }
-    if (x->kind() == TermKind::kAnd) {
-      for (Term c : x->children()) {
-        flat.push_back(c);
-      }
-    } else {
-      flat.push_back(x);
-    }
-  }
-  // Deduplicate and detect complementary literals.
-  std::vector<Term> uniq;
-  for (Term x : flat) {
-    bool dup = false;
+bool TermFactory::GatherJuncts(std::span<const Term> xs, TermKind kind, bool unit) {
+  std::vector<Term>& uniq = junct_scratch_;
+  uniq.clear();
+  // Deduplicates and detects complementary literals.
+  auto add = [&](Term x) {
     for (Term u : uniq) {
       if (u == x) {
-        dup = true;
-        break;
+        return true;
       }
-    }
-    if (dup) {
-      continue;
     }
     for (Term u : uniq) {
       if ((u->kind() == TermKind::kNot && u->child(0) == x) ||
           (x->kind() == TermKind::kNot && x->child(0) == u)) {
-        return False();
+        return false;
       }
     }
     uniq.push_back(x);
+    return true;
+  };
+  for (Term x : xs) {
+    NOCTUA_DCHECK(x->sort()->is_bool());
+    if (x->IsBoolLit(unit)) {
+      continue;
+    }
+    if (x->IsBoolLit(!unit)) {
+      return false;
+    }
+    if (x->kind() == kind) {
+      for (Term c : x->children()) {
+        if (!add(c)) {
+          return false;
+        }
+      }
+    } else if (!add(x)) {
+      return false;
+    }
   }
-  if (uniq.empty()) {
-    return True();
-  }
-  if (uniq.size() == 1) {
-    return uniq[0];
-  }
-  return Intern(TermKind::kAnd, BoolSort(), std::move(uniq), 0, 0, "", nullptr);
+  return true;
 }
 
-Term TermFactory::Or(std::vector<Term> xs) {
-  std::vector<Term> flat;
-  for (Term x : xs) {
-    NOCTUA_DCHECK(x->sort()->is_bool());
-    if (x->IsBoolLit(false)) {
-      continue;
-    }
-    if (x->IsBoolLit(true)) {
-      return True();
-    }
-    if (x->kind() == TermKind::kOr) {
-      for (Term c : x->children()) {
-        flat.push_back(c);
-      }
-    } else {
-      flat.push_back(x);
-    }
-  }
-  std::vector<Term> uniq;
-  for (Term x : flat) {
-    bool dup = false;
-    for (Term u : uniq) {
-      if (u == x) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) {
-      continue;
-    }
-    for (Term u : uniq) {
-      if ((u->kind() == TermKind::kNot && u->child(0) == x) ||
-          (x->kind() == TermKind::kNot && x->child(0) == u)) {
-        return True();
-      }
-    }
-    uniq.push_back(x);
-  }
-  if (uniq.empty()) {
+Term TermFactory::And(std::span<const Term> xs) {
+  if (!GatherJuncts(xs, TermKind::kAnd, true)) {
     return False();
   }
-  if (uniq.size() == 1) {
-    return uniq[0];
+  if (junct_scratch_.empty()) {
+    return True();
   }
-  return Intern(TermKind::kOr, BoolSort(), std::move(uniq), 0, 0, "", nullptr);
+  if (junct_scratch_.size() == 1) {
+    return junct_scratch_[0];
+  }
+  return Intern(TermKind::kAnd, BoolSort(), junct_scratch_, 0, 0, "", nullptr);
+}
+
+Term TermFactory::Or(std::span<const Term> xs) {
+  if (!GatherJuncts(xs, TermKind::kOr, false)) {
+    return True();
+  }
+  if (junct_scratch_.empty()) {
+    return False();
+  }
+  if (junct_scratch_.size() == 1) {
+    return junct_scratch_[0];
+  }
+  return Intern(TermKind::kOr, BoolSort(), junct_scratch_, 0, 0, "", nullptr);
 }
 
 Term TermFactory::Not(Term a) {
@@ -376,7 +479,7 @@ Term TermFactory::Implies(Term a, Term b) { return Or(Not(a), b); }
 
 Term TermFactory::Ite(Term cond, Term then_t, Term else_t) {
   NOCTUA_DCHECK(cond->sort()->is_bool());
-  NOCTUA_DCHECK(SortEq(then_t->sort(), else_t->sort()));
+  NOCTUA_DCHECK(then_t->sort() == else_t->sort());
   if (cond->IsBoolLit(true)) {
     return then_t;
   }
@@ -401,7 +504,7 @@ Term TermFactory::Ite(Term cond, Term then_t, Term else_t) {
 }
 
 Term TermFactory::Eq(Term a, Term b) {
-  NOCTUA_CHECK_MSG(SortEq(a->sort(), b->sort()),
+  NOCTUA_CHECK_MSG(a->sort() == b->sort(),
                    "eq sorts differ: " << a->sort()->ToString() << " vs "
                                        << b->sort()->ToString());
   if (a == b) {
@@ -425,7 +528,7 @@ Term TermFactory::Eq(Term a, Term b) {
     for (size_t i = 0; i < a->sort()->children().size(); ++i) {
       eqs.push_back(Eq(Proj(a, static_cast<int64_t>(i)), Proj(b, static_cast<int64_t>(i))));
     }
-    return And(std::move(eqs));
+    return And(eqs);
   }
   if (a->kind() == TermKind::kMkPair && b->kind() == TermKind::kMkPair) {
     return And(Eq(a->child(0), b->child(0)), Eq(a->child(1), b->child(1)));
@@ -437,7 +540,7 @@ Term TermFactory::Eq(Term a, Term b) {
   return Intern(TermKind::kEq, BoolSort(), {a, b}, 0, 0, "", nullptr);
 }
 
-Term TermFactory::Distinct(std::vector<Term> xs) {
+Term TermFactory::Distinct(std::span<const Term> xs) {
   if (xs.size() < 2) {
     return True();
   }
@@ -455,7 +558,7 @@ Term TermFactory::Distinct(std::vector<Term> xs) {
     }
     return True();
   }
-  return Intern(TermKind::kDistinct, BoolSort(), std::move(xs), 0, 0, "", nullptr);
+  return Intern(TermKind::kDistinct, BoolSort(), xs, 0, 0, "", nullptr);
 }
 
 // --- Integers ---------------------------------------------------------------------------
@@ -578,7 +681,9 @@ Term TermFactory::Le(Term a, Term b) {
 
 Term TermFactory::Concat(Term a, Term b) {
   if (a->kind() == TermKind::kStrLit && b->kind() == TermKind::kStrLit) {
-    return StrLit(a->str_payload() + b->str_payload());
+    std::string joined(a->str_payload());
+    joined += b->str_payload();
+    return StrLit(joined);
   }
   if (a->kind() == TermKind::kStrLit && a->str_payload().empty()) {
     return b;
@@ -591,14 +696,12 @@ Term TermFactory::Concat(Term a, Term b) {
 
 // --- Tuples -----------------------------------------------------------------------------
 
-Term TermFactory::MkTuple(std::vector<Term> fields) {
-  std::vector<Sort> sorts;
-  sorts.reserve(fields.size());
+Term TermFactory::MkTuple(std::span<const Term> fields) {
+  sort_scratch_.clear();
   for (Term f : fields) {
-    sorts.push_back(f->sort());
+    sort_scratch_.push_back(f->sort());
   }
-  return Intern(TermKind::kMkTuple, TupleSort(std::move(sorts)), std::move(fields), 0, 0, "",
-                nullptr);
+  return Intern(TermKind::kMkTuple, TupleSort(sort_scratch_), fields, 0, 0, "", nullptr);
 }
 
 Term TermFactory::Proj(Term tuple, int64_t index) {
@@ -625,12 +728,12 @@ Term TermFactory::TupleWith(Term tuple, int64_t index, Term value) {
   for (size_t i = 0; i < n; ++i) {
     fields.push_back(static_cast<int64_t>(i) == index ? value : Proj(tuple, i));
   }
-  return MkTuple(std::move(fields));
+  return MkTuple(fields);
 }
 
 // --- Arrays -----------------------------------------------------------------------------
 
-Term TermFactory::ConstArray(const Sort& index_sort, Term default_value) {
+Term TermFactory::ConstArray(Sort index_sort, Term default_value) {
   return Intern(TermKind::kConstArray, ArraySort(index_sort, default_value->sort()),
                 {default_value}, 0, 0, "", index_sort);
 }
@@ -639,8 +742,8 @@ Term TermFactory::ConstArray(const Sort& index_sort, Term default_value) {
 // indices of the same sort are pointer-distinct when distinct, enabling store folding.
 Term TermFactory::Store(Term array, Term index, Term value) {
   NOCTUA_CHECK(array->sort()->is_array());
-  NOCTUA_DCHECK(SortEq(array->sort()->index_sort(), index->sort()));
-  NOCTUA_DCHECK(SortEq(array->sort()->element_sort(), value->sort()));
+  NOCTUA_DCHECK(array->sort()->index_sort() == index->sort());
+  NOCTUA_DCHECK(array->sort()->element_sort() == value->sort());
   // store(a, i, select(a, i)) == a
   if (value->kind() == TermKind::kSelect && value->child(0) == array &&
       value->child(1) == index) {
@@ -651,7 +754,7 @@ Term TermFactory::Store(Term array, Term index, Term value) {
 
 Term TermFactory::Select(Term array, Term index) {
   NOCTUA_CHECK(array->sort()->is_array());
-  NOCTUA_DCHECK(SortEq(array->sort()->index_sort(), index->sort()));
+  NOCTUA_DCHECK(array->sort()->index_sort() == index->sort());
   if (array->kind() == TermKind::kConstArray) {
     return array->child(0);
   }
@@ -746,12 +849,11 @@ Term TermFactory::Snd(Term pair) {
 
 // --- Binders ----------------------------------------------------------------------------
 
-Term TermFactory::MakeBinder(TermKind kind, Term var, std::vector<Term> bodies,
+Term TermFactory::MakeBinder(TermKind kind, Term var, std::initializer_list<Term> bodies,
                              Sort result_sort, int64_t payload2) {
   NOCTUA_CHECK(var->kind() == TermKind::kBoundVar);
   NOCTUA_CHECK_MSG(var->sort()->is_finite_domain(), "binder variable must be Ref or Pair");
-  return Intern(kind, std::move(result_sort), std::move(bodies), var->int_payload(), payload2,
-                "", var->sort());
+  return Intern(kind, result_sort, bodies, var->int_payload(), payload2, "", var->sort());
 }
 
 Term TermFactory::Forall(Term var, Term body) {
@@ -797,109 +899,30 @@ Term TermFactory::ArgExtreme(Term var, Term cond, Term key, bool want_max) {
 // --- Substitution (beta reduction support) ----------------------------------------------
 
 namespace {
-Term SubstituteImpl(TermFactory& f, Term t, int64_t var_id, Term value,
-                    std::unordered_map<Term, Term>& memo);
-}  // namespace
 
-Term SubstituteBoundVar(TermFactory& f, Term body, int64_t var_id, Term value) {
-  std::unordered_map<Term, Term> memo;
-  return SubstituteImpl(f, body, var_id, value, memo);
-}
-
-namespace {
-
-Term SubstituteImpl(TermFactory& f, Term t, int64_t var_id, Term value,
-                    std::unordered_map<Term, Term>& memo) {
+Term SubstituteImpl(TermFactory& f, Term t, int64_t var_id, Term value, TermMap& memo) {
   if (!t->has_bound_var()) {
     return t;
   }
   if (t->kind() == TermKind::kBoundVar) {
     return t->int_payload() == var_id ? value : t;
   }
-  auto it = memo.find(t);
-  if (it != memo.end()) {
-    return it->second;
+  if (const Term* done = memo.Find(t)) {
+    return *done;
   }
-  std::vector<Term> kids;
-  kids.reserve(t->children().size());
+  ChildBuffer kids(t->children().size());
   bool changed = false;
-  for (Term c : t->children()) {
-    Term nc = SubstituteImpl(f, c, var_id, value, memo);
-    changed = changed || nc != c;
-    kids.push_back(nc);
+  for (size_t i = 0; i < t->children().size(); ++i) {
+    kids[i] = SubstituteImpl(f, t->child(i), var_id, value, memo);
+    changed = changed || kids[i] != t->child(i);
   }
-  Term result = t;
-  if (changed) {
-    // Rebuild through the factory so simplifications re-fire.
-    result = RebuildTerm(f, t, std::move(kids));
-  }
-  memo.emplace(t, result);
+  // Rebuild through the factory so simplifications re-fire.
+  Term result = changed ? RebuildTerm(f, t, kids.span()) : t;
+  memo.Set(t, result);
   return result;
 }
 
-}  // namespace
-
-Term RebuildTerm(TermFactory& f, Term t, std::vector<Term> kids) {
-  switch (t->kind()) {
-    case TermKind::kAnd:
-      return f.And(std::move(kids));
-    case TermKind::kOr:
-      return f.Or(std::move(kids));
-    case TermKind::kNot:
-      return f.Not(kids[0]);
-    case TermKind::kIte:
-      return f.Ite(kids[0], kids[1], kids[2]);
-    case TermKind::kEq:
-      return f.Eq(kids[0], kids[1]);
-    case TermKind::kDistinct:
-      return f.Distinct(std::move(kids));
-    case TermKind::kAdd:
-      return f.Add(kids[0], kids[1]);
-    case TermKind::kSub:
-      return f.Sub(kids[0], kids[1]);
-    case TermKind::kMul:
-      return f.Mul(kids[0], kids[1]);
-    case TermKind::kNeg:
-      return f.Neg(kids[0]);
-    case TermKind::kLt:
-      return f.Lt(kids[0], kids[1]);
-    case TermKind::kLe:
-      return f.Le(kids[0], kids[1]);
-    case TermKind::kConcat:
-      return f.Concat(kids[0], kids[1]);
-    case TermKind::kMkTuple:
-      return f.MkTuple(std::move(kids));
-    case TermKind::kProj:
-      return f.Proj(kids[0], t->int_payload());
-    case TermKind::kConstArray:
-      return f.ConstArray(t->sort()->index_sort(), kids[0]);
-    case TermKind::kStore:
-      return f.Store(kids[0], kids[1], kids[2]);
-    case TermKind::kSelect:
-      return f.Select(kids[0], kids[1]);
-    case TermKind::kMkPair:
-      return f.MkPair(kids[0], kids[1]);
-    case TermKind::kFst:
-      return f.Fst(kids[0]);
-    case TermKind::kSnd:
-      return f.Snd(kids[0]);
-    case TermKind::kArrayLambda:
-    case TermKind::kForall:
-    case TermKind::kExists:
-    case TermKind::kCount:
-    case TermKind::kSum:
-    case TermKind::kMinAgg:
-    case TermKind::kMaxAgg:
-    case TermKind::kArgExtreme:
-      // Binder nodes: the bound variable id and sort are unchanged; rebuild via Intern by
-      // reconstructing the same binder with the substituted bodies.
-      return RebuildBinder(f, t, std::move(kids));
-    default:
-      NOCTUA_UNREACHABLE("rebuild of leaf term");
-  }
-}
-
-Term RebuildBinder(TermFactory& f, Term t, std::vector<Term> kids) {
+Term RebuildBinder(TermFactory& f, Term t, std::span<const Term> kids) {
   // Recreate the bound variable term so the factory can re-intern the binder. Bound
   // variables are identified by id, so making "the same" variable is just an intern hit.
   Term var = f.InternBoundVar(t->binder_sort(), t->int_payload());
@@ -925,7 +948,93 @@ Term RebuildBinder(TermFactory& f, Term t, std::vector<Term> kids) {
   }
 }
 
-Term TermFactory::InternBoundVar(const Sort& sort, int64_t id) {
+}  // namespace
+
+Term SubstituteBoundVar(TermFactory& f, Term body, int64_t var_id, Term value) {
+  if (!body->has_bound_var()) {
+    return body;
+  }
+  // A rebuilt Select can beta-reduce, which substitutes again: a nested call leases a
+  // map of its own.
+  ScratchMap memo(f);
+  return SubstituteImpl(f, body, var_id, value, *memo);
+}
+
+ScratchMap::ScratchMap(TermFactory& f) : f_(f) {
+  if (!f_.spare_maps_.empty()) {
+    map_ = std::move(f_.spare_maps_.back());
+    f_.spare_maps_.pop_back();
+    map_.Clear();
+  }
+  ++f_.leased_maps_;
+}
+
+ScratchMap::~ScratchMap() {
+  --f_.leased_maps_;
+  f_.spare_maps_.push_back(std::move(map_));
+}
+
+Term RebuildTerm(TermFactory& f, Term t, std::span<const Term> kids) {
+  switch (t->kind()) {
+    case TermKind::kAnd:
+      return f.And(kids);
+    case TermKind::kOr:
+      return f.Or(kids);
+    case TermKind::kNot:
+      return f.Not(kids[0]);
+    case TermKind::kIte:
+      return f.Ite(kids[0], kids[1], kids[2]);
+    case TermKind::kEq:
+      return f.Eq(kids[0], kids[1]);
+    case TermKind::kDistinct:
+      return f.Distinct(kids);
+    case TermKind::kAdd:
+      return f.Add(kids[0], kids[1]);
+    case TermKind::kSub:
+      return f.Sub(kids[0], kids[1]);
+    case TermKind::kMul:
+      return f.Mul(kids[0], kids[1]);
+    case TermKind::kNeg:
+      return f.Neg(kids[0]);
+    case TermKind::kLt:
+      return f.Lt(kids[0], kids[1]);
+    case TermKind::kLe:
+      return f.Le(kids[0], kids[1]);
+    case TermKind::kConcat:
+      return f.Concat(kids[0], kids[1]);
+    case TermKind::kMkTuple:
+      return f.MkTuple(kids);
+    case TermKind::kProj:
+      return f.Proj(kids[0], t->int_payload());
+    case TermKind::kConstArray:
+      return f.ConstArray(t->sort()->index_sort(), kids[0]);
+    case TermKind::kStore:
+      return f.Store(kids[0], kids[1], kids[2]);
+    case TermKind::kSelect:
+      return f.Select(kids[0], kids[1]);
+    case TermKind::kMkPair:
+      return f.MkPair(kids[0], kids[1]);
+    case TermKind::kFst:
+      return f.Fst(kids[0]);
+    case TermKind::kSnd:
+      return f.Snd(kids[0]);
+    case TermKind::kArrayLambda:
+    case TermKind::kForall:
+    case TermKind::kExists:
+    case TermKind::kCount:
+    case TermKind::kSum:
+    case TermKind::kMinAgg:
+    case TermKind::kMaxAgg:
+    case TermKind::kArgExtreme:
+      // Binder nodes: the bound variable id and sort are unchanged; rebuild via Intern by
+      // reconstructing the same binder with the substituted bodies.
+      return RebuildBinder(f, t, kids);
+    default:
+      NOCTUA_UNREACHABLE("rebuild of leaf term");
+  }
+}
+
+Term TermFactory::InternBoundVar(Sort sort, int64_t id) {
   return Intern(TermKind::kBoundVar, sort, {}, id, 0, "", nullptr);
 }
 

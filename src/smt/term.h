@@ -13,11 +13,15 @@
 #ifndef SRC_SMT_TERM_H_
 #define SRC_SMT_TERM_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/smt/sort.h"
@@ -87,15 +91,14 @@ using Term = const TermData*;  // owned by the factory; valid for the factory's 
 class TermData {
  public:
   TermKind kind() const { return kind_; }
-  const Sort& sort() const { return sort_; }
-  const std::vector<Term>& children() const { return children_; }
+  Sort sort() const { return sort_; }
+  std::span<const Term> children() const { return {children_, num_children_}; }
   Term child(size_t i) const { return children_[i]; }
   int64_t int_payload() const { return int_payload_; }
   int64_t int_payload2() const { return int_payload2_; }
-  const std::string& str_payload() const { return str_payload_; }
-  const Sort& binder_sort() const { return binder_sort_; }
+  std::string_view str_payload() const { return {str_payload_, str_size_}; }
+  Sort binder_sort() const { return binder_sort_; }
   bool has_bound_var() const { return has_bound_var_; }
-  uint64_t hash() const { return hash_; }
   uint64_t id() const { return id_; }
 
   // True for a *ground atom*, a leaf of the solvers' search (see ground.h): a scalar
@@ -124,27 +127,103 @@ class TermData {
   TermData() = default;
 
   TermKind kind_;
-  Sort sort_;
-  std::vector<Term> children_;
-  int64_t int_payload_ = 0;
-  int64_t int_payload2_ = 0;
-  std::string str_payload_;
-  Sort binder_sort_;          // domain sort for binder kinds / index for kArrayLambda
   bool has_bound_var_ = false;  // true if any kBoundVar occurs underneath (binders strip
                                 // their own variable)
   bool is_ground_atom_ = false;
+  uint32_t num_children_ = 0;
+  Sort sort_ = nullptr;
+  Sort binder_sort_ = nullptr;  // domain sort for binder kinds / index for kArrayLambda
+  const Term* children_ = nullptr;  // children and string payload follow the node in the
+  const char* str_payload_ = nullptr;  // factory's storage
+  size_t str_size_ = 0;
+  int64_t int_payload_ = 0;
+  int64_t int_payload2_ = 0;
   uint64_t atom_sig_ = 0;
-  uint64_t hash_ = 0;
   uint64_t id_ = 0;  // creation index, used for deterministic ordering
 };
 
-// Builds, interns and owns terms.
+// A map keyed by the terms of one factory: a vector indexed by term id (ids are creation
+// indices, so they are dense), each slot stamped with the generation that wrote it. A
+// probe reads one slot; Clear starts a new generation in O(1), so one map serves many
+// short-lived uses (a memo per search node) without reallocating. Ids are unique only
+// within one factory, so keys from two factories must not meet in one generation.
+class TermMap {
+ public:
+  // The value stored for `key`, or nullptr when `key` is absent. A stored nullptr is a
+  // present key (FindFirstAtom memoizes "no atom" that way).
+  const Term* Find(Term key) const {
+    const size_t i = key->id();
+    return i < slots_.size() && slots_[i].stamp == stamp_ ? &slots_[i].value : nullptr;
+  }
+  // Stores `value` for `key`, replacing any previous value.
+  void Set(Term key, Term value) {
+    const size_t i = key->id();
+    if (i >= slots_.size()) {
+      slots_.resize(std::max(i + 1, 2 * slots_.size()));
+    }
+    slots_[i] = Slot{value, stamp_};
+  }
+  void Erase(Term key) {
+    const size_t i = key->id();
+    if (i < slots_.size()) {
+      slots_[i].stamp = 0;
+    }
+  }
+  // Forgets every entry.
+  void Clear() {
+    if (++stamp_ == 0) {  // wrapped: no stale slot may carry the new stamp
+      for (Slot& s : slots_) {
+        s.stamp = 0;
+      }
+      stamp_ = 1;
+    }
+  }
+
+ private:
+  struct Slot {
+    Term value = nullptr;
+    uint32_t stamp = 0;  // 0 is never current
+  };
+  std::vector<Slot> slots_;
+  uint32_t stamp_ = 1;
+};
+
+// The new children of one node being rebuilt: inline for up to eight (every fixed-arity
+// kind), on the heap beyond that (wide And/Or, Distinct, tuples).
+class ChildBuffer {
+ public:
+  explicit ChildBuffer(size_t n) : size_(n) {
+    if (n > kInline) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  ChildBuffer(const ChildBuffer&) = delete;
+  ChildBuffer& operator=(const ChildBuffer&) = delete;
+
+  Term& operator[](size_t i) { return data_[i]; }
+  std::span<const Term> span() const { return {data_, size_}; }
+
+ private:
+  static constexpr size_t kInline = 8;
+  Term inline_[kInline];
+  std::vector<Term> heap_;
+  Term* data_ = inline_;
+  size_t size_;
+};
+
+// Builds, interns and owns terms, and the composite sorts they carry.
 //
 // Threading contract: a TermFactory is NOT thread-safe and is never shared. Each
-// verification check constructs its own factory (and Encoder and Solver on top of it),
-// so concurrent verification workers are lock-free by construction — hash-consing state,
-// term ids, and the interning table are all worker-private. Term ids are creation
-// indices, so two workers building isomorphic queries produce identically-shaped DAGs.
+// verifier PairSession runs the pair's three queries in a factory of its own (with an
+// Encoder and a solver backend on top of it); once the session ends, the factory is
+// Reset and may serve a later session, never two at once. Everything a factory touches
+// while building a term is its own: the interning tables, term ids, the blocks holding
+// terms, children and payloads, its composite sorts, and its scratch maps. The only
+// memory it shares with other workers is the scalar sorts, which it reads and never
+// writes. So concurrent verification workers take no lock and write no shared cache
+// line. Term ids are creation indices, so two workers building isomorphic queries produce
+// identically-shaped DAGs.
 class TermFactory {
  public:
   TermFactory();
@@ -152,30 +231,57 @@ class TermFactory {
   TermFactory(const TermFactory&) = delete;
   TermFactory& operator=(const TermFactory&) = delete;
 
+  // Forgets every term and composite sort, so the factory behaves exactly like a newly
+  // constructed one (ids restart at 0), but keeps its memory: the blocks, the intern
+  // tables and the scratch maps serve the next terms without new allocations. Every term
+  // and sort it made is invalid afterwards, and no ScratchMap may be on lease.
+  void Reset();
+
+  // --- Sorts ----------------------------------------------------------------------------
+  // Interned: equal sorts from one factory are pointer-equal. The scalar sorts are the
+  // free functions BoolSort(), IntSort() and StringSort() (sort.h).
+  Sort RefSort(int model_id);
+  Sort PairSort(Sort ref1, Sort ref2);
+  Sort TupleSort(std::span<const Sort> fields);
+  Sort TupleSort(std::initializer_list<Sort> fields) {
+    return TupleSort(std::span<const Sort>(fields.begin(), fields.size()));
+  }
+  Sort ArraySort(Sort index, Sort element);
+  Sort SetSort(Sort index) { return ArraySort(index, BoolSort()); }
+
   // --- Leaves ---------------------------------------------------------------------------
-  Term Const(const std::string& name, const Sort& sort);
+  Term Const(std::string_view name, Sort sort);
   Term BoolLit(bool v);
   Term IntLit(int64_t v);
-  Term StrLit(const std::string& v);
-  Term RefLit(const Sort& ref_sort, int64_t index);
+  Term StrLit(std::string_view v);
+  Term RefLit(Sort ref_sort, int64_t index);
   Term True() { return BoolLit(true); }
   Term False() { return BoolLit(false); }
 
   // Creates a fresh bound variable of the given sort for use with the binder
   // constructors below. Each call returns a distinct variable.
-  Term NewBoundVar(const Sort& sort);
+  Term NewBoundVar(Sort sort);
 
   // --- Boolean --------------------------------------------------------------------------
-  Term And(std::vector<Term> xs);
-  Term And(Term a, Term b) { return And(std::vector<Term>{a, b}); }
-  Term Or(std::vector<Term> xs);
-  Term Or(Term a, Term b) { return Or(std::vector<Term>{a, b}); }
+  Term And(std::span<const Term> xs);
+  Term And(std::initializer_list<Term> xs) {
+    return And(std::span<const Term>(xs.begin(), xs.size()));
+  }
+  Term And(Term a, Term b) { return And({a, b}); }
+  Term Or(std::span<const Term> xs);
+  Term Or(std::initializer_list<Term> xs) {
+    return Or(std::span<const Term>(xs.begin(), xs.size()));
+  }
+  Term Or(Term a, Term b) { return Or({a, b}); }
   Term Not(Term a);
   Term Implies(Term a, Term b);
   Term Ite(Term cond, Term then_t, Term else_t);
   Term Eq(Term a, Term b);
   Term Neq(Term a, Term b) { return Not(Eq(a, b)); }
-  Term Distinct(std::vector<Term> xs);
+  Term Distinct(std::span<const Term> xs);
+  Term Distinct(std::initializer_list<Term> xs) {
+    return Distinct(std::span<const Term>(xs.begin(), xs.size()));
+  }
 
   // --- Integers -------------------------------------------------------------------------
   Term Add(Term a, Term b);
@@ -191,21 +297,24 @@ class TermFactory {
   Term Concat(Term a, Term b);
 
   // --- Tuples ---------------------------------------------------------------------------
-  Term MkTuple(std::vector<Term> fields);
+  Term MkTuple(std::span<const Term> fields);
+  Term MkTuple(std::initializer_list<Term> fields) {
+    return MkTuple(std::span<const Term>(fields.begin(), fields.size()));
+  }
   Term Proj(Term tuple, int64_t index);
   // Returns a tuple equal to `tuple` with field `index` replaced by `value` (SOIR setf).
   Term TupleWith(Term tuple, int64_t index, Term value);
 
   // --- Arrays / sets --------------------------------------------------------------------
-  Term ConstArray(const Sort& index_sort, Term default_value);
+  Term ConstArray(Sort index_sort, Term default_value);
   Term Store(Term array, Term index, Term value);
   Term Select(Term array, Term index);
   // ArrayLambda binds `var` (from NewBoundVar) in `body`; the result maps each domain
   // element d to body[var := d].
   Term ArrayLambda(Term var, Term body);
 
-  Term EmptySet(const Sort& index_sort) { return ConstArray(index_sort, False()); }
-  Term FullSet(const Sort& index_sort) { return ConstArray(index_sort, True()); }
+  Term EmptySet(Sort index_sort) { return ConstArray(index_sort, False()); }
+  Term FullSet(Sort index_sort) { return ConstArray(index_sort, True()); }
   Term Member(Term elem, Term set) { return Select(set, elem); }
   Term SetAdd(Term set, Term elem) { return Store(set, elem, True()); }
   Term SetRemove(Term set, Term elem) { return Store(set, elem, False()); }
@@ -232,7 +341,7 @@ class TermFactory {
   Term ArgExtreme(Term var, Term cond, Term key, bool want_max);
 
   // Number of terms created (for tests and benchmarks).
-  size_t size() const { return all_terms_.size(); }
+  size_t size() const { return num_terms_; }
 
   // Number of Intern calls that found a structurally identical existing term — i.e. how
   // often hash-consing (and the simplifications that canonicalize into it) deduplicated
@@ -242,23 +351,89 @@ class TermFactory {
 
   // Interns the bound variable with a specific id (used when rebuilding binders during
   // substitution). Not for general use — prefer NewBoundVar.
-  Term InternBoundVar(const Sort& sort, int64_t id);
+  Term InternBoundVar(Sort sort, int64_t id);
 
  private:
-  Term Intern(TermKind kind, Sort sort, std::vector<Term> children, int64_t int_payload,
-              int64_t int_payload2, std::string str_payload, Sort binder_sort);
-  Term MakeBinder(TermKind kind, Term var, std::vector<Term> bodies, Sort result_sort,
-                  int64_t payload2 = 0);
+  friend class ScratchMap;
+
+  // Returns the existing term with these parts or creates it. A hit allocates nothing.
+  Term Intern(TermKind kind, Sort sort, std::span<const Term> children, int64_t int_payload,
+              int64_t int_payload2, std::string_view str_payload, Sort binder_sort);
+  Term Intern(TermKind kind, Sort sort, std::initializer_list<Term> children,
+              int64_t int_payload, int64_t int_payload2, std::string_view str_payload,
+              Sort binder_sort) {
+    return Intern(kind, sort, std::span<const Term>(children.begin(), children.size()),
+                  int_payload, int_payload2, str_payload, binder_sort);
+  }
+  Sort InternSort(SortKind kind, int model_id, std::span<const Sort> children);
+  // Bump allocation from the factory's blocks, 8-byte aligned; freed with the factory.
+  void* Allocate(size_t bytes);
+  // Moves allocation on to the next kept block, or a new one, with room for `bytes`.
+  void NextBlock(size_t bytes);
+  // And/Or: flattens `xs` into junct_scratch_, dropping `unit` literals and duplicates.
+  // Returns false when `xs` holds the absorbing literal or a complementary pair.
+  bool GatherJuncts(std::span<const Term> xs, TermKind kind, bool unit);
+  Term MakeBinder(TermKind kind, Term var, std::initializer_list<Term> bodies,
+                  Sort result_sort, int64_t payload2 = 0);
   // Linear normal form support (see term.cc): sa*a + sb*b flattened and canonicalized.
   void DecomposeLinear(Term t, int64_t scale, std::map<Term, int64_t>& coeffs,
                        int64_t& constant);
   Term BuildLinear(const std::map<Term, int64_t>& coeffs, int64_t constant);
   Term Linear(Term a, int64_t sa, Term b, int64_t sb);
 
-  std::unordered_map<uint64_t, std::vector<std::unique_ptr<TermData>>> buckets_;
-  std::vector<TermData*> all_terms_;
+  // Open-addressing intern tables (linear probing, power-of-two capacity, at most half
+  // full) over the factory's terms and composite sorts. A slot keeps the low half of its
+  // entry's hash, and the generation that wrote it: a slot of an older generation is
+  // empty, so Reset empties both tables in O(1).
+  template <typename T>
+  struct InternSlot {
+    uint32_t hash = 0;
+    uint32_t generation = 0;  // 0 is never current
+    T* entry = nullptr;
+  };
+  std::vector<InternSlot<TermData>> terms_;
+  std::vector<InternSlot<SortData>> sorts_;
+  uint32_t generation_ = 1;
+  size_t num_terms_ = 0;
+  size_t num_sorts_ = 0;
+  // Storage of the factory's terms (with their children and payloads) and sorts. Reset
+  // keeps the blocks; the first `blocks_in_use_` hold the current generation.
+  struct Block {
+    std::unique_ptr<std::byte[]> bytes;
+    size_t size;
+  };
+  std::vector<Block> blocks_;
+  size_t blocks_in_use_ = 0;
+  std::byte* block_next_ = nullptr;
+  std::byte* block_end_ = nullptr;
+  size_t next_block_bytes_ = size_t{64} << 10;
+  // And/Or's flattened operands and MkTuple's field sorts.
+  std::vector<Term> junct_scratch_;
+  std::vector<Sort> sort_scratch_;
+  // ScratchMaps not on lease, with their storage; `leased_maps_` counts the others.
+  std::vector<TermMap> spare_maps_;
+  size_t leased_maps_ = 0;
   int64_t next_bound_var_ = 0;
   uint64_t intern_hits_ = 0;
+};
+
+// A TermMap on lease from a factory: empty when the lease starts, handed back with its
+// storage when it ends. The factory keeps returned maps (across Reset too) for its next
+// leases, so the per-search and per-call maps of a whole verification run reuse a few
+// allocations. A lease must end before its factory is Reset or destroyed.
+class ScratchMap {
+ public:
+  explicit ScratchMap(TermFactory& f);
+  ~ScratchMap();
+  ScratchMap(const ScratchMap&) = delete;
+  ScratchMap& operator=(const ScratchMap&) = delete;
+
+  TermMap& operator*() { return map_; }
+  TermMap* operator->() { return &map_; }
+
+ private:
+  TermFactory& f_;
+  TermMap map_;
 };
 
 // True if `t` contains a free bound variable whose id differs from `self_id`.
@@ -269,8 +444,7 @@ bool HasOtherBoundVar(Term t, int64_t self_id);
 Term SubstituteBoundVar(TermFactory& f, Term body, int64_t var_id, Term value);
 
 // Rebuilds `t` with new children through the factory's smart constructors.
-Term RebuildTerm(TermFactory& f, Term t, std::vector<Term> kids);
-Term RebuildBinder(TermFactory& f, Term t, std::vector<Term> kids);
+Term RebuildTerm(TermFactory& f, Term t, std::span<const Term> kids);
 
 }  // namespace noctua::smt
 

@@ -69,9 +69,6 @@ class ThreadPool {
 
   void WorkerLoop(size_t worker_index);
   void StartWorkers();
-  // Pops one task index for `self`, stealing from other workers' deques if its own is
-  // empty. Returns false when no work is available anywhere.
-  bool PopTask(size_t self, size_t* out);
 
   const int threads_;
   std::vector<std::thread> workers_;

@@ -18,9 +18,11 @@
 //
 // Thread-safety: sharded by key hash; lookups and inserts from concurrent verification
 // workers are safe. Two workers may race to compute the same fingerprint — both compute,
-// both insert the (equal) outcome; the cache trades that rare duplicated solver call for
-// never blocking a worker on another's multi-millisecond check. Save/Load are not
-// concurrency-safe against writers; call them before and after a run, not during.
+// both insert the (equal) outcome; the cache trades that duplicated solver call for
+// never blocking a worker on another's multi-millisecond check. Such duplicates are
+// common: a cold run of the six evaluated apps at 4 threads solves about 160 fingerprints
+// twice, about 10% of its checks (the benchmark's cache.duplicate_solves). Save/Load are
+// not concurrency-safe against writers; call them before and after a run, not during.
 #ifndef SRC_VERIFIER_CACHE_H_
 #define SRC_VERIFIER_CACHE_H_
 

@@ -191,9 +191,20 @@ CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePat
 // ---------------------------------------------------------------------------
 
 struct Checker::PairSession::Shared {
-  // The factory outlives (and is destroyed after) the encoders and backend below, all of
-  // which hold terms interned in it.
-  smt::TermFactory factory;
+  explicit Shared(const Checker& c) : checker(c), factory(c.TakeFactory()) {}
+  // The encoders and the backend hold terms interned in the factory (the backend also
+  // leases its scratch maps from it), so they go first; then the factory goes back.
+  ~Shared() {
+    backend.reset();
+    ni_enc.reset();
+    com_enc.reset();
+    checker.GiveBackFactory(std::move(factory));
+  }
+  Shared(const Shared&) = delete;
+  Shared& operator=(const Shared&) = delete;
+
+  const Checker& checker;
+  std::unique_ptr<smt::TermFactory> factory;
   std::unique_ptr<Encoder> com_enc;
   std::unique_ptr<Encoder> ni_enc;
   std::unique_ptr<smt::SolverBackend> backend;
@@ -216,6 +227,24 @@ struct Checker::PairSession::Shared {
   bool ni_unsupported_qp = false;
 };
 
+std::unique_ptr<smt::TermFactory> Checker::TakeFactory() const {
+  {
+    std::lock_guard<std::mutex> lock(factories_mu_);
+    if (!spare_factories_.empty()) {
+      std::unique_ptr<smt::TermFactory> factory = std::move(spare_factories_.back());
+      spare_factories_.pop_back();
+      return factory;
+    }
+  }
+  return std::make_unique<smt::TermFactory>();
+}
+
+void Checker::GiveBackFactory(std::unique_ptr<smt::TermFactory> factory) const {
+  factory->Reset();
+  std::lock_guard<std::mutex> lock(factories_mu_);
+  spare_factories_.push_back(std::move(factory));
+}
+
 Checker::PairSession::PairSession(const Checker& checker, const soir::CodePath& p,
                                   const soir::CodePath& q,
                                   const std::set<int>* order_models)
@@ -236,7 +265,7 @@ void Checker::PairSession::EnsureShared() {
   if (shared_ != nullptr) {
     return;
   }
-  shared_ = std::make_unique<Shared>();
+  shared_ = std::make_unique<Shared>(checker_);
   shared_->backend = smt::MakeBackend(checker_.options_.solver);
 }
 
@@ -258,7 +287,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     EncoderOptions enc_options = checker_.options_.encoder;
     enc_options.order_models = com_order_;
     checker_.ApplyProjection(p_, q_, &enc_options);
-    sh.com_enc = std::make_unique<Encoder>(checker_.schema_, &sh.factory, enc_options);
+    sh.com_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
     Encoder& enc = *sh.com_enc;
 
     EncState s0 = enc.FreshState("S0");
@@ -277,7 +306,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     // incremental grounder can cache the ones shared with the NotInvalidate frame (S0's
     // axioms, the unique-id axiom).
     std::vector<Term>& assertions = sh.com_assertions;
-    assertions.push_back(sh.factory.Not(enc.StateEq(pq2.post, qp2.post, com_order_)));
+    assertions.push_back(sh.factory->Not(enc.StateEq(pq2.post, qp2.post, com_order_)));
     // The replayed effects must be producible: assert their preconditions on fresh origin
     // states (paper §5.2), or directly on S0 in the cheaper shared mode.
     if (checker_.options_.fresh_origin_states) {
@@ -304,7 +333,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     assertions.push_back(qp1.defs);
     assertions.push_back(qp2.defs);
     assertions.push_back(enc.StateAxioms(s0));
-    encode_span.Arg("terms", sh.factory.size());
+    encode_span.Arg("terms", sh.factory->size());
   }
 
   CheckOutcome outcome;
@@ -316,7 +345,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
       sh.backend->AssertAll(sh.com_assertions);
       sh.mode = Shared::Mode::kCom;
     }
-    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, stats);
+    outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
   }
   if (stats != nullptr) {
     stats->seconds = watch.ElapsedSeconds();
@@ -343,7 +372,7 @@ void Checker::PairSession::BuildNiFrame() {
   EncoderOptions enc_options = checker_.options_.encoder;
   enc_options.order_models = ni_order_;
   checker_.ApplyProjection(p_, q_, &enc_options);
-  sh.ni_enc = std::make_unique<Encoder>(checker_.schema_, &sh.factory, enc_options);
+  sh.ni_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
   Encoder& enc = *sh.ni_enc;
 
   EncState s0 = enc.FreshState("S0");
@@ -389,13 +418,13 @@ void Checker::PairSession::BuildNiFrame() {
   // direction's goal leads, as the commutativity query's does.
   Encoder::PathResult p_after = enc.ApplyPath(p_, q0.post, "x");
   sh.ni_unsupported_pq = frame_unsupported || p_after.unsupported;
-  sh.ni_delta_pq[0] = sh.factory.Not(p_after.pre);
+  sh.ni_delta_pq[0] = sh.factory->Not(p_after.pre);
 
   Encoder::PathResult q_after = enc.ApplyPath(q_, p0.post, "y");
   sh.ni_unsupported_qp = frame_unsupported || q_after.unsupported;
-  sh.ni_delta_qp[0] = sh.factory.Not(q_after.pre);
+  sh.ni_delta_qp[0] = sh.factory->Not(q_after.pre);
 
-  encode_span.Arg("terms", sh.factory.size());
+  encode_span.Arg("terms", sh.factory->size());
 }
 
 CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) {
@@ -425,7 +454,7 @@ CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) 
     for (const Term& t : (pq ? sh.ni_delta_pq : sh.ni_delta_qp)) {
       sh.backend->AddAssertion(t);
     }
-    outcome = checker_.RunSolverOn(*sh.backend, sh.factory, stats);
+    outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
     sh.backend->Pop();
   }
   if (stats != nullptr) {

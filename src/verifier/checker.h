@@ -14,6 +14,7 @@
 #define SRC_VERIFIER_CHECKER_H_
 
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -68,7 +69,9 @@ class Checker {
 
   // A check is a pure function of (schema, options, pair): all methods are const and a
   // single Checker may be shared by concurrent verification workers. Each check builds
-  // its own PairSession, so nothing mutable is shared.
+  // its own PairSession; the only mutable state they share is the Checker's list of
+  // spare term factories, which a session locks once to take a factory and once to give
+  // it back.
 
   // Rule 1 on one pair, through a one-query PairSession (order models derived from the
   // pair alone).
@@ -151,9 +154,19 @@ class Checker {
   // Applies project_footprint to a per-check encoder configuration.
   void ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
                        EncoderOptions* enc_options) const;
+  // A pair session's term factory: a spare one if there is one, else a new one. A
+  // finished session gives its factory back, Reset, so the next sessions reuse its
+  // memory (term blocks, intern tables, scratch maps) instead of each allocating and
+  // freeing its own, which the allocator would return to the system and fault in again
+  // pair after pair. The list holds at most as many factories as sessions ever ran at
+  // once, and they are freed with the Checker.
+  std::unique_ptr<smt::TermFactory> TakeFactory() const;
+  void GiveBackFactory(std::unique_ptr<smt::TermFactory> factory) const;
 
   const soir::Schema& schema_;
   CheckerOptions options_;
+  mutable std::mutex factories_mu_;
+  mutable std::vector<std::unique_ptr<smt::TermFactory>> spare_factories_;
 };
 
 }  // namespace noctua::verifier

@@ -17,7 +17,7 @@ Encoder::Encoder(const soir::Schema& schema, smt::TermFactory* factory, EncoderO
   ref_sorts_.reserve(schema.num_models());
   obj_sorts_.reserve(schema.num_models());
   for (size_t m = 0; m < schema.num_models(); ++m) {
-    ref_sorts_.push_back(smt::RefSort(static_cast<int>(m)));
+    ref_sorts_.push_back(f_->RefSort(static_cast<int>(m)));
     std::vector<smt::Sort> fields;
     fields.push_back(ref_sorts_.back());  // tuple field 0: the primary key
     for (const soir::FieldDef& fd : schema.model(static_cast<int>(m)).fields()) {
@@ -33,11 +33,11 @@ Encoder::Encoder(const soir::Schema& schema, smt::TermFactory* factory, EncoderO
           break;
       }
     }
-    obj_sorts_.push_back(smt::TupleSort(std::move(fields)));
+    obj_sorts_.push_back(f_->TupleSort(fields));
   }
   pair_sorts_.reserve(schema.num_relations());
   for (const soir::RelationDef& rel : schema.relations()) {
-    pair_sorts_.push_back(smt::PairSort(ref_sorts_[rel.from_model], ref_sorts_[rel.to_model]));
+    pair_sorts_.push_back(f_->PairSort(ref_sorts_[rel.from_model], ref_sorts_[rel.to_model]));
   }
 }
 
@@ -63,11 +63,11 @@ EncState Encoder::FreshState(const std::string& prefix) {
       continue;  // projected out: null terms, so accidental use fails loudly
     }
     const std::string base = prefix + "_" + schema_.model(static_cast<int>(m)).name();
-    s.models[m].ids = f_->Const(base + "_ids", smt::SetSort(ref_sorts_[m]));
-    s.models[m].data = f_->Const(base + "_data", smt::ArraySort(ref_sorts_[m], obj_sorts_[m]));
+    s.models[m].ids = f_->Const(base + "_ids", f_->SetSort(ref_sorts_[m]));
+    s.models[m].data = f_->Const(base + "_data", f_->ArraySort(ref_sorts_[m], obj_sorts_[m]));
     s.models[m].order =
         options_.OrderFor(static_cast<int>(m))
-            ? f_->Const(base + "_order", smt::ArraySort(ref_sorts_[m], smt::IntSort()))
+            ? f_->Const(base + "_order", f_->ArraySort(ref_sorts_[m], smt::IntSort()))
             : nullptr;
   }
   s.relations.resize(schema_.num_relations());
@@ -77,7 +77,7 @@ EncState Encoder::FreshState(const std::string& prefix) {
     }
     s.relations[r] = f_->Const(prefix + "_rel_" + schema_.relation(r).name + "_" +
                                    std::to_string(r),
-                               smt::SetSort(pair_sorts_[r]));
+                               f_->SetSort(pair_sorts_[r]));
   }
   return s;
 }

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
@@ -35,9 +34,9 @@ class RandomTerms {
   RandomTerms(TermFactory* f, Rng* rng) : f_(f), rng_(rng) {
     ints_ = {f_->Const("i0", smt::IntSort()), f_->Const("i1", smt::IntSort()),
              f_->Const("i2", smt::IntSort())};
-    refs_ = {f_->Const("r0", smt::RefSort(0)), f_->Const("r1", smt::RefSort(0))};
-    set_ = f_->Const("s", smt::SetSort(smt::RefSort(0)));
-    array_ = f_->Const("arr", smt::ArraySort(smt::RefSort(0), smt::IntSort()));
+    refs_ = {f_->Const("r0", f_->RefSort(0)), f_->Const("r1", f_->RefSort(0))};
+    set_ = f_->Const("s", f_->SetSort(f_->RefSort(0)));
+    array_ = f_->Const("arr", f_->ArraySort(f_->RefSort(0), smt::IntSort()));
   }
 
   Term Int(int depth) {
@@ -72,7 +71,7 @@ class RandomTerms {
       case 5:
         return f_->Not(Bool(depth - 1));
       default: {
-        Term v = f_->NewBoundVar(smt::RefSort(0));
+        Term v = f_->NewBoundVar(f_->RefSort(0));
         // forall x. member(x, s) -> arr[x] <= <int expr>
         return f_->Forall(v, f_->Implies(f_->Member(v, set_),
                                          f_->Le(f_->Select(array_, v), Int(depth - 1))));
@@ -270,7 +269,7 @@ Term TransposeRefs(TermFactory& f, Term t, int a, int b) {
     changed = changed || n != c;
     kids.push_back(n);
   }
-  return changed ? smt::RebuildTerm(f, t, std::move(kids)) : t;
+  return changed ? smt::RebuildTerm(f, t, kids) : t;
 }
 
 // Verdicts are invariant under renaming the scope's interchangeable instances: a random
@@ -281,13 +280,13 @@ Term TransposeRefs(TermFactory& f, Term t, int a, int b) {
 // some transposition would flip sat to unsat here.
 TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
   Rng rng(GetParam() * 57 + 29);
-  Sort rs = smt::RefSort(0);
   for (int round = 0; round < 15; ++round) {
     TermFactory f;
     RandomTerms gen(&f, &rng);
+    Sort rs = f.RefSort(0);
     // Same interned vocabulary as RandomTerms (hash-consing returns the same constants).
-    Term set = f.Const("s", smt::SetSort(rs));
-    Term arr = f.Const("arr", smt::ArraySort(rs, smt::IntSort()));
+    Term set = f.Const("s", f.SetSort(rs));
+    Term arr = f.Const("arr", f.ArraySort(rs, smt::IntSort()));
     Term lit = f.RefLit(rs, static_cast<int>(rng.NextBelow(3)));
     Term decor = rng.NextBool()
                      ? f.Member(lit, set)
@@ -330,15 +329,14 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
 TEST_P(SolverPropertyTest, PrunedSubstitutionMatchesUnpruned) {
   Rng rng(GetParam() * 43 + 11);
   Scope scope(2);
-  Sort rs = smt::RefSort(0);
   constexpr uint64_t kAllBits = ~uint64_t{0};
   int substitutions = 0;
   int confirmed = 0;  // substitutions one unpruned round did not finish
   for (int round = 0; round < 40; ++round) {
     TermFactory f;
     RandomTerms gen(&f, &rng);
-    Term rec =
-        f.Const("rec", smt::ArraySort(rs, smt::TupleSort({smt::IntSort(), smt::IntSort()})));
+    Sort rs = f.RefSort(0);
+    Term rec = f.Const("rec", f.ArraySort(rs, f.TupleSort({smt::IntSort(), smt::IntSort()})));
     Term v = f.NewBoundVar(rs);
     Term bounded = f.Forall(v, f.Le(f.Proj(f.Select(rec, v), 0), gen.Int(1)));
     Term choice = f.Ite(gen.Bool(1), f.Select(rec, f.RefLit(rs, rng.NextBelow(2))),
@@ -352,25 +350,28 @@ TEST_P(SolverPropertyTest, PrunedSubstitutionMatchesUnpruned) {
                                &residuals)) {
       continue;
     }
+    smt::TermMap walk;
     smt::ValueDomains domains;
-    domains.Harvest(residuals, 8, 6);
-    std::unordered_map<Term, Term> trail;
+    domains.Harvest(residuals, 8, 6, walk);
+    smt::TermMap trail;
+    smt::TermMap memo;
+    smt::TermMap reference_memo;
     uint64_t trail_mask = 0;
     while (!residuals.empty()) {
       std::vector<Term> atoms;
       for (Term r : residuals) {
-        smt::Grounder::CollectAtoms(r, &atoms);
+        smt::Grounder::CollectAtoms(r, walk, &atoms);
       }
       ASSERT_FALSE(atoms.empty());
       for (Term a : atoms) {
-        ASSERT_EQ(trail.count(a), 0u) << "assigned atom survives: " << a->ToString();
+        ASSERT_EQ(trail.Find(a), nullptr) << "assigned atom survives: " << a->ToString();
       }
       Term atom = atoms[rng.NextBelow(atoms.size())];
       std::vector<Term> values = domains.LiteralsFor(f, scope, atom);
-      trail[atom] = values[rng.NextBelow(values.size())];
+      trail.Set(atom, values[rng.NextBelow(values.size())]);
       trail_mask |= atom->atom_sig();
-      std::unordered_map<Term, Term> memo;
-      std::unordered_map<Term, Term> reference_memo;
+      memo.Clear();
+      reference_memo.Clear();
       std::vector<Term> next;
       bool conflict = false;
       for (Term a : residuals) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/zhihu.h"
@@ -13,6 +16,7 @@
 #include "src/smt/solver.h"
 #include "src/smt/sort.h"
 #include "src/smt/term.h"
+#include "src/support/check.h"
 #include "src/verifier/encoder.h"
 
 namespace noctua::smt {
@@ -24,31 +28,38 @@ class TermTest : public ::testing::Test {
 };
 
 TEST(SortTest, ScalarSingletons) {
-  EXPECT_EQ(BoolSort().get(), BoolSort().get());
-  EXPECT_EQ(IntSort().get(), IntSort().get());
-  EXPECT_TRUE(SortEq(RefSort(3), RefSort(3)));
-  EXPECT_FALSE(SortEq(RefSort(3), RefSort(4)));
+  TermFactory f;
+  EXPECT_EQ(BoolSort(), BoolSort());
+  EXPECT_EQ(IntSort(), IntSort());
+  EXPECT_NE(BoolSort(), IntSort());
+  EXPECT_EQ(f.RefSort(3), f.RefSort(3));
+  EXPECT_NE(f.RefSort(3), f.RefSort(4));
+  EXPECT_EQ(f.TupleSort({f.RefSort(0), IntSort()}), f.TupleSort({f.RefSort(0), IntSort()}));
+  EXPECT_NE(f.TupleSort({f.RefSort(0), IntSort()}), f.TupleSort({IntSort(), f.RefSort(0)}));
 }
 
 TEST(SortTest, CompositeStructure) {
-  Sort arr = ArraySort(RefSort(0), IntSort());
+  TermFactory f;
+  Sort arr = f.ArraySort(f.RefSort(0), IntSort());
   EXPECT_TRUE(arr->is_array());
-  EXPECT_TRUE(SortEq(arr->index_sort(), RefSort(0)));
-  EXPECT_TRUE(SortEq(arr->element_sort(), IntSort()));
-  EXPECT_TRUE(SetSort(RefSort(1))->is_set());
-  EXPECT_FALSE(ArraySort(RefSort(1), IntSort())->is_set());
+  EXPECT_EQ(arr->index_sort(), f.RefSort(0));
+  EXPECT_EQ(arr->element_sort(), IntSort());
+  EXPECT_TRUE(f.SetSort(f.RefSort(1))->is_set());
+  EXPECT_FALSE(f.ArraySort(f.RefSort(1), IntSort())->is_set());
 }
 
 TEST(SortTest, PairRequiresRefs) {
-  Sort p = PairSort(RefSort(0), RefSort(1));
+  TermFactory f;
+  Sort p = f.PairSort(f.RefSort(0), f.RefSort(1));
   EXPECT_TRUE(p->is_pair());
   EXPECT_TRUE(p->is_finite_domain());
   EXPECT_FALSE(IntSort()->is_finite_domain());
 }
 
 TEST(SortTest, ToStringIsReadable) {
-  EXPECT_EQ(RefSort(2)->ToString(), "Ref<2>");
-  EXPECT_EQ(ArraySort(RefSort(0), BoolSort())->ToString(), "Array<Ref<0>,Bool>");
+  TermFactory f;
+  EXPECT_EQ(f.RefSort(2)->ToString(), "Ref<2>");
+  EXPECT_EQ(f.ArraySort(f.RefSort(0), BoolSort())->ToString(), "Array<Ref<0>,Bool>");
 }
 
 TEST_F(TermTest, HashConsingMakesEqualTermsPointerEqual) {
@@ -127,36 +138,35 @@ TEST_F(TermTest, TupleEqDecomposes) {
 }
 
 TEST_F(TermTest, SelectOverStore) {
-  Sort arr_sort = ArraySort(RefSort(0), IntSort());
+  Sort arr_sort = f.ArraySort(f.RefSort(0), IntSort());
   Term a = f.Const("a", arr_sort);
-  Term i = f.RefLit(RefSort(0), 0);
-  Term j = f.RefLit(RefSort(0), 1);
+  Term i = f.RefLit(f.RefSort(0), 0);
+  Term j = f.RefLit(f.RefSort(0), 1);
   Term stored = f.Store(a, i, f.IntLit(42));
   EXPECT_EQ(f.Select(stored, i), f.IntLit(42));
   EXPECT_EQ(f.Select(stored, j), f.Select(a, j));
 }
 
 TEST_F(TermTest, SelectOverConstArray) {
-  Term k = f.ConstArray(RefSort(0), f.IntLit(7));
-  EXPECT_EQ(f.Select(k, f.Const("i", RefSort(0))), f.IntLit(7));
+  Term k = f.ConstArray(f.RefSort(0), f.IntLit(7));
+  EXPECT_EQ(f.Select(k, f.Const("i", f.RefSort(0))), f.IntLit(7));
 }
 
 TEST_F(TermTest, StoreOfSameSelectIsIdentity) {
-  Sort arr_sort = ArraySort(RefSort(0), IntSort());
+  Sort arr_sort = f.ArraySort(f.RefSort(0), IntSort());
   Term a = f.Const("a", arr_sort);
-  Term i = f.Const("i", RefSort(0));
+  Term i = f.Const("i", f.RefSort(0));
   EXPECT_EQ(f.Store(a, i, f.Select(a, i)), a);
 }
 
 TEST_F(TermTest, LambdaBetaReduction) {
-  Term v = f.NewBoundVar(RefSort(0));
-  Term lam = f.ArrayLambda(v, f.Add(f.Select(f.Const("ord", ArraySort(RefSort(0), IntSort())), v),
-                                    f.IntLit(1)));
-  Term idx = f.RefLit(RefSort(0), 1);
+  Term v = f.NewBoundVar(f.RefSort(0));
+  Term ord = f.Const("ord", f.ArraySort(f.RefSort(0), IntSort()));
+  Term lam = f.ArrayLambda(v, f.Add(f.Select(ord, v), f.IntLit(1)));
+  Term idx = f.RefLit(f.RefSort(0), 1);
   Term sel = f.Select(lam, idx);
   // select(λx. ord[x]+1, #1) beta-reduces to ord[#1]+1.
-  EXPECT_EQ(sel, f.Add(f.Select(f.Const("ord", ArraySort(RefSort(0), IntSort())), idx),
-                       f.IntLit(1)));
+  EXPECT_EQ(sel, f.Add(f.Select(ord, idx), f.IntLit(1)));
 }
 
 TEST_F(TermTest, DistinctLiteralFolding) {
@@ -166,9 +176,9 @@ TEST_F(TermTest, DistinctLiteralFolding) {
 }
 
 TEST_F(TermTest, PairAccessors) {
-  Term p = f.MkPair(f.RefLit(RefSort(0), 1), f.RefLit(RefSort(1), 0));
-  EXPECT_EQ(f.Fst(p), f.RefLit(RefSort(0), 1));
-  EXPECT_EQ(f.Snd(p), f.RefLit(RefSort(1), 0));
+  Term p = f.MkPair(f.RefLit(f.RefSort(0), 1), f.RefLit(f.RefSort(1), 0));
+  EXPECT_EQ(f.Fst(p), f.RefLit(f.RefSort(0), 1));
+  EXPECT_EQ(f.Snd(p), f.RefLit(f.RefSort(1), 0));
 }
 
 // --- Evaluation ---------------------------------------------------------------------------
@@ -212,14 +222,14 @@ TEST_F(EvalTest, ThreeValuedAndShortCircuits) {
 
 TEST_F(EvalTest, ForallOverScope) {
   // forall x:Ref<0>. x == x  -> true (trivially, via simplifier); use a data array.
-  Term data = f.Const("d", ArraySort(RefSort(0), IntSort()));
-  Term v0 = f.NewBoundVar(RefSort(0));
+  Term data = f.Const("d", f.ArraySort(f.RefSort(0), IntSort()));
+  Term v0 = f.NewBoundVar(f.RefSort(0));
   Term all_eq = f.Forall(v0, f.Eq(f.Select(data, v0), f.Select(data, v0)));
   EXPECT_EQ(EvalClosed(all_eq).bool_v(), true);
 }
 
 TEST_F(EvalTest, CountAndSumOverStoredSets) {
-  Sort rs = RefSort(0);
+  Sort rs = f.RefSort(0);
   Term set = f.SetAdd(f.SetAdd(f.EmptySet(rs), f.RefLit(rs, 0)), f.RefLit(rs, 1));
   Term v = f.NewBoundVar(rs);
   Term count = f.Count(v, f.Member(v, set));
@@ -231,7 +241,7 @@ TEST_F(EvalTest, CountAndSumOverStoredSets) {
 }
 
 TEST_F(EvalTest, SumAggregatesValues) {
-  Sort rs = RefSort(0);
+  Sort rs = f.RefSort(0);
   Term data = f.Store(f.Store(f.ConstArray(rs, f.IntLit(0)), f.RefLit(rs, 0), f.IntLit(10)),
                       f.RefLit(rs, 1), f.IntLit(32));
   Term v = f.NewBoundVar(rs);
@@ -240,7 +250,7 @@ TEST_F(EvalTest, SumAggregatesValues) {
 }
 
 TEST_F(EvalTest, MinMaxAggAndArgExtreme) {
-  Sort rs = RefSort(0);
+  Sort rs = f.RefSort(0);
   Term key = f.Store(f.Store(f.ConstArray(rs, f.IntLit(0)), f.RefLit(rs, 0), f.IntLit(5)),
                      f.RefLit(rs, 1), f.IntLit(3));
   Term v1 = f.NewBoundVar(rs);
@@ -256,12 +266,12 @@ TEST_F(EvalTest, MinMaxAggAndArgExtreme) {
 }
 
 TEST_F(EvalTest, EmptyAggregatesDefaultToZero) {
-  Term v = f.NewBoundVar(RefSort(0));
+  Term v = f.NewBoundVar(f.RefSort(0));
   EXPECT_EQ(EvalClosed(f.Sum(v, f.False(), f.IntLit(9))).int_v(), 0);
 }
 
 TEST_F(EvalTest, SetOperations) {
-  Sort rs = RefSort(0);
+  Sort rs = f.RefSort(0);
   Term a = f.SetAdd(f.EmptySet(rs), f.RefLit(rs, 0));
   Term b = f.SetAdd(f.EmptySet(rs), f.RefLit(rs, 1));
   Term u = f.SetUnion(a, b);
@@ -276,12 +286,12 @@ TEST_F(EvalTest, SetOperations) {
 TEST(AtomTableTest, DecomposesCompositeConstants) {
   TermFactory f;
   Scope scope(2);
-  Sort obj = TupleSort({IntSort(), StringSort()});
-  Term data = f.Const("data", ArraySort(RefSort(0), obj));
-  Term ids = f.Const("ids", SetSort(RefSort(0)));
+  Sort obj = f.TupleSort({IntSort(), StringSort()});
+  Term data = f.Const("data", f.ArraySort(f.RefSort(0), obj));
+  Term ids = f.Const("ids", f.SetSort(f.RefSort(0)));
   Term x = f.Const("x", IntSort());
-  AtomTable atoms(scope, {f.And(f.Member(f.Const("r", RefSort(0)), ids),
-                                f.Eq(f.Proj(f.Select(data, f.Const("r", RefSort(0))), 0), x))});
+  AtomTable atoms(scope, {f.And(f.Member(f.Const("r", f.RefSort(0)), ids),
+                                f.Eq(f.Proj(f.Select(data, f.Const("r", f.RefSort(0))), 0), x))});
   // r: 1 atom; ids: 2 bool atoms; data: 2 elems * 2 fields = 4 atoms; x: 1 atom.
   EXPECT_EQ(atoms.size(), 8u);
   EXPECT_GE(atoms.Find(ids, 1, -1), 0);
@@ -294,32 +304,56 @@ TEST(AtomTableTest, DecomposesCompositeConstants) {
 // verifier's pair check encodes it, then grounded. Every atom of a grounded conjunct is
 // flagged at interning and sets its bit in the conjunct's signature; since an atom's
 // children hold no atoms, the signature is exactly the OR of those bits.
-TEST(AtomSignatureTest, GroundedPairQueryAtomsAreFlaggedAndCoveredByTheRootSignature) {
-  app::App a = apps::MakeZhihuApp();
-  analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
-  const soir::CodePath* p = nullptr;
-  for (const soir::CodePath& path : res.EffectfulPaths()) {
-    if (path.op_name == "DeleteAnswer#p1") {
-      p = &path;
+// Zhihu and its `DeleteAnswer#p1` path, the straggler of the evaluated apps.
+struct Straggler {
+  app::App app;
+  soir::CodePath path;
+};
+
+const Straggler& ZhihuStraggler() {
+  static const Straggler kStraggler = [] {
+    Straggler s{apps::MakeZhihuApp(), {}};
+    const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(s.app);
+    for (const soir::CodePath& path : analysis.EffectfulPaths()) {
+      if (path.op_name == "DeleteAnswer#p1") {
+        s.path = path;
+      }
     }
-  }
-  ASSERT_NE(p, nullptr);
-  TermFactory f;
-  verifier::Encoder enc(a.schema(), &f, verifier::EncoderOptions{});
+    NOCTUA_CHECK(s.path.op_name == "DeleteAnswer#p1");
+    return s;
+  }();
+  return kStraggler;
+}
+
+// Builds the straggler's self-commutativity query in `f` and grounds it over a scope of
+// two; returns the grounded conjuncts (empty when the query is trivially unsat).
+std::vector<Term> GroundedStragglerQuery(TermFactory& f) {
+  const Straggler& z = ZhihuStraggler();
+  verifier::Encoder enc(z.app.schema(), &f, verifier::EncoderOptions{});
   verifier::EncState s0 = enc.FreshState("S0");
-  verifier::Encoder::PathResult pq1 = enc.ApplyPath(*p, s0, "x");
-  verifier::Encoder::PathResult pq2 = enc.ApplyPath(*p, pq1.post, "y");
-  verifier::Encoder::PathResult qp1 = enc.ApplyPath(*p, s0, "y");
-  verifier::Encoder::PathResult qp2 = enc.ApplyPath(*p, qp1.post, "x");
+  verifier::Encoder::PathResult pq1 = enc.ApplyPath(z.path, s0, "x");
+  verifier::Encoder::PathResult pq2 = enc.ApplyPath(z.path, pq1.post, "y");
+  verifier::Encoder::PathResult qp1 = enc.ApplyPath(z.path, s0, "y");
+  verifier::Encoder::PathResult qp2 = enc.ApplyPath(z.path, qp1.post, "x");
   std::vector<Term> query = {f.Not(enc.StateEq(pq2.post, qp2.post, {})),
                              enc.UniqueIdAxiom(s0), pq1.pre, qp1.pre, enc.StateAxioms(s0)};
   Grounder grounder(&f, Scope(2));
   std::vector<Term> grounded;
-  ASSERT_TRUE(GroundAndFlatten(grounder, f, query, &grounded));
+  if (!GroundAndFlatten(grounder, f, query, &grounded)) {
+    grounded.clear();
+  }
+  return grounded;
+}
+
+TEST(AtomSignatureTest, GroundedPairQueryAtomsAreFlaggedAndCoveredByTheRootSignature) {
+  TermFactory f;
+  std::vector<Term> grounded = GroundedStragglerQuery(f);
+  ASSERT_FALSE(grounded.empty());
   std::unordered_set<Term> distinct;
+  TermMap seen;
   for (Term root : grounded) {
     std::vector<Term> atoms;
-    Grounder::CollectAtoms(root, &atoms);
+    Grounder::CollectAtoms(root, seen, &atoms);
     uint64_t bits = 0;
     for (Term atom : atoms) {
       EXPECT_TRUE(atom->is_ground_atom()) << atom->ToString();
@@ -332,6 +366,184 @@ TEST(AtomSignatureTest, GroundedPairQueryAtomsAreFlaggedAndCoveredByTheRootSigna
   }
   // More atoms than bits, so atoms share bits, as in every app-sized query.
   EXPECT_GT(distinct.size(), 64u);
+}
+
+// --- Term memory --------------------------------------------------------------------------
+
+TEST(TermMapTest, FindSetEraseAndClear) {
+  TermFactory f;
+  Term a = f.Const("a", IntSort());
+  Term b = f.Const("b", IntSort());
+  TermMap map;
+  EXPECT_EQ(map.Find(a), nullptr);
+  map.Set(a, b);
+  ASSERT_NE(map.Find(a), nullptr);
+  EXPECT_EQ(*map.Find(a), b);
+  EXPECT_EQ(map.Find(b), nullptr);
+  map.Set(a, a);  // overwrites
+  EXPECT_EQ(*map.Find(a), a);
+
+  map.Erase(a);
+  EXPECT_EQ(map.Find(a), nullptr);
+  map.Erase(b);  // erasing an absent key is a no-op
+  EXPECT_EQ(map.Find(b), nullptr);
+
+  // A stored nullptr is a present key, distinct from an absent one.
+  map.Set(b, nullptr);
+  ASSERT_NE(map.Find(b), nullptr);
+  EXPECT_EQ(*map.Find(b), nullptr);
+  EXPECT_EQ(map.Find(a), nullptr);
+
+  // Clear forgets every entry, and the map is usable again afterwards.
+  map.Set(a, b);
+  map.Clear();
+  EXPECT_EQ(map.Find(a), nullptr);
+  EXPECT_EQ(map.Find(b), nullptr);
+  map.Set(b, a);
+  EXPECT_EQ(map.Find(a), nullptr);
+  EXPECT_EQ(*map.Find(b), a);
+}
+
+TEST(TermMapTest, KeysBeyondTheCurrentCapacityGrowTheMap) {
+  TermFactory f;
+  std::vector<Term> terms;
+  for (int i = 0; i < 5000; ++i) {
+    terms.push_back(f.IntLit(i));
+  }
+  TermMap map;
+  map.Set(terms[3], terms[4]);
+  // Ids far past every slot the map has: probing is safe, storing grows the map.
+  EXPECT_EQ(map.Find(terms.back()), nullptr);
+  map.Erase(terms.back());
+  map.Set(terms.back(), terms[0]);
+  EXPECT_EQ(*map.Find(terms.back()), terms[0]);
+  EXPECT_EQ(*map.Find(terms[3]), terms[4]);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    map.Set(terms[i], terms[terms.size() - 1 - i]);
+  }
+  for (size_t i = 0; i < terms.size(); ++i) {
+    ASSERT_EQ(*map.Find(terms[i]), terms[terms.size() - 1 - i]);
+  }
+  map.Clear();
+  for (Term t : terms) {
+    ASSERT_EQ(map.Find(t), nullptr);
+  }
+}
+
+// The intern table grows by rehashing; every term must stay findable across the growth
+// steps, so re-interning returns the original pointer and creates nothing.
+TEST(TermFactoryTest, InternTableGrowthKeepsEveryTermFindable) {
+  TermFactory f;
+  constexpr int kEach = 8192;  // 3 * kEach terms: past 4x the initial 4096 slots
+  std::vector<Term> made;
+  for (int i = 0; i < kEach; ++i) {
+    Term lit = f.IntLit(i);
+    Term c = f.Const("c" + std::to_string(i), IntSort());
+    made.insert(made.end(), {lit, c, f.Eq(c, lit)});
+  }
+  const size_t size = f.size();
+  ASSERT_GE(size, made.size());
+  const uint64_t hits = f.intern_hits();
+  for (int i = 0; i < kEach; ++i) {
+    Term lit = f.IntLit(i);
+    Term c = f.Const("c" + std::to_string(i), IntSort());
+    ASSERT_EQ(lit, made[3 * i]);
+    ASSERT_EQ(c, made[3 * i + 1]);
+    ASSERT_EQ(f.Eq(c, lit), made[3 * i + 2]);
+  }
+  EXPECT_EQ(f.size(), size);
+  EXPECT_EQ(f.intern_hits(), hits + made.size());
+}
+
+// Workers build their queries concurrently, each in its own factory: nothing one
+// factory writes may be seen by another, so every worker must build the same DAG.
+TEST(TermFactoryTest, ConcurrentFactoriesBuildIdenticalQueries) {
+  ZhihuStraggler();  // build the shared, read-only inputs before the threads start
+  constexpr int kThreads = 4;
+  std::vector<size_t> sizes(kThreads);
+  std::vector<std::string> roots(kThreads);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([w, &sizes, &roots] {
+      TermFactory f;
+      std::vector<Term> grounded = GroundedStragglerQuery(f);
+      sizes[w] = f.size();
+      roots[w] = grounded.empty() ? "" : f.And(grounded)->ToString();
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  ASSERT_FALSE(roots[0].empty());
+  for (int w = 1; w < kThreads; ++w) {
+    EXPECT_EQ(sizes[w], sizes[0]);
+    EXPECT_EQ(roots[w], roots[0]);
+  }
+}
+
+// A Reset factory serves the verifier's next pair session: it must build exactly what a
+// new factory builds (same ids, so the same atom signatures), whatever it held before.
+TEST(TermFactoryTest, ResetFactoryBuildsWhatANewOneBuilds) {
+  TermFactory fresh;
+  const std::vector<Term> expected = GroundedStragglerQuery(fresh);
+  ASSERT_FALSE(expected.empty());
+
+  TermFactory reused;
+  // Earlier work past the initial table and block sizes, with composite sorts.
+  for (int i = 0; i < 20000; ++i) {
+    reused.MkTuple({reused.IntLit(i), reused.Const("r" + std::to_string(i),
+                                                   reused.RefSort(i % 3))});
+  }
+  GroundedStragglerQuery(reused);
+  reused.Reset();
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_EQ(reused.intern_hits(), 0u);
+
+  const std::vector<Term> got = GroundedStragglerQuery(reused);
+  EXPECT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(reused.intern_hits(), fresh.intern_hits());
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->id(), expected[i]->id());
+    EXPECT_EQ(got[i]->atom_sig(), expected[i]->atom_sig());
+    EXPECT_EQ(got[i]->ToString(), expected[i]->ToString());
+  }
+  // Bound variables are numbered from the start again too.
+  EXPECT_EQ(reused.NewBoundVar(IntSort())->ToString(),
+            fresh.NewBoundVar(IntSort())->ToString());
+}
+
+TEST(ScratchMapTest, LeasesStartEmptyAndNestedLeasesAreDistinct) {
+  TermFactory f;
+  Term a = f.Const("a", IntSort());
+  Term b = f.Const("b", IntSort());
+  {
+    ScratchMap outer(f);
+    outer->Set(a, b);
+    {
+      ScratchMap inner(f);
+      EXPECT_EQ(inner->Find(a), nullptr);
+      inner->Set(a, a);
+      EXPECT_EQ(*outer->Find(a), b);
+    }
+    EXPECT_EQ(*outer->Find(a), b);
+  }
+  // The returned maps are leased again, without what their last holders stored.
+  ScratchMap first(f);
+  ScratchMap second(f);
+  EXPECT_EQ(first->Find(a), nullptr);
+  EXPECT_EQ(second->Find(a), nullptr);
+}
+
+TEST(ScratchMapDeathTest, ResetWithALeaseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TermFactory f;
+        ScratchMap lease(f);
+        f.Reset();
+      },
+      "ScratchMap on lease");
 }
 
 // --- Solver -------------------------------------------------------------------------------
@@ -376,9 +588,9 @@ TEST_P(SolverTest, ArithmeticWitness) {
 }
 
 TEST_P(SolverTest, RefDistinctBeyondScopeIsUnsat) {
-  Term a = f.Const("a", RefSort(0));
-  Term b = f.Const("b", RefSort(0));
-  Term c = f.Const("c", RefSort(0));
+  Term a = f.Const("a", f.RefSort(0));
+  Term b = f.Const("b", f.RefSort(0));
+  Term c = f.Const("c", f.RefSort(0));
   // Scope is 2, so three pairwise-distinct refs cannot exist.
   EXPECT_EQ(Check({f.Distinct({a, b, c})}), SolveResult::kUnsat);
   options.scope.SetModelSize(0, 3);
@@ -386,8 +598,8 @@ TEST_P(SolverTest, RefDistinctBeyondScopeIsUnsat) {
 }
 
 TEST_P(SolverTest, SetReasoning) {
-  Sort rs = RefSort(0);
-  Term s = f.Const("s", SetSort(rs));
+  Sort rs = f.RefSort(0);
+  Term s = f.Const("s", f.SetSort(rs));
   Term e = f.Const("e", rs);
   // e ∈ s and s ⊆ ∅ is unsat.
   EXPECT_EQ(Check({f.Member(e, s), f.SetSubset(s, f.EmptySet(rs))}), SolveResult::kUnsat);
@@ -398,10 +610,10 @@ TEST_P(SolverTest, SetReasoning) {
 
 TEST_P(SolverTest, ArrayWellFormedness) {
   // data[i].0 == i for all i, and two members with equal field-0 must be the same element.
-  Sort rs = RefSort(0);
-  Sort obj = TupleSort({rs, IntSort()});
-  Term data = f.Const("data", ArraySort(rs, obj));
-  Term ids = f.Const("ids", SetSort(rs));
+  Sort rs = f.RefSort(0);
+  Sort obj = f.TupleSort({rs, IntSort()});
+  Term data = f.Const("data", f.ArraySort(rs, obj));
+  Term ids = f.Const("ids", f.SetSort(rs));
   Term v = f.NewBoundVar(rs);
   Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
   Term x = f.Const("x", rs);
@@ -446,9 +658,9 @@ TEST_P(SolverTest, ModelIsReturnedAndConsistent) {
 TEST_P(SolverTest, CommutativityStyleQuery) {
   // A miniature commutativity check: two increments commute (unsat = no counterexample),
   // increment and assignment do not (sat = counterexample exists).
-  Sort rs = RefSort(0);
-  Sort obj = TupleSort({IntSort()});
-  Term data = f.Const("data", ArraySort(rs, obj));
+  Sort rs = f.RefSort(0);
+  Sort obj = f.TupleSort({IntSort()});
+  Term data = f.Const("data", f.ArraySort(rs, obj));
   Term r1 = f.Const("r1", rs);
   Term r2 = f.Const("r2", rs);
 
@@ -491,7 +703,7 @@ TEST_P(ScopeSweepTest, PigeonholePrinciple) {
   options.backend = kind;
   std::vector<Term> refs;
   for (int i = 0; i <= k; ++i) {
-    refs.push_back(f.Const("r" + std::to_string(i), RefSort(0)));
+    refs.push_back(f.Const("r" + std::to_string(i), f.RefSort(0)));
   }
   std::unique_ptr<SolverBackend> backend = MakeBackend(options);
   backend->AssertAll({f.Distinct(refs)});
@@ -525,10 +737,10 @@ TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
     options.backend = kind;
     options.incremental = Toggle::kOn;
 
-    Sort rs = RefSort(0);
-    Sort obj = TupleSort({rs, IntSort()});
-    Term data = f.Const("data", ArraySort(rs, obj));
-    Term ids = f.Const("ids", SetSort(rs));
+    Sort rs = f.RefSort(0);
+    Sort obj = f.TupleSort({rs, IntSort()});
+    Term data = f.Const("data", f.ArraySort(rs, obj));
+    Term ids = f.Const("ids", f.SetSort(rs));
     Term v = f.NewBoundVar(rs);
     Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
     Term x = f.Const("x", rs);

@@ -1,7 +1,7 @@
 // Verifier tests: the paper's Table 5 results, the §6.4 case-study pairs, the unique-ID
 // optimization ablation (§5.2), the order-encoding ablation (§4.2 / Table 7), the pair
-// session's query-order independence, and differential testing of verdicts against
-// concrete execution.
+// session's independence of query order and of term-factory reuse, and differential
+// testing of verdicts against concrete execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,6 +262,35 @@ TEST(PairSessionTest, OutOfOrderQueriesMatchAFreshSessionInReportOrder) {
     const std::vector<CheckOutcome>& on = by_mode[smt::Toggle::kOn];
     EXPECT_NE(std::count(on.begin(), on.end(), CheckOutcome::kPass), 0) << a.name();
     EXPECT_NE(std::count(on.begin(), on.end(), CheckOutcome::kFail), 0) << a.name();
+  }
+}
+
+// A Checker hands each finished session's term factory, Reset, to its next session. A
+// session on a factory that served other pairs before must decide exactly like one on a
+// new factory: same verdicts, and the same search (solver nodes), under the node budget.
+TEST(PairSessionTest, SessionsOnReusedFactoriesMatchSessionsOnNewOnes) {
+  for (app::App (*make)() : {&apps::MakeSmallBankApp, &apps::MakeTodoApp}) {
+    app::App a = make();
+    std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
+    CheckerOptions options;
+    options.solver.budget.deterministic = true;
+    options.independence_prefilter = false;
+    Checker shared(a.schema(), options);
+    for (size_t i = 0; i < eff.size(); ++i) {
+      for (size_t j = i; j < eff.size(); ++j) {
+        const std::string pair = a.name() + " " + eff[i].op_name + "|" + eff[j].op_name;
+        Checker fresh_checker(a.schema(), options);
+        Checker::PairSession fresh(fresh_checker, eff[i], eff[j]);
+        Checker::PairSession reused(shared, eff[i], eff[j]);
+        CheckStats want, got;
+        EXPECT_EQ(reused.Commutativity(&got), fresh.Commutativity(&want)) << pair;
+        EXPECT_EQ(got.solver_nodes, want.solver_nodes) << pair;
+        EXPECT_EQ(reused.NotInvalidatePQ(&got), fresh.NotInvalidatePQ(&want)) << pair;
+        EXPECT_EQ(got.solver_nodes, want.solver_nodes) << pair;
+        EXPECT_EQ(reused.NotInvalidateQP(&got), fresh.NotInvalidateQP(&want)) << pair;
+        EXPECT_EQ(got.solver_nodes, want.solver_nodes) << pair;
+      }
+    }
   }
 }
 
