@@ -125,8 +125,10 @@ void BM_PairQuery(benchmark::State& state, smt::BackendKind kind, bool optimized
   opt.solver.incremental = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
   opt.independence_prefilter = false;
   verifier::Checker checker(a.schema(), opt);
+  const verifier::Checker::PathFacts p = checker.Facts(eff[1]);
+  const verifier::Checker::PathFacts q = checker.Facts(eff[2]);
   for (auto _ : state) {
-    verifier::Checker::PairSession session(checker, eff[1], eff[2]);
+    verifier::Checker::PairSession session(checker, p, q);
     benchmark::DoNotOptimize(session.Commutativity());
     benchmark::DoNotOptimize(session.NotInvalidatePQ());
     benchmark::DoNotOptimize(session.NotInvalidateQP());

@@ -71,6 +71,8 @@ using LabelTuple = std::tuple<std::string, std::string, std::string>;  // tenant
 
 struct Registry {
   std::atomic<bool> enabled{false};
+  // The installed collector's ObsOptions::retain_spans.
+  std::atomic<bool> retain_spans{true};
   // Bumped on every install so a thread's cached buffer from a previous run is never
   // written into the current one.
   std::atomic<uint64_t> generation{0};
@@ -568,13 +570,17 @@ void RecordSpan(const char* name, const char* category, int64_t start_us,
   if (!Enabled()) {
     return;
   }
+  const TraceContext ctx = tls_trace;
+  const bool retain = Reg().retain_spans.load(std::memory_order_relaxed);
+  if (!retain && ctx.capture == nullptr) {
+    return;
+  }
   ThreadBuffer* buf = CurrentBuffer();
   if (buf == nullptr) {
     return;
   }
-  const TraceContext ctx = tls_trace;
   int64_t ts = start_us - Reg().epoch_us.load(std::memory_order_relaxed);
-  {
+  if (retain) {
     std::lock_guard<std::mutex> lk(buf->mu);
     buf->spans.push_back(RawSpan{});
     RawSpan& s = buf->spans.back();
@@ -632,12 +638,18 @@ ScopedSpan::~ScopedSpan() {
   if (!active_ || !Enabled()) {
     return;  // collection stopped while the span was open: drop it
   }
+  const TraceContext ctx = tls_trace;
+  const bool retain = Reg().retain_spans.load(std::memory_order_relaxed);
+  if (!retain && ctx.capture == nullptr) {
+    return;  // nothing keeps this span
+  }
+  // The buffer is registered even when spans are not retained: it numbers the thread
+  // (TraceEvent::tid) for the capture.
   ThreadBuffer* buf = CurrentBuffer();
   if (buf == nullptr) {
     return;
   }
   int64_t end_us = NowMicros();
-  const TraceContext ctx = tls_trace;
   int64_t ts = start_us_ - Reg().epoch_us.load(std::memory_order_relaxed);
   if (ctx.capture != nullptr) {
     // Feed the request-scoped capture before the name is moved into the raw span.
@@ -650,6 +662,9 @@ ScopedSpan::~ScopedSpan() {
     ev.trace = ctx.trace;
     ev.args.assign(args_, args_ + num_args_);
     ctx.capture->Record(ev);
+  }
+  if (!retain) {
+    return;
   }
   std::lock_guard<std::mutex> lk(buf->mu);
   buf->spans.push_back(RawSpan{});
@@ -695,6 +710,7 @@ Collector::Collector(ObsOptions options) : options_(std::move(options)) {
     reg.labeled_hists.clear();
     reg.label_tuples.clear();
   }
+  reg.retain_spans.store(options_.retain_spans, std::memory_order_relaxed);
   reg.epoch_us.store(NowMicros(), std::memory_order_relaxed);
   reg.generation.fetch_add(1, std::memory_order_release);
   reg.enabled.store(true, std::memory_order_release);

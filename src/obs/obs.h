@@ -16,8 +16,10 @@
 //     relaxed atomics.
 //   * One collector at a time. A Collector installs itself as the process-global sink
 //     (resetting counters and buffers), records until Stop(), and then exposes the
-//     snapshot. Pipeline::Run owns this wiring when PipelineOptions::obs.enabled is set;
-//     nothing else in the library installs collectors, it only feeds whatever is active.
+//     snapshot. Pipeline::Run owns this wiring when PipelineOptions::obs.enabled is set,
+//     and the service daemon installs one that retains no spans (ObsOptions::
+//     retain_spans); nothing else in the library installs collectors, it only feeds
+//     whatever is active.
 //
 // Instrumentation is fed at aggregation points (end of a check, end of a run), never in
 // per-node inner loops — the solver counts its own nodes and the checker flushes the
@@ -47,6 +49,10 @@ struct ObsOptions {
   // How many of the slowest pairs the RunReport lists (the "what do I optimize next"
   // table).
   size_t top_slowest_pairs = 10;
+  // Keep every finished span until Stop(), for events(), the trace file and the
+  // RunReport. False keeps none, so a long-lived recorder stays bounded: counters and
+  // histograms still record, and spans still reach an active TraceCapture.
+  bool retain_spans = true;
 };
 
 // ---------------------------------------------------------------------------------------

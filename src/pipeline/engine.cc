@@ -63,13 +63,8 @@ verifier::RestrictionReport Engine::Verify(const app::App& app,
                                            const analyzer::AnalysisResult& analysis,
                                            const PipelineOptions& options) {
   PipelineOptions o = ResolveOptions(options);
-  verifier::Checker checker(app.schema(), o.checker);
-  static const std::vector<soir::CodePath> kNoObservers;
-  const std::vector<soir::CodePath>& observers =
-      o.order_observers ? analysis.paths : kNoObservers;
   std::lock_guard<std::mutex> lock(run_mutex_);
-  return verifier::AnalyzeRestrictions(checker, analysis.EffectfulPaths(), o.parallel,
-                                       observers);
+  return VerifyStage(app, analysis, o);
 }
 
 PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) {
@@ -123,9 +118,9 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) 
 IncrementalResult Engine::RunIncremental(const app::App& app, const std::string& store_dir,
                                          const IncrementalOptions& options) {
   IncrementalOptions o = options;
-  // Pool, counters, and knob resolutions carry into the session's verify stage through
-  // the option structs; the session installs its own loaded store, overriding the
-  // engine cache injection.
+  // The pool and the knob resolutions carry into the session's verify stage through the
+  // option structs, which the session uses as given; it installs its own loaded store,
+  // overriding the engine cache injection.
   o.pipeline = ResolveOptions(o.pipeline);
   std::lock_guard<std::mutex> lock(run_mutex_);
   obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);

@@ -79,6 +79,13 @@ class Pipeline {
                                           const IncrementalOptions& options);
 };
 
+// The verifier stage exactly as `options` say, with no knob resolution and no engine:
+// an Engine calls it with options it resolved once, and Session::RunIncremental with
+// the options it was given, so a run under an engine never reads the environment.
+verifier::RestrictionReport VerifyStage(const app::App& app,
+                                        const analyzer::AnalysisResult& analysis,
+                                        const PipelineOptions& options);
+
 }  // namespace noctua
 
 #endif  // SRC_PIPELINE_PIPELINE_H_

@@ -204,7 +204,7 @@ IncrementalResult Session::RunIncremental(const app::App& app,
     popts.parallel.store = &store;
     popts.parallel.paranoia = options.paranoia;
     popts.parallel.paranoia_seed = options.paranoia_seed;
-    result.run.restrictions = Pipeline::Verify(app, result.run.analysis, popts);
+    result.run.restrictions = VerifyStage(app, result.run.analysis, popts);
     verify_seconds = phase.ElapsedSeconds();
     result.pairs_replayed = result.run.restrictions.stats.pairs_replayed;
     result.pairs_computed = result.run.restrictions.stats.pairs_computed;

@@ -68,7 +68,8 @@ class Session {
   const std::string& store_dir() const { return store_dir_; }
 
   // One warm pipeline run against the store (see file header). Artifacts are saved back
-  // after the run, so consecutive calls see each other's results.
+  // after the run, so consecutive calls see each other's results. The verify stage runs
+  // with `options` as given (VerifyStage); Engine::RunIncremental resolves them first.
   IncrementalResult RunIncremental(const app::App& app,
                                    const IncrementalOptions& options = {});
 

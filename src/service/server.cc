@@ -151,8 +151,13 @@ bool Server::Start(std::string* error) {
   port_ = ntohs(bound.sin_port);
 
   if (options_.metrics && !obs::Active()) {
-    collector_.emplace(obs::ObsOptions{/*enabled=*/true, /*trace_out=*/"",
-                                       /*top_slowest_pairs=*/10});
+    // /metrics reads live counters and histograms, and an inline trace comes from its
+    // request's TraceCapture: nothing reads retained spans, so an always-on server keeps
+    // none.
+    obs::ObsOptions obs_options;
+    obs_options.enabled = true;
+    obs_options.retain_spans = false;
+    collector_.emplace(std::move(obs_options));
   }
 
   started_.store(true, std::memory_order_release);

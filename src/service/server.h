@@ -70,8 +70,9 @@ struct ServiceOptions {
   // occupies one reader for at most io_timeout_seconds; the control plane needs only
   // one free reader to answer.
   int readers = 2;
-  // Install a process collector at Start so /metrics serves live counters. Skipped
-  // (without error) when some outer owner already installed one.
+  // Install a process collector at Start so /metrics serves live counters. It retains
+  // no spans (obs::ObsOptions::retain_spans), so it stays bounded however long the server
+  // runs. Skipped (without error) when some outer owner already installed one.
   bool metrics = true;
   // Per-connection socket receive/send timeout, so a stalled client cannot wedge the
   // accept thread or a worker.

@@ -403,6 +403,17 @@ std::string CanonicalPath(const Schema& schema, const CodePath& path,
   return out;
 }
 
+PathFingerprint FingerprintPath(const Schema& schema, const CodePath& path) {
+  CanonicalizationCtx ctx(schema);
+  PathFingerprint fp;
+  fp.text = CanonicalPath(schema, path, &ctx);
+  fp.text += "\n";
+  fp.text += ctx.SchemaSignature();
+  fp.models = ctx.models();
+  fp.relations = ctx.relations();
+  return fp;
+}
+
 std::string PrintCodePath(const Schema& schema, const CodePath& path) {
   std::string out = "path " + path.op_name + " (view " + path.view_name + ")\n";
   out += "  args:";

@@ -67,6 +67,17 @@ class CanonicalizationCtx {
 // per path in declaration order, mirroring the encoder's pre-registration order.
 std::string CanonicalPath(const Schema& schema, const CodePath& path, CanonicalizationCtx* ctx);
 
+// One path's share of every fingerprint it takes part in, rendered once: `text` is the
+// path's CanonicalPath under a fresh CanonicalizationCtx, a newline, and that context's
+// SchemaSignature (exactly what PathDigest hashes); `models` and `relations` are the
+// context's canonical lists, which a pair key needs to relate two paths' renamings.
+struct PathFingerprint {
+  std::string text;
+  std::vector<int> models;
+  std::vector<int> relations;
+};
+PathFingerprint FingerprintPath(const Schema& schema, const CodePath& path);
+
 }  // namespace noctua::soir
 
 #endif  // SRC_SOIR_PRINTER_H_

@@ -18,25 +18,27 @@ void ArtifactWriter::Atom(std::string_view s) {
 void ArtifactWriter::Int(int64_t v) { Atom(std::to_string(v)); }
 
 void ArtifactWriter::Str(std::string_view s) {
-  std::string quoted = "\"";
+  if (!out_.empty()) {
+    out_ += ' ';
+  }
+  out_ += '"';
   for (char c : s) {
     switch (c) {
       case '"':
-        quoted += "\\\"";
+        out_ += "\\\"";
         break;
       case '\\':
-        quoted += "\\\\";
+        out_ += "\\\\";
         break;
       case '\n':
-        quoted += "\\n";
+        out_ += "\\n";
         break;
       default:
-        quoted += c;
+        out_ += c;
         break;
     }
   }
-  quoted += '"';
-  Atom(quoted);
+  out_ += '"';
 }
 
 bool ArtifactReader::SkipSpace() {
@@ -429,14 +431,9 @@ std::string DigestHex(uint64_t digest) {
 }
 
 std::string PathDigest(const Schema& schema, const CodePath& path) {
-  // A fresh renaming context per path: the digest covers the canonical path text plus
-  // the canonical schema fragment it can reach — exactly the inputs of every verdict
-  // fingerprint the path participates in (up to the pair's shared context).
-  CanonicalizationCtx ctx(schema);
-  std::string material = CanonicalPath(schema, path, &ctx);
-  material += "\n";
-  material += ctx.SchemaSignature();
-  return DigestHex(Fnv1a64(material));
+  // The path's fingerprint part: its canonical text plus the canonical schema fragment
+  // it can reach — exactly what it contributes to every verdict key it takes part in.
+  return DigestHex(Fnv1a64(FingerprintPath(schema, path).text));
 }
 
 std::string SchemaContentDigest(const Schema& schema) {

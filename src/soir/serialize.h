@@ -28,7 +28,9 @@ namespace noctua::soir {
 
 // Bump when the serialized form of any artifact changes incompatibly. Readers reject
 // files written under any other version (the caller falls back to a cold run).
-inline constexpr int64_t kArtifactVersion = 1;
+// Version 2: verdict keys are built from per-path parts, and the verdicts file stores
+// each part once (see verifier::VerdictCache::SaveToFile).
+inline constexpr int64_t kArtifactVersion = 2;
 
 // --- Token stream ---------------------------------------------------------------------------
 //

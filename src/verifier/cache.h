@@ -8,13 +8,17 @@
 // full of such twins: viewsets stamp structurally identical endpoints onto every model,
 // and the semantic rule checks NotInvalidate(P, P) twice per self-pair.
 //
+// A fingerprint is assembled from per-path parts (PairKey below): each path is rendered
+// once per run, and a pair's keys only join strings that already exist.
+//
 // The cache is also the incremental engine's persistence unit: SaveToFile/LoadFromFile
-// round-trip the verdict map through a versioned artifact, and entries that arrived from
-// disk are marked `replayed` so the report can attribute each pair's verdicts to this
-// run or a prior one (and so paranoia sampling knows which verdicts to spot-re-solve).
-// Because the fingerprints encode everything the SMT encoding can see, seeding a run
-// with a prior store is sound by construction: any pair affected by an edit — changed
-// paths, changed schema fragment, changed order membership — misses and is re-solved.
+// round-trip the verdict map through a versioned artifact that stores each path part
+// once, and entries that arrived from disk are marked `replayed` so the report can
+// attribute each pair's verdicts to this run or a prior one (and so paranoia sampling
+// knows which verdicts to spot-re-solve). Because the fingerprints encode everything the
+// SMT encoding can see, seeding a run with a prior store is sound by construction: any
+// pair affected by an edit — changed paths, changed schema fragment, changed order
+// membership — misses and is re-solved.
 //
 // Thread-safety: sharded by key hash; lookups and inserts from concurrent verification
 // workers are safe. Two workers may race to compute the same fingerprint — both compute,
@@ -30,14 +34,15 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <initializer_list>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "src/soir/ast.h"
-#include "src/soir/schema.h"
+#include "src/soir/printer.h"
 #include "src/verifier/checker.h"
 
 namespace noctua::verifier {
@@ -66,13 +71,17 @@ class VerdictCache {
   std::optional<Entry> LookupEntry(const std::string& key);
   void Insert(const std::string& key, CheckOutcome outcome);
 
-  // Persists every entry (sorted by key, so equal caches produce byte-identical files).
+  // Persists every entry. The file holds a table of the path parts the keys share, each
+  // written once, then the entries sorted by key: a pair key as its head, the indices of
+  // its two parts and its tail; any other key whole. Parts are numbered in order of
+  // first use over the sorted entries, so equal caches produce byte-identical files.
   // Returns false if the file cannot be written.
   bool SaveToFile(const std::string& path) const;
   // Loads a previously saved store, marking every loaded entry replayed. All-or-nothing:
-  // a missing, truncated, corrupted, or version-mismatched file returns false and leaves
-  // the cache untouched (the caller falls back to a cold run). Entries already present
-  // keep their current value — loading never overwrites a computed verdict.
+  // a missing, truncated, corrupted, or version-mismatched file (a part index out of
+  // range included) returns false and leaves the cache untouched (the caller falls back
+  // to a cold run). Entries already present keep their current value — loading never
+  // overwrites a computed verdict.
   bool LoadFromFile(const std::string& path);
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -115,15 +124,26 @@ class VerdictCache {
   std::atomic<uint64_t> evictions_{0};
 };
 
-// Fingerprint of one commutativity query over the (ordered) pair (p, q) with the given
-// app-wide order-relevant model set.
-std::string CommutativityKey(const soir::Schema& schema, const soir::CodePath& p,
-                             const soir::CodePath& q, const std::set<int>& order_models);
-
-// Fingerprint of one NotInvalidate(p, q) query (directed). The checker derives order
-// models for this rule from the pair alone, and so does the key.
-std::string NotInvalidateKey(const soir::Schema& schema, const soir::CodePath& p,
-                             const soir::CodePath& q);
+// Fingerprint of one verification query over the ordered pair (p, q), joined from the
+// two paths' parts (soir::FingerprintPath) without rendering either path again:
+//
+//   head      the backend tag and the rule tag, e.g. "com" or "cdcl|ni";
+//   parts     part(p), then part(q);
+//   link      for each model and each relation in q's canonical list, its position in
+//             p's list, or "new";
+//   order     one bit per model of p's list, then of q's: whether the model's insertion
+//             order takes part in the query, i.e. whether any of `order_sets` holds it
+//             (commutativity passes the app-wide set, NotInvalidate ord(p) and ord(q)).
+//
+// Rendering q under the renaming context p left behind, which is what a pair's
+// canonical form is, renumbers q's models and relations exactly as the link says, so
+// two queries share a key exactly when their pair renderings (plus order membership and
+// schema fragment) agree. The head and both parts are length-prefixed: a key splits
+// back into head, parts and tail without a separator that a string literal in a path
+// could contain.
+std::string PairKey(std::string_view head, const soir::PathFingerprint& p,
+                    const soir::PathFingerprint& q,
+                    std::initializer_list<const std::set<int>*> order_sets);
 
 }  // namespace noctua::verifier
 

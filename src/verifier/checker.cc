@@ -26,37 +26,20 @@ const char* CheckOutcomeName(CheckOutcome o) {
   return "?";
 }
 
-bool Checker::Independent(const soir::CodePath& p, const soir::CodePath& q) const {
-  std::vector<int> rp, wp, relp, rq, wq, relq;
-  p.CollectFootprint(schema_, &rp, &wp, &relp);
-  q.CollectFootprint(schema_, &rq, &wq, &relq);
-  auto intersects = [](const std::vector<int>& a, const std::vector<int>& b) {
-    return std::any_of(a.begin(), a.end(), [&](int x) {
-      return std::find(b.begin(), b.end(), x) != b.end();
-    });
-  };
-  // Writes of one side may not touch anything the other side reads or writes, and the two
-  // sides may not touch a common relation (we do not split relation reads from writes, so
-  // this is conservative).
-  if (intersects(wp, rq) || intersects(wp, wq) || intersects(wq, rp)) {
-    return false;
-  }
-  if (intersects(relp, relq)) {
-    return false;
-  }
-  return true;
-}
+Checker::PathFacts Checker::Facts(const soir::CodePath& path) const {
+  PathFacts f;
+  f.path = &path;
+  path.CollectFootprint(schema_, &f.reads, &f.writes, &f.relations);
 
-Checker::PairScope Checker::ComputeScope(const soir::CodePath& p,
-                                         const soir::CodePath& q) const {
-  PairScope s;
+  std::set<int> models;
+  std::set<int> relations;
   auto add_model = [&](int m) {
     if (m >= 0) {
-      s.models.insert(m);
+      models.insert(m);
     }
   };
   auto add_relation = [&](int r) {
-    if (r < 0 || !s.relations.insert(r).second) {
+    if (r < 0 || !relations.insert(r).second) {
       return;
     }
     // Endpoints of every active relation are active: referential-integrity axioms and
@@ -65,36 +48,65 @@ Checker::PairScope Checker::ComputeScope(const soir::CodePath& p,
     add_model(rel.from_model);
     add_model(rel.to_model);
   };
-  auto add_path = [&](const soir::CodePath& path) {
-    for (const soir::ArgDef& a : path.args) {
-      add_model(a.type.model_id);  // unique-id axioms reference the arg's model state
+  for (const soir::ArgDef& a : path.args) {
+    add_model(a.type.model_id);  // unique-id axioms reference the arg's model state
+  }
+  soir::VisitExprs(path, [&](const soir::Expr& e) {
+    add_model(e.type.model_id);
+    for (const soir::RelStep& rs : e.rel_path) {
+      add_relation(rs.relation);
     }
-    soir::VisitExprs(path, [&](const soir::Expr& e) {
-      add_model(e.type.model_id);
-      for (const soir::RelStep& rs : e.rel_path) {
-        add_relation(rs.relation);
-      }
-    });
-    for (const soir::Command& cmd : path.commands) {
-      add_relation(cmd.relation);
-      if (cmd.kind == soir::CommandKind::kDelete) {
-        // Deletes rewrite every incident relation.
-        int m = cmd.a->type.model_id;
-        for (size_t r = 0; r < schema_.num_relations(); ++r) {
-          const soir::RelationDef& rel = schema_.relation(static_cast<int>(r));
-          if (rel.from_model == m || rel.to_model == m) {
-            add_relation(static_cast<int>(r));
-          }
+  });
+  for (const soir::Command& cmd : path.commands) {
+    add_relation(cmd.relation);
+    if (cmd.kind == soir::CommandKind::kDelete) {
+      // Deletes rewrite every incident relation.
+      int m = cmd.a->type.model_id;
+      for (size_t r = 0; r < schema_.num_relations(); ++r) {
+        const soir::RelationDef& rel = schema_.relation(static_cast<int>(r));
+        if (rel.from_model == m || rel.to_model == m) {
+          add_relation(static_cast<int>(r));
         }
       }
     }
+  }
+  f.scope_models.assign(models.begin(), models.end());
+  f.scope_relations.assign(relations.begin(), relations.end());
+  f.order = Encoder::OrderRelevantModels(path);
+  return f;
+}
+
+bool Checker::Independent(const PathFacts& p, const PathFacts& q) {
+  auto intersects = [](const std::vector<int>& a, const std::vector<int>& b) {
+    return std::any_of(a.begin(), a.end(), [&](int x) {
+      return std::find(b.begin(), b.end(), x) != b.end();
+    });
   };
-  add_path(p);
-  add_path(q);
+  // Writes of one side may not touch anything the other side reads or writes, and the two
+  // sides may not touch a common relation (we do not split relation reads from writes, so
+  // this is conservative).
+  if (intersects(p.writes, q.reads) || intersects(p.writes, q.writes) ||
+      intersects(q.writes, p.reads)) {
+    return false;
+  }
+  if (intersects(p.relations, q.relations)) {
+    return false;
+  }
+  return true;
+}
+
+Checker::PairScope Checker::ComputeScope(const PathFacts& p, const PathFacts& q) {
+  // Each half is closed under "relation -> its endpoints", so their union is the pair's
+  // closure.
+  PairScope s;
+  s.models.insert(p.scope_models.begin(), p.scope_models.end());
+  s.models.insert(q.scope_models.begin(), q.scope_models.end());
+  s.relations.insert(p.scope_relations.begin(), p.scope_relations.end());
+  s.relations.insert(q.scope_relations.begin(), q.scope_relations.end());
   return s;
 }
 
-void Checker::ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
+void Checker::ApplyProjection(const PathFacts& p, const PathFacts& q,
                               EncoderOptions* enc_options) const {
   if (!options_.project_footprint) {
     return;
@@ -176,11 +188,15 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
 
 CheckOutcome Checker::CheckCommutativity(const soir::CodePath& p,
                                          const soir::CodePath& q) const {
-  return PairSession(*this, p, q).Commutativity();
+  const PathFacts pf = Facts(p);
+  const PathFacts qf = Facts(q);
+  return PairSession(*this, pf, qf).Commutativity();
 }
 
 CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePath& q) const {
-  PairSession session(*this, p, q);
+  const PathFacts pf = Facts(p);
+  const PathFacts qf = Facts(q);
+  PairSession session(*this, pf, qf);
   CheckOutcome a = session.NotInvalidatePQ();
   // The worse of the two directions decides; a restricting direction one settles it.
   return a == CheckOutcome::kPass ? session.NotInvalidateQP() : a;
@@ -245,18 +261,22 @@ void Checker::GiveBackFactory(std::unique_ptr<smt::TermFactory> factory) const {
   spare_factories_.push_back(std::move(factory));
 }
 
-Checker::PairSession::PairSession(const Checker& checker, const soir::CodePath& p,
-                                  const soir::CodePath& q,
-                                  const std::set<int>* order_models)
-    : checker_(checker), p_(p), q_(q) {
+Checker::PairSession::PairSession(const Checker& checker, const PathFacts& p,
+                                  const PathFacts& q, const std::set<int>* order_models)
+    : checker_(checker),
+      pf_(p),
+      qf_(q),
+      p_(*p.path),
+      q_(*q.path),
+      order_models_(order_models),
+      prefiltered_(checker.Prefilterable(p, q)) {}
+
+std::set<int> Checker::PairSession::PairOrder() const {
   // Order information is materialized only for models whose order this pair (or, when
-  // provided by the caller, any operation of the app) observes — the decoupling of §4.2.
-  ni_order_ = Encoder::OrderRelevantModels(p);
-  std::set<int> oq = Encoder::OrderRelevantModels(q);
-  ni_order_.insert(oq.begin(), oq.end());
-  com_order_ = order_models != nullptr ? *order_models : ni_order_;
-  prefiltered_ =
-      checker_.options_.independence_prefilter && checker_.Independent(p_, q_);
+  // the caller provides it, any operation of the app) observes — the decoupling of §4.2.
+  std::set<int> order = pf_.order;
+  order.insert(qf_.order.begin(), qf_.order.end());
+  return order;
 }
 
 Checker::PairSession::~PairSession() = default;
@@ -285,8 +305,8 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     obs::ScopedSpan encode_span("encode_com", obs::kCatEncode);
 
     EncoderOptions enc_options = checker_.options_.encoder;
-    enc_options.order_models = com_order_;
-    checker_.ApplyProjection(p_, q_, &enc_options);
+    enc_options.order_models = order_models_ != nullptr ? *order_models_ : PairOrder();
+    checker_.ApplyProjection(pf_, qf_, &enc_options);
     sh.com_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
     Encoder& enc = *sh.com_enc;
 
@@ -306,7 +326,8 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     // incremental grounder can cache the ones shared with the NotInvalidate frame (S0's
     // axioms, the unique-id axiom).
     std::vector<Term>& assertions = sh.com_assertions;
-    assertions.push_back(sh.factory->Not(enc.StateEq(pq2.post, qp2.post, com_order_)));
+    assertions.push_back(
+        sh.factory->Not(enc.StateEq(pq2.post, qp2.post, enc_options.order_models)));
     // The replayed effects must be producible: assert their preconditions on fresh origin
     // states (paper §5.2), or directly on S0 in the cheaper shared mode.
     if (checker_.options_.fresh_origin_states) {
@@ -370,8 +391,8 @@ void Checker::PairSession::BuildNiFrame() {
   obs::ScopedSpan encode_span("encode_ni", obs::kCatEncode);
 
   EncoderOptions enc_options = checker_.options_.encoder;
-  enc_options.order_models = ni_order_;
-  checker_.ApplyProjection(p_, q_, &enc_options);
+  enc_options.order_models = PairOrder();
+  checker_.ApplyProjection(pf_, qf_, &enc_options);
   sh.ni_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
   Encoder& enc = *sh.ni_enc;
 

@@ -73,6 +73,24 @@ class Checker {
   // spare term factories, which a session locks once to take a factory and once to give
   // it back.
 
+  // What a pair's checks need to know about one of its paths, derived from that path
+  // alone. The pair loop computes one per path per run (its path table) and derives
+  // every pair's prefilter verdict, footprint closure and order sets from two of them;
+  // one-off checks compute them the same way. Refers to the path, which must outlive it.
+  struct PathFacts {
+    const soir::CodePath* path = nullptr;
+    // The path's footprint (soir::CodePath::CollectFootprint), for the prefilter.
+    std::vector<int> reads;
+    std::vector<int> writes;
+    std::vector<int> relations;
+    // The path's half of the footprint closure (see ComputeScope), sorted.
+    std::vector<int> scope_models;
+    std::vector<int> scope_relations;
+    // Models whose insertion order the path observes (Encoder::OrderRelevantModels).
+    std::set<int> order;
+  };
+  PathFacts Facts(const soir::CodePath& path) const;
+
   // Rule 1 on one pair, through a one-query PairSession (order models derived from the
   // pair alone).
   CheckOutcome CheckCommutativity(const soir::CodePath& p, const soir::CodePath& q) const;
@@ -95,10 +113,15 @@ class Checker {
   // so NotInvalidateQP names the checked path's arguments "y" where the rule writes x;
   // verdicts are invariant under that renaming.
   //
-  // A session is single-threaded and must not outlive its Checker.
+  // A session is single-threaded and must not outlive its Checker, its two PathFacts or
+  // `order_models`. Constructing one allocates nothing: the order sets and the encoders
+  // are built only when a query reaches the solver.
   class PairSession {
    public:
-    PairSession(const Checker& checker, const soir::CodePath& p, const soir::CodePath& q,
+    // `order_models`, when given, is the app-wide order set the commutativity query
+    // compares under; otherwise it uses the pair's own (ord(p) ∪ ord(q)), as
+    // NotInvalidate always does.
+    PairSession(const Checker& checker, const PathFacts& p, const PathFacts& q,
                 const std::set<int>* order_models = nullptr);
     ~PairSession();
     PairSession(const PairSession&) = delete;
@@ -116,29 +139,34 @@ class Checker {
     void BuildNiFrame();
     CheckOutcome NotInvalidateDir(bool pq, CheckStats* stats);
 
+    // ord(p) ∪ ord(q).
+    std::set<int> PairOrder() const;
+
     const Checker& checker_;
+    const PathFacts& pf_;
+    const PathFacts& qf_;
     const soir::CodePath& p_;
     const soir::CodePath& q_;
-    std::set<int> com_order_;  // StateEq order set for the commutativity query
-    std::set<int> ni_order_;   // pair-derived order union for NotInvalidate
+    const std::set<int>* order_models_;
     bool prefiltered_ = false;
     std::unique_ptr<Shared> shared_;
   };
 
   // True when the prefilter would retire this pair without a solver call (footprints
   // provably disjoint). Exposed so the scheduler can retire such pairs first.
-  bool Prefilterable(const soir::CodePath& p, const soir::CodePath& q) const {
+  bool Prefilterable(const PathFacts& p, const PathFacts& q) const {
     return options_.independence_prefilter && Independent(p, q);
   }
 
   // The pair's footprint closure: every model/relation either path can reach through
   // expressions, commands, relation paths, argument types, relation endpoints, or
-  // delete-incident relations. This is what project_footprint materializes.
+  // delete-incident relations — the union of the two paths' halves. This is what
+  // project_footprint materializes.
   struct PairScope {
     std::set<int> models;
     std::set<int> relations;
   };
-  PairScope ComputeScope(const soir::CodePath& p, const soir::CodePath& q) const;
+  static PairScope ComputeScope(const PathFacts& p, const PathFacts& q);
 
   // Severity order of outcomes (pass < fail < timeout < unsupported): the worse of two
   // directions decides a semantic check.
@@ -146,13 +174,13 @@ class Checker {
 
  private:
   // True when the two paths' footprints are disjoint, so both rules trivially pass.
-  bool Independent(const soir::CodePath& p, const soir::CodePath& q) const;
+  static bool Independent(const PathFacts& p, const PathFacts& q);
   // Runs a Check on an already-asserted backend and flushes its stats into the obs
   // registry, the only home of the solver's tallies.
   CheckOutcome RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
                            CheckStats* stats) const;
   // Applies project_footprint to a per-check encoder configuration.
-  void ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
+  void ApplyProjection(const PathFacts& p, const PathFacts& q,
                        EncoderOptions* enc_options) const;
   // A pair session's term factory: a spare one if there is one, else a new one. A
   // finished session gives its factory back, Reset, so the next sessions reuse its

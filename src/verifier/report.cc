@@ -119,13 +119,38 @@ struct PairJob {
   uint64_t cost = 0;
 };
 
+// One row of the path table: everything the pair loop needs about one path, computed
+// once per run before the pool starts and only read afterwards.
+struct PathRow {
+  Checker::PathFacts facts;
+  soir::PathFingerprint fingerprint;
+};
+
+// Size of the union of two sorted id lists.
+size_t UnionSize(const std::vector<int>& a, const std::vector<int>& b) {
+  size_t n = 0;
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
+    ++n;
+  }
+  return n + static_cast<size_t>(a.end() - i) + static_cast<size_t>(b.end() - j);
+}
+
 // A crude but monotone cost proxy: command count of both paths times the size of the
 // footprint closure the solver must reason about. Prefiltered pairs cost nothing.
-uint64_t EstimateCost(const Checker& checker, const soir::CodePath& p,
-                      const soir::CodePath& q) {
-  Checker::PairScope scope = checker.ComputeScope(p, q);
-  return static_cast<uint64_t>(p.commands.size() + q.commands.size()) *
-         static_cast<uint64_t>(1 + scope.models.size() + scope.relations.size());
+uint64_t EstimateCost(const Checker::PathFacts& p, const Checker::PathFacts& q) {
+  return static_cast<uint64_t>(p.path->commands.size() + q.path->commands.size()) *
+         static_cast<uint64_t>(1 + UnionSize(p.scope_models, q.scope_models) +
+                               UnionSize(p.scope_relations, q.scope_relations));
 }
 
 }  // namespace
@@ -138,13 +163,23 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   obs::ScopedSpan run_span("AnalyzeRestrictions", obs::kCatVerify);
   const soir::Schema& schema = checker.schema();
 
+  // The path table: each path's facts and fingerprint part, derived once here and
+  // combined per pair below, so no pair walks or renders a path again. The fingerprint
+  // is rendered only when verdicts are cached.
+  std::vector<PathRow> rows(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    rows[i].facts = checker.Facts(paths[i]);
+    if (parallel.cache) {
+      rows[i].fingerprint = soir::FingerprintPath(schema, paths[i]);
+    }
+  }
+
   // Models whose insertion order any operation observes: their relative order is part of
   // state equality app-wide (a divergent order would be visible to those operations).
   // Read-only `observers` contribute here without being pair-checked themselves.
   std::set<int> order_models;
-  for (const soir::CodePath& p : paths) {
-    std::set<int> m = Encoder::OrderRelevantModels(p);
-    order_models.insert(m.begin(), m.end());
+  for (const PathRow& row : rows) {
+    order_models.insert(row.facts.order.begin(), row.facts.order.end());
   }
   for (const soir::CodePath& p : observers) {
     std::set<int> m = Encoder::OrderRelevantModels(p);
@@ -159,8 +194,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       PairJob job;
       job.i = i;
       job.j = j;
-      job.prefiltered = checker.Prefilterable(paths[i], paths[j]);
-      job.cost = job.prefiltered ? 0 : EstimateCost(checker, paths[i], paths[j]);
+      job.prefiltered = checker.Prefilterable(rows[i].facts, rows[j].facts);
+      job.cost = job.prefiltered ? 0 : EstimateCost(rows[i].facts, rows[j].facts);
       jobs.push_back(job);
     }
   }
@@ -178,17 +213,18 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // accumulate, so report stats are computed as deltas from this snapshot. Only the
   // run-local cache may be bounded — evicting from a store would turn replayable
   // verdicts into cold misses on the next warm run.
-  // Cache keys carry a backend tag for non-default backends. Verdicts themselves are
+  // Key heads carry a backend tag for non-default backends. Verdicts themselves are
   // backend-independent (the cross-backend soundness contract), but kTimeout is not: a
   // query one backend finishes may exhaust another's budget, so entries must not leak
-  // across backends. The dfs default stays untagged to keep existing artifact stores
-  // replayable.
+  // across backends. The dfs default stays untagged.
   const smt::BackendKind backend_kind =
       smt::ResolveBackendKind(checker.options().solver.backend);
   const std::string backend_tag =
       backend_kind == smt::BackendKind::kDfs
           ? std::string()
           : std::string(smt::BackendKindName(backend_kind)) + "|";
+  const std::string com_head = backend_tag + "com";
+  const std::string ni_head = backend_tag + "ni";
 
   VerdictCache local_cache(parallel.store != nullptr ? 0 : parallel.cache_capacity);
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
@@ -211,8 +247,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // answer every interleaving. Replayed hits (entries loaded from a prior store) are
   // additionally subject to paranoia sampling: a per-fingerprint coin decides whether to
   // re-solve and cross-check, so the audited subset is the same for any thread count.
-  auto cached_query = [&](const std::function<std::string()>& key_fn, CheckStats* cs,
-                          const std::function<CheckOutcome(CheckStats*)>& compute) {
+  auto cached_query = [&](const auto& key_fn, CheckStats* cs, const auto& compute) {
     std::string key;
     if (use_cache) {
       key = key_fn();
@@ -263,6 +298,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   auto run_job = [&](size_t k) {
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
+    const PathRow& rp = rows[job.i];
+    const PathRow& rq = rows[job.j];
     const soir::CodePath& p = paths[job.i];
     const soir::CodePath& q = paths[job.j];
     // Dynamic span name only when recording — the concatenation is not free.
@@ -281,14 +318,15 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       prefiltered_count.fetch_add(1, std::memory_order_relaxed);
     } else {
       // One session per pair: the commutativity query and both NotInvalidate directions
-      // share a term factory, a backend, and the grounding of their common frame. Cache
-      // keys are unchanged — a cache hit just skips the session's corresponding query.
-      Checker::PairSession session(checker, p, q, &order_models);
+      // share a term factory, a backend, and the grounding of their common frame. A
+      // cache hit just skips the session's corresponding query; a pair whose three
+      // verdicts all hit never builds anything.
+      Checker::PairSession session(checker, rp.facts, rq.facts, &order_models);
       Stopwatch com_watch;
       CheckStats cs;
       v.commutativity = cached_query(
-          [&] { return backend_tag + CommutativityKey(schema, p, q, order_models); }, &cs,
-          [&](CheckStats* st) { return session.Commutativity(st); });
+          [&] { return PairKey(com_head, rp.fingerprint, rq.fingerprint, {&order_models}); },
+          &cs, [&](CheckStats* st) { return session.Commutativity(st); });
       v.com_seconds = com_watch.ElapsedSeconds();
       v.solver_nodes += cs.solver_nodes;
       v.cache_hits += cs.cache_hit ? 1 : 0;
@@ -297,13 +335,17 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       // appears twice in every self-pair, and viewset twins share both directions.
       Stopwatch sem_watch;
       CheckStats s1, s2;
-      CheckOutcome a =
-          cached_query([&] { return backend_tag + NotInvalidateKey(schema, p, q); }, &s1,
-                       [&](CheckStats* st) { return session.NotInvalidatePQ(st); });
+      // NotInvalidate compares under the pair's own order set in both directions.
+      const std::set<int>* ord_p = &rp.facts.order;
+      const std::set<int>* ord_q = &rq.facts.order;
+      CheckOutcome a = cached_query(
+          [&] { return PairKey(ni_head, rp.fingerprint, rq.fingerprint, {ord_p, ord_q}); },
+          &s1, [&](CheckStats* st) { return session.NotInvalidatePQ(st); });
       CheckOutcome b = CheckOutcome::kPass;
       if (a == CheckOutcome::kPass) {
-        b = cached_query([&] { return backend_tag + NotInvalidateKey(schema, q, p); }, &s2,
-                         [&](CheckStats* st) { return session.NotInvalidateQP(st); });
+        b = cached_query(
+            [&] { return PairKey(ni_head, rq.fingerprint, rp.fingerprint, {ord_p, ord_q}); },
+            &s2, [&](CheckStats* st) { return session.NotInvalidateQP(st); });
       }
       v.semantic = Checker::WorseOutcome(a, b);
       v.sem_seconds = sem_watch.ElapsedSeconds();

@@ -1,10 +1,14 @@
 // Tests for the incremental analysis engine: stable serialization of schemas, code
-// paths, analyses, and verdicts; renaming-invariant content digests; the on-disk
-// artifact store with its fail-closed loader; and O(change) re-verification — a warm
-// run must produce the byte-identical restriction set of a cold run while replaying
-// every verdict the edit did not touch.
+// paths, analyses, and verdicts (each path part stored once); renaming-invariant content
+// digests; verdict keys joined from per-path parts, which must classify queries exactly
+// like the shared-context reference key; the on-disk artifact store with its fail-closed
+// loader and version gate; and O(change) re-verification — a warm run must produce the
+// byte-identical restriction set of a cold run while replaying every verdict the edit
+// did not touch.
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/pipeline/engine.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/session.h"
 #include "src/soir/printer.h"
 #include "src/soir/serialize.h"
 #include "src/verifier/cache.h"
+#include "src/verifier/encoder.h"
 
 namespace noctua {
 namespace {
@@ -188,6 +194,38 @@ void WriteAll(const std::string& path, const std::string& data) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+// The keys the verifier builds for a pair's queries, joined from the two paths' parts:
+// commutativity under the given app-wide order set, NotInvalidate under the pair's own.
+std::string ComKey(const soir::Schema& schema, const soir::CodePath& p, const soir::CodePath& q,
+                   const std::set<int>& order) {
+  return verifier::PairKey("com", soir::FingerprintPath(schema, p),
+                           soir::FingerprintPath(schema, q), {&order});
+}
+
+std::string NiKey(const soir::Schema& schema, const soir::CodePath& p,
+                  const soir::CodePath& q) {
+  const std::set<int> op = verifier::Encoder::OrderRelevantModels(p);
+  const std::set<int> oq = verifier::Encoder::OrderRelevantModels(q);
+  return verifier::PairKey("ni", soir::FingerprintPath(schema, p),
+                           soir::FingerprintPath(schema, q), {&op, &oq});
+}
+
+// The artifact token a string is stored as.
+std::string Quoted(const std::string& s) {
+  soir::ArtifactWriter w;
+  w.Str(s);
+  return w.str();
+}
+
+size_t Occurrences(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 // -------------------------------------------------------------- serialization round-trips
 
 TEST(SerializeTest, SchemaRoundTripsToIdenticalDigests) {
@@ -285,6 +323,202 @@ TEST(SerializeTest, VerdictCachePersistsAndMarksReplayed) {
   }
 }
 
+// A store whose keys share path parts writes each part once.
+TEST(VerdictStoreTest, EachPathPartIsWrittenOnce) {
+  app::App a = apps::MakeSmallBankApp();
+  std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
+  const std::set<int> none;
+  verifier::VerdictCache cache;
+  std::set<std::string> parts;
+  for (size_t i = 0; i < eff.size(); ++i) {
+    parts.insert(soir::FingerprintPath(a.schema(), eff[i]).text);
+    for (size_t j = i; j < eff.size(); ++j) {
+      cache.Insert(ComKey(a.schema(), eff[i], eff[j], none), verifier::CheckOutcome::kPass);
+      cache.Insert(NiKey(a.schema(), eff[i], eff[j]), verifier::CheckOutcome::kFail);
+      cache.Insert(NiKey(a.schema(), eff[j], eff[i]), verifier::CheckOutcome::kPass);
+    }
+  }
+  ASSERT_LT(parts.size(), cache.size());
+  std::string file = TempStore("parts") + ".verdicts";
+  ASSERT_TRUE(cache.SaveToFile(file));
+
+  const std::string data = ReadAll(file);
+  soir::ArtifactReader r(data);
+  r.ExpectAtom("noctua-verdicts");
+  EXPECT_EQ(r.Int(), soir::kArtifactVersion);
+  EXPECT_EQ(r.Count(1000), parts.size());
+  ASSERT_TRUE(r.ok());
+  for (const std::string& part : parts) {
+    EXPECT_EQ(Occurrences(data, Quoted(part)), 1u) << part;
+  }
+}
+
+// Pair keys and free-form keys (tests insert those; some even look like the start of a
+// pair key) come back exactly, and an equal cache writes the same bytes.
+TEST(VerdictStoreTest, RoundTripRestoresPairAndFreeFormKeys) {
+  app::App a = apps::MakeSmallBankApp();
+  std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
+  const std::set<int> order = {0};
+  std::vector<std::string> keys = {
+      "com|a \"quoted\" key\nwith newline",
+      "ni|simple",
+      "",
+      "3:ab",            // a field cut short
+      "01:x0:0:",        // a non-canonical length
+      "0:0:0:",          // the empty pair key
+      "1:\"2:\n\\1:\"tail",  // a pair key whose pieces need escaping
+  };
+  for (size_t i = 0; i < eff.size(); ++i) {
+    for (size_t j = i; j < eff.size(); ++j) {
+      keys.push_back(ComKey(a.schema(), eff[i], eff[j], order));
+      keys.push_back(NiKey(a.schema(), eff[j], eff[i]));
+    }
+  }
+  verifier::VerdictCache cache;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    cache.Insert(keys[k], static_cast<verifier::CheckOutcome>(k % 4));
+  }
+  std::string file = TempStore("round_trip") + ".verdicts";
+  ASSERT_TRUE(cache.SaveToFile(file));
+
+  verifier::VerdictCache loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(file));
+  EXPECT_EQ(loaded.size(), cache.size());
+  for (const std::string& key : keys) {
+    auto want = cache.LookupEntry(key);
+    auto got = loaded.LookupEntry(key);
+    ASSERT_TRUE(want.has_value());
+    ASSERT_TRUE(got.has_value()) << key;
+    EXPECT_EQ(got->outcome, want->outcome) << key;
+    EXPECT_TRUE(got->replayed) << key;
+  }
+  std::string again = TempStore("round_trip_again") + ".verdicts";
+  ASSERT_TRUE(loaded.SaveToFile(again));
+  EXPECT_EQ(ReadAll(again), ReadAll(file));
+}
+
+// A bad part reference or a broken part table fails the whole load and leaves the cache
+// as it was.
+TEST(VerdictStoreTest, CorruptPartTablesFailClosed) {
+  const std::string head = "noctua-verdicts " + std::to_string(soir::kArtifactVersion) + " ";
+  const std::string file = TempStore("corrupt_parts") + ".verdicts";
+
+  // The well-formed store the corruptions start from: two parts, one pair entry (head,
+  // part indices, tail, outcome), one whole key.
+  WriteAll(file, head + "2 \"part a\" \"part b\" 2 p \"com\" 0 1 \"tail\" 1 k \"free\" 2");
+  {
+    verifier::VerdictCache cache;
+    ASSERT_TRUE(cache.LoadFromFile(file));
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.Lookup("3:com6:part a6:part btail"), verifier::CheckOutcome::kFail);
+    EXPECT_EQ(cache.Lookup("free"), verifier::CheckOutcome::kTimeout);
+  }
+
+  const std::pair<const char*, std::string> kCorruptions[] = {
+      {"index out of range", "2 \"part a\" \"part b\" 1 p \"com\" 0 2 \"tail\" 1"},
+      {"negative index", "2 \"part a\" \"part b\" 1 p \"com\" -1 1 \"tail\" 1"},
+      {"part count over the cap", "99999999999 \"part a\" 1 k \"free\" 2"},
+      {"truncated part table", "3 \"part a\" \"part b\""},
+  };
+  for (const auto& [what, body] : kCorruptions) {
+    WriteAll(file, head + body);
+    verifier::VerdictCache cache;
+    cache.Insert("computed", verifier::CheckOutcome::kFail);
+    EXPECT_FALSE(cache.LoadFromFile(file)) << what;
+    EXPECT_EQ(cache.size(), 1u) << what;
+    auto entry = cache.LookupEntry("computed");
+    ASSERT_TRUE(entry.has_value()) << what;
+    EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kFail) << what;
+    EXPECT_FALSE(entry->replayed) << what;
+  }
+}
+
+// ----------------------------------------------------------- fingerprint equivalence
+
+// The pair key as it was built before per-path parts: both paths rendered under one
+// shared renaming context, then the order bit of each model that context assigned, then
+// its schema signature. Kept only as the reference the part-built keys must classify
+// queries exactly like.
+std::string SharedContextKey(const std::string& rule, const soir::Schema& schema,
+                             const soir::CodePath& p, const soir::CodePath& q,
+                             const std::set<int>& order) {
+  soir::CanonicalizationCtx ctx(schema);
+  std::string key = rule + "|";
+  key += soir::CanonicalPath(schema, p, &ctx);
+  key += "|";
+  key += soir::CanonicalPath(schema, q, &ctx);
+  key += "|ord:";
+  for (int m : ctx.models()) {
+    key += order.count(m) != 0 ? '1' : '0';
+  }
+  key += "|";
+  key += ctx.SchemaSignature();
+  return key;
+}
+
+// For every query of the six apps (every pair i <= j, commutativity and both
+// NotInvalidate directions), the map from the reference key to the part-built key is a
+// bijection: the two keys put queries into the same classes, so the cache hits and
+// misses exactly as before. The engine's cache is shared across apps, so the classes
+// are compared across all six at once, and commutativity is keyed under both app-wide
+// order sets the verifier uses: the effectful paths' alone, and with the read-only
+// paths as order observers.
+TEST(FingerprintEquivalenceTest, PartKeysClassifyQueriesLikeSharedContextKeys) {
+  std::map<std::string, std::string> to_key;
+  std::map<std::string, std::string> to_reference;
+  size_t queries = 0;
+  size_t conflicts = 0;
+  auto record = [&](const std::string& reference, const std::string& key) {
+    ++queries;
+    auto [it, added] = to_key.emplace(reference, key);
+    conflicts += !added && it->second != key ? 1 : 0;
+    auto [jt, added_back] = to_reference.emplace(key, reference);
+    conflicts += !added_back && jt->second != reference ? 1 : 0;
+  };
+  size_t observed_orders = 0;
+  for (const apps::AppEntry& entry : apps::EvaluatedApps()) {
+    app::App a = entry.make();
+    const soir::Schema& schema = a.schema();
+    analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
+    std::vector<soir::CodePath> eff = analysis.EffectfulPaths();
+    std::vector<soir::PathFingerprint> parts;
+    std::vector<std::set<int>> ord;
+    std::set<int> app_order;
+    for (const soir::CodePath& p : eff) {
+      parts.push_back(soir::FingerprintPath(schema, p));
+      ord.push_back(verifier::Encoder::OrderRelevantModels(p));
+      app_order.insert(ord.back().begin(), ord.back().end());
+    }
+    std::set<int> observed_order = app_order;
+    for (const soir::CodePath& p : analysis.paths) {
+      std::set<int> o = verifier::Encoder::OrderRelevantModels(p);
+      observed_order.insert(o.begin(), o.end());
+    }
+    observed_orders += observed_order != app_order ? 1 : 0;
+
+    for (size_t i = 0; i < eff.size(); ++i) {
+      for (size_t j = i; j < eff.size(); ++j) {
+        for (const std::set<int>* order : {&app_order, &observed_order}) {
+          record(SharedContextKey("com", schema, eff[i], eff[j], *order),
+                 verifier::PairKey("com", parts[i], parts[j], {order}));
+        }
+        std::set<int> pair_order = ord[i];
+        pair_order.insert(ord[j].begin(), ord[j].end());
+        record(SharedContextKey("ni", schema, eff[i], eff[j], pair_order),
+               verifier::PairKey("ni", parts[i], parts[j], {&ord[i], &ord[j]}));
+        record(SharedContextKey("ni", schema, eff[j], eff[i], pair_order),
+               verifier::PairKey("ni", parts[j], parts[i], {&ord[j], &ord[i]}));
+      }
+    }
+  }
+  EXPECT_EQ(conflicts, 0u);
+  EXPECT_EQ(to_key.size(), to_reference.size());
+  // Not vacuous: queries do share classes (NotInvalidate(P, P) twice per self-pair), and
+  // read-only paths do change some app's order set.
+  EXPECT_LT(to_key.size(), queries);
+  EXPECT_GT(observed_orders, 0u);
+}
+
 // ----------------------------------------------------------- fingerprint anti-collision
 
 TEST(FingerprintAntiCollisionTest, DifferentGuardLiteralsGetDifferentKeys) {
@@ -310,10 +544,9 @@ TEST(FingerprintAntiCollisionTest, DifferentGuardLiteralsGetDifferentKeys) {
   };
   soir::CodePath p1 = path_of(r1, "checkout");
   soir::CodePath p5 = path_of(r5, "checkout");
-  EXPECT_NE(verifier::CommutativityKey(a1.schema(), p1, p1, {}),
-            verifier::CommutativityKey(a5.schema(), p5, p5, {}));
-  EXPECT_NE(verifier::NotInvalidateKey(a1.schema(), p1, p1),
-            verifier::NotInvalidateKey(a5.schema(), p5, p5));
+  const std::set<int> none;
+  EXPECT_NE(ComKey(a1.schema(), p1, p1, none), ComKey(a5.schema(), p5, p5, none));
+  EXPECT_NE(NiKey(a1.schema(), p1, p1), NiKey(a5.schema(), p5, p5));
 }
 
 TEST(FingerprintAntiCollisionTest, DirectionOrderAndPairingChangeKeys) {
@@ -330,15 +563,15 @@ TEST(FingerprintAntiCollisionTest, DirectionOrderAndPairingChangeKeys) {
   ASSERT_TRUE(checkout != nullptr && add_book != nullptr && ret != nullptr);
 
   // NotInvalidate is directed: (p, q) and (q, p) are different queries.
-  EXPECT_NE(verifier::NotInvalidateKey(a.schema(), *checkout, *add_book),
-            verifier::NotInvalidateKey(a.schema(), *add_book, *checkout));
+  EXPECT_NE(NiKey(a.schema(), *checkout, *add_book), NiKey(a.schema(), *add_book, *checkout));
   // Pairing the same path with different partners separates.
-  EXPECT_NE(verifier::CommutativityKey(a.schema(), *checkout, *add_book, {}),
-            verifier::CommutativityKey(a.schema(), *checkout, *ret, {}));
+  const std::set<int> none;
+  EXPECT_NE(ComKey(a.schema(), *checkout, *add_book, none),
+            ComKey(a.schema(), *checkout, *ret, none));
   // Order membership of a mentioned model is part of the commutativity fingerprint.
-  int book = a.schema().ModelId("Book");
-  EXPECT_NE(verifier::CommutativityKey(a.schema(), *checkout, *add_book, {}),
-            verifier::CommutativityKey(a.schema(), *checkout, *add_book, {book}));
+  const std::set<int> book = {a.schema().ModelId("Book")};
+  EXPECT_NE(ComKey(a.schema(), *checkout, *add_book, none),
+            ComKey(a.schema(), *checkout, *add_book, book));
 }
 
 TEST(FingerprintAntiCollisionTest, SmallBankDigestsSeparateFieldSlots) {
@@ -507,6 +740,57 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
   }
 }
 
+// A store written by an earlier build fails the version gate: that run is cold, saves a
+// store of the current version, and the next run replays from it.
+TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
+  std::string store = TempStore("version_1");
+  app::App a = MakeLibraryApp(LibraryConfig{});
+  IncrementalResult first = Pipeline::RunIncremental(a, store, Opts());
+  ASSERT_TRUE(first.cold);
+  const std::string current = " " + std::to_string(soir::kArtifactVersion) + " ";
+  for (const char* file : {"manifest", "analysis", "verdicts"}) {
+    std::string path = store + "/" + file;
+    std::string data = ReadAll(path);
+    size_t at = data.find(' ');
+    ASSERT_EQ(data.compare(at, current.size(), current), 0) << file;
+    WriteAll(path, data.replace(at, current.size(), " 1 "));
+  }
+
+  analyzer::AnalysisResult analysis;
+  verifier::VerdictCache verdicts;
+  EXPECT_FALSE(Session(store).LoadPrior(a, &analysis, &verdicts));
+  IncrementalResult cold = Pipeline::RunIncremental(a, store, Opts());
+  EXPECT_TRUE(cold.cold);
+  IncrementalResult warm = Pipeline::RunIncremental(a, store, Opts());
+  EXPECT_FALSE(warm.cold);
+  EXPECT_EQ(warm.pairs_computed, 0u);
+  EXPECT_GT(warm.pairs_replayed, 0u);
+  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(first.run.restrictions));
+}
+
+// An engine reads the environment once, when it is built. Its incremental runs verify
+// with the options it resolved, so a malformed knob set afterwards goes unread.
+TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
+  EngineConfig config;
+  config.threads = 2;
+  Engine engine(config);
+  const char* saved = std::getenv("NOCTUA_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ASSERT_EQ(setenv("NOCTUA_THREADS", "abc", 1), 0);
+  ::testing::internal::CaptureStderr();
+  IncrementalResult cold =
+      engine.RunIncremental(MakeLibraryApp(LibraryConfig{}), TempStore("no_env"), Opts());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  if (saved != nullptr) {
+    setenv("NOCTUA_THREADS", saved_value.c_str(), 1);
+  } else {
+    unsetenv("NOCTUA_THREADS");
+  }
+  EXPECT_TRUE(cold.cold);
+  EXPECT_FALSE(cold.run.restrictions.pairs.empty());
+  EXPECT_EQ(err.find("NOCTUA_THREADS"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------------------- paranoia
 
 TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
@@ -533,27 +817,44 @@ TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   Pipeline::RunIncremental(a, store, Opts(1));
 
   // Flip the first stored verdict — the silent corruption FNV fingerprints can't catch.
+  // The file is the part table, then the entries: a pair key's head, part indices and
+  // tail ("p"), or a whole key ("k"), each followed by its outcome.
   std::string file = store + "/verdicts";
   soir::ArtifactReader r(ReadAll(file));
   r.ExpectAtom("noctua-verdicts");
   int64_t version = r.Int();
-  size_t n = r.Count(1000000);
-  ASSERT_TRUE(r.ok());
-  ASSERT_GT(n, 0u);
   soir::ArtifactWriter w;
   w.Atom("noctua-verdicts");
   w.Int(version);
+  size_t num_parts = r.Count(1000000);
+  w.Int(static_cast<int64_t>(num_parts));
+  for (size_t i = 0; i < num_parts; ++i) {
+    w.Str(r.Str());
+  }
+  size_t n = r.Count(1000000);
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(n, 0u);
   w.Int(static_cast<int64_t>(n));
   for (size_t i = 0; i < n; ++i) {
-    std::string key = r.Str();
+    std::string tag = r.Atom();
+    w.Atom(tag);
+    if (tag == "p") {
+      w.Str(r.Str());
+      w.Int(r.Int());
+      w.Int(r.Int());
+      w.Str(r.Str());
+    } else {
+      ASSERT_EQ(tag, "k");
+      w.Str(r.Str());
+    }
     int64_t outcome = r.Int();
     if (i == 0) {
       outcome = outcome == 0 ? 1 : 0;
     }
-    w.Str(key);
     w.Int(outcome);
   }
   ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.AtEnd());
   WriteAll(file, w.str());
 
   IncrementalOptions opts = Opts(1);

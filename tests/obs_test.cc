@@ -1,10 +1,11 @@
 // Tests for the observability layer: histogram bucket math (exact reservoir
 // percentiles, intra-bucket interpolation), counter/histogram aggregation, labeled
 // per-tenant metrics with the cardinality cap, request-scoped trace contexts and
-// capture, concurrent span recording through the worker pool (the TSan target),
-// Chrome-trace export parsed back through the bundled JSON parser, Prometheus text
-// exposition and its checker, the structured event log, the RunReport built from a
-// real pipeline run, and the verdict cache's per-shard statistics and bounded eviction.
+// capture (also under a collector that retains no spans), concurrent span recording
+// through the worker pool (the TSan target), Chrome-trace export parsed back through
+// the bundled JSON parser, Prometheus text exposition and its checker, the structured
+// event log, the RunReport built from a real pipeline run, and the verdict cache's
+// per-shard statistics and bounded eviction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -399,6 +400,71 @@ TEST(TraceContext, PoolTasksInheritSubmitterContextWhenPropagated) {
     EXPECT_EQ(ev.trace, 31u) << ev.name;
   }
   EXPECT_EQ(capture.Snapshot().size(), 64u);
+}
+
+// A collector that retains no spans (the daemon's) keeps no span, so a server that
+// records for as long as it runs stays bounded. Counters and histograms still record,
+// and a request's TraceCapture receives every span a retaining collector's would.
+TEST(RetainSpans, OffKeepsNoSpansButStillCountsAndCaptures) {
+  struct Run {
+    size_t events = 0;
+    uint64_t pairs = 0;
+    uint64_t pair_samples = 0;
+    std::vector<TraceEvent> captured;
+  };
+  auto run = [](bool retain) {
+    ObsOptions options;
+    options.enabled = true;
+    options.retain_spans = retain;
+    Collector collector(options);
+    TraceCapture capture;
+    {
+      ScopedTraceContext scope(11, &capture);
+      const TraceContext ctx = CurrentTraceContext();
+      ThreadPool pool(4);
+      pool.ParallelFor(64, [&ctx](size_t i) {
+        ScopedTraceContext task_scope(ctx);
+        ScopedSpan span(Enabled() ? "pair-" + std::to_string(i) : std::string(), kCatPair);
+        span.Arg("index", i);
+        Add(Counter::kPairsChecked);
+        Observe(Hist::kPairMicros, i + 1);
+      });
+      const int64_t start = SteadyNowMicros();
+      RecordSpan("queue_wait", kCatService, start, start + 5);
+    }
+    { ScopedSpan outside("outside", kCatService); }  // no capture: only retention keeps it
+    collector.Stop();
+    Run r;
+    r.events = collector.events().size();
+    r.pairs = collector.counter(Counter::kPairsChecked);
+    r.pair_samples = collector.histogram(Hist::kPairMicros).count;
+    r.captured = capture.Snapshot();
+    return r;
+  };
+  auto summary = [](const std::vector<TraceEvent>& events) {
+    std::multiset<std::string> out;
+    for (const TraceEvent& ev : events) {
+      std::string line = ev.name + "/" + ev.category + "/" + std::to_string(ev.trace);
+      if (ev.name == "queue_wait") {
+        line += "/dur=" + std::to_string(ev.dur_us);
+      }
+      for (const auto& [key, value] : ev.args) {
+        line += std::string("/") + key + "=" + std::to_string(value);
+      }
+      EXPECT_GT(ev.tid, 0) << ev.name;
+      out.insert(line);
+    }
+    return out;
+  };
+
+  const Run kept = run(/*retain=*/true);
+  const Run dropped = run(/*retain=*/false);
+  EXPECT_EQ(kept.events, 66u);
+  EXPECT_EQ(dropped.events, 0u);
+  EXPECT_EQ(dropped.pairs, 64u);
+  EXPECT_EQ(dropped.pair_samples, 64u);
+  ASSERT_EQ(dropped.captured.size(), 65u);
+  EXPECT_EQ(summary(dropped.captured), summary(kept.captured));
 }
 
 TEST(TraceCapture, ChromeTraceJsonInjectsExternalTraceId) {

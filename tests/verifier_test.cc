@@ -237,17 +237,21 @@ TEST(PairSessionTest, OutOfOrderQueriesMatchAFreshSessionInReportOrder) {
       options.solver.incremental = incremental;
       options.independence_prefilter = false;
       Checker checker(a.schema(), options);
+      std::vector<Checker::PathFacts> facts;
+      for (const soir::CodePath& p : eff) {
+        facts.push_back(checker.Facts(p));
+      }
       std::vector<CheckOutcome>& outcomes = by_mode[incremental];
       for (size_t i = 0; i < eff.size(); ++i) {
         for (size_t j = i; j < eff.size(); ++j) {
           const std::string pair = a.name() + " " + eff[i].op_name + "|" + eff[j].op_name;
-          Checker::PairSession fresh(checker, eff[i], eff[j]);
+          Checker::PairSession fresh(checker, facts[i], facts[j]);
           CheckOutcome com = fresh.Commutativity();
           CheckOutcome pq = fresh.NotInvalidatePQ();
           CheckOutcome qp = fresh.NotInvalidateQP();
           outcomes.insert(outcomes.end(), {com, pq, qp});
 
-          Checker::PairSession mixed(checker, eff[i], eff[j]);
+          Checker::PairSession mixed(checker, facts[i], facts[j]);
           EXPECT_EQ(mixed.NotInvalidateQP(), qp) << pair;
           EXPECT_EQ(mixed.NotInvalidatePQ(), pq) << pair;
           EXPECT_EQ(mixed.NotInvalidateQP(), qp) << pair;
@@ -276,12 +280,16 @@ TEST(PairSessionTest, SessionsOnReusedFactoriesMatchSessionsOnNewOnes) {
     options.solver.budget.deterministic = true;
     options.independence_prefilter = false;
     Checker shared(a.schema(), options);
+    std::vector<Checker::PathFacts> facts;
+    for (const soir::CodePath& p : eff) {
+      facts.push_back(shared.Facts(p));
+    }
     for (size_t i = 0; i < eff.size(); ++i) {
       for (size_t j = i; j < eff.size(); ++j) {
         const std::string pair = a.name() + " " + eff[i].op_name + "|" + eff[j].op_name;
         Checker fresh_checker(a.schema(), options);
-        Checker::PairSession fresh(fresh_checker, eff[i], eff[j]);
-        Checker::PairSession reused(shared, eff[i], eff[j]);
+        Checker::PairSession fresh(fresh_checker, facts[i], facts[j]);
+        Checker::PairSession reused(shared, facts[i], facts[j]);
         CheckStats want, got;
         EXPECT_EQ(reused.Commutativity(&got), fresh.Commutativity(&want)) << pair;
         EXPECT_EQ(got.solver_nodes, want.solver_nodes) << pair;
