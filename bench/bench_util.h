@@ -9,7 +9,6 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/app/app.h"
-#include "src/smt/backend.h"
 #include "src/support/strings.h"
 #include "src/verifier/report.h"
 
@@ -21,23 +20,17 @@ namespace noctua::bench {
 //   v1 (implicit): the PR 1-4 sweeps, no schema_version field.
 //   v2: schema_version field added; parallel_sweep rows carry per-phase percentiles.
 //   v3: preamble stamps the resolved solver backend and portfolio race tallies.
-//   v4: preamble stamps solver optimization tallies (incremental reuse, symmetry
-//       pruning, CDCL restarts/forgetting).
+//   v4: preamble stamps solver optimization tallies.
 //   v5: preamble drops the v3 race tallies and the v4 solver tallies; it stamps the
 //       backend only.
-inline constexpr int kBenchSchemaVersion = 5;
+//   v6: preamble drops the backend stamp: production has one solver, dfs.
+inline constexpr int kBenchSchemaVersion = 6;
 
 // The leading members every BENCH_*.json document starts with. Callers embed it right
 // after their opening brace: json = "{" + BenchJsonPreamble("fault_sweep") + ", ...".
-//
-// The backend member makes sweep artifacts self-describing under NOCTUA_SOLVER: a
-// longitudinal regression between two commits means nothing if one ran dfs and the
-// other cdcl.
 inline std::string BenchJsonPreamble(const std::string& bench_name) {
   return "\"bench\": \"" + bench_name +
-         "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion) +
-         ", \"solver_backend\": \"" +
-         smt::BackendKindName(smt::ResolveBackendKind(smt::BackendKind::kAuto)) + "\"";
+         "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion);
 }
 
 // Percentiles of a sample set, exact by sorting (benches deal in hundreds of samples,

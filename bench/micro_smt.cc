@@ -69,8 +69,7 @@ void BM_GroundQuantifier(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundQuantifier)->Arg(2)->Arg(3)->Arg(4);
 
-// Runs once per backend so the CI artifact carries a dfs and a cdcl row.
-void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
+void BM_SolveUniqueFieldQuery(benchmark::State& state) {
   for (auto _ : state) {
     TermFactory f;
     Sort rs = f.RefSort(0);
@@ -81,8 +80,7 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
     Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
     Term x = f.Const("x", rs);
     Term y = f.Const("y", rs);
-    std::unique_ptr<smt::SolverBackend> backend =
-        smt::MakeBackend(kind, smt::SolverOptions{});
+    std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(smt::SolverOptions{});
     backend->AssertAll(
         {wf, f.Member(x, ids), f.Member(y, ids),
          f.Eq(f.Proj(f.Select(data, x), 1), f.Proj(f.Select(data, y), 1)),
@@ -91,8 +89,7 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, dfs, smt::BackendKind::kDfs);
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, cdcl, smt::BackendKind::kCdcl);
+BENCHMARK(BM_SolveUniqueFieldQuery);
 
 // One full commutativity + semantic check on a real pair (the verifier's unit of work).
 void BM_FullPairCheck(benchmark::State& state) {
@@ -112,17 +109,16 @@ BENCHMARK(BM_FullPairCheck);
 // exactly what the verifier's pair loop executes. The prefilter is disabled so the
 // timer measures solver work, not footprint set intersection. Scope 3 rather than the
 // default 2: the optimizations exist for the queries where search dominates, and at
-// scope 2 the fixed encode/ground floor hides most of the win. CI gates the geomean
-// off/on ratio across backends (see the pair-query speedup gate in ci.yml).
-void BM_PairQuery(benchmark::State& state, smt::BackendKind kind, bool optimized) {
+// scope 2 the fixed encode/ground floor hides most of the win. CI gates the off/on
+// median ratio (see the pair-query speedup gate in ci.yml).
+void BM_PairQuery(benchmark::State& state, bool optimized) {
   static app::App a = apps::MakeSmallBankApp();
   static analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
   static std::vector<soir::CodePath> eff = res.EffectfulPaths();
   verifier::CheckerOptions opt;
-  opt.solver.backend = kind;
   opt.solver.scope = smt::Scope(3);
-  opt.solver.symmetry = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
-  opt.solver.incremental = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
+  opt.solver.symmetry = optimized;
+  opt.solver.incremental = optimized;
   opt.independence_prefilter = false;
   verifier::Checker checker(a.schema(), opt);
   const verifier::Checker::PathFacts p = checker.Facts(eff[1]);
@@ -134,10 +130,8 @@ void BM_PairQuery(benchmark::State& state, smt::BackendKind kind, bool optimized
     benchmark::DoNotOptimize(session.NotInvalidateQP());
   }
 }
-BENCHMARK_CAPTURE(BM_PairQuery, dfs_off, smt::BackendKind::kDfs, false);
-BENCHMARK_CAPTURE(BM_PairQuery, dfs_on, smt::BackendKind::kDfs, true);
-BENCHMARK_CAPTURE(BM_PairQuery, cdcl_off, smt::BackendKind::kCdcl, false);
-BENCHMARK_CAPTURE(BM_PairQuery, cdcl_on, smt::BackendKind::kCdcl, true);
+BENCHMARK_CAPTURE(BM_PairQuery, dfs_off, false);
+BENCHMARK_CAPTURE(BM_PairQuery, dfs_on, true);
 
 void BM_AnalyzeSmallBank(benchmark::State& state) {
   app::App a = apps::MakeSmallBankApp();
@@ -147,12 +141,11 @@ void BM_AnalyzeSmallBank(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeSmallBank);
 
-// Deterministic verdict fingerprint of one app under one backend/toggle setting:
+// Deterministic verdict fingerprint of one app with the optimizations off or on:
 // FNV-1a over the "p|q|com|sem" verdict lines of a full deterministic-budget verify.
 // The optimizations must never change a verdict, so the fingerprint is the artifact
 // CI diffs against the committed baseline to prove restriction-set identity.
-uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
-                            bool optimized) {
+uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
   app::App a = entry.make();
   PipelineOptions analysis_only;
   analysis_only.verify = false;
@@ -160,10 +153,9 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
 
   PipelineOptions options;
   options.parallel.threads = 2;
-  options.checker.solver.backend = kind;
   options.checker.solver.budget.deterministic = true;
-  options.checker.solver.symmetry = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
-  options.checker.solver.incremental = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
+  options.checker.solver.symmetry = optimized;
+  options.checker.solver.incremental = optimized;
   verifier::RestrictionReport report = Pipeline::Verify(a, analysis, options);
 
   std::string lines;
@@ -174,24 +166,20 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
   return soir::Fnv1a64(lines);
 }
 
-// Stamps per-app, per-backend verdict fingerprints into the benchmark context, after
-// CHECK-ing that the optimized and unoptimized runs produce identical verdicts. Gated
-// behind NOCTUA_BENCH_FINGERPRINTS=1 because it runs 12 full verifies, which plain
-// timing runs skip. Only the fast apps are fingerprinted — the slow trio
+// Stamps per-app dfs verdict fingerprints into the benchmark context, after CHECK-ing
+// that the optimized and unoptimized runs produce identical verdicts. Gated behind
+// NOCTUA_BENCH_FINGERPRINTS=1 because it runs 6 full verifies, which plain timing runs
+// skip. Only the fast apps are fingerprinted — the slow trio
 // (Zhihu, OwnPhotos, PostGraduation) is covered by the tier-1 identity tests instead.
 void AddVerdictFingerprints() {
   for (const apps::AppEntry& entry : apps::EvaluatedApps()) {
     if (entry.name != "Todo" && entry.name != "SmallBank" && entry.name != "Courseware") {
       continue;
     }
-    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
-      uint64_t off = VerdictFingerprint(entry, kind, /*optimized=*/false);
-      uint64_t on = VerdictFingerprint(entry, kind, /*optimized=*/true);
-      NOCTUA_CHECK_MSG(off == on, "optimizations changed a restriction set");
-      benchmark::AddCustomContext(
-          "fingerprint_" + entry.name + "_" + smt::BackendKindName(kind),
-          soir::DigestHex(on));
-    }
+    uint64_t off = VerdictFingerprint(entry, /*optimized=*/false);
+    uint64_t on = VerdictFingerprint(entry, /*optimized=*/true);
+    NOCTUA_CHECK_MSG(off == on, "optimizations changed a restriction set");
+    benchmark::AddCustomContext("fingerprint_" + entry.name + "_dfs", soir::DigestHex(on));
   }
 }
 

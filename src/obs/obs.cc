@@ -242,18 +242,10 @@ const char* CounterName(Counter c) {
       return "smt.ground_expansions";
     case Counter::kSimplifyHits:
       return "smt.simplify_hits";
-    case Counter::kCdclConflicts:
-      return "smt.cdcl_conflicts";
-    case Counter::kCdclLearnedClauses:
-      return "smt.cdcl_learned_clauses";
     case Counter::kSolverIncrementalReuse:
       return "solver.incremental_reuse_hits";
     case Counter::kSolverSymmetryPruned:
       return "solver.symmetry_pruned_nodes";
-    case Counter::kCdclRestarts:
-      return "cdcl.restarts";
-    case Counter::kCdclClausesForgotten:
-      return "cdcl.clauses_forgotten";
     case Counter::kEndpointsAnalyzed:
       return "analyzer.endpoints_analyzed";
     case Counter::kEndpointsMemoized:

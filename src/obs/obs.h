@@ -89,12 +89,8 @@ enum class Counter : uint8_t {
   kSolverAssignments,
   kGroundExpansions,
   kSimplifyHits,
-  kCdclConflicts,
-  kCdclLearnedClauses,
   kSolverIncrementalReuse,
   kSolverSymmetryPruned,
-  kCdclRestarts,
-  kCdclClausesForgotten,
   // Analyzer / incremental engine.
   kEndpointsAnalyzed,
   kEndpointsMemoized,

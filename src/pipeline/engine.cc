@@ -12,9 +12,6 @@ EngineConfig EngineConfig::FromEnv() {
   env::Snapshot snap = env::CaptureSnapshot();
   EngineConfig config;
   config.threads = snap.threads;
-  config.solver = smt::BackendKindFromEnv();
-  config.symmetry = smt::SymmetryFromEnv();
-  config.incremental = smt::IncrementalFromEnv();
   // Verbatim, unprobed: Run/Verify never touch the artifact root, and the throwaway
   // engines inside the static facade must not suddenly mkdir (or die on) a directory
   // the old facade never looked at. Daemons that DO persist call ArtifactDirFromEnv
@@ -35,16 +32,6 @@ Engine::~Engine() = default;
 
 PipelineOptions Engine::ResolveOptions(const PipelineOptions& options) const {
   PipelineOptions o = options;
-  smt::SolverOptions& solver = o.checker.solver;
-  if (solver.backend == smt::BackendKind::kAuto) {
-    solver.backend = config_.solver;
-  }
-  if (solver.symmetry == smt::Toggle::kAuto) {
-    solver.symmetry = config_.symmetry ? smt::Toggle::kOn : smt::Toggle::kOff;
-  }
-  if (solver.incremental == smt::Toggle::kAuto) {
-    solver.incremental = config_.incremental ? smt::Toggle::kOn : smt::Toggle::kOff;
-  }
   // The engine pool has a fixed width; a caller that pinned a different `threads` gets
   // the classic run-local pool so the requested width is honored exactly.
   if (o.parallel.pool == nullptr &&

@@ -6,9 +6,9 @@
 // Lifecycle contract:
 //
 //   - EngineConfig is resolved ONCE, at construction (EngineConfig::FromEnv reads
-//     NOCTUA_THREADS / NOCTUA_SOLVER / NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL /
-//     NOCTUA_ARTIFACT_DIR / NOCTUA_VERDICT_CACHE). A running engine never consults the
-//     environment again, so a daemon's behavior cannot drift when its environment does.
+//     NOCTUA_THREADS / NOCTUA_ARTIFACT_DIR / NOCTUA_VERDICT_CACHE). A running engine
+//     never consults the environment again, so a daemon's behavior cannot drift when its
+//     environment does.
 //   - Run/Verify/RunIncremental are safe to call from many threads: the verify stage is
 //     serialized on an internal mutex because the work-stealing ThreadPool supports one
 //     ParallelFor at a time. Callers queue; admission control (bounding that queue)
@@ -31,7 +31,6 @@
 
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/session.h"
-#include "src/smt/backend.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
 
@@ -44,11 +43,6 @@ struct EngineConfig {
   // Worker-pool width including the calling thread; 0 = ThreadPool::DefaultThreads()
   // (NOCTUA_THREADS if set, else the hardware concurrency, clamped to env::kMaxThreads).
   int threads = 0;
-  // The decision procedure kAuto resolves to for every query this engine runs.
-  smt::BackendKind solver = smt::BackendKind::kDfs;
-  // What solver-option Toggle::kAuto resolves to.
-  bool symmetry = true;
-  bool incremental = true;
   // Root directory for on-disk artifact stores ("" = no persistence). Tenants get
   // disjoint subtrees under it — see Engine::TenantStoreDir.
   std::string artifact_root;
@@ -93,11 +87,10 @@ class Engine {
   // True iff `tenant` is acceptable to TenantStoreDir.
   static bool ValidTenantName(const std::string& tenant);
 
-  // Copies `options` with this engine's resolutions applied: kAuto solver knobs pinned
-  // to the config, the pool injected when the caller left it null and `threads` does not
-  // demand a different width, and the engine verdict cache installed as the store when
-  // the caller asked for neither a store nor a bounded run-local cache. Idempotent.
-  // Exposed for tests and the service layer.
+  // Copies `options` with this engine's state applied: the pool injected when the caller
+  // left it null and `threads` does not demand a different width, and the engine verdict
+  // cache installed as the store when the caller asked for neither a store nor a bounded
+  // run-local cache. Idempotent. Exposed for tests and the service layer.
   PipelineOptions ResolveOptions(const PipelineOptions& options) const;
 
  private:

@@ -7,8 +7,8 @@
 //                [--log-file PATH] [--log-level debug|info|warn|error] [--slow-ms N]
 //
 // Prints exactly one line "listening on H:P" to stdout once ready (scripts grab the
-// ephemeral port from it), then blocks. Engine knobs (threads, solver, toggles) come
-// from the usual NOCTUA_* environment variables, snapshotted once at startup.
+// ephemeral port from it), then blocks. Engine knobs (threads, verdict cache, artifact
+// root) come from the usual NOCTUA_* environment variables, snapshotted once at startup.
 //
 // The daemon defaults to --log-level info: one JSON access-log line per analysis
 // request (trace id, tenant, status, queue-wait, service-time) on stderr or into

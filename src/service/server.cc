@@ -560,7 +560,6 @@ std::string Server::MetricsJson() const {
   out += ", \"max_queue\": " + std::to_string(options_.max_queue);
   out += "}, \"engine\": {";
   out += "\"threads\": " + std::to_string(engine_->pool().threads());
-  out += ", \"solver\": " + JsonStr(smt::BackendKindName(engine_->config().solver));
   out += ", \"verdict_cache_entries\": " + std::to_string(engine_->verdicts().size());
   out += ", \"artifact_root\": " + JsonStr(engine_->config().artifact_root);
   out += "}, \"counters\": {";

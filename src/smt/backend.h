@@ -2,14 +2,14 @@
 //
 // The paper treats its solver as a black box behind a fixed query shape (assert a
 // refutation query, ask sat/unsat under a budget, read a counterexample model). This
-// header makes that boundary explicit so decision procedures can be swapped without
-// touching the verifier: the bounded model finder ("dfs", solver.h), the production
-// procedure, and a CDCL-style ground SAT solver ("cdcl", cdcl.h), which shares no search
-// code with it and serves as the reference the cross-backend tests compare it against.
+// header makes that boundary explicit: the verifier never names a concrete procedure.
+// Production has exactly one, the bounded model finder ("dfs", solver.h). The Z3 oracle
+// (tests/z3_oracle.h), a test-support library, sits behind the same interface and is the
+// independent reference the cross-backend tests compare dfs against.
 //
 // Construction happens in exactly one place — MakeBackend — so every call site (verifier,
-// tests, benches) picks its procedure through SolverOptions::backend / NOCTUA_SOLVER
-// rather than naming a concrete class.
+// tests, benches) picks its procedure through SolverOptions::backend rather than naming a
+// concrete class.
 //
 // Soundness contract: all backends decide the *same* finite question. Each one
 // preprocesses its query through GroundAndFlatten (identical grounding) and draws
@@ -50,8 +50,8 @@ namespace noctua::smt {
 // the matching Push. The verifier asserts one pair's common frame (axioms, shared path
 // definitions) at level zero, then solves each query direction as Push / Assert(negated
 // goal) / Check / Pop on the same backend instance. With incremental solving on, the
-// persistent ground cache inside both backends makes the repeated frame essentially
-// free; with it off, every Check re-grounds its whole assertion stack.
+// model finder's persistent ground cache makes the repeated frame essentially free; with
+// it off, every Check re-grounds its whole assertion stack.
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
@@ -99,8 +99,7 @@ class SolverBackend {
     return DoCheck(factory, ordered);
   }
 
-  // Stable lower-case identifier ("dfs", "cdcl"): the tag verdict caches and bench JSON
-  // use.
+  // Stable lower-case identifier ("dfs", "z3"): the tag verdict caches and reports use.
   virtual const char* name() const = 0;
 
   // Valid after Check returned kSat.
@@ -115,18 +114,9 @@ class SolverBackend {
   std::vector<size_t> frames_;  // start index of each open Push frame
 };
 
-// THE factory: the only place concrete backends are constructed. Resolves
-// options.backend (kAuto consults NOCTUA_SOLVER) and returns the matching procedure.
+// THE factory: the only place backends are constructed. Returns the model finder when
+// options.backend is null, else what options.backend builds.
 std::unique_ptr<SolverBackend> MakeBackend(const SolverOptions& options);
-
-// Same, with the kind pinned explicitly (ignoring options.backend). Tests and benches use
-// this to pin a procedure under test.
-std::unique_ptr<SolverBackend> MakeBackend(BackendKind kind, const SolverOptions& options);
-
-// Resolved values of the optimization toggles for a given options struct (kAuto defers
-// to NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL; both default to on).
-bool SymmetryEnabled(const SolverOptions& options);
-bool IncrementalEnabled(const SolverOptions& options);
 
 }  // namespace noctua::smt
 

@@ -108,9 +108,8 @@ Term Grounder::GroundBinder(Term t) {
       return acc;
     }
     case TermKind::kArrayLambda:
-      // Lambdas only ever occur under Select, which beta-reduces at construction; a
-      // surviving lambda would mean an array-valued leaf, which the encoder never builds.
-      NOCTUA_UNREACHABLE("array lambda survived grounding");
+      // Ground never hands a lambda here: it grounds a lambda's body in place.
+      NOCTUA_UNREACHABLE("array lambda expanded as a binder");
     default:
       NOCTUA_UNREACHABLE("not a binder");
   }

@@ -1,7 +1,8 @@
-// Finite-scope grounding: expands every binder (quantifiers, aggregates, lambdas) over
-// the scope's domains, producing a quantifier-free term whose only irreducible leaves are
-// *ground atoms* — scalar constants, `Select(array_const, ground_index)` cells, and
-// `Proj(cell, field)` tuple slots (TermData::is_ground_atom, judged at interning).
+// Finite-scope grounding: expands every quantifier and aggregate over the scope's
+// domains, producing a quantifier-free term whose only irreducible leaves are *ground
+// atoms* — scalar constants, `Select(array_const, ground_index)` cells, and
+// `Proj(cell, field)` tuple slots (TermData::is_ground_atom, judged at interning) — and
+// the bound variables of the array lambdas grounding leaves in place (Grounder::Ground).
 //
 // This is the Kodkod/Alloy move: with Ref domains of size k fixed, first-order structure
 // is compiled away, and the solver's search happens by substituting ground atoms with
@@ -24,8 +25,11 @@ class Grounder {
   Grounder(TermFactory* factory, const Scope& scope)
       : f_(factory), scope_(scope), memo_(*factory) {}
 
-  // Expands all binders in `t` over the scope. The result contains no binder nodes and no
-  // bound variables.
+  // Expands every quantifier and aggregate in `t` over the scope. Array lambdas are not
+  // expanded: Select beta-reduces a lambda it reads, but a lambda no Select reads directly
+  // (the array under a Store, as in the grounded queries of every evaluated app) survives
+  // grounding with its bound variable. The model finder beta-reduces it once search fixes
+  // the indices above it; the Z3 oracle expands it over the index domain.
   Term Ground(Term t);
 
   // Ground atoms of a grounded term, in deterministic first-occurrence order:
@@ -113,7 +117,7 @@ Term SubstFixpoint(TermFactory& f, Term t, const TermMap& values, uint64_t first
                    uint64_t mask, TermMap& memo);
 
 // First ground atom in DFS order, memoized (nullptr when the term contains none). This is
-// the shared branching heuristic: backends decide atoms that survive in simplified
+// the model finder's branching heuristic: it decides atoms that survive in simplified
 // residuals, never don't-care atoms the simplifier already collapsed away.
 Term FindFirstAtom(Term t, TermMap& memo);
 

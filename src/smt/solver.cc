@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "src/smt/backend.h"  // SymmetryEnabled / IncrementalEnabled
 #include "src/smt/ground.h"
 #include "src/support/check.h"
 
@@ -75,13 +74,15 @@ void ValueDomains::Harvest(const std::vector<Term>& roots, int max_int_domain,
     std::sort(int_domain_.begin(), int_domain_.end());
   }
 
-  // String domain: the formula's literals plus fresh symbols distinct from all of them.
+  // String domain: the formula's literals, then two fresh symbols distinct from all of
+  // them. The cap applies to the literals only: a value outside every literal of the
+  // formula must stay reachable, or `x != "a" && ... && x != "f"` would come back unsat.
   string_domain_.assign(strings.begin(), strings.end());
-  string_domain_.push_back("!fresh_a");
-  string_domain_.push_back("!fresh_b");
   if (static_cast<int>(string_domain_.size()) > max_string_domain) {
     string_domain_.resize(max_string_domain);
   }
+  string_domain_.push_back("!fresh_a");
+  string_domain_.push_back("!fresh_b");
 }
 
 std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
@@ -105,32 +106,6 @@ std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
     out.reserve(n);
     for (int i = 0; i < n; ++i) {
       out.push_back(f.RefLit(sort, i));
-    }
-  } else {
-    NOCTUA_UNREACHABLE("atom of composite sort");
-  }
-  return out;
-}
-
-std::vector<Value> ValueDomains::ValuesFor(const Scope& scope, Sort sort) const {
-  std::vector<Value> out;
-  if (sort->is_bool()) {
-    out = {Value::Bool(false), Value::Bool(true)};
-  } else if (sort->is_int()) {
-    out.reserve(int_domain_.size());
-    for (int64_t v : int_domain_) {
-      out.push_back(Value::Int(v));
-    }
-  } else if (sort->is_string()) {
-    out.reserve(string_domain_.size());
-    for (const std::string& s : string_domain_) {
-      out.push_back(Value::Str(s));
-    }
-  } else if (sort->is_ref()) {
-    int n = scope.RefSize(sort->model_id());
-    out.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      out.push_back(Value::Ref(i));
     }
   } else {
     NOCTUA_UNREACHABLE("atom of composite sort");
@@ -246,7 +221,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   // persistent cache instead of re-expanded.
   std::vector<Term> pending;
   bool feasible;
-  if (IncrementalEnabled(options_)) {
+  if (options_.incremental) {
     feasible = inc_ground_.Ground(f, options_.scope, raw_assertions, &pending,
                                   &stats_.incremental_reuse_hits, &stats_.binders_expanded);
   } else {
@@ -271,7 +246,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   domains_.Harvest(pending, options_.max_int_domain, options_.max_string_domain, *walk);
 
   SymmetryBreaker symmetry;
-  if (SymmetryEnabled(options_)) {
+  if (options_.symmetry) {
     symmetry.Analyze(raw_assertions, pending, options_.scope, *walk);
   }
 

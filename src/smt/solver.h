@@ -1,4 +1,4 @@
-// A bounded model finder: the default decision procedure behind the SolverBackend
+// A bounded model finder: the production decision procedure behind the SolverBackend
 // interface (backend.h).
 //
 // This plays the role Z3 plays in the paper. The verifier's checking rules are refutation
@@ -11,7 +11,8 @@
 //   * Ref sorts range over k elements per model (Scope).
 //   * Int atoms range over a domain harvested from the formula's integer literals
 //     (each literal ±1, plus 0 and 1) — sufficient to cross any comparison threshold.
-//   * String atoms range over the formula's string literals plus fresh distinct symbols.
+//   * String atoms range over the formula's string literals plus two fresh symbols distinct
+//     from all of them.
 //   * Bool atoms range over {false, true}.
 //
 // Search is depth-first over atoms (the decomposed scalar unknowns, see eval.h) with
@@ -37,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -64,48 +66,47 @@ struct SmtModel {
 };
 
 struct SolverStats {
-  // Search nodes: DFS assignments, or CDCL decisions + propagations. The unit Budget's
-  // max_nodes is charged against.
+  // Search nodes (DFS assignments): the unit Budget's max_nodes is charged against.
   uint64_t nodes_visited = 0;
   uint64_t evaluations = 0;
   double seconds = 0;
   size_t num_atoms = 0;
   // Binder expansions performed while grounding this query's assertions.
   uint64_t binders_expanded = 0;
-  // CDCL-only: conflicts analyzed and clauses learned (0 for the model finder).
-  uint64_t conflicts = 0;
-  uint64_t learned_clauses = 0;
   // Root assertions whose grounding this Check served from the backend's persistent
   // ground cache instead of re-expanding (incremental solving, see IncrementalGrounder).
   uint64_t incremental_reuse_hits = 0;
   // Work removed by lex-leader symmetry reduction: candidate values dropped from DFS
-  // frames, or CDCL literals pinned/excluded by the precedence clauses.
+  // frames.
   uint64_t symmetry_pruned = 0;
-  // CDCL-only: Luby restarts performed and learned clauses dropped by DB reduction.
-  uint64_t restarts = 0;
-  uint64_t clauses_forgotten = 0;
 };
+
+class SolverBackend;
+struct SolverOptions;
+// Builds a decision procedure for SolverOptions::backend (see MakeBackend, backend.h).
+using BackendFactory = std::unique_ptr<SolverBackend> (*)(const SolverOptions&);
 
 struct SolverOptions {
   Scope scope{2};
   Budget budget;
   int max_int_domain = 8;
+  // At most this many of the formula's string literals; the two fresh symbols come on top.
   int max_string_domain = 6;
-  // Which decision procedure answers checks. kAuto defers to NOCTUA_SOLVER (see
-  // budget.h); construction goes through smt::MakeBackend — the one factory.
-  BackendKind backend = BackendKind::kAuto;
+  // The decision procedure that answers checks: nullptr is the model finder ("dfs"), the
+  // one production solver. Tests plug in the Z3 oracle (tests/z3_oracle.h) here.
+  BackendFactory backend = nullptr;
   // Lex-leader symmetry reduction over the k interchangeable instances of each model
   // sort, and reuse of grounding work across Checks on one backend instance. Both are
-  // verdict-preserving; kAuto defers to NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL (default
-  // on). See SymmetryEnabled / IncrementalEnabled in backend.h.
-  Toggle symmetry = Toggle::kAuto;
-  Toggle incremental = Toggle::kAuto;
+  // verdict-preserving; tests and benches turn them off to run the unoptimized model
+  // finder as a reference.
+  bool symmetry = true;
+  bool incremental = true;
 };
 
 // The finite value space one query's search ranges over, harvested from the query's own
-// literals. Every backend MUST build its candidate values through this class: verdict
-// agreement across backends (the cross-backend soundness oracle) relies on all of them
-// deciding satisfiability over identical domains.
+// literals. Every backend MUST build its candidate values through this class: the model
+// finder's agreement with the Z3 oracle (tests/z3_oracle.h) relies on both deciding
+// satisfiability over identical domains.
 class ValueDomains {
  public:
   // Harvests int/string literals from the grounded assertions and assembles the bounded
@@ -118,10 +119,6 @@ class ValueDomains {
 
   // Candidate value literals for one ground atom term (the DFS substitution search).
   std::vector<Term> LiteralsFor(TermFactory& f, const Scope& scope, Term atom) const;
-
-  // Candidate Values for one decomposed scalar atom of `sort` (the CDCL direct
-  // encoding). Same values, same order, as LiteralsFor.
-  std::vector<Value> ValuesFor(const Scope& scope, Sort sort) const;
 
  private:
   std::vector<int64_t> int_domain_;

@@ -51,18 +51,6 @@ bool ParseDouble(const std::string& text, double* out) {
   return true;
 }
 
-bool ParseOnOff(const std::string& text, bool* out) {
-  if (text == "on") {
-    *out = true;
-    return true;
-  }
-  if (text == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 void WarnOnce(const char* var, const std::string& message) {
   static std::mutex mu;
   static std::set<std::string>* warned = new std::set<std::string>();
@@ -109,45 +97,6 @@ long NonNegativeIntOr(const char* var, long fallback, long cap) {
     return cap;
   }
   return n;
-}
-
-bool OnOffOr(const char* var, bool fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  bool value = fallback;
-  if (ParseOnOff(raw, &value)) {
-    return value;
-  }
-  WarnOnce(var, std::string("ignoring ") + var + "=\"" + raw +
-                    "\" (expected on or off); using " + (fallback ? "on" : "off"));
-  return fallback;
-}
-
-std::string EnumOr(const char* var, std::initializer_list<const char*> allowed,
-                   const char* fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  for (const char* a : allowed) {
-    if (std::string(raw) == a) {
-      return a;
-    }
-  }
-  std::string expected;
-  size_t i = 0;
-  for (const char* a : allowed) {
-    if (i > 0) {
-      expected += (i + 1 == allowed.size()) ? ", or " : ", ";
-    }
-    expected += a;
-    ++i;
-  }
-  WarnOnce(var, std::string("ignoring ") + var + "=\"" + raw + "\" (expected " + expected +
-                    "); using " + fallback);
-  return fallback;
 }
 
 long RequireLongInRange(const char* var, long lo, long hi, long fallback) {

@@ -6,7 +6,7 @@
 //   * Lenient knobs (tuning, safe to ignore): unset means the built-in default; a valid
 //     value is honored; anything else is rejected with a one-shot stderr warning and the
 //     default is used. A typo is noticed, never silently absorbed. NOCTUA_THREADS,
-//     NOCTUA_SOLVER, NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL, NOCTUA_VERDICT_CACHE.
+//     NOCTUA_VERDICT_CACHE.
 //
 //   * Fail-fast knobs (semantics, wrong to ignore): unset means the built-in default,
 //     but a set-and-malformed value is a *fatal error*. Used where running with a
@@ -22,7 +22,6 @@
 #ifndef SRC_SUPPORT_ENV_H_
 #define SRC_SUPPORT_ENV_H_
 
-#include <initializer_list>
 #include <string>
 
 namespace noctua::env {
@@ -41,7 +40,6 @@ bool FlagSet(const char* var);
 // (trailing characters, empty string, overflow all reject).
 bool ParseLong(const std::string& text, long* out);
 bool ParseDouble(const std::string& text, double* out);
-bool ParseOnOff(const std::string& text, bool* out);  // exactly "on" or "off"
 
 // Prints "noctua: <message>\n" to stderr the first time it is called for `var`;
 // subsequent calls for the same variable are silent. Keyed by variable name, so a knob
@@ -59,15 +57,6 @@ long PositiveIntOr(const char* var, long fallback, long cap);
 // Like PositiveIntOr but 0 is a valid value (e.g. "unbounded" for capacity knobs).
 // (NOCTUA_VERDICT_CACHE)
 long NonNegativeIntOr(const char* var, long fallback, long cap);
-
-// on/off toggle: unset/empty returns `fallback`; malformed warns and returns `fallback`.
-// (NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL)
-bool OnOffOr(const char* var, bool fallback);
-
-// Enumerated knob: unset/empty returns `fallback`; a member of `allowed` is returned
-// verbatim; anything else warns and returns `fallback`. (NOCTUA_SOLVER)
-std::string EnumOr(const char* var, std::initializer_list<const char*> allowed,
-                   const char* fallback);
 
 // ---------------------------------------------------------------------------------------
 // Fail-fast knobs (fatal on a set-and-malformed value)
@@ -87,10 +76,7 @@ bool RequireBool01(const char* var, bool fallback);
 // Snapshot
 
 // One-shot capture of every analysis-affecting knob, taken at engine construction and
-// never re-read. Fields hold *resolved* values (parse policy already applied). The
-// solver knobs (NOCTUA_SOLVER, NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL) are not here: their
-// one parser each lives with their valid values in smt/backend.cc, and the engine calls
-// those alongside this capture.
+// never re-read. Fields hold *resolved* values (parse policy already applied).
 struct Snapshot {
   // Resolved degree of parallelism: NOCTUA_THREADS if valid, else hardware concurrency.
   int threads = 1;

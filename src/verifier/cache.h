@@ -127,7 +127,7 @@ class VerdictCache {
 // Fingerprint of one verification query over the ordered pair (p, q), joined from the
 // two paths' parts (soir::FingerprintPath) without rendering either path again:
 //
-//   head      the backend tag and the rule tag, e.g. "com" or "cdcl|ni";
+//   head      the backend tag and the rule tag, e.g. "com" or "z3|ni";
 //   parts     part(p), then part(q);
 //   link      for each model and each relation in q's canonical list, its position in
 //             p's list, or "new";

@@ -152,23 +152,11 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
     obs::Add(obs::Counter::kSolverAssignments, ss.evaluations);
     obs::Add(obs::Counter::kGroundExpansions, ss.binders_expanded);
     obs::Add(obs::Counter::kSimplifyHits, factory.intern_hits());
-    if (ss.conflicts > 0) {
-      obs::Add(obs::Counter::kCdclConflicts, ss.conflicts);
-    }
-    if (ss.learned_clauses > 0) {
-      obs::Add(obs::Counter::kCdclLearnedClauses, ss.learned_clauses);
-    }
     if (ss.incremental_reuse_hits > 0) {
       obs::Add(obs::Counter::kSolverIncrementalReuse, ss.incremental_reuse_hits);
     }
     if (ss.symmetry_pruned > 0) {
       obs::Add(obs::Counter::kSolverSymmetryPruned, ss.symmetry_pruned);
-    }
-    if (ss.restarts > 0) {
-      obs::Add(obs::Counter::kCdclRestarts, ss.restarts);
-    }
-    if (ss.clauses_forgotten > 0) {
-      obs::Add(obs::Counter::kCdclClausesForgotten, ss.clauses_forgotten);
     }
     obs::Observe(obs::Hist::kSolveMicros, static_cast<uint64_t>(ss.seconds * 1e6));
     obs::Observe(obs::Hist::kSolverNodesPerQuery, ss.nodes_visited);

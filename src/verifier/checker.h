@@ -103,8 +103,8 @@ class Checker {
   // NotInvalidate frame — initial-state axioms, both preconditions, the unique-id axiom —
   // is asserted once; each direction pushes only its negated goal (plus the replayed
   // effect's definitions) and pops it afterwards. With incremental solving on, the
-  // backend then re-grounds only the per-direction roots; with NOCTUA_INCREMENTAL=off it
-  // re-grounds every Check, and the verdicts are the same. In shared-origin mode the
+  // backend then re-grounds only the per-direction roots; with it off it re-grounds
+  // every Check, and the verdicts are the same. In shared-origin mode the
   // frame plus a direction's delta is exactly the rule's query; in fresh-origin mode the
   // frame adds the checked path's origin precondition, which preserves satisfiability
   // (see BuildNiFrame).

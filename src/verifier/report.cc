@@ -213,16 +213,12 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // accumulate, so report stats are computed as deltas from this snapshot. Only the
   // run-local cache may be bounded — evicting from a store would turn replayable
   // verdicts into cold misses on the next warm run.
-  // Key heads carry a backend tag for non-default backends. Verdicts themselves are
+  // Key heads carry a backend tag for any backend but dfs. Verdicts themselves are
   // backend-independent (the cross-backend soundness contract), but kTimeout is not: a
   // query one backend finishes may exhaust another's budget, so entries must not leak
-  // across backends. The dfs default stays untagged.
-  const smt::BackendKind backend_kind =
-      smt::ResolveBackendKind(checker.options().solver.backend);
-  const std::string backend_tag =
-      backend_kind == smt::BackendKind::kDfs
-          ? std::string()
-          : std::string(smt::BackendKindName(backend_kind)) + "|";
+  // across backends. The dfs keys stay untagged.
+  const std::string backend_name = smt::MakeBackend(checker.options().solver)->name();
+  const std::string backend_tag = backend_name == "dfs" ? std::string() : backend_name + "|";
   const std::string com_head = backend_tag + "com";
   const std::string ni_head = backend_tag + "ni";
 
@@ -396,7 +392,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   report.stats.pool_tasks = pool_stats.tasks - pool_before.tasks;
   report.stats.pool_steals = pool_stats.steals - pool_before.steals;
   report.stats.cache_evictions = cache->evictions() - evictions_before;
-  report.stats.solver_backend = smt::BackendKindName(backend_kind);
+  report.stats.solver_backend = backend_name;
   for (const VerdictCache::ShardStats& s : cache->PerShardStats()) {
     report.stats.cache_shards.push_back(
         ReportStats::CacheShardStat{s.entries, s.hits, s.misses, s.evictions});

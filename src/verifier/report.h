@@ -106,9 +106,9 @@ struct ReportStats {
   uint64_t pool_steals = 0;      // tasks a participant stole from another's deque
   uint64_t cache_evictions = 0;  // verdicts dropped by a bounded run-local cache
 
-  // Resolved solver backend name ("dfs" or "cdcl") every query of this run went
-  // through. The solver's own tallies (incremental reuse, symmetry pruning, CDCL
-  // restarts and forgetting) live in the obs registry, not here.
+  // Name of the solver backend every query of this run went through: "dfs", or "z3"
+  // when a test plugs in the oracle. The solver's own tallies (incremental reuse,
+  // symmetry pruning) live in the obs registry, not here.
   std::string solver_backend = "dfs";
 
   // Per-shard snapshot of the verdict cache after the run (occupancy plus lifetime

@@ -388,15 +388,10 @@ TEST(EngineTest, VerdictCacheCapacityKnobReachesTheEngineCache) {
 }
 
 TEST(EngineTest, ResolveOptionsPinsAutoKnobsAndInjectsEngineState) {
-  EngineConfig config;
-  config.solver = smt::BackendKind::kCdcl;
-  config.symmetry = false;
-  Engine engine(config);
+  Engine engine{EngineConfig{}};
 
   PipelineOptions defaults;
   PipelineOptions resolved = engine.ResolveOptions(defaults);
-  EXPECT_EQ(resolved.checker.solver.backend, smt::BackendKind::kCdcl);
-  EXPECT_EQ(resolved.checker.solver.symmetry, smt::Toggle::kOff);
   EXPECT_EQ(resolved.parallel.pool, &engine.pool());
   EXPECT_EQ(resolved.parallel.store, &engine.verdicts());
 

@@ -1,6 +1,7 @@
 // Property-based tests on cross-component invariants:
-//   * solver models satisfy the formula under the independent three-valued evaluator
-//     (the two implementations share no evaluation code);
+//   * the model finder and the Z3 oracle agree on random formulas, and both solvers'
+//     models satisfy the formula under the independent three-valued evaluator (which
+//     shares no evaluation code with either);
 //   * grounding preserves truth under the evaluator;
 //   * the linear-arithmetic normal form respects integer semantics;
 //   * the model finder's pruned substitution returns what an unpruned one returns;
@@ -19,6 +20,7 @@
 #include "src/smt/solver.h"
 #include "src/support/rng.h"
 #include "src/verifier/report.h"
+#include "tests/z3_oracle.h"
 
 namespace noctua {
 namespace {
@@ -114,6 +116,17 @@ smt::Value EvalUnderModel(const Scope& scope, Term t, const smt::SmtModel& model
   return eval.Eval(t);
 }
 
+// The solvers every random formula goes to: the model finder (a null factory), then the
+// Z3 oracle when the build has it. The tests that compare against the oracle mark
+// themselves skipped at the end in a build without it.
+std::vector<smt::BackendFactory> Solvers() {
+  std::vector<smt::BackendFactory> out = {nullptr};
+  if (smt::Z3Oracle() != nullptr) {
+    out.push_back(smt::Z3Oracle());
+  }
+  return out;
+}
+
 class SolverPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
@@ -126,16 +139,16 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
     options.budget.timeout_seconds = 5.0;
 
     // Every random formula doubles as a cross-backend agreement check: the model finder
-    // and the CDCL backend decide the same finite question, so their verdicts must match
-    // and each backend's model must satisfy the formula under the independent Evaluator.
-    constexpr smt::BackendKind kKinds[] = {smt::BackendKind::kDfs, smt::BackendKind::kCdcl};
-    smt::SolveResult verdicts[2];
-    for (int b = 0; b < 2; ++b) {
-      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kKinds[b], options);
+    // and the Z3 oracle decide the same finite question, so their verdicts must match
+    // and each one's model must satisfy the formula under the independent Evaluator.
+    std::vector<smt::SolveResult> verdicts;
+    for (smt::BackendFactory solver : Solvers()) {
+      options.backend = solver;
+      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
       backend->Assert(formula);
       smt::SolveResult r = backend->Check(f);
-      ASSERT_NE(r, smt::SolveResult::kUnknown);
-      verdicts[b] = r;
+      ASSERT_NE(r, smt::SolveResult::kUnknown) << backend->name();
+      verdicts.push_back(r);
       if (r == smt::SolveResult::kSat) {
         smt::Value v = EvalUnderModel(options.scope, formula, backend->model());
         // The model may omit don't-care atoms; a known value must be true.
@@ -146,13 +159,17 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
         }
       } else {
         // UNSAT: the negation must be satisfiable (no formula is both ways).
-        std::unique_ptr<smt::SolverBackend> neg = smt::MakeBackend(kKinds[b], options);
+        std::unique_ptr<smt::SolverBackend> neg = smt::MakeBackend(options);
         neg->Assert(f.Not(formula));
         EXPECT_EQ(neg->Check(f), smt::SolveResult::kSat)
             << backend->name() << ": " << formula->ToString();
       }
     }
-    ASSERT_EQ(verdicts[0], verdicts[1]) << "dfs and cdcl disagree on " << formula->ToString();
+    ASSERT_EQ(verdicts.front(), verdicts.back())
+        << "dfs and z3 disagree on " << formula->ToString();
+  }
+  if (smt::Z3Oracle() == nullptr) {
+    GTEST_SKIP() << "dfs only: built without Z3";
   }
 }
 
@@ -217,31 +234,37 @@ TEST_P(SolverPropertyTest, LinearNormalFormIsSemanticallyCorrect) {
 }
 
 // Lex-leader symmetry reduction prunes only non-canonical witnesses, never verdicts:
-// every random formula must be decided identically with the reduction pinned on and
-// off, on both concrete backends. Scope 3 so the reduction actually engages (a scope-2
-// group has a single non-trivial transposition and truncates almost nothing).
+// every random formula must be decided identically by the model finder with the
+// reduction on and off, and by the Z3 oracle, which has no such reduction. Scope 3 so
+// the reduction actually engages (a scope-2 group has a single non-trivial transposition
+// and truncates almost nothing).
 TEST_P(SolverPropertyTest, SymmetryReductionPreservesVerdicts) {
   Rng rng(GetParam() * 101 + 13);
   for (int round = 0; round < 25; ++round) {
     TermFactory f;
     RandomTerms gen(&f, &rng);
     Term formula = gen.Bool(3);
-    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
-      smt::SolveResult verdicts[2];
-      for (int on = 0; on < 2; ++on) {
-        smt::SolverOptions options;
-        options.scope = Scope(3);
-        options.budget.timeout_seconds = 5.0;
-        options.symmetry = on ? smt::Toggle::kOn : smt::Toggle::kOff;
-        std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kind, options);
-        backend->Assert(formula);
-        verdicts[on] = backend->Check(f);
-        ASSERT_NE(verdicts[on], smt::SolveResult::kUnknown);
-      }
-      EXPECT_EQ(verdicts[0], verdicts[1])
-          << smt::BackendKindName(kind) << " verdict moved under symmetry reduction: "
-          << formula->ToString();
+    auto decide = [&](smt::BackendFactory solver, bool symmetry) {
+      smt::SolverOptions options;
+      options.scope = Scope(3);
+      options.budget.timeout_seconds = 5.0;
+      options.backend = solver;
+      options.symmetry = symmetry;
+      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
+      backend->Assert(formula);
+      return backend->Check(f);
+    };
+    const smt::SolveResult off = decide(nullptr, false);
+    ASSERT_NE(off, smt::SolveResult::kUnknown);
+    EXPECT_EQ(decide(nullptr, true), off)
+        << "dfs verdict moved under symmetry reduction: " << formula->ToString();
+    if (smt::Z3Oracle() != nullptr) {
+      EXPECT_EQ(decide(smt::Z3Oracle(), true), off)
+          << "z3 disagrees with unreduced dfs: " << formula->ToString();
     }
+  }
+  if (smt::Z3Oracle() == nullptr) {
+    GTEST_SKIP() << "dfs only: built without Z3";
   }
 }
 
@@ -293,23 +316,27 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
                      : f.Le(f.Select(arr, lit), f.IntLit(rng.NextInRange(-2, 2)));
     Term base = gen.Bool(3);
     Term formula = rng.NextBool() ? f.And(base, decor) : f.Or(base, decor);
-    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
+    for (smt::BackendFactory solver : Solvers()) {
       smt::SolverOptions options;
       options.scope = Scope(3);
       options.budget.timeout_seconds = 5.0;
-      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kind, options);
+      options.backend = solver;
+      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
       backend->Assert(formula);
       smt::SolveResult expected = backend->Check(f);
       ASSERT_NE(expected, smt::SolveResult::kUnknown);
       for (auto [a, b] : {std::pair<int, int>{0, 1}, {1, 2}, {0, 2}}) {
         Term image = TransposeRefs(f, formula, a, b);
-        std::unique_ptr<smt::SolverBackend> pb = smt::MakeBackend(kind, options);
+        std::unique_ptr<smt::SolverBackend> pb = smt::MakeBackend(options);
         pb->Assert(image);
         EXPECT_EQ(pb->Check(f), expected)
-            << smt::BackendKindName(kind) << " transposition (" << a << " " << b
+            << backend->name() << " transposition (" << a << " " << b
             << ") moved the verdict: " << formula->ToString();
       }
     }
+  }
+  if (smt::Z3Oracle() == nullptr) {
+    GTEST_SKIP() << "dfs only: built without Z3";
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the SMT substrate: sorts, term construction/simplification, evaluation,
-// and the solver backends (every solver test runs against both dfs and cdcl).
+// and the solvers (every solver test runs against both dfs and the Z3 oracle).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +18,7 @@
 #include "src/smt/term.h"
 #include "src/support/check.h"
 #include "src/verifier/encoder.h"
+#include "tests/z3_oracle.h"
 
 namespace noctua::smt {
 namespace {
@@ -548,12 +549,28 @@ TEST(ScratchMapDeathTest, ResetWithALeaseAborts) {
 
 // --- Solver -------------------------------------------------------------------------------
 
+// The two solvers the parameterized tests run: the model finder and the Z3 oracle. One
+// byte each, so the tests' names print their parameter the same way on every build.
+enum class Procedure : uint8_t { kDfs = 1, kZ3 = 2 };
+
+const char* ProcedureName(Procedure p) { return p == Procedure::kDfs ? "dfs" : "z3"; }
+
+// SolverOptions::backend for `p`. The oracle's is null in a build without Z3, and the
+// tests that need it skip there.
+BackendFactory FactoryFor(Procedure p) { return p == Procedure::kDfs ? nullptr : Z3Oracle(); }
+
 // Every solver-behavior test runs against each backend: the same queries must get the
-// same verdicts from the model finder and the CDCL backend.
-class SolverTest : public ::testing::TestWithParam<BackendKind> {
+// same verdicts from the model finder and the Z3 oracle.
+class SolverTest : public ::testing::TestWithParam<Procedure> {
  protected:
+  void SetUp() override {
+    if (GetParam() == Procedure::kZ3 && Z3Oracle() == nullptr) {
+      GTEST_SKIP() << "built without Z3";
+    }
+    options.backend = FactoryFor(GetParam());
+  }
+
   SolveResult Check(const std::vector<Term>& assertions) {
-    options.backend = GetParam();
     std::unique_ptr<SolverBackend> backend = MakeBackend(options);
     last_model.values.clear();
     backend->AssertAll(assertions);
@@ -627,6 +644,22 @@ TEST_P(SolverTest, StringWitnessUsesFreshSymbols) {
   Term s = f.Const("s", StringSort());
   // s != every literal in the formula: satisfiable thanks to fresh symbols.
   EXPECT_EQ(Check({f.Neq(s, f.StrLit("alice")), f.Neq(s, f.StrLit("bob"))}), SolveResult::kSat);
+
+  // As many literals as the string domain's cap: the fresh symbols come on top of them.
+  std::vector<Term> outside;
+  for (const char* lit : {"a", "b", "c", "d", "e", "f"}) {
+    outside.push_back(f.Neq(s, f.StrLit(lit)));
+  }
+  EXPECT_EQ(Check(outside), SolveResult::kSat);
+
+  // Two distinct strings outside five literals need both fresh symbols.
+  Term t = f.Const("t", StringSort());
+  std::vector<Term> both_outside = {f.Neq(s, t)};
+  for (const char* lit : {"a", "b", "c", "d", "e"}) {
+    both_outside.push_back(f.Neq(s, f.StrLit(lit)));
+    both_outside.push_back(f.Neq(t, f.StrLit(lit)));
+  }
+  EXPECT_EQ(Check(both_outside), SolveResult::kSat);
 }
 
 TEST_P(SolverTest, TimeoutReturnsUnknown) {
@@ -686,21 +719,24 @@ TEST_P(SolverTest, CommutativityStyleQuery) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SolverTest,
-                         ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl),
-                         [](const ::testing::TestParamInfo<BackendKind>& info) {
-                           return std::string(BackendKindName(info.param));
+                         ::testing::Values(Procedure::kDfs, Procedure::kZ3),
+                         [](const ::testing::TestParamInfo<Procedure>& info) {
+                           return std::string(ProcedureName(info.param));
                          });
 
 // Parameterized sweep: solver scope sizes behave consistently, on every backend.
-class ScopeSweepTest : public ::testing::TestWithParam<std::tuple<int, BackendKind>> {};
+class ScopeSweepTest : public ::testing::TestWithParam<std::tuple<int, Procedure>> {};
 
 TEST_P(ScopeSweepTest, PigeonholePrinciple) {
   // k+1 pairwise distinct refs never fit in a scope of k; k do.
-  auto [k, kind] = GetParam();
+  auto [k, procedure] = GetParam();
+  if (procedure == Procedure::kZ3 && Z3Oracle() == nullptr) {
+    GTEST_SKIP() << "built without Z3";
+  }
   TermFactory f;
   SolverOptions options;
   options.scope = Scope(k);
-  options.backend = kind;
+  options.backend = FactoryFor(procedure);
   std::vector<Term> refs;
   for (int i = 0; i <= k; ++i) {
     refs.push_back(f.Const("r" + std::to_string(i), f.RefSort(0)));
@@ -717,65 +753,61 @@ TEST_P(ScopeSweepTest, PigeonholePrinciple) {
 INSTANTIATE_TEST_SUITE_P(
     Scopes, ScopeSweepTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl)),
-    [](const ::testing::TestParamInfo<std::tuple<int, BackendKind>>& info) {
+                       ::testing::Values(Procedure::kDfs, Procedure::kZ3)),
+    [](const ::testing::TestParamInfo<std::tuple<int, Procedure>>& info) {
       return "k" + std::to_string(std::get<0>(info.param)) +
-             std::string(BackendKindName(std::get<1>(info.param)));
+             ProcedureName(std::get<1>(info.param));
     });
 
 // --- Incremental solving ------------------------------------------------------------------
 
 // Push/Pop round-trips are invisible: after a Pop the assertion stack is exactly the
-// pre-Push stack (same interned Terms, same order), and an incremental backend that has
-// already solved framed queries answers the next one exactly like a fresh instance fed
-// the same goal-first conjunction — same verdict, same model, byte for byte. The second
-// framed Check must also report ground-cache reuse for the unchanged frame roots.
+// pre-Push stack (same interned Terms, same order), and an incremental model finder that
+// has already solved framed queries answers the next one exactly like a fresh instance
+// fed the same goal-first conjunction — same verdict, same model, byte for byte. The
+// second framed Check must also report ground-cache reuse for the unchanged frame roots.
 TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
-  for (BackendKind kind : {BackendKind::kDfs, BackendKind::kCdcl}) {
-    TermFactory f;
-    SolverOptions options;
-    options.backend = kind;
-    options.incremental = Toggle::kOn;
+  TermFactory f;
+  SolverOptions options;
 
-    Sort rs = f.RefSort(0);
-    Sort obj = f.TupleSort({rs, IntSort()});
-    Term data = f.Const("data", f.ArraySort(rs, obj));
-    Term ids = f.Const("ids", f.SetSort(rs));
-    Term v = f.NewBoundVar(rs);
-    Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
-    Term x = f.Const("x", rs);
-    Term y = f.Const("y", rs);
-    Term both_in = f.And(f.Member(x, ids), f.Member(y, ids));
-    Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
+  Sort rs = f.RefSort(0);
+  Sort obj = f.TupleSort({rs, IntSort()});
+  Term data = f.Const("data", f.ArraySort(rs, obj));
+  Term ids = f.Const("ids", f.SetSort(rs));
+  Term v = f.NewBoundVar(rs);
+  Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
+  Term x = f.Const("x", rs);
+  Term y = f.Const("y", rs);
+  Term both_in = f.And(f.Member(x, ids), f.Member(y, ids));
+  Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
 
-    std::unique_ptr<SolverBackend> inc = MakeBackend(options);
-    inc->AssertAll({wf, both_in});
-    const std::vector<Term> frame = inc->assertions();
+  std::unique_ptr<SolverBackend> inc = MakeBackend(options);
+  inc->AssertAll({wf, both_in});
+  const std::vector<Term> frame = inc->assertions();
 
-    inc->Push();
-    inc->AddAssertion(same_pk);
-    inc->AddAssertion(f.Neq(x, y));
-    EXPECT_EQ(inc->Check(f), SolveResult::kUnsat) << BackendKindName(kind);
-    inc->Pop();
-    EXPECT_EQ(inc->num_frames(), 0u);
-    EXPECT_EQ(inc->assertions(), frame);
+  inc->Push();
+  inc->AddAssertion(same_pk);
+  inc->AddAssertion(f.Neq(x, y));
+  EXPECT_EQ(inc->Check(f), SolveResult::kUnsat);
+  inc->Pop();
+  EXPECT_EQ(inc->num_frames(), 0u);
+  EXPECT_EQ(inc->assertions(), frame);
 
-    inc->Push();
-    inc->AddAssertion(f.Eq(x, y));
-    SolveResult r = inc->Check(f);
-    ASSERT_EQ(r, SolveResult::kSat) << BackendKindName(kind);
-    EXPECT_GT(inc->stats().incremental_reuse_hits, 0u) << BackendKindName(kind);
-    const std::string inc_model = inc->model().ToString();
-    inc->Pop();
-    EXPECT_EQ(inc->assertions(), frame);
+  inc->Push();
+  inc->AddAssertion(f.Eq(x, y));
+  SolveResult r = inc->Check(f);
+  ASSERT_EQ(r, SolveResult::kSat);
+  EXPECT_GT(inc->stats().incremental_reuse_hits, 0u);
+  const std::string inc_model = inc->model().ToString();
+  inc->Pop();
+  EXPECT_EQ(inc->assertions(), frame);
 
-    // Check() hands the innermost frame to the procedure first, so the fresh twin
-    // asserts the goal ahead of the frame.
-    std::unique_ptr<SolverBackend> fresh = MakeBackend(options);
-    fresh->AssertAll({f.Eq(x, y), wf, both_in});
-    ASSERT_EQ(fresh->Check(f), r) << BackendKindName(kind);
-    EXPECT_EQ(fresh->model().ToString(), inc_model) << BackendKindName(kind);
-  }
+  // Check() hands the innermost frame to the procedure first, so the fresh twin
+  // asserts the goal ahead of the frame.
+  std::unique_ptr<SolverBackend> fresh = MakeBackend(options);
+  fresh->AssertAll({f.Eq(x, y), wf, both_in});
+  ASSERT_EQ(fresh->Check(f), r);
+  EXPECT_EQ(fresh->model().ToString(), inc_model);
 }
 
 }  // namespace
