@@ -14,14 +14,14 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/smallbank.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
 #include "src/support/strings.h"
 
 int main() {
   using namespace noctua;
   app::App bank = apps::MakeSmallBankApp();
-  PipelineResult pipeline = Pipeline::Run(bank);
+  PipelineResult pipeline = Engine().Run(bank);
   const analyzer::AnalysisResult& analysis = pipeline.analysis;
   repl::ConflictTable conflicts;
   for (const auto& [p, q] : pipeline.restrictions.RestrictedViewPairs()) {

@@ -8,7 +8,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/postgraduation.h"
 #include "src/apps/zhihu.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
@@ -39,7 +39,7 @@ int main() {
 
   for (AppCase& c : cases) {
     fprintf(stderr, "[fig10] computing restriction set for %s...\n", c.label);
-    PipelineResult pipeline = Pipeline::Run(c.app);
+    PipelineResult pipeline = Engine().Run(c.app);
     const analyzer::AnalysisResult& res = pipeline.analysis;
     repl::ConflictTable conflicts;
     for (const auto& [p, q] : pipeline.restrictions.RestrictedViewPairs()) {

@@ -18,7 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/apps.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
 
@@ -44,8 +44,6 @@ int main() {
   fprintf(stderr,
           "== Figure 7: analysis time vs codebase size (1x / 2x / 3x endpoints) ==\n\n");
   TextTable table({"Application", "1x (ms)", "2x (ms)", "3x (ms)", "paths 1x/2x/3x"});
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
 
   std::string json = "{" + bench::BenchJsonPreamble("fig7_analysis_scaling") + ", \"analysis\": [";
   bool first_app = true;
@@ -58,7 +56,7 @@ int main() {
       double best = 1e18;
       size_t np = 0;
       for (int trial = 0; trial < 3; ++trial) {
-        analyzer::AnalysisResult res = Pipeline::Run(grown, analysis_only).analysis;
+        analyzer::AnalysisResult res = analyzer::AnalyzeApp(grown);
         best = std::min(best, res.seconds);
         np = res.num_code_paths;
       }
@@ -95,15 +93,15 @@ int main() {
   bool first_cell = true;
   for (int scale = 1; scale <= 3; ++scale) {
     app::App grown = Grow(apps::EvaluatedApps()[0], scale);
-    analyzer::AnalysisResult analysis = Pipeline::Run(grown, analysis_only).analysis;
+    analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(grown);
     std::vector<std::string> times;
     std::string cells;
     uint64_t pairs = 0;
     double hit_rate = 0;
     for (int threads : kThreadCounts) {
-      PipelineOptions options;
-      options.parallel.threads = threads;
-      verifier::RestrictionReport report = Pipeline::Verify(grown, analysis, options);
+      EngineConfig config;
+      config.threads = threads;
+      verifier::RestrictionReport report = Engine(config).Verify(grown, analysis);
       pairs = report.stats.pairs;
       hit_rate = report.stats.CacheHitRate();
       cells += std::string(cells.empty() ? "" : ", ") +

@@ -25,15 +25,12 @@
 #include "bench/bench_util.h"
 #include "src/apps/ownphotos.h"
 #include "src/apps/zhihu.h"
-#include "src/pipeline/pipeline.h"
-#include "src/pipeline/session.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 
 namespace {
 
-using noctua::IncrementalOptions;
-using noctua::IncrementalResult;
-using noctua::Pipeline;
+using noctua::PipelineResult;
 using noctua::analyzer::Sym;
 using noctua::analyzer::SymObj;
 using noctua::analyzer::SymSet;
@@ -50,12 +47,13 @@ std::vector<std::string> VerdictLines(const RestrictionReport& report) {
   return out;
 }
 
-IncrementalOptions Opts() {
-  IncrementalOptions o;
-  // Pin the solver's budget decisions so verdicts are identical across separate runs —
-  // the identity assertion below is exact.
-  o.pipeline.checker.solver.budget.deterministic = true;
-  return o;
+// One run against the store at `store`, on a fresh engine. The solver's budget decisions
+// are pinned so verdicts are identical across separate runs — the identity assertion
+// below is exact.
+PipelineResult RunStored(const noctua::app::App& app, const std::string& store) {
+  noctua::PipelineOptions options;
+  options.checker.solver.budget.deterministic = true;
+  return noctua::Engine().Run(app, options, store);
 }
 
 // Real extraction layers hash the handler source; here the registration site stamps a
@@ -222,13 +220,13 @@ int main() {
     noctua::app::App base = app_case.make();
     StampFingerprints(base);
     fprintf(stderr, "[incremental_sweep] %s: cold base run...\n", app_case.name);
-    IncrementalResult cold_base = Pipeline::RunIncremental(base, base_store, Opts());
+    PipelineResult cold_base = RunStored(base, base_store);
     fprintf(stderr, "[incremental_sweep] %s: cold %.3fs (%zu pairs)\n", app_case.name,
-            cold_base.run.total_seconds, cold_base.run.restrictions.pairs.size());
+            cold_base.total_seconds, cold_base.restrictions.pairs.size());
 
     json += std::string(c ? ", " : "") + "{\"app\": \"" + app_case.name +
-            "\", \"pairs\": " + std::to_string(cold_base.run.restrictions.pairs.size()) +
-            ", \"cold_seconds\": " + FormatDouble(cold_base.run.total_seconds, 3) +
+            "\", \"pairs\": " + std::to_string(cold_base.restrictions.pairs.size()) +
+            ", \"cold_seconds\": " + FormatDouble(cold_base.total_seconds, 3) +
             ", \"edits\": [";
 
     for (size_t e = 0; e < app_case.edits.size(); ++e) {
@@ -242,26 +240,26 @@ int main() {
       std::string warm_store = TempDirFor(std::string(app_case.name) + "_" + edit.name);
       std::filesystem::copy(base_store, warm_store,
                             std::filesystem::copy_options::recursive);
-      IncrementalResult warm = Pipeline::RunIncremental(edited, warm_store, Opts());
+      PipelineResult warm = RunStored(edited, warm_store);
 
       // Reference: the same edited app verified from scratch.
       noctua::app::App edited_again = app_case.make();
       StampFingerprints(edited_again);
       edit.apply(edited_again);
       std::string cold_store = TempDirFor(std::string(app_case.name) + "_" + edit.name + "_cold");
-      IncrementalResult cold = Pipeline::RunIncremental(edited_again, cold_store, Opts());
+      PipelineResult cold = RunStored(edited_again, cold_store);
 
       bool identical = !warm.cold &&
-                       VerdictLines(warm.run.restrictions) == VerdictLines(cold.run.restrictions);
+                       VerdictLines(warm.restrictions) == VerdictLines(cold.restrictions);
       identical_everywhere = identical_everywhere && identical;
-      double speedup = cold.run.total_seconds / warm.run.total_seconds;
+      double speedup = cold.total_seconds / warm.total_seconds;
       fprintf(stderr,
               "[incremental_sweep] %s/%s: warm %.3fs vs cold %.3fs  speedup %.2fx  "
               "(%llu pairs replayed, %llu computed, %zu endpoints memoized)%s\n",
-              app_case.name, edit.name, warm.run.total_seconds, cold.run.total_seconds,
-              speedup, static_cast<unsigned long long>(warm.pairs_replayed),
-              static_cast<unsigned long long>(warm.pairs_computed), warm.endpoints_reused,
-              identical ? "" : "  RESTRICTIONS DIVERGED");
+              app_case.name, edit.name, warm.total_seconds, cold.total_seconds, speedup,
+              static_cast<unsigned long long>(warm.stats().pairs_replayed),
+              static_cast<unsigned long long>(warm.stats().pairs_computed),
+              warm.analysis.endpoints_reused, identical ? "" : "  RESTRICTIONS DIVERGED");
 
       std::string changed = "[";
       for (size_t i = 0; i < warm.changed_endpoints.size(); ++i) {
@@ -270,14 +268,14 @@ int main() {
       changed += "]";
       json += std::string(e ? ", " : "") + "{\"edit\": \"" + edit.name +
               "\", \"changed_endpoints\": " + changed +
-              ", \"cold_seconds\": " + FormatDouble(cold.run.total_seconds, 3) +
-              ", \"warm_seconds\": " + FormatDouble(warm.run.total_seconds, 3) +
+              ", \"cold_seconds\": " + FormatDouble(cold.total_seconds, 3) +
+              ", \"warm_seconds\": " + FormatDouble(warm.total_seconds, 3) +
               ", \"speedup\": " + FormatDouble(speedup, 2) +
-              ", \"pairs_replayed\": " + std::to_string(warm.pairs_replayed) +
-              ", \"pairs_computed\": " + std::to_string(warm.pairs_computed) +
-              ", \"endpoints_reused\": " + std::to_string(warm.endpoints_reused) +
-              ", \"verdicts_replayed\": " + std::to_string(warm.run.restrictions.stats.replayed) +
-              ", \"solver_checks\": " + std::to_string(warm.run.restrictions.stats.solver_checks) +
+              ", \"pairs_replayed\": " + std::to_string(warm.stats().pairs_replayed) +
+              ", \"pairs_computed\": " + std::to_string(warm.stats().pairs_computed) +
+              ", \"endpoints_reused\": " + std::to_string(warm.analysis.endpoints_reused) +
+              ", \"verdicts_replayed\": " + std::to_string(warm.restrictions.stats.replayed) +
+              ", \"solver_checks\": " + std::to_string(warm.restrictions.stats.solver_checks) +
               ", \"identical_restrictions\": " + (identical ? "true" : "false") + "}";
     }
     json += "]}";

@@ -9,7 +9,7 @@
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
 #include "src/apps/smallbank.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/smt/backend.h"
 #include "src/smt/ground.h"
 #include "src/smt/solver.h"
@@ -147,16 +147,15 @@ BENCHMARK(BM_AnalyzeSmallBank);
 // CI diffs against the committed baseline to prove restriction-set identity.
 uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
   app::App a = entry.make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   PipelineOptions options;
-  options.parallel.threads = 2;
   options.checker.solver.budget.deterministic = true;
   options.checker.solver.symmetry = optimized;
   options.checker.solver.incremental = optimized;
-  verifier::RestrictionReport report = Pipeline::Verify(a, analysis, options);
+  EngineConfig two_workers;
+  two_workers.threads = 2;
+  verifier::RestrictionReport report = Engine(two_workers).Verify(a, analysis, options);
 
   std::string lines;
   for (const verifier::PairVerdict& v : report.pairs) {

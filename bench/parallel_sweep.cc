@@ -27,7 +27,7 @@
 #include "src/apps/smallbank.h"
 #include "src/apps/todo.h"
 #include "src/apps/zhihu.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 
 namespace {
@@ -65,19 +65,18 @@ int main() {
   std::string json = "{" + bench::BenchJsonPreamble("parallel_sweep") + ", \"apps\": [";
   for (size_t c = 0; c < cases.size(); ++c) {
     AppCase& app_case = cases[c];
-    PipelineOptions analysis_only;
-    analysis_only.verify = false;
-    analyzer::AnalysisResult analysis = Pipeline::Run(app_case.app, analysis_only).analysis;
+    analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(app_case.app);
 
     // The pre-redesign engine: one thread, every pair pays a full solver run over the
     // whole schema. This is the "1 thread" end-to-end baseline the speedups compare to.
     PipelineOptions legacy;
-    legacy.parallel.threads = 1;
     legacy.parallel.cache = false;
     legacy.parallel.cheapest_first = false;
     legacy.checker.project_footprint = false;
     fprintf(stderr, "[parallel_sweep] %s: legacy serial engine...\n", app_case.name);
-    RestrictionReport baseline = Pipeline::Verify(app_case.app, analysis, legacy);
+    EngineConfig serial;
+    serial.threads = 1;
+    RestrictionReport baseline = Engine(serial).Verify(app_case.app, analysis, legacy);
     std::vector<std::string> reference = VerdictLines(baseline);
     fprintf(stderr, "[parallel_sweep] %s: legacy %.3fs (%zu pairs, %zu restrictions)\n",
             app_case.name, baseline.total_seconds, baseline.pairs.size(),
@@ -91,9 +90,9 @@ int main() {
 
     double one_thread_seconds = 0;
     for (size_t t = 0; t < std::size(kThreadCounts); ++t) {
-      PipelineOptions options;
-      options.parallel.threads = kThreadCounts[t];
-      RestrictionReport report = Pipeline::Verify(app_case.app, analysis, options);
+      EngineConfig config;
+      config.threads = kThreadCounts[t];
+      RestrictionReport report = Engine(config).Verify(app_case.app, analysis);
       if (kThreadCounts[t] == 1) {
         one_thread_seconds = report.total_seconds;
       }

@@ -32,7 +32,7 @@
 #include "src/apps/zhihu.h"
 #include "src/obs/json.h"
 #include "src/obs/obs.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 
 namespace {
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> reference;
     RestrictionReport off_report;
     for (int it = 0; it < kIterations; ++it) {
-      PipelineResult r = Pipeline::Run(app_case.app, base);
+      PipelineResult r = Engine().Run(app_case.app, base);
       if (it == 0 || r.total_seconds < off_seconds) {
         off_seconds = r.total_seconds;
       }
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     bool identical = true;
     PipelineResult on_result;
     for (int it = 0; it < kIterations; ++it) {
-      PipelineResult r = Pipeline::Run(app_case.app, with_obs);
+      PipelineResult r = Engine().Run(app_case.app, with_obs);
       if (it == 0 || r.total_seconds < on_seconds) {
         on_seconds = r.total_seconds;
       }

@@ -9,7 +9,7 @@
 // now-warm engine (shared verdict cache + per-tenant artifact replay). The bench then
 // checks the service's two core promises and exits nonzero if either fails:
 //
-//   1. every response's restriction set is byte-identical to a direct Pipeline::Run of
+//   1. every response's restriction set is byte-identical to a direct Engine::Run of
 //      the same revision built in-process (the daemon adds no semantic drift), and
 //   2. the warm pass answers the median identical request >= 5x faster than cold.
 //
@@ -46,14 +46,14 @@
 #include "bench/bench_util.h"
 #include "src/apps/apps.h"
 #include "src/obs/json.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/service/client.h"
 #include "src/service/server.h"
 #include "src/support/stopwatch.h"
 
 namespace {
 
-using noctua::Pipeline;
+using noctua::Engine;
 using noctua::Stopwatch;
 using noctua::bench::ComputePercentiles;
 using noctua::bench::Percentiles;
@@ -146,7 +146,7 @@ TenantPass RunTenantPass(const std::string& tenant, int port,
 }
 
 // Direct in-process ground truth for one revision: the registry app minus the omitted
-// view, through the classic static facade.
+// view, through a fresh engine's Engine::Run.
 std::vector<std::string> DirectRestrictions(const std::string& app_name,
                                             const std::string& omit_view) {
   for (const noctua::apps::AppEntry& entry : noctua::apps::EvaluatedApps()) {
@@ -155,7 +155,7 @@ std::vector<std::string> DirectRestrictions(const std::string& app_name,
     }
     noctua::app::App base = entry.make();
     if (omit_view.empty()) {
-      return Pipeline::Run(base).restrictions.RestrictedPairNames();
+      return Engine().Run(base).restrictions.RestrictedPairNames();
     }
     noctua::app::App rev(base.name(), base.source_file());
     rev.schema() = base.schema();
@@ -164,7 +164,7 @@ std::vector<std::string> DirectRestrictions(const std::string& app_name,
         rev.AddView(view.name, view.fn, view.fingerprint);
       }
     }
-    return Pipeline::Run(rev).restrictions.RestrictedPairNames();
+    return Engine().Run(rev).restrictions.RestrictedPairNames();
   }
   return {};
 }

@@ -5,7 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/apps.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
 
@@ -15,11 +15,9 @@ int main() {
   printf("(LoC counts our C++ app definitions; the paper counts the original Python)\n\n");
   TextTable table({"Application", "#LoC", "#Models", "#Relations", "Analysis (s)",
                    "#Code Paths", "#Effectful"});
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;  // Table 4 reports the analyzer stage alone
   for (const auto& entry : apps::EvaluatedApps()) {
     app::App a = entry.make();
-    analyzer::AnalysisResult res = Pipeline::Run(a, analysis_only).analysis;
+    analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
     table.AddRow({entry.name, std::to_string(bench::CountLoc(a.source_file())),
                   std::to_string(a.schema().num_models()),
                   std::to_string(a.schema().num_relations()), FormatDouble(res.seconds, 3),

@@ -7,7 +7,7 @@
 #include "src/apps/courseware.h"
 #include "src/apps/smallbank.h"
 #include "src/baseline/specs.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/table.h"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
   for (Case& c : cases) {
     // The Noctua column runs the full pipeline; the baseline column verifies the
     // hand-written spec paths with the same checker configuration.
-    verifier::RestrictionReport noctua_report = Pipeline::Run(c.app).restrictions;
+    verifier::RestrictionReport noctua_report = Engine().Run(c.app).restrictions;
     verifier::RestrictionReport base_report =
         verifier::AnalyzeRestrictions(verifier::Checker(c.app.schema()), c.spec);
     table.AddRow({c.name, std::to_string(noctua_report.com_failures()),

@@ -5,7 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/apps.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
 
@@ -22,7 +22,7 @@ int main() {
     }
     app::App a = entry.make();
     fprintf(stderr, "[table6] verifying %s...\n", entry.name.c_str());
-    PipelineResult result = Pipeline::Run(a);
+    PipelineResult result = Engine().Run(a);
     const verifier::RestrictionReport& report = result.restrictions;
     table.AddRow({entry.name, std::to_string(report.num_checks()),
                   std::to_string(report.num_restrictions()),

@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/postgraduation.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
 
@@ -22,9 +22,9 @@ int main() {
   PipelineOptions no_order;
   no_order.checker.encoder.use_order = false;
 
-  PipelineResult run = Pipeline::Run(a, with_order);
+  PipelineResult run = Engine().Run(a, with_order);
   const verifier::RestrictionReport& has = run.restrictions;
-  verifier::RestrictionReport without = Pipeline::Verify(a, run.analysis, no_order);
+  verifier::RestrictionReport without = Engine().Verify(a, run.analysis, no_order);
 
   TextTable table({"", "Has order", "No order"});
   table.AddRow({"#Com. failures", std::to_string(has.com_failures()),

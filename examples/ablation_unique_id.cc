@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "src/apps/courseware.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 
 int main() {
   using namespace noctua;
@@ -12,10 +12,10 @@ int main() {
 
   // Analyze once and verify with the default options (optimization on), then re-verify
   // the same analysis with the single flag flipped.
-  PipelineResult with_uid = Pipeline::Run(a);
+  PipelineResult with_uid = Engine().Run(a);
   PipelineOptions ablated;
   ablated.checker.encoder.unique_id_optimization = false;
-  verifier::RestrictionReport off = Pipeline::Verify(a, with_uid.analysis, ablated);
+  verifier::RestrictionReport off = Engine().Verify(a, with_uid.analysis, ablated);
   const verifier::RestrictionReport& on = with_uid.restrictions;
 
   printf("Courseware restrictions WITH the unique-ID assertion (%zu):\n",

@@ -8,7 +8,7 @@
 // stale ones.
 #include <cstdio>
 
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/soir/printer.h"
 
 int main() {
@@ -71,7 +71,7 @@ int main() {
     open.update_each("priority", [](SymObj t) { return t.attr("priority") + 1; });
   });
 
-  PipelineResult result = Pipeline::Run(app);
+  PipelineResult result = Engine().Run(app);
   printf("=== %zu code paths ===\n\n", result.analysis.num_code_paths);
   for (const auto& path : result.analysis.paths) {
     printf("%s\n", soir::PrintCodePath(app.schema(), path).c_str());

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "src/apps/smallbank.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
 
 int main() {
@@ -15,7 +15,7 @@ int main() {
   app::App bank = apps::MakeSmallBankApp();
 
   // One call: analysis plus the PoR restriction set.
-  PipelineResult result = Pipeline::Run(bank);
+  PipelineResult result = Engine().Run(bank);
   const analyzer::AnalysisResult& analysis = result.analysis;
   const verifier::RestrictionReport& report = result.restrictions;
 

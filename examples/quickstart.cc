@@ -1,7 +1,7 @@
 // Quickstart: the full Noctua pipeline on the paper's Figure 3 blog application.
 //
 //   1. Define an application (schema + view functions) — here the multi-user blog.
-//   2. Pipeline::Run drives the ANALYZER (explore every code path into SOIR) and the
+//   2. Engine::Run drives the ANALYZER (explore every code path into SOIR) and the
 //      VERIFIER (commutativity + semantic checks over every pair) in one call.
 //   3. The output is the restriction set: pairs that need coordination under PoR.
 //
@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "src/apps/blog.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/soir/printer.h"
 
 int main() {
@@ -20,7 +20,7 @@ int main() {
   printf("=== Schema ===\n%s\n", blog.schema().ToString().c_str());
 
   // Step 2: the whole pipeline — analysis, then verification of every effectful pair.
-  PipelineResult result = Pipeline::Run(blog);
+  PipelineResult result = Engine().Run(blog);
 
   const analyzer::AnalysisResult& analysis = result.analysis;
   printf("=== Analysis: %zu code paths (%zu effectful) in %.3fs ===\n\n",

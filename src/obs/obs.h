@@ -16,7 +16,7 @@
 //     relaxed atomics.
 //   * One collector at a time. A Collector installs itself as the process-global sink
 //     (resetting counters and buffers), records until Stop(), and then exposes the
-//     snapshot. Pipeline::Run owns this wiring when PipelineOptions::obs.enabled is set,
+//     snapshot. Engine::Run owns this wiring when PipelineOptions::obs.enabled is set,
 //     and the service daemon installs one that retains no spans (ObsOptions::
 //     retain_spans); nothing else in the library installs collectors, it only feeds
 //     whatever is active.

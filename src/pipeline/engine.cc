@@ -3,19 +3,50 @@
 #include <cstdio>
 #include <optional>
 
+#include "src/pipeline/session.h"
 #include "src/support/env.h"
 #include "src/support/stopwatch.h"
 
 namespace noctua {
 
+namespace {
+
+// Endpoints whose digest differs between `prior` and `now`: edited, added, and removed.
+std::vector<std::string> ChangedEndpoints(const analyzer::AnalysisResult& prior,
+                                          const analyzer::AnalysisResult& now) {
+  std::vector<std::string> changed;
+  for (const auto& [view, digest] : now.endpoint_digests) {
+    auto it = prior.endpoint_digests.find(view);
+    if (it == prior.endpoint_digests.end() || it->second != digest) {
+      changed.push_back(view);
+    }
+  }
+  for (const auto& [view, digest] : prior.endpoint_digests) {
+    if (now.endpoint_digests.find(view) == now.endpoint_digests.end()) {
+      changed.push_back(view);
+    }
+  }
+  return changed;
+}
+
+// The verify stage with `resolved` as given; the caller holds the engine's run mutex.
+verifier::RestrictionReport CheckPairs(const app::App& app,
+                                       const analyzer::AnalysisResult& analysis,
+                                       const PipelineOptions& resolved) {
+  return verifier::AnalyzeRestrictions(verifier::Checker(app.schema(), resolved.checker),
+                                       analysis.EffectfulPaths(), resolved.parallel);
+}
+
+}  // namespace
+
 EngineConfig EngineConfig::FromEnv() {
   env::Snapshot snap = env::CaptureSnapshot();
   EngineConfig config;
   config.threads = snap.threads;
-  // Verbatim, unprobed: Run/Verify never touch the artifact root, and the throwaway
-  // engines inside the static facade must not suddenly mkdir (or die on) a directory
-  // the old facade never looked at. Daemons that DO persist call ArtifactDirFromEnv
-  // for the fail-fast create-and-probe before constructing their engine.
+  // Verbatim, unprobed: Run/Verify never touch the artifact root (a store-backed Run is
+  // handed its store directory), so an engine built for one run must not mkdir (or die
+  // on) a directory it never uses. Daemons that DO persist call ArtifactDirFromEnv for
+  // the fail-fast create-and-probe before constructing their engine.
   config.artifact_root = snap.artifact_dir;
   config.verdict_cache_capacity = snap.verdict_cache_capacity;
   return config;
@@ -32,15 +63,9 @@ Engine::~Engine() = default;
 
 PipelineOptions Engine::ResolveOptions(const PipelineOptions& options) const {
   PipelineOptions o = options;
-  // The engine pool has a fixed width; a caller that pinned a different `threads` gets
-  // the classic run-local pool so the requested width is honored exactly.
-  if (o.parallel.pool == nullptr &&
-      (o.parallel.threads == 0 || o.parallel.threads == pool_->threads())) {
-    o.parallel.pool = pool_.get();
-  }
-  // The shared warm cache steps in only where the old facade used an unbounded
-  // run-local cache; an explicit store or a bounded run-local cache wins.
-  if (o.parallel.store == nullptr && o.parallel.cache && o.parallel.cache_capacity == 0) {
+  o.parallel.pool = pool_.get();
+  // The shared warm cache steps in only where the caller brought no store of its own.
+  if (o.parallel.store == nullptr && o.parallel.cache) {
     o.parallel.store = verdicts_.get();
   }
   return o;
@@ -51,10 +76,18 @@ verifier::RestrictionReport Engine::Verify(const app::App& app,
                                            const PipelineOptions& options) {
   PipelineOptions o = ResolveOptions(options);
   std::lock_guard<std::mutex> lock(run_mutex_);
-  return VerifyStage(app, analysis, o);
+  return CheckPairs(app, analysis, o);
 }
 
-PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) {
+PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
+                           const std::string& store_dir) {
+  const bool stored = !store_dir.empty();
+  // A store-backed run holds the lock from load to save, so two runs never interleave
+  // their reads and writes of a store; a store-less run takes it in Verify only.
+  std::unique_lock<std::mutex> store_lock(run_mutex_, std::defer_lock);
+  if (stored) {
+    store_lock.lock();
+  }
   // Own a collector only when asked *and* nobody outer owns one already — a bench that
   // installed its own collector gets this run's spans recorded into it instead.
   std::optional<obs::Collector> collector;
@@ -68,22 +101,61 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) 
   double verify_seconds = 0;
   {
     // One parent span for the whole engine pass, so a request-scoped trace shows the
-    // analyze/verify phases nested under a single "engine_run" node.
+    // phases nested under a single "engine_run" node.
     obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);
+    const Session session(store_dir);
+    analyzer::AnalysisResult prior;
+    verifier::VerdictCache verdicts;
+    bool have_prior = false;
+    if (stored) {
+      obs::ScopedSpan span("load_prior", obs::kCatIncremental);
+      have_prior = session.LoadPrior(app, &prior, &verdicts);
+      span.Arg("loaded", have_prior ? 1 : 0);
+      span.Arg("verdicts", verdicts.size());
+      obs::Add(have_prior ? obs::Counter::kArtifactLoads
+                          : obs::Counter::kArtifactLoadFailures);
+    }
+    result.cold = !have_prior;
     {
       obs::ScopedSpan span("analyze", obs::kCatPipeline);
       Stopwatch phase;
-      result.analysis = analyzer::AnalyzeApp(app, options.analyzer);
+      result.analysis = analyzer::AnalyzeAppIncremental(app, have_prior ? &prior : nullptr,
+                                                        options.analyzer);
       analyze_seconds = phase.ElapsedSeconds();
       span.Arg("paths", result.analysis.paths.size());
       span.Arg("effectful", result.analysis.num_effectful);
+      span.Arg("endpoints_reused", result.analysis.endpoints_reused);
     }
-    if (options.verify) {
+    if (have_prior) {
+      result.changed_endpoints = ChangedEndpoints(prior, result.analysis);
+    }
+    {
       obs::ScopedSpan span("verify", obs::kCatPipeline);
       Stopwatch phase;
-      result.restrictions = Verify(app, result.analysis, options);
+      if (stored) {
+        // The loaded verdicts replace the engine cache: unchanged pairs replay from
+        // them, and the verdicts computed now join them in the saved store.
+        PipelineOptions o = ResolveOptions(options);
+        o.parallel.store = &verdicts;
+        result.restrictions = CheckPairs(app, result.analysis, o);
+      } else {
+        result.restrictions = Verify(app, result.analysis, options);
+      }
       verify_seconds = phase.ElapsedSeconds();
       span.Arg("restrictions", result.restrictions.num_restrictions());
+    }
+    if (stored) {
+      obs::ScopedSpan span("save_artifacts", obs::kCatIncremental);
+      result.artifacts_saved = session.Save(app, result.analysis, verdicts);
+      span.Arg("saved", result.artifacts_saved ? 1 : 0);
+      obs::Add(result.artifacts_saved ? obs::Counter::kArtifactSaves
+                                      : obs::Counter::kArtifactSaveFailures);
+      if (!result.artifacts_saved) {
+        std::fprintf(stderr,
+                     "noctua: failed to save artifacts to %s — this run's results are "
+                     "valid, but the next run will be cold\n",
+                     store_dir.c_str());
+      }
     }
   }
   result.total_seconds = watch.ElapsedSeconds();
@@ -100,19 +172,6 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) 
     }
   }
   return result;
-}
-
-IncrementalResult Engine::RunIncremental(const app::App& app, const std::string& store_dir,
-                                         const IncrementalOptions& options) {
-  IncrementalOptions o = options;
-  // The pool and the knob resolutions carry into the session's verify stage through the
-  // option structs, which the session uses as given; it installs its own loaded store,
-  // overriding the engine cache injection.
-  o.pipeline = ResolveOptions(o.pipeline);
-  std::lock_guard<std::mutex> lock(run_mutex_);
-  obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);
-  Session session(store_dir);
-  return session.RunIncremental(app, o);
 }
 
 bool Engine::ValidTenantName(const std::string& tenant) {
@@ -141,27 +200,6 @@ std::string Engine::TenantStoreDir(const std::string& tenant,
     return "";
   }
   return config_.artifact_root + "/" + tenant + "/" + app_name;
-}
-
-// ---- The static facade, now thin wrappers over a throwaway Engine. ----
-
-PipelineResult Pipeline::Run(const app::App& app, const PipelineOptions& options) {
-  Engine engine;
-  return engine.Run(app, options);
-}
-
-verifier::RestrictionReport Pipeline::Verify(const app::App& app,
-                                             const analyzer::AnalysisResult& analysis,
-                                             const PipelineOptions& options) {
-  Engine engine;
-  return engine.Verify(app, analysis, options);
-}
-
-IncrementalResult Pipeline::RunIncremental(const app::App& app,
-                                           const std::string& store_dir,
-                                           const IncrementalOptions& options) {
-  Engine engine;
-  return engine.RunIncremental(app, store_dir, options);
 }
 
 }  // namespace noctua

@@ -1,7 +1,7 @@
-// The long-lived heart of Noctua-as-a-service: one Engine owns every piece of state
-// the static Pipeline facade used to conjure per call or keep in process-wide globals —
-// the worker pool, the renaming-invariant verdict cache, and a snapshot of every
-// environment knob.
+// The long-lived heart of Noctua-as-a-service, and the one way to run the pipeline: an
+// Engine owns the worker pool, the renaming-invariant verdict cache, and a snapshot of
+// every environment knob, and Engine::Run analyzes and verifies an app on them, with or
+// without an on-disk artifact store.
 //
 // Lifecycle contract:
 //
@@ -9,19 +9,17 @@
 //     NOCTUA_THREADS / NOCTUA_ARTIFACT_DIR / NOCTUA_VERDICT_CACHE). A running engine
 //     never consults the environment again, so a daemon's behavior cannot drift when its
 //     environment does.
-//   - Run/Verify/RunIncremental are safe to call from many threads: the verify stage is
-//     serialized on an internal mutex because the work-stealing ThreadPool supports one
-//     ParallelFor at a time. Callers queue; admission control (bounding that queue)
-//     belongs to the service layer above, not here.
+//   - Run/Verify are safe to call from many threads: they serialize on an internal mutex
+//     because the work-stealing ThreadPool supports one ParallelFor at a time — a
+//     store-less run for its verify stage, a store-backed run from load to save. Callers
+//     queue; admission control (bounding that queue) belongs to the service layer above,
+//     not here.
 //   - Solver tallies are not engine state: every query flushes them into the obs
 //     registry, so a run's tallies are what an obs::Collector around it records.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
 //     canonical query fingerprints, which are app-content-addressed, so a hit is always
 //     semantically valid. Tenant isolation applies to the on-disk artifact namespace
 //     (TenantStoreDir), never to in-memory verdict sharing.
-//
-// Pipeline::Run / Verify / RunIncremental still exist and behave exactly as before —
-// each is now a thin wrapper constructing a throwaway Engine from the environment.
 #ifndef SRC_PIPELINE_ENGINE_H_
 #define SRC_PIPELINE_ENGINE_H_
 
@@ -30,7 +28,6 @@
 #include <string>
 
 #include "src/pipeline/pipeline.h"
-#include "src/pipeline/session.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
 
@@ -46,10 +43,10 @@ struct EngineConfig {
   // Root directory for on-disk artifact stores ("" = no persistence). Tenants get
   // disjoint subtrees under it — see Engine::TenantStoreDir.
   std::string artifact_root;
-  // Entry bound for the engine-owned verdict cache. 0 = unbounded — correct for the
-  // throwaway per-call engines inside the Pipeline facade, which die with the run.
-  // Long-lived owners must bound it or grow without limit: noctua-serve applies a
-  // finite default when neither NOCTUA_VERDICT_CACHE nor --verdict-cache is given.
+  // Entry bound for the engine-owned verdict cache. 0 = unbounded — correct for an
+  // engine built for one run or one bench, which dies with it. Long-lived owners must
+  // bound it or grow without limit: noctua-serve applies a finite default when neither
+  // NOCTUA_VERDICT_CACHE nor --verdict-cache is given.
   size_t verdict_cache_capacity = 0;
 
   // Captures the environment (fail-fast on a configured-but-unusable artifact dir,
@@ -68,15 +65,22 @@ class Engine {
   ThreadPool& pool() { return *pool_; }
   verifier::VerdictCache& verdicts() { return *verdicts_; }
 
-  // The pipeline entry points, semantically identical to the static Pipeline ones but
-  // running on this engine's pool and (for Run/Verify, when the caller did not
-  // bring a store or a run-local cache bound) its shared verdict cache.
-  PipelineResult Run(const app::App& app, const PipelineOptions& options = {});
+  // Analyzes and verifies `app` on this engine's pool. Without a store the verdicts go
+  // through the engine's shared verdict cache (unless the caller brought its own store).
+  // With `store_dir`, the run goes against the on-disk artifact store there (session.h):
+  // it loads the prior artifacts, re-analyzes only endpoints whose handler changed,
+  // replays the prior verdicts so only pairs touched by the edit reach the solver, and
+  // saves the updated artifacts back. A missing or invalid store degrades to a cold run
+  // (PipelineResult::cold), never to a crash or a wrong answer.
+  PipelineResult Run(const app::App& app, const PipelineOptions& options = {},
+                     const std::string& store_dir = "");
+  // The verifier stage alone, for callers that already hold an analysis (e.g. ablations
+  // re-checking the same paths under different checker options). Verdict-cache keys do
+  // not encode CheckerOptions, so an ablation verifies on a fresh engine: on this one it
+  // would replay the verdicts cached under the other options.
   verifier::RestrictionReport Verify(const app::App& app,
                                      const analyzer::AnalysisResult& analysis,
                                      const PipelineOptions& options = {});
-  IncrementalResult RunIncremental(const app::App& app, const std::string& store_dir,
-                                   const IncrementalOptions& options = {});
 
   // The per-tenant artifact namespace: config.artifact_root / <tenant> / <app>. Tenant
   // names are restricted to [A-Za-z0-9._-] (no separators, no "..", must be non-empty)
@@ -87,17 +91,17 @@ class Engine {
   // True iff `tenant` is acceptable to TenantStoreDir.
   static bool ValidTenantName(const std::string& tenant);
 
-  // Copies `options` with this engine's state applied: the pool injected when the caller
-  // left it null and `threads` does not demand a different width, and the engine verdict
-  // cache installed as the store when the caller asked for neither a store nor a bounded
-  // run-local cache. Idempotent. Exposed for tests and the service layer.
+  // Copies `options` with this engine's state applied: the engine pool injected, and the
+  // engine verdict cache installed as the store when the caller brought none (and left
+  // the cache on). Idempotent. Exposed for tests and benches.
   PipelineOptions ResolveOptions(const PipelineOptions& options) const;
 
  private:
   EngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<verifier::VerdictCache> verdicts_;
-  // Serializes verify stages: the pool supports one ParallelFor at a time.
+  // Serializes verify stages and store-backed runs: the pool supports one ParallelFor at
+  // a time.
   std::mutex run_mutex_;
 };
 

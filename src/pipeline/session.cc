@@ -1,17 +1,12 @@
 #include "src/pipeline/session.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
-#include "src/obs/obs.h"
-#include "src/obs/report.h"
 #include "src/soir/serialize.h"
 #include "src/support/check.h"
 #include "src/support/env.h"
-#include "src/support/stopwatch.h"
 
 namespace noctua {
 
@@ -142,101 +137,6 @@ bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis
          // Manifest last: a crash mid-save leaves a store whose manifest (if any) is the
          // old one, which then fails the schema/analysis cross-checks and reads as cold.
          WriteFile(Path(kManifestFile), manifest.str());
-}
-
-IncrementalResult Session::RunIncremental(const app::App& app,
-                                          const IncrementalOptions& options) {
-  // Same ownership rule as Pipeline::Run: install a collector only when asked and none
-  // is active, so a bench wrapping several incremental runs can own one collector.
-  std::optional<obs::Collector> collector;
-  if (options.pipeline.obs.enabled && !obs::Active()) {
-    collector.emplace(options.pipeline.obs);
-  }
-
-  Stopwatch watch;
-  IncrementalResult result;
-
-  analyzer::AnalysisResult prior;
-  verifier::VerdictCache store;
-  bool have_prior = false;
-  {
-    obs::ScopedSpan span("load_prior", obs::kCatIncremental);
-    have_prior = LoadPrior(app, &prior, &store);
-    span.Arg("loaded", have_prior ? 1 : 0);
-    span.Arg("verdicts", store.size());
-  }
-  obs::Add(have_prior ? obs::Counter::kArtifactLoads
-                      : obs::Counter::kArtifactLoadFailures);
-  result.cold = !have_prior;
-
-  double analyze_seconds = 0;
-  {
-    obs::ScopedSpan span("analyze", obs::kCatPipeline);
-    Stopwatch phase;
-    result.run.analysis = analyzer::AnalyzeAppIncremental(
-        app, have_prior ? &prior : nullptr, options.pipeline.analyzer);
-    analyze_seconds = phase.ElapsedSeconds();
-    span.Arg("endpoints_reused", result.run.analysis.endpoints_reused);
-  }
-  result.endpoints_reused = result.run.analysis.endpoints_reused;
-
-  // Digest diff against the prior artifact: edited, added, and removed endpoints.
-  if (have_prior) {
-    for (const auto& [view, digest] : result.run.analysis.endpoint_digests) {
-      auto it = prior.endpoint_digests.find(view);
-      if (it == prior.endpoint_digests.end() || it->second != digest) {
-        result.changed_endpoints.push_back(view);
-      }
-    }
-    for (const auto& [view, digest] : prior.endpoint_digests) {
-      if (result.run.analysis.endpoint_digests.find(view) ==
-          result.run.analysis.endpoint_digests.end()) {
-        result.changed_endpoints.push_back(view);
-      }
-    }
-  }
-
-  double verify_seconds = 0;
-  if (options.pipeline.verify) {
-    obs::ScopedSpan span("verify", obs::kCatPipeline);
-    Stopwatch phase;
-    PipelineOptions popts = options.pipeline;
-    popts.parallel.store = &store;
-    popts.parallel.paranoia = options.paranoia;
-    popts.parallel.paranoia_seed = options.paranoia_seed;
-    result.run.restrictions = VerifyStage(app, result.run.analysis, popts);
-    verify_seconds = phase.ElapsedSeconds();
-    result.pairs_replayed = result.run.restrictions.stats.pairs_replayed;
-    result.pairs_computed = result.run.restrictions.stats.pairs_computed;
-  }
-
-  {
-    obs::ScopedSpan span("save_artifacts", obs::kCatIncremental);
-    result.artifacts_saved = Save(app, result.run.analysis, store);
-    span.Arg("saved", result.artifacts_saved ? 1 : 0);
-  }
-  obs::Add(result.artifacts_saved ? obs::Counter::kArtifactSaves
-                                  : obs::Counter::kArtifactSaveFailures);
-  if (!result.artifacts_saved) {
-    std::fprintf(stderr,
-                 "noctua: failed to save artifacts to %s — this run's results are "
-                 "valid, but the next run will be cold\n",
-                 store_dir_.c_str());
-  }
-  result.run.total_seconds = watch.ElapsedSeconds();
-
-  if (collector) {
-    collector->Stop();
-    result.run.has_report = true;
-    result.run.report =
-        obs::BuildRunReport(*collector, app.name(), result.run.total_seconds,
-                            analyze_seconds, verify_seconds);
-    const std::string& trace_out = options.pipeline.obs.trace_out;
-    if (!trace_out.empty() && !collector->WriteChromeTrace(trace_out)) {
-      std::fprintf(stderr, "noctua: failed to write trace to %s\n", trace_out.c_str());
-    }
-  }
-  return result;
 }
 
 std::string ArtifactDirFromEnv() {

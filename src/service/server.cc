@@ -457,8 +457,7 @@ HttpResponse Server::HandleAnalyze(const HttpRequest& req, int64_t enqueue_us,
                static_cast<uint64_t>(queue_wait_us));
 
   const std::string store_dir = engine_->TenantStoreDir(tenant, app_name);
-  std::string mode;
-  bool cold = true;
+  const std::string mode = store_dir.empty() ? "run" : "incremental";
   PipelineResult run;
   {
     // Nested scope: the request span must close before the capture is serialized.
@@ -467,16 +466,9 @@ HttpResponse Server::HandleAnalyze(const HttpRequest& req, int64_t enqueue_us,
       span_name = "analyze:" + tenant + ":" + app_name;
     }
     obs::ScopedSpan span(std::move(span_name), obs::kCatService);
-    if (store_dir.empty()) {
-      mode = "run";
-      run = engine_->Run(app);
-    } else {
-      mode = "incremental";
-      IncrementalResult inc = engine_->RunIncremental(app, store_dir);
-      cold = inc.cold;
-      run = std::move(inc.run);
-    }
+    run = engine_->Run(app, {}, store_dir);
   }
+  const bool cold = run.cold;
 
   std::string body = "{\"app\": " + JsonStr(app_name) + ", \"tenant\": " + JsonStr(tenant) +
                      ", \"mode\": " + JsonStr(mode) +

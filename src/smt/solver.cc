@@ -29,7 +29,7 @@ std::string SmtModel::ToString() const {
 }
 
 void ValueDomains::Harvest(const std::vector<Term>& roots, int max_int_domain,
-                           int max_string_domain, TermMap& seen) {
+                           TermMap& seen) {
   std::set<int64_t> ints;
   std::set<std::string> strings;
   seen.Clear();
@@ -74,13 +74,11 @@ void ValueDomains::Harvest(const std::vector<Term>& roots, int max_int_domain,
     std::sort(int_domain_.begin(), int_domain_.end());
   }
 
-  // String domain: the formula's literals, then two fresh symbols distinct from all of
-  // them. The cap applies to the literals only: a value outside every literal of the
-  // formula must stay reachable, or `x != "a" && ... && x != "f"` would come back unsat.
+  // String domain: every literal of the formula, then two fresh symbols distinct from
+  // all of them. Neither part may be cut: a literal the formula equates an atom to, and a
+  // value outside every literal, must both stay reachable, or `x == "g"` and
+  // `x != "a" && ... && x != "f"` would come back unsat.
   string_domain_.assign(strings.begin(), strings.end());
-  if (static_cast<int>(string_domain_.size()) > max_string_domain) {
-    string_domain_.resize(max_string_domain);
-  }
   string_domain_.push_back("!fresh_a");
   string_domain_.push_back("!fresh_b");
 }
@@ -243,7 +241,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   ScratchMap trail_map(f);
   ScratchMap memo(f);
 
-  domains_.Harvest(pending, options_.max_int_domain, options_.max_string_domain, *walk);
+  domains_.Harvest(pending, options_.max_int_domain, *walk);
 
   SymmetryBreaker symmetry;
   if (options_.symmetry) {

@@ -90,8 +90,6 @@ struct SolverOptions {
   Scope scope{2};
   Budget budget;
   int max_int_domain = 8;
-  // At most this many of the formula's string literals; the two fresh symbols come on top.
-  int max_string_domain = 6;
   // The decision procedure that answers checks: nullptr is the model finder ("dfs"), the
   // one production solver. Tests plug in the Z3 oracle (tests/z3_oracle.h) here.
   BackendFactory backend = nullptr;
@@ -111,8 +109,7 @@ class ValueDomains {
  public:
   // Harvests int/string literals from the grounded assertions and assembles the bounded
   // domains described in the header comment. `seen` is the walk's scratch.
-  void Harvest(const std::vector<Term>& roots, int max_int_domain, int max_string_domain,
-               TermMap& seen);
+  void Harvest(const std::vector<Term>& roots, int max_int_domain, TermMap& seen);
 
   const std::vector<int64_t>& ints() const { return int_domain_; }
   const std::vector<std::string>& strings() const { return string_domain_; }

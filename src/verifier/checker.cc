@@ -317,26 +317,20 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     assertions.push_back(
         sh.factory->Not(enc.StateEq(pq2.post, qp2.post, enc_options.order_models)));
     // The replayed effects must be producible: assert their preconditions on fresh origin
-    // states (paper §5.2), or directly on S0 in the cheaper shared mode.
-    if (checker_.options_.fresh_origin_states) {
-      EncState sa = enc.FreshState("Sa");
-      EncState sb = enc.FreshState("Sb");
-      Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
-      Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
-      sh.com_unsupported = sh.com_unsupported || pre_p.unsupported || pre_q.unsupported;
-      // Freshness of database-generated IDs holds w.r.t. the shared initial state only:
-      // an op's origin state may causally follow the other op (e.g. following a question
-      // right after it was created), so new IDs may be live there.
-      assertions.push_back(enc.UniqueIdAxiom(s0));
-      assertions.push_back(pre_p.pre);
-      assertions.push_back(pre_q.pre);
-      assertions.push_back(enc.StateAxioms(sa));
-      assertions.push_back(enc.StateAxioms(sb));
-    } else {
-      assertions.push_back(enc.UniqueIdAxiom(s0));
-      assertions.push_back(pq1.pre);
-      assertions.push_back(qp1.pre);
-    }
+    // states (paper §5.2).
+    EncState sa = enc.FreshState("Sa");
+    EncState sb = enc.FreshState("Sb");
+    Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
+    Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
+    sh.com_unsupported = sh.com_unsupported || pre_p.unsupported || pre_q.unsupported;
+    // Freshness of database-generated IDs holds w.r.t. the shared initial state only:
+    // an op's origin state may causally follow the other op (e.g. following a question
+    // right after it was created), so new IDs may be live there.
+    assertions.push_back(enc.UniqueIdAxiom(s0));
+    assertions.push_back(pre_p.pre);
+    assertions.push_back(pre_q.pre);
+    assertions.push_back(enc.StateAxioms(sa));
+    assertions.push_back(enc.StateAxioms(sb));
     assertions.push_back(pq1.defs);
     assertions.push_back(pq2.defs);
     assertions.push_back(qp1.defs);
@@ -393,34 +387,24 @@ void Checker::PairSession::BuildNiFrame() {
   // re-applications below reuse the cached argument constants and add nothing new).
   Term uid = enc.UniqueIdAxiom(s0);
 
-  if (checker_.options_.fresh_origin_states) {
-    // Frame: both effects producible from fresh origin states, plus all state axioms.
-    // The rule itself needs only the *replayed* path's origin precondition; asserting
-    // the checked path's as well lets both directions share the frame, and it preserves
-    // satisfiability: any witness of the rule extends by choosing that origin state to
-    // be S0 itself, where the rule already asserts the checked precondition.
-    EncState sa = enc.FreshState("Sa");
-    EncState sb = enc.FreshState("Sb");
-    Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
-    Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
-    frame_unsupported =
-        frame_unsupported || pre_p.unsupported || pre_q.unsupported;
-    sh.ni_frame = {uid,
-                   pre_p.pre,
-                   pre_q.pre,
-                   enc.StateAxioms(sa),
-                   enc.StateAxioms(sb),
-                   enc.StateAxioms(s0)};
-    sh.ni_delta_pq = {nullptr, p0.pre, q0.defs};  // goal filled below
-    sh.ni_delta_qp = {nullptr, q0.pre, p0.defs};
-  } else {
-    // Shared-origin mode: both preconditions hold on S0 itself — the checked one as the
-    // rule's hypothesis, the replayed one as its effect's producibility — so frame +
-    // delta is exactly the rule's query in either direction.
-    sh.ni_frame = {uid, p0.pre, q0.pre, enc.StateAxioms(s0)};
-    sh.ni_delta_pq = {nullptr, q0.defs};
-    sh.ni_delta_qp = {nullptr, p0.defs};
-  }
+  // Frame: both effects producible from fresh origin states, plus all state axioms.
+  // The rule itself needs only the *replayed* path's origin precondition; asserting
+  // the checked path's as well lets both directions share the frame, and it preserves
+  // satisfiability: any witness of the rule extends by choosing that origin state to
+  // be S0 itself, where the rule already asserts the checked precondition.
+  EncState sa = enc.FreshState("Sa");
+  EncState sb = enc.FreshState("Sb");
+  Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
+  Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
+  frame_unsupported = frame_unsupported || pre_p.unsupported || pre_q.unsupported;
+  sh.ni_frame = {uid,
+                 pre_p.pre,
+                 pre_q.pre,
+                 enc.StateAxioms(sa),
+                 enc.StateAxioms(sb),
+                 enc.StateAxioms(s0)};
+  sh.ni_delta_pq = {nullptr, p0.pre, q0.defs};  // goal filled below
+  sh.ni_delta_qp = {nullptr, q0.pre, p0.defs};
 
   // Direction goals: replay the other path's effect on S0 and negate the checked path's
   // precondition there. Check hands the innermost frame to the solver first, so each

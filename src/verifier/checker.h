@@ -41,9 +41,6 @@ struct CheckerOptions {
   EncoderOptions encoder;
   // Skip the solver when the two paths touch provably disjoint parts of the schema.
   bool independence_prefilter = true;
-  // Assert replayed effects' preconditions on fresh origin states (paper §5.2); when
-  // false, preconditions are asserted on the shared initial state (cheaper, stricter).
-  bool fresh_origin_states = true;
   // Project every query onto the pair's footprint closure: state constants and axioms
   // are only materialized for models/relations the pair can actually reach. The dropped
   // axioms are independently satisfiable, so verdicts are unchanged — but queries over
@@ -104,10 +101,10 @@ class Checker {
   // is asserted once; each direction pushes only its negated goal (plus the replayed
   // effect's definitions) and pops it afterwards. With incremental solving on, the
   // backend then re-grounds only the per-direction roots; with it off it re-grounds
-  // every Check, and the verdicts are the same. In shared-origin mode the
-  // frame plus a direction's delta is exactly the rule's query; in fresh-origin mode the
-  // frame adds the checked path's origin precondition, which preserves satisfiability
-  // (see BuildNiFrame).
+  // every Check, and the verdicts are the same. Replayed effects' preconditions are
+  // asserted on fresh origin states (paper §5.2); the frame also asserts the checked
+  // path's origin precondition, so both directions share it, which preserves
+  // satisfiability (see BuildNiFrame).
   //
   // Both NotInvalidate directions encode p's arguments with prefix "x" and q's with "y",
   // so NotInvalidateQP names the checked path's arguments "y" where the rule writes x;

@@ -210,9 +210,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   }
 
   // A caller-provided store makes verdicts persistent across runs; its counters
-  // accumulate, so report stats are computed as deltas from this snapshot. Only the
-  // run-local cache may be bounded — evicting from a store would turn replayable
-  // verdicts into cold misses on the next warm run.
+  // accumulate, so report stats are computed as deltas from this snapshot.
   // Key heads carry a backend tag for any backend but dfs. Verdicts themselves are
   // backend-independent (the cross-backend soundness contract), but kTimeout is not: a
   // query one backend finishes may exhaust another's budget, so entries must not leak
@@ -222,7 +220,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   const std::string com_head = backend_tag + "com";
   const std::string ni_head = backend_tag + "ni";
 
-  VerdictCache local_cache(parallel.store != nullptr ? 0 : parallel.cache_capacity);
+  VerdictCache local_cache;
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
   const uint64_t hits_before = cache->hits();
   const uint64_t misses_before = cache->misses();
@@ -372,8 +370,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   std::optional<ThreadPool> local_pool;
   ThreadPool* pool = parallel.pool;
   if (pool == nullptr) {
-    int threads = parallel.threads > 0 ? parallel.threads : ThreadPool::DefaultThreads();
-    local_pool.emplace(threads);
+    local_pool.emplace(ThreadPool::DefaultThreads());
     pool = &*local_pool;
   }
   const ThreadPool::Stats pool_before = pool->stats();

@@ -29,10 +29,6 @@ class VerdictCache;
 // Execution knobs for AnalyzeRestrictions, orthogonal to what is checked
 // (CheckerOptions) — these change only how fast the same verdicts are produced.
 struct ParallelOptions {
-  // Degree of parallelism including the calling thread; 0 means the NOCTUA_THREADS
-  // environment variable if set, else the hardware concurrency. 1 runs the classic
-  // serial loop (no pool).
-  int threads = 0;
   // Share solver verdicts between pairs whose queries are isomorphic up to renaming.
   bool cache = true;
   // Dispatch pairs cheapest-first (prefiltered pairs, then by footprint-size estimate).
@@ -49,14 +45,11 @@ struct ParallelOptions {
   // 1.0 re-solves everything replayed.
   double paranoia = 0;
   uint64_t paranoia_seed = 0;
-  // Entry bound for the RUN-LOCAL verdict cache (0 = unbounded). Evicted verdicts cost
-  // at most a duplicate solver call, never correctness. Ignored when `store` is set: a
-  // persistent store must not silently drop verdicts it is expected to replay.
-  size_t cache_capacity = 0;
   // Borrowed worker pool to run the pair loop on instead of constructing a run-local
   // one. The caller must guarantee exclusive use for the duration of the run (a
   // ThreadPool supports one ParallelFor at a time); pool-task stats are reported as
-  // before/after deltas. When set, `threads` is ignored. nullptr = run-local pool.
+  // before/after deltas. nullptr = a run-local pool of ThreadPool::DefaultThreads()
+  // (NOCTUA_THREADS if set, else the hardware concurrency).
   ThreadPool* pool = nullptr;
 };
 
@@ -104,7 +97,7 @@ struct ReportStats {
   double check_seconds = 0;      // per-check wall time summed across workers
   uint64_t pool_tasks = 0;       // tasks the worker pool executed for this run
   uint64_t pool_steals = 0;      // tasks a participant stole from another's deque
-  uint64_t cache_evictions = 0;  // verdicts dropped by a bounded run-local cache
+  uint64_t cache_evictions = 0;  // verdicts dropped by a bounded cache
 
   // Name of the solver backend every query of this run went through: "dfs", or "z3"
   // when a test plugs in the oracle. The solver's own tallies (incremental reuse,

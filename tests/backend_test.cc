@@ -11,7 +11,7 @@
 
 #include "src/apps/apps.h"
 #include "src/obs/obs.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/smt/backend.h"
 #include "src/smt/solver.h"
 #include "tests/z3_oracle.h"
@@ -54,16 +54,15 @@ TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
     GTEST_SKIP() << "built without Z3";
   }
   app::App a = GetParam().make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   auto run = [&](smt::BackendFactory solver) {
     PipelineOptions options;
-    options.parallel.threads = 2;
     options.checker.solver.backend = solver;
     options.checker.solver.budget.deterministic = true;
-    return Pipeline::Verify(a, analysis, options);
+    EngineConfig two_workers;
+    two_workers.threads = 2;
+    return Engine(two_workers).Verify(a, analysis, options);
   };
 
   verifier::RestrictionReport dfs = run(nullptr);
@@ -83,14 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
 // The acceptance bar for the hot-path optimizations: on every evaluated app, turning
 // incremental solving and symmetry reduction off must not move a single dfs verdict.
 // Each run records under its own obs::Collector, the only home of the solver's tallies,
-// so the test also sees that the options really switch the optimizations.
+// so the test also sees that the options really switch the optimizations. Each verifies
+// on a fresh engine, so neither answers from the other's verdict cache.
 class OptimizationIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
 TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   app::App a = GetParam().make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   struct Run {
     verifier::RestrictionReport report;
@@ -100,11 +98,12 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   auto run = [&](bool optimized) {
     obs::Collector collector(obs::ObsOptions{.enabled = true});
     PipelineOptions options;
-    options.parallel.threads = 2;
     options.checker.solver.budget.deterministic = true;
     options.checker.solver.symmetry = optimized;
     options.checker.solver.incremental = optimized;
-    Run r{Pipeline::Verify(a, analysis, options)};
+    EngineConfig two_workers;
+    two_workers.threads = 2;
+    Run r{Engine(two_workers).Verify(a, analysis, options)};
     collector.Stop();
     r.reuse_hits = collector.counter(obs::Counter::kSolverIncrementalReuse);
     r.symmetry_pruned = collector.counter(obs::Counter::kSolverSymmetryPruned);

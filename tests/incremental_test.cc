@@ -18,7 +18,6 @@
 
 #include "src/apps/apps.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/pipeline.h"
 #include "src/pipeline/session.h"
 #include "src/soir/printer.h"
 #include "src/soir/serialize.h"
@@ -147,13 +146,20 @@ std::string TempStore(const std::string& name) {
   return dir;
 }
 
-IncrementalOptions Opts(int threads = 2) {
-  IncrementalOptions o;
-  o.pipeline.parallel.threads = threads;
+PipelineOptions Opts() {
+  PipelineOptions o;
   // Pin the solver to its node budget so verdicts are identical run-to-run even on a
   // loaded machine — the identity assertions below are exact.
-  o.pipeline.checker.solver.budget.deterministic = true;
+  o.checker.solver.budget.deterministic = true;
   return o;
+}
+
+// One run against the store at `store`, on a fresh engine of `threads` workers.
+PipelineResult RunStored(const app::App& a, const std::string& store,
+                         const PipelineOptions& options = Opts(), int threads = 2) {
+  EngineConfig config;
+  config.threads = threads;
+  return Engine(config).Run(a, options, store);
 }
 
 std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
@@ -590,102 +596,101 @@ TEST(FingerprintAntiCollisionTest, SmallBankDigestsSeparateFieldSlots) {
 TEST(IncrementalTest, WarmRunReplaysEverythingWhenNothingChanged) {
   std::string store = TempStore("unchanged");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  IncrementalResult cold = Pipeline::RunIncremental(a, store, Opts());
+  PipelineResult cold = RunStored(a, store);
   EXPECT_TRUE(cold.cold);
-  EXPECT_EQ(cold.pairs_replayed, 0u);
-  ASSERT_FALSE(cold.run.restrictions.pairs.empty());
+  EXPECT_EQ(cold.stats().pairs_replayed, 0u);
+  ASSERT_FALSE(cold.restrictions.pairs.empty());
 
   app::App again = MakeLibraryApp(LibraryConfig{});
-  IncrementalResult warm = Pipeline::RunIncremental(again, store, Opts());
+  PipelineResult warm = RunStored(again, store);
   EXPECT_FALSE(warm.cold);
   EXPECT_TRUE(warm.changed_endpoints.empty());
-  EXPECT_EQ(warm.endpoints_reused, again.views().size());
-  EXPECT_EQ(warm.pairs_computed, 0u);
-  ExpectUnchangedPairsReplayed(warm.run.restrictions, {});
-  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions));
+  EXPECT_EQ(warm.analysis.endpoints_reused, again.views().size());
+  EXPECT_EQ(warm.stats().pairs_computed, 0u);
+  ExpectUnchangedPairsReplayed(warm.restrictions, {});
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalTest, HandlerEditReverifiesOnlyPairsTouchingIt) {
   std::string store = TempStore("handler_edit");
-  Pipeline::RunIncremental(MakeLibraryApp(LibraryConfig{}), store, Opts());
+  RunStored(MakeLibraryApp(LibraryConfig{}), store);
 
   LibraryConfig edited;
   edited.min_copies = 5;  // checkout's guard changed (and so did its fingerprint)
   app::App b = MakeLibraryApp(edited);
-  IncrementalResult warm = Pipeline::RunIncremental(b, store, Opts());
+  PipelineResult warm = RunStored(b, store);
   EXPECT_FALSE(warm.cold);
   EXPECT_EQ(warm.changed_endpoints, std::vector<std::string>{"checkout"});
-  EXPECT_EQ(warm.endpoints_reused, b.views().size() - 1);
-  EXPECT_GT(warm.pairs_replayed, 0u);
-  ExpectUnchangedPairsReplayed(warm.run.restrictions, {"checkout"});
+  EXPECT_EQ(warm.analysis.endpoints_reused, b.views().size() - 1);
+  EXPECT_GT(warm.stats().pairs_replayed, 0u);
+  ExpectUnchangedPairsReplayed(warm.restrictions, {"checkout"});
 
   // Byte-identical to a from-scratch run of the edited app.
   std::string cold_store = TempStore("handler_edit_cold");
-  IncrementalResult cold = Pipeline::RunIncremental(MakeLibraryApp(edited), cold_store, Opts());
-  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions));
+  PipelineResult cold = RunStored(MakeLibraryApp(edited), cold_store);
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalTest, AddedEndpointReverifiesOnlyItsPairs) {
   std::string store = TempStore("add_endpoint");
-  Pipeline::RunIncremental(MakeLibraryApp(LibraryConfig{}), store, Opts());
+  RunStored(MakeLibraryApp(LibraryConfig{}), store);
 
   LibraryConfig with_review;
   with_review.with_review = true;
   app::App b = MakeLibraryApp(with_review);
-  IncrementalResult warm = Pipeline::RunIncremental(b, store, Opts());
+  PipelineResult warm = RunStored(b, store);
   EXPECT_FALSE(warm.cold);
   EXPECT_EQ(warm.changed_endpoints, std::vector<std::string>{"review"});
-  ExpectUnchangedPairsReplayed(warm.run.restrictions, {"review"});
+  ExpectUnchangedPairsReplayed(warm.restrictions, {"review"});
 
   std::string cold_store = TempStore("add_endpoint_cold");
-  IncrementalResult cold =
-      Pipeline::RunIncremental(MakeLibraryApp(with_review), cold_store, Opts());
-  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions));
+  PipelineResult cold = RunStored(MakeLibraryApp(with_review), cold_store);
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalTest, RenameOnlyEditReplaysEveryVerdict) {
   std::string store = TempStore("rename");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  IncrementalResult cold = Pipeline::RunIncremental(a, store, Opts());
+  PipelineResult cold = RunStored(a, store);
 
   // The rename rewrote every handler's source (fingerprints change), so analysis re-runs
   // — but every digest and every verdict fingerprint is renaming-invariant: nothing is
   // re-verified and the restriction set is byte-identical.
   app::App renamed = MakeLibraryApp(RenamedConfig("@renamed"));
-  IncrementalResult warm = Pipeline::RunIncremental(renamed, store, Opts());
+  PipelineResult warm = RunStored(renamed, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_EQ(warm.endpoints_reused, 0u);
+  EXPECT_EQ(warm.analysis.endpoints_reused, 0u);
   EXPECT_TRUE(warm.changed_endpoints.empty())
       << "a pure rename must not change any endpoint digest";
-  EXPECT_EQ(warm.pairs_computed, 0u) << "a pure rename must replay 100% of verdicts";
-  ExpectUnchangedPairsReplayed(warm.run.restrictions, {});
-  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions));
+  EXPECT_EQ(warm.stats().pairs_computed, 0u) << "a pure rename must replay 100% of verdicts";
+  ExpectUnchangedPairsReplayed(warm.restrictions, {});
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 
   // Schema-only rename with untouched handlers (fingerprints equal): analysis memoizes
   // on top of the verdict replay.
   app::App renamed_again = MakeLibraryApp(RenamedConfig("@renamed"));
-  IncrementalResult memo = Pipeline::RunIncremental(renamed_again, store, Opts());
+  PipelineResult memo = RunStored(renamed_again, store);
   EXPECT_FALSE(memo.cold);
-  EXPECT_EQ(memo.endpoints_reused, renamed_again.views().size());
-  EXPECT_EQ(memo.pairs_computed, 0u);
-  EXPECT_EQ(VerdictLines(memo.run.restrictions), VerdictLines(cold.run.restrictions));
+  EXPECT_EQ(memo.analysis.endpoints_reused, renamed_again.views().size());
+  EXPECT_EQ(memo.stats().pairs_computed, 0u);
+  EXPECT_EQ(VerdictLines(memo.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalTest, StructuralSchemaEditFallsBackToCold) {
   std::string store = TempStore("schema_edit");
-  Pipeline::RunIncremental(MakeLibraryApp(LibraryConfig{}), store, Opts());
+  RunStored(MakeLibraryApp(LibraryConfig{}), store);
 
   app::App b = MakeLibraryApp(LibraryConfig{});
   b.schema().AddField("Member", FieldDef{.name = "email", .type = FieldType::kString});
-  IncrementalResult warm = Pipeline::RunIncremental(b, store, Opts());
+  PipelineResult warm = RunStored(b, store);
   EXPECT_TRUE(warm.cold) << "model ids cannot be trusted across structural edits";
 }
 
 TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
   std::string store = TempStore("corrupt");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  IncrementalResult reference = Pipeline::RunIncremental(a, store, Opts());
-  std::vector<std::string> expected = VerdictLines(reference.run.restrictions);
+  PipelineResult reference = RunStored(a, store);
+  std::vector<std::string> expected = VerdictLines(reference.restrictions);
 
   struct Corruption {
     const char* file;
@@ -713,11 +718,11 @@ TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
         std::filesystem::remove(path);
         break;
     }
-    IncrementalResult warm = Pipeline::RunIncremental(a, store, Opts());
+    PipelineResult warm = RunStored(a, store);
     EXPECT_TRUE(warm.cold) << c.file << " corruption must degrade to a cold run";
-    EXPECT_EQ(VerdictLines(warm.run.restrictions), expected) << c.file;
+    EXPECT_EQ(VerdictLines(warm.restrictions), expected) << c.file;
     // The run re-saved good artifacts; prove the store recovered.
-    IncrementalResult recovered = Pipeline::RunIncremental(a, store, Opts());
+    PipelineResult recovered = RunStored(a, store);
     EXPECT_FALSE(recovered.cold) << c.file;
   }
 }
@@ -727,15 +732,15 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
                                       apps::AppEntry{"Courseware", apps::MakeCoursewareApp}}) {
     std::string store = TempStore(std::string("real_") + entry.name);
     app::App a = entry.make();
-    IncrementalResult cold = Pipeline::RunIncremental(a, store, Opts());
+    PipelineResult cold = RunStored(a, store);
     EXPECT_TRUE(cold.cold) << entry.name;
 
     app::App b = entry.make();
-    IncrementalResult warm = Pipeline::RunIncremental(b, store, Opts());
+    PipelineResult warm = RunStored(b, store);
     EXPECT_FALSE(warm.cold) << entry.name;
     EXPECT_TRUE(warm.changed_endpoints.empty()) << entry.name;
-    EXPECT_EQ(warm.pairs_computed, 0u) << entry.name;
-    EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions))
+    EXPECT_EQ(warm.stats().pairs_computed, 0u) << entry.name;
+    EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions))
         << entry.name;
   }
 }
@@ -745,7 +750,7 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
 TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
   std::string store = TempStore("version_1");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  IncrementalResult first = Pipeline::RunIncremental(a, store, Opts());
+  PipelineResult first = RunStored(a, store);
   ASSERT_TRUE(first.cold);
   const std::string current = " " + std::to_string(soir::kArtifactVersion) + " ";
   for (const char* file : {"manifest", "analysis", "verdicts"}) {
@@ -759,16 +764,16 @@ TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
   analyzer::AnalysisResult analysis;
   verifier::VerdictCache verdicts;
   EXPECT_FALSE(Session(store).LoadPrior(a, &analysis, &verdicts));
-  IncrementalResult cold = Pipeline::RunIncremental(a, store, Opts());
+  PipelineResult cold = RunStored(a, store);
   EXPECT_TRUE(cold.cold);
-  IncrementalResult warm = Pipeline::RunIncremental(a, store, Opts());
+  PipelineResult warm = RunStored(a, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_EQ(warm.pairs_computed, 0u);
-  EXPECT_GT(warm.pairs_replayed, 0u);
-  EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(first.run.restrictions));
+  EXPECT_EQ(warm.stats().pairs_computed, 0u);
+  EXPECT_GT(warm.stats().pairs_replayed, 0u);
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(first.restrictions));
 }
 
-// An engine reads the environment once, when it is built. Its incremental runs verify
+// An engine reads the environment once, when it is built. Its store-backed runs verify
 // with the options it resolved, so a malformed knob set afterwards goes unread.
 TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
   EngineConfig config;
@@ -778,8 +783,8 @@ TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
   const std::string saved_value = saved != nullptr ? saved : "";
   ASSERT_EQ(setenv("NOCTUA_THREADS", "abc", 1), 0);
   ::testing::internal::CaptureStderr();
-  IncrementalResult cold =
-      engine.RunIncremental(MakeLibraryApp(LibraryConfig{}), TempStore("no_env"), Opts());
+  PipelineResult cold =
+      engine.Run(MakeLibraryApp(LibraryConfig{}), Opts(), TempStore("no_env"));
   const std::string err = ::testing::internal::GetCapturedStderr();
   if (saved != nullptr) {
     setenv("NOCTUA_THREADS", saved_value.c_str(), 1);
@@ -787,7 +792,7 @@ TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
     unsetenv("NOCTUA_THREADS");
   }
   EXPECT_TRUE(cold.cold);
-  EXPECT_FALSE(cold.run.restrictions.pairs.empty());
+  EXPECT_FALSE(cold.restrictions.pairs.empty());
   EXPECT_EQ(err.find("NOCTUA_THREADS"), std::string::npos) << err;
 }
 
@@ -796,25 +801,25 @@ TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
 TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
   std::string store = TempStore("paranoia_honest");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  Pipeline::RunIncremental(a, store, Opts());
+  RunStored(a, store);
 
-  IncrementalOptions opts = Opts();
-  opts.paranoia = 1.0;
-  opts.paranoia_seed = 7;
-  IncrementalResult warm = Pipeline::RunIncremental(a, store, opts);
+  PipelineOptions opts = Opts();
+  opts.parallel.paranoia = 1.0;
+  opts.parallel.paranoia_seed = 7;
+  PipelineResult warm = RunStored(a, store, opts);
   EXPECT_FALSE(warm.cold);
-  const verifier::ReportStats& stats = warm.run.restrictions.stats;
+  const verifier::ReportStats& stats = warm.restrictions.stats;
   EXPECT_GT(stats.replayed, 0u);
   EXPECT_EQ(stats.paranoia_rechecks, stats.replayed)
       << "paranoia=1.0 must re-solve every replayed verdict";
-  EXPECT_EQ(warm.pairs_computed, 0u);
+  EXPECT_EQ(warm.stats().pairs_computed, 0u);
 }
 
 TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::string store = TempStore("paranoia_poison");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  Pipeline::RunIncremental(a, store, Opts(1));
+  RunStored(a, store, Opts(), 1);
 
   // Flip the first stored verdict — the silent corruption FNV fingerprints can't catch.
   // The file is the part table, then the entries: a pair key's head, part indices and
@@ -857,9 +862,9 @@ TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   ASSERT_TRUE(r.AtEnd());
   WriteAll(file, w.str());
 
-  IncrementalOptions opts = Opts(1);
-  opts.paranoia = 1.0;
-  EXPECT_DEATH(Pipeline::RunIncremental(a, store, opts), "paranoia recheck disagrees");
+  PipelineOptions opts = Opts();
+  opts.parallel.paranoia = 1.0;
+  EXPECT_DEATH(RunStored(a, store, opts, 1), "paranoia recheck disagrees");
 }
 
 }  // namespace

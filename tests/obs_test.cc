@@ -23,7 +23,7 @@
 #include "src/obs/obs.h"
 #include "src/obs/prom.h"
 #include "src/obs/report.h"
-#include "src/pipeline/pipeline.h"
+#include "src/pipeline/engine.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
 
@@ -756,62 +756,74 @@ TEST(RunReport, TodoPipelineProducesCoherentReport) {
   PipelineOptions options;
   options.checker.solver.budget.deterministic = true;
   options.obs.enabled = true;
-  PipelineResult result = Pipeline::Run(app, options);
+  const std::string store = ::testing::TempDir() + "/noctua_obs_report_store";
+  std::filesystem::remove_all(store);
+  // A store-less run, then a run on a fresh store; each owns its collector.
+  for (const std::string& store_dir : {std::string(), store}) {
+    SCOPED_TRACE(store_dir.empty() ? "store-less run" : "store-backed run");
+    PipelineResult result = Engine().Run(app, options, store_dir);
 
-  ASSERT_TRUE(result.has_report);
-  const RunReport& report = result.report;
-  EXPECT_EQ(report.app, app.name());
-  EXPECT_GT(report.total_seconds, 0.0);
-  EXPECT_EQ(report.pairs_checked, result.restrictions.pairs.size());
-  EXPECT_GT(report.pairs_per_second, 0.0);
-  EXPECT_GT(report.trace_events, 0u);
+    ASSERT_TRUE(result.has_report);
+    const RunReport& report = result.report;
+    EXPECT_EQ(report.app, app.name());
+    EXPECT_GT(report.total_seconds, 0.0);
+    EXPECT_EQ(report.pairs_checked, result.restrictions.pairs.size());
+    EXPECT_GT(report.pairs_per_second, 0.0);
+    EXPECT_GT(report.trace_events, 0u);
 
-  // The full pipeline exercises at least the analyze/pair/solve/cache taxonomy.
-  std::set<std::string> cats(report.span_categories.begin(), report.span_categories.end());
-  for (const char* required : {"pipeline", "analyze", "verify", "pair", "encode",
-                               "solve", "cache"}) {
-    EXPECT_TRUE(cats.count(required)) << "missing category " << required;
-  }
-
-  auto counter_value = [&](const std::string& name) -> uint64_t {
-    for (const CounterRow& row : report.counters) {
-      if (row.name == name) {
-        return row.value;
-      }
+    // The full pipeline exercises at least the analyze/pair/solve/cache taxonomy, and a
+    // store-backed run its artifact I/O as well.
+    std::set<std::string> cats(report.span_categories.begin(), report.span_categories.end());
+    for (const char* required : {"pipeline", "analyze", "verify", "pair", "encode",
+                                 "solve", "cache"}) {
+      EXPECT_TRUE(cats.count(required)) << "missing category " << required;
     }
-    return 0;
-  };
-  EXPECT_EQ(counter_value("verifier.pairs_checked"), report.pairs_checked);
-  EXPECT_GT(counter_value("verifier.solver_checks"), 0u);
-  EXPECT_GT(counter_value("smt.solver_nodes"), 0u);
 
-  // Slow pairs: non-empty, sorted slowest-first, capped at the configured top-N.
-  ASSERT_FALSE(report.slow_pairs.empty());
-  EXPECT_LE(report.slow_pairs.size(), options.obs.top_slowest_pairs);
-  EXPECT_TRUE(std::is_sorted(report.slow_pairs.begin(), report.slow_pairs.end(),
-                             [](const SlowPair& a, const SlowPair& b) {
-                               return a.micros > b.micros;
-                             }));
+    auto counter_value = [&](const std::string& name) -> uint64_t {
+      for (const CounterRow& row : report.counters) {
+        if (row.name == name) {
+          return row.value;
+        }
+      }
+      return 0;
+    };
+    EXPECT_EQ(counter_value("verifier.pairs_checked"), report.pairs_checked);
+    EXPECT_GT(counter_value("verifier.solver_checks"), 0u);
+    EXPECT_GT(counter_value("smt.solver_nodes"), 0u);
+    if (!store_dir.empty()) {
+      EXPECT_TRUE(cats.count("incremental")) << "missing category incremental";
+      EXPECT_EQ(counter_value("incremental.artifact_saves"), 1u);
+    }
 
-  // Both serializations hold together: the JSON parses back with the same app name, and
-  // the table mentions every counter.
-  std::string error;
-  JsonPtr parsed = ParseJson(report.ToJson(), &error);
-  ASSERT_NE(parsed, nullptr) << error;
-  EXPECT_EQ(parsed->Get("app")->AsString(), app.name());
-  EXPECT_EQ(parsed->Get("pairs_checked")->AsDouble(),
-            static_cast<double>(report.pairs_checked));
-  std::string table = report.ToTable();
-  for (const CounterRow& row : report.counters) {
-    EXPECT_NE(table.find(row.name), std::string::npos) << row.name;
+    // Slow pairs: non-empty, sorted slowest-first, capped at the configured top-N.
+    ASSERT_FALSE(report.slow_pairs.empty());
+    EXPECT_LE(report.slow_pairs.size(), options.obs.top_slowest_pairs);
+    EXPECT_TRUE(std::is_sorted(report.slow_pairs.begin(), report.slow_pairs.end(),
+                               [](const SlowPair& a, const SlowPair& b) {
+                                 return a.micros > b.micros;
+                               }));
+
+    // Both serializations hold together: the JSON parses back with the same app name,
+    // and the table mentions every counter.
+    std::string error;
+    JsonPtr parsed = ParseJson(report.ToJson(), &error);
+    ASSERT_NE(parsed, nullptr) << error;
+    EXPECT_EQ(parsed->Get("app")->AsString(), app.name());
+    EXPECT_EQ(parsed->Get("pairs_checked")->AsDouble(),
+              static_cast<double>(report.pairs_checked));
+    std::string table = report.ToTable();
+    for (const CounterRow& row : report.counters) {
+      EXPECT_NE(table.find(row.name), std::string::npos) << row.name;
+    }
   }
+  std::filesystem::remove_all(store);
 }
 
 TEST(RunReport, DisabledPipelineProducesNoReport) {
   app::App app = apps::MakeTodoApp();
   PipelineOptions options;
   options.checker.solver.budget.deterministic = true;
-  PipelineResult result = Pipeline::Run(app, options);
+  PipelineResult result = Engine().Run(app, options);
   EXPECT_FALSE(result.has_report);
   EXPECT_FALSE(Active());
 }

@@ -1,4 +1,4 @@
-// Tests for the parallel, cached verification engine and the noctua::Pipeline facade:
+// Tests for the parallel, cached verification engine and noctua::Engine, the one run:
 // the thread pool itself, determinism of the restriction set across thread counts, and
 // agreement between every engine configuration (cache on/off, projection on/off,
 // cheapest-first on/off) — the redesign must change how fast verdicts are produced,
@@ -17,7 +17,6 @@
 
 #include "src/apps/apps.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/pipeline.h"
 #include "src/soir/printer.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
@@ -209,10 +208,8 @@ std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report)
 // Pipeline configurations whose verdicts must all agree. `deterministic_budget` pins the
 // solver to its node budget (no wall-clock dependence), so the comparison is exact even
 // on a loaded machine.
-PipelineOptions AgreementOptions(int threads, bool cache, bool cheapest_first,
-                             bool projection) {
+PipelineOptions AgreementOptions(bool cache, bool cheapest_first, bool projection) {
   PipelineOptions options;
-  options.parallel.threads = threads;
   options.parallel.cache = cache;
   options.parallel.cheapest_first = cheapest_first;
   options.checker.project_footprint = projection;
@@ -220,22 +217,29 @@ PipelineOptions AgreementOptions(int threads, bool cache, bool cheapest_first,
   return options;
 }
 
+// The verifier stage on a fresh engine of `threads` workers.
+verifier::RestrictionReport VerifyOn(int threads, const app::App& a,
+                                     const analyzer::AnalysisResult& analysis,
+                                     const PipelineOptions& options) {
+  EngineConfig config;
+  config.threads = threads;
+  return Engine(config).Verify(a, analysis, options);
+}
+
 class EngineAgreementTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
 TEST_P(EngineAgreementTest, VerdictsIdenticalAcrossThreadCounts) {
   app::App a = GetParam().make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   verifier::RestrictionReport reference =
-      Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, true));
+      VerifyOn(1, a, analysis, AgreementOptions(true, true, true));
   std::vector<std::string> expected = VerdictLines(reference);
   ASSERT_FALSE(expected.empty());
 
   for (int threads : {2, 8}) {
     verifier::RestrictionReport report =
-        Pipeline::Verify(a, analysis, AgreementOptions(threads, true, true, true));
+        VerifyOn(threads, a, analysis, AgreementOptions(true, true, true));
     EXPECT_EQ(report.stats.threads_used, threads);
     EXPECT_EQ(VerdictLines(report), expected) << "threads=" << threads;
   }
@@ -243,16 +247,14 @@ TEST_P(EngineAgreementTest, VerdictsIdenticalAcrossThreadCounts) {
 
 TEST_P(EngineAgreementTest, CacheAndScheduleDoNotChangeVerdicts) {
   app::App a = GetParam().make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   std::vector<std::string> expected =
-      VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, true)));
+      VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true)));
   // Cache off, schedule off (report order), both at 2 threads.
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(2, false, true, true))),
+  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(false, true, true))),
             expected);
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(2, true, false, true))),
+  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(true, false, true))),
             expected);
 }
 
@@ -268,44 +270,38 @@ INSTANTIATE_TEST_SUITE_P(
 // the suite stays within the tier-1 budget (their pair matrices dominate the runtime).
 TEST(EngineAgreementBigApps, PostGraduationIdenticalAcrossThreads) {
   app::App a = apps::MakePostGraduationApp();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
   std::vector<std::string> expected =
-      VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, true)));
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(8, true, true, true))),
+      VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true)));
+  EXPECT_EQ(VerdictLines(VerifyOn(8, a, analysis, AgreementOptions(true, true, true))),
             expected);
 }
 
 TEST(EngineAgreementBigApps, ZhihuIdenticalAcrossThreadsAndCache) {
   app::App a = apps::MakeZhihuApp();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
   verifier::RestrictionReport reference =
-      Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, true));
+      VerifyOn(1, a, analysis, AgreementOptions(true, true, true));
   std::vector<std::string> expected = VerdictLines(reference);
   EXPECT_GT(reference.stats.cache_hits, 0u);
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(8, true, true, true))),
+  EXPECT_EQ(VerdictLines(VerifyOn(8, a, analysis, AgreementOptions(true, true, true))),
             expected);
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(2, false, true, true))),
+  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(false, true, true))),
             expected);
 }
 
 TEST(EngineAgreementTestExtra, ProjectionDoesNotChangeVerdicts) {
   app::App a = apps::MakeCoursewareApp();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
-  EXPECT_EQ(VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, false))),
-            VerdictLines(Pipeline::Verify(a, analysis, AgreementOptions(1, true, true, true))));
+  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
+  EXPECT_EQ(VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, false))),
+            VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true))));
 }
 
 // ----------------------------------------------------------------------------- Pipeline
 
 TEST(PipelineTest, RunMatchesHandRolledDance) {
   app::App a = apps::MakeSmallBankApp();
-  PipelineResult result = Pipeline::Run(a);
+  PipelineResult result = Engine().Run(a);
 
   analyzer::AnalysisResult manual = analyzer::AnalyzeApp(a);
   verifier::RestrictionReport expected =
@@ -317,18 +313,9 @@ TEST(PipelineTest, RunMatchesHandRolledDance) {
   EXPECT_GT(result.total_seconds, 0.0);
 }
 
-TEST(PipelineTest, VerifyFalseSkipsTheVerifier) {
-  app::App a = apps::MakeSmallBankApp();
-  PipelineOptions options;
-  options.verify = false;
-  PipelineResult result = Pipeline::Run(a, options);
-  EXPECT_GT(result.analysis.num_effectful, 0u);
-  EXPECT_TRUE(result.restrictions.pairs.empty());
-}
-
 TEST(PipelineTest, StatsReportCacheAndPrefilterActivity) {
   app::App a = apps::MakeSmallBankApp();
-  PipelineResult result = Pipeline::Run(a);
+  PipelineResult result = Engine().Run(a);
   const verifier::ReportStats& stats = result.stats();
   EXPECT_EQ(stats.pairs, result.restrictions.pairs.size());
   // SmallBank's self-pairs guarantee NotInvalidate cache hits.
@@ -339,23 +326,12 @@ TEST(PipelineTest, StatsReportCacheAndPrefilterActivity) {
 
 TEST(PipelineTest, ThreadsOptionFlowsThrough) {
   app::App a = apps::MakeCoursewareApp();
-  PipelineOptions options;
-  options.parallel.threads = 2;
-  PipelineResult result = Pipeline::Run(a, options);
-  EXPECT_EQ(result.stats().threads_used, 2);
+  EngineConfig config;
+  config.threads = 2;
+  EXPECT_EQ(Engine(config).Run(a).stats().threads_used, 2);
 }
 
 // ------------------------------------------------------------------------------- Engine
-
-TEST(EngineTest, MatchesStaticPipelineFacade) {
-  app::App todo = apps::MakeTodoApp();
-  PipelineResult direct = Pipeline::Run(todo);
-  Engine engine{EngineConfig{}};
-  PipelineResult engined = engine.Run(todo);
-  EXPECT_EQ(engined.restrictions.RestrictedPairNames(),
-            direct.restrictions.RestrictedPairNames());
-  EXPECT_EQ(engined.restrictions.num_checks(), direct.restrictions.num_checks());
-}
 
 TEST(EngineTest, WarmEngineAnswersRepeatRunsFromItsVerdictCache) {
   Engine engine{EngineConfig{}};
@@ -376,7 +352,7 @@ TEST(EngineTest, IdleEngineConstructsAndDestructsCleanly) {
 
 TEST(EngineTest, VerdictCacheCapacityKnobReachesTheEngineCache) {
   ASSERT_EQ(unsetenv("NOCTUA_VERDICT_CACHE"), 0);
-  // Unset = unbounded, preserving the throwaway per-call facade's old behavior.
+  // Unset = unbounded, right for an engine built for one run.
   EXPECT_EQ(EngineConfig::FromEnv().verdict_cache_capacity, 0u);
 
   ASSERT_EQ(setenv("NOCTUA_VERDICT_CACHE", "123", 1), 0);
@@ -395,15 +371,13 @@ TEST(EngineTest, ResolveOptionsPinsAutoKnobsAndInjectsEngineState) {
   EXPECT_EQ(resolved.parallel.pool, &engine.pool());
   EXPECT_EQ(resolved.parallel.store, &engine.verdicts());
 
-  // A caller that brought its own store (or asked for a bounded run-local cache, or a
-  // different pool width) keeps it — the engine never overrides explicit choices.
+  // A caller that brought its own store keeps it; the pool is the engine's regardless.
   verifier::VerdictCache mine;
   PipelineOptions custom;
   custom.parallel.store = &mine;
-  custom.parallel.threads = engine.pool().threads() + 1;
   PipelineOptions kept = engine.ResolveOptions(custom);
   EXPECT_EQ(kept.parallel.store, &mine);
-  EXPECT_EQ(kept.parallel.pool, nullptr);
+  EXPECT_EQ(kept.parallel.pool, &engine.pool());
 }
 
 }  // namespace

@@ -379,7 +379,7 @@ TEST_P(SolverPropertyTest, PrunedSubstitutionMatchesUnpruned) {
     }
     smt::TermMap walk;
     smt::ValueDomains domains;
-    domains.Harvest(residuals, 8, 6, walk);
+    domains.Harvest(residuals, 8, walk);
     smt::TermMap trail;
     smt::TermMap memo;
     smt::TermMap reference_memo;

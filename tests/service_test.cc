@@ -181,7 +181,7 @@ TEST(ServiceAnalyzeTest, MatchesDirectPipelineRunByteForByte) {
   ASSERT_TRUE(ts.client().Analyze("t1", "Todo", {}, &resp, &error)) << error;
   ASSERT_EQ(resp.status, 200) << resp.body;
 
-  PipelineResult direct = Pipeline::Run(apps::MakeTodoApp());
+  PipelineResult direct = Engine().Run(apps::MakeTodoApp());
   EXPECT_EQ(RestrictionsOf(resp.body), direct.restrictions.RestrictedPairNames());
 }
 

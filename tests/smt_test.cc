@@ -645,7 +645,7 @@ TEST_P(SolverTest, StringWitnessUsesFreshSymbols) {
   // s != every literal in the formula: satisfiable thanks to fresh symbols.
   EXPECT_EQ(Check({f.Neq(s, f.StrLit("alice")), f.Neq(s, f.StrLit("bob"))}), SolveResult::kSat);
 
-  // As many literals as the string domain's cap: the fresh symbols come on top of them.
+  // Six literals: the fresh symbols come on top of them.
   std::vector<Term> outside;
   for (const char* lit : {"a", "b", "c", "d", "e", "f"}) {
     outside.push_back(f.Neq(s, f.StrLit(lit)));
@@ -660,6 +660,12 @@ TEST_P(SolverTest, StringWitnessUsesFreshSymbols) {
     both_outside.push_back(f.Neq(t, f.StrLit(lit)));
   }
   EXPECT_EQ(Check(both_outside), SolveResult::kSat);
+
+  // A seventh literal the formula equates the atom to stays in the domain.
+  std::vector<Term> seventh = outside;
+  seventh.push_back(f.Eq(s, f.StrLit("g")));
+  EXPECT_EQ(Check(seventh), SolveResult::kSat);
+  EXPECT_EQ(last_model.values.at("s"), "\"g\"");
 }
 
 TEST_P(SolverTest, TimeoutReturnsUnknown) {

@@ -390,7 +390,7 @@ class Z3OracleBackend : public SolverBackend {
     ValueDomains domains;
     {
       ScratchMap walk(f);
-      domains.Harvest(pending, options_.max_int_domain, options_.max_string_domain, *walk);
+      domains.Harvest(pending, options_.max_int_domain, *walk);
     }
 
     // The context is made on the first Check, so naming a backend costs nothing.
