@@ -1,10 +1,11 @@
-// Cold-vs-warm sweep for the incremental analysis engine. For each app the bench runs
-// the pipeline cold once to populate an artifact store, then replays three scripted
-// developer edits — add an endpoint, edit one handler's body, rename a model across the
-// codebase — each against a fresh copy of the store. Every warm run is compared against
-// a from-scratch cold run of the edited app: the restriction sets must be byte-identical
-// (the bench exits nonzero otherwise), and the warm run should approach O(change) — for
-// a single-endpoint edit the target is a >= 5x end-to-end speedup.
+// Cold-vs-warm sweep for store-backed runs. For each app the bench runs the pipeline
+// cold once to populate an artifact store, then replays three scripted developer edits —
+// add an endpoint, edit one handler's body, rename a model across the codebase — each
+// against a fresh copy of the store. A warm run analyzes the edited app from scratch and
+// replays every stored verdict whose key the edit left alone. Every warm run is compared
+// against a from-scratch cold run of the edited app: the restriction sets must be
+// byte-identical (the bench exits nonzero otherwise), and the warm run should approach
+// O(change) — for a single-endpoint edit the target is a >= 5x end-to-end speedup.
 //
 // Emits one JSON document on stdout (progress goes to stderr):
 //
@@ -12,7 +13,7 @@
 //              "edits": [{"edit": "edit_handler", "changed_endpoints": ["VoteAnswer"],
 //                         "cold_seconds": ..., "warm_seconds": ..., "speedup": ...,
 //                         "pairs_replayed": ..., "pairs_computed": ...,
-//                         "endpoints_reused": ..., "verdicts_replayed": ...,
+//                         "verdicts_replayed": ...,
 //                         "solver_checks": ..., "identical_restrictions": true}, ...]},
 //             ...],
 //    "identical_everywhere": true}
@@ -56,14 +57,6 @@ PipelineResult RunStored(const noctua::app::App& app, const std::string& store) 
   return noctua::Engine().Run(app, options, store);
 }
 
-// Real extraction layers hash the handler source; here the registration site stamps a
-// version tag per view, bumped whenever an edit rewrites a handler.
-void StampFingerprints(noctua::app::App& app) {
-  for (const auto& view : app.views()) {
-    app.SetViewFingerprint(view.name, view.name + "@v1");
-  }
-}
-
 std::string TempDirFor(const std::string& name) {
   std::string dir =
       (std::filesystem::temp_directory_path() / ("noctua_incremental_sweep_" + name))
@@ -91,8 +84,7 @@ std::vector<Edit> ZhihuEdits() {
           SymSet drafts = v.M("Draft").filter("author", author).filter("question", q);
           v.Guard(drafts.exists());
           drafts.del();
-        },
-        "DeleteDraft@v1");
+        });
   }});
 
   // One handler body edited: upvotes are now worth 25 reputation instead of 10.
@@ -112,13 +104,12 @@ std::vector<Edit> ZhihuEdits() {
             v.Create("Vote", {{"positive", Sym(false)}}, {{"user", user}, {"answer", answer}});
             answer.with("votes", answer.attr("votes") - 1).save();
           }
-        },
-        "VoteAnswer@v2");
+        });
   }});
 
   // A codebase-wide rename: model Draft becomes DraftPost, and every handler mentioning
-  // it is rewritten (new source, new fingerprints) — but nothing behavioral changed, so
-  // the warm run should replay 100% of the prior verdicts.
+  // it is rewritten — but nothing behavioral changed, so the warm run should replay 100%
+  // of the prior verdicts.
   edits.push_back({"rename_model", [](noctua::app::App& app) {
     noctua::soir::Schema& s = app.schema();
     s.RenameModel(s.ModelId("Draft"), "DraftPost");
@@ -137,8 +128,7 @@ std::vector<Edit> ZhihuEdits() {
             v.Create("Answer", {{"content", v.Post("content")}, {"votes", Sym(0)}},
                      {{"question", q}, {"author", author}});
           }
-        },
-        "PostAnswer@v1-renamed");
+        });
     app.ReplaceView(
         "SaveDraft",
         [](ViewCtx& v) {
@@ -147,8 +137,7 @@ std::vector<Edit> ZhihuEdits() {
           v.M("DraftPost").filter("author", author).filter("question", q).del();
           v.Create("DraftPost", {{"content", v.Post("content")}},
                    {{"author", author}, {"question", q}});
-        },
-        "SaveDraft@v1-renamed");
+        });
   }});
   return edits;
 }
@@ -163,8 +152,7 @@ std::vector<Edit> OwnPhotosEdits() {
         [](ViewCtx& v) {
           SymObj user = v.Deref("User", v.ParamRef("user", "User"));
           v.ClearLinks("hidden_photos", user);
-        },
-        "unhide_all@v1");
+        });
   }});
 
   // One handler body edited: ratings now go up to 10 stars.
@@ -181,12 +169,10 @@ std::vector<Edit> OwnPhotosEdits() {
           v.Guard(rating >= 0);
           v.Guard(rating <= 10);
           photo.with("rating", rating).save();
-        },
-        "rate_photo@v2");
+        });
   }});
 
-  // Schema-only rename: no handler mentions Cluster by name, so fingerprints are
-  // untouched and analysis memoizes on top of a 100% verdict replay.
+  // Schema-only rename: no handler mentions Cluster by name; every verdict replays.
   edits.push_back({"rename_model", [](noctua::app::App& app) {
     noctua::soir::Schema& s = app.schema();
     s.RenameModel(s.ModelId("Cluster"), "FaceCluster");
@@ -218,7 +204,6 @@ int main() {
     // Cold base run populates the artifact store the edits start from.
     std::string base_store = TempDirFor(std::string(app_case.name) + "_base");
     noctua::app::App base = app_case.make();
-    StampFingerprints(base);
     fprintf(stderr, "[incremental_sweep] %s: cold base run...\n", app_case.name);
     PipelineResult cold_base = RunStored(base, base_store);
     fprintf(stderr, "[incremental_sweep] %s: cold %.3fs (%zu pairs)\n", app_case.name,
@@ -232,7 +217,6 @@ int main() {
     for (size_t e = 0; e < app_case.edits.size(); ++e) {
       const Edit& edit = app_case.edits[e];
       noctua::app::App edited = app_case.make();
-      StampFingerprints(edited);
       edit.apply(edited);
 
       // Each edit starts from its own copy of the base store, as if it were the next
@@ -244,7 +228,6 @@ int main() {
 
       // Reference: the same edited app verified from scratch.
       noctua::app::App edited_again = app_case.make();
-      StampFingerprints(edited_again);
       edit.apply(edited_again);
       std::string cold_store = TempDirFor(std::string(app_case.name) + "_" + edit.name + "_cold");
       PipelineResult cold = RunStored(edited_again, cold_store);
@@ -255,11 +238,11 @@ int main() {
       double speedup = cold.total_seconds / warm.total_seconds;
       fprintf(stderr,
               "[incremental_sweep] %s/%s: warm %.3fs vs cold %.3fs  speedup %.2fx  "
-              "(%llu pairs replayed, %llu computed, %zu endpoints memoized)%s\n",
+              "(%llu pairs replayed, %llu computed)%s\n",
               app_case.name, edit.name, warm.total_seconds, cold.total_seconds, speedup,
               static_cast<unsigned long long>(warm.stats().pairs_replayed),
               static_cast<unsigned long long>(warm.stats().pairs_computed),
-              warm.analysis.endpoints_reused, identical ? "" : "  RESTRICTIONS DIVERGED");
+              identical ? "" : "  RESTRICTIONS DIVERGED");
 
       std::string changed = "[";
       for (size_t i = 0; i < warm.changed_endpoints.size(); ++i) {
@@ -273,7 +256,6 @@ int main() {
               ", \"speedup\": " + FormatDouble(speedup, 2) +
               ", \"pairs_replayed\": " + std::to_string(warm.stats().pairs_replayed) +
               ", \"pairs_computed\": " + std::to_string(warm.stats().pairs_computed) +
-              ", \"endpoints_reused\": " + std::to_string(warm.analysis.endpoints_reused) +
               ", \"verdicts_replayed\": " + std::to_string(warm.restrictions.stats.replayed) +
               ", \"solver_checks\": " + std::to_string(warm.restrictions.stats.solver_checks) +
               ", \"identical_restrictions\": " + (identical ? "true" : "false") + "}";

@@ -161,7 +161,7 @@ std::vector<std::string> DirectRestrictions(const std::string& app_name,
     rev.schema() = base.schema();
     for (const auto& view : base.views()) {
       if (view.name != omit_view) {
-        rev.AddView(view.name, view.fn, view.fingerprint);
+        rev.AddView(view.name, view.fn);
       }
     }
     return Engine().Run(rev).restrictions.RestrictedPairNames();

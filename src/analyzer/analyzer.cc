@@ -5,7 +5,7 @@
 #include "src/analyzer/trace.h"
 #include "src/analyzer/view_ctx.h"
 #include "src/obs/obs.h"
-#include "src/support/check.h"
+#include "src/soir/serialize.h"
 #include "src/support/stopwatch.h"
 
 namespace noctua::analyzer {
@@ -21,23 +21,8 @@ const std::vector<soir::CodePath>& AnalysisResult::EffectfulPaths() const {
 
 namespace {
 
-// Digest over one endpoint's paths: each path's renaming-invariant digest plus the
-// explored-path counter, so "same effectful paths, different abort branches" still
-// registers as a change in Table-4 accounting.
-std::string EndpointDigest(const soir::Schema& schema,
-                           const std::vector<const soir::CodePath*>& paths,
-                           size_t code_paths) {
-  std::string material;
-  for (const soir::CodePath* p : paths) {
-    material += soir::PathDigest(schema, *p);
-    material += ';';
-  }
-  material += "#code_paths=" + std::to_string(code_paths);
-  return soir::DigestHex(soir::Fnv1a64(material));
-}
-
-}  // namespace
-
+// Analyzes a single view function (Fig. 5 AnalyzeFunc), appending its paths, counters
+// and digest to `result`.
 void AnalyzeView(const soir::Schema& schema, const app::View& view,
                  const AnalyzerOptions& options, AnalysisResult* result) {
   obs::ScopedSpan span(obs::Enabled() ? view.name : std::string(), obs::kCatAnalyze);
@@ -67,151 +52,33 @@ void AnalyzeView(const soir::Schema& schema, const app::View& view,
     ++path_index;
   } while (finder.NextPath());
   result->num_code_paths += code_paths;
-  result->endpoint_code_paths[view.name] = code_paths;
-  std::vector<const soir::CodePath*> view_paths;
+  // The endpoint's digest: each path's renaming-invariant digest plus the explored-path
+  // counter, so "same effectful paths, different abort branches" still registers as a
+  // change in Table-4 accounting.
+  std::string material;
   for (size_t i = first_path; i < result->paths.size(); ++i) {
-    view_paths.push_back(&result->paths[i]);
+    material += soir::PathDigest(schema, result->paths[i]);
+    material += ';';
   }
-  result->endpoint_digests[view.name] = EndpointDigest(schema, view_paths, code_paths);
-  result->view_fingerprints[view.name] = view.fingerprint;
+  material += "#code_paths=" + std::to_string(code_paths);
+  result->endpoint_digests[view.name] = soir::DigestHex(soir::Fnv1a64(material));
   span.Arg("code_paths", code_paths);
   span.Arg("paths_kept", result->paths.size() - first_path);
 }
 
-AnalysisResult AnalyzeApp(const app::App& app, const AnalyzerOptions& options) {
-  return AnalyzeAppIncremental(app, nullptr, options);
-}
+}  // namespace
 
-AnalysisResult AnalyzeAppIncremental(const app::App& app, const AnalysisResult* prior,
-                                     const AnalyzerOptions& options) {
+AnalysisResult AnalyzeApp(const app::App& app, const AnalyzerOptions& options) {
   Stopwatch watch;
   AnalysisResult result;
   for (const app::View& view : app.views()) {
-    bool reused = false;
-    if (prior != nullptr && !view.fingerprint.empty()) {
-      auto fp = prior->view_fingerprints.find(view.name);
-      auto digest = prior->endpoint_digests.find(view.name);
-      auto code_paths = prior->endpoint_code_paths.find(view.name);
-      if (fp != prior->view_fingerprints.end() && fp->second == view.fingerprint &&
-          digest != prior->endpoint_digests.end() &&
-          code_paths != prior->endpoint_code_paths.end()) {
-        for (const soir::CodePath& p : prior->paths) {
-          if (p.view_name != view.name) {
-            continue;
-          }
-          if (p.IsEffectful()) {
-            ++result.num_effectful;
-          }
-          result.paths.push_back(p);
-        }
-        result.num_code_paths += code_paths->second;
-        result.endpoint_code_paths[view.name] = code_paths->second;
-        result.endpoint_digests[view.name] = digest->second;
-        result.view_fingerprints[view.name] = view.fingerprint;
-        ++result.endpoints_reused;
-        reused = true;
-      }
-    }
-    if (!reused) {
-      AnalyzeView(app.schema(), view, options, &result);
-    }
+    AnalyzeView(app.schema(), view, options, &result);
   }
   result.seconds = watch.ElapsedSeconds();
   if (obs::Enabled()) {
-    obs::Add(obs::Counter::kEndpointsMemoized, result.endpoints_reused);
-    obs::Add(obs::Counter::kEndpointsAnalyzed,
-             app.views().size() - result.endpoints_reused);
+    obs::Add(obs::Counter::kEndpointsAnalyzed, app.views().size());
   }
   return result;
-}
-
-// --- Serialization --------------------------------------------------------------------------
-
-namespace {
-constexpr size_t kMaxPaths = 10000000;
-constexpr size_t kMaxEndpoints = 1000000;
-}  // namespace
-
-void SerializeAnalysis(const AnalysisResult& analysis, soir::ArtifactWriter* w) {
-  w->Atom("analysis");
-  w->Int(static_cast<int64_t>(analysis.num_code_paths));
-  w->Int(static_cast<int64_t>(analysis.num_effectful));
-  w->Int(static_cast<int64_t>(analysis.paths.size()));
-  for (const soir::CodePath& p : analysis.paths) {
-    SerializeCodePath(p, w);
-  }
-  w->Int(static_cast<int64_t>(analysis.endpoint_digests.size()));
-  for (const auto& [view, digest] : analysis.endpoint_digests) {
-    w->Str(view);
-    w->Str(digest);
-    auto code_paths = analysis.endpoint_code_paths.find(view);
-    w->Int(code_paths != analysis.endpoint_code_paths.end()
-               ? static_cast<int64_t>(code_paths->second)
-               : 0);
-    auto fp = analysis.view_fingerprints.find(view);
-    w->Str(fp != analysis.view_fingerprints.end() ? fp->second : "");
-  }
-}
-
-bool DeserializeAnalysis(soir::ArtifactReader* r, const soir::Schema& schema,
-                         AnalysisResult* out) {
-  r->ExpectAtom("analysis");
-  int64_t num_code_paths = r->Int();
-  int64_t num_effectful = r->Int();
-  if (!r->ok() || num_code_paths < 0 || num_effectful < 0) {
-    r->Fail();
-    return false;
-  }
-  out->num_code_paths = static_cast<size_t>(num_code_paths);
-  out->num_effectful = static_cast<size_t>(num_effectful);
-  size_t num_paths = r->Count(kMaxPaths);
-  for (size_t i = 0; r->ok() && i < num_paths; ++i) {
-    soir::CodePath path;
-    if (!DeserializeCodePath(r, schema, &path)) {
-      return false;
-    }
-    out->paths.push_back(std::move(path));
-  }
-  size_t num_endpoints = r->Count(kMaxEndpoints);
-  for (size_t i = 0; r->ok() && i < num_endpoints; ++i) {
-    std::string view = r->Str();
-    std::string digest = r->Str();
-    int64_t code_paths = r->Int();
-    std::string fp = r->Str();
-    if (!r->ok() || code_paths < 0) {
-      r->Fail();
-      return false;
-    }
-    out->endpoint_digests[view] = digest;
-    out->endpoint_code_paths[view] = static_cast<size_t>(code_paths);
-    out->view_fingerprints[view] = fp;
-  }
-  return r->ok();
-}
-
-bool ValidateAnalysisDigests(const soir::Schema& schema, const AnalysisResult& analysis) {
-  std::map<std::string, std::vector<const soir::CodePath*>> by_view;
-  for (const soir::CodePath& p : analysis.paths) {
-    by_view[p.view_name].push_back(&p);
-  }
-  static const std::vector<const soir::CodePath*> kNoPaths;
-  for (const auto& [view, digest] : analysis.endpoint_digests) {
-    auto code_paths = analysis.endpoint_code_paths.find(view);
-    if (code_paths == analysis.endpoint_code_paths.end()) {
-      return false;
-    }
-    auto it = by_view.find(view);
-    const auto& paths = it == by_view.end() ? kNoPaths : it->second;
-    if (EndpointDigest(schema, paths, code_paths->second) != digest) {
-      return false;
-    }
-  }
-  for (const auto& [view, unused] : by_view) {
-    if (analysis.endpoint_digests.find(view) == analysis.endpoint_digests.end()) {
-      return false;  // a path claims an endpoint the metadata does not know
-    }
-  }
-  return true;
 }
 
 }  // namespace noctua::analyzer

@@ -4,10 +4,10 @@
 // finder until all code paths are traversed. Each completed run yields one SOIR code path;
 // runs ending in Abort (application-level rejection) are counted but carry no effects.
 //
-// Analysis results are incremental-engine artifacts: every endpoint carries a
-// renaming-invariant content digest over its paths (soir::PathDigest), the whole result
-// serializes to a stable versioned form, and AnalyzeAppIncremental can skip symbolic
-// re-execution for endpoints whose handler fingerprint matches a prior result.
+// Every endpoint also carries a renaming-invariant content digest over its paths
+// (soir::PathDigest): the artifact store keeps these digests, so a store-backed run can
+// report which endpoints an edit changed. Analysis itself is never memoized; it costs
+// milliseconds per app, against the verification it feeds.
 #ifndef SRC_ANALYZER_ANALYZER_H_
 #define SRC_ANALYZER_ANALYZER_H_
 
@@ -18,7 +18,6 @@
 #include "src/analyzer/path_finder.h"
 #include "src/app/app.h"
 #include "src/soir/ast.h"
-#include "src/soir/serialize.h"
 
 namespace noctua::analyzer {
 
@@ -34,17 +33,10 @@ struct AnalysisResult {
   size_t num_effectful = 0;   // paths with at least one non-guard command
   double seconds = 0;
 
-  // Per-endpoint incremental metadata, keyed by view name.
-  // The digest is renaming-invariant content identity over the endpoint's paths: equal
-  // digests mean every verification verdict involving this endpoint is reusable.
+  // Per-endpoint content digests, keyed by view name: renaming-invariant identity over
+  // the endpoint's paths and its explored-path count. Equal digests mean the endpoint's
+  // paths are the same up to renaming.
   std::map<std::string, std::string> endpoint_digests;
-  // Total code paths explored per endpoint (including aborted ones), so a memoized
-  // endpoint still contributes its Table-4 counters.
-  std::map<std::string, size_t> endpoint_code_paths;
-  // The handler fingerprint each endpoint was analyzed under ("" when unknown).
-  std::map<std::string, std::string> view_fingerprints;
-  // Endpoints served from the prior artifact without symbolic re-execution.
-  size_t endpoints_reused = 0;
 
   // The effectful subset of `paths`, computed on first call and cached (benches call
   // this inside timing loops). Invalidated by nothing: results are treated as immutable
@@ -56,35 +48,9 @@ struct AnalysisResult {
   mutable bool effectful_cached_ = false;
 };
 
-// Analyzes a single view function (Fig. 5 AnalyzeFunc). Appends to `result` and records
-// the endpoint's digest and counters.
-void AnalyzeView(const soir::Schema& schema, const app::View& view,
-                 const AnalyzerOptions& options, AnalysisResult* result);
-
-// Analyzes every endpoint of the app (Fig. 5 AnalyzeApp).
+// Analyzes every endpoint of the app (Fig. 5 AnalyzeApp), one view function at a time
+// (Fig. 5 AnalyzeFunc).
 AnalysisResult AnalyzeApp(const app::App& app, const AnalyzerOptions& options = {});
-
-// AnalyzeApp memoized against a prior result: an endpoint whose non-empty handler
-// fingerprint matches `prior` reuses the prior paths/digest/counters without re-running
-// the handler. `prior` must have been produced under a schema whose *structural* digest
-// (soir::SchemaStructuralDigest) equals the current app's — the caller checks; model/
-// relation ids must line up for the reused paths to mean the same thing. prior ==
-// nullptr degenerates to AnalyzeApp.
-AnalysisResult AnalyzeAppIncremental(const app::App& app, const AnalysisResult* prior,
-                                     const AnalyzerOptions& options = {});
-
-// Stable serialization of a whole analysis (paths + per-endpoint metadata; the timing
-// field is excluded — it is a measurement, not content). Deserialization validates
-// against `schema` and recomputes nothing: digests load as stored, so a round-trip
-// reproduces them byte-identically.
-void SerializeAnalysis(const AnalysisResult& analysis, soir::ArtifactWriter* w);
-bool DeserializeAnalysis(soir::ArtifactReader* r, const soir::Schema& schema,
-                         AnalysisResult* out);
-
-// Recomputes every endpoint digest from the result's paths and compares with the stored
-// values (and checks no path claims an unknown endpoint). False means the artifact's
-// paths and digests disagree — corruption; the loader falls back to a cold run.
-bool ValidateAnalysisDigests(const soir::Schema& schema, const AnalysisResult& analysis);
 
 }  // namespace noctua::analyzer
 

@@ -21,11 +21,8 @@ using ViewFn = std::function<void(analyzer::ViewCtx&)>;
 struct View {
   std::string name;  // endpoint name, e.g. "batch_update"
   ViewFn fn;
-  // Opaque content fingerprint of the handler's *source* (e.g. a hash the extraction
-  // layer computes over the view function's text). When non-empty and unchanged between
-  // runs, the incremental analyzer reuses the prior artifact's paths for this endpoint
-  // without re-executing the handler symbolically. Empty means "unknown": the endpoint
-  // is re-analyzed every run — always sound, just not memoized.
+  // An opaque tag for the handler's source. The analyzer ignores it: every run analyzes
+  // every endpoint.
   std::string fingerprint;
 };
 
@@ -46,22 +43,14 @@ class App {
   }
   // Swaps an endpoint's handler (the "developer edited this view" refactor). Returns
   // false if no view has that name.
-  bool ReplaceView(const std::string& name, ViewFn fn, std::string fingerprint = "") {
+  bool ReplaceView(const std::string& name, ViewFn fn) {
     for (View& v : views_) {
       if (v.name == name) {
         v.fn = std::move(fn);
-        v.fingerprint = std::move(fingerprint);
         return true;
       }
     }
     return false;
-  }
-  void SetViewFingerprint(const std::string& name, std::string fingerprint) {
-    for (View& v : views_) {
-      if (v.name == name) {
-        v.fingerprint = std::move(fingerprint);
-      }
-    }
   }
   const std::vector<View>& views() const { return views_; }
 

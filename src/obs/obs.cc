@@ -248,8 +248,6 @@ const char* CounterName(Counter c) {
       return "solver.symmetry_pruned_nodes";
     case Counter::kEndpointsAnalyzed:
       return "analyzer.endpoints_analyzed";
-    case Counter::kEndpointsMemoized:
-      return "analyzer.endpoints_memoized";
     case Counter::kPairsReplayed:
       return "incremental.pairs_replayed";
     case Counter::kPairsComputed:

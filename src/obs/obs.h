@@ -93,7 +93,6 @@ enum class Counter : uint8_t {
   kSolverSymmetryPruned,
   // Analyzer / incremental engine.
   kEndpointsAnalyzed,
-  kEndpointsMemoized,
   kPairsReplayed,
   kPairsComputed,
   kParanoiaRechecks,

@@ -1,7 +1,5 @@
 #include "src/pipeline/enforce.h"
 
-#include "src/support/check.h"
-
 namespace noctua {
 
 repl::ConflictTable EnforcementTable(const verifier::RestrictionReport& report) {
@@ -9,15 +7,6 @@ repl::ConflictTable EnforcementTable(const verifier::RestrictionReport& report) 
   for (const auto& [p, q] : report.RestrictedViewPairs()) {
     table.AddPair(p, q);
   }
-  return table;
-}
-
-repl::ConflictTable EnforcementTableDropping(const verifier::RestrictionReport& report,
-                                             const std::string& a, const std::string& b) {
-  repl::ConflictTable table = EnforcementTable(report);
-  NOCTUA_CHECK_MSG(table.RemovePair(a, b),
-                   "EnforcementTableDropping: (" << a << ", " << b
-                       << ") is not a restricted view pair of this report");
   return table;
 }
 

@@ -10,8 +10,6 @@
 #ifndef SRC_PIPELINE_ENFORCE_H_
 #define SRC_PIPELINE_ENFORCE_H_
 
-#include <string>
-
 #include "src/repl/simulator.h"
 #include "src/verifier/report.h"
 
@@ -21,14 +19,6 @@ namespace noctua {
 // conflict table. Exactly the lifting Simulator deployments coordinate with (the
 // paper's §6.5 simplification: endpoint-level, not path-level, restrictions).
 repl::ConflictTable EnforcementTable(const verifier::RestrictionReport& report);
-
-// The same table with the restricted view pair (a, b) removed (order-insensitive).
-// The mutation knob for oracle testing: enforcing a table with one restriction
-// missing must produce a trace the checker rejects — with the *full* table as the
-// specification — on some (plan, seed). Aborts via NOCTUA_CHECK if (a, b) is not a
-// restricted pair of `report`, so a typo cannot silently test nothing.
-repl::ConflictTable EnforcementTableDropping(const verifier::RestrictionReport& report,
-                                             const std::string& a, const std::string& b);
 
 }  // namespace noctua
 

@@ -119,12 +119,10 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
     {
       obs::ScopedSpan span("analyze", obs::kCatPipeline);
       Stopwatch phase;
-      result.analysis = analyzer::AnalyzeAppIncremental(app, have_prior ? &prior : nullptr,
-                                                        options.analyzer);
+      result.analysis = analyzer::AnalyzeApp(app, options.analyzer);
       analyze_seconds = phase.ElapsedSeconds();
       span.Arg("paths", result.analysis.paths.size());
       span.Arg("effectful", result.analysis.num_effectful);
-      span.Arg("endpoints_reused", result.analysis.endpoints_reused);
     }
     if (have_prior) {
       result.changed_endpoints = ChangedEndpoints(prior, result.analysis);

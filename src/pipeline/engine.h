@@ -17,8 +17,9 @@
 //   - Solver tallies are not engine state: every query flushes them into the obs
 //     registry, so a run's tallies are what an obs::Collector around it records.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
-//     canonical query fingerprints, which are app-content-addressed, so a hit is always
-//     semantically valid. Tenant isolation applies to the on-disk artifact namespace
+//     canonical query fingerprints, which are app-content-addressed and name the
+//     checker options a verdict depends on, so a hit is always semantically valid, under
+//     any options. Tenant isolation applies to the on-disk artifact namespace
 //     (TenantStoreDir), never to in-memory verdict sharing.
 #ifndef SRC_PIPELINE_ENGINE_H_
 #define SRC_PIPELINE_ENGINE_H_
@@ -68,16 +69,15 @@ class Engine {
   // Analyzes and verifies `app` on this engine's pool. Without a store the verdicts go
   // through the engine's shared verdict cache (unless the caller brought its own store).
   // With `store_dir`, the run goes against the on-disk artifact store there (session.h):
-  // it loads the prior artifacts, re-analyzes only endpoints whose handler changed,
-  // replays the prior verdicts so only pairs touched by the edit reach the solver, and
-  // saves the updated artifacts back. A missing or invalid store degrades to a cold run
+  // it loads the prior verdicts and endpoint digests, analyzes the app, replays the
+  // prior verdicts so only pairs touched by the edit reach the solver, and saves the
+  // updated store back. A missing or invalid store degrades to a cold run
   // (PipelineResult::cold), never to a crash or a wrong answer.
   PipelineResult Run(const app::App& app, const PipelineOptions& options = {},
                      const std::string& store_dir = "");
   // The verifier stage alone, for callers that already hold an analysis (e.g. ablations
-  // re-checking the same paths under different checker options). Verdict-cache keys do
-  // not encode CheckerOptions, so an ablation verifies on a fresh engine: on this one it
-  // would replay the verdicts cached under the other options.
+  // re-checking the same paths under different checker options; verdict keys name the
+  // options a verdict depends on, so ablations can share an engine).
   verifier::RestrictionReport Verify(const app::App& app,
                                      const analyzer::AnalysisResult& analysis,
                                      const PipelineOptions& options = {});

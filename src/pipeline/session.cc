@@ -13,9 +13,10 @@ namespace noctua {
 namespace {
 
 constexpr const char* kManifestFile = "manifest";
-constexpr const char* kSchemaFile = "schema";
-constexpr const char* kAnalysisFile = "analysis";
 constexpr const char* kVerdictsFile = "verdicts";
+// Cap on the manifest's endpoint count: far above any real application, far below
+// anything that could make a corrupted count allocate unreasonably.
+constexpr size_t kMaxEndpoints = 1000000;
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -41,70 +42,23 @@ bool WriteFile(const std::string& path, const std::string& data) {
 
 bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
                         verifier::VerdictCache* verdicts) const {
-  const std::string app_structure = soir::SchemaStructuralDigest(app.schema());
-
-  // Manifest: version + app name + schema digests. The gate is the *structural* digest:
-  // stored paths carry model/relation ids and verdict fingerprints cover the canonical
-  // (renaming-invariant) schema fragment, so both survive a rename-only schema edit —
-  // but nothing else. The exact digest is informational (it additionally distinguishes
-  // renames from no-ops).
   std::string data;
   if (!ReadFile(Path(kManifestFile), &data)) {
     return false;
   }
-  {
-    soir::ArtifactReader r(std::move(data));
-    r.ExpectAtom("noctua-manifest");
-    if (r.Int() != soir::kArtifactVersion) {
-      return false;
-    }
-    std::string name = r.Str();
-    r.Str();  // exact content digest, not gated on
-    std::string structure = r.Str();
-    if (!r.ok() || !r.AtEnd() || name != app.name() || structure != app_structure) {
-      return false;
-    }
-  }
-
-  // Stored schema must round-trip to the same structural digest the manifest promised.
-  // It is kept around: the stored paths reference fields by the *stored* names, which a
-  // rename-only edit may have moved.
-  if (!ReadFile(Path(kSchemaFile), &data)) {
+  soir::ArtifactReader r(std::move(data));
+  r.ExpectAtom("noctua-manifest");
+  if (r.Int() != soir::kArtifactVersion || r.Str() != app.name()) {
     return false;
   }
-  soir::Schema stored;
-  {
-    soir::ArtifactReader r(std::move(data));
-    if (!soir::DeserializeSchema(&r, &stored) || !r.AtEnd() ||
-        soir::SchemaStructuralDigest(stored) != app_structure) {
-      return false;
-    }
+  const size_t num_endpoints = r.Count(kMaxEndpoints);
+  for (size_t i = 0; r.ok() && i < num_endpoints; ++i) {
+    std::string view = r.Str();
+    analysis->endpoint_digests[std::move(view)] = r.Str();
   }
-
-  if (!ReadFile(Path(kAnalysisFile), &data)) {
+  if (!r.ok() || !r.AtEnd()) {
     return false;
   }
-  {
-    soir::ArtifactReader r(std::move(data));
-    r.ExpectAtom("noctua-analysis");
-    if (r.Int() != soir::kArtifactVersion) {
-      return false;
-    }
-    if (!analyzer::DeserializeAnalysis(&r, app.schema(), analysis) || !r.AtEnd()) {
-      return false;
-    }
-  }
-  // Follow any rename-only schema edit: rewrite the stored paths' field names to the
-  // current ones (by model/slot correspondence). Ambiguous renames degrade to cold.
-  if (!soir::AdaptPathsToSchema(stored, app.schema(), &analysis->paths)) {
-    return false;
-  }
-  // Digests must recompute from the stored paths: catches artifacts whose paths and
-  // metadata were corrupted consistently enough to parse.
-  if (!analyzer::ValidateAnalysisDigests(app.schema(), *analysis)) {
-    return false;
-  }
-
   return verdicts->LoadFromFile(Path(kVerdictsFile));
 }
 
@@ -120,22 +74,15 @@ bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis
   manifest.Atom("noctua-manifest");
   manifest.Int(soir::kArtifactVersion);
   manifest.Str(app.name());
-  manifest.Str(soir::SchemaContentDigest(app.schema()));
-  manifest.Str(soir::SchemaStructuralDigest(app.schema()));
-
-  soir::ArtifactWriter schema;
-  soir::SerializeSchema(app.schema(), &schema);
-
-  soir::ArtifactWriter analysis_w;
-  analysis_w.Atom("noctua-analysis");
-  analysis_w.Int(soir::kArtifactVersion);
-  analyzer::SerializeAnalysis(analysis, &analysis_w);
-
-  return WriteFile(Path(kSchemaFile), schema.str()) &&
-         WriteFile(Path(kAnalysisFile), analysis_w.str()) &&
-         verdicts.SaveToFile(Path(kVerdictsFile)) &&
-         // Manifest last: a crash mid-save leaves a store whose manifest (if any) is the
-         // old one, which then fails the schema/analysis cross-checks and reads as cold.
+  manifest.Int(static_cast<int64_t>(analysis.endpoint_digests.size()));
+  for (const auto& [view, digest] : analysis.endpoint_digests) {
+    manifest.Str(view);
+    manifest.Str(digest);
+  }
+  return verdicts.SaveToFile(Path(kVerdictsFile)) &&
+         // Manifest last: a crash mid-save leaves the previous manifest (or none) next to
+         // a verdicts file that either parses whole — every entry keyed by content, so
+         // replaying it is sound — or fails the load and reads as cold.
          WriteFile(Path(kManifestFile), manifest.str());
 }
 

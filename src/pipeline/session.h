@@ -1,28 +1,26 @@
-// Incremental analysis sessions: persistent content-addressed artifacts and O(change)
-// re-verification.
+// The on-disk artifact store behind a store-backed Engine::Run (engine.h): persistent
+// verdicts and O(change) re-verification.
 //
-// A Session binds the pipeline to an on-disk artifact store (one directory per app):
+// A Session binds the pipeline to one directory per app, holding two files:
 //
-//   manifest   format version + app name + schema digests (exact and structural; the
-//              load gate is the structural one, so rename-only schema edits replay)
-//   schema     the serialized schema the artifacts were produced under
-//   analysis   every code path + per-endpoint renaming-invariant digests
+//   manifest   format version + app name + every endpoint's content digest
 //   verdicts   the verdict cache: canonical query fingerprint -> solver outcome
 //
-// A store-backed Engine::Run (engine.h) loads the prior artifacts, memoizes analysis per
-// endpoint (handler fingerprint match), seeds the verifier's cache with the prior
-// verdicts, runs the normal pipeline, and writes the updated artifacts back. Because
-// verdict fingerprints encode everything the SMT encoding can see — canonical paths,
-// order membership, the touched schema fragment — only pairs affected by the edit miss
-// the cache and reach the solver; everything else replays. The emitted
-// RestrictionReport is the same one a cold run would produce, with per-pair provenance
-// (computed vs replayed) attached.
+// A store-backed run analyzes the app from scratch (analysis costs milliseconds), seeds
+// the verifier's cache with the stored verdicts, and writes the union back. Replay rests
+// on one argument: a verdict key encodes everything the encoder sees — both canonical
+// paths, the schema fragment they reach, order membership, and the checker options that
+// shape the query — so a stored verdict can only answer an unchanged query, whatever the
+// edit. Only pairs an edit touched miss and reach the solver. The emitted
+// RestrictionReport is the one a cold run would produce, with per-pair provenance
+// (computed vs replayed) attached. The endpoint digests only say which endpoints changed
+// (PipelineResult::changed_endpoints); no verdict depends on them.
 //
-// Loading fails closed: a missing, truncated, corrupted, version-mismatched, or
-// schema-mismatched store degrades to a cold run (PipelineResult::cold), never to a
-// crash or a wrong answer. For defense against silent corruption that still parses,
-// verifier::ParallelOptions::paranoia re-solves a seeded random sample of replayed
-// verdicts and CHECK-fails on disagreement.
+// Loading fails closed: a missing, truncated, corrupted, or version-mismatched store
+// degrades to a cold run (PipelineResult::cold), never to a crash or a wrong answer. For
+// defense against silent corruption that still parses, verifier::ParallelOptions::
+// paranoia re-solves a seeded random sample of replayed verdicts and CHECK-fails on
+// disagreement.
 #ifndef SRC_PIPELINE_SESSION_H_
 #define SRC_PIPELINE_SESSION_H_
 
@@ -39,14 +37,15 @@ class Session {
   // `store_dir` is created on first save if it does not exist.
   explicit Session(std::string store_dir) : store_dir_(std::move(store_dir)) {}
 
-  // Loads and validates the store's prior artifacts for `app`. Returns false — leaving
-  // outputs unspecified — unless every layer checks out: manifest version and app name,
-  // stored schema round-trips to the app's structural schema digest, analysis parses
-  // and its endpoint digests recompute from its paths, verdicts parse.
+  // Loads the store's prior artifacts for `app`: the manifest's endpoint digests into
+  // `analysis->endpoint_digests` (nothing else of `analysis` is stored) and the verdicts
+  // into `verdicts`. Returns false — leaving outputs unspecified — unless both files
+  // parse, the manifest's version is current and its app name is `app`'s.
   bool LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
                  verifier::VerdictCache* verdicts) const;
 
-  // Overwrites the store with the given artifacts. Returns false on I/O failure.
+  // Overwrites the store with `verdicts` and `analysis.endpoint_digests`. Returns false
+  // on I/O failure.
   bool Save(const app::App& app, const analyzer::AnalysisResult& analysis,
             const verifier::VerdictCache& verdicts) const;
 

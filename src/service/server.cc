@@ -60,7 +60,7 @@ bool BuildRevision(const std::string& name, const std::set<std::string>& omit,
     rev.schema() = base.schema();
     for (const app::View& view : base.views()) {
       if (omit.count(view.name) == 0) {
-        rev.AddView(view.name, view.fn, view.fingerprint);
+        rev.AddView(view.name, view.fn);
       }
     }
     *out = std::move(rev);

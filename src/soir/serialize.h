@@ -1,19 +1,14 @@
-// Stable serialization and content digests for SOIR artifacts — the foundation of the
-// incremental analysis engine (and of any future multi-process verification).
+// The artifact store's token stream and the content digests of SOIR code paths.
 //
-// Two distinct notions of identity live here, and they are deliberately different:
+// Artifacts (the store's manifest and verdicts files) are versioned (kArtifactVersion)
+// and parsed defensively: a truncated, corrupted, or other-versioned artifact makes the
+// reader fail closed rather than crash, so callers can fall back to a cold run.
 //
-//  * The *serialized form* is exact: it round-trips a Schema / CodePath byte-for-byte
-//    through save→load, names included. It is versioned (kArtifactVersion) and parsed
-//    defensively — a truncated, corrupted, or newer-versioned artifact makes the reader
-//    fail closed rather than crash, so callers can fall back to a cold run.
-//
-//  * The *content digest* of a path is renaming-invariant: it hashes the canonical
-//    rendering (soir::CanonicalPath) plus the canonical schema fragment the path touches
-//    (SchemaSignature). Renaming a model, field, relation, or argument does not change a
-//    digest; changing a guard, a field's sort, a relation's on-delete policy, or anything
-//    else the SMT encoding can see does. Digest equality therefore means "every
-//    verification verdict involving this path is reusable as-is".
+// The content digest of a path is renaming-invariant: it hashes the canonical rendering
+// (soir::CanonicalPath) plus the canonical schema fragment the path touches
+// (SchemaSignature). Renaming a model, field, relation, or argument does not change a
+// digest; changing a guard, a field's sort, a relation's on-delete policy, or anything
+// else the SMT encoding can see does.
 #ifndef SRC_SOIR_SERIALIZE_H_
 #define SRC_SOIR_SERIALIZE_H_
 
@@ -30,7 +25,9 @@ namespace noctua::soir {
 // files written under any other version (the caller falls back to a cold run).
 // Version 2: verdict keys are built from per-path parts, and the verdicts file stores
 // each part once (see verifier::VerdictCache::SaveToFile).
-inline constexpr int64_t kArtifactVersion = 2;
+// Version 3: the store is a manifest of endpoint digests plus the verdicts, and every
+// key head names the checker options the verdict depends on (verifier::KeyOptions).
+inline constexpr int64_t kArtifactVersion = 3;
 
 // --- Token stream ---------------------------------------------------------------------------
 //
@@ -76,19 +73,6 @@ class ArtifactReader {
   bool ok_ = true;
 };
 
-// --- Schema / path serialization ------------------------------------------------------------
-
-void SerializeSchema(const Schema& schema, ArtifactWriter* w);
-// Appends models/fields/relations into `out` (which must be empty). Returns false —
-// leaving `out` unspecified — on malformed input.
-bool DeserializeSchema(ArtifactReader* r, Schema* out);
-
-// Paths are serialized against a schema: model/relation/field identifiers are the
-// schema's ids, so a path only deserializes meaningfully under the same (or an equal)
-// schema — which is why artifacts carry their schema alongside.
-void SerializeCodePath(const CodePath& path, ArtifactWriter* w);
-bool DeserializeCodePath(ArtifactReader* r, const Schema& schema, CodePath* out);
-
 // --- Content digests ------------------------------------------------------------------------
 
 // FNV-1a, the 64-bit flavor: tiny, dependency-free, and stable across platforms. Not
@@ -99,28 +83,6 @@ std::string DigestHex(uint64_t digest);
 
 // Renaming-invariant content digest of one code path (see file header).
 std::string PathDigest(const Schema& schema, const CodePath& path);
-
-// Exact content digest of a whole schema (names included — NOT renaming-invariant).
-std::string SchemaContentDigest(const Schema& schema);
-
-// Structural digest of a whole schema: every name (model, pk, field, relation, reverse)
-// is blanked before hashing, leaving exactly what model/relation/field *ids* and the SMT
-// encoding depend on — counts, declaration order, field sorts and constraints, relation
-// endpoints/kinds/delete policies. A rename-only schema edit preserves it; any other
-// edit changes it. Artifact loaders gate on this digest: under structural equality the
-// stored paths' ids still mean the same thing and every verdict fingerprint is intact,
-// so a pure rename replays 100% of a prior run.
-std::string SchemaStructuralDigest(const Schema& schema);
-
-// Rewrites every field / pk reference in `paths` (expressions store them by *name*) from
-// `stored`'s names to `current`'s, matching fields by (model id, declaration slot). The
-// two schemas must be structurally equal (same SchemaStructuralDigest) — the caller
-// gates. Returns false without touching `paths` when the rename is ambiguous: some name
-// maps to two different new names in different models, so a bare name occurrence cannot
-// be remapped without type inference, and the caller must fall back to a cold run. A
-// no-rename (identical names) adaptation is a cheap no-op.
-bool AdaptPathsToSchema(const Schema& stored, const Schema& current,
-                        std::vector<CodePath>* paths);
 
 }  // namespace noctua::soir
 

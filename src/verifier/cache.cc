@@ -10,25 +10,15 @@
 
 namespace noctua::verifier {
 
-std::optional<CheckOutcome> VerdictCache::Lookup(const std::string& key) {
-  auto entry = LookupEntry(key);
-  if (!entry) {
-    return std::nullopt;
-  }
-  return entry->outcome;
-}
-
 std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    ++shard.misses;
     return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  ++shard.hits;
   return it->second;
 }
 
@@ -48,23 +38,12 @@ void VerdictCache::InsertLocked(Shard& shard, const std::string& key, Entry entr
     return;
   }
   shard.fifo.push_back(key);
-  size_t shard_capacity = std::max<size_t>(1, capacity_ / kShards);
+  size_t shard_capacity = std::max<size_t>(1, capacity_ / kNumShards);
   while (shard.map.size() > shard_capacity && !shard.fifo.empty()) {
     shard.map.erase(shard.fifo.front());
     shard.fifo.pop_front();
-    ++shard.evictions;
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-std::vector<VerdictCache::ShardStats> VerdictCache::PerShardStats() const {
-  std::vector<ShardStats> out;
-  out.reserve(kShards);
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(const_cast<Shard&>(s).mu);
-    out.push_back(ShardStats{s.map.size(), s.hits, s.misses, s.evictions});
-  }
-  return out;
 }
 
 size_t VerdictCache::size() const {

@@ -11,14 +11,15 @@
 // A fingerprint is assembled from per-path parts (PairKey below): each path is rendered
 // once per run, and a pair's keys only join strings that already exist.
 //
-// The cache is also the incremental engine's persistence unit: SaveToFile/LoadFromFile
+// The cache is also the artifact store's persistence unit: SaveToFile/LoadFromFile
 // round-trip the verdict map through a versioned artifact that stores each path part
 // once, and entries that arrived from disk are marked `replayed` so the report can
 // attribute each pair's verdicts to this run or a prior one (and so paranoia sampling
 // knows which verdicts to spot-re-solve). Because the fingerprints encode everything the
 // SMT encoding can see, seeding a run with a prior store is sound by construction: any
 // pair affected by an edit — changed paths, changed schema fragment, changed order
-// membership — misses and is re-solved.
+// membership, changed checker options — misses and is re-solved. The verifier never
+// inserts a timeout (see AnalyzeRestrictions), so every entry is a decided verdict.
 //
 // Thread-safety: sharded by key hash; lookups and inserts from concurrent verification
 // workers are safe. Two workers may race to compute the same fingerprint — both compute,
@@ -57,7 +58,7 @@ class VerdictCache {
   };
 
   // `capacity` bounds the total number of entries (0 = unbounded, the default). When a
-  // shard would exceed its share (capacity / kShards, at least 1), the oldest entries of
+  // shard would exceed its share (capacity / kNumShards, at least 1), the oldest entries of
   // that shard are evicted FIFO. Only meaningful for run-local caches under memory
   // pressure; a cache that will be persisted as an artifact should stay unbounded, since
   // evicted verdicts silently become cold misses on the next warm run.
@@ -65,9 +66,7 @@ class VerdictCache {
   VerdictCache(const VerdictCache&) = delete;
   VerdictCache& operator=(const VerdictCache&) = delete;
 
-  // Returns the cached outcome, counting a hit; nullopt counts a miss.
-  std::optional<CheckOutcome> Lookup(const std::string& key);
-  // Like Lookup, but exposes provenance.
+  // Returns the cached entry, counting a hit; nullopt counts a miss.
   std::optional<Entry> LookupEntry(const std::string& key);
   void Insert(const std::string& key, CheckOutcome outcome);
 
@@ -90,35 +89,22 @@ class VerdictCache {
   size_t capacity() const { return capacity_; }
   size_t size() const;
 
+  // Entries are spread over this many independently locked shards by key hash.
   static constexpr size_t kNumShards = 16;
 
-  // Point-in-time statistics of one shard, for the per-shard occupancy report.
-  struct ShardStats {
-    size_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  // Snapshot of all kNumShards shards, in shard order.
-  std::vector<ShardStats> PerShardStats() const;
-
  private:
-  static constexpr size_t kShards = kNumShards;
   struct Shard {
     std::mutex mu;
     std::unordered_map<std::string, Entry> map;
     std::deque<std::string> fifo;  // insertion order, only maintained when bounded
-    uint64_t hits = 0;             // guarded by mu
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
   };
   Shard& ShardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kShards];
+    return shards_[std::hash<std::string>{}(key) % kNumShards];
   }
   void InsertLocked(Shard& shard, const std::string& key, Entry entry);
 
   const size_t capacity_;
-  Shard shards_[kShards];
+  Shard shards_[kNumShards];
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
@@ -127,7 +113,8 @@ class VerdictCache {
 // Fingerprint of one verification query over the ordered pair (p, q), joined from the
 // two paths' parts (soir::FingerprintPath) without rendering either path again:
 //
-//   head      the backend tag and the rule tag, e.g. "com" or "z3|ni";
+//   head      the checker options the verdict depends on (KeyOptions) and the rule
+//             tag, e.g. "o1u1i8k2|com";
 //   parts     part(p), then part(q);
 //   link      for each model and each relation in q's canonical list, its position in
 //             p's list, or "new";

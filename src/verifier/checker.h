@@ -48,6 +48,16 @@ struct CheckerOptions {
   bool project_footprint = true;
 };
 
+// The options a verdict depends on, rendered for the head of every verdict-cache key
+// (e.g. "o1u1i8k2"): encoder.use_order, encoder.unique_id_optimization,
+// solver.max_int_domain and the scope's default size. Queries checked under different
+// values of any of them never share a verdict, in a run's cache, the engine's, or a
+// store. Left out: the options proven verdict-preserving (solver.symmetry,
+// solver.incremental, project_footprint, independence_prefilter); the budget, which
+// decides only timeouts, and timeouts are never cached; and per-model scope sizes, which
+// only the solver's own tests set.
+std::string KeyOptions(const CheckerOptions& options);
+
 struct CheckStats {
   double seconds = 0;
   uint64_t solver_nodes = 0;

@@ -209,17 +209,14 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
                      [&](size_t a, size_t b) { return jobs[a].cost < jobs[b].cost; });
   }
 
+  // Key heads: the options the verdicts depend on, then the rule. Verdicts are
+  // backend-independent (the cross-backend soundness contract), so backends share keys.
+  const std::string options_key = KeyOptions(checker.options());
+  const std::string com_head = options_key + "|com";
+  const std::string ni_head = options_key + "|ni";
+
   // A caller-provided store makes verdicts persistent across runs; its counters
   // accumulate, so report stats are computed as deltas from this snapshot.
-  // Key heads carry a backend tag for any backend but dfs. Verdicts themselves are
-  // backend-independent (the cross-backend soundness contract), but kTimeout is not: a
-  // query one backend finishes may exhaust another's budget, so entries must not leak
-  // across backends. The dfs keys stay untagged.
-  const std::string backend_name = smt::MakeBackend(checker.options().solver)->name();
-  const std::string backend_tag = backend_name == "dfs" ? std::string() : backend_name + "|";
-  const std::string com_head = backend_tag + "com";
-  const std::string ni_head = backend_tag + "ni";
-
   VerdictCache local_cache;
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
   const uint64_t hits_before = cache->hits();
@@ -238,9 +235,12 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // One solver-level query, answered from the verdict cache when an isomorphic query
   // already ran. Both outcomes and cache contents are scheduling-independent: isomorphic
   // queries have equal verdicts, so whichever worker computes first inserts the same
-  // answer every interleaving. Replayed hits (entries loaded from a prior store) are
-  // additionally subject to paranoia sampling: a per-fingerprint coin decides whether to
-  // re-solve and cross-check, so the audited subset is the same for any thread count.
+  // answer every interleaving. A timeout is never inserted: it says how much budget the
+  // machine had, not what the query's answer is, so a twin query re-solves it and no
+  // store keeps it. Replayed hits (entries loaded from a prior store) are additionally
+  // subject to paranoia sampling: a per-fingerprint coin decides whether to re-solve and
+  // cross-check, so the audited subset is the same for any thread count. A re-solve that
+  // times out decides nothing, so it cannot disagree.
   auto cached_query = [&](const auto& key_fn, CheckStats* cs, const auto& compute) {
     std::string key;
     if (use_cache) {
@@ -264,7 +264,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
               solver_checks.fetch_add(1, std::memory_order_relaxed);
               solver_nodes.fetch_add(recheck.solver_nodes, std::memory_order_relaxed);
               paranoia_rechecks.fetch_add(1, std::memory_order_relaxed);
-              NOCTUA_CHECK_MSG(fresh == hit->outcome,
+              NOCTUA_CHECK_MSG(fresh == hit->outcome || fresh == CheckOutcome::kTimeout,
                                "paranoia recheck disagrees with replayed verdict ("
                                    << CheckOutcomeName(fresh) << " vs "
                                    << CheckOutcomeName(hit->outcome)
@@ -278,7 +278,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     CheckOutcome o = compute(cs);
     solver_checks.fetch_add(1, std::memory_order_relaxed);
     solver_nodes.fetch_add(cs->solver_nodes, std::memory_order_relaxed);
-    if (use_cache) {
+    if (use_cache && o != CheckOutcome::kTimeout) {
       cache->Insert(key, o);
     }
     return o;
@@ -389,11 +389,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   report.stats.pool_tasks = pool_stats.tasks - pool_before.tasks;
   report.stats.pool_steals = pool_stats.steals - pool_before.steals;
   report.stats.cache_evictions = cache->evictions() - evictions_before;
-  report.stats.solver_backend = backend_name;
-  for (const VerdictCache::ShardStats& s : cache->PerShardStats()) {
-    report.stats.cache_shards.push_back(
-        ReportStats::CacheShardStat{s.entries, s.hits, s.misses, s.evictions});
-  }
+  report.stats.solver_backend = smt::MakeBackend(checker.options().solver)->name();
   for (const PairVerdict& v : report.pairs) {
     report.stats.check_seconds += v.com_seconds + v.sem_seconds;
     if (v.provenance == PairProvenance::kReplayed) {

@@ -39,8 +39,8 @@ struct ParallelOptions {
   // the run persists the union. Ignored when `cache` is false. nullptr = run-local.
   VerdictCache* store = nullptr;
   // Probability of re-solving a *replayed* verdict anyway and CHECK-failing if the fresh
-  // outcome disagrees — a randomized audit of artifact integrity (FNV fingerprints are
-  // not cryptographic). Sampling is derandomized per fingerprint (seeded by the key and
+  // outcome disagrees (a fresh timeout decides nothing and is not compared) — a
+  // randomized audit of artifact integrity (FNV fingerprints are not cryptographic). Sampling is derandomized per fingerprint (seeded by the key and
   // `paranoia_seed`), so the audited subset is thread-schedule independent. 0 disables;
   // 1.0 re-solves everything replayed.
   double paranoia = 0;
@@ -103,17 +103,6 @@ struct ReportStats {
   // when a test plugs in the oracle. The solver's own tallies (incremental reuse,
   // symmetry pruning) live in the obs registry, not here.
   std::string solver_backend = "dfs";
-
-  // Per-shard snapshot of the verdict cache after the run (occupancy plus lifetime
-  // hit/miss/eviction counts of the cache object — for a persistent store these span
-  // all runs it served).
-  struct CacheShardStat {
-    size_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  std::vector<CacheShardStat> cache_shards;
 
   double CacheHitRate() const {
     uint64_t lookups = cache_hits + cache_misses;

@@ -9,6 +9,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
+#include "src/pipeline/enforce.h"
 #include "src/repl/simulator.h"
 #include "src/verifier/report.h"
 
@@ -50,15 +51,8 @@ ConflictTable ConflictsFor(const app::App& a, const std::string& name,
   // model in insertion order makes that order part of state equality, and under a
   // faulty network unrestricted concurrent inserts really do land in different orders
   // at different sites (Todo exercises exactly this).
-  verifier::RestrictionReport report = verifier::AnalyzeRestrictions(
-      verifier::Checker(a.schema()), eff, {}, res.paths);
-  ConflictTable table;
-  for (const auto& v : report.pairs) {
-    if (v.Restricted()) {
-      table.AddPair(v.p.substr(0, v.p.find('#')), v.q.substr(0, v.q.find('#')));
-    }
-  }
-  return table;
+  return EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff,
+                                                        {}, res.paths));
 }
 
 class ChaosGridTest : public ::testing::TestWithParam<int> {};
@@ -208,14 +202,10 @@ TEST(ChaosTest, ConservativeTableCoversTheVerifiedRestrictionSet) {
   analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
   auto eff = res.EffectfulPaths();
   ConflictTable conservative = ConservativeConflicts(a.schema(), eff);
-  verifier::RestrictionReport report =
-      verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff);
-  for (const auto& v : report.pairs) {
-    if (v.Restricted()) {
-      std::string p = v.p.substr(0, v.p.find('#'));
-      std::string q = v.q.substr(0, v.q.find('#'));
-      EXPECT_TRUE(conservative.Conflicts(p, q)) << "(" << p << ", " << q << ")";
-    }
+  const ConflictTable verified =
+      EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff));
+  for (const auto& [p, q] : verified.pairs()) {
+    EXPECT_TRUE(conservative.Conflicts(p, q)) << "(" << p << ", " << q << ")";
   }
 }
 

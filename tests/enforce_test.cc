@@ -13,6 +13,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
+#include "src/pipeline/enforce.h"
 #include "src/repl/coord.h"
 #include "src/repl/simulator.h"
 #include "src/repl/trace_check.h"
@@ -352,15 +353,8 @@ ConflictTable ConflictsFor(const app::App& a, const std::string& name,
   if (name == "Zhihu" || name == "OwnPhotos") {
     return ConservativeConflicts(a.schema(), eff);
   }
-  verifier::RestrictionReport report = verifier::AnalyzeRestrictions(
-      verifier::Checker(a.schema()), eff, {}, res.paths);
-  ConflictTable table;
-  for (const auto& v : report.pairs) {
-    if (v.Restricted()) {
-      table.AddPair(v.p.substr(0, v.p.find('#')), v.q.substr(0, v.q.find('#')));
-    }
-  }
-  return table;
+  return EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff,
+                                                        {}, res.paths));
 }
 
 SimResult RunEnforced(const app::App& a, const analyzer::AnalysisResult& res,

@@ -1,10 +1,10 @@
-// Tests for the incremental analysis engine: stable serialization of schemas, code
-// paths, analyses, and verdicts (each path part stored once); renaming-invariant content
-// digests; verdict keys joined from per-path parts, which must classify queries exactly
-// like the shared-context reference key; the on-disk artifact store with its fail-closed
-// loader and version gate; and O(change) re-verification — a warm run must produce the
-// byte-identical restriction set of a cold run while replaying every verdict the edit
-// did not touch.
+// Tests for store-backed runs: stable serialization of verdicts (each path part stored
+// once); renaming-invariant content digests; verdict keys joined from per-path parts,
+// which must classify queries exactly like the shared-context reference key; the on-disk
+// artifact store (a manifest and the verdicts) with its fail-closed loader and version
+// gate; and O(change) re-verification — a warm run must produce the byte-identical
+// restriction set of a cold run while replaying every verdict the edit did not touch.
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -55,13 +55,10 @@ struct LibraryNames {
 struct LibraryConfig {
   LibraryNames names;
   // Guard constant in the checkout handler: changing it is the "developer edited a
-  // handler body" scenario (the fingerprint tracks it).
+  // handler body" scenario.
   int min_copies = 1;
   // Registers one extra endpoint (the "developer added an endpoint" scenario).
   bool with_review = false;
-  // Appended to every handler fingerprint — models "the rename rewrote every handler's
-  // source" without changing any handler's behavior.
-  std::string fp_suffix;
 };
 
 app::App MakeLibraryApp(const LibraryConfig& cfg) {
@@ -85,8 +82,7 @@ app::App MakeLibraryApp(const LibraryConfig& cfg) {
       "add_book",
       [n](ViewCtx& v) {
         v.Create(n.book, {{n.title, v.Post("title")}, {n.copies, v.PostInt("copies")}});
-      },
-      "add_book@v1" + cfg.fp_suffix);
+      });
 
   const int min_copies = cfg.min_copies;
   app.AddView(
@@ -98,8 +94,7 @@ app::App MakeLibraryApp(const LibraryConfig& cfg) {
         v.Create(n.loan, {{"created", v.PostInt("now")}},
                  {{n.borrower, member}, {n.of_book, book}});
         book.with(n.copies, book.attr(n.copies) - 1).save();
-      },
-      "checkout@min" + std::to_string(min_copies) + cfg.fp_suffix);
+      });
 
   app.AddView(
       "return_book",
@@ -110,8 +105,7 @@ app::App MakeLibraryApp(const LibraryConfig& cfg) {
         v.Guard(loan.exists());
         loan.del();
         book.with(n.copies, book.attr(n.copies) + 1).save();
-      },
-      "return_book@v1" + cfg.fp_suffix);
+      });
 
   if (cfg.with_review) {
     app.AddView(
@@ -119,13 +113,12 @@ app::App MakeLibraryApp(const LibraryConfig& cfg) {
         [n](ViewCtx& v) {
           SymObj book = v.M(n.book).get("id", v.ParamRef("book", n.book));
           book.with(n.title, v.Post("title")).save();
-        },
-        "review@v1" + cfg.fp_suffix);
+        });
   }
   return app;
 }
 
-LibraryConfig RenamedConfig(const std::string& fp_suffix) {
+LibraryConfig RenamedConfig() {
   LibraryConfig cfg;
   cfg.names.book = "Tome";
   cfg.names.member = "Patron";
@@ -134,7 +127,6 @@ LibraryConfig RenamedConfig(const std::string& fp_suffix) {
   cfg.names.copies = "stock";
   cfg.names.borrower = "holder";
   cfg.names.of_book = "of_tome";
-  cfg.fp_suffix = fp_suffix;
   return cfg;
 }
 
@@ -233,74 +225,6 @@ size_t Occurrences(const std::string& haystack, const std::string& needle) {
 }
 
 // -------------------------------------------------------------- serialization round-trips
-
-TEST(SerializeTest, SchemaRoundTripsToIdenticalDigests) {
-  app::App a = apps::MakeZhihuApp();
-  soir::ArtifactWriter w;
-  soir::SerializeSchema(a.schema(), &w);
-
-  soir::ArtifactReader r(w.str());
-  soir::Schema copy;
-  ASSERT_TRUE(soir::DeserializeSchema(&r, &copy));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(copy.ToString(), a.schema().ToString());
-  EXPECT_EQ(soir::SchemaContentDigest(copy), soir::SchemaContentDigest(a.schema()));
-  EXPECT_EQ(soir::SchemaStructuralDigest(copy), soir::SchemaStructuralDigest(a.schema()));
-}
-
-TEST(SerializeTest, StructuralDigestSurvivesRenamesOnly) {
-  app::App b = MakeLibraryApp(RenamedConfig(""));
-  app::App base = MakeLibraryApp(LibraryConfig{});
-  // Renaming every model/field/relation preserves structure but changes exact content.
-  EXPECT_EQ(soir::SchemaStructuralDigest(b.schema()),
-            soir::SchemaStructuralDigest(base.schema()));
-  EXPECT_NE(soir::SchemaContentDigest(b.schema()),
-            soir::SchemaContentDigest(base.schema()));
-  // A real structural edit (extra field) changes both.
-  app::App extra = MakeLibraryApp(LibraryConfig{});
-  extra.schema().AddField("Member",
-                          FieldDef{.name = "email", .type = FieldType::kString});
-  EXPECT_NE(soir::SchemaStructuralDigest(extra.schema()),
-            soir::SchemaStructuralDigest(base.schema()));
-}
-
-TEST(SerializeTest, CodePathsRoundTripWithIdenticalDigestsAndCanonicalForm) {
-  app::App a = apps::MakeSmallBankApp();
-  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
-  ASSERT_FALSE(analysis.paths.empty());
-  for (const soir::CodePath& p : analysis.paths) {
-    soir::ArtifactWriter w;
-    soir::SerializeCodePath(p, &w);
-    soir::ArtifactReader r(w.str());
-    soir::CodePath copy;
-    ASSERT_TRUE(soir::DeserializeCodePath(&r, a.schema(), &copy)) << p.op_name;
-    EXPECT_TRUE(r.AtEnd());
-    EXPECT_EQ(copy.op_name, p.op_name);
-    EXPECT_EQ(soir::PathDigest(a.schema(), copy), soir::PathDigest(a.schema(), p));
-    soir::CanonicalizationCtx c1(a.schema());
-    soir::CanonicalizationCtx c2(a.schema());
-    EXPECT_EQ(soir::CanonicalPath(a.schema(), copy, &c1),
-              soir::CanonicalPath(a.schema(), p, &c2));
-  }
-}
-
-TEST(SerializeTest, AnalysisRoundTripValidates) {
-  app::App a = apps::MakeSmallBankApp();
-  analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
-  soir::ArtifactWriter w;
-  analyzer::SerializeAnalysis(analysis, &w);
-
-  soir::ArtifactReader r(w.str());
-  analyzer::AnalysisResult copy;
-  ASSERT_TRUE(analyzer::DeserializeAnalysis(&r, a.schema(), &copy));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(copy.paths.size(), analysis.paths.size());
-  EXPECT_EQ(copy.num_code_paths, analysis.num_code_paths);
-  EXPECT_EQ(copy.num_effectful, analysis.num_effectful);
-  EXPECT_EQ(copy.endpoint_digests, analysis.endpoint_digests);
-  EXPECT_EQ(copy.endpoint_code_paths, analysis.endpoint_code_paths);
-  EXPECT_TRUE(analyzer::ValidateAnalysisDigests(a.schema(), copy));
-}
 
 TEST(SerializeTest, VerdictCachePersistsAndMarksReplayed) {
   verifier::VerdictCache cache;
@@ -416,8 +340,11 @@ TEST(VerdictStoreTest, CorruptPartTablesFailClosed) {
     verifier::VerdictCache cache;
     ASSERT_TRUE(cache.LoadFromFile(file));
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.Lookup("3:com6:part a6:part btail"), verifier::CheckOutcome::kFail);
-    EXPECT_EQ(cache.Lookup("free"), verifier::CheckOutcome::kTimeout);
+    auto pair_entry = cache.LookupEntry("3:com6:part a6:part btail");
+    auto free_entry = cache.LookupEntry("free");
+    ASSERT_TRUE(pair_entry.has_value() && free_entry.has_value());
+    EXPECT_EQ(pair_entry->outcome, verifier::CheckOutcome::kFail);
+    EXPECT_EQ(free_entry->outcome, verifier::CheckOutcome::kTimeout);
   }
 
   const std::pair<const char*, std::string> kCorruptions[] = {
@@ -605,7 +532,6 @@ TEST(IncrementalTest, WarmRunReplaysEverythingWhenNothingChanged) {
   PipelineResult warm = RunStored(again, store);
   EXPECT_FALSE(warm.cold);
   EXPECT_TRUE(warm.changed_endpoints.empty());
-  EXPECT_EQ(warm.analysis.endpoints_reused, again.views().size());
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
   EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
@@ -616,12 +542,11 @@ TEST(IncrementalTest, HandlerEditReverifiesOnlyPairsTouchingIt) {
   RunStored(MakeLibraryApp(LibraryConfig{}), store);
 
   LibraryConfig edited;
-  edited.min_copies = 5;  // checkout's guard changed (and so did its fingerprint)
+  edited.min_copies = 5;  // checkout's guard changed
   app::App b = MakeLibraryApp(edited);
   PipelineResult warm = RunStored(b, store);
   EXPECT_FALSE(warm.cold);
   EXPECT_EQ(warm.changed_endpoints, std::vector<std::string>{"checkout"});
-  EXPECT_EQ(warm.analysis.endpoints_reused, b.views().size() - 1);
   EXPECT_GT(warm.stats().pairs_replayed, 0u);
   ExpectUnchangedPairsReplayed(warm.restrictions, {"checkout"});
 
@@ -653,37 +578,60 @@ TEST(IncrementalTest, RenameOnlyEditReplaysEveryVerdict) {
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult cold = RunStored(a, store);
 
-  // The rename rewrote every handler's source (fingerprints change), so analysis re-runs
-  // — but every digest and every verdict fingerprint is renaming-invariant: nothing is
-  // re-verified and the restriction set is byte-identical.
-  app::App renamed = MakeLibraryApp(RenamedConfig("@renamed"));
+  // Every model, field and relation renamed: every digest and every verdict key is
+  // renaming-invariant, so nothing is re-verified and the restriction set is
+  // byte-identical.
+  app::App renamed = MakeLibraryApp(RenamedConfig());
   PipelineResult warm = RunStored(renamed, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_EQ(warm.analysis.endpoints_reused, 0u);
   EXPECT_TRUE(warm.changed_endpoints.empty())
       << "a pure rename must not change any endpoint digest";
   EXPECT_EQ(warm.stats().pairs_computed, 0u) << "a pure rename must replay 100% of verdicts";
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
   EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
-
-  // Schema-only rename with untouched handlers (fingerprints equal): analysis memoizes
-  // on top of the verdict replay.
-  app::App renamed_again = MakeLibraryApp(RenamedConfig("@renamed"));
-  PipelineResult memo = RunStored(renamed_again, store);
-  EXPECT_FALSE(memo.cold);
-  EXPECT_EQ(memo.analysis.endpoints_reused, renamed_again.views().size());
-  EXPECT_EQ(memo.stats().pairs_computed, 0u);
-  EXPECT_EQ(VerdictLines(memo.restrictions), VerdictLines(cold.restrictions));
 }
 
-TEST(IncrementalTest, StructuralSchemaEditFallsBackToCold) {
+// A structural schema edit keeps the store: a pair's keys change only if one of its paths
+// reaches the edited model, so exactly those pairs re-solve and the rest replay.
+TEST(IncrementalTest, StructuralSchemaEditReplaysPairsItDoesNotTouch) {
   std::string store = TempStore("schema_edit");
   RunStored(MakeLibraryApp(LibraryConfig{}), store);
 
-  app::App b = MakeLibraryApp(LibraryConfig{});
-  b.schema().AddField("Member", FieldDef{.name = "email", .type = FieldType::kString});
+  auto with_email = [] {
+    app::App b = MakeLibraryApp(LibraryConfig{});
+    b.schema().AddField("Member", FieldDef{.name = "email", .type = FieldType::kString});
+    return b;
+  };
+  app::App b = with_email();
   PipelineResult warm = RunStored(b, store);
-  EXPECT_TRUE(warm.cold) << "model ids cannot be trusted across structural edits";
+  EXPECT_FALSE(warm.cold);
+
+  // The paths whose schema fragment (a part of every key they are in) holds Member.
+  const int member = b.schema().ModelId("Member");
+  std::set<std::string> touch_member;
+  for (const soir::CodePath& p : warm.analysis.EffectfulPaths()) {
+    const std::vector<int> models = soir::FingerprintPath(b.schema(), p).models;
+    if (std::find(models.begin(), models.end(), member) != models.end()) {
+      touch_member.insert(p.op_name);
+    }
+  }
+  size_t replayed = 0;
+  size_t computed = 0;
+  for (const verifier::PairVerdict& v : warm.restrictions.pairs) {
+    if (v.prefiltered) {
+      continue;
+    }
+    const bool touched = touch_member.count(v.p) != 0 || touch_member.count(v.q) != 0;
+    EXPECT_EQ(v.provenance,
+              touched ? verifier::PairProvenance::kComputed : verifier::PairProvenance::kReplayed)
+        << "(" << v.p << ", " << v.q << ")";
+    ++(touched ? computed : replayed);
+  }
+  EXPECT_GT(replayed, 0u);
+  EXPECT_GT(computed, 0u);
+
+  PipelineResult cold = RunStored(with_email(), TempStore("schema_edit_cold"));
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
@@ -697,10 +645,10 @@ TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
     enum { kTruncate, kGarbage, kVersion, kDelete } kind;
   };
   const Corruption kCorruptions[] = {
-      {"analysis", Corruption::kTruncate},
+      {"verdicts", Corruption::kTruncate},
       {"verdicts", Corruption::kGarbage},
       {"manifest", Corruption::kVersion},
-      {"schema", Corruption::kDelete},
+      {"manifest", Corruption::kDelete},
   };
   for (const Corruption& c : kCorruptions) {
     std::string path = store + "/" + c.file;
@@ -712,7 +660,7 @@ TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
         WriteAll(path, "not an artifact at all {{{");
         break;
       case Corruption::kVersion:
-        WriteAll(path, "noctua-manifest 9999 \"library\" \"x\" \"y\"");
+        WriteAll(path, "noctua-manifest 9999 \"library\" 0");
         break;
       case Corruption::kDelete:
         std::filesystem::remove(path);
@@ -748,17 +696,24 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
 // A store written by an earlier build fails the version gate: that run is cold, saves a
 // store of the current version, and the next run replays from it.
 TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
-  std::string store = TempStore("version_1");
+  std::string store = TempStore("version_earlier");
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult first = RunStored(a, store);
   ASSERT_TRUE(first.cold);
+  // The store is the manifest and the verdicts, nothing else.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(store)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"manifest", "verdicts"}));
   const std::string current = " " + std::to_string(soir::kArtifactVersion) + " ";
-  for (const char* file : {"manifest", "analysis", "verdicts"}) {
+  const std::string earlier = " " + std::to_string(soir::kArtifactVersion - 1) + " ";
+  for (const char* file : {"manifest", "verdicts"}) {
     std::string path = store + "/" + file;
     std::string data = ReadAll(path);
     size_t at = data.find(' ');
     ASSERT_EQ(data.compare(at, current.size(), current), 0) << file;
-    WriteAll(path, data.replace(at, current.size(), " 1 "));
+    WriteAll(path, data.replace(at, current.size(), earlier));
   }
 
   analyzer::AnalysisResult analysis;
@@ -771,6 +726,36 @@ TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
   EXPECT_GT(warm.stats().pairs_replayed, 0u);
   EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(first.restrictions));
+}
+
+// A timeout says how much budget a run had, not what its query's answer is, so no cache
+// keeps one: a run on a store written under a starved budget re-solves every pair that
+// timed out there, and matches a cold run.
+TEST(IncrementalTest, TimeoutsAreNeverStored) {
+  std::string store = TempStore("timeouts");
+  app::App a = apps::MakeZhihuApp();
+  PipelineOptions starved = Opts();
+  starved.checker.solver.budget.max_nodes = 1;
+  PipelineResult first = RunStored(a, store, starved);
+  std::set<std::pair<std::string, std::string>> timed_out;
+  for (const verifier::PairVerdict& v : first.restrictions.pairs) {
+    if (v.commutativity == verifier::CheckOutcome::kTimeout ||
+        v.semantic == verifier::CheckOutcome::kTimeout) {
+      timed_out.emplace(v.p, v.q);
+    }
+  }
+  ASSERT_FALSE(timed_out.empty());
+
+  PipelineResult warm = RunStored(a, store);
+  EXPECT_FALSE(warm.cold);
+  for (const verifier::PairVerdict& v : warm.restrictions.pairs) {
+    if (timed_out.count({v.p, v.q}) != 0) {
+      EXPECT_EQ(v.provenance, verifier::PairProvenance::kComputed)
+          << "(" << v.p << ", " << v.q << ") replayed a stored timeout";
+    }
+  }
+  PipelineResult cold = RunStored(a, TempStore("timeouts_cold"));
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 // An engine reads the environment once, when it is built. Its store-backed runs verify
@@ -813,6 +798,23 @@ TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
   EXPECT_EQ(stats.paranoia_rechecks, stats.replayed)
       << "paranoia=1.0 must re-solve every replayed verdict";
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
+}
+
+// A paranoia re-solve that runs out of budget decides nothing, so it cannot convict an
+// honest store: an audit under a starved budget keeps the stored verdicts.
+TEST(IncrementalTest, ParanoiaUnderAStarvedBudgetKeepsAnHonestStore) {
+  std::string store = TempStore("paranoia_starved");
+  app::App a = MakeLibraryApp(LibraryConfig{});
+  PipelineResult cold = RunStored(a, store);
+
+  PipelineOptions opts = Opts();
+  opts.checker.solver.budget.max_nodes = 1;
+  opts.parallel.paranoia = 1.0;
+  PipelineResult warm = RunStored(a, store, opts);
+  EXPECT_FALSE(warm.cold);
+  EXPECT_GT(warm.restrictions.stats.paranoia_rechecks, 0u);
+  EXPECT_EQ(warm.restrictions.stats.paranoia_rechecks, warm.restrictions.stats.replayed);
+  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
 }
 
 TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -829,52 +831,46 @@ TEST(RunReport, DisabledPipelineProducesNoReport) {
 }
 
 // -----------------------------------------------------------------------------
-// Verdict cache: per-shard statistics and bounded eviction
+// Verdict cache: statistics and bounded eviction
 
 TEST(CacheShardStats, HitsMissesAndOccupancyPerShard) {
   verifier::VerdictCache cache;  // unbounded
   for (int i = 0; i < 100; ++i) {
     cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
   }
+  // Every shard's entries count toward the size, and every probe toward the counters.
   EXPECT_EQ(cache.size(), 100u);
-  EXPECT_TRUE(cache.Lookup("key-3").has_value());
-  EXPECT_FALSE(cache.Lookup("absent").has_value());
-
-  std::vector<verifier::VerdictCache::ShardStats> shards = cache.PerShardStats();
-  ASSERT_EQ(shards.size(), verifier::VerdictCache::kNumShards);
-  size_t entries = 0;
-  uint64_t hits = 0, misses = 0, evictions = 0;
-  for (const auto& s : shards) {
-    entries += s.entries;
-    hits += s.hits;
-    misses += s.misses;
-    evictions += s.evictions;
-  }
-  EXPECT_EQ(entries, cache.size());
-  EXPECT_EQ(hits, cache.hits());
-  EXPECT_EQ(misses, cache.misses());
-  EXPECT_EQ(evictions, 0u);
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 1u);
+  EXPECT_TRUE(cache.LookupEntry("key-3").has_value());
+  EXPECT_FALSE(cache.LookupEntry("absent").has_value());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(CacheShardStats, BoundedCacheEvictsFifoPerShard) {
-  // Per-shard share is capacity / kNumShards = 1: the second insert hashing to a shard
-  // evicts that shard's oldest entry.
-  verifier::VerdictCache cache(verifier::VerdictCache::kNumShards);
+  // Per-shard share is capacity / kNumShards = 2: once a shard holds two entries, each
+  // insert hashing to it evicts that shard's oldest, so the last two keys inserted into
+  // each shard survive.
+  constexpr size_t kShards = verifier::VerdictCache::kNumShards;
+  verifier::VerdictCache cache(2 * kShards);
   constexpr int kInserts = 200;
+  std::map<size_t, std::vector<int>> by_shard;
   for (int i = 0; i < kInserts; ++i) {
-    cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
+    const std::string key = "key-" + std::to_string(i);
+    cache.Insert(key, verifier::CheckOutcome::kPass);
+    by_shard[std::hash<std::string>{}(key) % kShards].push_back(i);  // the cache's shard rule
   }
-  EXPECT_LE(cache.size(), verifier::VerdictCache::kNumShards);
+  std::set<int> survivors;
+  for (const auto& [shard, keys] : by_shard) {
+    survivors.insert(keys.end() - std::min<size_t>(keys.size(), 2), keys.end());
+  }
+  EXPECT_EQ(cache.size(), survivors.size());
   EXPECT_EQ(cache.evictions(), kInserts - cache.size());
-  std::vector<verifier::VerdictCache::ShardStats> shards = cache.PerShardStats();
-  uint64_t shard_evictions = 0;
-  for (const auto& s : shards) {
-    EXPECT_LE(s.entries, 1u);
-    shard_evictions += s.evictions;
+  for (int i = 0; i < kInserts; ++i) {
+    EXPECT_EQ(cache.LookupEntry("key-" + std::to_string(i)).has_value(),
+              survivors.count(i) != 0)
+        << i;
   }
-  EXPECT_EQ(shard_evictions, cache.evictions());
 }
 
 TEST(CacheShardStats, DuplicateInsertKeepsExistingEntry) {
@@ -883,7 +879,9 @@ TEST(CacheShardStats, DuplicateInsertKeepsExistingEntry) {
   cache.Insert("same", verifier::CheckOutcome::kFail);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(*cache.Lookup("same"), verifier::CheckOutcome::kPass);
+  auto entry = cache.LookupEntry("same");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kPass);
 }
 
 }  // namespace

@@ -183,11 +183,12 @@ TEST(CanonicalFingerprintTest, SeparatesAndMergesSmallBankPaths) {
 
 TEST(VerdictCacheTest, LookupInsertAndCounters) {
   verifier::VerdictCache cache;
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  EXPECT_FALSE(cache.LookupEntry("k").has_value());
   cache.Insert("k", verifier::CheckOutcome::kFail);
-  auto hit = cache.Lookup("k");
+  auto hit = cache.LookupEntry("k");
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, verifier::CheckOutcome::kFail);
+  EXPECT_EQ(hit->outcome, verifier::CheckOutcome::kFail);
+  EXPECT_FALSE(hit->replayed);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -343,6 +344,27 @@ TEST(EngineTest, WarmEngineAnswersRepeatRunsFromItsVerdictCache) {
   EXPECT_GT(warm.restrictions.stats.cache_hits, 0u);
   EXPECT_EQ(warm.restrictions.RestrictedPairNames(),
             cold.restrictions.RestrictedPairNames());
+}
+
+// Verdict keys name the checker options a verdict depends on, so an engine that has
+// verified an app under one set of options answers an ablation exactly as a fresh
+// engine does.
+TEST(EngineTest, CachedVerdictsDoNotCrossCheckerOptions) {
+  app::App a = apps::MakeCoursewareApp();
+  PipelineOptions options;
+  options.checker.solver.budget.deterministic = true;
+  PipelineOptions ablated = options;
+  ablated.checker.encoder.unique_id_optimization = false;
+
+  EngineConfig config;
+  config.threads = 2;
+  Engine engine(config);
+  PipelineResult run = engine.Run(a, options);
+  verifier::RestrictionReport shared = engine.Verify(a, run.analysis, ablated);
+  verifier::RestrictionReport fresh = Engine(config).Verify(a, run.analysis, ablated);
+  EXPECT_EQ(VerdictLines(shared), VerdictLines(fresh));
+  // Not vacuous: the ablation changes the restriction set.
+  EXPECT_NE(shared.num_restrictions(), run.restrictions.num_restrictions());
 }
 
 TEST(EngineTest, IdleEngineConstructsAndDestructsCleanly) {

@@ -13,6 +13,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
+#include "src/pipeline/enforce.h"
 #include "src/repl/simulator.h"
 #include "src/smt/backend.h"
 #include "src/smt/eval.h"
@@ -486,14 +487,8 @@ TEST_P(AppConvergenceTest, ReplicasConvergeUnderComputedRestrictions) {
   app::App a = entry.make();
   analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
   auto eff = res.EffectfulPaths();
-  verifier::RestrictionReport report =
-      verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff);
-  repl::ConflictTable conflicts;
-  for (const auto& v : report.pairs) {
-    if (v.Restricted()) {
-      conflicts.AddPair(v.p.substr(0, v.p.find('#')), v.q.substr(0, v.q.find('#')));
-    }
-  }
+  repl::ConflictTable conflicts =
+      EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff));
   repl::SimOptions options;
   options.duration_ms = 250;
   options.write_ratio = 0.5;

@@ -5,6 +5,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
+#include "src/pipeline/enforce.h"
 #include "src/repl/simulator.h"
 #include "src/verifier/report.h"
 
@@ -12,16 +13,7 @@ namespace noctua::repl {
 namespace {
 
 ConflictTable ConflictsFor(const app::App& a, const std::vector<soir::CodePath>& eff) {
-  verifier::RestrictionReport report =
-      verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff);
-  ConflictTable table;
-  for (const auto& v : report.pairs) {
-    if (v.Restricted()) {
-      // Lift path-level restrictions to endpoints (the paper's §6.5 simplification).
-      table.AddPair(v.p.substr(0, v.p.find('#')), v.q.substr(0, v.q.find('#')));
-    }
-  }
-  return table;
+  return EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff));
 }
 
 TEST(ConflictTableTest, SymmetricLookup) {
