@@ -9,6 +9,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/app/app.h"
+#include "src/obs/json.h"
 #include "src/support/strings.h"
 #include "src/verifier/report.h"
 
@@ -26,11 +27,13 @@ namespace noctua::bench {
 //   v6: preamble drops the backend stamp: production has one solver, dfs.
 inline constexpr int kBenchSchemaVersion = 6;
 
-// The leading members every BENCH_*.json document starts with. Callers embed it right
-// after their opening brace: json = "{" + BenchJsonPreamble("fault_sweep") + ", ...".
-inline std::string BenchJsonPreamble(const std::string& bench_name) {
-  return "\"bench\": \"" + bench_name +
-         "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion);
+// A writer holding the open top-level object of a BENCH_*.json document and the members
+// every such document starts with; the bench writes its own members after them.
+inline obs::JsonWriter BenchDocument(const char* bench_name) {
+  obs::JsonWriter w;
+  w.BeginObject().Key("bench").String(bench_name);
+  w.Key("schema_version").Int(kBenchSchemaVersion);
+  return w;
 }
 
 // Percentiles of a sample set, exact by sorting (benches deal in hundreds of samples,
@@ -59,16 +62,16 @@ inline Percentiles ComputePercentiles(std::vector<double> samples) {
   return out;
 }
 
-inline std::string PercentilesJson(const Percentiles& p, int digits = 6) {
-  return "{\"p50\": " + FormatDouble(p.p50, digits) + ", \"p95\": " +
-         FormatDouble(p.p95, digits) + ", \"p99\": " + FormatDouble(p.p99, digits) + "}";
+inline void WritePercentiles(obs::JsonWriter& w, const Percentiles& p) {
+  w.BeginObject().Key("p50").Double(p.p50, 6).Key("p95").Double(p.p95, 6);
+  w.Key("p99").Double(p.p99, 6).EndObject();
 }
 
 // Per-phase timing distribution of one verification run: commutativity and semantic
 // check wall times across the (non-prefiltered) pairs, as percentile summaries. This is
 // what "where did the verify time go" questions need — totals hide the tail pair that
 // dominates wall-clock on few threads.
-inline std::string PhaseTimingJson(const verifier::RestrictionReport& report) {
+inline void WritePhaseTiming(obs::JsonWriter& w, const verifier::RestrictionReport& report) {
   std::vector<double> com, sem;
   for (const auto& v : report.pairs) {
     if (v.prefiltered) {
@@ -77,9 +80,9 @@ inline std::string PhaseTimingJson(const verifier::RestrictionReport& report) {
     com.push_back(v.com_seconds);
     sem.push_back(v.sem_seconds);
   }
-  return "{\"com_seconds\": " + PercentilesJson(ComputePercentiles(std::move(com))) +
-         ", \"sem_seconds\": " + PercentilesJson(ComputePercentiles(std::move(sem))) +
-         "}";
+  WritePercentiles(w.BeginObject().Key("com_seconds"), ComputePercentiles(std::move(com)));
+  WritePercentiles(w.Key("sem_seconds"), ComputePercentiles(std::move(sem)));
+  w.EndObject();
 }
 
 // Lines of code of an app's defining C++ source (the Table 4 LoC counterpart; the paper

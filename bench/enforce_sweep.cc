@@ -30,7 +30,6 @@
 #include "src/pipeline/enforce.h"
 #include "src/repl/simulator.h"
 #include "src/repl/trace_check.h"
-#include "src/support/strings.h"
 #include "src/verifier/report.h"
 
 namespace {
@@ -94,13 +93,11 @@ int main() {
   repl::EnforceOptions knobs = repl::ApplyEnforceEnv();
 
   bool all_safe = true;
-  std::string json = "{" + bench::BenchJsonPreamble("enforce_sweep") +
-                     ", \"lease_ms\": " + FormatDouble(knobs.lease_ms, 1) +
-                     ", \"num_shards\": " + std::to_string(knobs.num_shards);
+  obs::JsonWriter json = bench::BenchDocument("enforce_sweep");
+  json.Key("lease_ms").Double(knobs.lease_ms, 1).Key("num_shards").Int(knobs.num_shards);
 
   // --- 1. Enforced chaos grid over every evaluated app -------------------------------
-  json += ", \"grid\": [";
-  bool first_cell = true;
+  json.Key("grid").BeginArray();
   for (const auto& entry : apps::EvaluatedApps()) {
     app::App a = entry.make();
     analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
@@ -126,25 +123,22 @@ int main() {
           fprintf(stderr, "[enforce_sweep]   witness: %s\n",
                   check.first.Describe().c_str());
         }
-        json += std::string(first_cell ? "" : ", ") + "{\"app\": \"" + entry.name +
-                "\", \"plan\": \"" + pc.name +
-                "\", \"seed\": " + std::to_string(seed) +
-                ", \"throughput_ops\": " + FormatDouble(r.ThroughputOpsPerSec(), 1) +
-                ", \"p99_latency_ms\": " + FormatDouble(r.p99_latency_ms, 3) +
-                ", \"lease_acquires\": " + std::to_string(r.lease_acquires) +
-                ", \"lease_expiries\": " + std::to_string(r.lease_expiries) +
-                ", \"degradations\": " + std::to_string(r.degradations) +
-                ", \"lease_laps\": " + std::to_string(r.lease_laps) +
-                ", \"fence_held_effects\": " + std::to_string(r.fence_held_effects) +
-                ", \"converged\": " + (r.converged ? "true" : "false") +
-                ", \"conflict_violations\": " + std::to_string(r.conflict_violations) +
-                ", \"trace_ops\": " + std::to_string(check.ops) +
-                ", \"trace_violations\": " + std::to_string(check.violations) + "}";
-        first_cell = false;
+        json.BeginObject().Key("app").String(entry.name).Key("plan").String(pc.name);
+        json.Key("seed").Uint(seed);
+        json.Key("throughput_ops").Double(r.ThroughputOpsPerSec(), 1);
+        json.Key("p99_latency_ms").Double(r.p99_latency_ms, 3);
+        json.Key("lease_acquires").Uint(r.lease_acquires);
+        json.Key("lease_expiries").Uint(r.lease_expiries);
+        json.Key("degradations").Uint(r.degradations).Key("lease_laps").Uint(r.lease_laps);
+        json.Key("fence_held_effects").Uint(r.fence_held_effects);
+        json.Key("converged").Bool(r.converged);
+        json.Key("conflict_violations").Uint(r.conflict_violations);
+        json.Key("trace_ops").Uint(check.ops).Key("trace_violations").Uint(check.violations);
+        json.EndObject();
       }
     }
   }
-  json += "]";
+  json.EndArray();
 
   // --- 2. Consistency-mode comparison on SmallBank -----------------------------------
   app::App bank = apps::MakeSmallBankApp();
@@ -165,7 +159,7 @@ int main() {
                              {"PoR-enforced", &bank_table, true, false},
                              {"PoR", &bank_table, false, false}};
   double mode_tput[3] = {0, 0, 0};
-  json += ", \"modes\": [";
+  json.Key("modes").BeginArray();
   for (size_t m = 0; m < std::size(kModes); ++m) {
     uint64_t completed = 0;
     double ms = 0;
@@ -179,10 +173,10 @@ int main() {
     mode_tput[m] = ms > 0 ? completed / (ms / 1000.0) : 0;
     fprintf(stderr, "[enforce_sweep] mode %-12s: %7.0f op/s over 3 seeds\n",
             kModes[m].name, mode_tput[m]);
-    json += std::string(m ? ", " : "") + "{\"mode\": \"" + kModes[m].name +
-            "\", \"throughput_ops\": " + FormatDouble(mode_tput[m], 1) + "}";
+    json.BeginObject().Key("mode").String(kModes[m].name);
+    json.Key("throughput_ops").Double(mode_tput[m], 1).EndObject();
   }
-  json += "]";
+  json.EndArray();
   bool ordered = mode_tput[0] < mode_tput[1] && mode_tput[1] < mode_tput[2];
   if (!ordered) {
     fprintf(stderr,
@@ -192,10 +186,9 @@ int main() {
   }
 
   // --- 3. Throughput against enforced-set size (SmallBank prefixes) ------------------
-  json += ", \"curve\": [";
+  json.Key("curve").BeginArray();
   std::vector<std::pair<std::string, std::string>> pairs(bank_table.pairs().begin(),
                                                          bank_table.pairs().end());
-  bool first_point = true;
   for (size_t n = 0; n <= pairs.size(); n += 2) {
     ConflictTable prefix;
     for (size_t i = 0; i < n; ++i) {
@@ -215,14 +208,10 @@ int main() {
     double tput = ms > 0 ? completed / (ms / 1000.0) : 0;
     fprintf(stderr, "[enforce_sweep] |set|=%2zu: %7.0f op/s  lock_waits=%llu\n", n, tput,
             (unsigned long long)waits);
-    json += std::string(first_point ? "" : ", ") + "{\"set_size\": " +
-            std::to_string(n) + ", \"throughput_ops\": " + FormatDouble(tput, 1) +
-            ", \"lock_waits\": " + std::to_string(waits) +
-            ", \"lease_grants\": " + std::to_string(grants) + "}";
-    first_point = false;
+    json.BeginObject().Key("set_size").Uint(n).Key("throughput_ops").Double(tput, 1);
+    json.Key("lock_waits").Uint(waits).Key("lease_grants").Uint(grants).EndObject();
   }
-  json += "]}";
-  printf("%s\n", json.c_str());
+  printf("%s\n", json.EndArray().EndObject().Take().c_str());
 
   if (!all_safe || !ordered) {
     fprintf(stderr, "[enforce_sweep] FAILED: %s\n",

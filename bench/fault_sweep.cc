@@ -16,7 +16,6 @@
 #include "src/apps/smallbank.h"
 #include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
-#include "src/support/strings.h"
 
 int main() {
   using namespace noctua;
@@ -39,17 +38,12 @@ int main() {
   const Mode kModes[] = {{"PoR", false}, {"SC", true}};
 
   bool all_safe = true;
-  std::string json = "{" + noctua::bench::BenchJsonPreamble("fault_sweep") +
-                     ", \"app\": \"SmallBank\", \"write_ratio\": " +
-                     FormatDouble(kWriteRatio, 2) +
-                     ", \"duration_ms\": " + FormatDouble(kDurationMs, 0) +
-                     ", \"series\": [";
-  for (size_t m = 0; m < std::size(kModes); ++m) {
-    const Mode& mode = kModes[m];
-    json += std::string(m ? ", " : "") + "{\"mode\": \"" + mode.name +
-            "\", \"points\": [";
-    for (size_t d = 0; d < kDropRates.size(); ++d) {
-      double drop = kDropRates[d];
+  obs::JsonWriter json = bench::BenchDocument("fault_sweep");
+  json.Key("app").String("SmallBank").Key("write_ratio").Double(kWriteRatio, 2);
+  json.Key("duration_ms").Double(kDurationMs, 0).Key("series").BeginArray();
+  for (const Mode& mode : kModes) {
+    json.BeginObject().Key("mode").String(mode.name).Key("points").BeginArray();
+    for (double drop : kDropRates) {
       repl::SimOptions options;
       options.duration_ms = kDurationMs;
       options.write_ratio = kWriteRatio;
@@ -66,23 +60,22 @@ int main() {
               mode.name, drop, r.ThroughputOpsPerSec(), r.p99_latency_ms,
               r.converged ? "" : "  DIVERGED",
               r.conflict_violations ? "  VIOLATIONS" : "");
-      json += std::string(d ? ", " : "") + "{\"drop\": " + FormatDouble(drop, 2) +
-              ", \"throughput_ops\": " + FormatDouble(r.ThroughputOpsPerSec(), 1) +
-              ", \"avg_latency_ms\": " + FormatDouble(r.avg_latency_ms, 3) +
-              ", \"p99_latency_ms\": " + FormatDouble(r.p99_latency_ms, 3) +
-              ", \"completed\": " + std::to_string(r.completed_requests) +
-              ", \"timed_out\": " + std::to_string(r.timed_out_requests) +
-              ", \"messages_dropped\": " + std::to_string(r.messages_dropped) +
-              ", \"retransmissions\": " + std::to_string(r.retransmissions) +
-              ", \"duplicates_ignored\": " + std::to_string(r.duplicates_ignored) +
-              ", \"effects_replayed\": " + std::to_string(r.effects_replayed) +
-              ", \"converged\": " + (r.converged ? "true" : "false") +
-              ", \"conflict_violations\": " + std::to_string(r.conflict_violations) + "}";
+      json.BeginObject().Key("drop").Double(drop, 2);
+      json.Key("throughput_ops").Double(r.ThroughputOpsPerSec(), 1);
+      json.Key("avg_latency_ms").Double(r.avg_latency_ms, 3);
+      json.Key("p99_latency_ms").Double(r.p99_latency_ms, 3);
+      json.Key("completed").Uint(r.completed_requests);
+      json.Key("timed_out").Uint(r.timed_out_requests);
+      json.Key("messages_dropped").Uint(r.messages_dropped);
+      json.Key("retransmissions").Uint(r.retransmissions);
+      json.Key("duplicates_ignored").Uint(r.duplicates_ignored);
+      json.Key("effects_replayed").Uint(r.effects_replayed);
+      json.Key("converged").Bool(r.converged);
+      json.Key("conflict_violations").Uint(r.conflict_violations).EndObject();
     }
-    json += "]}";
+    json.EndArray().EndObject();
   }
-  json += "]}";
-  printf("%s\n", json.c_str());
+  printf("%s\n", json.EndArray().EndObject().Take().c_str());
   if (!all_safe) {
     fprintf(stderr, "[fault_sweep] FAILED: a cell diverged or admitted a conflict\n");
     return 1;

@@ -45,8 +45,8 @@ int main() {
           "== Figure 7: analysis time vs codebase size (1x / 2x / 3x endpoints) ==\n\n");
   TextTable table({"Application", "1x (ms)", "2x (ms)", "3x (ms)", "paths 1x/2x/3x"});
 
-  std::string json = "{" + bench::BenchJsonPreamble("fig7_analysis_scaling") + ", \"analysis\": [";
-  bool first_app = true;
+  obs::JsonWriter json = bench::BenchDocument("fig7_analysis_scaling");
+  json.Key("analysis").BeginArray();
   for (const auto& entry : apps::EvaluatedApps()) {
     double ms[3];
     size_t paths[3];
@@ -67,15 +67,12 @@ int main() {
                   FormatDouble(ms[2], 2),
                   std::to_string(paths[0]) + "/" + std::to_string(paths[1]) + "/" +
                       std::to_string(paths[2])});
-    json += std::string(first_app ? "" : ", ") + "{\"app\": \"" + entry.name +
-            "\", \"points\": [";
+    json.BeginObject().Key("app").String(entry.name).Key("points").BeginArray();
     for (int k = 1; k <= 3; ++k) {
-      json += std::string(k > 1 ? ", " : "") + "{\"scale\": " + std::to_string(k) +
-              ", \"ms\": " + FormatDouble(ms[k - 1], 3) +
-              ", \"paths\": " + std::to_string(paths[k - 1]) + "}";
+      json.BeginObject().Key("scale").Int(k).Key("ms").Double(ms[k - 1], 3);
+      json.Key("paths").Uint(paths[k - 1]).EndObject();
     }
-    json += "]}";
-    first_app = false;
+    json.EndArray().EndObject();
   }
   fprintf(stderr, "%s\n", table.Render().c_str());
   fprintf(stderr,
@@ -86,16 +83,14 @@ int main() {
   // its tripled pair matrix (quadratic growth) stays affordable in a bench; the repeated
   // endpoints make the cache's contribution directly visible.
   const int kThreadCounts[] = {1, 2, 4, 8};
-  json += "], \"verification\": [";
+  json.EndArray().Key("verification").BeginArray();
   fprintf(stderr, "== Verifier on the grown codebase (Todo, threads 1/2/4/8) ==\n\n");
   TextTable vtable({"Scale", "#Pairs", "Cache hit%", "1 thr (s)", "2 thr (s)",
                     "4 thr (s)", "8 thr (s)"});
-  bool first_cell = true;
   for (int scale = 1; scale <= 3; ++scale) {
     app::App grown = Grow(apps::EvaluatedApps()[0], scale);
     analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(grown);
-    std::vector<std::string> times;
-    std::string cells;
+    std::vector<double> seconds;
     uint64_t pairs = 0;
     double hit_rate = 0;
     for (int threads : kThreadCounts) {
@@ -104,32 +99,33 @@ int main() {
       verifier::RestrictionReport report = Engine(config).Verify(grown, analysis);
       pairs = report.stats.pairs;
       hit_rate = report.stats.CacheHitRate();
-      cells += std::string(cells.empty() ? "" : ", ") +
-               "{\"threads\": " + std::to_string(threads) +
-               ", \"seconds\": " + FormatDouble(report.total_seconds, 3) + "}";
-      times.push_back(FormatDouble(report.total_seconds, 3));
+      seconds.push_back(report.total_seconds);
       fprintf(stderr, "[fig7] Todo %dx, %d thread(s): %.3fs (%llu cache hits)\n", scale,
               threads, report.total_seconds,
               (unsigned long long)report.stats.cache_hits);
     }
     std::vector<std::string> row = {std::to_string(scale) + "x", std::to_string(pairs),
                                     FormatDouble(100 * hit_rate, 1)};
-    row.insert(row.end(), times.begin(), times.end());
+    for (double s : seconds) {
+      row.push_back(FormatDouble(s, 3));
+    }
     vtable.AddRow(row);
-    json += std::string(first_cell ? "" : ", ") + "{\"app\": \"Todo\", \"scale\": " +
-            std::to_string(scale) + ", \"pairs\": " + std::to_string(pairs) +
-            ", \"cache_hit_rate\": " + FormatDouble(hit_rate, 4) + ", \"threads\": [" +
-            cells + "]}";
-    first_cell = false;
+    json.BeginObject().Key("app").String("Todo").Key("scale").Int(scale);
+    json.Key("pairs").Uint(pairs).Key("cache_hit_rate").Double(hit_rate, 4);
+    json.Key("threads").BeginArray();
+    for (size_t t = 0; t < seconds.size(); ++t) {
+      json.BeginObject().Key("threads").Int(kThreadCounts[t]);
+      json.Key("seconds").Double(seconds[t], 3).EndObject();
+    }
+    json.EndArray().EndObject();
   }
-  json += "], \"hardware_concurrency\": " +
-          std::to_string(std::thread::hardware_concurrency()) + "}";
+  json.EndArray().Key("hardware_concurrency").Uint(std::thread::hardware_concurrency());
   fprintf(stderr, "%s\n", vtable.Render().c_str());
   fprintf(stderr,
           "Shape to reproduce: the pair matrix grows quadratically (paths^2) but verify\n"
           "time does not — repeated endpoints are isomorphic, so the verdict cache\n"
           "answers them, and the remaining solver calls spread across threads.\n");
 
-  printf("%s\n", json.c_str());
+  printf("%s\n", json.EndObject().Take().c_str());
   return 0;
 }

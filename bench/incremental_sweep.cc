@@ -3,9 +3,14 @@
 // add an endpoint, edit one handler's body, rename a model across the codebase — each
 // against a fresh copy of the store. A warm run analyzes the edited app from scratch and
 // replays every stored verdict whose key the edit left alone. Every warm run is compared
-// against a from-scratch cold run of the edited app: the restriction sets must be
-// byte-identical (the bench exits nonzero otherwise), and the warm run should approach
-// O(change) — for a single-endpoint edit the target is a >= 5x end-to-end speedup.
+// against a from-scratch cold run of the edited app, and that comparison is the one
+// gate: the restriction sets must be byte-identical (the bench exits nonzero otherwise).
+// The speedups are wall-clock ratios, reported and not gated: warm runs of tens of
+// milliseconds swing 2-3x from run to run on a shared host. The O(change) property
+// itself (an edit re-verifies only the pairs that touch it) is gated exactly, on which
+// pairs reach the solver rather than on time, by
+// IncrementalTest.HandlerEditReverifiesOnlyPairsTouchingIt and
+// IncrementalTest.AddedEndpointReverifiesOnlyItsPairs in tests/incremental_test.cc.
 //
 // Emits one JSON document on stdout (progress goes to stderr):
 //
@@ -27,7 +32,6 @@
 #include "src/apps/ownphotos.h"
 #include "src/apps/zhihu.h"
 #include "src/pipeline/engine.h"
-#include "src/support/strings.h"
 
 namespace {
 
@@ -36,17 +40,6 @@ using noctua::analyzer::Sym;
 using noctua::analyzer::SymObj;
 using noctua::analyzer::SymSet;
 using noctua::analyzer::ViewCtx;
-using noctua::verifier::RestrictionReport;
-
-std::vector<std::string> VerdictLines(const RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + noctua::verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + noctua::verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
 
 // One run against the store at `store`, on a fresh engine. The solver's budget decisions
 // are pinned so verdicts are identical across separate runs — the identity assertion
@@ -183,8 +176,6 @@ std::vector<Edit> OwnPhotosEdits() {
 }  // namespace
 
 int main() {
-  using noctua::FormatDouble;
-
   struct AppCase {
     const char* name;
     std::function<noctua::app::App()> make;
@@ -196,11 +187,9 @@ int main() {
   };
 
   bool identical_everywhere = true;
-  std::string json =
-      "{" + noctua::bench::BenchJsonPreamble("incremental_sweep") + ", \"apps\": [";
-  for (size_t c = 0; c < cases.size(); ++c) {
-    const AppCase& app_case = cases[c];
-
+  noctua::obs::JsonWriter json = noctua::bench::BenchDocument("incremental_sweep");
+  json.Key("apps").BeginArray();
+  for (const AppCase& app_case : cases) {
     // Cold base run populates the artifact store the edits start from.
     std::string base_store = TempDirFor(std::string(app_case.name) + "_base");
     noctua::app::App base = app_case.make();
@@ -209,13 +198,11 @@ int main() {
     fprintf(stderr, "[incremental_sweep] %s: cold %.3fs (%zu pairs)\n", app_case.name,
             cold_base.total_seconds, cold_base.restrictions.pairs.size());
 
-    json += std::string(c ? ", " : "") + "{\"app\": \"" + app_case.name +
-            "\", \"pairs\": " + std::to_string(cold_base.restrictions.pairs.size()) +
-            ", \"cold_seconds\": " + FormatDouble(cold_base.total_seconds, 3) +
-            ", \"edits\": [";
+    json.BeginObject().Key("app").String(app_case.name);
+    json.Key("pairs").Uint(cold_base.restrictions.pairs.size());
+    json.Key("cold_seconds").Double(cold_base.total_seconds, 3).Key("edits").BeginArray();
 
-    for (size_t e = 0; e < app_case.edits.size(); ++e) {
-      const Edit& edit = app_case.edits[e];
+    for (const Edit& edit : app_case.edits) {
       noctua::app::App edited = app_case.make();
       edit.apply(edited);
 
@@ -232,8 +219,8 @@ int main() {
       std::string cold_store = TempDirFor(std::string(app_case.name) + "_" + edit.name + "_cold");
       PipelineResult cold = RunStored(edited_again, cold_store);
 
-      bool identical = !warm.cold &&
-                       VerdictLines(warm.restrictions) == VerdictLines(cold.restrictions);
+      bool identical =
+          !warm.cold && warm.restrictions.VerdictLines() == cold.restrictions.VerdictLines();
       identical_everywhere = identical_everywhere && identical;
       double speedup = cold.total_seconds / warm.total_seconds;
       fprintf(stderr,
@@ -244,27 +231,24 @@ int main() {
               static_cast<unsigned long long>(warm.stats().pairs_computed),
               identical ? "" : "  RESTRICTIONS DIVERGED");
 
-      std::string changed = "[";
-      for (size_t i = 0; i < warm.changed_endpoints.size(); ++i) {
-        changed += std::string(i ? ", " : "") + "\"" + warm.changed_endpoints[i] + "\"";
+      json.BeginObject().Key("edit").String(edit.name);
+      json.Key("changed_endpoints").BeginArray();
+      for (const std::string& endpoint : warm.changed_endpoints) {
+        json.String(endpoint);
       }
-      changed += "]";
-      json += std::string(e ? ", " : "") + "{\"edit\": \"" + edit.name +
-              "\", \"changed_endpoints\": " + changed +
-              ", \"cold_seconds\": " + FormatDouble(cold.total_seconds, 3) +
-              ", \"warm_seconds\": " + FormatDouble(warm.total_seconds, 3) +
-              ", \"speedup\": " + FormatDouble(speedup, 2) +
-              ", \"pairs_replayed\": " + std::to_string(warm.stats().pairs_replayed) +
-              ", \"pairs_computed\": " + std::to_string(warm.stats().pairs_computed) +
-              ", \"verdicts_replayed\": " + std::to_string(warm.restrictions.stats.replayed) +
-              ", \"solver_checks\": " + std::to_string(warm.restrictions.stats.solver_checks) +
-              ", \"identical_restrictions\": " + (identical ? "true" : "false") + "}";
+      json.EndArray().Key("cold_seconds").Double(cold.total_seconds, 3);
+      json.Key("warm_seconds").Double(warm.total_seconds, 3);
+      json.Key("speedup").Double(speedup, 2);
+      json.Key("pairs_replayed").Uint(warm.stats().pairs_replayed);
+      json.Key("pairs_computed").Uint(warm.stats().pairs_computed);
+      json.Key("verdicts_replayed").Uint(warm.restrictions.stats.replayed);
+      json.Key("solver_checks").Uint(warm.restrictions.stats.solver_checks);
+      json.Key("identical_restrictions").Bool(identical).EndObject();
     }
-    json += "]}";
+    json.EndArray().EndObject();
   }
-  json += "], \"identical_everywhere\": " + std::string(identical_everywhere ? "true" : "false") +
-          "}";
-  printf("%s\n", json.c_str());
+  json.EndArray().Key("identical_everywhere").Bool(identical_everywhere).EndObject();
+  printf("%s\n", json.Take().c_str());
   if (!identical_everywhere) {
     fprintf(stderr,
             "[incremental_sweep] FAILED: a warm run diverged from its cold reference\n");

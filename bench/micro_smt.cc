@@ -15,6 +15,7 @@
 #include "src/smt/solver.h"
 #include "src/soir/serialize.h"
 #include "src/support/check.h"
+#include "src/support/strings.h"
 #include "src/verifier/checker.h"
 
 namespace {
@@ -157,12 +158,7 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
   two_workers.threads = 2;
   verifier::RestrictionReport report = Engine(two_workers).Verify(a, analysis, options);
 
-  std::string lines;
-  for (const verifier::PairVerdict& v : report.pairs) {
-    lines += v.p + "|" + v.q + "|" + verifier::CheckOutcomeName(v.commutativity) + "|" +
-             verifier::CheckOutcomeName(v.semantic) + "\n";
-  }
-  return soir::Fnv1a64(lines);
+  return soir::Fnv1a64(Join(report.VerdictLines(), "\n") + "\n");
 }
 
 // Stamps per-app dfs verdict fingerprints into the benchmark context, after CHECK-ing

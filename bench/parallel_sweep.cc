@@ -28,27 +28,10 @@
 #include "src/apps/todo.h"
 #include "src/apps/zhihu.h"
 #include "src/pipeline/engine.h"
-#include "src/support/strings.h"
-
-namespace {
-
-using noctua::verifier::RestrictionReport;
-
-// The per-pair verdicts, flattened for equality comparison across engine configs.
-std::vector<std::string> VerdictLines(const RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + noctua::verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + noctua::verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
-
-}  // namespace
 
 int main() {
   using namespace noctua;
+  using verifier::RestrictionReport;
 
   struct AppCase {
     const char* name;
@@ -62,9 +45,9 @@ int main() {
   const int kThreadCounts[] = {1, 2, 4, 8};
   bool identical_everywhere = true;
 
-  std::string json = "{" + bench::BenchJsonPreamble("parallel_sweep") + ", \"apps\": [";
-  for (size_t c = 0; c < cases.size(); ++c) {
-    AppCase& app_case = cases[c];
+  obs::JsonWriter json = bench::BenchDocument("parallel_sweep");
+  json.Key("apps").BeginArray();
+  for (AppCase& app_case : cases) {
     analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(app_case.app);
 
     // The pre-redesign engine: one thread, every pair pays a full solver run over the
@@ -77,53 +60,51 @@ int main() {
     EngineConfig serial;
     serial.threads = 1;
     RestrictionReport baseline = Engine(serial).Verify(app_case.app, analysis, legacy);
-    std::vector<std::string> reference = VerdictLines(baseline);
+    std::vector<std::string> reference = baseline.VerdictLines();
     fprintf(stderr, "[parallel_sweep] %s: legacy %.3fs (%zu pairs, %zu restrictions)\n",
             app_case.name, baseline.total_seconds, baseline.pairs.size(),
             baseline.num_restrictions());
 
-    json += std::string(c ? ", " : "") + "{\"app\": \"" + app_case.name +
-            "\", \"pairs\": " + std::to_string(baseline.pairs.size()) +
-            ", \"restrictions\": " + std::to_string(baseline.num_restrictions()) +
-            ", \"baseline\": {\"config\": \"legacy serial engine\", \"seconds\": " +
-            FormatDouble(baseline.total_seconds, 3) + "}, \"sweep\": [";
+    json.BeginObject().Key("app").String(app_case.name);
+    json.Key("pairs").Uint(baseline.pairs.size());
+    json.Key("restrictions").Uint(baseline.num_restrictions()).Key("baseline").BeginObject();
+    json.Key("config").String("legacy serial engine");
+    json.Key("seconds").Double(baseline.total_seconds, 3).EndObject();
+    json.Key("sweep").BeginArray();
 
     double one_thread_seconds = 0;
-    for (size_t t = 0; t < std::size(kThreadCounts); ++t) {
+    for (int threads : kThreadCounts) {
       EngineConfig config;
-      config.threads = kThreadCounts[t];
+      config.threads = threads;
       RestrictionReport report = Engine(config).Verify(app_case.app, analysis);
-      if (kThreadCounts[t] == 1) {
+      if (threads == 1) {
         one_thread_seconds = report.total_seconds;
       }
-      bool identical = VerdictLines(report) == reference;
+      bool identical = report.VerdictLines() == reference;
       identical_everywhere = identical_everywhere && identical;
       double speedup = baseline.total_seconds / report.total_seconds;
       double vs_one = one_thread_seconds / report.total_seconds;
       fprintf(stderr,
               "[parallel_sweep] %s: %d thread(s) %.3fs  speedup %.2fx  "
               "(vs 1 thread %.2fx, cache hit rate %.2f)%s\n",
-              app_case.name, kThreadCounts[t], report.total_seconds, speedup, vs_one,
+              app_case.name, threads, report.total_seconds, speedup, vs_one,
               report.stats.CacheHitRate(), identical ? "" : "  VERDICTS DIVERGED");
-      json += std::string(t ? ", " : "") +
-              "{\"threads\": " + std::to_string(kThreadCounts[t]) +
-              ", \"seconds\": " + FormatDouble(report.total_seconds, 3) +
-              ", \"speedup\": " + FormatDouble(speedup, 2) +
-              ", \"speedup_vs_1thread\": " + FormatDouble(vs_one, 2) +
-              ", \"cache_hit_rate\": " + FormatDouble(report.stats.CacheHitRate(), 4) +
-              ", \"cache_hits\": " + std::to_string(report.stats.cache_hits) +
-              ", \"solver_checks\": " + std::to_string(report.stats.solver_checks) +
-              ", \"prefiltered\": " + std::to_string(report.stats.prefiltered) +
-              ", \"pool_steals\": " + std::to_string(report.stats.pool_steals) +
-              ", \"phases\": " + bench::PhaseTimingJson(report) +
-              ", \"identical_restrictions\": " + (identical ? "true" : "false") + "}";
+      json.BeginObject().Key("threads").Int(threads);
+      json.Key("seconds").Double(report.total_seconds, 3).Key("speedup").Double(speedup, 2);
+      json.Key("speedup_vs_1thread").Double(vs_one, 2);
+      json.Key("cache_hit_rate").Double(report.stats.CacheHitRate(), 4);
+      json.Key("cache_hits").Uint(report.stats.cache_hits);
+      json.Key("solver_checks").Uint(report.stats.solver_checks);
+      json.Key("prefiltered").Uint(report.stats.prefiltered);
+      json.Key("pool_steals").Uint(report.stats.pool_steals);
+      bench::WritePhaseTiming(json.Key("phases"), report);
+      json.Key("identical_restrictions").Bool(identical).EndObject();
     }
-    json += "]}";
+    json.EndArray().EndObject();
   }
-  json += "], \"hardware_concurrency\": " +
-          std::to_string(std::thread::hardware_concurrency()) +
-          ", \"identical_everywhere\": " + (identical_everywhere ? "true" : "false") + "}";
-  printf("%s\n", json.c_str());
+  json.EndArray().Key("hardware_concurrency").Uint(std::thread::hardware_concurrency());
+  json.Key("identical_everywhere").Bool(identical_everywhere).EndObject();
+  printf("%s\n", json.Take().c_str());
   if (!identical_everywhere) {
     fprintf(stderr, "[parallel_sweep] FAILED: some engine config changed a verdict\n");
     return 1;

@@ -33,21 +33,8 @@
 #include "src/obs/json.h"
 #include "src/obs/obs.h"
 #include "src/pipeline/engine.h"
-#include "src/support/strings.h"
 
 namespace {
-
-using noctua::verifier::RestrictionReport;
-
-std::vector<std::string> VerdictLines(const RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + noctua::verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + noctua::verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
 
 // Validates a written trace file by parsing it back. Returns true and fills
 // `categories` on success; prints the reason to stderr on failure.
@@ -164,11 +151,9 @@ int main(int argc, char** argv) {
   double total_on = 0;
   std::string zhihu_report_table;
 
-  std::string json = "{" + bench::BenchJsonPreamble("pipeline_sweep") +
-                     ", \"trace_file\": \"" + obs::JsonEscape(trace_out) +
-                     "\", \"apps\": [";
-  for (size_t c = 0; c < cases.size(); ++c) {
-    AppCase& app_case = cases[c];
+  obs::JsonWriter json = bench::BenchDocument("pipeline_sweep");
+  json.Key("trace_file").String(trace_out).Key("apps").BeginArray();
+  for (AppCase& app_case : cases) {
     const bool is_zhihu = std::strcmp(app_case.name, "Zhihu") == 0;
 
     // Deterministic solver budget: identical verdicts regardless of machine speed, so
@@ -178,14 +163,14 @@ int main(int argc, char** argv) {
 
     double off_seconds = 0;
     std::vector<std::string> reference;
-    RestrictionReport off_report;
+    verifier::RestrictionReport off_report;
     for (int it = 0; it < kIterations; ++it) {
       PipelineResult r = Engine().Run(app_case.app, base);
       if (it == 0 || r.total_seconds < off_seconds) {
         off_seconds = r.total_seconds;
       }
       if (it == 0) {
-        reference = VerdictLines(r.restrictions);
+        reference = r.restrictions.VerdictLines();
         off_report = std::move(r.restrictions);
       }
     }
@@ -205,7 +190,7 @@ int main(int argc, char** argv) {
       if (it == 0 || r.total_seconds < on_seconds) {
         on_seconds = r.total_seconds;
       }
-      identical = identical && VerdictLines(r.restrictions) == reference;
+      identical = identical && r.restrictions.VerdictLines() == reference;
       if (it == kIterations - 1) {
         on_result = std::move(r);
       }
@@ -223,15 +208,15 @@ int main(int argc, char** argv) {
       zhihu_report_table = on_result.report.ToTable();
     }
 
-    json += std::string(c ? ", " : "") + "{\"app\": \"" + app_case.name +
-            "\", \"pairs\": " + std::to_string(off_report.pairs.size()) +
-            ", \"restrictions\": " + std::to_string(off_report.num_restrictions()) +
-            ", \"obs_off_seconds\": " + FormatDouble(off_seconds, 4) +
-            ", \"obs_on_seconds\": " + FormatDouble(on_seconds, 4) +
-            ", \"overhead_ratio\": " + FormatDouble(ratio, 4) +
-            ", \"phases\": " + bench::PhaseTimingJson(off_report) +
-            ", \"identical_restrictions\": " + (identical ? "true" : "false") +
-            ", \"report\": " + on_result.report.ToJson() + "}";
+    json.BeginObject().Key("app").String(app_case.name);
+    json.Key("pairs").Uint(off_report.pairs.size());
+    json.Key("restrictions").Uint(off_report.num_restrictions());
+    json.Key("obs_off_seconds").Double(off_seconds, 4);
+    json.Key("obs_on_seconds").Double(on_seconds, 4).Key("overhead_ratio").Double(ratio, 4);
+    bench::WritePhaseTiming(json.Key("phases"), off_report);
+    json.Key("identical_restrictions").Bool(identical);
+    on_result.report.ToJson(json.Key("report"));
+    json.EndObject();
   }
 
   // Parse the written Zhihu trace back; a file Perfetto would reject fails the bench.
@@ -243,19 +228,16 @@ int main(int argc, char** argv) {
     fprintf(stderr, "\n%s\n", zhihu_report_table.c_str());
   }
 
-  std::vector<std::string> cat_list(categories.begin(), categories.end());
   double aggregate = total_off > 0 ? total_on / total_off : 0;
-  json += "], \"total_obs_off_seconds\": " + FormatDouble(total_off, 4) +
-          ", \"total_obs_on_seconds\": " + FormatDouble(total_on, 4) +
-          ", \"aggregate_overhead_ratio\": " + FormatDouble(aggregate, 4) +
-          ", \"trace_valid\": " + (trace_valid ? "true" : "false") +
-          ", \"trace_span_categories\": [";
-  for (size_t i = 0; i < cat_list.size(); ++i) {
-    json += std::string(i ? ", " : "") + "\"" + obs::JsonEscape(cat_list[i]) + "\"";
+  json.EndArray().Key("total_obs_off_seconds").Double(total_off, 4);
+  json.Key("total_obs_on_seconds").Double(total_on, 4);
+  json.Key("aggregate_overhead_ratio").Double(aggregate, 4);
+  json.Key("trace_valid").Bool(trace_valid).Key("trace_span_categories").BeginArray();
+  for (const std::string& category : categories) {
+    json.String(category);
   }
-  json += "], \"identical_everywhere\": " + std::string(identical_everywhere ? "true" : "false") +
-          "}";
-  printf("%s\n", json.c_str());
+  json.EndArray().Key("identical_everywhere").Bool(identical_everywhere).EndObject();
+  printf("%s\n", json.Take().c_str());
 
   if (!identical_everywhere) {
     fprintf(stderr, "[pipeline_sweep] FAILED: instrumentation changed a verdict\n");

@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -57,8 +58,9 @@ using noctua::Engine;
 using noctua::Stopwatch;
 using noctua::bench::ComputePercentiles;
 using noctua::bench::Percentiles;
-using noctua::bench::PercentilesJson;
+using noctua::obs::HistSummary;
 using noctua::obs::JsonPtr;
+using noctua::obs::JsonWriter;
 using noctua::obs::ParseJson;
 using noctua::service::Client;
 using noctua::service::HttpResponse;
@@ -169,19 +171,16 @@ std::vector<std::string> DirectRestrictions(const std::string& app_name,
   return {};
 }
 
-std::string PassJson(const std::vector<TenantPass>& passes, double wall_seconds) {
+void WritePass(JsonWriter& w, const std::vector<TenantPass>& passes, double wall_seconds) {
   std::vector<double> latencies;
-  size_t requests = 0;
   for (const TenantPass& pass : passes) {
     latencies.insert(latencies.end(), pass.latencies.begin(), pass.latencies.end());
-    requests += pass.latencies.size();
   }
-  Percentiles p = ComputePercentiles(latencies);
-  double rps = wall_seconds > 0 ? static_cast<double>(requests) / wall_seconds : 0;
-  return "{\"requests\": " + std::to_string(requests) +
-         ", \"seconds\": " + noctua::FormatDouble(wall_seconds, 6) +
-         ", \"throughput_rps\": " + noctua::FormatDouble(rps, 2) +
-         ", \"latency_seconds\": " + PercentilesJson(p) + "}";
+  double rps = wall_seconds > 0 ? static_cast<double>(latencies.size()) / wall_seconds : 0;
+  w.BeginObject().Key("requests").Uint(latencies.size());
+  w.Key("seconds").Double(wall_seconds, 6).Key("throughput_rps").Double(rps, 2);
+  noctua::bench::WritePercentiles(w.Key("latency_seconds"), ComputePercentiles(latencies));
+  w.EndObject();
 }
 
 // One (tenant, app, mode) row of the server's labeled phase histograms.
@@ -189,10 +188,15 @@ struct PhaseRow {
   std::string tenant;
   std::string app;
   std::string mode;
-  std::string queue_wait_json;  // the summary object, verbatim
-  std::string handle_json;
-  uint64_t queue_wait_p95 = 0;
+  // The count, p50, p95, p99 and max of each phase; the bench reports no other field.
+  std::optional<HistSummary> queue_wait;
+  std::optional<HistSummary> handle;
 };
+
+void WritePhase(JsonWriter& w, const HistSummary& s) {
+  w.BeginObject().Key("count").Uint(s.count).Key("p50").Uint(s.p50).Key("p95").Uint(s.p95);
+  w.Key("p99").Uint(s.p99).Key("max").Uint(s.max).EndObject();
+}
 
 // Scrapes /metrics and folds the labeled service.queue_wait_micros /
 // service.handle_micros rows into per-(tenant, app, mode) phase rows.
@@ -220,18 +224,16 @@ bool ScrapePhaseRows(int port, std::vector<PhaseRow>* rows, std::string* error) 
     out.app = std::get<1>(key);
     out.mode = std::get<2>(key);
     JsonPtr summary = row->Get("summary");
-    std::string summary_json =
-        "{\"count\": " + std::to_string(summary->Get("count")->AsInt()) +
-        ", \"p50\": " + std::to_string(summary->Get("p50")->AsInt()) +
-        ", \"p95\": " + std::to_string(summary->Get("p95")->AsInt()) +
-        ", \"p99\": " + std::to_string(summary->Get("p99")->AsInt()) +
-        ", \"max\": " + std::to_string(summary->Get("max")->AsInt()) + "}";
-    if (name == "service.queue_wait_micros") {
-      out.queue_wait_json = std::move(summary_json);
-      out.queue_wait_p95 = static_cast<uint64_t>(summary->Get("p95")->AsInt());
-    } else {
-      out.handle_json = std::move(summary_json);
-    }
+    auto field = [&](const char* member) {
+      return static_cast<uint64_t>(summary->Get(member)->AsInt());
+    };
+    HistSummary phase;
+    phase.count = field("count");
+    phase.p50 = field("p50");
+    phase.p95 = field("p95");
+    phase.p99 = field("p99");
+    phase.max = field("max");
+    (name == "service.queue_wait_micros" ? out.queue_wait : out.handle) = phase;
   }
   for (auto& [key, row] : by_key) {
     rows->push_back(std::move(row));
@@ -365,20 +367,18 @@ int main(int argc, char** argv) {
                  pass_speedup, kSpeedupTarget);
   }
 
-  std::string json = "{" + noctua::bench::BenchJsonPreamble("service_sweep");
-  json += ", \"config\": {\"tenants\": " + std::to_string(tenants) +
-          ", \"workers\": " + std::to_string(options.workers) +
-          ", \"max_queue\": " + std::to_string(options.max_queue) +
-          ", \"apps\": " + std::to_string(plans.size()) + ", \"revisions_per_app\": 3}";
-  json += ", \"cold\": " + PassJson(cold, cold_seconds);
-  json += ", \"warm\": " + PassJson(warm, warm_seconds);
-  json += ", \"speedup\": {\"pass\": " + noctua::FormatDouble(pass_speedup, 2) +
-          ", \"per_request_median\": " + noctua::FormatDouble(sp.p50, 2) +
-          ", \"per_request_min\": " + noctua::FormatDouble(min_speedup, 2) +
-          ", \"target\": " + noctua::FormatDouble(kSpeedupTarget, 1) + "}";
-  json += ", \"identical_restrictions\": ";
-  json += identical ? "true" : "false";
-  json += ", \"warm_solver_checks\": " + std::to_string(warm_solver_checks);
+  JsonWriter json = noctua::bench::BenchDocument("service_sweep");
+  json.Key("config").BeginObject().Key("tenants").Int(tenants);
+  json.Key("workers").Int(options.workers).Key("max_queue").Uint(options.max_queue);
+  json.Key("apps").Uint(plans.size()).Key("revisions_per_app").Int(3).EndObject();
+  WritePass(json.Key("cold"), cold, cold_seconds);
+  WritePass(json.Key("warm"), warm, warm_seconds);
+  json.Key("speedup").BeginObject().Key("pass").Double(pass_speedup, 2);
+  json.Key("per_request_median").Double(sp.p50, 2);
+  json.Key("per_request_min").Double(min_speedup, 2);
+  json.Key("target").Double(kSpeedupTarget, 1).EndObject();
+  json.Key("identical_restrictions").Bool(identical);
+  json.Key("warm_solver_checks").Uint(warm_solver_checks);
 
   // Uncontended gate: with at least as many workers as closed-loop tenants, no request
   // ever waits behind another, so the server-measured queue-wait must be ~0.
@@ -387,42 +387,35 @@ int main(int argc, char** argv) {
   bool queue_wait_ok = true;
   if (uncontended && scraped) {
     for (const PhaseRow& row : phase_rows) {
-      if (row.queue_wait_p95 > kQueueWaitSlackMicros) {
+      if (row.queue_wait && row.queue_wait->p95 > kQueueWaitSlackMicros) {
         std::fprintf(stderr,
                      "service_sweep: uncontended queue-wait p95 %llu us for tenant %s"
                      " (limit %llu)\n",
-                     static_cast<unsigned long long>(row.queue_wait_p95),
+                     static_cast<unsigned long long>(row.queue_wait->p95),
                      row.tenant.c_str(),
                      static_cast<unsigned long long>(kQueueWaitSlackMicros));
         queue_wait_ok = false;
       }
     }
   }
-  json += ", \"tenant_phase_latency\": [";
-  bool first = true;
+  json.Key("tenant_phase_latency").BeginArray();
   for (const PhaseRow& row : phase_rows) {
-    if (row.queue_wait_json.empty() || row.handle_json.empty()) {
+    if (!row.queue_wait || !row.handle) {
       continue;  // a row with only one phase means the request never completed
     }
-    json += std::string(first ? "" : ", ") + "{\"tenant\": \"" + row.tenant +
-            "\", \"app\": \"" + row.app + "\", \"mode\": \"" + row.mode +
-            "\", \"queue_wait_micros\": " + row.queue_wait_json +
-            ", \"handle_micros\": " + row.handle_json + "}";
-    first = false;
+    json.BeginObject().Key("tenant").String(row.tenant).Key("app").String(row.app);
+    json.Key("mode").String(row.mode);
+    WritePhase(json.Key("queue_wait_micros"), *row.queue_wait);
+    WritePhase(json.Key("handle_micros"), *row.handle);
+    json.EndObject();
   }
-  json += "], \"queue_wait_uncontended\": ";
-  json += uncontended ? "true" : "false";
-  json += ", \"queue_wait_uncontended_ok\": ";
-  json += queue_wait_ok ? "true" : "false";
-  json += ", \"apps\": [";
-  first = true;
+  json.EndArray().Key("queue_wait_uncontended").Bool(uncontended);
+  json.Key("queue_wait_uncontended_ok").Bool(queue_wait_ok).Key("apps").BeginArray();
   for (const AppPlan& plan : plans) {
-    json += std::string(first ? "" : ", ") + "{\"app\": \"" + plan.app +
-            "\", \"revisions\": " + std::to_string(plan.revision_omits.size()) + "}";
-    first = false;
+    json.BeginObject().Key("app").String(plan.app);
+    json.Key("revisions").Uint(plan.revision_omits.size()).EndObject();
   }
-  json += "]}\n";
-  std::fputs(json.c_str(), stdout);
+  std::printf("%s\n", json.EndArray().EndObject().Take().c_str());
 
   std::filesystem::remove_all(root);
   return identical && fast_enough && scraped && queue_wait_ok ? 0 : 1;

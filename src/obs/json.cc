@@ -328,4 +328,73 @@ JsonPtr ParseJson(const std::string& text, std::string* error) {
   return p.Parse();
 }
 
+namespace {
+
+void AppendEscaped(std::string* out, std::string_view s) {
+  static const char* hex = "0123456789abcdef";
+  for (unsigned char c : s) {
+    if (c == '"' || c == '\\') {
+      *out += '\\';
+      *out += static_cast<char>(c);
+    } else if (c == '\n' || c == '\r' || c == '\t') {
+      *out += c == '\n' ? "\\n" : c == '\r' ? "\\r" : "\\t";
+    } else if (c < 0x20) {
+      *out += "\\u00";
+      *out += hex[c >> 4];
+      *out += hex[c & 0xf];
+    } else {
+      *out += static_cast<char>(c);
+    }
+  }
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  AppendEscaped(&out, s);
+  return out;
+}
+
+JsonWriter& JsonWriter::Token(std::string_view token) {
+  if (!first_ && !after_key_) {
+    out_ += ", ";
+  }
+  first_ = after_key_ = false;
+  out_ += token;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Token(std::string_view(&bracket, 1));
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_ += bracket;
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_ += ": ";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Token("\"");
+  AppendEscaped(&out_, value);
+  out_ += '"';
+  return *this;
+}
+
+std::string JsonWriter::Take() {
+  std::string out = std::move(out_);
+  *this = JsonWriter();
+  return out;
+}
+
 }  // namespace noctua::obs

@@ -1,15 +1,25 @@
-// Minimal recursive-descent JSON parser producing an immutable DOM. Exists so the tests
-// and the pipeline_sweep bench can validate the trace files this library *writes* by
-// parsing them back — well-formedness, span categories, per-pair args — without an
-// external JSON dependency. It accepts strict RFC 8259 JSON (which is all the exporter
-// emits); it is not a general-purpose lenient parser.
+// The JSON both ways, without an external dependency.
+//
+// Reading: a minimal recursive-descent parser producing an immutable DOM. It accepts
+// strict RFC 8259 JSON (which is all the writer emits); it is not a general-purpose
+// lenient parser. The server parses `/v1/analyze` request bodies with it; the tests,
+// `noctua-cli metrics --check` and the benches parse back the documents the program
+// writes (traces, `/metrics`, `RunReport`, log lines) to validate them.
+//
+// Writing: JsonWriter, the one place that spells JSON's output syntax. Every document
+// the daemon, the obs exporters and bench/ emit goes through it, so commas, quoting
+// and escaping are decided here and nowhere else.
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/support/strings.h"
 
 namespace noctua::obs {
 
@@ -57,6 +67,44 @@ class JsonValue {
 // Parses `text` as one JSON document. Returns nullptr and sets `*error` (position and
 // reason) on malformed input or trailing garbage.
 JsonPtr ParseJson(const std::string& text, std::string* error);
+
+// Escapes a string for embedding in a JSON string literal (quotes, backslashes, control
+// characters); bytes >= 0x80 pass through, so UTF-8 text stays UTF-8.
+std::string JsonEscape(std::string_view s);
+
+// Streaming writer. Calls append in document order; the writer places the separators
+// itself: ", " between members and elements, ": " after a key, so the documents read as
+// `{"a": 1, "b": [true, "x"]}`. Every call returns the writer, so a flat run of members
+// chains: w.Key("pairs").Uint(n).Key("seconds").Double(s, 3). Structure is the caller's
+// to keep balanced; the writer does not check it.
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  // An object member's key; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Int(int64_t value) { return Token(std::to_string(value)); }
+  JsonWriter& Uint(uint64_t value) { return Token(std::to_string(value)); }
+  // `digits` fixed digits after the point ("%.*f", as FormatDouble spells it).
+  JsonWriter& Double(double value, int digits) { return Token(FormatDouble(value, digits)); }
+  JsonWriter& Bool(bool value) { return Token(value ? "true" : "false"); }
+
+  // The document written so far; leaves the writer empty.
+  std::string Take();
+
+ private:
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+  // Appends the separator the next key or value needs, then `token`.
+  JsonWriter& Token(std::string_view token);
+
+  std::string out_;
+  bool first_ = true;       // nothing written yet in the innermost container
+  bool after_key_ = false;  // a key was written and awaits its value
+};
 
 }  // namespace noctua::obs
 

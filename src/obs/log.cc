@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/obs/json.h"
 #include "src/obs/obs.h"
 
 namespace noctua::obs {
@@ -72,30 +73,30 @@ void EventLog::Log(LogLevel level, const char* event,
   int64_t ts_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::system_clock::now().time_since_epoch())
                       .count();
-  std::string line = "{\"ts_ms\": " + std::to_string(ts_ms) + ", \"level\": \"" +
-                     LogLevelName(level) + "\", \"event\": \"" +
-                     JsonEscape(event) + "\"";
+  JsonWriter w;
+  w.BeginObject().Key("ts_ms").Int(ts_ms).Key("level").String(LogLevelName(level));
+  w.Key("event").String(event);
   for (const LogField& f : fields) {
-    line += ", \"" + JsonEscape(f.key) + "\": ";
+    w.Key(f.key);
     switch (f.kind) {
       case LogField::Kind::kString:
-        line += "\"" + JsonEscape(f.str) + "\"";
+        w.String(f.str);
         break;
       case LogField::Kind::kUint:
-        line += std::to_string(f.u64);
+        w.Uint(f.u64);
         break;
       case LogField::Kind::kInt:
-        line += std::to_string(f.i64);
+        w.Int(f.i64);
         break;
       case LogField::Kind::kDouble:
-        line += std::to_string(f.f64);
+        w.Double(f.f64, 6);
         break;
       case LogField::Kind::kBool:
-        line += f.b ? "true" : "false";
+        w.Bool(f.b);
         break;
     }
   }
-  line += "}\n";
+  std::string line = w.EndObject().Take() + "\n";
   std::lock_guard<std::mutex> lk(mu_);
   std::FILE* sink = file_ != nullptr ? file_ : stderr;
   std::fwrite(line.data(), 1, line.size(), sink);

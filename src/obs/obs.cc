@@ -9,6 +9,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "src/obs/json.h"
 #include "src/support/check.h"
 
 namespace noctua::obs {
@@ -529,32 +530,6 @@ std::vector<TraceEvent> TraceCapture::Snapshot() const {
   return events_;
 }
 
-std::string TraceCapture::ChromeTraceJson(const std::string& trace_id) const {
-  std::vector<TraceEvent> evs = Snapshot();
-  std::stable_sort(evs.begin(), evs.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
-  std::string json = "{\"traceEvents\": [";
-  bool first = true;
-  for (const TraceEvent& ev : evs) {
-    if (!first) {
-      json += ",\n ";
-    }
-    first = false;
-    json += "{\"name\": \"" + JsonEscape(ev.name) + "\", \"cat\": \"" +
-            JsonEscape(ev.category) + "\", \"ph\": \"X\", \"ts\": " +
-            std::to_string(ev.ts_us) + ", \"dur\": " + std::to_string(ev.dur_us) +
-            ", \"pid\": 1, \"tid\": " + std::to_string(ev.tid);
-    json += ", \"args\": {\"trace_id\": \"" + JsonEscape(trace_id) + "\"";
-    for (const auto& [key, value] : ev.args) {
-      json += ", \"" + JsonEscape(key) + "\": " + std::to_string(value);
-    }
-    json += "}}";
-  }
-  json += "], \"displayTimeUnit\": \"ms\", \"otherData\": {\"trace_id\": \"" +
-          JsonEscape(trace_id) + "\"}}";
-  return json;
-}
-
 void RecordSpan(const char* name, const char* category, int64_t start_us,
                 int64_t end_us) {
   if (!Enabled()) {
@@ -775,96 +750,84 @@ std::set<std::string> Collector::SpanCategories() const {
 // ---------------------------------------------------------------------------------------
 // Export
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[c >> 4];
-          out += hex[c & 0xf];
-        } else {
-          out += static_cast<char>(c);
-        }
+void WriteJson(JsonWriter& w, const HistSummary& s) {
+  w.BeginObject().Key("count").Uint(s.count).Key("sum").Uint(s.sum);
+  w.Key("min").Uint(s.min).Key("max").Uint(s.max);
+  w.Key("p50").Uint(s.p50).Key("p95").Uint(s.p95).Key("p99").Uint(s.p99).EndObject();
+}
+
+namespace {
+
+// The Chrome trace-event document of `events`, shared by both exporters. A request's
+// capture passes its external `trace_id`, stamped into every event's args and into
+// otherData; a collector passes none and its `counters` instead, and gets thread-name
+// metadata rows, numeric trace ids in args, and its nonzero counters in otherData.
+void WriteTraceDocument(JsonWriter& w, const std::vector<TraceEvent>& events,
+                        const std::string* trace_id, const uint64_t* counters) {
+  w.BeginObject().Key("traceEvents").BeginArray();
+  std::set<int> tids;
+  for (const TraceEvent& ev : events) {
+    tids.insert(ev.tid);
+    w.BeginObject().Key("name").String(ev.name).Key("cat").String(ev.category);
+    w.Key("ph").String("X").Key("ts").Int(ev.ts_us).Key("dur").Int(ev.dur_us);
+    w.Key("pid").Int(1).Key("tid").Int(ev.tid);
+    if (trace_id != nullptr || ev.trace != 0 || !ev.args.empty()) {
+      w.Key("args").BeginObject();
+      if (trace_id != nullptr) {
+        w.Key("trace_id").String(*trace_id);
+      } else if (ev.trace != 0) {
+        w.Key("trace").Uint(ev.trace);
+      }
+      for (const auto& [key, value] : ev.args) {
+        w.Key(key).Uint(value);
+      }
+      w.EndObject();
+    }
+    w.EndObject();
+  }
+  if (trace_id == nullptr) {
+    // Thread-name metadata so Perfetto labels the rows.
+    for (int tid : tids) {
+      w.BeginObject().Key("name").String("thread_name").Key("ph").String("M");
+      w.Key("pid").Int(1).Key("tid").Int(tid).Key("args").BeginObject().Key("name");
+      w.String(tid == 1 ? std::string("main") : "worker-" + std::to_string(tid));
+      w.EndObject().EndObject();
     }
   }
-  return out;
+  w.EndArray().Key("displayTimeUnit").String("ms").Key("otherData").BeginObject();
+  if (trace_id != nullptr) {
+    w.Key("trace_id").String(*trace_id);
+  } else {
+    w.Key("counters").BeginObject();
+    for (size_t i = 0; i < static_cast<size_t>(Counter::kNumCounters); ++i) {
+      if (counters[i] != 0) {
+        w.Key(CounterName(static_cast<Counter>(i))).Uint(counters[i]);
+      }
+    }
+    w.EndObject();
+  }
+  w.EndObject().EndObject();
+}
+
+}  // namespace
+
+std::string TraceCapture::ChromeTraceJson(const std::string& trace_id) const {
+  JsonWriter w;
+  ChromeTraceJson(w, trace_id);
+  return w.Take();
+}
+
+void TraceCapture::ChromeTraceJson(JsonWriter& w, const std::string& trace_id) const {
+  std::vector<TraceEvent> evs = Snapshot();
+  std::stable_sort(evs.begin(), evs.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+  WriteTraceDocument(w, evs, &trace_id, nullptr);
 }
 
 std::string Collector::ChromeTraceJson() const {
-  const std::vector<TraceEvent>& evs = events();
-  std::string json = "{\"traceEvents\": [";
-  bool first = true;
-  std::set<int> tids;
-  for (const TraceEvent& ev : evs) {
-    tids.insert(ev.tid);
-    if (!first) {
-      json += ",\n ";
-    }
-    first = false;
-    json += "{\"name\": \"" + JsonEscape(ev.name) + "\", \"cat\": \"" +
-            JsonEscape(ev.category) + "\", \"ph\": \"X\", \"ts\": " +
-            std::to_string(ev.ts_us) + ", \"dur\": " + std::to_string(ev.dur_us) +
-            ", \"pid\": 1, \"tid\": " + std::to_string(ev.tid);
-    if (!ev.args.empty() || ev.trace != 0) {
-      json += ", \"args\": {";
-      bool first_arg = true;
-      if (ev.trace != 0) {
-        json += "\"trace\": " + std::to_string(ev.trace);
-        first_arg = false;
-      }
-      for (size_t i = 0; i < ev.args.size(); ++i) {
-        json += std::string(first_arg ? "" : ", ") + "\"" + JsonEscape(ev.args[i].first) +
-                "\": " + std::to_string(ev.args[i].second);
-        first_arg = false;
-      }
-      json += "}";
-    }
-    json += "}";
-  }
-  // Thread-name metadata so Perfetto labels the rows.
-  for (int tid : tids) {
-    if (!first) {
-      json += ",\n ";
-    }
-    first = false;
-    json += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-            std::to_string(tid) + ", \"args\": {\"name\": \"" +
-            (tid == 1 ? std::string("main") : "worker-" + std::to_string(tid)) + "\"}}";
-  }
-  json += "], \"displayTimeUnit\": \"ms\", \"otherData\": {\"counters\": {";
-  first = true;
-  for (size_t i = 0; i < static_cast<size_t>(Counter::kNumCounters); ++i) {
-    if (counters_[i] == 0) {
-      continue;
-    }
-    if (!first) {
-      json += ", ";
-    }
-    first = false;
-    json += "\"" + std::string(CounterName(static_cast<Counter>(i))) +
-            "\": " + std::to_string(counters_[i]);
-  }
-  json += "}}}";
-  return json;
+  JsonWriter w;
+  WriteTraceDocument(w, events(), nullptr, counters_);
+  return w.Take();
 }
 
 bool Collector::WriteChromeTrace(const std::string& path) const {

@@ -36,6 +36,8 @@
 
 namespace noctua::obs {
 
+class JsonWriter;  // src/obs/json.h
+
 // ---------------------------------------------------------------------------------------
 // Options
 
@@ -182,6 +184,10 @@ struct HistSummary {
   double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
 };
 
+// Writes `s` as {"count", "sum", "min", "max", "p50", "p95", "p99"}: the shape of a
+// histogram in `/metrics` and in RunReport::ToJson.
+void WriteJson(JsonWriter& w, const HistSummary& s);
+
 // ---------------------------------------------------------------------------------------
 // Spans
 
@@ -317,8 +323,10 @@ class TraceCapture {
   std::vector<TraceEvent> Snapshot() const;
   // Chrome trace-event JSON of the captured tree: {"traceEvents": [...]}, with the
   // request's external trace id injected into every event's args (string-valued) and
-  // echoed in otherData. Loadable by chrome://tracing and Perfetto.
+  // echoed in otherData. Loadable by chrome://tracing and Perfetto. The second form
+  // writes the same document as the next value of `w`.
   std::string ChromeTraceJson(const std::string& trace_id) const;
+  void ChromeTraceJson(JsonWriter& w, const std::string& trace_id) const;
 
  private:
   mutable std::mutex mu_;
@@ -403,10 +411,6 @@ class Collector {
   uint64_t counters_[static_cast<size_t>(Counter::kNumCounters)] = {};
   HistSummary hists_[static_cast<size_t>(Hist::kNumHists)] = {};
 };
-
-// Escapes a string for embedding in a JSON string literal (quotes, backslashes,
-// control characters). Shared by the trace exporter and the RunReport serializer.
-std::string JsonEscape(const std::string& s);
 
 }  // namespace noctua::obs
 

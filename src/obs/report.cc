@@ -3,21 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/obs/json.h"
 #include "src/support/strings.h"
 #include "src/support/table.h"
 
 namespace noctua::obs {
-
-namespace {
-
-std::string HistSummaryJson(const HistSummary& s) {
-  return "{\"count\": " + std::to_string(s.count) + ", \"sum\": " + std::to_string(s.sum) +
-         ", \"min\": " + std::to_string(s.min) + ", \"max\": " + std::to_string(s.max) +
-         ", \"p50\": " + std::to_string(s.p50) + ", \"p95\": " + std::to_string(s.p95) +
-         ", \"p99\": " + std::to_string(s.p99) + "}";
-}
-
-}  // namespace
 
 RunReport BuildRunReport(const Collector& collector, const std::string& app,
                          double total_seconds, double analyze_seconds,
@@ -76,37 +66,38 @@ RunReport BuildRunReport(const Collector& collector, const std::string& app,
 }
 
 std::string RunReport::ToJson() const {
-  std::string json = "{\"app\": \"" + JsonEscape(app) + "\"";
-  json += ", \"total_seconds\": " + FormatDouble(total_seconds, 6);
-  json += ", \"analyze_seconds\": " + FormatDouble(analyze_seconds, 6);
-  json += ", \"verify_seconds\": " + FormatDouble(verify_seconds, 6);
-  json += ", \"pairs_checked\": " + std::to_string(pairs_checked);
-  json += ", \"pairs_per_second\": " + FormatDouble(pairs_per_second, 2);
-  json += ", \"trace_events\": " + std::to_string(trace_events);
-  json += ", \"span_categories\": [";
-  for (size_t i = 0; i < span_categories.size(); ++i) {
-    json += std::string(i ? ", " : "") + "\"" + JsonEscape(span_categories[i]) + "\"";
+  JsonWriter w;
+  ToJson(w);
+  return w.Take();
+}
+
+void RunReport::ToJson(JsonWriter& w) const {
+  w.BeginObject().Key("app").String(app);
+  w.Key("total_seconds").Double(total_seconds, 6);
+  w.Key("analyze_seconds").Double(analyze_seconds, 6);
+  w.Key("verify_seconds").Double(verify_seconds, 6);
+  w.Key("pairs_checked").Uint(pairs_checked);
+  w.Key("pairs_per_second").Double(pairs_per_second, 2);
+  w.Key("trace_events").Uint(trace_events);
+  w.Key("span_categories").BeginArray();
+  for (const std::string& category : span_categories) {
+    w.String(category);
   }
-  json += "], \"counters\": {";
-  for (size_t i = 0; i < counters.size(); ++i) {
-    json += std::string(i ? ", " : "") + "\"" + JsonEscape(counters[i].name) +
-            "\": " + std::to_string(counters[i].value);
+  w.EndArray().Key("counters").BeginObject();
+  for (const CounterRow& c : counters) {
+    w.Key(c.name).Uint(c.value);
   }
-  json += "}, \"histograms\": {";
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    json += std::string(i ? ", " : "") + "\"" + JsonEscape(histograms[i].name) +
-            "\": " + HistSummaryJson(histograms[i].summary);
+  w.EndObject().Key("histograms").BeginObject();
+  for (const HistRow& h : histograms) {
+    WriteJson(w.Key(h.name), h.summary);
   }
-  json += "}, \"slow_pairs\": [";
-  for (size_t i = 0; i < slow_pairs.size(); ++i) {
-    const SlowPair& sp = slow_pairs[i];
-    json += std::string(i ? ", " : "") + "{\"name\": \"" + JsonEscape(sp.name) +
-            "\", \"micros\": " + std::to_string(sp.micros) +
-            ", \"solver_nodes\": " + std::to_string(sp.solver_nodes) +
-            ", \"cache_hits\": " + std::to_string(sp.cache_hits) + "}";
+  w.EndObject().Key("slow_pairs").BeginArray();
+  for (const SlowPair& sp : slow_pairs) {
+    w.BeginObject().Key("name").String(sp.name).Key("micros").Int(sp.micros);
+    w.Key("solver_nodes").Uint(sp.solver_nodes).Key("cache_hits").Uint(sp.cache_hits);
+    w.EndObject();
   }
-  json += "]}";
-  return json;
+  w.EndArray().EndObject();
 }
 
 std::string RunReport::ToTable() const {

@@ -43,8 +43,10 @@ struct RunReport {
   std::vector<HistRow> histograms;   // non-empty histograms, enum order
   std::vector<SlowPair> slow_pairs;  // top-N by duration, slowest first
 
-  // Compact JSON object (no trailing newline).
+  // Compact JSON object (no trailing newline); the second form writes it as the next
+  // value of `w`.
   std::string ToJson() const;
+  void ToJson(JsonWriter& w) const;
   // Aligned text tables: a summary block, the counter table, the histogram table, and
   // the slowest-pairs table.
   std::string ToTable() const;

@@ -1,6 +1,7 @@
 #include "src/pipeline/engine.h"
 
 #include <cstdio>
+#include <mutex>
 #include <optional>
 
 #include "src/pipeline/session.h"
@@ -35,6 +36,15 @@ verifier::RestrictionReport CheckPairs(const app::App& app,
                                        const PipelineOptions& resolved) {
   return verifier::AnalyzeRestrictions(verifier::Checker(app.schema(), resolved.checker),
                                        analysis.EffectfulPaths(), resolved.parallel);
+}
+
+// Takes `mu`, recording the wait as an engine_lock_wait span and its seconds in *waited.
+std::unique_lock<std::mutex> LockRecordingWait(std::mutex& mu, double* waited) {
+  obs::ScopedSpan span("engine_lock_wait", obs::kCatPipeline);
+  Stopwatch watch;
+  std::unique_lock<std::mutex> lock(mu);
+  *waited = watch.ElapsedSeconds();
+  return lock;
 }
 
 }  // namespace
@@ -82,12 +92,6 @@ verifier::RestrictionReport Engine::Verify(const app::App& app,
 PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
                            const std::string& store_dir) {
   const bool stored = !store_dir.empty();
-  // A store-backed run holds the lock from load to save, so two runs never interleave
-  // their reads and writes of a store; a store-less run takes it in Verify only.
-  std::unique_lock<std::mutex> store_lock(run_mutex_, std::defer_lock);
-  if (stored) {
-    store_lock.lock();
-  }
   // Own a collector only when asked *and* nobody outer owns one already — a bench that
   // installed its own collector gets this run's spans recorded into it instead.
   std::optional<obs::Collector> collector;
@@ -98,11 +102,25 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
   Stopwatch watch;
   PipelineResult result;
   double analyze_seconds = 0;
+  double lock_wait_seconds = 0;
   double verify_seconds = 0;
   {
     // One parent span for the whole engine pass, so a request-scoped trace shows the
     // phases nested under a single "engine_run" node.
     obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);
+    // The lock covers the whole pass. The pool runs one ParallelFor at a time, and two
+    // store-backed runs must not interleave their reads and writes of a store. Analysis
+    // needs neither, but the pool's threads take every core, so an analysis running
+    // beside another run's verify stage would slow both by however much they overlap.
+    std::unique_lock<std::mutex> lock = LockRecordingWait(run_mutex_, &lock_wait_seconds);
+    {
+      obs::ScopedSpan span("analyze", obs::kCatPipeline);
+      Stopwatch phase;
+      result.analysis = analyzer::AnalyzeApp(app, options.analyzer);
+      analyze_seconds = phase.ElapsedSeconds();
+      span.Arg("paths", result.analysis.paths.size());
+      span.Arg("effectful", result.analysis.num_effectful);
+    }
     const Session session(store_dir);
     analyzer::AnalysisResult prior;
     verifier::VerdictCache verdicts;
@@ -116,29 +134,19 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
                           : obs::Counter::kArtifactLoadFailures);
     }
     result.cold = !have_prior;
-    {
-      obs::ScopedSpan span("analyze", obs::kCatPipeline);
-      Stopwatch phase;
-      result.analysis = analyzer::AnalyzeApp(app, options.analyzer);
-      analyze_seconds = phase.ElapsedSeconds();
-      span.Arg("paths", result.analysis.paths.size());
-      span.Arg("effectful", result.analysis.num_effectful);
-    }
     if (have_prior) {
       result.changed_endpoints = ChangedEndpoints(prior, result.analysis);
     }
     {
       obs::ScopedSpan span("verify", obs::kCatPipeline);
       Stopwatch phase;
+      PipelineOptions o = ResolveOptions(options);
       if (stored) {
         // The loaded verdicts replace the engine cache: unchanged pairs replay from
         // them, and the verdicts computed now join them in the saved store.
-        PipelineOptions o = ResolveOptions(options);
         o.parallel.store = &verdicts;
-        result.restrictions = CheckPairs(app, result.analysis, o);
-      } else {
-        result.restrictions = Verify(app, result.analysis, options);
       }
+      result.restrictions = CheckPairs(app, result.analysis, o);
       verify_seconds = phase.ElapsedSeconds();
       span.Arg("restrictions", result.restrictions.num_restrictions());
     }
@@ -156,7 +164,9 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
       }
     }
   }
-  result.total_seconds = watch.ElapsedSeconds();
+  // The run's own time: queueing behind other runs is the caller's latency, not this
+  // run's cost.
+  result.total_seconds = watch.ElapsedSeconds() - lock_wait_seconds;
 
   if (collector) {
     collector->Stop();

@@ -10,10 +10,11 @@
 //     never consults the environment again, so a daemon's behavior cannot drift when its
 //     environment does.
 //   - Run/Verify are safe to call from many threads: they serialize on an internal mutex
-//     because the work-stealing ThreadPool supports one ParallelFor at a time — a
-//     store-less run for its verify stage, a store-backed run from load to save. Callers
-//     queue; admission control (bounding that queue) belongs to the service layer above,
-//     not here.
+//     because the work-stealing ThreadPool supports one ParallelFor at a time. Run holds
+//     the mutex for its whole pass (analysis, verify and, with a store, load and save),
+//     so no other run's work competes with its pool for cores; the wait is its
+//     engine_lock_wait span. Callers queue; admission control (bounding that queue)
+//     belongs to the service layer above, not here.
 //   - Solver tallies are not engine state: every query flushes them into the obs
 //     registry, so a run's tallies are what an obs::Collector around it records.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
@@ -100,8 +101,7 @@ class Engine {
   EngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<verifier::VerdictCache> verdicts_;
-  // Serializes verify stages and store-backed runs: the pool supports one ParallelFor at
-  // a time.
+  // Serializes runs and Verify calls: the pool supports one ParallelFor at a time.
   std::mutex run_mutex_;
 };
 

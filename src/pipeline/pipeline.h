@@ -34,6 +34,7 @@ struct PipelineOptions {
 struct PipelineResult {
   analyzer::AnalysisResult analysis;
   verifier::RestrictionReport restrictions;
+  // Wall time of the run, less its wait for the engine lock (the engine_lock_wait span).
   double total_seconds = 0;
 
   // Store-backed runs (Engine::Run with a store_dir). `cold` is true when no usable

@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/obs/json.h"
+
 namespace noctua::service {
 
 namespace {
@@ -75,20 +77,19 @@ std::string AnalyzeRequestBody(const std::string& tenant, const std::string& app
 }
 
 std::string AnalyzeRequestBody(const AnalyzeParams& params) {
-  std::string body =
-      "{\"tenant\": " + JsonStr(params.tenant) + ", \"app\": " + JsonStr(params.app);
+  obs::JsonWriter w;
+  w.BeginObject().Key("tenant").String(params.tenant).Key("app").String(params.app);
   if (!params.omit_views.empty()) {
-    body += ", \"omit_views\": [";
-    for (size_t i = 0; i < params.omit_views.size(); ++i) {
-      body += std::string(i ? ", " : "") + JsonStr(params.omit_views[i]);
+    w.Key("omit_views").BeginArray();
+    for (const std::string& view : params.omit_views) {
+      w.String(view);
     }
-    body += "]";
+    w.EndArray();
   }
   if (params.trace) {
-    body += ", \"trace\": true";
+    w.Key("trace").Bool(true);
   }
-  body += "}";
-  return body;
+  return w.EndObject().Take();
 }
 
 bool Client::Analyze(const std::string& tenant, const std::string& app,

@@ -8,8 +8,6 @@
 #include <charconv>
 #include <cstring>
 
-#include "src/obs/obs.h"
-
 namespace noctua::service {
 
 namespace {
@@ -260,7 +258,5 @@ bool ReadHttpResponse(int fd, HttpResponse* resp, std::string* error) {
   resp->content_type = it != headers.end() ? it->second : "";
   return true;
 }
-
-std::string JsonStr(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
 
 }  // namespace noctua::service

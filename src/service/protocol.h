@@ -71,10 +71,6 @@ void SplitTarget(const std::string& target, std::string* path, std::string* quer
 // Value of `key` in a "k=v&k2=v2" query string; "" when absent.
 std::string QueryParam(const std::string& query, const std::string& key);
 
-// JSON string literal (quoted + escaped) — shorthand over obs::JsonEscape for the
-// handful of handlers that assemble response bodies by hand.
-std::string JsonStr(const std::string& s);
-
 }  // namespace noctua::service
 
 #endif  // SRC_SERVICE_PROTOCOL_H_

@@ -26,11 +26,17 @@ void SetSocketTimeouts(int fd, int seconds) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-HttpResponse ErrorResponse(int status, const std::string& message) {
+// A response whose body is the one-member object {"<key>": "<value>"}.
+HttpResponse OneFieldResponse(int status, const char* key, const std::string& value) {
   HttpResponse resp;
   resp.status = status;
-  resp.body = "{\"error\": " + JsonStr(message) + "}\n";
+  resp.body =
+      obs::JsonWriter().BeginObject().Key(key).String(value).EndObject().Take() + "\n";
   return resp;
+}
+
+HttpResponse ErrorResponse(int status, const std::string& message) {
+  return OneFieldResponse(status, "error", message);
 }
 
 // Builds the registry app named `name`, minus `omit` views (a "revision" of the app).
@@ -68,13 +74,6 @@ bool BuildRevision(const std::string& name, const std::set<std::string>& omit,
   }
   *error = "unknown app \"" + name + "\" — not in the evaluated-apps registry";
   return false;
-}
-
-std::string HistJson(const obs::HistSummary& h) {
-  return "{\"count\": " + std::to_string(h.count) + ", \"sum\": " + std::to_string(h.sum) +
-         ", \"min\": " + std::to_string(h.min) + ", \"max\": " + std::to_string(h.max) +
-         ", \"p50\": " + std::to_string(h.p50) + ", \"p95\": " + std::to_string(h.p95) +
-         ", \"p99\": " + std::to_string(h.p99) + "}";
 }
 
 // An external trace id as the service accepts it in x-noctua-trace: short, printable,
@@ -253,9 +252,7 @@ void Server::HandleConnection(int fd) {
     if (req.method != "GET") {
       WriteHttpResponse(fd, ErrorResponse(405, "use GET"));
     } else {
-      HttpResponse resp;
-      resp.body = "{\"status\": \"ok\"}\n";
-      WriteHttpResponse(fd, resp);
+      WriteHttpResponse(fd, OneFieldResponse(200, "status", "ok"));
     }
     ::close(fd);
     return;
@@ -289,9 +286,7 @@ void Server::HandleConnection(int fd) {
       ::close(fd);
       return;
     }
-    HttpResponse resp;
-    resp.body = "{\"status\": \"shutting down\"}\n";
-    WriteHttpResponse(fd, resp);
+    WriteHttpResponse(fd, OneFieldResponse(200, "status", "shutting down"));
     ::close(fd);
     RequestShutdown();
     return;
@@ -470,31 +465,24 @@ HttpResponse Server::HandleAnalyze(const HttpRequest& req, int64_t enqueue_us,
   }
   const bool cold = run.cold;
 
-  std::string body = "{\"app\": " + JsonStr(app_name) + ", \"tenant\": " + JsonStr(tenant) +
-                     ", \"mode\": " + JsonStr(mode) +
-                     ", \"cold\": " + (cold ? "true" : "false") +
-                     ", \"store\": " + JsonStr(store_dir) +
-                     ", \"trace_id\": " + JsonStr(trace_id) +
-                     ", \"pairs\": " + std::to_string(run.restrictions.num_checks()) +
-                     ", \"num_restrictions\": " +
-                     std::to_string(run.restrictions.num_restrictions()) +
-                     ", \"restrictions\": [";
-  bool first = true;
+  obs::JsonWriter body;
+  body.BeginObject().Key("app").String(app_name).Key("tenant").String(tenant);
+  body.Key("mode").String(mode).Key("cold").Bool(cold).Key("store").String(store_dir);
+  body.Key("trace_id").String(trace_id).Key("pairs").Uint(run.restrictions.num_checks());
+  body.Key("num_restrictions").Uint(run.restrictions.num_restrictions());
+  body.Key("restrictions").BeginArray();
   for (const std::string& name : run.restrictions.RestrictedPairNames()) {
-    body += std::string(first ? "" : ", ") + JsonStr(name);
-    first = false;
+    body.String(name);
   }
   const verifier::ReportStats& st = run.restrictions.stats;
-  body += "], \"stats\": {\"solver_checks\": " + std::to_string(st.solver_checks) +
-          ", \"cache_hits\": " + std::to_string(st.cache_hits) +
-          ", \"pairs_replayed\": " + std::to_string(st.pairs_replayed) +
-          ", \"pairs_computed\": " + std::to_string(st.pairs_computed) +
-          ", \"threads\": " + std::to_string(st.threads_used) +
-          "}, \"seconds\": " + std::to_string(run.total_seconds);
+  body.EndArray().Key("stats").BeginObject().Key("solver_checks").Uint(st.solver_checks);
+  body.Key("cache_hits").Uint(st.cache_hits).Key("pairs_replayed").Uint(st.pairs_replayed);
+  body.Key("pairs_computed").Uint(st.pairs_computed).Key("threads").Int(st.threads_used);
+  body.EndObject().Key("seconds").Double(run.total_seconds, 6);
   if (want_trace) {
-    body += ", \"trace\": " + capture.ChromeTraceJson(trace_id);
+    capture.ChromeTraceJson(body.Key("trace"), trace_id);
   }
-  body += "}\n";
+  body.EndObject();
 
   const uint64_t handle_us = static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6);
   const obs::MetricLabels labels{tenant, app_name, cold ? "cold" : "warm"};
@@ -532,70 +520,54 @@ HttpResponse Server::HandleAnalyze(const HttpRequest& req, int64_t enqueue_us,
   }
 
   HttpResponse resp;
-  resp.body = std::move(body);
+  resp.body = body.Take() + "\n";
   return resp;
 }
 
 std::string Server::MetricsJson() const {
-  std::string out = "{\"service\": {";
-  out += "\"admitted\": " + std::to_string(admitted_.load(std::memory_order_relaxed));
-  out += ", \"rejected\": " + std::to_string(rejected_.load(std::memory_order_relaxed));
-  out += ", \"completed\": " + std::to_string(completed_.load(std::memory_order_relaxed));
-  out += ", \"in_flight\": " + std::to_string(in_flight_.load(std::memory_order_relaxed));
+  obs::JsonWriter w;
+  w.BeginObject().Key("service").BeginObject();
+  w.Key("admitted").Uint(admitted_.load(std::memory_order_relaxed));
+  w.Key("rejected").Uint(rejected_.load(std::memory_order_relaxed));
+  w.Key("completed").Uint(completed_.load(std::memory_order_relaxed));
+  w.Key("in_flight").Int(in_flight_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
-    out += ", \"queue_depth\": " + std::to_string(queue_.size());
-    out += ", \"conn_queue_depth\": " + std::to_string(conn_queue_.size());
+    w.Key("queue_depth").Uint(queue_.size()).Key("conn_queue_depth").Uint(conn_queue_.size());
   }
-  out += ", \"workers\": " + std::to_string(options_.workers);
-  out += ", \"readers\": " + std::to_string(options_.readers);
-  out += ", \"max_queue\": " + std::to_string(options_.max_queue);
-  out += "}, \"engine\": {";
-  out += "\"threads\": " + std::to_string(engine_->pool().threads());
-  out += ", \"verdict_cache_entries\": " + std::to_string(engine_->verdicts().size());
-  out += ", \"artifact_root\": " + JsonStr(engine_->config().artifact_root);
-  out += "}, \"counters\": {";
+  w.Key("workers").Int(options_.workers).Key("readers").Int(options_.readers);
+  w.Key("max_queue").Uint(options_.max_queue).EndObject();
+  w.Key("engine").BeginObject().Key("threads").Int(engine_->pool().threads());
+  w.Key("verdict_cache_entries").Uint(engine_->verdicts().size());
+  w.Key("artifact_root").String(engine_->config().artifact_root).EndObject();
+  w.Key("counters").BeginObject();
   for (size_t i = 0; i < static_cast<size_t>(obs::Counter::kNumCounters); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += JsonStr(obs::CounterName(static_cast<obs::Counter>(i))) + ": " +
-           std::to_string(obs::LiveCounter(static_cast<obs::Counter>(i)));
+    const obs::Counter c = static_cast<obs::Counter>(i);
+    w.Key(obs::CounterName(c)).Uint(obs::LiveCounter(c));
   }
-  out += "}, \"histograms\": {";
+  w.EndObject().Key("histograms").BeginObject();
   for (size_t i = 0; i < static_cast<size_t>(obs::Hist::kNumHists); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += JsonStr(obs::HistName(static_cast<obs::Hist>(i))) + ": " +
-           HistJson(obs::LiveHistogram(static_cast<obs::Hist>(i)));
+    const obs::Hist h = static_cast<obs::Hist>(i);
+    obs::WriteJson(w.Key(obs::HistName(h)), obs::LiveHistogram(h));
   }
   // Per-tenant breakdown: every labeled row as one flat object, deterministic order
   // (metric index, then label tuple). Empty until the first labeled emission.
-  out += "}, \"labeled\": {\"counters\": [";
-  bool first = true;
+  auto labels = [&w](const char* name, const obs::MetricLabels& l) {
+    w.BeginObject().Key("name").String(name).Key("tenant").String(l.tenant);
+    w.Key("app").String(l.app).Key("mode").String(l.mode);
+  };
+  w.EndObject().Key("labeled").BeginObject().Key("counters").BeginArray();
   for (const obs::LabeledCounterRow& row : obs::LiveLabeledCounters()) {
-    out += std::string(first ? "" : ", ") +
-           "{\"name\": " + JsonStr(obs::CounterName(row.counter)) +
-           ", \"tenant\": " + JsonStr(row.labels.tenant) +
-           ", \"app\": " + JsonStr(row.labels.app) +
-           ", \"mode\": " + JsonStr(row.labels.mode) +
-           ", \"value\": " + std::to_string(row.value) + "}";
-    first = false;
+    labels(obs::CounterName(row.counter), row.labels);
+    w.Key("value").Uint(row.value).EndObject();
   }
-  out += "], \"histograms\": [";
-  first = true;
+  w.EndArray().Key("histograms").BeginArray();
   for (const obs::LabeledHistRow& row : obs::LiveLabeledHistograms()) {
-    out += std::string(first ? "" : ", ") +
-           "{\"name\": " + JsonStr(obs::HistName(row.hist)) +
-           ", \"tenant\": " + JsonStr(row.labels.tenant) +
-           ", \"app\": " + JsonStr(row.labels.app) +
-           ", \"mode\": " + JsonStr(row.labels.mode) +
-           ", \"summary\": " + HistJson(row.summary) + "}";
-    first = false;
+    labels(obs::HistName(row.hist), row.labels);
+    obs::WriteJson(w.Key("summary"), row.summary);
+    w.EndObject();
   }
-  out += "]}}\n";
-  return out;
+  return w.EndArray().EndObject().EndObject().Take() + "\n";
 }
 
 std::string Server::MetricsPrometheus() const {

@@ -79,6 +79,16 @@ std::vector<std::string> RestrictionReport::RestrictedPairNames() const {
   return out;
 }
 
+std::vector<std::string> RestrictionReport::VerdictLines() const {
+  std::vector<std::string> out;
+  out.reserve(pairs.size());
+  for (const PairVerdict& v : pairs) {
+    out.push_back(v.p + "|" + v.q + "|" + CheckOutcomeName(v.commutativity) + "|" +
+                  CheckOutcomeName(v.semantic));
+  }
+  return out;
+}
+
 std::vector<std::pair<std::string, std::string>> RestrictionReport::RestrictedViewPairs()
     const {
   auto view_of = [](const std::string& op) { return op.substr(0, op.find('#')); };

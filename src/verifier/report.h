@@ -127,6 +127,9 @@ struct RestrictionReport {
   // Restricted pairs lifted to view level (op names up to '#'), deduplicated and in
   // first-appearance order — the input for deployment conflict tables.
   std::vector<std::pair<std::string, std::string>> RestrictedViewPairs() const;
+  // One "p|q|com|sem" line per pair, in report order: every per-pair verdict, flattened
+  // for exact comparison across engine configurations and runs.
+  std::vector<std::string> VerdictLines() const;
   std::string ToString() const;
 };
 

@@ -33,16 +33,6 @@ TEST(BackendFactoryTest, OptionsFactoryChoosesTheBackend) {
 
 // ---------------------------------------------------- cross-backend restriction sets
 
-std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
-
 // The acceptance bar for the production solver: on every evaluated app, dfs and the Z3
 // oracle must produce byte-identical restriction sets. Budgets are pinned to
 // deterministic mode (dfs's node ceiling, no Z3 timeout) so the comparison is exact on
@@ -71,7 +61,7 @@ TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
 
   verifier::RestrictionReport z3 = run(smt::Z3Oracle());
   EXPECT_EQ(z3.stats.solver_backend, "z3");
-  EXPECT_EQ(VerdictLines(z3), VerdictLines(dfs));
+  EXPECT_EQ(z3.VerdictLines(), dfs.VerdictLines());
   EXPECT_EQ(z3.RestrictedPairNames(), dfs.RestrictedPairNames());
 }
 
@@ -117,7 +107,7 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   EXPECT_EQ(off.symmetry_pruned, 0u);
 
   Run on = run(true);
-  EXPECT_EQ(VerdictLines(on.report), VerdictLines(off.report));
+  EXPECT_EQ(on.report.VerdictLines(), off.report.VerdictLines());
   EXPECT_EQ(on.report.RestrictedPairNames(), off.report.RestrictedPairNames());
   // And really on: the pair sessions reused their frames' grounding, and the search
   // pruned symmetric values.

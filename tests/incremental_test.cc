@@ -154,16 +154,6 @@ PipelineResult RunStored(const app::App& a, const std::string& store,
   return Engine(config).Run(a, options, store);
 }
 
-std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
-
 // The strict O(change) property: any pair not involving a view in `changed` must have
 // been replayed (or prefiltered) — never solved this run.
 void ExpectUnchangedPairsReplayed(const verifier::RestrictionReport& report,
@@ -534,7 +524,7 @@ TEST(IncrementalTest, WarmRunReplaysEverythingWhenNothingChanged) {
   EXPECT_TRUE(warm.changed_endpoints.empty());
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 TEST(IncrementalTest, HandlerEditReverifiesOnlyPairsTouchingIt) {
@@ -553,7 +543,7 @@ TEST(IncrementalTest, HandlerEditReverifiesOnlyPairsTouchingIt) {
   // Byte-identical to a from-scratch run of the edited app.
   std::string cold_store = TempStore("handler_edit_cold");
   PipelineResult cold = RunStored(MakeLibraryApp(edited), cold_store);
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 TEST(IncrementalTest, AddedEndpointReverifiesOnlyItsPairs) {
@@ -570,7 +560,7 @@ TEST(IncrementalTest, AddedEndpointReverifiesOnlyItsPairs) {
 
   std::string cold_store = TempStore("add_endpoint_cold");
   PipelineResult cold = RunStored(MakeLibraryApp(with_review), cold_store);
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 TEST(IncrementalTest, RenameOnlyEditReplaysEveryVerdict) {
@@ -588,7 +578,7 @@ TEST(IncrementalTest, RenameOnlyEditReplaysEveryVerdict) {
       << "a pure rename must not change any endpoint digest";
   EXPECT_EQ(warm.stats().pairs_computed, 0u) << "a pure rename must replay 100% of verdicts";
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 // A structural schema edit keeps the store: a pair's keys change only if one of its paths
@@ -631,14 +621,14 @@ TEST(IncrementalTest, StructuralSchemaEditReplaysPairsItDoesNotTouch) {
   EXPECT_GT(computed, 0u);
 
   PipelineResult cold = RunStored(with_email(), TempStore("schema_edit_cold"));
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
   std::string store = TempStore("corrupt");
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult reference = RunStored(a, store);
-  std::vector<std::string> expected = VerdictLines(reference.restrictions);
+  std::vector<std::string> expected = reference.restrictions.VerdictLines();
 
   struct Corruption {
     const char* file;
@@ -668,7 +658,7 @@ TEST(IncrementalTest, CorruptedArtifactsFallBackToColdWithIdenticalVerdicts) {
     }
     PipelineResult warm = RunStored(a, store);
     EXPECT_TRUE(warm.cold) << c.file << " corruption must degrade to a cold run";
-    EXPECT_EQ(VerdictLines(warm.restrictions), expected) << c.file;
+    EXPECT_EQ(warm.restrictions.VerdictLines(), expected) << c.file;
     // The run re-saved good artifacts; prove the store recovered.
     PipelineResult recovered = RunStored(a, store);
     EXPECT_FALSE(recovered.cold) << c.file;
@@ -688,7 +678,7 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
     EXPECT_FALSE(warm.cold) << entry.name;
     EXPECT_TRUE(warm.changed_endpoints.empty()) << entry.name;
     EXPECT_EQ(warm.stats().pairs_computed, 0u) << entry.name;
-    EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions))
+    EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines())
         << entry.name;
   }
 }
@@ -725,7 +715,7 @@ TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
   EXPECT_FALSE(warm.cold);
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
   EXPECT_GT(warm.stats().pairs_replayed, 0u);
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(first.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), first.restrictions.VerdictLines());
 }
 
 // A timeout says how much budget a run had, not what its query's answer is, so no cache
@@ -755,7 +745,7 @@ TEST(IncrementalTest, TimeoutsAreNeverStored) {
     }
   }
   PipelineResult cold = RunStored(a, TempStore("timeouts_cold"));
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 // An engine reads the environment once, when it is built. Its store-backed runs verify
@@ -814,7 +804,7 @@ TEST(IncrementalTest, ParanoiaUnderAStarvedBudgetKeepsAnHonestStore) {
   EXPECT_FALSE(warm.cold);
   EXPECT_GT(warm.restrictions.stats.paranoia_rechecks, 0u);
   EXPECT_EQ(warm.restrictions.stats.paranoia_rechecks, warm.restrictions.stats.replayed);
-  EXPECT_EQ(VerdictLines(warm.restrictions), VerdictLines(cold.restrictions));
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {

@@ -3,9 +3,10 @@
 // per-tenant metrics with the cardinality cap, request-scoped trace contexts and
 // capture (also under a collector that retains no spans), concurrent span recording
 // through the worker pool (the TSan target), Chrome-trace export parsed back through
-// the bundled JSON parser, Prometheus text exposition and its checker, the structured
-// event log, the RunReport built from a real pipeline run, and the verdict cache's
-// per-shard statistics and bounded eviction.
+// the bundled JSON parser, the JSON writer's escaping, nesting and byte spelling,
+// Prometheus text exposition and its checker, the structured event log, the RunReport
+// built from a real pipeline run, the order of a store-backed run's phases around the
+// engine lock, and the verdict cache's per-shard statistics and bounded eviction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -575,6 +576,57 @@ TEST(JsonParser, AcceptsAndRejects) {
   EXPECT_EQ(ParseJson("\"unterminated", &error), nullptr);
 }
 
+TEST(JsonWriter, EscapedStringsRoundTripUnchanged) {
+  const std::string text =
+      "quote \" backslash \\ newline \n tab \t control \x01 e-acute \xc3\xa9";
+  std::string error;
+  JsonPtr v = ParseJson(JsonWriter().String(text).Take(), &error);
+  ASSERT_NE(v, nullptr) << error;
+  EXPECT_EQ(v->AsString(), text);
+  JsonPtr keyed = ParseJson(JsonWriter().BeginObject().Key(text).Int(7).EndObject().Take(), &error);
+  ASSERT_NE(keyed, nullptr) << error;
+  ASSERT_NE(keyed->Get(text), nullptr);
+  EXPECT_EQ(keyed->Get(text)->AsInt(), 7);
+}
+
+TEST(JsonWriter, NestedContainersRoundTrip) {
+  JsonWriter w;
+  w.BeginObject().Key("empty_object").BeginObject().EndObject();
+  w.Key("empty_array").BeginArray().EndArray().Key("rows").BeginArray();
+  w.BeginObject().Key("tags").BeginArray().String("a").EndArray().EndObject();
+  w.BeginArray().BeginArray().EndArray().BeginObject().EndObject().Int(-12).EndArray();
+  w.EndArray().Key("ratio").Double(0.25, 3).EndObject();
+  std::string error;
+  JsonPtr v = ParseJson(w.Take(), &error);
+  ASSERT_NE(v, nullptr) << error;
+  EXPECT_TRUE(v->Get("empty_object")->is_object() && v->Get("empty_object")->AsObject().empty());
+  EXPECT_TRUE(v->Get("empty_array")->is_array() && v->Get("empty_array")->AsArray().empty());
+  const std::vector<JsonPtr>& rows = v->Get("rows")->AsArray();
+  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows[0]->Get("tags")->AsArray().size(), 1u);
+  EXPECT_EQ(rows[0]->Get("tags")->AsArray()[0]->AsString(), "a");
+  const std::vector<JsonPtr>& inner = rows[1]->AsArray();
+  ASSERT_EQ(inner.size(), 3u);
+  EXPECT_TRUE(inner[0]->is_array() && inner[0]->AsArray().empty());
+  EXPECT_TRUE(inner[1]->is_object() && inner[1]->AsObject().empty());
+  EXPECT_EQ(inner[2]->AsInt(), -12);
+  EXPECT_DOUBLE_EQ(v->Get("ratio")->AsDouble(), 0.25);
+}
+
+// The spelling every emitted document shares: ", " between members and elements, ": "
+// after keys, fixed-digit doubles. CI greps the access log for `"event": "request"`.
+TEST(JsonWriter, DocumentBytesArePinned) {
+  JsonWriter w;
+  w.BeginObject().Key("event").String("request").Key("n").Uint(3).Key("t").Double(1.5, 2);
+  w.Key("ok").Bool(true).Key("rows").BeginArray().Int(-2).BeginObject().EndObject();
+  w.EndArray().Key("nested").BeginObject().Key("a").BeginArray().EndArray().EndObject();
+  EXPECT_EQ(w.EndObject().Take(),
+            R"({"event": "request", "n": 3, "t": 1.50, "ok": true, "rows": [-2, {}], )"
+            R"("nested": {"a": []}})");
+  // Take leaves the writer empty, ready for the next document.
+  EXPECT_EQ(w.BeginArray().String("x").EndArray().Take(), R"(["x"])");
+}
+
 // -----------------------------------------------------------------------------
 // Prometheus text exposition and its checker
 
@@ -828,6 +880,29 @@ TEST(RunReport, DisabledPipelineProducesNoReport) {
   PipelineResult result = Engine().Run(app, options);
   EXPECT_FALSE(result.has_report);
   EXPECT_FALSE(Active());
+}
+
+// A store-backed run queues for the engine lock first and then analyzes and loads its
+// store under it: its spans run engine_lock_wait, then analyze, then load_prior.
+TEST(RunReport, StoreBackedRunRecordsItsEngineLockWait) {
+  const std::string store = ::testing::TempDir() + "/noctua_obs_lock_order_store";
+  std::filesystem::remove_all(store);
+  Collector collector(ObsOptions{.enabled = true});
+  Engine().Run(apps::MakeTodoApp(), {}, store);
+  collector.Stop();
+  std::map<std::string, const TraceEvent*> spans;
+  for (const TraceEvent& ev : collector.events()) {
+    spans.emplace(ev.name, &ev);
+  }
+  for (const char* name : {"analyze", "engine_lock_wait", "load_prior"}) {
+    ASSERT_TRUE(spans.count(name)) << "missing span " << name;
+  }
+  const TraceEvent& analyze = *spans["analyze"];
+  const TraceEvent& wait = *spans["engine_lock_wait"];
+  EXPECT_STREQ(wait.category, kCatPipeline);
+  EXPECT_LE(wait.ts_us + wait.dur_us, analyze.ts_us);
+  EXPECT_LE(analyze.ts_us + analyze.dur_us, spans["load_prior"]->ts_us);
+  std::filesystem::remove_all(store);
 }
 
 // -----------------------------------------------------------------------------

@@ -196,16 +196,6 @@ TEST(VerdictCacheTest, LookupInsertAndCounters) {
 
 // -------------------------------------------------------------- determinism & agreement
 
-std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
-  std::vector<std::string> out;
-  out.reserve(report.pairs.size());
-  for (const auto& v : report.pairs) {
-    out.push_back(v.p + "|" + v.q + "|" + verifier::CheckOutcomeName(v.commutativity) +
-                  "|" + verifier::CheckOutcomeName(v.semantic));
-  }
-  return out;
-}
-
 // Pipeline configurations whose verdicts must all agree. `deterministic_budget` pins the
 // solver to its node budget (no wall-clock dependence), so the comparison is exact even
 // on a loaded machine.
@@ -235,14 +225,14 @@ TEST_P(EngineAgreementTest, VerdictsIdenticalAcrossThreadCounts) {
 
   verifier::RestrictionReport reference =
       VerifyOn(1, a, analysis, AgreementOptions(true, true, true));
-  std::vector<std::string> expected = VerdictLines(reference);
+  std::vector<std::string> expected = reference.VerdictLines();
   ASSERT_FALSE(expected.empty());
 
   for (int threads : {2, 8}) {
     verifier::RestrictionReport report =
         VerifyOn(threads, a, analysis, AgreementOptions(true, true, true));
     EXPECT_EQ(report.stats.threads_used, threads);
-    EXPECT_EQ(VerdictLines(report), expected) << "threads=" << threads;
+    EXPECT_EQ(report.VerdictLines(), expected) << "threads=" << threads;
   }
 }
 
@@ -251,11 +241,11 @@ TEST_P(EngineAgreementTest, CacheAndScheduleDoNotChangeVerdicts) {
   analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   std::vector<std::string> expected =
-      VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true)));
+      VerifyOn(1, a, analysis, AgreementOptions(true, true, true)).VerdictLines();
   // Cache off, schedule off (report order), both at 2 threads.
-  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(false, true, true))),
+  EXPECT_EQ(VerifyOn(2, a, analysis, AgreementOptions(false, true, true)).VerdictLines(),
             expected);
-  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(true, false, true))),
+  EXPECT_EQ(VerifyOn(2, a, analysis, AgreementOptions(true, false, true)).VerdictLines(),
             expected);
 }
 
@@ -273,8 +263,8 @@ TEST(EngineAgreementBigApps, PostGraduationIdenticalAcrossThreads) {
   app::App a = apps::MakePostGraduationApp();
   analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
   std::vector<std::string> expected =
-      VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true)));
-  EXPECT_EQ(VerdictLines(VerifyOn(8, a, analysis, AgreementOptions(true, true, true))),
+      VerifyOn(1, a, analysis, AgreementOptions(true, true, true)).VerdictLines();
+  EXPECT_EQ(VerifyOn(8, a, analysis, AgreementOptions(true, true, true)).VerdictLines(),
             expected);
 }
 
@@ -283,19 +273,19 @@ TEST(EngineAgreementBigApps, ZhihuIdenticalAcrossThreadsAndCache) {
   analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
   verifier::RestrictionReport reference =
       VerifyOn(1, a, analysis, AgreementOptions(true, true, true));
-  std::vector<std::string> expected = VerdictLines(reference);
+  std::vector<std::string> expected = reference.VerdictLines();
   EXPECT_GT(reference.stats.cache_hits, 0u);
-  EXPECT_EQ(VerdictLines(VerifyOn(8, a, analysis, AgreementOptions(true, true, true))),
+  EXPECT_EQ(VerifyOn(8, a, analysis, AgreementOptions(true, true, true)).VerdictLines(),
             expected);
-  EXPECT_EQ(VerdictLines(VerifyOn(2, a, analysis, AgreementOptions(false, true, true))),
+  EXPECT_EQ(VerifyOn(2, a, analysis, AgreementOptions(false, true, true)).VerdictLines(),
             expected);
 }
 
 TEST(EngineAgreementTestExtra, ProjectionDoesNotChangeVerdicts) {
   app::App a = apps::MakeCoursewareApp();
   analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
-  EXPECT_EQ(VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, false))),
-            VerdictLines(VerifyOn(1, a, analysis, AgreementOptions(true, true, true))));
+  EXPECT_EQ(VerifyOn(1, a, analysis, AgreementOptions(true, true, false)).VerdictLines(),
+            VerifyOn(1, a, analysis, AgreementOptions(true, true, true)).VerdictLines());
 }
 
 // ----------------------------------------------------------------------------- Pipeline
@@ -309,7 +299,7 @@ TEST(PipelineTest, RunMatchesHandRolledDance) {
       verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), manual.EffectfulPaths());
 
   EXPECT_EQ(result.analysis.num_effectful, manual.num_effectful);
-  EXPECT_EQ(VerdictLines(result.restrictions), VerdictLines(expected));
+  EXPECT_EQ(result.restrictions.VerdictLines(), expected.VerdictLines());
   EXPECT_EQ(result.stats().pairs, expected.stats.pairs);
   EXPECT_GT(result.total_seconds, 0.0);
 }
@@ -362,7 +352,7 @@ TEST(EngineTest, CachedVerdictsDoNotCrossCheckerOptions) {
   PipelineResult run = engine.Run(a, options);
   verifier::RestrictionReport shared = engine.Verify(a, run.analysis, ablated);
   verifier::RestrictionReport fresh = Engine(config).Verify(a, run.analysis, ablated);
-  EXPECT_EQ(VerdictLines(shared), VerdictLines(fresh));
+  EXPECT_EQ(shared.VerdictLines(), fresh.VerdictLines());
   // Not vacuous: the ablation changes the restriction set.
   EXPECT_NE(shared.num_restrictions(), run.restrictions.num_restrictions());
 }
