@@ -25,7 +25,9 @@ namespace noctua::bench {
 //   v5: preamble drops the v3 race tallies and the v4 solver tallies; it stamps the
 //       backend only.
 //   v6: preamble drops the backend stamp: production has one solver, dfs.
-inline constexpr int kBenchSchemaVersion = 6;
+//   v7: parallel_sweep rows drop the pool's count of tasks moved between threads: the
+//       pool hands out one shared cursor.
+inline constexpr int kBenchSchemaVersion = 7;
 
 // A writer holding the open top-level object of a BENCH_*.json document and the members
 // every such document starts with; the bench writes its own members after them.

@@ -96,7 +96,6 @@ int main() {
       json.Key("cache_hits").Uint(report.stats.cache_hits);
       json.Key("solver_checks").Uint(report.stats.solver_checks);
       json.Key("prefiltered").Uint(report.stats.prefiltered);
-      json.Key("pool_steals").Uint(report.stats.pool_steals);
       bench::WritePhaseTiming(json.Key("phases"), report);
       json.Key("identical_restrictions").Bool(identical).EndObject();
     }

@@ -43,8 +43,6 @@ class PathFinder {
   // remains to explore (Fig. 5 lines 24-29).
   bool NextPath();
 
-  // Number of decisions taken in the current path.
-  size_t CurrentDepth() const { return decisions_.size(); }
   size_t paths_explored() const { return paths_explored_; }
   bool budget_exhausted() const { return budget_exhausted_; }
 

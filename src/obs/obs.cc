@@ -233,8 +233,6 @@ const char* CounterName(Counter c) {
       return "verifier.cache_evictions";
     case Counter::kPoolSteals:
       return "pool.steals";
-    case Counter::kPoolTasks:
-      return "pool.tasks";
     case Counter::kSolverNodes:
       return "smt.solver_nodes";
     case Counter::kSolverAssignments:
@@ -327,6 +325,8 @@ const char* HistName(Hist h) {
       return "service.queue_wait_micros";
     case Hist::kServiceHandleMicros:
       return "service.handle_micros";
+    case Hist::kEngineLockWaitMicros:
+      return "pipeline.engine_lock_wait_micros";
     case Hist::kNumHists:
       break;
   }

@@ -84,8 +84,9 @@ enum class Counter : uint8_t {
   kCacheMisses,
   kCacheReplayed,
   kCacheEvictions,
+  // Nothing increments this: the pool has no steals since it hands out one shared
+  // cursor. Kept only because perfbench/common.cc still reports it as pool.steals.
   kPoolSteals,
-  kPoolTasks,
   // SMT backend (flushed once per solver query).
   kSolverNodes,
   kSolverAssignments,
@@ -148,6 +149,7 @@ enum class Hist : uint8_t {
   kServiceRequestMicros,       // end-to-end wall time of one admitted service request
   kServiceQueueWaitMicros,     // admission-to-dequeue wait of one admitted request
   kServiceHandleMicros,        // worker execution time of one request (excludes the wait)
+  kEngineLockWaitMicros,       // one Engine::Run's wait for the engine lock
   kNumHists,  // sentinel
 };
 

@@ -38,27 +38,31 @@ verifier::RestrictionReport CheckPairs(const app::App& app,
                                        analysis.EffectfulPaths(), resolved.parallel);
 }
 
-// Takes `mu`, recording the wait as an engine_lock_wait span and its seconds in *waited.
+// Takes `mu`, recording the wait as an engine_lock_wait span, a sample of the
+// pipeline.engine_lock_wait_micros histogram, and its seconds in *waited.
 std::unique_lock<std::mutex> LockRecordingWait(std::mutex& mu, double* waited) {
   obs::ScopedSpan span("engine_lock_wait", obs::kCatPipeline);
   Stopwatch watch;
   std::unique_lock<std::mutex> lock(mu);
   *waited = watch.ElapsedSeconds();
+  obs::Observe(obs::Hist::kEngineLockWaitMicros, static_cast<uint64_t>(*waited * 1e6));
   return lock;
 }
 
 }  // namespace
 
 EngineConfig EngineConfig::FromEnv() {
-  env::Snapshot snap = env::CaptureSnapshot();
   EngineConfig config;
-  config.threads = snap.threads;
+  config.threads = ThreadPool::DefaultThreads();
   // Verbatim, unprobed: Run/Verify never touch the artifact root (a store-backed Run is
   // handed its store directory), so an engine built for one run must not mkdir (or die
   // on) a directory it never uses. Daemons that DO persist call ArtifactDirFromEnv for
   // the fail-fast create-and-probe before constructing their engine.
-  config.artifact_root = snap.artifact_dir;
-  config.verdict_cache_capacity = snap.verdict_cache_capacity;
+  if (const char* dir = env::Raw("NOCTUA_ARTIFACT_DIR")) {
+    config.artifact_root = dir;
+  }
+  config.verdict_cache_capacity = static_cast<size_t>(
+      env::NonNegativeIntOr("NOCTUA_VERDICT_CACHE", 0, env::kMaxVerdictCacheEntries));
   return config;
 }
 

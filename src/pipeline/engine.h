@@ -10,11 +10,12 @@
 //     never consults the environment again, so a daemon's behavior cannot drift when its
 //     environment does.
 //   - Run/Verify are safe to call from many threads: they serialize on an internal mutex
-//     because the work-stealing ThreadPool supports one ParallelFor at a time. Run holds
-//     the mutex for its whole pass (analysis, verify and, with a store, load and save),
-//     so no other run's work competes with its pool for cores; the wait is its
-//     engine_lock_wait span. Callers queue; admission control (bounding that queue)
-//     belongs to the service layer above, not here.
+//     because the ThreadPool runs one batch at a time (one shared cursor over one
+//     dispatch order). Run holds the mutex for its whole pass (analysis, verify and,
+//     with a store, load and save), so no other run's work competes with its pool for
+//     cores; the wait is its engine_lock_wait span and a sample of the
+//     pipeline.engine_lock_wait_micros histogram. Callers queue; admission control
+//     (bounding that queue) belongs to the service layer above, not here.
 //   - Solver tallies are not engine state: every query flushes them into the obs
 //     registry, so a run's tallies are what an obs::Collector around it records.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
@@ -51,8 +52,9 @@ struct EngineConfig {
   // NOCTUA_VERDICT_CACHE nor --verdict-cache is given.
   size_t verdict_cache_capacity = 0;
 
-  // Captures the environment (fail-fast on a configured-but-unusable artifact dir,
-  // warn-once + fallback on malformed knobs — the same disciplines as before).
+  // Reads the environment once: NOCTUA_THREADS through ThreadPool::DefaultThreads,
+  // NOCTUA_ARTIFACT_DIR verbatim (unprobed), NOCTUA_VERDICT_CACHE with warn-once +
+  // fallback on a malformed value.
   static EngineConfig FromEnv();
 };
 
@@ -101,7 +103,7 @@ class Engine {
   EngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<verifier::VerdictCache> verdicts_;
-  // Serializes runs and Verify calls: the pool supports one ParallelFor at a time.
+  // Serializes runs and Verify calls: the pool runs one ParallelFor at a time.
   std::mutex run_mutex_;
 };
 

@@ -16,9 +16,12 @@
 //                   answered 503 immediately (fail-fast: the client retries or sheds
 //                   load; the daemon never builds an unbounded backlog).
 //   worker threads  pop admitted requests and run them on the shared Engine. The
-//                   in-flight cap is the worker count; the Engine serializes its verify
-//                   stage internally, so workers mostly pipeline analysis against
-//                   verification.
+//                   Engine serializes each Engine::Run's whole pass (analysis, verify,
+//                   store load and save) on one lock, so one request executes at a
+//                   time; a second worker's request waits on that lock outside
+//                   max_queue and outside service.queue_wait_micros. The wait is in
+//                   service.handle_micros and, on its own, in
+//                   pipeline.engine_lock_wait_micros.
 //
 // Endpoints:
 //
@@ -61,7 +64,9 @@ struct ServiceOptions {
   // 0 = ephemeral: the kernel picks a free port, readable via Server::port() (and
   // printed by noctua-serve as "listening on <host>:<port>").
   int port = 0;
-  // In-flight cap: number of analysis requests executing concurrently.
+  // Number of admitted analysis requests taken off the queue at once. They do not
+  // execute concurrently: Engine::Run holds the engine lock for its whole pass, so all
+  // but one wait on it, outside max_queue (and outside service.queue_wait_micros).
   int workers = 2;
   // Admission bound: analysis requests accepted-but-not-yet-started. One more request
   // beyond workers + max_queue is answered 503 without touching the engine.

@@ -314,7 +314,6 @@ class TermFactory {
   Term ArrayLambda(Term var, Term body);
 
   Term EmptySet(Sort index_sort) { return ConstArray(index_sort, False()); }
-  Term FullSet(Sort index_sort) { return ConstArray(index_sort, True()); }
   Term Member(Term elem, Term set) { return Select(set, elem); }
   Term SetAdd(Term set, Term elem) { return Store(set, elem, True()); }
   Term SetRemove(Term set, Term elem) { return Store(set, elem, False()); }

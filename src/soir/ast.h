@@ -37,9 +37,6 @@ struct Type {
   static Type Set(int m) { return {Kind::kSet, m}; }
   static Type Ref(int m) { return {Kind::kRef, m}; }
 
-  bool IsScalar() const {
-    return kind != Kind::kObj && kind != Kind::kSet;
-  }
   bool operator==(const Type& o) const { return kind == o.kind && model_id == o.model_id; }
   std::string ToString(const Schema* schema = nullptr) const;
 };

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "src/support/check.h"
 
@@ -131,19 +130,6 @@ bool RequireBool01(const char* var, bool fallback) {
   NOCTUA_CHECK_MSG(std::string(raw) == "0" || std::string(raw) == "1",
                    var << "=\"" << raw << "\" must be 0 or 1");
   return raw[0] == '1';
-}
-
-Snapshot CaptureSnapshot() {
-  Snapshot s;
-  unsigned hw = std::thread::hardware_concurrency();
-  s.threads = static_cast<int>(
-      PositiveIntOr("NOCTUA_THREADS", hw == 0 ? 1 : static_cast<long>(hw), kMaxThreads));
-  if (const char* dir = Raw("NOCTUA_ARTIFACT_DIR")) {
-    s.artifact_dir = dir;
-  }
-  s.verdict_cache_capacity = static_cast<size_t>(
-      NonNegativeIntOr("NOCTUA_VERDICT_CACHE", 0, kMaxVerdictCacheEntries));
-  return s;
 }
 
 }  // namespace noctua::env

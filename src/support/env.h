@@ -16,9 +16,9 @@
 //
 // Long-lived processes must not re-read the environment mid-flight: a server that
 // consulted getenv per request would let one setenv race every in-flight analysis.
-// Snapshot (CaptureSnapshot) is the one-shot capture an Engine resolves at construction
-// (pipeline/engine.h turns it into a typed EngineConfig); everything downstream of an
-// Engine reads the snapshot, not the environment.
+// EngineConfig::FromEnv (pipeline/engine.h) reads an Engine's knobs once, at
+// construction; everything downstream of an Engine reads its config, not the
+// environment.
 #ifndef SRC_SUPPORT_ENV_H_
 #define SRC_SUPPORT_ENV_H_
 
@@ -73,25 +73,9 @@ double RequireDoubleInRange(const char* var, double lo, double hi, double fallba
 bool RequireBool01(const char* var, bool fallback);
 
 // ---------------------------------------------------------------------------------------
-// Snapshot
+// Knob clamps
 
-// One-shot capture of every analysis-affecting knob, taken at engine construction and
-// never re-read. Fields hold *resolved* values (parse policy already applied).
-struct Snapshot {
-  // Resolved degree of parallelism: NOCTUA_THREADS if valid, else hardware concurrency.
-  int threads = 1;
-  // NOCTUA_ARTIFACT_DIR verbatim ("" = no persistence). Writability is probed by
-  // ArtifactDirFromEnv, not here: capturing a snapshot must not touch the filesystem.
-  std::string artifact_dir;
-  // NOCTUA_VERDICT_CACHE: entry bound for an engine's shared verdict cache. 0 (the
-  // default) = unbounded — right for throwaway per-call engines; long-lived daemons
-  // apply their own finite default when the knob is unset (see noctua-serve).
-  size_t verdict_cache_capacity = 0;
-};
-
-Snapshot CaptureSnapshot();
-
-// The NOCTUA_THREADS clamp shared by CaptureSnapshot and ThreadPool::DefaultThreads.
+// The NOCTUA_THREADS clamp ThreadPool::DefaultThreads applies.
 inline constexpr long kMaxThreads = 256;
 
 // NOCTUA_VERDICT_CACHE clamp; shared with noctua-serve's --verdict-cache flag.

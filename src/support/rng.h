@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/support/check.h"
 
@@ -67,12 +66,6 @@ class Rng {
     }
     // 1 - NextDouble() is in (0, 1], so the log argument never hits zero.
     return -mean * std::log(1.0 - NextDouble());
-  }
-
-  template <typename T>
-  const T& Pick(const std::vector<T>& items) {
-    NOCTUA_CHECK(!items.empty());
-    return items[NextBelow(items.size())];
   }
 
  private:

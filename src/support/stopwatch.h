@@ -4,25 +4,16 @@
 #define SRC_SUPPORT_STOPWATCH_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace noctua {
 
-// Measures elapsed wall time from construction (or the last Reset()).
+// Measures elapsed wall time from construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Reset() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start_).count();
   }
 
  private:

@@ -1,49 +1,24 @@
 #include "src/support/thread_pool.h"
 
-#include <memory>
+#include <atomic>
 
 #include "src/support/env.h"
 
 namespace noctua {
 
-// One ParallelFor invocation: per-participant deques plus completion accounting.
-// Participant 0 is the calling thread; worker w uses slot w + 1.
+// One ParallelFor invocation: the task list, its cursor, and the workers draining it.
 struct ThreadPool::Batch {
-  struct Queue {
-    std::mutex mu;
-    std::deque<size_t> q;
-  };
-
+  size_t n = 0;
   const std::function<void(size_t)>* fn = nullptr;
-  std::vector<std::unique_ptr<Queue>> queues;
-  std::atomic<size_t> remaining{0};      // tasks not yet finished
-  std::atomic<int> active_workers{0};    // pool workers currently draining this batch
-  std::atomic<uint64_t> steals{0};       // cross-deque pops within this batch
+  const std::vector<size_t>* order = nullptr;  // null = identity
+  std::atomic<size_t> next{0};  // the cursor: the next dispatch position to claim
+  int attached = 0;             // pool workers draining this batch; guarded by mu_
 
-  // Pop from the front of one's own deque; steal from the back of a victim's otherwise.
-  // Owners and thieves take opposite ends, so a worker keeps the cheap (earlier-
-  // scheduled) tasks it was dealt and thieves take the most recently dealt ones.
-  bool Pop(size_t self, size_t* out) {
-    {
-      Queue& mine = *queues[self];
-      std::lock_guard<std::mutex> lk(mine.mu);
-      if (!mine.q.empty()) {
-        *out = mine.q.front();
-        mine.q.pop_front();
-        return true;
-      }
+  // Claims and runs dispatch positions until the order runs out.
+  void Drain() {
+    for (size_t k = next++; k < n; k = next++) {
+      (*fn)(order != nullptr ? (*order)[k] : k);
     }
-    for (size_t k = 1; k < queues.size(); ++k) {
-      Queue& victim = *queues[(self + k) % queues.size()];
-      std::lock_guard<std::mutex> lk(victim.mu);
-      if (!victim.q.empty()) {
-        *out = victim.q.back();
-        victim.q.pop_back();
-        steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
   }
 };
 
@@ -69,18 +44,7 @@ int ThreadPool::DefaultThreads() {
       "NOCTUA_THREADS", hw == 0 ? 1 : static_cast<long>(hw), env::kMaxThreads));
 }
 
-void ThreadPool::StartWorkers() {
-  if (started_ || threads_ <= 1) {
-    return;
-  }
-  started_ = true;
-  workers_.reserve(threads_ - 1);
-  for (int w = 0; w < threads_ - 1; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(static_cast<size_t>(w)); });
-  }
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
+void ThreadPool::WorkerLoop() {
   uint64_t last_seen = 0;
   for (;;) {
     Batch* b;
@@ -92,21 +56,13 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       }
       b = batch_;
       last_seen = batch_seq_;
-      // Attach under the lock: ParallelFor only destroys the batch after observing
-      // (remaining == 0 && active_workers == 0) under this same lock and unpublishing it.
-      b->active_workers.fetch_add(1, std::memory_order_relaxed);
+      // Attach under the lock: ParallelFor only unpublishes (and destroys) the batch
+      // after observing attached == 0 under this same lock.
+      ++b->attached;
     }
-    size_t idx;
-    while (b->Pop(worker_index + 1, &idx)) {
-      (*b->fn)(idx);
-      if (b->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(mu_);
-        done_cv_.notify_all();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      b->active_workers.fetch_sub(1, std::memory_order_acq_rel);
+    b->Drain();
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--b->attached == 0) {
       done_cv_.notify_all();
     }
   }
@@ -114,40 +70,12 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                              const std::vector<size_t>* order) {
-  if (n == 0) {
-    return;
-  }
-  if (threads_ <= 1 || n == 1) {
-    // Serial fast path: no threads, no queues — the deterministic baseline.
-    if (order != nullptr) {
-      for (size_t k = 0; k < n; ++k) {
-        fn((*order)[k]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        fn(i);
-      }
+  if (workers_.empty()) {  // lazy start; a one-thread pool never starts a worker
+    for (int w = 1; w < threads_; ++w) {
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
-    tasks_.fetch_add(n, std::memory_order_relaxed);
-    return;
   }
-  StartWorkers();
-
-  Batch b;
-  b.fn = &fn;
-  b.remaining.store(n, std::memory_order_relaxed);
-  size_t participants = static_cast<size_t>(threads_);
-  b.queues.reserve(participants);
-  for (size_t p = 0; p < participants; ++p) {
-    b.queues.push_back(std::make_unique<Batch::Queue>());
-  }
-  // Deal tasks round-robin in dispatch order: task k goes to participant k mod P, so the
-  // first P tasks of the (cheapest-first) order start simultaneously.
-  for (size_t k = 0; k < n; ++k) {
-    size_t idx = order != nullptr ? (*order)[k] : k;
-    b.queues[k % participants]->q.push_back(idx);
-  }
-
+  Batch b{n, &fn, order};
   {
     std::lock_guard<std::mutex> lk(mu_);
     batch_ = &b;
@@ -155,21 +83,12 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   }
   work_cv_.notify_all();
 
-  // The caller is participant 0.
-  size_t idx;
-  while (b.Pop(0, &idx)) {
-    fn(idx);
-    b.remaining.fetch_sub(1, std::memory_order_acq_rel);
-  }
-
+  // The caller drains too. Once its own claim runs past the end, every task has been
+  // claimed by it or by an attached worker, so the batch is done when none is attached.
+  b.Drain();
   std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] {
-    return b.remaining.load(std::memory_order_acquire) == 0 &&
-           b.active_workers.load(std::memory_order_acquire) == 0;
-  });
+  done_cv_.wait(lk, [&] { return b.attached == 0; });
   batch_ = nullptr;  // unpublish before the stack frame (and Batch) dies
-  tasks_.fetch_add(n, std::memory_order_relaxed);
-  steals_.fetch_add(b.steals.load(std::memory_order_relaxed), std::memory_order_relaxed);
 }
 
 }  // namespace noctua

@@ -79,7 +79,7 @@ Checker::PathFacts Checker::Facts(const soir::CodePath& path) const {
   }
   f.scope_models.assign(models.begin(), models.end());
   f.scope_relations.assign(relations.begin(), relations.end());
-  f.order = Encoder::OrderRelevantModels(path);
+  f.order = soir::OrderRelevantModels(path);
   return f;
 }
 

@@ -93,7 +93,7 @@ class Checker {
     // The path's half of the footprint closure (see ComputeScope), sorted.
     std::vector<int> scope_models;
     std::vector<int> scope_relations;
-    // Models whose insertion order the path observes (Encoder::OrderRelevantModels).
+    // Models whose insertion order the path observes (soir::OrderRelevantModels).
     std::set<int> order;
   };
   PathFacts Facts(const soir::CodePath& path) const;

@@ -702,12 +702,4 @@ smt::Term Encoder::StateEq(const EncState& a, const EncState& b,
   return f_->And(std::move(parts));
 }
 
-std::set<int> Encoder::OrderRelevantModels(const soir::CodePath& p) {
-  return soir::OrderRelevantModels(p);
-}
-
-bool Encoder::UsesOrderPrimitives(const soir::CodePath& p) {
-  return !OrderRelevantModels(p).empty();
-}
-
 }  // namespace noctua::verifier

