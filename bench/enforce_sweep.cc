@@ -16,9 +16,9 @@
 //      restriction set costs at runtime (the "lost throughput" half of the oracle;
 //      the other half — a too-small set — is what the trace checker catches).
 //
-// NOCTUA_ENFORCE_SHARDS / NOCTUA_ENFORCE_LEASE_MS tune the service (strictly
-// validated); NOCTUA_COORD_SELFCHECK=1 additionally audits coordinator state after
-// every service call.
+// The coordination service runs with the default repl::EnforceOptions, whose shard
+// count and lease length head the document; NOCTUA_COORD_SELFCHECK=1 additionally
+// audits coordinator state after every service call.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -72,15 +72,13 @@ ConflictTable ConflictsFor(const app::App& a, const std::string& name,
 
 SimResult RunOne(const app::App& a, const analyzer::AnalysisResult& res,
                  const ConflictTable& table, const FaultPlan& plan, uint64_t seed,
-                 double duration_ms, bool enforce, bool sc,
-                 const repl::EnforceOptions& knobs) {
+                 double duration_ms, bool enforce, bool sc) {
   SimOptions options;
   options.duration_ms = duration_ms;
   options.write_ratio = 0.5;
   options.seed = seed;
   options.faults = plan;
   options.strong_consistency = sc;
-  options.enforce = knobs;
   options.enforce.enabled = enforce;
   repl::Simulator sim(a.schema(), res.paths, table, options);
   return sim.Run();
@@ -89,12 +87,10 @@ SimResult RunOne(const app::App& a, const analyzer::AnalysisResult& res,
 }  // namespace
 
 int main() {
-  // Fail fast on malformed knobs before spending any simulation time.
-  repl::EnforceOptions knobs = repl::ApplyEnforceEnv();
-
   bool all_safe = true;
   obs::JsonWriter json = bench::BenchDocument("enforce_sweep");
-  json.Key("lease_ms").Double(knobs.lease_ms, 1).Key("num_shards").Int(knobs.num_shards);
+  const repl::EnforceOptions service;
+  json.Key("lease_ms").Double(service.lease_ms, 1).Key("num_shards").Int(service.num_shards);
 
   // --- 1. Enforced chaos grid over every evaluated app -------------------------------
   json.Key("grid").BeginArray();
@@ -105,7 +101,7 @@ int main() {
     for (const PlanCase& pc : ChaosPlans()) {
       for (uint64_t seed : {11u, 22u, 33u}) {
         SimResult r = RunOne(a, res, conflicts, pc.plan, seed, /*duration_ms=*/250,
-                             /*enforce=*/true, /*sc=*/false, knobs);
+                             /*enforce=*/true, /*sc=*/false);
         repl::TraceCheckResult check = repl::CheckTrace(r.trace, conflicts);
         bool safe = r.converged && r.conflict_violations == 0 && check.ok() &&
                     r.completed_requests > 0 && r.lease_acquires > 0;
@@ -165,7 +161,7 @@ int main() {
     double ms = 0;
     for (uint64_t seed : {11u, 22u, 33u}) {
       SimResult r = RunOne(bank, bank_res, *kModes[m].table, jittery, seed,
-                           kModeDurationMs, kModes[m].enforce, kModes[m].sc, knobs);
+                           kModeDurationMs, kModes[m].enforce, kModes[m].sc);
       all_safe = all_safe && r.converged && r.conflict_violations == 0;
       completed += r.completed_requests;
       ms += r.duration_ms;
@@ -198,7 +194,7 @@ int main() {
     double ms = 0;
     for (uint64_t seed : {11u, 22u, 33u}) {
       SimResult r = RunOne(bank, bank_res, prefix, jittery, seed, kModeDurationMs,
-                           /*enforce=*/true, /*sc=*/false, knobs);
+                           /*enforce=*/true, /*sc=*/false);
       all_safe = all_safe && r.converged;
       completed += r.completed_requests;
       waits += r.lock_waits;

@@ -41,13 +41,11 @@ using noctua::analyzer::SymObj;
 using noctua::analyzer::SymSet;
 using noctua::analyzer::ViewCtx;
 
-// One run against the store at `store`, on a fresh engine. The solver's budget decisions
-// are pinned so verdicts are identical across separate runs — the identity assertion
-// below is exact.
+// One run against the store at `store`, on a fresh engine. The solver's budget counts
+// nodes, so verdicts are identical across separate runs — the identity assertion below is
+// exact.
 PipelineResult RunStored(const noctua::app::App& app, const std::string& store) {
-  noctua::PipelineOptions options;
-  options.checker.solver.budget.deterministic = true;
-  return noctua::Engine().Run(app, options, store);
+  return noctua::Engine().Run(app, {}, store);
 }
 
 std::string TempDirFor(const std::string& name) {

@@ -143,7 +143,7 @@ void BM_AnalyzeSmallBank(benchmark::State& state) {
 BENCHMARK(BM_AnalyzeSmallBank);
 
 // Deterministic verdict fingerprint of one app with the optimizations off or on:
-// FNV-1a over the "p|q|com|sem" verdict lines of a full deterministic-budget verify.
+// FNV-1a over the "p|q|com|sem" verdict lines of a full verify.
 // The optimizations must never change a verdict, so the fingerprint is the artifact
 // CI diffs against the committed baseline to prove restriction-set identity.
 uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
@@ -151,7 +151,6 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
   analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
 
   PipelineOptions options;
-  options.checker.solver.budget.deterministic = true;
   options.checker.solver.symmetry = optimized;
   options.checker.solver.incremental = optimized;
   EngineConfig two_workers;

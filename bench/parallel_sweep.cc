@@ -2,8 +2,11 @@
 // sweep first runs the pre-parallel engine — the serial pair loop with no verdict cache,
 // no cheapest-first schedule, and no footprint projection, exactly what
 // AnalyzeRestrictions did before the redesign — and then the full engine at 1/2/4/8
-// worker threads. Every run must produce byte-identical per-pair verdicts; the bench
-// exits nonzero if any thread count (or the legacy engine) disagrees.
+// worker threads. Each row, the baseline included, reports the median of three runs on
+// fresh engines, taken in three interleaved rounds over the rows, so one stretch of host
+// noise does not bend the curve. Every run must produce byte-identical per-pair verdicts;
+// the bench exits nonzero if any run of any thread count (or of the legacy engine)
+// disagrees.
 //
 // Emits one JSON document on stdout (progress goes to stderr):
 //
@@ -18,6 +21,7 @@
 // what a caller of the old API gains by moving to this engine at that thread count.
 // "speedup_vs_1thread" isolates the threading contribution alone; on a single-core
 // machine it stays near 1.0 while "speedup" still reflects the cache + projection wins.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -29,10 +33,29 @@
 #include "src/apps/zhihu.h"
 #include "src/pipeline/engine.h"
 
-int main() {
-  using namespace noctua;
-  using verifier::RestrictionReport;
+namespace {
 
+using namespace noctua;
+using verifier::RestrictionReport;
+
+// One row of an app's sweep: a pool width, the options it verifies under, and its runs.
+struct Row {
+  int threads;
+  PipelineOptions options;
+  std::vector<RestrictionReport> runs;
+};
+
+// The run with the median total_seconds.
+const RestrictionReport& MedianRun(std::vector<RestrictionReport>& runs) {
+  std::sort(runs.begin(), runs.end(), [](const RestrictionReport& x, const RestrictionReport& y) {
+    return x.total_seconds < y.total_seconds;
+  });
+  return runs[runs.size() / 2];
+}
+
+}  // namespace
+
+int main() {
   struct AppCase {
     const char* name;
     app::App app;
@@ -43,6 +66,7 @@ int main() {
   cases.push_back({"Zhihu", apps::MakeZhihuApp()});
 
   const int kThreadCounts[] = {1, 2, 4, 8};
+  constexpr int kRounds = 3;
   bool identical_everywhere = true;
 
   obs::JsonWriter json = bench::BenchDocument("parallel_sweep");
@@ -56,11 +80,30 @@ int main() {
     legacy.parallel.cache = false;
     legacy.parallel.cheapest_first = false;
     legacy.checker.project_footprint = false;
-    fprintf(stderr, "[parallel_sweep] %s: legacy serial engine...\n", app_case.name);
-    EngineConfig serial;
-    serial.threads = 1;
-    RestrictionReport baseline = Engine(serial).Verify(app_case.app, analysis, legacy);
-    std::vector<std::string> reference = baseline.VerdictLines();
+    std::vector<Row> rows = {{1, legacy, {}}};
+    for (int threads : kThreadCounts) {
+      rows.push_back({threads, {}, {}});
+    }
+    // Each round runs every row once, each run on a fresh engine (so none answers from
+    // another's verdict cache): a stretch of host noise lands on one run of several rows,
+    // not on every run of one row.
+    fprintf(stderr, "[parallel_sweep] %s: %d rounds of the legacy serial engine and %zu "
+            "thread counts...\n", app_case.name, kRounds, rows.size() - 1);
+    for (int round = 0; round < kRounds; ++round) {
+      for (Row& row : rows) {
+        EngineConfig config;
+        config.threads = row.threads;
+        row.runs.push_back(Engine(config).Verify(app_case.app, analysis, row.options));
+      }
+    }
+    const std::vector<std::string> reference = rows[0].runs[0].VerdictLines();
+    auto identical_runs = [&](const Row& row) {
+      return std::all_of(row.runs.begin(), row.runs.end(), [&](const RestrictionReport& r) {
+        return r.VerdictLines() == reference;
+      });
+    };
+    identical_everywhere = identical_everywhere && identical_runs(rows[0]);
+    const RestrictionReport& baseline = MedianRun(rows[0].runs);
     fprintf(stderr, "[parallel_sweep] %s: legacy %.3fs (%zu pairs, %zu restrictions)\n",
             app_case.name, baseline.total_seconds, baseline.pairs.size(),
             baseline.num_restrictions());
@@ -73,14 +116,13 @@ int main() {
     json.Key("sweep").BeginArray();
 
     double one_thread_seconds = 0;
-    for (int threads : kThreadCounts) {
-      EngineConfig config;
-      config.threads = threads;
-      RestrictionReport report = Engine(config).Verify(app_case.app, analysis);
+    for (size_t i = 1; i < rows.size(); ++i) {
+      const int threads = rows[i].threads;
+      const bool identical = identical_runs(rows[i]);
+      const RestrictionReport& report = MedianRun(rows[i].runs);
       if (threads == 1) {
         one_thread_seconds = report.total_seconds;
       }
-      bool identical = report.VerdictLines() == reference;
       identical_everywhere = identical_everywhere && identical;
       double speedup = baseline.total_seconds / report.total_seconds;
       double vs_one = one_thread_seconds / report.total_seconds;

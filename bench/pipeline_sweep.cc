@@ -156,10 +156,9 @@ int main(int argc, char** argv) {
   for (AppCase& app_case : cases) {
     const bool is_zhihu = std::strcmp(app_case.name, "Zhihu") == 0;
 
-    // Deterministic solver budget: identical verdicts regardless of machine speed, so
+    // The solver's node budget gives identical verdicts regardless of machine speed, so
     // the off-vs-on comparison below is exact equality, not a flaky approximation.
     PipelineOptions base;
-    base.checker.solver.budget.deterministic = true;
 
     double off_seconds = 0;
     std::vector<std::string> reference;

@@ -56,8 +56,8 @@ EngineConfig EngineConfig::FromEnv() {
   config.threads = ThreadPool::DefaultThreads();
   // Verbatim, unprobed: Run/Verify never touch the artifact root (a store-backed Run is
   // handed its store directory), so an engine built for one run must not mkdir (or die
-  // on) a directory it never uses. Daemons that DO persist call ArtifactDirFromEnv for
-  // the fail-fast create-and-probe before constructing their engine.
+  // on) a directory it never uses. Daemons that DO persist call ProbeArtifactDir
+  // (session.h) for the fail-fast create-and-probe before constructing their engine.
   if (const char* dir = env::Raw("NOCTUA_ARTIFACT_DIR")) {
     config.artifact_root = dir;
   }

@@ -6,7 +6,6 @@
 
 #include "src/soir/serialize.h"
 #include "src/support/check.h"
-#include "src/support/env.h"
 
 namespace noctua {
 
@@ -86,18 +85,13 @@ bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis
          WriteFile(Path(kManifestFile), manifest.str());
 }
 
-std::string ArtifactDirFromEnv() {
-  if (!env::IsSet("NOCTUA_ARTIFACT_DIR")) {
-    return "";
-  }
-  std::string dir(env::Raw("NOCTUA_ARTIFACT_DIR"));
+void ProbeArtifactDir(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  NOCTUA_CHECK_MSG(!ec, "NOCTUA_ARTIFACT_DIR is set to \""
-                            << dir << "\" but the directory cannot be created ("
-                            << ec.message()
-                            << ") — fix the path or unset the variable; refusing to "
-                               "silently run cold");
+  NOCTUA_CHECK_MSG(!ec, "artifact root \"" << dir << "\" cannot be created ("
+                                            << ec.message()
+                                            << ") — fix the path; refusing to silently "
+                                               "run cold");
   // Probe with a real write: create_directories succeeding does not imply writability
   // (read-only mounts, permission bits).
   const std::string probe = dir + "/.noctua-write-probe";
@@ -105,12 +99,10 @@ std::string ArtifactDirFromEnv() {
   if (writable) {
     std::filesystem::remove(probe, ec);
   }
-  NOCTUA_CHECK_MSG(writable, "NOCTUA_ARTIFACT_DIR is set to \""
-                                 << dir
-                                 << "\" but the directory is not writable — fix the "
-                                    "permissions or unset the variable; refusing to "
-                                    "silently run cold");
-  return dir;
+  NOCTUA_CHECK_MSG(writable, "artifact root \"" << dir
+                                                << "\" is not writable — fix the "
+                                                   "permissions; refusing to silently "
+                                                   "run cold");
 }
 
 }  // namespace noctua

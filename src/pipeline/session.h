@@ -55,13 +55,12 @@ class Session {
   std::string store_dir_;
 };
 
-// Resolves the NOCTUA_ARTIFACT_DIR environment variable into a session store directory.
-// Returns "" when the variable is unset (caller runs without persistence). When it IS
-// set, the directory is created if missing and probed with a throwaway write; failure of
-// either is a *fatal error* with a clear message — a user who configured an artifact
-// store wants warm runs, and silently degrading every run to cold is strictly worse
-// than stopping.
-std::string ArtifactDirFromEnv();
+// Creates the artifact root `dir` if missing and probes it with a throwaway write. Failure
+// of either is a *fatal error* whose message names `dir` — a user who configured an
+// artifact store wants warm runs, and silently degrading every run to cold is strictly
+// worse than stopping. A daemon calls it on the root it ends up with, from a flag or
+// from NOCTUA_ARTIFACT_DIR (EngineConfig::FromEnv), before it starts accepting.
+void ProbeArtifactDir(const std::string& dir);
 
 }  // namespace noctua
 

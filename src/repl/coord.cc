@@ -38,17 +38,6 @@ bool SelfCheckEnabled() {
 
 }  // namespace
 
-EnforceOptions ApplyEnforceEnv(EnforceOptions base) {
-  // Enforcement knobs are fail-fast (see src/support/env.h): a malformed value is a
-  // fatal error, because silently mis-enforcing a restriction set is worse than
-  // stopping.
-  base.enabled = env::RequireBool01("NOCTUA_ENFORCE", base.enabled);
-  base.num_shards =
-      static_cast<int>(env::RequireLongInRange("NOCTUA_ENFORCE_SHARDS", 1, 64, base.num_shards));
-  base.lease_ms = env::RequireDoubleInRange("NOCTUA_ENFORCE_LEASE_MS", 0.0, 60000.0, base.lease_ms);
-  return base;
-}
-
 LeaseCoordinator::LeaseCoordinator(const ConflictTable& conflicts, Options options)
     : conflicts_(conflicts), options_(options) {
   NOCTUA_CHECK(options_.num_shards >= 1);

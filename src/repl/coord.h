@@ -88,15 +88,6 @@ struct EnforceOptions {
   }
 };
 
-// Applies the NOCTUA_ENFORCE* environment knobs on top of `base` and returns the
-// result. Strict fail-fast validation (the NOCTUA_THREADS discipline, escalated to
-// fatal): junk or out-of-range values abort with a message naming the variable, never
-// silently default.
-//   NOCTUA_ENFORCE          0 or 1 — master switch
-//   NOCTUA_ENFORCE_SHARDS   integer in [1, 64]
-//   NOCTUA_ENFORCE_LEASE_MS decimal in (0, 60000]
-EnforceOptions ApplyEnforceEnv(EnforceOptions base = {});
-
 class LeaseCoordinator {
  public:
   struct Options {

@@ -119,11 +119,9 @@ int main(int argc, char** argv) {
 
   // A daemon with persistence wants the fail-fast create-and-probe before it starts
   // accepting: a misconfigured store should stop the server, not silently cold-run
-  // every tenant forever. (When the root came from the environment, ArtifactDirFromEnv
-  // performed this already; re-probing is harmless.)
+  // every tenant forever. The root is the flag's, or else the environment's.
   if (!options.engine.artifact_root.empty()) {
-    setenv("NOCTUA_ARTIFACT_DIR", options.engine.artifact_root.c_str(), 1);
-    options.engine.artifact_root = noctua::ArtifactDirFromEnv();
+    noctua::ProbeArtifactDir(options.engine.artifact_root);
   }
 
   noctua::service::Server server(options);

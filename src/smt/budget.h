@@ -1,8 +1,8 @@
 // Search budgets, shared by every solver backend.
 //
-// Budget is the one struct all backends interpret identically: a wall-clock deadline, a
-// node ceiling, and a determinism switch that trades the deadline for machine-independent
-// verdicts.
+// Budget is the one struct all backends interpret identically: a work ceiling, counted in
+// search nodes and never read from a clock, so a verdict is a function of the query alone,
+// on any machine, under any load and at any thread count.
 #ifndef SRC_SMT_BUDGET_H_
 #define SRC_SMT_BUDGET_H_
 
@@ -13,14 +13,11 @@ namespace noctua::smt {
 // How much work one satisfiability check may spend before giving up with kUnknown.
 // Exceeding the budget is conservative, never unsound: the verifier restricts the pair.
 struct Budget {
-  // Wall-clock limit per check (the paper's 2s timeout). <= 0 disables the deadline.
-  double timeout_seconds = 2.0;
-  // Search-node ceiling: one node is one DFS assignment of the bounded model finder.
+  // Search-node ceiling: one node is one DFS assignment of the bounded model finder. The
+  // Z3 oracle spends it as Z3's deterministic resource limit (rlimit).
   uint64_t max_nodes = 50'000'000;
-  // Bound the search by max_nodes only, ignoring the wall clock. Searches are
-  // deterministic given the term DAG, so with this set the verdict is too — independent
-  // of machine speed, CPU contention, or how many verification workers run alongside.
-  // Used by tests that assert byte-identical verdicts across thread counts and backends.
+  // No code reads this: max_nodes is the only bound. Kept only because
+  // perfbench/cold_batch.cc and perfbench/main.cc still assign it.
   bool deterministic = false;
 };
 

@@ -5,6 +5,7 @@
 
 #include "src/smt/ground.h"
 #include "src/support/check.h"
+#include "src/support/stopwatch.h"
 
 namespace noctua::smt {
 
@@ -208,10 +209,6 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   Stopwatch watch;
   stats_ = SolverStats{};
   model_.values.clear();
-  const Budget& budget = options_.budget;
-  Deadline deadline = budget.timeout_seconds > 0 && !budget.deterministic
-                          ? Deadline::AfterSeconds(budget.timeout_seconds)
-                          : Deadline::Never();
 
   // Ground all binders over the finite scope, then flatten top-level conjunctions so each
   // conjunct prunes independently. With incremental solving on, roots seen by an earlier
@@ -317,14 +314,10 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   std::vector<Frame> stack;
   stack.push_back(Frame{first, make_domain(first), 0, pending, first->atom_sig()});
 
-  bool timed_out = false;
+  bool out_of_budget = false;
   while (!stack.empty()) {
-    if ((++stats_.nodes_visited & 0x3f) == 0 && deadline.Expired()) {
-      timed_out = true;
-      break;
-    }
-    if (stats_.nodes_visited > budget.max_nodes) {
-      timed_out = true;
+    if (++stats_.nodes_visited > options_.budget.max_nodes) {
+      out_of_budget = true;
       break;
     }
     Frame& frame = stack.back();
@@ -387,7 +380,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   }
 
   stats_.seconds = watch.ElapsedSeconds();
-  return timed_out ? SolveResult::kUnknown : SolveResult::kUnsat;
+  return out_of_budget ? SolveResult::kUnknown : SolveResult::kUnsat;
 }
 
 }  // namespace noctua::smt

@@ -30,8 +30,10 @@
 // assertion per node, however little of it the pruned walk visits.
 //
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
-// within the scope; kUnknown means the budget was exhausted, which the verifier treats
-// conservatively (restrict the pair), mirroring the paper's 2s timeout.
+// within the scope; kUnknown means the node budget (budget.h) was exhausted, which the
+// verifier treats conservatively (restrict the pair), as the paper treats its 2 s Z3
+// timeout. The budget counts search nodes, not seconds, so the verdict never depends on
+// machine speed or load.
 #ifndef SRC_SMT_SOLVER_H_
 #define SRC_SMT_SOLVER_H_
 
@@ -48,7 +50,6 @@
 #include "src/smt/eval.h"
 #include "src/smt/ground.h"
 #include "src/smt/term.h"
-#include "src/support/stopwatch.h"
 
 namespace noctua::smt {
 

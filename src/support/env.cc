@@ -6,8 +6,6 @@
 #include <mutex>
 #include <set>
 
-#include "src/support/check.h"
-
 namespace noctua::env {
 
 const char* Raw(const char* var) { return std::getenv(var); }
@@ -33,20 +31,6 @@ bool ParseLong(const std::string& text, long* out) {
     return false;
   }
   *out = n;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = v;
   return true;
 }
 
@@ -96,40 +80,6 @@ long NonNegativeIntOr(const char* var, long fallback, long cap) {
     return cap;
   }
   return n;
-}
-
-long RequireLongInRange(const char* var, long lo, long hi, long fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr) {
-    return fallback;
-  }
-  long n = 0;
-  NOCTUA_CHECK_MSG(ParseLong(raw, &n), var << "=\"" << raw << "\" is not an integer");
-  NOCTUA_CHECK_MSG(n >= lo && n <= hi,
-                   var << "=" << n << " is outside [" << lo << ", " << hi << "]");
-  return n;
-}
-
-double RequireDoubleInRange(const char* var, double lo, double hi, double fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr) {
-    return fallback;
-  }
-  double v = 0;
-  NOCTUA_CHECK_MSG(ParseDouble(raw, &v), var << "=\"" << raw << "\" is not a number");
-  NOCTUA_CHECK_MSG(v > lo && v <= hi,
-                   var << "=" << v << " is outside (" << lo << ", " << hi << "]");
-  return v;
-}
-
-bool RequireBool01(const char* var, bool fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr) {
-    return fallback;
-  }
-  NOCTUA_CHECK_MSG(std::string(raw) == "0" || std::string(raw) == "1",
-                   var << "=\"" << raw << "\" must be 0 or 1");
-  return raw[0] == '1';
 }
 
 }  // namespace noctua::env

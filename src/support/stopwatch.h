@@ -1,5 +1,5 @@
-// Monotonic stopwatch and deadline helpers, used for analysis/verification timing and for
-// per-check solver timeouts (the paper uses a 2-second timeout per SMT check).
+// Monotonic stopwatch for analysis, verification and request timing. Timings are only
+// reported: no solver budget reads the clock (see src/smt/budget.h).
 #ifndef SRC_SUPPORT_STOPWATCH_H_
 #define SRC_SUPPORT_STOPWATCH_H_
 
@@ -19,28 +19,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// A point in time after which long-running work (e.g. the SMT search) must give up.
-// A default-constructed Deadline never expires.
-class Deadline {
- public:
-  Deadline() : expires_(Clock::time_point::max()) {}
-
-  static Deadline AfterSeconds(double seconds) {
-    Deadline d;
-    d.expires_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(seconds));
-    return d;
-  }
-
-  static Deadline Never() { return Deadline(); }
-
-  bool Expired() const { return Clock::now() >= expires_; }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point expires_;
 };
 
 }  // namespace noctua

@@ -29,7 +29,7 @@ namespace noctua::verifier {
 enum class CheckOutcome : uint8_t {
   kPass,         // no counterexample within scope: the pair is safe under this rule
   kFail,         // counterexample found: restrict
-  kTimeout,      // solver gave up: restrict conservatively
+  kTimeout,      // solver spent its node budget: restrict conservatively
   kUnsupported,  // encoding hit an unsupported construct: restrict conservatively
 };
 

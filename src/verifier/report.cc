@@ -246,8 +246,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // already ran. Both outcomes and cache contents are scheduling-independent: isomorphic
   // queries have equal verdicts, so whichever worker computes first inserts the same
   // answer every interleaving. A timeout is never inserted: it says how much budget the
-  // machine had, not what the query's answer is, so a twin query re-solves it and no
-  // store keeps it. Replayed hits (entries loaded from a prior store) are additionally
+  // run had, not what the query's answer is (no key names max_nodes), so a twin query
+  // re-solves it and no store keeps it. Replayed hits (entries loaded from a prior store) are additionally
   // subject to paranoia sampling: a per-fingerprint coin decides whether to re-solve and
   // cross-check, so the audited subset is the same for any thread count. A re-solve that
   // times out decides nothing, so it cannot disagree.

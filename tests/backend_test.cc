@@ -34,9 +34,9 @@ TEST(BackendFactoryTest, OptionsFactoryChoosesTheBackend) {
 // ---------------------------------------------------- cross-backend restriction sets
 
 // The acceptance bar for the production solver: on every evaluated app, dfs and the Z3
-// oracle must produce byte-identical restriction sets. Budgets are pinned to
-// deterministic mode (dfs's node ceiling, no Z3 timeout) so the comparison is exact on
-// any machine.
+// oracle must produce byte-identical restriction sets under the default budget, and no
+// pair may time out on either: the budget counts work (dfs's nodes, Z3's rlimit), never
+// seconds, so the comparison is exact on any machine and under any load.
 class BackendIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
 TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
@@ -49,7 +49,6 @@ TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
   auto run = [&](smt::BackendFactory solver) {
     PipelineOptions options;
     options.checker.solver.backend = solver;
-    options.checker.solver.budget.deterministic = true;
     EngineConfig two_workers;
     two_workers.threads = 2;
     return Engine(two_workers).Verify(a, analysis, options);
@@ -63,6 +62,16 @@ TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
   EXPECT_EQ(z3.stats.solver_backend, "z3");
   EXPECT_EQ(z3.VerdictLines(), dfs.VerdictLines());
   EXPECT_EQ(z3.RestrictedPairNames(), dfs.RestrictedPairNames());
+
+  // The default budget decides every query of the six apps on both backends.
+  for (const verifier::RestrictionReport* report : {&dfs, &z3}) {
+    for (const verifier::PairVerdict& v : report->pairs) {
+      EXPECT_NE(v.commutativity, verifier::CheckOutcome::kTimeout)
+          << report->stats.solver_backend << ": " << v.p << " | " << v.q;
+      EXPECT_NE(v.semantic, verifier::CheckOutcome::kTimeout)
+          << report->stats.solver_backend << ": " << v.p << " | " << v.q;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,7 +97,6 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   auto run = [&](bool optimized) {
     obs::Collector collector(obs::ObsOptions{.enabled = true});
     PipelineOptions options;
-    options.checker.solver.budget.deterministic = true;
     options.checker.solver.symmetry = optimized;
     options.checker.solver.incremental = optimized;
     EngineConfig two_workers;

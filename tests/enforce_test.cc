@@ -270,58 +270,6 @@ TEST(TraceCheckTest, SitesMissingAnOperationAreSkipped) {
 }
 
 // ---------------------------------------------------------------------------------------
-// Environment knobs
-// ---------------------------------------------------------------------------------------
-
-struct ScopedEnv {
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-  const char* name_;
-};
-
-TEST(EnforceEnvTest, KnobsOverrideDefaults) {
-  ScopedEnv e1("NOCTUA_ENFORCE", "1");
-  ScopedEnv e2("NOCTUA_ENFORCE_SHARDS", "8");
-  ScopedEnv e3("NOCTUA_ENFORCE_LEASE_MS", "120.5");
-  EnforceOptions opts = ApplyEnforceEnv();
-  EXPECT_TRUE(opts.enabled);
-  EXPECT_EQ(opts.num_shards, 8);
-  EXPECT_DOUBLE_EQ(opts.lease_ms, 120.5);
-}
-
-TEST(EnforceEnvTest, UnsetKnobsKeepTheBase) {
-  EnforceOptions base;
-  base.enabled = true;
-  base.num_shards = 3;
-  EnforceOptions opts = ApplyEnforceEnv(base);
-  EXPECT_TRUE(opts.enabled);
-  EXPECT_EQ(opts.num_shards, 3);
-  EXPECT_DOUBLE_EQ(opts.lease_ms, base.lease_ms);
-}
-
-TEST(EnforceEnvDeathTest, JunkValuesFailFast) {
-  ScopedEnv e("NOCTUA_ENFORCE", "yes");
-  EXPECT_DEATH(ApplyEnforceEnv(), "NOCTUA_ENFORCE");
-}
-
-TEST(EnforceEnvDeathTest, NonIntegerShardsFailFast) {
-  ScopedEnv e("NOCTUA_ENFORCE_SHARDS", "4x");
-  EXPECT_DEATH(ApplyEnforceEnv(), "NOCTUA_ENFORCE_SHARDS");
-}
-
-TEST(EnforceEnvDeathTest, OutOfRangeShardsFailFast) {
-  ScopedEnv e("NOCTUA_ENFORCE_SHARDS", "65");
-  EXPECT_DEATH(ApplyEnforceEnv(), "outside");
-}
-
-TEST(EnforceEnvDeathTest, NonPositiveLeaseFailsFast) {
-  ScopedEnv e("NOCTUA_ENFORCE_LEASE_MS", "0");
-  EXPECT_DEATH(ApplyEnforceEnv(), "NOCTUA_ENFORCE_LEASE_MS");
-}
-
-// ---------------------------------------------------------------------------------------
 // End-to-end: enforced simulation runs across the chaos grid
 // ---------------------------------------------------------------------------------------
 

@@ -138,17 +138,9 @@ std::string TempStore(const std::string& name) {
   return dir;
 }
 
-PipelineOptions Opts() {
-  PipelineOptions o;
-  // Pin the solver to its node budget so verdicts are identical run-to-run even on a
-  // loaded machine — the identity assertions below are exact.
-  o.checker.solver.budget.deterministic = true;
-  return o;
-}
-
 // One run against the store at `store`, on a fresh engine of `threads` workers.
 PipelineResult RunStored(const app::App& a, const std::string& store,
-                         const PipelineOptions& options = Opts(), int threads = 2) {
+                         const PipelineOptions& options = {}, int threads = 2) {
   EngineConfig config;
   config.threads = threads;
   return Engine(config).Run(a, options, store);
@@ -724,7 +716,7 @@ TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
 TEST(IncrementalTest, TimeoutsAreNeverStored) {
   std::string store = TempStore("timeouts");
   app::App a = apps::MakeZhihuApp();
-  PipelineOptions starved = Opts();
+  PipelineOptions starved;
   starved.checker.solver.budget.max_nodes = 1;
   PipelineResult first = RunStored(a, store, starved);
   std::set<std::pair<std::string, std::string>> timed_out;
@@ -759,7 +751,7 @@ TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
   ASSERT_EQ(setenv("NOCTUA_THREADS", "abc", 1), 0);
   ::testing::internal::CaptureStderr();
   PipelineResult cold =
-      engine.Run(MakeLibraryApp(LibraryConfig{}), Opts(), TempStore("no_env"));
+      engine.Run(MakeLibraryApp(LibraryConfig{}), {}, TempStore("no_env"));
   const std::string err = ::testing::internal::GetCapturedStderr();
   if (saved != nullptr) {
     setenv("NOCTUA_THREADS", saved_value.c_str(), 1);
@@ -771,6 +763,16 @@ TEST(IncrementalTest, EngineRunsDoNotReadTheEnvironmentAgain) {
   EXPECT_EQ(err.find("NOCTUA_THREADS"), std::string::npos) << err;
 }
 
+// A daemon probes the artifact root it ends up with, wherever it came from, and stops on
+// one it cannot create, naming that path: here no variable was set.
+TEST(ArtifactRootDeathTest, RootUnderARegularFileFailsNamingThePath) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string file = TempStore("regular_file");
+  WriteAll(file, "not a directory");
+  const std::string root = file + "/sub";
+  EXPECT_DEATH(ProbeArtifactDir(root), "artifact root \"" + root + "\" cannot be created");
+}
+
 // ---------------------------------------------------------------------------- paranoia
 
 TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
@@ -778,7 +780,7 @@ TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
   app::App a = MakeLibraryApp(LibraryConfig{});
   RunStored(a, store);
 
-  PipelineOptions opts = Opts();
+  PipelineOptions opts;
   opts.parallel.paranoia = 1.0;
   opts.parallel.paranoia_seed = 7;
   PipelineResult warm = RunStored(a, store, opts);
@@ -797,7 +799,7 @@ TEST(IncrementalTest, ParanoiaUnderAStarvedBudgetKeepsAnHonestStore) {
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult cold = RunStored(a, store);
 
-  PipelineOptions opts = Opts();
+  PipelineOptions opts;
   opts.checker.solver.budget.max_nodes = 1;
   opts.parallel.paranoia = 1.0;
   PipelineResult warm = RunStored(a, store, opts);
@@ -811,7 +813,7 @@ TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::string store = TempStore("paranoia_poison");
   app::App a = MakeLibraryApp(LibraryConfig{});
-  RunStored(a, store, Opts(), 1);
+  RunStored(a, store, {}, 1);
 
   // Flip the first stored verdict — the silent corruption FNV fingerprints can't catch.
   // The file is the part table, then the entries: a pair key's head, part indices and
@@ -854,7 +856,7 @@ TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   ASSERT_TRUE(r.AtEnd());
   WriteAll(file, w.str());
 
-  PipelineOptions opts = Opts();
+  PipelineOptions opts;
   opts.parallel.paranoia = 1.0;
   EXPECT_DEATH(RunStored(a, store, opts, 1), "paranoia recheck disagrees");
 }

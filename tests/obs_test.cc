@@ -808,7 +808,6 @@ TEST(EventLogTest, RateLimiterAllowsBurstThenDenies) {
 TEST(RunReport, TodoPipelineProducesCoherentReport) {
   app::App app = apps::MakeTodoApp();
   PipelineOptions options;
-  options.checker.solver.budget.deterministic = true;
   options.obs.enabled = true;
   const std::string store = ::testing::TempDir() + "/noctua_obs_report_store";
   std::filesystem::remove_all(store);
@@ -875,9 +874,7 @@ TEST(RunReport, TodoPipelineProducesCoherentReport) {
 
 TEST(RunReport, DisabledPipelineProducesNoReport) {
   app::App app = apps::MakeTodoApp();
-  PipelineOptions options;
-  options.checker.solver.budget.deterministic = true;
-  PipelineResult result = Engine().Run(app, options);
+  PipelineResult result = Engine().Run(app);
   EXPECT_FALSE(result.has_report);
   EXPECT_FALSE(Active());
 }

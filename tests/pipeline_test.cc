@@ -220,15 +220,13 @@ TEST(VerdictCacheTest, LookupInsertAndCounters) {
 
 // -------------------------------------------------------------- determinism & agreement
 
-// Pipeline configurations whose verdicts must all agree. `deterministic_budget` pins the
-// solver to its node budget (no wall-clock dependence), so the comparison is exact even
-// on a loaded machine.
+// Pipeline configurations whose verdicts must all agree. The solver's budget counts
+// nodes, not seconds, so the comparison is exact even on a loaded machine.
 PipelineOptions AgreementOptions(bool cache, bool cheapest_first, bool projection) {
   PipelineOptions options;
   options.parallel.cache = cache;
   options.parallel.cheapest_first = cheapest_first;
   options.checker.project_footprint = projection;
-  options.checker.solver.budget.deterministic = true;
   return options;
 }
 
@@ -366,7 +364,6 @@ TEST(EngineTest, WarmEngineAnswersRepeatRunsFromItsVerdictCache) {
 TEST(EngineTest, CachedVerdictsDoNotCrossCheckerOptions) {
   app::App a = apps::MakeCoursewareApp();
   PipelineOptions options;
-  options.checker.solver.budget.deterministic = true;
   PipelineOptions ablated = options;
   ablated.checker.encoder.unique_id_optimization = false;
 

@@ -137,7 +137,6 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
     RandomTerms gen(&f, &rng);
     Term formula = gen.Bool(3);
     smt::SolverOptions options;
-    options.budget.timeout_seconds = 5.0;
 
     // Every random formula doubles as a cross-backend agreement check: the model finder
     // and the Z3 oracle decide the same finite question, so their verdicts must match
@@ -248,7 +247,6 @@ TEST_P(SolverPropertyTest, SymmetryReductionPreservesVerdicts) {
     auto decide = [&](smt::BackendFactory solver, bool symmetry) {
       smt::SolverOptions options;
       options.scope = Scope(3);
-      options.budget.timeout_seconds = 5.0;
       options.backend = solver;
       options.symmetry = symmetry;
       std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
@@ -320,7 +318,6 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
     for (smt::BackendFactory solver : Solvers()) {
       smt::SolverOptions options;
       options.scope = Scope(3);
-      options.budget.timeout_seconds = 5.0;
       options.backend = solver;
       std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
       backend->Assert(formula);

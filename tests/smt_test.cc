@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/analyzer/analyzer.h"
@@ -670,7 +671,7 @@ TEST_P(SolverTest, StringWitnessUsesFreshSymbols) {
 
 TEST_P(SolverTest, TimeoutReturnsUnknown) {
   // A formula engineered to be hard: many int unknowns with only a global constraint that
-  // cannot be pruned locally, under a tiny timeout.
+  // cannot be pruned locally, under a small work budget.
   std::vector<Term> xs;
   Term sum = f.IntLit(0);
   for (int i = 0; i < 24; ++i) {
@@ -678,12 +679,44 @@ TEST_P(SolverTest, TimeoutReturnsUnknown) {
     xs.push_back(x);
     sum = f.Add(sum, f.Mul(x, x));
   }
-  options.budget.timeout_seconds = 0.02;
+  options.budget.max_nodes = 2000;
   options.max_int_domain = 8;
   // sum of squares == 9999 is unsatisfiable over the small domain but requires exhausting
-  // a large space; with the small timeout the solver must give up.
+  // a large space; with the small budget the solver must give up.
   SolveResult r = Check({f.Eq(sum, f.IntLit(9999)), f.Lt(xs[0], xs[1])});
   EXPECT_EQ(r, SolveResult::kUnknown);
+}
+
+// The node budget is an exact work count, read from no clock: a query whose search ends
+// after N nodes decides the same at max_nodes = N and gives up at N - 1. Nodes are the
+// model finder's unit, so this runs on dfs alone.
+TEST(SolverTest, NodeBudgetIsExact) {
+  TermFactory f;
+  std::vector<Term> xs;
+  Term sum = f.IntLit(0);
+  for (int i = 0; i < 4; ++i) {
+    xs.push_back(f.Const("x" + std::to_string(i), IntSort()));
+    sum = f.Add(sum, f.Mul(xs.back(), xs.back()));
+  }
+  // Over the harvested domains, 2 is a sum of four squares (1 + 1 + 0 + 0) and 9999 is
+  // not: one search finds a witness, the other exhausts the space.
+  for (int64_t target : {2, 9999}) {
+    SCOPED_TRACE("sum of squares == " + std::to_string(target));
+    // The verdict under `max_nodes`, and the nodes the search took.
+    auto solve = [&](uint64_t max_nodes) {
+      SolverOptions options;
+      options.budget.max_nodes = max_nodes;
+      std::unique_ptr<SolverBackend> backend = MakeBackend(options);
+      backend->AssertAll({f.Eq(sum, f.IntLit(target)), f.Lt(xs[0], xs[1])});
+      const SolveResult r = backend->Check(f);
+      return std::make_pair(r, backend->stats().nodes_visited);
+    };
+    const auto [decided, n] = solve(SolverOptions{}.budget.max_nodes);
+    ASSERT_NE(decided, SolveResult::kUnknown);
+    ASSERT_GT(n, 1u);
+    EXPECT_EQ(solve(n), std::make_pair(decided, n));
+    EXPECT_EQ(solve(n - 1).first, SolveResult::kUnknown);
+  }
 }
 
 TEST_P(SolverTest, ModelIsReturnedAndConsistent) {

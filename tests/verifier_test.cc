@@ -233,7 +233,6 @@ TEST(PairSessionTest, OutOfOrderQueriesMatchAFreshSessionInReportOrder) {
     std::map<bool, std::vector<CheckOutcome>> by_mode;
     for (bool incremental : {true, false}) {
       CheckerOptions options;
-      options.solver.budget.deterministic = true;
       options.solver.incremental = incremental;
       options.independence_prefilter = false;
       Checker checker(a.schema(), options);
@@ -277,7 +276,6 @@ TEST(PairSessionTest, SessionsOnReusedFactoriesMatchSessionsOnNewOnes) {
     app::App a = make();
     std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
     CheckerOptions options;
-    options.solver.budget.deterministic = true;
     options.independence_prefilter = false;
     Checker shared(a.schema(), options);
     std::vector<Checker::PathFacts> facts;

@@ -15,12 +15,11 @@
 
 #include <z3++.h>
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -323,37 +322,6 @@ class Encoder {
   std::vector<z3::expr> restrictions_;
 };
 
-// Interrupts a Z3 check that outlives `seconds`. Z3's own "timeout" parameter is not used:
-// its timer thread locks with pthread_mutex_clocklock, which the thread sanitizer does
-// not see, so every timed check would be reported as a race.
-class Watchdog {
- public:
-  Watchdog(z3::context& ctx, double seconds)
-      : thread_([this, &ctx, seconds] {
-          std::unique_lock<std::mutex> lock(mu_);
-          const auto limit = std::chrono::duration<double>(seconds);
-          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
-            ctx.interrupt();
-          }
-        }) {}
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;  // guarded by mu_
-  std::thread thread_;  // last: it uses the members above
-};
-
 // A model value in dfs's spelling: 7, true, #1, "s".
 std::string Spell(const z3::expr& v, Sort sort) {
   if (sort->is_bool()) {
@@ -405,14 +373,14 @@ class Z3OracleBackend : public SolverBackend {
     for (const z3::expr& r : enc.restrictions()) {
       solver.add(r);
     }
-    // A deterministic budget sets no deadline, so the verdict is the query's alone.
-    const Budget& budget = options_.budget;
-    std::optional<Watchdog> deadline;
-    if (!budget.deterministic && budget.timeout_seconds > 0) {
-      deadline.emplace(*ctx_, budget.timeout_seconds);
-    }
+    // The node budget is spent as Z3's resource limit, a count of its own work steps
+    // that reads no clock and starts no timer thread, so the verdict is the query's alone.
+    // An rlimit of 0 means no limit, so the smallest budget Z3 is given is 1.
+    z3::params limit(*ctx_);
+    limit.set("rlimit", static_cast<unsigned>(std::clamp<uint64_t>(
+                            options_.budget.max_nodes, 1, std::numeric_limits<unsigned>::max())));
+    solver.set(limit);
     const z3::check_result r = solver.check();
-    deadline.reset();
     stats_.num_atoms = enc.leaves().size();
     if (r == z3::sat) {
       z3::model m = solver.get_model();
