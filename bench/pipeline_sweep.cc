@@ -1,23 +1,25 @@
 // End-to-end pipeline sweep with the observability layer on and off.
 //
-// For each evaluated app the sweep runs the full pipeline (analyze + verify) three
-// times with instrumentation disabled and three times with it enabled, compares the
-// best-of-3 wall times (the overhead ratio the "< 3% when off" budget is judged
-// against, see .github/workflows/ci.yml), and asserts the per-pair verdicts are
-// byte-identical between the two configurations — instrumentation must never change
-// an answer. Solver budgets are deterministic, so the verdict comparison is exact.
+// Every evaluated app runs the full pipeline (analyze + verify) on a fresh engine with
+// instrumentation off and on, in 15 interleaved off/on pairs: each pair runs each app on
+// both sides back to back, and successive pairs alternate which side goes first, so
+// machine drift and warm-up fall on both sides alike. A side's time in one pair is its sum over the apps;
+// the overhead ratio (the "< 3%" budget, see .github/workflows/ci.yml) is the median on
+// time over the median off time. Every run's per-pair verdicts must equal the first
+// off run's: instrumentation must never change an answer. Solver budgets count work, so
+// the comparison is exact.
 //
-// The Zhihu run's Chrome trace-event JSON is written to --trace-out=<file>.json
-// (default: pipeline_trace_zhihu.json) and then PARSED BACK and validated: the file
-// must be well-formed JSON in the trace-event shape Perfetto/chrome://tracing accept,
-// contain the analyze/encode/solve/cache span categories, and carry per-pair solver
-// counters in span args. The bench exits nonzero if verdicts diverge (1) or the trace
-// fails validation (2), so CI catches a broken exporter, not a human squinting at a
-// viewer.
+// The last pair's instrumented Zhihu run writes its Chrome trace-event JSON to
+// --trace-out=<file>.json (default: pipeline_trace_zhihu.json), which is then PARSED
+// BACK and validated: the file must be well-formed JSON in the trace-event shape
+// Perfetto/chrome://tracing accept, contain the analyze/encode/solve/cache span
+// categories, and carry per-pair solver counters in span args. The bench exits nonzero
+// if verdicts diverge (1) or the trace fails validation (2), so CI catches a broken
+// exporter, not a human squinting at a viewer.
 //
 // Emits one JSON document on stdout (progress and the Zhihu RunReport table go to
-// stderr): per-app obs_off/obs_on best-of-3 seconds, overhead ratios, the embedded
-// RunReport, plus aggregate totals used by the CI overhead gate.
+// stderr): per-app obs_off/obs_on median seconds, overhead ratios and the last on run's
+// RunReport, plus the median totals and their ratio, which the CI overhead gate reads.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,9 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/apps/smallbank.h"
-#include "src/apps/todo.h"
-#include "src/apps/zhihu.h"
+#include "src/apps/apps.h"
 #include "src/obs/json.h"
 #include "src/obs/obs.h"
 #include "src/pipeline/engine.h"
@@ -137,84 +137,80 @@ int main(int argc, char** argv) {
   }
 
   struct AppCase {
-    const char* name;
+    explicit AppCase(const apps::AppEntry& entry) : name(entry.name), app(entry.make()) {}
+
+    std::string name;
     app::App app;
+    std::vector<double> off_seconds;
+    std::vector<double> on_seconds;
+    std::vector<std::string> reference;  // the first off run's verdict lines
+    verifier::RestrictionReport off_report;
+    PipelineResult on_result;  // the last on run
+    bool identical = true;
   };
   std::vector<AppCase> cases;
-  cases.push_back({"Todo", apps::MakeTodoApp()});
-  cases.push_back({"SmallBank", apps::MakeSmallBankApp()});
-  cases.push_back({"Zhihu", apps::MakeZhihuApp()});
+  for (const apps::AppEntry& entry : apps::EvaluatedApps()) {
+    cases.emplace_back(entry);
+  }
 
-  constexpr int kIterations = 3;
+  constexpr int kPairs = 15;
+  std::vector<double> off_totals(kPairs, 0);
+  std::vector<double> on_totals(kPairs, 0);
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (AppCase& app_case : cases) {
+      for (bool obs_on : {pair % 2 != 0, pair % 2 == 0}) {
+        PipelineOptions options;
+        options.obs.enabled = obs_on;
+        if (obs_on && pair == kPairs - 1 && app_case.name == "Zhihu") {
+          options.obs.trace_out = trace_out;
+        }
+        PipelineResult r = Engine().Run(app_case.app, options);
+        (obs_on ? app_case.on_seconds : app_case.off_seconds).push_back(r.total_seconds);
+        (obs_on ? on_totals : off_totals)[pair] += r.total_seconds;
+        if (app_case.reference.empty()) {
+          app_case.reference = r.restrictions.VerdictLines();
+        }
+        app_case.identical =
+            app_case.identical && r.restrictions.VerdictLines() == app_case.reference;
+        if (obs_on) {
+          app_case.on_result = std::move(r);
+        } else if (pair == 0) {
+          app_case.off_report = std::move(r.restrictions);
+        }
+      }
+    }
+    fprintf(stderr, "[pipeline_sweep] pair %d/%d: obs off %.3fs, obs on %.3fs\n", pair + 1,
+            kPairs, off_totals[pair], on_totals[pair]);
+  }
+
   bool identical_everywhere = true;
-  double total_off = 0;
-  double total_on = 0;
   std::string zhihu_report_table;
-
   obs::JsonWriter json = bench::BenchDocument("pipeline_sweep");
-  json.Key("trace_file").String(trace_out).Key("apps").BeginArray();
+  json.Key("trace_file").String(trace_out).Key("off_on_pairs").Int(kPairs);
+  json.Key("apps").BeginArray();
   for (AppCase& app_case : cases) {
-    const bool is_zhihu = std::strcmp(app_case.name, "Zhihu") == 0;
-
-    // The solver's node budget gives identical verdicts regardless of machine speed, so
-    // the off-vs-on comparison below is exact equality, not a flaky approximation.
-    PipelineOptions base;
-
-    double off_seconds = 0;
-    std::vector<std::string> reference;
-    verifier::RestrictionReport off_report;
-    for (int it = 0; it < kIterations; ++it) {
-      PipelineResult r = Engine().Run(app_case.app, base);
-      if (it == 0 || r.total_seconds < off_seconds) {
-        off_seconds = r.total_seconds;
-      }
-      if (it == 0) {
-        reference = r.restrictions.VerdictLines();
-        off_report = std::move(r.restrictions);
-      }
-    }
-    fprintf(stderr, "[pipeline_sweep] %s: obs off, best of %d: %.3fs (%zu pairs)\n",
-            app_case.name, kIterations, off_seconds, off_report.pairs.size());
-
-    PipelineOptions with_obs = base;
-    with_obs.obs.enabled = true;
-    if (is_zhihu) {
-      with_obs.obs.trace_out = trace_out;
-    }
-    double on_seconds = 0;
-    bool identical = true;
-    PipelineResult on_result;
-    for (int it = 0; it < kIterations; ++it) {
-      PipelineResult r = Engine().Run(app_case.app, with_obs);
-      if (it == 0 || r.total_seconds < on_seconds) {
-        on_seconds = r.total_seconds;
-      }
-      identical = identical && r.restrictions.VerdictLines() == reference;
-      if (it == kIterations - 1) {
-        on_result = std::move(r);
-      }
-    }
-    identical_everywhere = identical_everywhere && identical;
-    total_off += off_seconds;
-    total_on += on_seconds;
-    double ratio = off_seconds > 0 ? on_seconds / off_seconds : 0;
+    identical_everywhere = identical_everywhere && app_case.identical;
+    const double off_seconds = bench::ComputePercentiles(app_case.off_seconds).p50;
+    const double on_seconds = bench::ComputePercentiles(app_case.on_seconds).p50;
+    const double ratio = off_seconds > 0 ? on_seconds / off_seconds : 0;
     fprintf(stderr,
-            "[pipeline_sweep] %s: obs on,  best of %d: %.3fs  overhead %.3fx  "
+            "[pipeline_sweep] %s: median obs off %.4fs, on %.4fs, overhead %.3fx "
             "(%zu trace events)%s\n",
-            app_case.name, kIterations, on_seconds, ratio, on_result.report.trace_events,
-            identical ? "" : "  VERDICTS DIVERGED");
-    if (is_zhihu) {
-      zhihu_report_table = on_result.report.ToTable();
+            app_case.name.c_str(), off_seconds, on_seconds, ratio,
+            app_case.on_result.report.trace_events,
+            app_case.identical ? "" : "  VERDICTS DIVERGED");
+    if (app_case.name == "Zhihu") {
+      zhihu_report_table = app_case.on_result.report.ToTable();
     }
 
     json.BeginObject().Key("app").String(app_case.name);
-    json.Key("pairs").Uint(off_report.pairs.size());
-    json.Key("restrictions").Uint(off_report.num_restrictions());
+    json.Key("pairs").Uint(app_case.off_report.pairs.size());
+    json.Key("restrictions").Uint(app_case.off_report.num_restrictions());
     json.Key("obs_off_seconds").Double(off_seconds, 4);
     json.Key("obs_on_seconds").Double(on_seconds, 4).Key("overhead_ratio").Double(ratio, 4);
-    bench::WritePhaseTiming(json.Key("phases"), off_report);
-    json.Key("identical_restrictions").Bool(identical);
-    on_result.report.ToJson(json.Key("report"));
+    bench::WritePhaseTiming(json.Key("phases"), app_case.off_report);
+    json.Key("identical_restrictions").Bool(app_case.identical);
+    app_case.on_result.report.ToJson(json.Key("report"));
     json.EndObject();
   }
 
@@ -227,7 +223,12 @@ int main(int argc, char** argv) {
     fprintf(stderr, "\n%s\n", zhihu_report_table.c_str());
   }
 
-  double aggregate = total_off > 0 ? total_on / total_off : 0;
+  const double total_off = bench::ComputePercentiles(off_totals).p50;
+  const double total_on = bench::ComputePercentiles(on_totals).p50;
+  const double aggregate = total_off > 0 ? total_on / total_off : 0;
+  fprintf(stderr,
+          "[pipeline_sweep] median totals: obs off %.4fs, on %.4fs, overhead %.3fx\n",
+          total_off, total_on, aggregate);
   json.EndArray().Key("total_obs_off_seconds").Double(total_off, 4);
   json.Key("total_obs_on_seconds").Double(total_on, 4);
   json.Key("aggregate_overhead_ratio").Double(aggregate, 4);

@@ -231,6 +231,10 @@ const char* CounterName(Counter c) {
       return "verifier.cache_replayed";
     case Counter::kCacheEvictions:
       return "verifier.cache_evictions";
+    case Counter::kVerifierTimeouts:
+      return "verifier.timeouts";
+    case Counter::kVerifierUnsupported:
+      return "verifier.unsupported";
     case Counter::kPoolSteals:
       return "pool.steals";
     case Counter::kSolverNodes:
@@ -311,6 +315,8 @@ const char* HistName(Hist h) {
       return "verifier.pair_micros";
     case Hist::kSolveMicros:
       return "smt.solve_micros";
+    case Hist::kGroundMicros:
+      return "smt.ground_micros";
     case Hist::kSolverNodesPerQuery:
       return "smt.solver_nodes_per_query";
     case Hist::kSolverAssignmentsPerQuery:

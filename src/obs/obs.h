@@ -84,6 +84,8 @@ enum class Counter : uint8_t {
   kCacheMisses,
   kCacheReplayed,
   kCacheEvictions,
+  kVerifierTimeouts,     // pair verdicts (commutativity or semantic) that ran out of budget
+  kVerifierUnsupported,  // ... that hit a construct the encoder does not support
   // Nothing increments this: the pool has no steals since it hands out one shared
   // cursor. Kept only because perfbench/common.cc still reports it as pool.steals.
   kPoolSteals,
@@ -142,6 +144,7 @@ void Add(Counter c, uint64_t delta = 1);
 enum class Hist : uint8_t {
   kPairMicros,               // wall time of one non-prefiltered pair (both rules)
   kSolveMicros,              // wall time of one solver query
+  kGroundMicros,             // ... of its grounding alone (a part of kSolveMicros)
   kSolverNodesPerQuery,      // DFS nodes of one solver query
   kSolverAssignmentsPerQuery,  // substitute-and-simplify evaluations of one query
   kGroundExpansionsPerQuery,   // binder expansions of one query's grounding

@@ -224,6 +224,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     feasible = GroundAndFlatten(grounder, f, raw_assertions, &pending);
     stats_.binders_expanded = grounder.binders_expanded();
   }
+  stats_.ground_seconds = watch.ElapsedSeconds();
   if (!feasible) {
     stats_.seconds = watch.ElapsedSeconds();
     return SolveResult::kUnsat;
@@ -238,6 +239,8 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
   ScratchMap trail_map(f);
   ScratchMap memo(f);
 
+  // Domains and symmetry are judged on the whole query, before the goal is split below:
+  // every branch searches the same values, and prunes by the same canonical order.
   domains_.Harvest(pending, options_.max_int_domain, *walk);
 
   SymmetryBreaker symmetry;
@@ -302,85 +305,114 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     }
   };
 
+  // One depth-first search over `residuals`, charged against the query's one node
+  // budget. It starts from an empty trail and, unless it finds a model or runs out of
+  // budget, pops every frame it pushed and so leaves the trail empty again.
+  auto search = [&](std::vector<Term> residuals) -> SolveResult {
+    Term first = pick_atom(residuals);
+    NOCTUA_CHECK_MSG(first != nullptr, "undecided ground assertion without atoms");
+    stats_.num_atoms = std::max<size_t>(stats_.num_atoms, 1);
+
+    std::vector<Frame> stack;
+    stack.push_back(Frame{first, make_domain(first), 0, std::move(residuals),
+                          first->atom_sig()});
+    while (!stack.empty()) {
+      if (++stats_.nodes_visited > options_.budget.max_nodes) {
+        return SolveResult::kUnknown;
+      }
+      Frame& frame = stack.back();
+      if (frame.next_value >= frame.domain.size()) {
+        if (!assigned.empty() && assigned.back().first == frame.atom) {
+          trail_map->Erase(assigned.back().first);
+          assigned.pop_back();
+        }
+        stack.pop_back();
+        continue;
+      }
+      Term value = frame.domain[frame.next_value++];
+      if (!assigned.empty() && assigned.back().first == frame.atom) {
+        assigned.back().second = value;
+      } else {
+        assigned.emplace_back(frame.atom, value);
+      }
+      trail_map->Set(frame.atom, value);
+
+      // Substitute and simplify every residual assertion. The residuals are fixpoints of
+      // the trail without this frame's atom, so the first round looks for that atom's
+      // signature bit alone. The confirming rounds take the whole trail's bits: assigning
+      // a Ref atom can materialize array cells that earlier frames already fixed.
+      memo->Clear();
+      std::vector<Term> next_pending;
+      bool conflict = false;
+      for (Term a : frame.pending) {
+        ++stats_.evaluations;
+        Term r = SubstFixpoint(f, a, *trail_map, frame.atom->atom_sig(), frame.trail_mask,
+                               *memo);
+        if (r->IsBoolLit(false)) {
+          conflict = true;
+          break;
+        }
+        if (r->IsBoolLit(true)) {
+          continue;
+        }
+        if (r->kind() == TermKind::kAnd) {
+          for (Term c : r->children()) {
+            next_pending.push_back(c);
+          }
+        } else {
+          next_pending.push_back(r);
+        }
+      }
+      if (conflict) {
+        continue;
+      }
+      saved_phase->Set(frame.atom, value);
+      if (next_pending.empty()) {
+        record_model();
+        return SolveResult::kSat;
+      }
+      Term next_atom = pick_atom(next_pending);
+      NOCTUA_CHECK_MSG(next_atom != nullptr, "undecided residual without atoms");
+      stats_.num_atoms = std::max(stats_.num_atoms, stack.size() + 1);
+      stack.push_back(Frame{next_atom, make_domain(next_atom), 0, std::move(next_pending),
+                            frame.trail_mask | next_atom->atom_sig()});
+    }
+    return SolveResult::kUnsat;
+  };
+
   if (pending.empty()) {
     stats_.seconds = watch.ElapsedSeconds();
     return SolveResult::kSat;  // trivially true
   }
 
-  Term first = pick_atom(pending);
-  NOCTUA_CHECK_MSG(first != nullptr, "undecided ground assertion without atoms");
-  stats_.num_atoms = 1;
-
-  std::vector<Frame> stack;
-  stack.push_back(Frame{first, make_domain(first), 0, pending, first->atom_sig()});
-
-  bool out_of_budget = false;
-  while (!stack.empty()) {
-    if (++stats_.nodes_visited > options_.budget.max_nodes) {
-      out_of_budget = true;
+  // The first residual is the negated goal (the checker asserts it first, and Check
+  // passes the innermost frame first). When it is a disjunction, each disjunct gets a
+  // search of its own beside the other residuals, in child order: the query is sat
+  // exactly when one branch is, and a branch never enumerates the other disjuncts'
+  // regions. Splitting is sound for whatever conjunct comes first; the goal is the one
+  // worth splitting. One level only; the saved phases carry over from branch to branch.
+  std::vector<Term> disjuncts;
+  const Term goal = pending.front();
+  if (goal->kind() == TermKind::kOr) {
+    disjuncts.assign(goal->children().begin(), goal->children().end());
+  } else if (goal->kind() == TermKind::kNot && goal->child(0)->kind() == TermKind::kAnd) {
+    for (Term c : goal->child(0)->children()) {
+      disjuncts.push_back(f.Not(c));
+    }
+  } else {
+    disjuncts.push_back(goal);
+  }
+  SolveResult result = SolveResult::kUnsat;
+  for (Term d : disjuncts) {
+    std::vector<Term> branch = pending;
+    branch.front() = d;
+    result = search(std::move(branch));
+    if (result != SolveResult::kUnsat) {
       break;
     }
-    Frame& frame = stack.back();
-    if (frame.next_value >= frame.domain.size()) {
-      if (!assigned.empty() && assigned.back().first == frame.atom) {
-        trail_map->Erase(assigned.back().first);
-        assigned.pop_back();
-      }
-      stack.pop_back();
-      continue;
-    }
-    Term value = frame.domain[frame.next_value++];
-    if (!assigned.empty() && assigned.back().first == frame.atom) {
-      assigned.back().second = value;
-    } else {
-      assigned.emplace_back(frame.atom, value);
-    }
-    trail_map->Set(frame.atom, value);
-
-    // Substitute and simplify every residual assertion. The residuals are fixpoints of
-    // the trail without this frame's atom, so the first round looks for that atom's
-    // signature bit alone. The confirming rounds take the whole trail's bits: assigning a
-    // Ref atom can materialize array cells that earlier frames already fixed.
-    memo->Clear();
-    std::vector<Term> next_pending;
-    bool conflict = false;
-    for (Term a : frame.pending) {
-      ++stats_.evaluations;
-      Term r =
-          SubstFixpoint(f, a, *trail_map, frame.atom->atom_sig(), frame.trail_mask, *memo);
-      if (r->IsBoolLit(false)) {
-        conflict = true;
-        break;
-      }
-      if (r->IsBoolLit(true)) {
-        continue;
-      }
-      if (r->kind() == TermKind::kAnd) {
-        for (Term c : r->children()) {
-          next_pending.push_back(c);
-        }
-      } else {
-        next_pending.push_back(r);
-      }
-    }
-    if (conflict) {
-      continue;
-    }
-    saved_phase->Set(frame.atom, value);
-    if (next_pending.empty()) {
-      record_model();
-      stats_.seconds = watch.ElapsedSeconds();
-      return SolveResult::kSat;
-    }
-    Term next_atom = pick_atom(next_pending);
-    NOCTUA_CHECK_MSG(next_atom != nullptr, "undecided residual without atoms");
-    stats_.num_atoms = std::max(stats_.num_atoms, stack.size() + 1);
-    stack.push_back(Frame{next_atom, make_domain(next_atom), 0, std::move(next_pending),
-                          frame.trail_mask | next_atom->atom_sig()});
   }
-
   stats_.seconds = watch.ElapsedSeconds();
-  return out_of_budget ? SolveResult::kUnknown : SolveResult::kUnsat;
+  return result;
 }
 
 }  // namespace noctua::smt

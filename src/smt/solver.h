@@ -29,11 +29,27 @@
 // unpruned ones term for term, and SolverStats::evaluations still counts one per residual
 // assertion per node, however little of it the pruned walk visits.
 //
+// The goal is split one level. Every check is a refutation query F ∧ ¬G with G a
+// conjunction (state equality, a precondition), and the first residual is ¬G: the
+// checker asserts it first, and SolverBackend::Check passes the innermost frame first.
+// When that residual is Or(d1..dn), or Not(And(c1..cn)) with disjuncts Not(ci), the DFS
+// runs once per disjunct, in child order, over {di} plus the other residuals, each from
+// an empty trail. A single residual ¬G would make the DFS enumerate the product of
+// regions no disjunct ties together (a cascade delete commuting with itself, over four
+// independent relations); the branches pay their sum. The query is sat at the first sat
+// branch, whose trail is the model, and unsat when every branch is: F ∧ (d1 ∨ … ∨ dn) is
+// sat exactly when some F ∧ di is, over the same domains. Grounding, the domain harvest
+// and the symmetry analysis run once, on the whole query before the split. Lex-leader
+// pruning stays sound because the symmetry acts on the whole query: each branch prunes
+// only non-canonical assignments of its F ∧ di, so a canonical model of the query, which
+// every orbit of models holds, satisfies some branch and survives its pruning. Saved
+// phases carry over from branch to branch, and all branches charge one node budget.
+//
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
-// within the scope; kUnknown means the node budget (budget.h) was exhausted, which the
-// verifier treats conservatively (restrict the pair), as the paper treats its 2 s Z3
-// timeout. The budget counts search nodes, not seconds, so the verdict never depends on
-// machine speed or load.
+// within the scope; kUnknown means the node budget (budget.h) was exhausted, summed over
+// the branches, which the verifier treats conservatively (restrict the pair), as the paper
+// treats its 2 s Z3 timeout. The budget counts search nodes, not seconds, so the verdict
+// never depends on machine speed or load.
 #ifndef SRC_SMT_SOLVER_H_
 #define SRC_SMT_SOLVER_H_
 
@@ -70,7 +86,9 @@ struct SolverStats {
   // Search nodes (DFS assignments): the unit Budget's max_nodes is charged against.
   uint64_t nodes_visited = 0;
   uint64_t evaluations = 0;
+  // Wall time of the whole check, and of its grounding alone (a part of `seconds`).
   double seconds = 0;
+  double ground_seconds = 0;
   size_t num_atoms = 0;
   // Binder expansions performed while grounding this query's assertions.
   uint64_t binders_expanded = 0;

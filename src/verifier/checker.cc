@@ -166,6 +166,7 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
       obs::Add(obs::Counter::kSolverSymmetryPruned, ss.symmetry_pruned);
     }
     obs::Observe(obs::Hist::kSolveMicros, static_cast<uint64_t>(ss.seconds * 1e6));
+    obs::Observe(obs::Hist::kGroundMicros, static_cast<uint64_t>(ss.ground_seconds * 1e6));
     obs::Observe(obs::Hist::kSolverNodesPerQuery, ss.nodes_visited);
     obs::Observe(obs::Hist::kSolverAssignmentsPerQuery, ss.evaluations);
     obs::Observe(obs::Hist::kGroundExpansionsPerQuery, ss.binders_expanded);

@@ -418,6 +418,16 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     obs::Add(obs::Counter::kPairsReplayed, st.pairs_replayed);
     obs::Add(obs::Counter::kPairsComputed, st.pairs_computed);
     obs::Add(obs::Counter::kParanoiaRechecks, st.paranoia_rechecks);
+    uint64_t timeouts = 0;
+    uint64_t unsupported = 0;
+    for (const PairVerdict& v : report.pairs) {
+      for (CheckOutcome o : {v.commutativity, v.semantic}) {
+        timeouts += o == CheckOutcome::kTimeout ? 1 : 0;
+        unsupported += o == CheckOutcome::kUnsupported ? 1 : 0;
+      }
+    }
+    obs::Add(obs::Counter::kVerifierTimeouts, timeouts);
+    obs::Add(obs::Counter::kVerifierUnsupported, unsupported);
     run_span.Arg("pairs", st.pairs);
     run_span.Arg("solver_checks", st.solver_checks);
     run_span.Arg("threads", static_cast<uint64_t>(st.threads_used));

@@ -6,7 +6,8 @@
 // the bundled JSON parser, the JSON writer's escaping, nesting and byte spelling,
 // Prometheus text exposition and its checker, the structured event log, the RunReport
 // built from a real pipeline run, the order of a store-backed run's phases around the
-// engine lock, and the verdict cache's per-shard statistics and bounded eviction.
+// engine lock, the solver probes (grounding time, undecided verdicts), and the verdict
+// cache's per-shard statistics and bounded eviction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
 #include "src/obs/json.h"
 #include "src/obs/log.h"
@@ -29,6 +31,7 @@
 #include "src/pipeline/engine.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
+#include "src/verifier/report.h"
 
 namespace noctua::obs {
 namespace {
@@ -900,6 +903,51 @@ TEST(RunReport, StoreBackedRunRecordsItsEngineLockWait) {
   EXPECT_LE(wait.ts_us + wait.dur_us, analyze.ts_us);
   EXPECT_LE(analyze.ts_us + analyze.dur_us, spans["load_prior"]->ts_us);
   std::filesystem::remove_all(store);
+}
+
+// Grounding is a part of every solver query: smt.ground_micros has one sample per query,
+// as smt.solve_micros has, and never sums to more.
+TEST(SolverProbes, GroundTimeIsAPartOfSolveTime) {
+  Collector collector(ObsOptions{.enabled = true});
+  Engine().Run(apps::MakeTodoApp());
+  collector.Stop();
+  const HistSummary solve = collector.histogram(Hist::kSolveMicros);
+  const HistSummary ground = collector.histogram(Hist::kGroundMicros);
+  EXPECT_GT(solve.count, 0u);
+  EXPECT_EQ(ground.count, solve.count);
+  EXPECT_LE(ground.sum, solve.sum);
+}
+
+// The verifier counts the verdicts it could not decide. Over every Todo path, the
+// read-only ones too, a default run counts none. Without the order encoding, the
+// order-using paths (all read-only) are unsupported (Table 7); under a one-node budget
+// the solver queries time out. Each such verdict is counted.
+TEST(SolverProbes, TimeoutAndUnsupportedVerdictsAreCounted) {
+  const app::App app = apps::MakeTodoApp();
+  const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(app);
+  verifier::CheckerOptions defaults;
+  verifier::CheckerOptions order_off;
+  order_off.encoder.use_order = false;
+  verifier::CheckerOptions one_node;
+  one_node.solver.budget.max_nodes = 1;
+  for (const verifier::CheckerOptions* options : {&defaults, &order_off, &one_node}) {
+    Collector collector(ObsOptions{.enabled = true});
+    const verifier::RestrictionReport report = verifier::AnalyzeRestrictions(
+        verifier::Checker(app.schema(), *options), analysis.paths);
+    collector.Stop();
+    uint64_t timeouts = 0;
+    uint64_t unsupported = 0;
+    for (const verifier::PairVerdict& v : report.pairs) {
+      for (verifier::CheckOutcome o : {v.commutativity, v.semantic}) {
+        timeouts += o == verifier::CheckOutcome::kTimeout ? 1 : 0;
+        unsupported += o == verifier::CheckOutcome::kUnsupported ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(collector.counter(Counter::kVerifierTimeouts), timeouts);
+    EXPECT_EQ(collector.counter(Counter::kVerifierUnsupported), unsupported);
+    EXPECT_EQ(timeouts > 0, options == &one_node);
+    EXPECT_EQ(unsupported > 0, options == &order_off);
+  }
 }
 
 // -----------------------------------------------------------------------------

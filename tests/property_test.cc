@@ -21,6 +21,7 @@
 #include "src/smt/solver.h"
 #include "src/support/rng.h"
 #include "src/verifier/report.h"
+#include "tests/model_eval.h"
 #include "tests/z3_oracle.h"
 
 namespace noctua {
@@ -91,32 +92,6 @@ class RandomTerms {
   Term array_;
 };
 
-// Evaluates a term under an assignment parsed from the solver's model, using the
-// independent Evaluator (atoms the model omits stay unknown).
-smt::Value EvalUnderModel(const Scope& scope, Term t, const smt::SmtModel& model) {
-  smt::AtomTable atoms(scope, {t});
-  std::vector<smt::Value> assignment(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    const smt::Atom& a = atoms.atoms()[i];
-    auto it = model.values.find(a.Name());
-    if (it == model.values.end()) {
-      continue;
-    }
-    const std::string& v = it->second;
-    if (a.sort->is_bool()) {
-      assignment[i] = smt::Value::Bool(v == "true");
-    } else if (a.sort->is_int()) {
-      assignment[i] = smt::Value::Int(std::stoll(v));
-    } else if (a.sort->is_ref()) {
-      assignment[i] = smt::Value::Ref(std::stoll(v.substr(1)));  // "#k"
-    } else if (a.sort->is_string()) {
-      assignment[i] = smt::Value::Str(v.substr(1, v.size() - 2));  // quoted
-    }
-  }
-  smt::Evaluator eval(scope, atoms, assignment);
-  return eval.Eval(t);
-}
-
 // The solvers every random formula goes to: the model finder (a null factory), then the
 // Z3 oracle when the build has it. The tests that compare against the oracle mark
 // themselves skipped at the end in a build without it.
@@ -150,7 +125,7 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
       ASSERT_NE(r, smt::SolveResult::kUnknown) << backend->name();
       verdicts.push_back(r);
       if (r == smt::SolveResult::kSat) {
-        smt::Value v = EvalUnderModel(options.scope, formula, backend->model());
+        smt::Value v = smt::EvalUnderModel(options.scope, formula, backend->model());
         // The model may omit don't-care atoms; a known value must be true.
         if (v.is_known()) {
           EXPECT_TRUE(v.bool_v()) << backend->name() << ": " << formula->ToString()

@@ -19,6 +19,7 @@
 #include "src/smt/term.h"
 #include "src/support/check.h"
 #include "src/verifier/encoder.h"
+#include "tests/model_eval.h"
 #include "tests/z3_oracle.h"
 
 namespace noctua::smt {
@@ -582,10 +583,36 @@ class SolverTest : public ::testing::TestWithParam<Procedure> {
     return r;
   }
 
+  // The last model read back through the independent Evaluator: true when it makes
+  // every one of `assertions` true.
+  bool ModelSatisfies(const std::vector<Term>& assertions) {
+    Value v = EvalUnderModel(options.scope, f.And(assertions), last_model);
+    return v.is_known() && v.bool_v();
+  }
+
   TermFactory f;
   SolverOptions options;
   SmtModel last_model;
 };
+
+// A refutation query whose first assertion, its negated goal, is a disjunction: once as
+// Or(d1..dn) and once as Not(And(c1..cn)) with ci = Not(di), the two shapes the model
+// finder searches one disjunct at a time. `frame` follows the goal.
+std::vector<std::vector<Term>> DisjunctiveQueries(TermFactory& f,
+                                                  const std::vector<Term>& disjuncts,
+                                                  const std::vector<Term>& frame) {
+  std::vector<Term> negated;
+  for (Term d : disjuncts) {
+    negated.push_back(f.Not(d));
+  }
+  std::vector<std::vector<Term>> queries;
+  for (Term goal : {f.Or(disjuncts), f.Not(f.And(negated))}) {
+    std::vector<Term> query = {goal};
+    query.insert(query.end(), frame.begin(), frame.end());
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
 
 TEST_P(SolverTest, TrivialSatAndUnsat) {
   Term x = f.Const("x", IntSort());
@@ -669,6 +696,46 @@ TEST_P(SolverTest, StringWitnessUsesFreshSymbols) {
   EXPECT_EQ(last_model.values.at("s"), "\"g\"");
 }
 
+TEST_P(SolverTest, DisjunctiveGoalSatOnlyThroughItsLastDisjunct) {
+  Term x = f.Const("x", IntSort());
+  Term y = f.Const("y", IntSort());
+  Term a = f.Const("a", f.RefSort(0));
+  Term b = f.Const("b", f.RefSort(0));
+  Term data = f.Const("data", f.ArraySort(f.RefSort(0), f.TupleSort({IntSort()})));
+  auto field = [&](Term at) { return f.Proj(f.Select(data, at), 0); };
+  const std::vector<Term> frame = {f.Lt(x, y), f.Eq(f.Add(x, y), f.IntLit(3))};
+  // x == y and y < x contradict the frame; two distinct elements holding x and y do not.
+  const std::vector<Term> disjuncts = {
+      f.Eq(x, y), f.Lt(y, x), f.And({f.Neq(a, b), f.Eq(field(a), x), f.Eq(field(b), y)})};
+  for (size_t i = 0; i + 1 < disjuncts.size(); ++i) {
+    std::vector<Term> alone = {disjuncts[i]};
+    alone.insert(alone.end(), frame.begin(), frame.end());
+    EXPECT_EQ(Check(alone), SolveResult::kUnsat) << disjuncts[i]->ToString();
+  }
+  for (const std::vector<Term>& query : DisjunctiveQueries(f, disjuncts, frame)) {
+    SCOPED_TRACE(query.front()->ToString());
+    ASSERT_EQ(Check(query), SolveResult::kSat);
+    EXPECT_TRUE(ModelSatisfies(query)) << last_model.ToString();
+  }
+}
+
+TEST_P(SolverTest, DisjunctiveGoalUnsatInEveryDisjunct) {
+  Term x = f.Const("x", IntSort());
+  Term y = f.Const("y", IntSort());
+  Term a = f.Const("a", f.RefSort(0));
+  Term b = f.Const("b", f.RefSort(0));
+  Term data = f.Const("data", f.ArraySort(f.RefSort(0), f.TupleSort({IntSort()})));
+  auto field = [&](Term at) { return f.Proj(f.Select(data, at), 0); };
+  const std::vector<Term> frame = {f.Lt(x, y), f.Eq(f.Add(x, y), f.IntLit(3))};
+  // The last disjunct needs search to refute: equal elements hold equal fields.
+  const std::vector<Term> disjuncts = {f.Eq(x, y), f.Lt(y, x),
+                                       f.And({f.Eq(a, b), f.Neq(field(a), field(b))})};
+  for (const std::vector<Term>& query : DisjunctiveQueries(f, disjuncts, frame)) {
+    SCOPED_TRACE(query.front()->ToString());
+    EXPECT_EQ(Check(query), SolveResult::kUnsat);
+  }
+}
+
 TEST_P(SolverTest, TimeoutReturnsUnknown) {
   // A formula engineered to be hard: many int unknowns with only a global constraint that
   // cannot be pruned locally, under a small work budget.
@@ -688,8 +755,9 @@ TEST_P(SolverTest, TimeoutReturnsUnknown) {
 }
 
 // The node budget is an exact work count, read from no clock: a query whose search ends
-// after N nodes decides the same at max_nodes = N and gives up at N - 1. Nodes are the
-// model finder's unit, so this runs on dfs alone.
+// after N nodes decides the same at max_nodes = N and gives up at N - 1. A disjunctive
+// goal's branches share the budget, so there N is their sum. Nodes are the model
+// finder's unit, so this runs on dfs alone.
 TEST(SolverTest, NodeBudgetIsExact) {
   TermFactory f;
   std::vector<Term> xs;
@@ -699,15 +767,21 @@ TEST(SolverTest, NodeBudgetIsExact) {
     sum = f.Add(sum, f.Mul(xs.back(), xs.back()));
   }
   // Over the harvested domains, 2 is a sum of four squares (1 + 1 + 0 + 0) and 9999 is
-  // not: one search finds a witness, the other exhausts the space.
-  for (int64_t target : {2, 9999}) {
-    SCOPED_TRACE("sum of squares == " + std::to_string(target));
+  // not: one search finds a witness, the other exhausts the space. The disjunctive goal
+  // runs both, one branch after the other.
+  auto sum_is = [&](int64_t target) { return f.Eq(sum, f.IntLit(target)); };
+  const Term ordered = f.Lt(xs[0], xs[1]);
+  const std::vector<std::vector<Term>> queries = {{sum_is(2), ordered},
+                                                   {sum_is(9999), ordered},
+                                                   {f.Or(sum_is(9999), sum_is(2)), ordered}};
+  for (const std::vector<Term>& query : queries) {
+    SCOPED_TRACE(query.front()->ToString());
     // The verdict under `max_nodes`, and the nodes the search took.
     auto solve = [&](uint64_t max_nodes) {
       SolverOptions options;
       options.budget.max_nodes = max_nodes;
       std::unique_ptr<SolverBackend> backend = MakeBackend(options);
-      backend->AssertAll({f.Eq(sum, f.IntLit(target)), f.Lt(xs[0], xs[1])});
+      backend->AssertAll(query);
       const SolveResult r = backend->Check(f);
       return std::make_pair(r, backend->stats().nodes_visited);
     };

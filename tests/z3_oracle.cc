@@ -351,6 +351,7 @@ class Z3OracleBackend : public SolverBackend {
     Grounder grounder(&f, options_.scope);
     const bool feasible = GroundAndFlatten(grounder, f, assertions, &pending);
     stats_.binders_expanded = grounder.binders_expanded();
+    stats_.ground_seconds = watch.ElapsedSeconds();
     if (!feasible) {
       stats_.seconds = watch.ElapsedSeconds();
       return SolveResult::kUnsat;
