@@ -1,20 +1,20 @@
 // Runtime-enforcement sweep — the end-to-end oracle as a benchmark. Three experiments
-// in one JSON document (stdout; tables and progress on stderr):
+// in one JSON document (stdout; tables and progress on stderr), every run admitted by
+// the simulator's lease-based coordination service:
 //
-//   1. "grid": every evaluated app under enforced PoR across the chaos grid
-//      (3 fault plans x 3 seeds). Each cell must converge, admit zero conflicting
-//      [grant, release) overlaps, and produce an execution trace the offline checker
-//      validates cleanly against the full restriction set. Any failure exits 1 — this
-//      is the safety gate CI runs.
-//   2. "modes": SmallBank under the jittery plan in three consistency modes. Summed
-//      over seeds, throughput must order strictly: SC < enforced PoR < unenforced PoR.
-//      The left inequality is the paper's payoff (fine-grained coordination beats
-//      serializing everything); the right one proves the enforcement cost model is
-//      alive (a real coordination service is not free).
+//   1. "grid": every evaluated app under PoR, enforcing the verifier's restriction set,
+//      across the chaos grid (3 fault plans x 3 seeds). Each cell must converge, admit
+//      zero conflicting [grant, release) overlaps, and produce an execution trace the
+//      offline checker validates cleanly against the full restriction set. Any failure
+//      exits 1 — this is the safety gate CI runs.
+//   2. "modes": SmallBank under the jittery plan, SC (a total table) against PoR.
+//      Summed over seeds, throughput must order strictly: SC < PoR — the paper's payoff
+//      (fine-grained coordination beats serializing everything).
 //   3. "curve": SmallBank enforced with growing prefixes of its restriction set —
 //      throughput against the number of enforced pairs, i.e. what an oversized
 //      restriction set costs at runtime (the "lost throughput" half of the oracle;
-//      the other half — a too-small set — is what the trace checker catches).
+//      the other half — a too-small set — is what the trace checker catches). The
+//      empty set must beat the full set, or the service-cost model is dead.
 //
 // The coordination service runs with the default repl::EnforceOptions, whose shard
 // count and lease length head the document; NOCTUA_COORD_SELFCHECK=1 additionally
@@ -57,29 +57,21 @@ std::vector<PlanCase> ChaosPlans() {
   return plans;
 }
 
-// Same table policy as the chaos harness and the enforcement tests: the verifier's
-// restriction set for the fast apps, the syntactic over-approximation for the two
-// SMT-heavy ones.
-ConflictTable ConflictsFor(const app::App& a, const std::string& name,
-                           const analyzer::AnalysisResult& res) {
-  auto eff = res.EffectfulPaths();
-  if (name == "Zhihu" || name == "OwnPhotos") {
-    return repl::ConservativeConflicts(a.schema(), eff);
-  }
-  return EnforcementTable(verifier::AnalyzeRestrictions(verifier::Checker(a.schema()), eff,
-                                                        {}, res.paths));
+// The verifier's restriction set lifted to endpoints, with every path as an order
+// observer (the same table the enforcement tests use).
+ConflictTable ConflictsFor(const app::App& a, const analyzer::AnalysisResult& res) {
+  return EnforcementTable(verifier::AnalyzeRestrictions(
+      verifier::Checker(a.schema()), res.EffectfulPaths(), {}, res.paths));
 }
 
 SimResult RunOne(const app::App& a, const analyzer::AnalysisResult& res,
                  const ConflictTable& table, const FaultPlan& plan, uint64_t seed,
-                 double duration_ms, bool enforce, bool sc) {
+                 double duration_ms) {
   SimOptions options;
   options.duration_ms = duration_ms;
   options.write_ratio = 0.5;
   options.seed = seed;
   options.faults = plan;
-  options.strong_consistency = sc;
-  options.enforce.enabled = enforce;
   repl::Simulator sim(a.schema(), res.paths, table, options);
   return sim.Run();
 }
@@ -97,11 +89,10 @@ int main() {
   for (const auto& entry : apps::EvaluatedApps()) {
     app::App a = entry.make();
     analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
-    ConflictTable conflicts = ConflictsFor(a, entry.name, res);
+    ConflictTable conflicts = ConflictsFor(a, res);
     for (const PlanCase& pc : ChaosPlans()) {
       for (uint64_t seed : {11u, 22u, 33u}) {
-        SimResult r = RunOne(a, res, conflicts, pc.plan, seed, /*duration_ms=*/250,
-                             /*enforce=*/true, /*sc=*/false);
+        SimResult r = RunOne(a, res, conflicts, pc.plan, seed, /*duration_ms=*/250);
         repl::TraceCheckResult check = repl::CheckTrace(r.trace, conflicts);
         bool safe = r.converged && r.conflict_violations == 0 && check.ok() &&
                     r.completed_requests > 0 && r.lease_acquires > 0;
@@ -139,7 +130,7 @@ int main() {
   // --- 2. Consistency-mode comparison on SmallBank -----------------------------------
   app::App bank = apps::MakeSmallBankApp();
   analyzer::AnalysisResult bank_res = analyzer::AnalyzeApp(bank);
-  ConflictTable bank_table = ConflictsFor(bank, "SmallBank", bank_res);
+  ConflictTable bank_table = ConflictsFor(bank, bank_res);
   ConflictTable total;
   total.SetTotal(true);
   FaultPlan jittery = ChaosPlans()[1].plan;
@@ -148,20 +139,16 @@ int main() {
   struct ModeCase {
     const char* name;
     const ConflictTable* table;
-    bool enforce;
-    bool sc;
   };
-  const ModeCase kModes[] = {{"SC", &total, false, true},
-                             {"PoR-enforced", &bank_table, true, false},
-                             {"PoR", &bank_table, false, false}};
-  double mode_tput[3] = {0, 0, 0};
+  const ModeCase kModes[] = {{"SC", &total}, {"PoR", &bank_table}};
+  double mode_tput[std::size(kModes)] = {};
   json.Key("modes").BeginArray();
   for (size_t m = 0; m < std::size(kModes); ++m) {
     uint64_t completed = 0;
     double ms = 0;
     for (uint64_t seed : {11u, 22u, 33u}) {
-      SimResult r = RunOne(bank, bank_res, *kModes[m].table, jittery, seed,
-                           kModeDurationMs, kModes[m].enforce, kModes[m].sc);
+      SimResult r =
+          RunOne(bank, bank_res, *kModes[m].table, jittery, seed, kModeDurationMs);
       all_safe = all_safe && r.converged && r.conflict_violations == 0;
       completed += r.completed_requests;
       ms += r.duration_ms;
@@ -173,19 +160,24 @@ int main() {
     json.Key("throughput_ops").Double(mode_tput[m], 1).EndObject();
   }
   json.EndArray();
-  bool ordered = mode_tput[0] < mode_tput[1] && mode_tput[1] < mode_tput[2];
-  if (!ordered) {
-    fprintf(stderr,
-            "[enforce_sweep] FAILED: expected SC < PoR-enforced < PoR, got "
-            "%.0f / %.0f / %.0f\n",
-            mode_tput[0], mode_tput[1], mode_tput[2]);
+  const bool modes_ordered = mode_tput[0] < mode_tput[1];
+  if (!modes_ordered) {
+    fprintf(stderr, "[enforce_sweep] FAILED: expected SC < PoR, got %.0f / %.0f\n",
+            mode_tput[0], mode_tput[1]);
   }
 
   // --- 3. Throughput against enforced-set size (SmallBank prefixes) ------------------
   json.Key("curve").BeginArray();
   std::vector<std::pair<std::string, std::string>> pairs(bank_table.pairs().begin(),
                                                          bank_table.pairs().end());
-  for (size_t n = 0; n <= pairs.size(); n += 2) {
+  // Every second prefix size, ending with the full set.
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n < pairs.size(); n += 2) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(pairs.size());
+  std::vector<double> curve_tput;
+  for (size_t n : sizes) {
     ConflictTable prefix;
     for (size_t i = 0; i < n; ++i) {
       prefix.AddPair(pairs[i].first, pairs[i].second);
@@ -193,8 +185,7 @@ int main() {
     uint64_t completed = 0, waits = 0, grants = 0;
     double ms = 0;
     for (uint64_t seed : {11u, 22u, 33u}) {
-      SimResult r = RunOne(bank, bank_res, prefix, jittery, seed, kModeDurationMs,
-                           /*enforce=*/true, /*sc=*/false);
+      SimResult r = RunOne(bank, bank_res, prefix, jittery, seed, kModeDurationMs);
       all_safe = all_safe && r.converged;
       completed += r.completed_requests;
       waits += r.lock_waits;
@@ -202,17 +193,26 @@ int main() {
       ms += r.duration_ms;
     }
     double tput = ms > 0 ? completed / (ms / 1000.0) : 0;
+    curve_tput.push_back(tput);
     fprintf(stderr, "[enforce_sweep] |set|=%2zu: %7.0f op/s  lock_waits=%llu\n", n, tput,
             (unsigned long long)waits);
     json.BeginObject().Key("set_size").Uint(n).Key("throughput_ops").Double(tput, 1);
     json.Key("lock_waits").Uint(waits).Key("lease_grants").Uint(grants).EndObject();
   }
   printf("%s\n", json.EndArray().EndObject().Take().c_str());
+  const bool curve_ordered = curve_tput.front() > curve_tput.back();
+  if (!curve_ordered) {
+    fprintf(stderr,
+            "[enforce_sweep] FAILED: the empty set (%.0f op/s) does not beat the full "
+            "set of %zu pairs (%.0f op/s)\n",
+            curve_tput.front(), pairs.size(), curve_tput.back());
+  }
 
-  if (!all_safe || !ordered) {
+  if (!all_safe || !modes_ordered || !curve_ordered) {
     fprintf(stderr, "[enforce_sweep] FAILED: %s\n",
-            !all_safe ? "a cell diverged, overlapped, or failed the trace check"
-                      : "consistency modes are not strictly ordered");
+            !all_safe        ? "a cell diverged, overlapped, or failed the trace check"
+            : !modes_ordered ? "SC does not lose to PoR"
+                             : "enforcing more pairs costs no throughput");
     return 1;
   }
   return 0;

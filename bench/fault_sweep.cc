@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/smallbank.h"
+#include "src/pipeline/enforce.h"
 #include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
 
@@ -22,10 +23,7 @@ int main() {
   app::App bank = apps::MakeSmallBankApp();
   PipelineResult pipeline = Engine().Run(bank);
   const analyzer::AnalysisResult& analysis = pipeline.analysis;
-  repl::ConflictTable conflicts;
-  for (const auto& [p, q] : pipeline.restrictions.RestrictedViewPairs()) {
-    conflicts.AddPair(p, q);
-  }
+  const repl::ConflictTable conflicts = EnforcementTable(pipeline.restrictions);
 
   const std::vector<double> kDropRates = {0.0, 0.01, 0.02, 0.05, 0.1, 0.2};
   const double kDurationMs = 800;
@@ -47,7 +45,6 @@ int main() {
       repl::SimOptions options;
       options.duration_ms = kDurationMs;
       options.write_ratio = kWriteRatio;
-      options.strong_consistency = mode.sc;
       options.faults = repl::FaultPlan::Lossy(drop);
       repl::ConflictTable table = conflicts;
       if (mode.sc) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/apps/smallbank.h"
+#include "src/pipeline/enforce.h"
 #include "src/pipeline/engine.h"
 #include "src/repl/simulator.h"
 
@@ -19,10 +20,9 @@ int main() {
   const analyzer::AnalysisResult& analysis = result.analysis;
   const verifier::RestrictionReport& report = result.restrictions;
 
-  repl::ConflictTable conflicts;
+  const repl::ConflictTable conflicts = EnforcementTable(report);
   printf("Restriction set:\n");
-  for (const auto& [p, q] : report.RestrictedViewPairs()) {
-    conflicts.AddPair(p, q);
+  for (const auto& [p, q] : conflicts.pairs()) {
     printf("  (%s, %s)\n", p.c_str(), q.c_str());
   }
 
@@ -34,7 +34,6 @@ int main() {
   repl::Simulator por(bank.schema(), analysis.paths, conflicts, options);
   repl::SimResult por_result = por.Run();
 
-  options.strong_consistency = true;
   repl::ConflictTable total;
   total.SetTotal(true);
   repl::Simulator sc(bank.schema(), analysis.paths, total, options);
@@ -52,10 +51,9 @@ int main() {
 
   // Same deployment, hostile network: 5% message loss, 3% duplication, latency jitter,
   // one replica crashing a quarter of the way in and recovering at the midpoint, and a
-  // 100 ms coordinator outage. The hardened protocol (retries + dedup + sequence-gapped
-  // apply queues + anti-entropy catch-up) must preserve convergence and the restriction
-  // set; only throughput and tail latency are allowed to degrade.
-  options.strong_consistency = false;
+  // 100 ms coordinator outage. The protocol that ran the perfect network above (retries +
+  // dedup + sequence-gapped apply queues + anti-entropy catch-up + leases) must preserve
+  // convergence and the restriction set; only throughput and tail latency may degrade.
   repl::FaultPlan plan = repl::FaultPlan::Lossy(0.05, 0.03);
   plan.link.jitter_ms = 1.0;
   plan.crashes.push_back({2, options.duration_ms * 0.25, options.duration_ms * 0.5});

@@ -76,14 +76,6 @@ bool LeaseCoordinator::IsActive(int64_t op) const {
   return it != regs_.end() && it->second.active;
 }
 
-double LeaseCoordinator::NextDeadline() const {
-  double next = std::numeric_limits<double>::infinity();
-  for (const auto& [_, reg] : regs_) {
-    next = std::min(next, reg.deadline);
-  }
-  return next;
-}
-
 bool LeaseCoordinator::LockCompatible(const Lock& lock, const Registration& reg) const {
   if (lock.holders.empty()) {
     return true;

@@ -1,10 +1,10 @@
 // Sharded lease-based coordination service: the runtime *enforcement* of a computed
-// restriction set.
+// restriction set, and the simulator's only admission path.
 //
-// The omniscient coordinator in simulator.cc admits operations against a global
-// active-set — fine for replaying the paper's figures, but it is not a protocol a real
-// deployment could run. This class is that protocol, as a deterministic state machine
-// driven by the simulator's event loop:
+// The paper's §6.5 deployment admits a write only when no conflicting operation is
+// active. This class is a protocol a real deployment could run to do that, as a
+// deterministic state machine driven by the simulator's event loop. Every simulated
+// history, Figures 10/11 included, comes from it:
 //
 //   * One **pair-lock** per restricted endpoint pair (E, F), hashed to one of
 //     `num_shards` lock shards. A pair-lock is a two-mode group lock: any number of
@@ -20,7 +20,7 @@
 //   * **Leases with expiry.** Every registration (queued or granted) carries a lease
 //     deadline; the origin renews it while its operation is still running. A crashed or
 //     partitioned holder stops renewing and its locks are reaped by ExpireDue — the
-//     failure detector of the enforcement layer. An expired-but-alive holder is the
+//     service's only failure detector. An expired-but-alive holder is the
 //     honest failure mode: the coordinator moved on, and any resulting anomaly is the
 //     trace checker's job to catch.
 //   * **Epoch fencing.** Each site carries an epoch, bumped on restart. The service
@@ -28,8 +28,9 @@
 //     incarnations (counted in stats().fencing_rejections); observing a *newer* epoch
 //     immediately revokes every holding of the site's previous incarnation, so a
 //     restarted replica can never be blocked by its own pre-crash ghosts.
-//   * **Degradation to strong consistency.** When an origin has retried admission to an
-//     unreachable shard past its backoff budget, it re-requests in degraded mode: the
+//   * **Degradation to strong consistency.** When an origin has retried admission past
+//     its backoff budget (an unreachable shard, or a queue wait that long: the origin
+//     cannot tell them apart), it re-requests in degraded mode: the
 //     operation is granted the service-global exclusive latch (compatible with nothing
 //     that holds or wants any pair-lock) instead of its fine-grained locks. Strictly
 //     stronger than any restriction set, hence always safe — the cost is serial
@@ -42,7 +43,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -52,17 +52,12 @@ namespace noctua::repl {
 
 class ConflictTable;
 
-// Tuning of the enforcement layer, carried inside SimOptions. `enabled` routes the
-// simulator's admission path through a LeaseCoordinator instead of the omniscient
-// active-set coordinator; `record_trace` (independent of `enabled`) makes the simulator
-// record the per-site operation history that trace_check.h validates offline.
+// Tuning of the coordination service, carried inside SimOptions.
 struct EnforceOptions {
-  bool enabled = false;
   int num_shards = 4;       // lock shards; pair-locks hash across them
   double lease_ms = 80.0;   // lease duration granted per registration/renewal
   double renew_interval_ms = 10.0;  // origin-side renewal period while an op runs
   int degrade_after_retries = 6;    // admission attempts before degrading to exclusive
-  bool record_trace = true;
   // Service-cost model: issuing a grant costs a fixed overhead plus one unit per
   // pair-lock acquired, so a larger restriction set is measurably slower to enforce
   // (the "oversized set shows up as lost throughput" half of the oracle).
@@ -135,10 +130,6 @@ class LeaseCoordinator {
   // Reaps every registration whose lease deadline is <= now; returns the reaped ops in
   // `expired` and any newly unblocked waiters in `granted`.
   Outcome ExpireDue(double now);
-
-  // Earliest lease deadline currently armed (+inf when idle): when the simulator
-  // should schedule its next expiry sweep.
-  double NextDeadline() const;
 
   // Shard an endpoint's admission traffic is routed to (for shard-outage modelling).
   int HomeShard(const std::string& endpoint) const;

@@ -2,21 +2,6 @@
 
 namespace noctua::repl {
 
-bool FaultPlan::IsZero() const {
-  if (!crashes.empty() || !coordinator_outages.empty()) {
-    return false;
-  }
-  if (!link.IsZero()) {
-    return false;
-  }
-  for (const auto& [_, faults] : link_overrides) {
-    if (!faults.IsZero()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool FaultPlan::CoordinatorDown(double t_ms) const {
   for (const OutageWindow& w : coordinator_outages) {
     if (t_ms >= w.start_ms && t_ms < w.end_ms) {

@@ -7,8 +7,9 @@
 // simulator's dedicated fault Rng, so a (plan, seed) pair fully determines the fault
 // schedule and every chaos run is reproducible.
 //
-// A default-constructed plan injects nothing; `Simulator` detects that case
-// (`IsZero()`) and runs the paper's perfect-network model unchanged.
+// A default-constructed plan injects nothing: the paper's perfect network, fixed latency
+// and lossless delivery. The simulator runs the same protocol over it as over any other
+// plan.
 #ifndef SRC_REPL_FAULT_H_
 #define SRC_REPL_FAULT_H_
 
@@ -32,10 +33,6 @@ struct LinkFaults {
   double jitter_ms = 0;  // uniform extra latency in [0, jitter_ms) on every message
   double spike = 0;      // probability of a heavy-tailed latency spike
   double spike_mean_ms = 0;  // exponential mean of the spike magnitude
-
-  bool IsZero() const {
-    return drop == 0 && duplicate == 0 && reorder == 0 && jitter_ms == 0 && spike == 0;
-  }
 };
 
 // One replica failure: the site stops at `at_ms` (in-flight requests are lost, its
@@ -70,10 +67,6 @@ struct FaultPlan {
   std::map<std::pair<int, int>, LinkFaults> link_overrides;
   std::vector<CrashSchedule> crashes;
   std::vector<OutageWindow> coordinator_outages;
-
-  // True when the plan injects nothing at all — the simulator then takes the
-  // perfect-network fast path and must reproduce the seed model bit-for-bit.
-  bool IsZero() const;
 
   // Whether the coordinator is inside an outage window at time t.
   bool CoordinatorDown(double t_ms) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <queue>
 
 #include "src/obs/obs.h"
@@ -25,67 +24,21 @@ bool ConflictTable::RemovePair(const std::string& a, const std::string& b) {
   return pairs_.erase({std::min(a, b), std::max(a, b)}) != 0;
 }
 
-ConflictTable ConservativeConflicts(const soir::Schema& schema,
-                                    const std::vector<soir::CodePath>& paths) {
-  struct Footprint {
-    std::set<int> touched;  // models read or written
-    std::set<int> written;
-    std::set<int> relations;
-    bool effectful = false;
-  };
-  std::map<std::string, Footprint> endpoints;
-  for (const soir::CodePath& p : paths) {
-    std::vector<int> reads, writes, rels;
-    p.CollectFootprint(schema, &reads, &writes, &rels);
-    Footprint& f = endpoints[p.view_name];
-    f.touched.insert(reads.begin(), reads.end());
-    f.touched.insert(writes.begin(), writes.end());
-    f.written.insert(writes.begin(), writes.end());
-    f.relations.insert(rels.begin(), rels.end());
-    f.effectful = f.effectful || p.IsEffectful();
-  }
-  auto intersects = [](const std::set<int>& a, const std::set<int>& b) {
-    for (int x : a) {
-      if (b.count(x)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  ConflictTable table;
-  for (auto a = endpoints.begin(); a != endpoints.end(); ++a) {
-    for (auto b = a; b != endpoints.end(); ++b) {
-      const Footprint& fa = a->second;
-      const Footprint& fb = b->second;
-      bool conflict = intersects(fa.written, fb.touched) ||
-                      intersects(fb.written, fa.touched) ||
-                      ((fa.effectful || fb.effectful) &&
-                       intersects(fa.relations, fb.relations));
-      if (conflict) {
-        table.AddPair(a->first, b->first);
-      }
-    }
-  }
-  return table;
-}
-
 namespace {
 
 enum class EventKind : uint8_t {
   kClientIssue,      // a client issues its next request
   kAdmitArrive,      // admission request reaches the coordinator
-  kGrantArrive,      // admission grant reaches the origin site (chaos mode only)
+  kGrantArrive,      // admission grant reaches the origin site
   kExecute,          // request executes at its origin site
   kEffectArrive,     // a propagated effect reaches a remote replica
-  kEffectAckArrive,  // a replica's apply-ack reaches the origin (chaos mode only)
+  kEffectAckArrive,  // a replica's apply-ack reaches the origin
   kReleaseArrive,    // release reaches the coordinator
-  kReleaseAckArrive, // the coordinator's release-ack reaches the origin (chaos only)
-  kRetryTimer,       // origin-local retransmission timer (chaos mode only)
+  kReleaseAckArrive, // the coordinator's release-ack reaches the origin
+  kRetryTimer,       // origin-local retransmission timer
   kCrash,            // a replica fails
   kRestart,          // a failed replica comes back and catches up
-  kEvictCrashed,     // coordinator failure detector evicts a crashed site's grants
   kAntiEntropy,      // periodic background sync applies missed effects from the log
-  // Enforcement (lease coordinator) events — scheduled only when enforce.enabled.
   kRenewArrive,      // a lease renewal reaches the coordination service
   kRenewAckArrive,   // the coordinator's renewal confirmation reaches the origin
   kLeaseRenewTimer,  // origin-local renewal period while its op is still running
@@ -105,9 +58,6 @@ enum class Phase : uint8_t {
   kGivenUp,  // admission retries exhausted; the client moved on
 };
 
-// Coordinator-side state of one request id (the idempotent-dedup ledger).
-enum class CoordState : uint8_t { kNone, kWaiting, kActive, kReleased };
-
 struct PendingOp {
   int64_t id = 0;
   int site = 0;
@@ -116,7 +66,6 @@ struct PendingOp {
   double issued_at = 0;
   bool coordinated = false;
   Phase phase = Phase::kAwaitGrant;
-  CoordState coord = CoordState::kNone;
   bool dead = false;          // origin crashed while the request was in flight
   int64_t effect_seq = -1;    // per-origin sequence number of the committed effect
   // Fence watermark carried by a grant issued after a lease reclamation: no replica may
@@ -201,15 +150,9 @@ SimResult Simulator::Run() {
   obs::ScopedSpan run_span("simulate", obs::kCatSim);
   soir::Interp interp(schema_);
   WorkloadGenerator workload(schema_, paths_, options_.write_ratio, options_.seed);
-  // All fault decisions draw from a dedicated stream so a zero-fault plan leaves the
-  // workload's randomness — and therefore the perfect-network schedule — untouched.
+  // All fault decisions draw from a dedicated stream, so a fault plan never perturbs the
+  // workload's randomness.
   Rng fault_rng(options_.seed ^ 0xFA017BADC0FFEEULL);
-  const bool enforce = options_.enforce.enabled;
-  // Enforcement always runs the hardened protocol (retries, acks, epochs); the
-  // perfect-network fast path stays reserved for unenforced zero-fault runs so the
-  // seed model's Figure 10/11 schedule is untouched.
-  const bool chaos = !options_.faults.IsZero() || enforce;
-  const bool record_trace = options_.enforce.record_trace;
 
   // Replicas: identical seeded initial state, per-site striped ID allocation.
   std::vector<Site> sites;
@@ -227,10 +170,6 @@ SimResult Simulator::Run() {
   int64_t next_op = 0;
   int64_t next_seq = 0;
 
-  // Coordinator state: active op ids with their endpoint names, plus a FIFO wait queue.
-  std::map<int64_t, std::string> active;
-  std::vector<int64_t> waiting;
-
   std::vector<LogRecord> log;
   std::vector<GrantInterval> intervals;
   // Data-plane fencing watermark. Ack-held release guarantees that a conflicting
@@ -245,14 +184,9 @@ SimResult Simulator::Run() {
   SimResult result;
   std::vector<double> latencies;  // successful requests only (see SimResult contract)
   const int coordinator_site = 0;
-  if (record_trace) {
-    result.trace.Clear(options_.num_sites);
-  }
-  std::optional<LeaseCoordinator> coord;
-  if (enforce) {
-    coord.emplace(conflicts_, LeaseCoordinator::Options{options_.enforce.num_shards,
-                                                        options_.enforce.lease_ms});
-  }
+  result.trace.Clear(options_.num_sites);
+  LeaseCoordinator coord(conflicts_, LeaseCoordinator::Options{options_.enforce.num_shards,
+                                                               options_.enforce.lease_ms});
 
   auto coord_delay = [&](int site) {
     return site == coordinator_site ? 0.0 : options_.cross_site_latency_ms;
@@ -331,51 +265,10 @@ SimResult Simulator::Run() {
           options_.enforce.per_lock_overhead_ms *
               static_cast<double>(gop.degraded
                                       ? 1
-                                      : coord->NumLocks(gop.request.path->view_name));
+                                      : coord.NumLocks(gop.request.path->view_name));
       transmit(now, kCoordinatorEndpoint, gop.site, coord_delay(gop.site) + cost,
                EventKind::kGrantArrive, gop.id);
       push(now + options_.enforce.lease_ms + 0.001, EventKind::kLeaseExpiryCheck, -1);
-    }
-  };
-
-  // Admits every waiting op that conflicts with nothing active, in FIFO order.
-  auto admit_waiters = [&](double now) {
-    for (auto it = waiting.begin(); it != waiting.end();) {
-      PendingOp& op = ops.at(*it);
-      if (op.dead || op.phase == Phase::kGivenUp) {
-        // A crashed or timed-out origin will never execute this request.
-        op.coord = CoordState::kReleased;
-        it = waiting.erase(it);
-        continue;
-      }
-      const std::string& name = op.request.path->view_name;
-      bool blocked = false;
-      for (const auto& [_, other] : active) {
-        if (conflicts_.Conflicts(name, other)) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked) {
-        ++it;
-        continue;
-      }
-      op.coord = CoordState::kActive;
-      active[op.id] = name;
-      record_grant(op, now);
-      if (chaos) {
-        // Grant travels back over the faulty link; admission retries from the origin
-        // cover a lost grant (the coordinator re-sends it on duplicate admission).
-        transmit(now, kCoordinatorEndpoint, op.site, coord_delay(op.site),
-                 EventKind::kGrantArrive, op.id);
-      } else {
-        // Perfect network: grant travels back to the origin, then the op executes
-        // (the seed model's combined event — keeps the schedule bit-identical).
-        op.phase = Phase::kExecuting;
-        push(now + coord_delay(op.site) + options_.local_exec_ms, EventKind::kExecute,
-             op.id);
-      }
-      it = waiting.erase(it);
     }
   };
 
@@ -391,9 +284,7 @@ SimResult Simulator::Run() {
   // Applies one committed effect at a replica and advances its per-origin cursor.
   auto apply_record = [&](int s, const PendingOp& op) {
     interp.Apply(*op.request.path, op.request.args, &sites[s].db);
-    if (record_trace) {
-      result.trace.site_order[s].push_back(op.id);
-    }
+    result.trace.site_order[s].push_back(op.id);
   };
   // Replays every logged effect the site has not applied yet, in global commit order.
   // This is the anti-entropy / crash catch-up path; the log respects per-origin sequence
@@ -439,9 +330,9 @@ SimResult Simulator::Run() {
     }
     return static_cast<int64_t>(site.log_covered) >= watermark;
   };
-  // Enforced-mode apply loop: drains every origin's buffer to a fixpoint, because
-  // applying one origin's effect can advance the log coverage a fenced effect from a
-  // *different* origin was waiting on.
+  // Apply loop: drains every origin's buffer to a fixpoint, because applying one
+  // origin's effect can advance the log coverage a fenced effect from a *different*
+  // origin was waiting on.
   auto drain_site = [&](int s, double now) {
     Site& site = sites[s];
     bool progress = true;
@@ -473,10 +364,9 @@ SimResult Simulator::Run() {
     int64_t& expected = site.expected[origin];
     if (op.effect_seq < expected) {
       ++result.duplicates_ignored;
-      if (chaos) {  // re-ack: the origin may have missed the first ack
-        transmit(now, s, origin, options_.cross_site_latency_ms,
-                 EventKind::kEffectAckArrive, op.id, s);
-      }
+      // Re-ack: the origin may have missed the first ack.
+      transmit(now, s, origin, options_.cross_site_latency_ms, EventKind::kEffectAckArrive,
+               op.id, s);
       return;
     }
     if (op.effect_seq > expected || !fence_covered(s, op.effect_prereq)) {
@@ -494,28 +384,9 @@ SimResult Simulator::Run() {
     }
     apply_record(s, op);
     ++expected;
-    if (chaos) {
-      transmit(now, s, origin, options_.cross_site_latency_ms, EventKind::kEffectAckArrive,
-               op.id, s);
-    }
-    if (enforce) {
-      drain_site(s, now);
-      return;
-    }
-    // Drain any buffered successors that the gap was holding back.
-    auto& buffer = site.gap_buffer[origin];
-    auto it = buffer.find(expected);
-    while (it != buffer.end()) {
-      PendingOp& next = ops.at(it->second);
-      apply_record(s, next);
-      ++expected;
-      if (chaos) {
-        transmit(now, s, origin, options_.cross_site_latency_ms,
-                 EventKind::kEffectAckArrive, next.id, s);
-      }
-      buffer.erase(it);
-      it = buffer.find(expected);
-    }
+    transmit(now, s, origin, options_.cross_site_latency_ms, EventKind::kEffectAckArrive,
+             op.id, s);
+    drain_site(s, now);
   };
 
   for (int s = 0; s < options_.num_sites; ++s) {
@@ -523,15 +394,13 @@ SimResult Simulator::Run() {
       push(0.0, EventKind::kClientIssue, -1, s, c);
     }
   }
-  if (chaos) {
-    for (const CrashSchedule& crash : options_.faults.crashes) {
-      NOCTUA_CHECK(crash.site >= 0 && crash.site < options_.num_sites);
-      push(crash.at_ms, EventKind::kCrash, -1, crash.site);
-      push(crash.restart_ms, EventKind::kRestart, -1, crash.site);
-    }
-    for (int s = 0; s < options_.num_sites; ++s) {
-      push(options_.anti_entropy_interval_ms, EventKind::kAntiEntropy, -1, s);
-    }
+  for (const CrashSchedule& crash : options_.faults.crashes) {
+    NOCTUA_CHECK(crash.site >= 0 && crash.site < options_.num_sites);
+    push(crash.at_ms, EventKind::kCrash, -1, crash.site);
+    push(crash.restart_ms, EventKind::kRestart, -1, crash.site);
+  }
+  for (int s = 0; s < options_.num_sites; ++s) {
+    push(options_.anti_entropy_interval_ms, EventKind::kAntiEntropy, -1, s);
   }
 
   while (!queue.empty()) {
@@ -542,7 +411,7 @@ SimResult Simulator::Run() {
     }
     switch (ev.kind) {
       case EventKind::kClientIssue: {
-        if (chaos && sites[ev.site].down) {
+        if (sites[ev.site].down) {
           break;  // the replica is down; its clients respawn on restart
         }
         PendingOp op;
@@ -551,35 +420,26 @@ SimResult Simulator::Run() {
         op.client = ev.client;
         op.request = workload.Next(&sites[ev.site].db);
         op.issued_at = ev.time;
-        op.coordinated = options_.strong_consistency || op.request.is_write;
+        // SC (a total table) coordinates reads too; PoR coordinates writes only.
+        op.coordinated = conflicts_.total() || op.request.is_write;
         ops[op.id] = std::move(op);
         PendingOp& ref = ops.at(next_op - 1);
         ref.epoch = sites[ref.site].epoch;
-        if (enforce && ref.coordinated) {
-          ref.home_shard = coord->HomeShard(ref.request.path->view_name);
-        }
-        if (chaos) {
-          sites[ref.site].live_ops.insert(ref.id);
-        }
+        sites[ref.site].live_ops.insert(ref.id);
         if (ref.coordinated) {
-          if (chaos) {
-            ref.admit_attempts = 1;
-            if (enforce) {
-              // Sound once a grant arrives: every admit was sent at or after now, so
-              // any admission the service processed renewed the lease past this.
-              ref.lease_deadline = ev.time + options_.enforce.lease_ms;
-              // The renew chain runs from admission, covering the queued wait too;
-              // confirmed renewals are the only thing that extends the deadline later.
-              push(ev.time + options_.enforce.renew_interval_ms,
-                   EventKind::kLeaseRenewTimer, ref.id);
-            }
-            transmit(ev.time, ref.site, kCoordinatorEndpoint, coord_delay(ref.site),
-                     EventKind::kAdmitArrive, ref.id);
-            push(ev.time + backoff(ref.admit_attempts), EventKind::kRetryTimer, ref.id,
-                 -1, -1, kStageAdmit, ref.admit_attempts);
-          } else {
-            push(ev.time + coord_delay(ref.site), EventKind::kAdmitArrive, ref.id);
-          }
+          ref.home_shard = coord.HomeShard(ref.request.path->view_name);
+          ref.admit_attempts = 1;
+          // Sound once a grant arrives: every admit was sent at or after now, so any
+          // admission the service processed renewed the lease past this.
+          ref.lease_deadline = ev.time + options_.enforce.lease_ms;
+          // The renew chain runs from admission, covering the queued wait too; confirmed
+          // renewals are the only thing that extends the deadline later.
+          push(ev.time + options_.enforce.renew_interval_ms, EventKind::kLeaseRenewTimer,
+               ref.id);
+          transmit(ev.time, ref.site, kCoordinatorEndpoint, coord_delay(ref.site),
+                   EventKind::kAdmitArrive, ref.id);
+          push(ev.time + backoff(ref.admit_attempts), EventKind::kRetryTimer, ref.id, -1, -1,
+               kStageAdmit, ref.admit_attempts);
         } else {
           ref.phase = Phase::kExecuting;
           push(ev.time + options_.local_exec_ms, EventKind::kExecute, ref.id);
@@ -587,49 +447,21 @@ SimResult Simulator::Run() {
         break;
       }
       case EventKind::kAdmitArrive: {
-        if (chaos && options_.faults.CoordinatorDown(ev.time)) {
+        if (options_.faults.CoordinatorDown(ev.time)) {
           ++result.messages_dropped;  // the service processes nothing during an outage
           break;
         }
-        if (enforce) {
-          PendingOp& op = ops.at(ev.op);
-          // No op.dead shortcut here: a real service cannot see origin death. A dead
-          // op's registration is fenced by its successor epoch or reaped by its lease.
-          if (!op.degraded &&
-              options_.enforce.ShardDown(op.home_shard, ev.time)) {
-            ++result.messages_dropped;  // this lock shard's request queue is down
-            break;
-          }
-          LeaseCoordinator::Outcome out =
-              coord->Acquire(op.id, op.request.path->view_name, op.site, op.epoch,
-                             ev.time, op.degraded);
-          handle_coord_outcome(out, ev.time);
-          push(ev.time + options_.enforce.lease_ms + 0.001,
-               EventKind::kLeaseExpiryCheck, -1);
-          break;
-        }
         PendingOp& op = ops.at(ev.op);
-        if (op.dead) {
+        // No op.dead shortcut here: a real service cannot see origin death. A dead op's
+        // registration is fenced by its successor epoch or reaped by its lease.
+        if (!op.degraded && options_.enforce.ShardDown(op.home_shard, ev.time)) {
+          ++result.messages_dropped;  // this lock shard's request queue is down
           break;
         }
-        switch (op.coord) {
-          case CoordState::kNone:
-            op.coord = CoordState::kWaiting;
-            waiting.push_back(op.id);
-            admit_waiters(ev.time);
-            break;
-          case CoordState::kWaiting:
-          case CoordState::kReleased:
-            ++result.duplicates_ignored;
-            break;
-          case CoordState::kActive:
-            // Retransmitted admission after a lost grant: re-send the grant. Granting is
-            // idempotent — the origin executes at most once (phase check on arrival).
-            ++result.duplicates_ignored;
-            transmit(ev.time, kCoordinatorEndpoint, op.site, coord_delay(op.site),
-                     EventKind::kGrantArrive, op.id);
-            break;
-        }
+        LeaseCoordinator::Outcome out = coord.Acquire(
+            op.id, op.request.path->view_name, op.site, op.epoch, ev.time, op.degraded);
+        handle_coord_outcome(out, ev.time);
+        push(ev.time + options_.enforce.lease_ms + 0.001, EventKind::kLeaseExpiryCheck, -1);
         break;
       }
       case EventKind::kGrantArrive: {
@@ -637,17 +469,15 @@ SimResult Simulator::Run() {
         if (op.dead) {
           break;
         }
-        if (chaos && sites[op.site].down) {
+        if (sites[op.site].down) {
           ++result.messages_dropped;
           break;
         }
         if (op.phase == Phase::kAwaitGrant) {
           op.phase = Phase::kExecuting;
-          if (enforce) {
-            obs::Observe(obs::Hist::kLeaseAcquireMicros,
-                         static_cast<uint64_t>((ev.time - op.issued_at) * 1000.0));
-            // The renew chain has been running since admission; no new one here.
-          }
+          obs::Observe(obs::Hist::kLeaseAcquireMicros,
+                       static_cast<uint64_t>((ev.time - op.issued_at) * 1000.0));
+          // The renew chain has been running since admission; no new one here.
           push(ev.time + options_.local_exec_ms, EventKind::kExecute, op.id);
         } else if (op.phase == Phase::kGivenUp) {
           // The client moved on; free the coordination entry.
@@ -665,7 +495,7 @@ SimResult Simulator::Run() {
         if (op.dead) {
           break;
         }
-        if (enforce && op.coordinated && ev.time > op.lease_deadline) {
+        if (op.coordinated && ev.time > op.lease_deadline) {
           // The conservative lease deadline has passed: the coordinator may have
           // reclaimed the locks and granted a conflicting successor, so executing now
           // would break the serialization. Go back to admission — if the registration
@@ -687,7 +517,7 @@ SimResult Simulator::Run() {
                -1, kStageAdmit, op.admit_attempts);
           break;
         }
-        if (enforce && op.effect_prereq > 0 && !fence_covered(op.site, op.effect_prereq)) {
+        if (op.effect_prereq > 0 && !fence_covered(op.site, op.effect_prereq)) {
           // A fenced grant: sync with the commit log before writing, so a reclaimed
           // predecessor's effect is visible at the origin before this op overwrites it.
           catch_up(op.site);
@@ -701,54 +531,33 @@ SimResult Simulator::Run() {
         } else {
           latencies.push_back(done - op.issued_at);
         }
-        if (chaos) {
-          sites[op.site].live_ops.erase(op.id);  // the client got its response
-        }
+        sites[op.site].live_ops.erase(op.id);  // the client got its response
         if (op.request.is_write && committed) {
           ++result.committed_writes;
           op.effect_seq = sites[op.site].next_effect_seq++;
-          if (record_trace) {
-            result.trace.ops.push_back(
-                {op.id, op.request.path->view_name, op.site, op.effect_seq});
-            result.trace.site_order[op.site].push_back(op.id);
-          }
-          if (chaos) {
-            log.push_back({op.id, op.site, op.effect_seq});
-          }
+          result.trace.ops.push_back(
+              {op.id, op.request.path->view_name, op.site, op.effect_seq});
+          result.trace.site_order[op.site].push_back(op.id);
+          log.push_back({op.id, op.site, op.effect_seq});
           // Propagate the effect to every remote replica (asynchronous).
           for (int s = 0; s < options_.num_sites; ++s) {
             if (s != op.site) {
-              if (chaos) {
-                op.await_acks.insert(s);
-                op.effect_attempts[s] = 1;
-                transmit(ev.time, op.site, s, options_.cross_site_latency_ms,
-                         EventKind::kEffectArrive, op.id, s);
-                push(ev.time + backoff(1), EventKind::kRetryTimer, op.id, s, -1,
-                     kStageEffect, 1);
-              } else {
-                push(ev.time + options_.cross_site_latency_ms, EventKind::kEffectArrive,
-                     op.id, s);
-              }
+              op.await_acks.insert(s);
+              op.effect_attempts[s] = 1;
+              transmit(ev.time, op.site, s, options_.cross_site_latency_ms,
+                       EventKind::kEffectArrive, op.id, s);
+              push(ev.time + backoff(1), EventKind::kRetryTimer, op.id, s, -1, kStageEffect,
+                   1);
             }
           }
         }
         if (op.coordinated) {
-          if (chaos) {
-            // The coordination entry is held until every live replica acked the effect,
-            // so conflicting operations apply in a single global order at all sites.
-            if (op.await_acks.empty()) {
-              start_release(op, ev.time);
-            } else {
-              op.phase = Phase::kAwaitAcks;
-            }
+          // The coordination entry is held until every live replica acked the effect, so
+          // conflicting operations apply in a single global order at all sites.
+          if (op.await_acks.empty()) {
+            start_release(op, ev.time);
           } else {
-            // Perfect network: effects arrive one latency leg later, deterministically,
-            // so the entry is released as soon as they have (the seed model).
-            double propagated =
-                committed && op.request.is_write ? options_.cross_site_latency_ms : 0.0;
-            push(ev.time + propagated + coord_delay(op.site), EventKind::kReleaseArrive,
-                 op.id);
-            op.phase = Phase::kDone;
+            op.phase = Phase::kAwaitAcks;
           }
         } else {
           op.phase = Phase::kDone;
@@ -761,7 +570,7 @@ SimResult Simulator::Run() {
         // Remote replicas apply the propagated mutations; guards were validated at the
         // origin (paper §2.1). Deliberately no `op.dead` check: a committed effect is
         // durable state even if its origin crashed afterwards.
-        if (chaos && sites[ev.site].down) {
+        if (sites[ev.site].down) {
           ++result.messages_dropped;
           break;
         }
@@ -788,57 +597,24 @@ SimResult Simulator::Run() {
         break;
       }
       case EventKind::kReleaseArrive: {
-        if (chaos && options_.faults.CoordinatorDown(ev.time)) {
+        if (options_.faults.CoordinatorDown(ev.time)) {
           ++result.messages_dropped;
           break;
         }
-        if (enforce) {
-          PendingOp& op = ops.at(ev.op);
-          if (!op.degraded &&
-              options_.enforce.ShardDown(op.home_shard, ev.time)) {
-            ++result.messages_dropped;
-            break;
-          }
-          LeaseCoordinator::Outcome out =
-              coord->Release(op.id, op.site, op.epoch, ev.time);
-          if (!out.fenced) {
-            record_release(op, ev.time);
-          }
-          handle_coord_outcome(out, ev.time);
-          // Release is idempotent; ack every copy so the origin can stop retrying.
-          if (!out.fenced && can_send(ev.time)) {
-            transmit(ev.time, kCoordinatorEndpoint, op.site, coord_delay(op.site),
-                     EventKind::kReleaseAckArrive, op.id);
-          }
+        PendingOp& op = ops.at(ev.op);
+        if (!op.degraded && options_.enforce.ShardDown(op.home_shard, ev.time)) {
+          ++result.messages_dropped;
           break;
         }
-        PendingOp& op = ops.at(ev.op);
-        switch (op.coord) {
-          case CoordState::kActive:
-            op.coord = CoordState::kReleased;
-            active.erase(op.id);
-            record_release(op, ev.time);
-            admit_waiters(ev.time);
-            if (chaos && can_send(ev.time)) {
-              transmit(ev.time, kCoordinatorEndpoint, op.site, coord_delay(op.site),
-                       EventKind::kReleaseAckArrive, op.id);
-            }
-            break;
-          case CoordState::kWaiting:
-            // The origin gave up before the grant was issued.
-            op.coord = CoordState::kReleased;
-            std::erase(waiting, op.id);
-            break;
-          case CoordState::kNone:
-            op.coord = CoordState::kReleased;  // tombstone: a late admission is ignored
-            break;
-          case CoordState::kReleased:
-            ++result.duplicates_ignored;
-            if (chaos && can_send(ev.time)) {
-              transmit(ev.time, kCoordinatorEndpoint, op.site, coord_delay(op.site),
-                       EventKind::kReleaseAckArrive, op.id);
-            }
-            break;
+        LeaseCoordinator::Outcome out = coord.Release(op.id, op.site, op.epoch, ev.time);
+        if (!out.fenced) {
+          record_release(op, ev.time);
+        }
+        handle_coord_outcome(out, ev.time);
+        // Release is idempotent; ack every copy so the origin can stop retrying.
+        if (!out.fenced && can_send(ev.time)) {
+          transmit(ev.time, kCoordinatorEndpoint, op.site, coord_delay(op.site),
+                   EventKind::kReleaseAckArrive, op.id);
         }
         break;
       }
@@ -864,8 +640,7 @@ SimResult Simulator::Run() {
             if (op.phase != Phase::kAwaitGrant || ev.attempt != op.admit_attempts) {
               break;  // the grant arrived, or a newer retry chain took over
             }
-            if (enforce && !op.degraded &&
-                op.admit_attempts >= options_.enforce.degrade_after_retries) {
+            if (!op.degraded && op.admit_attempts >= options_.enforce.degrade_after_retries) {
               // The backoff budget for fine-grained admission is spent (typically a
               // downed lock shard): degrade this op to the service-global exclusive
               // latch — strong consistency for one op beats giving up.
@@ -903,11 +678,9 @@ SimResult Simulator::Run() {
               // The replica is unreachable (typically crashed): release anyway; the
               // catch-up log replays this effect in order before it serves again.
               ++result.ack_giveups;
-              if (enforce) {
-                // The release below skips the full ack handshake, so successors must
-                // not overtake this effect at the replica that never acked it.
-                fence_watermark = static_cast<int64_t>(log.size());
-              }
+              // The release below skips the full ack handshake, so successors must not
+              // overtake this effect at the replica that never acked it.
+              fence_watermark = static_cast<int64_t>(log.size());
               op.await_acks.erase(target);
               if (op.phase == Phase::kAwaitAcks && op.await_acks.empty()) {
                 start_release(op, ev.time);
@@ -959,50 +732,14 @@ SimResult Simulator::Run() {
         }
         site.live_ops.clear();
         // Executed-but-unreleased requests also died; their origin will never send the
-        // release, so mark the whole cohort dead and let the failure detector evict.
+        // release, so mark the whole cohort dead. Their locks are reclaimed by lease
+        // expiry, or fenced away by the restart epoch.
         for (auto& [id, op] : ops) {
           if (op.site == ev.site && op.phase != Phase::kDone &&
               op.phase != Phase::kGivenUp) {
             op.dead = true;
           }
         }
-        if (!enforce) {
-          // Enforced mode has no omniscient failure detector: the dead cohort's locks
-          // are reclaimed by lease expiry (or fenced away by the restart epoch).
-          push(ev.time + options_.crash_lease_ms, EventKind::kEvictCrashed, -1, ev.site);
-        }
-        break;
-      }
-      case EventKind::kEvictCrashed: {
-        // The coordinator's failure detector: drop every grant and admission held by
-        // requests that died with the crashed replica, unblocking their conflicts.
-        if (options_.faults.CoordinatorDown(ev.time)) {
-          // The service itself is down; detection resumes after the outage.
-          push(ev.time + options_.crash_lease_ms, EventKind::kEvictCrashed, -1, ev.site);
-          break;
-        }
-        std::vector<int64_t> evict;
-        for (const auto& [id, _] : active) {
-          PendingOp& op = ops.at(id);
-          if (op.dead && op.site == ev.site) {
-            evict.push_back(id);
-          }
-        }
-        for (int64_t id : evict) {
-          PendingOp& op = ops.at(id);
-          active.erase(id);
-          op.coord = CoordState::kReleased;
-          record_release(op, ev.time);
-        }
-        std::erase_if(waiting, [&](int64_t id) {
-          PendingOp& op = ops.at(id);
-          if (op.dead && op.site == ev.site) {
-            op.coord = CoordState::kReleased;
-            return true;
-          }
-          return false;
-        });
-        admit_waiters(ev.time);
         break;
       }
       case EventKind::kRestart: {
@@ -1058,7 +795,7 @@ SimResult Simulator::Run() {
           ++result.messages_dropped;
           break;
         }
-        LeaseCoordinator::Outcome out = coord->Renew(op.id, op.site, op.epoch, ev.time);
+        LeaseCoordinator::Outcome out = coord.Renew(op.id, op.site, op.epoch, ev.time);
         handle_coord_outcome(out, ev.time);
         if (out.renewed && can_send(ev.time)) {
           // Confirm with the renewal's original send time: the origin extends its
@@ -1084,7 +821,7 @@ SimResult Simulator::Run() {
           push(ev.time + options_.retry_timeout_ms, EventKind::kLeaseExpiryCheck, -1);
           break;
         }
-        LeaseCoordinator::Outcome out = coord->ExpireDue(ev.time);
+        LeaseCoordinator::Outcome out = coord.ExpireDue(ev.time);
         handle_coord_outcome(out, ev.time);
         break;
       }
@@ -1094,10 +831,8 @@ SimResult Simulator::Run() {
   // Quiescence sync: faults have stopped; anti-entropy finishes healing every replica
   // (including one that crashed and never restarted inside the horizon) before the
   // convergence verdict.
-  if (chaos) {
-    for (int s = 0; s < options_.num_sites; ++s) {
-      catch_up(s);
-    }
+  for (int s = 0; s < options_.num_sites; ++s) {
+    catch_up(s);
   }
 
   result.duration_ms = options_.duration_ms;
@@ -1147,15 +882,13 @@ SimResult Simulator::Run() {
     result.converged = result.converged && sites[0].db.SameState(sites[s].db, order_models);
   }
 
-  if (coord) {
-    const LeaseCoordinator::Stats& cs = coord->stats();
-    result.lease_acquires = cs.acquires;
-    result.lease_grants = cs.grants;
-    result.lease_expiries = cs.expiries;
-    result.fencing_rejections = cs.fencing_rejections;
-    result.degradations = cs.degradations;
-    result.lock_waits = cs.lock_waits;
-  }
+  const LeaseCoordinator::Stats& cs = coord.stats();
+  result.lease_acquires = cs.acquires;
+  result.lease_grants = cs.grants;
+  result.lease_expiries = cs.expiries;
+  result.fencing_rejections = cs.fencing_rejections;
+  result.degradations = cs.degradations;
+  result.lock_waits = cs.lock_waits;
 
   if (obs::Enabled()) {
     // One-shot flush of the run's message/fault/recovery counters — the event loop

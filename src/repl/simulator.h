@@ -2,36 +2,32 @@
 // Figures 10 and 11).
 //
 // The deployment mirrors the paper's: N sites (3 in the experiment), each holding a full
-// database replica, plus a centralized coordination service that maintains the set of
-// currently active operations and admits an operation only when no conflicting operation
-// is active. Under PoR consistency the conflict relation is the restriction set computed
-// by the verifier, lifted to HTTP endpoints (the paper's simplification: "we did not use
-// the full analysis results, but only consider the HTTP endpoints"); under the strong
-// consistency (SC) baseline every request — including read-only ones — conflicts with
-// every other.
+// database replica, plus a centralized coordination service that admits an operation
+// only when no conflicting operation is active. Under PoR consistency the conflict
+// relation is the restriction set computed by the verifier, lifted to HTTP endpoints
+// (the paper's simplification: "we did not use the full analysis results, but only
+// consider the HTTP endpoints"); under the strong consistency (SC) baseline the table is
+// total (`ConflictTable::SetTotal`), so every request — including read-only ones — is
+// coordinated and conflicts with every other.
 //
-// Requests are issued by closed-loop clients at each site. Reads execute locally and
-// immediately. Writes acquire admission from the coordinator (one network round trip when
-// the coordinator is remote, plus queueing for conflicts), execute locally, and their
-// effects propagate asynchronously to the other replicas, where the extracted SOIR path
-// is re-executed (operation replication, §2.1).
+// Requests are issued by closed-loop clients at each site. Uncoordinated reads execute
+// locally and immediately. Coordinated requests acquire admission from the coordination
+// service, execute locally, and their effects propagate asynchronously to the other
+// replicas, where the extracted SOIR path is re-executed (operation replication, §2.1).
 //
-// Two network regimes:
-//   * `SimOptions::faults.IsZero()` (the default) — the paper's perfect network: fixed
-//     cross-site latency, lossless ordered delivery, no failures. This fast path
-//     reproduces the seed model's event schedule exactly, so the Figure 10/11 numbers
-//     are unaffected by the fault layer.
-//   * A non-zero FaultPlan switches on the hardened protocol: admission/release/effect
-//     messages are sent over faulty links with capped exponential-backoff retries and
-//     op-id idempotent dedup; propagated effects carry per-origin sequence numbers
-//     consumed through a gap-detecting apply queue; effect delivery is acked per replica
-//     and the coordination entry is held until every live replica acked (preserving the
-//     single global order of conflicting operations); crashed replicas freeze their
-//     state, are evicted from the coordinator after a failure-detection lease, and on
-//     restart catch up from the committed-effect log via anti-entropy before serving
-//     clients again. Periodic anti-entropy also heals deliveries that exhausted their
-//     retries, and a final quiescence sync closes any remaining gaps before the
-//     convergence check.
+// The coordination service is always `LeaseCoordinator` (coord.h), and every run speaks
+// one hardened protocol over the links `SimOptions::faults` describes: admission, release
+// and effect messages carry capped exponential-backoff retries and op-id idempotent
+// dedup; propagated effects carry per-origin sequence numbers consumed through a
+// gap-detecting apply queue; effect delivery is acked per replica and the coordination
+// entry is held until every live replica acked (preserving the single global order of
+// conflicting operations); crashed replicas freeze their state, their locks are reclaimed
+// by lease expiry or fenced away by the restart epoch, and on restart they catch up from
+// the committed-effect log via anti-entropy before serving clients again. Periodic
+// anti-entropy also heals deliveries that exhausted their retries, and a final quiescence
+// sync closes any remaining gaps before the convergence check. The default FaultPlan is
+// the paper's perfect network — fixed cross-site latency, lossless delivery, no
+// failures — and injects nothing, but the same protocol runs.
 #ifndef SRC_REPL_SIMULATOR_H_
 #define SRC_REPL_SIMULATOR_H_
 
@@ -53,7 +49,8 @@ class ConflictTable {
  public:
   void AddPair(const std::string& a, const std::string& b);
   bool Conflicts(const std::string& a, const std::string& b) const;
-  // Strong consistency: everything conflicts (overrides the pair set).
+  // Strong consistency: everything conflicts (overrides the pair set), and the simulator
+  // coordinates every request under it, reads included.
   void SetTotal(bool total) { total_ = total; }
   bool total() const { return total_; }
   size_t size() const { return pairs_.size(); }
@@ -68,15 +65,6 @@ class ConflictTable {
   bool total_ = false;
 };
 
-// Conservative endpoint-level conflict table from syntactic footprints: two endpoints
-// conflict when one writes a model the other touches, or when they touch a common
-// relation. This over-approximates the verifier's restriction set lifted to endpoints
-// (the verifier's independence pre-filter proves exactly the complement disjoint), so it
-// is always safe to coordinate with; the chaos harness uses it for apps whose full SMT
-// verification is too slow for a unit test.
-ConflictTable ConservativeConflicts(const soir::Schema& schema,
-                                    const std::vector<soir::CodePath>& paths);
-
 struct SimOptions {
   int num_sites = 3;
   int clients_per_site = 8;
@@ -84,29 +72,22 @@ struct SimOptions {
   double local_exec_ms = 0.05;         // request execution cost at a replica
   double duration_ms = 2000;
   double write_ratio = 0.5;
-  // SC mode: every request (including reads) is coordinated (paper's baseline).
-  bool strong_consistency = false;
   int seed_rows_per_model = 10;
   uint64_t seed = 42;
 
-  // --- Fault injection & recovery protocol (ignored when `faults.IsZero()`) ------------
+  // --- Fault injection & recovery protocol ---------------------------------------------
   FaultPlan faults;                    // what goes wrong; default: perfect network
   double retry_timeout_ms = 6.0;       // initial retransmission timeout
   double retry_backoff = 2.0;          // timeout multiplier per attempt
   double retry_timeout_cap_ms = 48.0;  // backoff ceiling
   int max_retries = 10;                // retransmissions per message before giving up
   double anti_entropy_interval_ms = 25.0;  // per-replica background sync period
-  double crash_lease_ms = 30.0;  // failure-detection delay before the coordinator evicts
-                                 // grants held by a crashed replica's requests
   double drain_grace_ms = 300.0;  // no new transmissions after duration + grace, so the
                                   // event queue quiesces even under persistent faults
 
-  // --- Runtime enforcement (see src/repl/coord.h) --------------------------------------
-  // When `enforce.enabled`, admission runs through the sharded lease-based
-  // LeaseCoordinator (epoch fencing, lease expiry, degradation) over the hardened
-  // chaos-mode protocol, and `enforce.record_trace` makes the run record the per-site
-  // operation history that trace_check.h validates offline. `record_trace` also works
-  // without enforcement (to audit the omniscient coordinator itself).
+  // --- Coordination service (see src/repl/coord.h) -------------------------------------
+  // Tuning of the sharded lease-based LeaseCoordinator that admits every coordinated
+  // request: shards, lease length, degradation budget, service-cost model, outages.
   EnforceOptions enforce;
 };
 
@@ -128,7 +109,10 @@ struct SimResult {
   double p99_latency_ms = 0;  // 99th percentile of the same distribution
   bool converged = false;  // replicas reached the same state after quiescence
 
-  // --- Fault / recovery counters (all zero on the perfect-network fast path) -----------
+  // --- Protocol / fault / recovery counters ---------------------------------------------
+  // Under the default (zero) FaultPlan no message is dropped or duplicated and no
+  // replica crashes. messages_sent and retransmissions still count: every coordinated
+  // request speaks the protocol, and a queued admission re-sends every backoff period.
   uint64_t timed_out_requests = 0;   // gave up after max_retries admission attempts
   uint64_t crash_lost_requests = 0;  // in-flight requests killed by a replica crash
   uint64_t messages_sent = 0;        // transmissions, including retries and dup copies
@@ -147,7 +131,10 @@ struct SimResult {
   // operations run concurrently.
   uint64_t conflict_violations = 0;
 
-  // --- Enforcement counters (all zero unless SimOptions::enforce.enabled) --------------
+  // --- Coordination-service counters ---------------------------------------------------
+  // lease_expiries, fencing_rejections, lease_laps and fence_held_effects stay zero
+  // under the default FaultPlan; degradations can occur whenever an admission waits in
+  // a queue past `enforce.degrade_after_retries` backoff periods.
   uint64_t lease_acquires = 0;      // admission registrations the coordinator accepted
   uint64_t lease_grants = 0;        // grants issued (including idempotent re-sends)
   uint64_t lease_expiries = 0;      // registrations reaped by lease expiry / fencing
@@ -158,8 +145,8 @@ struct SimResult {
   uint64_t fence_log_syncs = 0;     // fenced grants that synced with the log pre-execute
   uint64_t lease_laps = 0;          // origin-side lease checks that failed at execute
 
-  // Recorded per-site apply history (populated when enforce.record_trace); feed to
-  // CheckTrace with the *full* restriction set to validate the run offline.
+  // Recorded per-site apply history; feed to CheckTrace with the *full* restriction set
+  // to validate the run offline.
   ExecutionTrace trace;
 
   double ThroughputOpsPerSec() const {

@@ -453,9 +453,6 @@ class AppConvergenceTest : public ::testing::TestWithParam<int> {};
 TEST_P(AppConvergenceTest, ReplicasConvergeUnderComputedRestrictions) {
   auto entries = apps::EvaluatedApps();
   const auto& entry = entries[GetParam()];
-  if (entry.name == "OwnPhotos") {
-    GTEST_SKIP() << "OwnPhotos restriction computation is exercised by the bench";
-  }
   app::App a = entry.make();
   analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
   auto eff = res.EffectfulPaths();
@@ -471,7 +468,7 @@ TEST_P(AppConvergenceTest, ReplicasConvergeUnderComputedRestrictions) {
   EXPECT_GT(result.completed_requests, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, AppConvergenceTest, ::testing::Values(0, 1, 2, 4, 5));
+INSTANTIATE_TEST_SUITE_P(Apps, AppConvergenceTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace noctua
