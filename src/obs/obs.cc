@@ -313,6 +313,8 @@ const char* HistName(Hist h) {
   switch (h) {
     case Hist::kPairMicros:
       return "verifier.pair_micros";
+    case Hist::kEncodeMicros:
+      return "verifier.encode_micros";
     case Hist::kSolveMicros:
       return "smt.solve_micros";
     case Hist::kGroundMicros:

@@ -143,6 +143,7 @@ void Add(Counter c, uint64_t delta = 1);
 
 enum class Hist : uint8_t {
   kPairMicros,               // wall time of one non-prefiltered pair (both rules)
+  kEncodeMicros,             // wall time of building one pair session's encoding
   kSolveMicros,              // wall time of one solver query
   kGroundMicros,             // ... of its grounding alone (a part of kSolveMicros)
   kSolverNodesPerQuery,      // DFS nodes of one solver query

@@ -25,9 +25,10 @@
 // workers are safe. Two workers may race to compute the same fingerprint — both compute,
 // both insert the (equal) outcome; the cache trades that duplicated solver call for
 // never blocking a worker on another's multi-millisecond check. Such duplicates are
-// common: a cold run of the six evaluated apps at 4 threads solves about 160 fingerprints
-// twice, about 10% of its checks (the benchmark's cache.duplicate_solves). Save/Load are
-// not concurrency-safe against writers; call them before and after a run, not during.
+// common: a traced cold run of the six evaluated apps at 4 threads solved 176-194
+// fingerprints twice in about 1,650 checks, about 11% of them, where one thread runs
+// 1,465 (the benchmark's cache.duplicate_solves). Save/Load are not concurrency-safe
+// against writers; call them before and after a run, not during.
 #ifndef SRC_VERIFIER_CACHE_H_
 #define SRC_VERIFIER_CACHE_H_
 

@@ -1,6 +1,7 @@
 #include "src/verifier/checker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "src/obs/obs.h"
@@ -202,14 +203,30 @@ CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePat
 // PairSession
 // ---------------------------------------------------------------------------
 
+// The pair's symbolic prefix under one order set (paper §5.2), which both rules read: S0
+// with P(x) and Q(y) applied in both orders, and each path applied to a fresh origin
+// state. The NotInvalidate directions need nothing more: their p0 and q0 are the first
+// applications (pq1 = P on S0, qp1 = Q on S0), their replays are the second ones (qp2 = P
+// after Q, pq2 = Q after P), and their frame is a subset of the commutativity roots.
+struct Checker::PairSession::Encoding {
+  std::set<int> order;  // the order set as the encoder materializes it: the session's key
+
+  std::vector<Term> com_roots;
+  bool com_unsupported = false;
+
+  std::vector<Term> ni_frame;     // asserted once, shared by both directions
+  std::vector<Term> ni_delta_pq;  // pushed/popped per direction
+  std::vector<Term> ni_delta_qp;
+  bool ni_unsupported_pq = false;
+  bool ni_unsupported_qp = false;
+};
+
 struct Checker::PairSession::Shared {
   explicit Shared(const Checker& c) : checker(c), factory(c.TakeFactory()) {}
-  // The encoders and the backend hold terms interned in the factory (the backend also
-  // leases its scratch maps from it), so they go first; then the factory goes back.
+  // The backend holds terms interned in the factory and leases its scratch maps from it,
+  // so it goes first; then the factory goes back.
   ~Shared() {
     backend.reset();
-    ni_enc.reset();
-    com_enc.reset();
     checker.GiveBackFactory(std::move(factory));
   }
   Shared(const Shared&) = delete;
@@ -217,26 +234,16 @@ struct Checker::PairSession::Shared {
 
   const Checker& checker;
   std::unique_ptr<smt::TermFactory> factory;
-  std::unique_ptr<Encoder> com_enc;
-  std::unique_ptr<Encoder> ni_enc;
   std::unique_ptr<smt::SolverBackend> backend;
+  EncoderOptions enc_options;  // the checker's, projected onto the pair's footprint
 
-  // What the backend currently holds asserted; commutativity and NotInvalidate
-  // interleave by re-asserting their base (cheap with incremental solving on: grounding
-  // is cached per root).
-  enum class Mode : uint8_t { kNone, kCom, kNi };
-  Mode mode = Mode::kNone;
+  // At most two: one per distinct order set the session's rules compare under.
+  std::vector<std::unique_ptr<Encoding>> encodings;
 
-  bool com_built = false;
-  std::vector<Term> com_assertions;
-  bool com_unsupported = false;
-
-  bool ni_built = false;
-  std::vector<Term> ni_frame;     // asserted once, shared by both directions
-  std::vector<Term> ni_delta_pq;  // pushed/popped per direction
-  std::vector<Term> ni_delta_qp;
-  bool ni_unsupported_pq = false;
-  bool ni_unsupported_qp = false;
+  // The base the backend holds asserted (an encoding's commutativity roots or its
+  // NotInvalidate frame). Switching bases re-asserts, and the backend's ground cache
+  // serves every root it grounded before.
+  const std::vector<Term>* base = nullptr;
 };
 
 std::unique_ptr<smt::TermFactory> Checker::TakeFactory() const {
@@ -277,12 +284,87 @@ std::set<int> Checker::PairSession::PairOrder() const {
 
 Checker::PairSession::~PairSession() = default;
 
-void Checker::PairSession::EnsureShared() {
-  if (shared_ != nullptr) {
-    return;
+const Checker::PairSession::Encoding& Checker::PairSession::EncodingFor(
+    const std::set<int>& order) {
+  if (shared_ == nullptr) {
+    shared_ = std::make_unique<Shared>(checker_);
+    shared_->backend = smt::MakeBackend(checker_.options_.solver);
+    shared_->enc_options = checker_.options_.encoder;
+    checker_.ApplyProjection(pf_, qf_, &shared_->enc_options);
   }
-  shared_ = std::make_unique<Shared>(checker_);
-  shared_->backend = smt::MakeBackend(checker_.options_.solver);
+  Shared& sh = *shared_;
+  // Two order sets that differ only in models the encoder would not give an order array
+  // (order off, or the model projected out) build the same query, so they share one.
+  std::set<int> materialized;
+  if (sh.enc_options.use_order) {
+    std::copy_if(order.begin(), order.end(),
+                 std::inserter(materialized, materialized.end()),
+                 [&](int m) { return sh.enc_options.ModelActive(m); });
+  }
+  for (const std::unique_ptr<Encoding>& e : sh.encodings) {
+    if (e->order == materialized) {
+      return *e;
+    }
+  }
+
+  Stopwatch watch;
+  obs::ScopedSpan encode_span("encode", obs::kCatEncode);
+  EncoderOptions enc_options = sh.enc_options;
+  enc_options.order_models = materialized;
+  Encoder enc(checker_.schema_, sh.factory.get(), enc_options);
+  Encoding& e = *sh.encodings.emplace_back(std::make_unique<Encoding>());
+  e.order = std::move(materialized);
+
+  EncState s0 = enc.FreshState("S0");
+  // S0 + P(x) + Q(y)
+  Encoder::PathResult pq1 = enc.ApplyPath(p_, s0, "x");
+  Encoder::PathResult pq2 = enc.ApplyPath(q_, pq1.post, "y");
+  // S0 + Q(y) + P(x)  (same argument constants: same prefixes)
+  Encoder::PathResult qp1 = enc.ApplyPath(q_, s0, "y");
+  Encoder::PathResult qp2 = enc.ApplyPath(p_, qp1.post, "x");
+  Term com_goal = sh.factory->Not(enc.StateEq(pq2.post, qp2.post, e.order));
+  // The replayed effects must be producible: their preconditions hold on fresh origin
+  // states (paper §5.2).
+  EncState sa = enc.FreshState("Sa");
+  EncState sb = enc.FreshState("Sb");
+  Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
+  Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
+  // Freshness of database-generated IDs holds w.r.t. the shared initial state only: an
+  // op's origin state may causally follow the other op (e.g. following a question right
+  // after it was created), so new IDs may be live there.
+  Term uid = enc.UniqueIdAxiom(s0);
+  Term sa_axioms = enc.StateAxioms(sa);
+  Term sb_axioms = enc.StateAxioms(sb);
+  Term s0_axioms = enc.StateAxioms(s0);
+
+  // Assertion order is a search heuristic: the (negated) goal first, so the solver's atom
+  // selection is driven by what can actually refute the property; then the most
+  // constraining facts; axioms last.
+  e.com_roots = {com_goal,  uid,       pre_p.pre, pre_q.pre, sa_axioms, sb_axioms,
+                 pq1.defs, pq2.defs, qp1.defs,  qp2.defs,  s0_axioms};
+  const bool origins_unsupported =
+      pq1.unsupported || qp1.unsupported || pre_p.unsupported || pre_q.unsupported;
+  e.com_unsupported = origins_unsupported || pq2.unsupported || qp2.unsupported;
+
+  // NotInvalidate's frame: both effects producible from fresh origin states, plus all
+  // state axioms. The rule itself needs only the *replayed* path's origin precondition;
+  // asserting the checked path's as well lets both directions share the frame, and it
+  // preserves satisfiability: any witness of the rule extends by choosing that origin
+  // state to be S0 itself, where the rule already asserts the checked precondition.
+  e.ni_frame = {uid, pre_p.pre, pre_q.pre, sa_axioms, sb_axioms, s0_axioms};
+  // Each direction replays the other path's effect on S0 and negates the checked path's
+  // precondition there. Check hands the innermost frame to the solver first, so each
+  // direction's goal leads, as the commutativity query's does.
+  e.ni_delta_pq = {sh.factory->Not(qp2.pre), pq1.pre, qp1.defs};
+  e.ni_unsupported_pq = origins_unsupported || qp2.unsupported;
+  e.ni_delta_qp = {sh.factory->Not(pq2.pre), qp1.pre, pq1.defs};
+  e.ni_unsupported_qp = origins_unsupported || pq2.unsupported;
+
+  encode_span.Arg("terms", sh.factory->size());
+  if (obs::Enabled()) {
+    obs::Observe(obs::Hist::kEncodeMicros, static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
+  }
+  return e;
 }
 
 CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
@@ -294,70 +376,9 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
     }
     return CheckOutcome::kPass;
   }
-  EnsureShared();
-  Shared& sh = *shared_;
-  if (!sh.com_built) {
-    sh.com_built = true;
-    obs::ScopedSpan encode_span("encode_com", obs::kCatEncode);
-
-    EncoderOptions enc_options = checker_.options_.encoder;
-    enc_options.order_models = order_models_ != nullptr ? *order_models_ : PairOrder();
-    checker_.ApplyProjection(pf_, qf_, &enc_options);
-    sh.com_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
-    Encoder& enc = *sh.com_enc;
-
-    EncState s0 = enc.FreshState("S0");
-    // S0 + P(x) + Q(y)
-    Encoder::PathResult pq1 = enc.ApplyPath(p_, s0, "x");
-    Encoder::PathResult pq2 = enc.ApplyPath(q_, pq1.post, "y");
-    // S0 + Q(y) + P(x)  (same argument constants: same prefixes)
-    Encoder::PathResult qp1 = enc.ApplyPath(q_, s0, "y");
-    Encoder::PathResult qp2 = enc.ApplyPath(p_, qp1.post, "x");
-    sh.com_unsupported =
-        pq1.unsupported || pq2.unsupported || qp1.unsupported || qp2.unsupported;
-
-    // Assertion order is a search heuristic: the (negated) goal first, so the solver's
-    // atom selection is driven by what can actually refute the property; then the most
-    // constraining facts; axioms last. The assertions stay separate roots so the
-    // incremental grounder can cache the ones shared with the NotInvalidate frame (S0's
-    // axioms, the unique-id axiom).
-    std::vector<Term>& assertions = sh.com_assertions;
-    assertions.push_back(
-        sh.factory->Not(enc.StateEq(pq2.post, qp2.post, enc_options.order_models)));
-    // The replayed effects must be producible: assert their preconditions on fresh origin
-    // states (paper §5.2).
-    EncState sa = enc.FreshState("Sa");
-    EncState sb = enc.FreshState("Sb");
-    Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
-    Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
-    sh.com_unsupported = sh.com_unsupported || pre_p.unsupported || pre_q.unsupported;
-    // Freshness of database-generated IDs holds w.r.t. the shared initial state only:
-    // an op's origin state may causally follow the other op (e.g. following a question
-    // right after it was created), so new IDs may be live there.
-    assertions.push_back(enc.UniqueIdAxiom(s0));
-    assertions.push_back(pre_p.pre);
-    assertions.push_back(pre_q.pre);
-    assertions.push_back(enc.StateAxioms(sa));
-    assertions.push_back(enc.StateAxioms(sb));
-    assertions.push_back(pq1.defs);
-    assertions.push_back(pq2.defs);
-    assertions.push_back(qp1.defs);
-    assertions.push_back(qp2.defs);
-    assertions.push_back(enc.StateAxioms(s0));
-    encode_span.Arg("terms", sh.factory->size());
-  }
-
-  CheckOutcome outcome;
-  if (sh.com_unsupported) {
-    outcome = CheckOutcome::kUnsupported;
-  } else {
-    if (sh.mode != Shared::Mode::kCom) {
-      sh.backend->ResetAssertions();
-      sh.backend->AssertAll(sh.com_assertions);
-      sh.mode = Shared::Mode::kCom;
-    }
-    outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
-  }
+  const Encoding& e = EncodingFor(order_models_ != nullptr ? *order_models_ : PairOrder());
+  CheckOutcome outcome =
+      e.com_unsupported ? CheckOutcome::kUnsupported : Solve(e.com_roots, {}, stats);
   if (stats != nullptr) {
     stats->seconds = watch.ElapsedSeconds();
   }
@@ -372,62 +393,6 @@ CheckOutcome Checker::PairSession::NotInvalidateQP(CheckStats* stats) {
   return NotInvalidateDir(/*pq=*/false, stats);
 }
 
-void Checker::PairSession::BuildNiFrame() {
-  Shared& sh = *shared_;
-  if (sh.ni_built) {
-    return;
-  }
-  sh.ni_built = true;
-  obs::ScopedSpan encode_span("encode_ni", obs::kCatEncode);
-
-  EncoderOptions enc_options = checker_.options_.encoder;
-  enc_options.order_models = PairOrder();
-  checker_.ApplyProjection(pf_, qf_, &enc_options);
-  sh.ni_enc = std::make_unique<Encoder>(checker_.schema_, sh.factory.get(), enc_options);
-  Encoder& enc = *sh.ni_enc;
-
-  EncState s0 = enc.FreshState("S0");
-  Encoder::PathResult p0 = enc.ApplyPath(p_, s0, "x");
-  Encoder::PathResult q0 = enc.ApplyPath(q_, s0, "y");
-  bool frame_unsupported = p0.unsupported || q0.unsupported;
-
-  // Built after both ApplyPath calls so it covers both argument sets (the fresh-origin
-  // re-applications below reuse the cached argument constants and add nothing new).
-  Term uid = enc.UniqueIdAxiom(s0);
-
-  // Frame: both effects producible from fresh origin states, plus all state axioms.
-  // The rule itself needs only the *replayed* path's origin precondition; asserting
-  // the checked path's as well lets both directions share the frame, and it preserves
-  // satisfiability: any witness of the rule extends by choosing that origin state to
-  // be S0 itself, where the rule already asserts the checked precondition.
-  EncState sa = enc.FreshState("Sa");
-  EncState sb = enc.FreshState("Sb");
-  Encoder::PathResult pre_p = enc.ApplyPath(p_, sa, "x");
-  Encoder::PathResult pre_q = enc.ApplyPath(q_, sb, "y");
-  frame_unsupported = frame_unsupported || pre_p.unsupported || pre_q.unsupported;
-  sh.ni_frame = {uid,
-                 pre_p.pre,
-                 pre_q.pre,
-                 enc.StateAxioms(sa),
-                 enc.StateAxioms(sb),
-                 enc.StateAxioms(s0)};
-  sh.ni_delta_pq = {nullptr, p0.pre, q0.defs};  // goal filled below
-  sh.ni_delta_qp = {nullptr, q0.pre, p0.defs};
-
-  // Direction goals: replay the other path's effect on S0 and negate the checked path's
-  // precondition there. Check hands the innermost frame to the solver first, so each
-  // direction's goal leads, as the commutativity query's does.
-  Encoder::PathResult p_after = enc.ApplyPath(p_, q0.post, "x");
-  sh.ni_unsupported_pq = frame_unsupported || p_after.unsupported;
-  sh.ni_delta_pq[0] = sh.factory->Not(p_after.pre);
-
-  Encoder::PathResult q_after = enc.ApplyPath(q_, p0.post, "y");
-  sh.ni_unsupported_qp = frame_unsupported || q_after.unsupported;
-  sh.ni_delta_qp[0] = sh.factory->Not(q_after.pre);
-
-  encode_span.Arg("terms", sh.factory->size());
-}
-
 CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) {
   Stopwatch watch;
   if (prefiltered_) {
@@ -437,30 +402,31 @@ CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) 
     }
     return CheckOutcome::kPass;
   }
-  EnsureShared();
-  Shared& sh = *shared_;
-  BuildNiFrame();
-
-  bool unsupported = pq ? sh.ni_unsupported_pq : sh.ni_unsupported_qp;
+  const Encoding& e = EncodingFor(PairOrder());
   CheckOutcome outcome;
-  if (unsupported) {
+  if (pq ? e.ni_unsupported_pq : e.ni_unsupported_qp) {
     outcome = CheckOutcome::kUnsupported;
   } else {
-    if (sh.mode != Shared::Mode::kNi) {
-      sh.backend->ResetAssertions();
-      sh.backend->AssertAll(sh.ni_frame);
-      sh.mode = Shared::Mode::kNi;
-    }
-    sh.backend->Push();
-    for (const Term& t : (pq ? sh.ni_delta_pq : sh.ni_delta_qp)) {
-      sh.backend->AddAssertion(t);
-    }
-    outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
-    sh.backend->Pop();
+    outcome = Solve(e.ni_frame, pq ? e.ni_delta_pq : e.ni_delta_qp, stats);
   }
   if (stats != nullptr) {
     stats->seconds = watch.ElapsedSeconds();
   }
+  return outcome;
+}
+
+CheckOutcome Checker::PairSession::Solve(const std::vector<Term>& base,
+                                         const std::vector<Term>& goal, CheckStats* stats) {
+  Shared& sh = *shared_;
+  if (sh.base != &base) {
+    sh.backend->ResetAssertions();
+    sh.backend->AssertAll(base);
+    sh.base = &base;
+  }
+  sh.backend->Push();
+  sh.backend->AssertAll(goal);
+  CheckOutcome outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
+  sh.backend->Pop();
   return outcome;
 }
 

@@ -9,7 +9,7 @@
 // violation (§5.2 "Generation"). Preconditions of the replayed effects are asserted on
 // fresh states (the effect must be producible somewhere). A pair is restricted iff either
 // rule fails, times out, or hits an unsupported construct (conservative fallback, §3.3).
-// All three queries of a pair run through one PairSession.
+// All three queries of a pair run through one PairSession, over one encoding.
 #ifndef SRC_VERIFIER_CHECKER_H_
 #define SRC_VERIFIER_CHECKER_H_
 
@@ -105,24 +105,33 @@ class Checker {
   // Rule 2, both directions (the paper's semantic check), through one PairSession.
   CheckOutcome CheckSemantic(const soir::CodePath& p, const soir::CodePath& q) const;
 
-  // The one pair code path: one TermFactory, one solver backend, and one grounding pass
-  // shared by a pair's commutativity query and both NotInvalidate directions. The
-  // NotInvalidate frame — initial-state axioms, both preconditions, the unique-id axiom —
-  // is asserted once; each direction pushes only its negated goal (plus the replayed
-  // effect's definitions) and pops it afterwards. With incremental solving on, the
-  // backend then re-grounds only the per-direction roots; with it off it re-grounds
-  // every Check, and the verdicts are the same. Replayed effects' preconditions are
-  // asserted on fresh origin states (paper §5.2); the frame also asserts the checked
-  // path's origin precondition, so both directions share it, which preserves
-  // satisfiability (see BuildNiFrame).
+  // The one pair code path: one TermFactory, one solver backend, and one encoding of the
+  // pair's symbolic prefix (paper §5.2) that all three queries read. The encoding holds
+  // S0 with P(x) and Q(y) applied in both orders (pq1 = P on S0, pq2 = Q after it; qp1 =
+  // Q on S0, qp2 = P after it), each path applied to a fresh origin state, the unique-id
+  // axiom and the three states' axioms. Commutativity asserts ¬StateEq(pq2, qp2) and the
+  // rest. NotInvalidate asserts a frame (the unique-id axiom, both origin preconditions,
+  // the state axioms: a subset of the commutativity roots), and each direction pushes
+  // its negated goal, the checked path's precondition on S0 and the replayed effect's
+  // definitions, and pops them afterwards. The replay is the second application: PQ
+  // negates P's precondition after Q (qp2), QP negates Q's after P (pq2). With
+  // incremental solving on, the backend grounds each root once per session, whichever
+  // query asserts it first; with it off it re-grounds every Check, and the verdicts are
+  // the same. The frame asserts the checked path's origin precondition too, so both
+  // directions share it, which preserves satisfiability (see EncodingFor).
   //
-  // Both NotInvalidate directions encode p's arguments with prefix "x" and q's with "y",
-  // so NotInvalidateQP names the checked path's arguments "y" where the rule writes x;
-  // verdicts are invariant under that renaming.
+  // Encodings are keyed by the order set as the encoder materializes it (order on, model
+  // not projected out). Commutativity compares under the caller's app-wide set and
+  // NotInvalidate under ord(p) ∪ ord(q); where the two materialize differently, the
+  // session builds a second encoding, with the same code.
+  //
+  // p's arguments are named with prefix "x" and q's with "y", so NotInvalidateQP names
+  // the checked path's arguments "y" where the rule writes x; verdicts are invariant
+  // under that renaming.
   //
   // A session is single-threaded and must not outlive its Checker, its two PathFacts or
-  // `order_models`. Constructing one allocates nothing: the order sets and the encoders
-  // are built only when a query reaches the solver.
+  // `order_models`. Constructing one allocates nothing: the encodings are built only
+  // when a query reaches the solver.
   class PairSession {
    public:
     // `order_models`, when given, is the app-wide order set the commutativity query
@@ -141,10 +150,16 @@ class Checker {
     CheckOutcome NotInvalidateQP(CheckStats* stats = nullptr);
 
    private:
+    struct Encoding;
     struct Shared;
-    void EnsureShared();
-    void BuildNiFrame();
+    // The session's encoding under `order` (a raw order set), built on first use, as is
+    // everything the session shares.
+    const Encoding& EncodingFor(const std::set<int>& order);
     CheckOutcome NotInvalidateDir(bool pq, CheckStats* stats);
+    // Solves `base` plus `goal`: re-asserts `base` if another base is asserted, then
+    // pushes `goal` for this Check only.
+    CheckOutcome Solve(const std::vector<smt::Term>& base, const std::vector<smt::Term>& goal,
+                       CheckStats* stats);
 
     // ord(p) ∪ ord(q).
     std::set<int> PairOrder() const;

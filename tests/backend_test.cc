@@ -3,7 +3,11 @@
 //     factory set there is what answers;
 //   * the headline soundness claim: every evaluated app's restriction set is
 //     byte-identical under dfs and the Z3 oracle, and with dfs's optimizations off and on;
-//   * the tail gate: no pair of an evaluated app spends more than 10,000 dfs nodes.
+//   * the tail gate: no pair of an evaluated app spends more than 10,000 dfs nodes, and
+//     each app's 1-thread solver work (checks, nodes, evaluations, binder expansions,
+//     cache hits) is exactly the committed count.
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,21 +89,53 @@ INSTANTIATE_TEST_SUITE_P(
 // negated goal as one residual. At 1 thread each query is solved by the first pair in
 // dispatch order that needs it, so every pair's node count is exact.
 //
-// The parameter is the app's index in EvaluatedApps(), not its AppEntry: gtest prints a
-// value it cannot format as the value's raw bytes, and an AppEntry's first bytes are the
-// address of its name's buffer, so the printed test names would change from run to run.
+// For the same reason the whole verify's work is exact at 1 thread, and the test pins
+// it: each app's solver checks, search nodes, evaluations, binder expansions and verdict
+// cache hits, read from an obs::Collector. A change that moves any of them updates the
+// constants below in the same commit and says why. The parameter is the app's index in
+// EvaluatedApps(), which also indexes the constants.
+struct ExactWork {
+  uint64_t checks;
+  uint64_t nodes;
+  uint64_t evaluations;
+  uint64_t ground_expansions;
+  uint64_t cache_hits;
+};
+constexpr ExactWork kExactWork[] = {
+    {198, 8'706, 42'477, 1'080, 12},            // Todo
+    {103, 11'180, 318'333, 34'800, 8},          // PostGraduation
+    {208, 35'164, 2'661'166, 17'404, 11},       // Zhihu
+    {922, 129'258, 10'990'867, 49'871, 1'652},  // OwnPhotos
+    {15, 1'080, 5'417, 70, 11},                 // SmallBank
+    {19, 488, 9'268, 300, 4},                   // Courseware
+};
+
 class PairNodesTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairNodesTest, NoPairSpendsMoreThanTenThousandNodes) {
+  ASSERT_EQ(std::size(kExactWork), apps::EvaluatedApps().size());
   app::App a = apps::EvaluatedApps()[GetParam()].make();
+  const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
   EngineConfig one_worker;
   one_worker.threads = 1;
+  obs::Collector collector(obs::ObsOptions{.enabled = true});
   const verifier::RestrictionReport report =
-      Engine(one_worker).Verify(a, analyzer::AnalyzeApp(a), PipelineOptions{});
+      Engine(one_worker).Verify(a, analysis, PipelineOptions{});
+  collector.Stop();
   ASSERT_FALSE(report.pairs.empty());
   for (const verifier::PairVerdict& v : report.pairs) {
     EXPECT_LE(v.solver_nodes, 10'000u) << v.p << " | " << v.q;
   }
+
+  const ExactWork& want = kExactWork[GetParam()];
+  EXPECT_EQ(collector.counter(obs::Counter::kSolverChecks), want.checks);
+  EXPECT_EQ(collector.counter(obs::Counter::kSolverNodes), want.nodes);
+  EXPECT_EQ(collector.counter(obs::Counter::kSolverAssignments), want.evaluations);
+  EXPECT_EQ(collector.counter(obs::Counter::kGroundExpansions), want.ground_expansions);
+  EXPECT_EQ(collector.counter(obs::Counter::kCacheHits), want.cache_hits);
+  // The report's own tallies agree with the registry's.
+  EXPECT_EQ(report.stats.solver_checks, want.checks);
+  EXPECT_EQ(report.stats.cache_hits, want.cache_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -918,6 +918,30 @@ TEST(SolverProbes, GroundTimeIsAPartOfSolveTime) {
   EXPECT_LE(ground.sum, solve.sum);
 }
 
+// Every pair encoding a session builds is one verifier.encode_micros sample and one
+// `encode` span. Both rules read a session's one encoding, so a 1-thread Zhihu run,
+// whose sessions mostly run two or three queries, records fewer encodings than solver
+// checks. The live registry's Prometheus text carries the histogram.
+TEST(SolverProbes, EncodeHistogramHasOneSamplePerEncoding) {
+  EngineConfig one_worker;
+  one_worker.threads = 1;
+  Collector collector(ObsOptions{.enabled = true});
+  Engine(one_worker).Run(apps::MakeZhihuApp());
+  const std::string text = PrometheusText({});
+  collector.Stop();
+  const uint64_t encodings = static_cast<uint64_t>(
+      std::count_if(collector.events().begin(), collector.events().end(),
+                    [](const TraceEvent& ev) { return ev.category == std::string(kCatEncode); }));
+  const HistSummary encode = collector.histogram(Hist::kEncodeMicros);
+  EXPECT_GT(encode.count, 0u);
+  EXPECT_EQ(encode.count, encodings);
+  EXPECT_LT(encode.count, collector.counter(Counter::kSolverChecks));
+  EXPECT_NE(text.find("noctua_verifier_encode_micros_count " + std::to_string(encode.count) +
+                      "\n"),
+            std::string::npos)
+      << text;
+}
+
 // The verifier counts the verdicts it could not decide. Over every Todo path, the
 // read-only ones too, a default run counts none. Without the order encoding, the
 // order-using paths (all read-only) are unsupported (Table 7); under a one-node budget

@@ -333,6 +333,10 @@ TEST(ServiceMetricsTest, MetricsAreStrictJsonWithLiveCounters) {
   obs::JsonPtr lock_wait = doc->Get("histograms")->Get("pipeline.engine_lock_wait_micros");
   ASSERT_NE(lock_wait, nullptr);
   EXPECT_EQ(lock_wait->Get("count")->AsInt(), 1);
+  // The cold run built pair encodings.
+  obs::JsonPtr encode = doc->Get("histograms")->Get("verifier.encode_micros");
+  ASSERT_NE(encode, nullptr);
+  EXPECT_GT(encode->Get("count")->AsInt(), 0);
   EXPECT_GT(doc->Get("engine")->Get("verdict_cache_entries")->AsInt(), 0);
 }
 
@@ -363,6 +367,8 @@ TEST(ServiceMetricsTest, PrometheusExpositionPassesCheckerWithTenantSeries) {
   has("noctua_service_requests_ok_total{tenant=\"t1\",app=\"Todo\",mode=\"cold\"} 1");
   has("noctua_service_request_micros_count{tenant=\"t1\",app=\"Todo\","
       "mode=\"cold\"} 1");
+  EXPECT_NE(resp.body.find("noctua_verifier_encode_micros_count "), std::string::npos)
+      << resp.body;
   EXPECT_NE(resp.body.find("noctua_service_verdicts_total{tenant=\"t1\","
                            "app=\"Todo\",mode=\"computed\"}"),
             std::string::npos)

@@ -1,15 +1,18 @@
 // Verifier tests: the paper's Table 5 results, the §6.4 case-study pairs, the unique-ID
 // optimization ablation (§5.2), the order-encoding ablation (§4.2 / Table 7), the pair
-// session's independence of query order and of term-factory reuse, and differential
-// testing of verdicts against concrete execution.
+// session's independence of query order and of term-factory reuse, its one encoding
+// shared by both rules, and differential testing of verdicts against concrete execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <set>
 
 #include "src/analyzer/analyzer.h"
 #include "src/apps/apps.h"
 #include "src/baseline/specs.h"
+#include "src/obs/obs.h"
 #include "src/soir/interp.h"
 #include "src/repl/workload.h"
 #include "src/support/rng.h"
@@ -298,6 +301,104 @@ TEST(PairSessionTest, SessionsOnReusedFactoriesMatchSessionsOnNewOnes) {
       }
     }
   }
+}
+
+// A session encodes the pair once, and both rules read that encoding: NotInvalidate's
+// frame (the unique-id axiom, both origin preconditions, the three states' axioms) is a
+// subset of the commutativity roots, the same terms. So a session asked commutativity
+// and then NotInvalidate(P, Q) builds no second encoding, and the NotInvalidate Check
+// serves all six frame roots from the backend's ground cache. Every effectful pair of
+// SmallBank, Todo and Zhihu, prefilter off so every query reaches the solver.
+TEST(PairSessionTest, NotInvalidateServesItsFrameFromTheCommutativityGrounding) {
+  for (app::App (*make)() : {&apps::MakeSmallBankApp, &apps::MakeTodoApp, &apps::MakeZhihuApp}) {
+    app::App a = make();
+    std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
+    CheckerOptions options;
+    options.independence_prefilter = false;
+    Checker checker(a.schema(), options);
+    std::vector<Checker::PathFacts> facts;
+    for (const soir::CodePath& p : eff) {
+      facts.push_back(checker.Facts(p));
+    }
+    for (size_t i = 0; i < eff.size(); ++i) {
+      for (size_t j = i; j < eff.size(); ++j) {
+        const std::string pair = a.name() + " " + eff[i].op_name + "|" + eff[j].op_name;
+        Checker::PairSession session(checker, facts[i], facts[j]);
+        session.Commutativity();
+        obs::Collector collector(obs::ObsOptions{.enabled = true});
+        session.NotInvalidatePQ();
+        collector.Stop();
+        EXPECT_EQ(collector.histogram(obs::Hist::kEncodeMicros).count, 0u) << pair;
+        EXPECT_GE(collector.counter(obs::Counter::kSolverIncrementalReuse), 6u) << pair;
+      }
+    }
+  }
+}
+
+// Commutativity compares under the caller's app-wide order set, NotInvalidate under the
+// pair's own, ord(p) ∪ ord(q). Where the two materialize differently (order arrays for
+// different models of the pair's footprint), the session builds a second encoding for
+// NotInvalidate with the same code, and each rule must decide exactly as a session asked
+// that rule alone: same outcome, same search. Todo with every path as an order observer,
+// read-only ones too, as the enforcement tables verify it: its read-only paths observe
+// orders its effectful ones do not.
+TEST(PairSessionTest, RulesUnderDifferentOrderSetsMatchSessionsAskedOneRule) {
+  app::App a = apps::MakeTodoApp();
+  const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
+  std::vector<soir::CodePath> eff = analysis.EffectfulPaths();
+  CheckerOptions options;
+  options.independence_prefilter = false;
+  Checker checker(a.schema(), options);
+  std::vector<Checker::PathFacts> facts;
+  for (const soir::CodePath& p : eff) {
+    facts.push_back(checker.Facts(p));
+  }
+  std::set<int> app_order;
+  for (const soir::CodePath& p : analysis.paths) {
+    std::set<int> order = soir::OrderRelevantModels(p);
+    app_order.insert(order.begin(), order.end());
+  }
+
+  using Rule = CheckOutcome (Checker::PairSession::*)(CheckStats*);
+  const Rule rules[] = {&Checker::PairSession::Commutativity,
+                        &Checker::PairSession::NotInvalidatePQ,
+                        &Checker::PairSession::NotInvalidateQP};
+  size_t differing = 0;
+  for (size_t i = 0; i < eff.size(); ++i) {
+    for (size_t j = i; j < eff.size(); ++j) {
+      const std::string pair = eff[i].op_name + "|" + eff[j].op_name;
+      // The order sets as the encoder materializes them: the footprint's models only.
+      const std::set<int> scope = Checker::ComputeScope(facts[i], facts[j]).models;
+      std::set<int> pair_order = facts[i].order;
+      pair_order.insert(facts[j].order.begin(), facts[j].order.end());
+      auto materialize = [&](const std::set<int>& order) {
+        std::set<int> out;
+        std::set_intersection(order.begin(), order.end(), scope.begin(), scope.end(),
+                              std::inserter(out, out.end()));
+        return out;
+      };
+      const bool differs = materialize(app_order) != materialize(pair_order);
+      differing += differs ? 1 : 0;
+
+      Checker::PairSession all(checker, facts[i], facts[j], &app_order);
+      obs::Collector collector(obs::ObsOptions{.enabled = true});
+      for (Rule rule : rules) {
+        CheckStats together;
+        CheckOutcome outcome = (all.*rule)(&together);
+        Checker::PairSession alone(checker, facts[i], facts[j], &app_order);
+        CheckStats by_itself;
+        EXPECT_EQ((alone.*rule)(&by_itself), outcome) << pair;
+        EXPECT_EQ(by_itself.solver_nodes, together.solver_nodes) << pair;
+      }
+      collector.Stop();
+      // One encoding per distinct materialized order set: the session's, plus one in
+      // each of the three sessions asked a single rule.
+      EXPECT_EQ(collector.histogram(obs::Hist::kEncodeMicros).count, (differs ? 2u : 1u) + 3u)
+          << pair;
+    }
+  }
+  // Not vacuous: some pair's rules compare under different order sets.
+  EXPECT_GT(differing, 0u);
 }
 
 // --- Differential testing: verifier verdicts vs concrete execution --------------------------
