@@ -82,11 +82,9 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state) {
     Term x = f.Const("x", rs);
     Term y = f.Const("y", rs);
     std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(smt::SolverOptions{});
-    backend->AssertAll(
-        {wf, f.Member(x, ids), f.Member(y, ids),
-         f.Eq(f.Proj(f.Select(data, x), 1), f.Proj(f.Select(data, y), 1)),
-         f.Neq(x, y)});
-    auto r = backend->Check(f);
+    auto r = backend->Check(f, {wf, f.Member(x, ids), f.Member(y, ids),
+                                f.Eq(f.Proj(f.Select(data, x), 1), f.Proj(f.Select(data, y), 1)),
+                                f.Neq(x, y)});
     benchmark::DoNotOptimize(r);
   }
 }

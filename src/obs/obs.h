@@ -48,9 +48,6 @@ struct ObsOptions {
   // When non-empty, the collector writes Chrome trace-event JSON here at the end of the
   // run ("" = keep the trace in memory only).
   std::string trace_out;
-  // How many of the slowest pairs the RunReport lists (the "what do I optimize next"
-  // table).
-  size_t top_slowest_pairs = 10;
   // Keep every finished span until Stop(), for events(), the trace file and the
   // RunReport. False keeps none, so a long-lived recorder stays bounded: counters and
   // histograms still record, and spans still reach an active TraceCapture.
@@ -389,8 +386,6 @@ class Collector {
 
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
-
-  const ObsOptions& options() const { return options_; }
 
   // Disables recording and snapshots events, counters, and histograms. Must be called
   // (directly or via the destructor) after all recording threads have quiesced — for the

@@ -48,7 +48,7 @@ RunReport BuildRunReport(const Collector& collector, const std::string& app,
   std::stable_sort(pairs.begin(), pairs.end(), [](const TraceEvent* a, const TraceEvent* b) {
     return a->dur_us > b->dur_us;
   });
-  size_t top = std::min(pairs.size(), collector.options().top_slowest_pairs);
+  size_t top = std::min(pairs.size(), kTopSlowestPairs);
   for (size_t i = 0; i < top; ++i) {
     SlowPair sp;
     sp.name = pairs[i]->name;

@@ -52,9 +52,12 @@ struct RunReport {
   std::string ToTable() const;
 };
 
-// Builds the report from a stopped collector. `top_slowest_pairs` comes from
-// collector.options(). Phase seconds are passed by the owner (Pipeline) because the
-// collector only sees spans, not which one the caller considers "the analyze phase".
+// How many of the slowest pairs a RunReport lists (the "what do I optimize next" table).
+inline constexpr size_t kTopSlowestPairs = 10;
+
+// Builds the report from a stopped collector. Phase seconds are passed by the owner
+// (Pipeline) because the collector only sees spans, not which one the caller considers
+// "the analyze phase".
 RunReport BuildRunReport(const Collector& collector, const std::string& app,
                          double total_seconds, double analyze_seconds,
                          double verify_seconds);

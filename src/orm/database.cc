@@ -110,10 +110,6 @@ std::vector<int64_t> Database::Associated(int relation, int64_t obj, bool forwar
   return out;
 }
 
-const std::set<std::pair<int64_t, int64_t>>& Database::Associations(int relation) const {
-  return relations_[relation];
-}
-
 int64_t Database::NewId(int model) {
   Table& t = tables_[model];
   // Round next_id up to the site's stripe so IDs are globally unique across sites.

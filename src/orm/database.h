@@ -55,7 +55,6 @@ class Database {
   bool Linked(int relation, int64_t from, int64_t to) const;
   // Targets associated with `from` (forward=true) or sources associated with `to`.
   std::vector<int64_t> Associated(int relation, int64_t obj, bool forward) const;
-  const std::set<std::pair<int64_t, int64_t>>& Associations(int relation) const;
 
   // Allocates a fresh, never-used primary key for the model (the database-generated
   // globally-unique ID of §5.2). The returned keys are unique across all sites when each

@@ -66,11 +66,4 @@ FaultPlan FaultPlan::CrashRestart(int site, double at_ms, double restart_ms, dou
   return plan;
 }
 
-FaultPlan FaultPlan::CoordinatorOutage(double start_ms, double end_ms, double drop) {
-  FaultPlan plan;
-  plan.link.drop = drop;
-  plan.coordinator_outages.push_back({start_ms, end_ms});
-  return plan;
-}
-
 }  // namespace noctua::repl

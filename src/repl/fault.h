@@ -88,8 +88,6 @@ struct FaultPlan {
   // One replica crash+restart on an otherwise slightly lossy network.
   static FaultPlan CrashRestart(int site, double at_ms, double restart_ms,
                                 double drop = 0.0);
-  // Coordinator unreachable during [start_ms, end_ms).
-  static FaultPlan CoordinatorOutage(double start_ms, double end_ms, double drop = 0.0);
 };
 
 }  // namespace noctua::repl

@@ -13,8 +13,7 @@ class DfsBackend : public SolverBackend {
   const SmtModel& model() const override { return solver_.model(); }
   const SolverStats& stats() const override { return solver_.stats(); }
 
- protected:
-  SolveResult DoCheck(TermFactory& factory, const std::vector<Term>& assertions) override {
+  SolveResult Check(TermFactory& factory, const std::vector<Term>& assertions) override {
     return solver_.CheckSat(factory, assertions);
   }
 

@@ -9,18 +9,6 @@
 
 namespace noctua::smt {
 
-const char* SolveResultName(SolveResult r) {
-  switch (r) {
-    case SolveResult::kSat:
-      return "sat";
-    case SolveResult::kUnsat:
-      return "unsat";
-    case SolveResult::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 std::string SmtModel::ToString() const {
   std::string out;
   for (const auto& [name, value] : values) {
@@ -385,12 +373,12 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     return SolveResult::kSat;  // trivially true
   }
 
-  // The first residual is the negated goal (the checker asserts it first, and Check
-  // passes the innermost frame first). When it is a disjunction, each disjunct gets a
-  // search of its own beside the other residuals, in child order: the query is sat
-  // exactly when one branch is, and a branch never enumerates the other disjuncts'
-  // regions. Splitting is sound for whatever conjunct comes first; the goal is the one
-  // worth splitting. One level only; the saved phases carry over from branch to branch.
+  // The first residual is the negated goal (the checker passes it first). When it is a
+  // disjunction, each disjunct gets a search of its own beside the other residuals, in
+  // child order: the query is sat exactly when one branch is, and a branch never
+  // enumerates the other disjuncts' regions. Splitting is sound for whatever conjunct
+  // comes first; the goal is the one worth splitting. One level only; the saved phases
+  // carry over from branch to branch.
   std::vector<Term> disjuncts;
   const Term goal = pending.front();
   if (goal->kind() == TermKind::kOr) {

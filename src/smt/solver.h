@@ -30,20 +30,20 @@
 // assertion per node, however little of it the pruned walk visits.
 //
 // The goal is split one level. Every check is a refutation query F ∧ ¬G with G a
-// conjunction (state equality, a precondition), and the first residual is ¬G: the
-// checker asserts it first, and SolverBackend::Check passes the innermost frame first.
-// When that residual is Or(d1..dn), or Not(And(c1..cn)) with disjuncts Not(ci), the DFS
-// runs once per disjunct, in child order, over {di} plus the other residuals, each from
-// an empty trail. A single residual ¬G would make the DFS enumerate the product of
-// regions no disjunct ties together (a cascade delete commuting with itself, over four
-// independent relations); the branches pay their sum. The query is sat at the first sat
-// branch, whose trail is the model, and unsat when every branch is: F ∧ (d1 ∨ … ∨ dn) is
-// sat exactly when some F ∧ di is, over the same domains. Grounding, the domain harvest
-// and the symmetry analysis run once, on the whole query before the split. Lex-leader
-// pruning stays sound because the symmetry acts on the whole query: each branch prunes
-// only non-canonical assignments of its F ∧ di, so a canonical model of the query, which
-// every orbit of models holds, satisfies some branch and survives its pruning. Saved
-// phases carry over from branch to branch, and all branches charge one node budget.
+// conjunction (state equality, a precondition), and the first residual is ¬G: the checker
+// passes it first. When that residual is Or(d1..dn), or Not(And(c1..cn)) with disjuncts
+// Not(ci), the DFS runs once per disjunct, in child order, over {di} plus the other
+// residuals, each from an empty trail. A single residual ¬G would make the DFS enumerate
+// the product of regions no disjunct ties together (a cascade delete commuting with
+// itself, over four independent relations); the branches pay their sum. The query is sat
+// at the first sat branch, whose trail is the model, and unsat when every branch is: F ∧
+// (d1 ∨ … ∨ dn) is sat exactly when some F ∧ di is, over the same domains. Grounding, the
+// domain harvest and the symmetry analysis run once, on the whole query before the split.
+// Lex-leader pruning stays sound because the symmetry acts on the whole query: each
+// branch prunes only non-canonical assignments of its F ∧ di, so a canonical model of the
+// query, which every orbit of models holds, satisfies some branch and survives its
+// pruning. Saved phases carry over from branch to branch, and all branches charge one
+// node budget.
 //
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
 // within the scope; kUnknown means the node budget (budget.h) was exhausted, summed over
@@ -70,8 +70,6 @@
 namespace noctua::smt {
 
 enum class SolveResult { kSat, kUnsat, kUnknown };
-
-const char* SolveResultName(SolveResult r);
 
 // A satisfying assignment, reported atom-by-atom (atom names encode the constant, domain
 // index and tuple field, e.g. "S0_User_data[1].2"). Only atoms the search actually

@@ -83,23 +83,6 @@ void Schema::RenameModel(int id, const std::string& new_name) {
   model_by_name_[new_name] = id;
 }
 
-void Schema::RenameField(const std::string& model, const std::string& old_name,
-                         const std::string& new_name) {
-  ModelDef& md = models_[ModelId(model)];
-  int idx = md.FieldIndex(old_name);
-  NOCTUA_CHECK_MSG(idx >= 0, "unknown field " << model << "." << old_name);
-  NOCTUA_CHECK_MSG(md.FieldIndex(new_name) < 0 && !md.IsPk(new_name),
-                   "rename collides with existing field " << model << "." << new_name);
-  md.fields_[idx].name = new_name;
-}
-
-void Schema::RenameRelation(int id, const std::string& new_name,
-                            const std::string& new_reverse) {
-  NOCTUA_CHECK(id >= 0 && id < static_cast<int>(relations_.size()));
-  relations_[id].name = new_name;
-  relations_[id].reverse_name = new_reverse;
-}
-
 std::pair<int, bool> Schema::FindRelation(int model_id, const std::string& key) const {
   for (const RelationDef& rel : relations_) {
     if (rel.from_model == model_id && rel.name == key) {

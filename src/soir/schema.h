@@ -68,7 +68,7 @@ class ModelDef {
   bool IsPk(const std::string& name) const { return name == pk_name_; }
 
  private:
-  friend class Schema;  // rename refactors reach through to name_ / fields_
+  friend class Schema;  // RenameModel reaches through to name_
 
   int id_;
   std::string name_;
@@ -88,14 +88,11 @@ class Schema {
 
   void AddField(const std::string& model, FieldDef field);
 
-  // Rename refactors (the incremental engine's rename-edit scenarios): ids, field order
-  // and every relation endpoint are untouched, so canonical fingerprints — and therefore
-  // all cached verdicts — survive. The caller owns updating view functions that mention
-  // the old names.
+  // A rename refactor (the incremental engine's rename-edit scenarios): the id, field
+  // order and every relation endpoint are untouched, so canonical fingerprints — and
+  // therefore all cached verdicts — survive. The caller owns updating view functions
+  // that mention the old name.
   void RenameModel(int id, const std::string& new_name);
-  void RenameField(const std::string& model, const std::string& old_name,
-                   const std::string& new_name);
-  void RenameRelation(int id, const std::string& new_name, const std::string& new_reverse);
 
   // Adds a relation; reverse_name defaults to "<from_model_lowercase>_set".
   int AddRelation(const std::string& name, const std::string& from_model,

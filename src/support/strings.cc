@@ -15,25 +15,6 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string Pad(const std::string& s, size_t width, Align align) {
   if (s.size() >= width) {
     return s;

@@ -10,12 +10,6 @@ namespace noctua {
 // Joins the elements of `parts` with `sep` ("a", "b" -> "a,b").
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
-// Splits `s` on the single character `sep`; empty fields are preserved.
-std::vector<std::string> Split(const std::string& s, char sep);
-
-// True if `s` begins with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
-
 // Left-pads (Align::kRight) or right-pads (Align::kLeft) `s` with spaces to `width`.
 enum class Align { kLeft, kRight };
 std::string Pad(const std::string& s, size_t width, Align align = Align::kLeft);

@@ -143,9 +143,9 @@ CheckOutcome Checker::WorseOutcome(CheckOutcome a, CheckOutcome b) {
 }
 
 CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
-                                  CheckStats* stats) const {
+                                  const std::vector<Term>& query, CheckStats* stats) const {
   obs::ScopedSpan span("solve", obs::kCatSolve);
-  smt::SolveResult r = backend.Check(factory);
+  smt::SolveResult r = backend.Check(factory, query);
   const smt::SolverStats& ss = backend.stats();
   if (stats != nullptr) {
     stats->solver_nodes = ss.nodes_visited;
@@ -208,15 +208,14 @@ CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePat
 // state. The NotInvalidate directions need nothing more: their p0 and q0 are the first
 // applications (pq1 = P on S0, qp1 = Q on S0), their replays are the second ones (qp2 = P
 // after Q, pq2 = Q after P), and their frame is a subset of the commutativity roots.
+// Each query is kept whole, in the order the solver receives it.
 struct Checker::PairSession::Encoding {
   std::set<int> order;  // the order set as the encoder materializes it: the session's key
 
   std::vector<Term> com_roots;
+  std::vector<Term> ni_roots_pq;
+  std::vector<Term> ni_roots_qp;
   bool com_unsupported = false;
-
-  std::vector<Term> ni_frame;     // asserted once, shared by both directions
-  std::vector<Term> ni_delta_pq;  // pushed/popped per direction
-  std::vector<Term> ni_delta_qp;
   bool ni_unsupported_pq = false;
   bool ni_unsupported_qp = false;
 };
@@ -239,11 +238,6 @@ struct Checker::PairSession::Shared {
 
   // At most two: one per distinct order set the session's rules compare under.
   std::vector<std::unique_ptr<Encoding>> encodings;
-
-  // The base the backend holds asserted (an encoding's commutativity roots or its
-  // NotInvalidate frame). Switching bases re-asserts, and the backend's ground cache
-  // serves every root it grounded before.
-  const std::vector<Term>* base = nullptr;
 };
 
 std::unique_ptr<smt::TermFactory> Checker::TakeFactory() const {
@@ -346,18 +340,21 @@ const Checker::PairSession::Encoding& Checker::PairSession::EncodingFor(
       pq1.unsupported || qp1.unsupported || pre_p.unsupported || pre_q.unsupported;
   e.com_unsupported = origins_unsupported || pq2.unsupported || qp2.unsupported;
 
-  // NotInvalidate's frame: both effects producible from fresh origin states, plus all
-  // state axioms. The rule itself needs only the *replayed* path's origin precondition;
+  // Each NotInvalidate direction replays the other path's effect on S0 and negates the
+  // checked path's precondition there, goal first as in the commutativity query. Then
+  // comes the frame: both effects producible from fresh origin states, plus all state
+  // axioms, the same terms as the commutativity roots, so the backend's ground cache
+  // serves them. The rule itself needs only the *replayed* path's origin precondition;
   // asserting the checked path's as well lets both directions share the frame, and it
   // preserves satisfiability: any witness of the rule extends by choosing that origin
   // state to be S0 itself, where the rule already asserts the checked precondition.
-  e.ni_frame = {uid, pre_p.pre, pre_q.pre, sa_axioms, sb_axioms, s0_axioms};
-  // Each direction replays the other path's effect on S0 and negates the checked path's
-  // precondition there. Check hands the innermost frame to the solver first, so each
-  // direction's goal leads, as the commutativity query's does.
-  e.ni_delta_pq = {sh.factory->Not(qp2.pre), pq1.pre, qp1.defs};
+  const std::vector<Term> ni_frame = {uid,       pre_p.pre, pre_q.pre,
+                                      sa_axioms, sb_axioms, s0_axioms};
+  e.ni_roots_pq = {sh.factory->Not(qp2.pre), pq1.pre, qp1.defs};
+  e.ni_roots_pq.insert(e.ni_roots_pq.end(), ni_frame.begin(), ni_frame.end());
   e.ni_unsupported_pq = origins_unsupported || qp2.unsupported;
-  e.ni_delta_qp = {sh.factory->Not(pq2.pre), qp1.pre, pq1.defs};
+  e.ni_roots_qp = {sh.factory->Not(pq2.pre), qp1.pre, pq1.defs};
+  e.ni_roots_qp.insert(e.ni_roots_qp.end(), ni_frame.begin(), ni_frame.end());
   e.ni_unsupported_qp = origins_unsupported || pq2.unsupported;
 
   encode_span.Arg("terms", sh.factory->size());
@@ -368,21 +365,14 @@ const Checker::PairSession::Encoding& Checker::PairSession::EncodingFor(
 }
 
 CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
-  Stopwatch watch;
   if (prefiltered_) {
-    if (stats != nullptr) {
-      stats->prefiltered = true;
-      stats->seconds = watch.ElapsedSeconds();
-    }
     return CheckOutcome::kPass;
   }
   const Encoding& e = EncodingFor(order_models_ != nullptr ? *order_models_ : PairOrder());
-  CheckOutcome outcome =
-      e.com_unsupported ? CheckOutcome::kUnsupported : Solve(e.com_roots, {}, stats);
-  if (stats != nullptr) {
-    stats->seconds = watch.ElapsedSeconds();
+  if (e.com_unsupported) {
+    return CheckOutcome::kUnsupported;
   }
-  return outcome;
+  return checker_.RunSolverOn(*shared_->backend, *shared_->factory, e.com_roots, stats);
 }
 
 CheckOutcome Checker::PairSession::NotInvalidatePQ(CheckStats* stats) {
@@ -394,40 +384,15 @@ CheckOutcome Checker::PairSession::NotInvalidateQP(CheckStats* stats) {
 }
 
 CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) {
-  Stopwatch watch;
   if (prefiltered_) {
-    if (stats != nullptr) {
-      stats->prefiltered = true;
-      stats->seconds = watch.ElapsedSeconds();
-    }
     return CheckOutcome::kPass;
   }
   const Encoding& e = EncodingFor(PairOrder());
-  CheckOutcome outcome;
   if (pq ? e.ni_unsupported_pq : e.ni_unsupported_qp) {
-    outcome = CheckOutcome::kUnsupported;
-  } else {
-    outcome = Solve(e.ni_frame, pq ? e.ni_delta_pq : e.ni_delta_qp, stats);
+    return CheckOutcome::kUnsupported;
   }
-  if (stats != nullptr) {
-    stats->seconds = watch.ElapsedSeconds();
-  }
-  return outcome;
-}
-
-CheckOutcome Checker::PairSession::Solve(const std::vector<Term>& base,
-                                         const std::vector<Term>& goal, CheckStats* stats) {
-  Shared& sh = *shared_;
-  if (sh.base != &base) {
-    sh.backend->ResetAssertions();
-    sh.backend->AssertAll(base);
-    sh.base = &base;
-  }
-  sh.backend->Push();
-  sh.backend->AssertAll(goal);
-  CheckOutcome outcome = checker_.RunSolverOn(*sh.backend, *sh.factory, stats);
-  sh.backend->Pop();
-  return outcome;
+  return checker_.RunSolverOn(*shared_->backend, *shared_->factory,
+                              pq ? e.ni_roots_pq : e.ni_roots_qp, stats);
 }
 
 }  // namespace noctua::verifier

@@ -59,9 +59,7 @@ struct CheckerOptions {
 std::string KeyOptions(const CheckerOptions& options);
 
 struct CheckStats {
-  double seconds = 0;
   uint64_t solver_nodes = 0;
-  bool prefiltered = false;
   bool cache_hit = false;  // verdict served by the report-level fingerprint cache
   bool replayed = false;   // the serving cache entry was loaded from a prior run's store
 };
@@ -109,21 +107,26 @@ class Checker {
   // pair's symbolic prefix (paper §5.2) that all three queries read. The encoding holds
   // S0 with P(x) and Q(y) applied in both orders (pq1 = P on S0, pq2 = Q after it; qp1 =
   // Q on S0, qp2 = P after it), each path applied to a fresh origin state, the unique-id
-  // axiom and the three states' axioms. Commutativity asserts ¬StateEq(pq2, qp2) and the
-  // rest. NotInvalidate asserts a frame (the unique-id axiom, both origin preconditions,
-  // the state axioms: a subset of the commutativity roots), and each direction pushes
-  // its negated goal, the checked path's precondition on S0 and the replayed effect's
-  // definitions, and pops them afterwards. The replay is the second application: PQ
-  // negates P's precondition after Q (qp2), QP negates Q's after P (pq2). With
-  // incremental solving on, the backend grounds each root once per session, whichever
-  // query asserts it first; with it off it re-grounds every Check, and the verdicts are
-  // the same. The frame asserts the checked path's origin precondition too, so both
-  // directions share it, which preserves satisfiability (see EncodingFor).
+  // axiom and the three states' axioms. Commutativity asks ¬StateEq(pq2, qp2) and the
+  // rest. Each NotInvalidate direction asks its negated goal, the checked path's
+  // precondition on S0 and the replayed effect's definitions, then a frame both
+  // directions share (the unique-id axiom, both origin preconditions, the state axioms:
+  // a subset of the commutativity roots). The replay is the second application: PQ
+  // negates P's precondition after Q (qp2), QP negates Q's after P (pq2). Every query
+  // goes to the backend whole, in one Check. With incremental solving on, the backend
+  // grounds each root once per session, whichever query holds it first; with it off it
+  // re-grounds every Check, and the verdicts are the same. The frame holds the checked
+  // path's origin precondition too, so both directions share it, which preserves
+  // satisfiability (see EncodingFor).
   //
   // Encodings are keyed by the order set as the encoder materializes it (order on, model
   // not projected out). Commutativity compares under the caller's app-wide set and
   // NotInvalidate under ord(p) ∪ ord(q); where the two materialize differently, the
-  // session builds a second encoding, with the same code.
+  // session builds a second encoding, with the same code. NotInvalidate must not read
+  // the app-wide encoding instead, though it compares no state: the order arrays add
+  // integer terms to its query, the solver harvests its integer domain from the query's
+  // literals, and the wider domain turns five of Todo's NotInvalidate verdicts from pass
+  // to fail when every path is an order observer (DESIGN.md, "The pair session").
   //
   // p's arguments are named with prefix "x" and q's with "y", so NotInvalidateQP names
   // the checked path's arguments "y" where the rule writes x; verdicts are invariant
@@ -156,10 +159,6 @@ class Checker {
     // everything the session shares.
     const Encoding& EncodingFor(const std::set<int>& order);
     CheckOutcome NotInvalidateDir(bool pq, CheckStats* stats);
-    // Solves `base` plus `goal`: re-asserts `base` if another base is asserted, then
-    // pushes `goal` for this Check only.
-    CheckOutcome Solve(const std::vector<smt::Term>& base, const std::vector<smt::Term>& goal,
-                       CheckStats* stats);
 
     // ord(p) ∪ ord(q).
     std::set<int> PairOrder() const;
@@ -197,10 +196,10 @@ class Checker {
  private:
   // True when the two paths' footprints are disjoint, so both rules trivially pass.
   static bool Independent(const PathFacts& p, const PathFacts& q);
-  // Runs a Check on an already-asserted backend and flushes its stats into the obs
-  // registry, the only home of the solver's tallies.
+  // Runs one Check of `query` and flushes its stats into the obs registry, the only home
+  // of the solver's tallies.
   CheckOutcome RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
-                           CheckStats* stats) const;
+                           const std::vector<smt::Term>& query, CheckStats* stats) const;
   // Applies project_footprint to a per-check encoder configuration.
   void ApplyProjection(const PathFacts& p, const PathFacts& q,
                        EncoderOptions* enc_options) const;

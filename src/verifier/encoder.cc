@@ -41,10 +41,6 @@ Encoder::Encoder(const soir::Schema& schema, smt::TermFactory* factory, EncoderO
   }
 }
 
-smt::Sort Encoder::RefSortOf(int model) const { return ref_sorts_[model]; }
-smt::Sort Encoder::ObjSortOf(int model) const { return obj_sorts_[model]; }
-smt::Sort Encoder::PairSortOf(int relation) const { return pair_sorts_[relation]; }
-
 int Encoder::FieldTupleIndex(int model, const std::string& field) const {
   const soir::ModelDef& md = schema_.model(model);
   if (md.IsPk(field) || field == "id") {

@@ -74,11 +74,6 @@ class Encoder {
  public:
   Encoder(const soir::Schema& schema, smt::TermFactory* factory, EncoderOptions options);
 
-  // --- Sorts -----------------------------------------------------------------------------
-  smt::Sort RefSortOf(int model) const;
-  smt::Sort ObjSortOf(int model) const;   // Tuple: [pk ref] + data fields
-  smt::Sort PairSortOf(int relation) const;
-
   // --- States ----------------------------------------------------------------------------
   // A fresh symbolic state whose constants are prefixed with `prefix`.
   EncState FreshState(const std::string& prefix);

@@ -17,18 +17,6 @@
 
 namespace noctua::verifier {
 
-const char* PairProvenanceName(PairProvenance p) {
-  switch (p) {
-    case PairProvenance::kComputed:
-      return "computed";
-    case PairProvenance::kReplayed:
-      return "replayed";
-    case PairProvenance::kPrefiltered:
-      return "prefiltered";
-  }
-  return "?";
-}
-
 size_t RestrictionReport::num_restrictions() const {
   size_t n = 0;
   for (const PairVerdict& v : pairs) {

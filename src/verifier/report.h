@@ -59,8 +59,6 @@ enum class PairProvenance : uint8_t {
   kPrefiltered,  // retired by the independence prefilter; no verdict queries at all
 };
 
-const char* PairProvenanceName(PairProvenance p);
-
 struct PairVerdict {
   std::string p;
   std::string q;

@@ -853,7 +853,7 @@ TEST(RunReport, TodoPipelineProducesCoherentReport) {
 
     // Slow pairs: non-empty, sorted slowest-first, capped at the configured top-N.
     ASSERT_FALSE(report.slow_pairs.empty());
-    EXPECT_LE(report.slow_pairs.size(), options.obs.top_slowest_pairs);
+    EXPECT_LE(report.slow_pairs.size(), kTopSlowestPairs);
     EXPECT_TRUE(std::is_sorted(report.slow_pairs.begin(), report.slow_pairs.end(),
                                [](const SlowPair& a, const SlowPair& b) {
                                  return a.micros > b.micros;

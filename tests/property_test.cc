@@ -120,8 +120,7 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
     for (smt::BackendFactory solver : Solvers()) {
       options.backend = solver;
       std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
-      backend->Assert(formula);
-      smt::SolveResult r = backend->Check(f);
+      smt::SolveResult r = backend->Check(f, {formula});
       ASSERT_NE(r, smt::SolveResult::kUnknown) << backend->name();
       verdicts.push_back(r);
       if (r == smt::SolveResult::kSat) {
@@ -135,8 +134,7 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
       } else {
         // UNSAT: the negation must be satisfiable (no formula is both ways).
         std::unique_ptr<smt::SolverBackend> neg = smt::MakeBackend(options);
-        neg->Assert(f.Not(formula));
-        EXPECT_EQ(neg->Check(f), smt::SolveResult::kSat)
+        EXPECT_EQ(neg->Check(f, {f.Not(formula)}), smt::SolveResult::kSat)
             << backend->name() << ": " << formula->ToString();
       }
     }
@@ -225,8 +223,7 @@ TEST_P(SolverPropertyTest, SymmetryReductionPreservesVerdicts) {
       options.backend = solver;
       options.symmetry = symmetry;
       std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
-      backend->Assert(formula);
-      return backend->Check(f);
+      return backend->Check(f, {formula});
     };
     const smt::SolveResult off = decide(nullptr, false);
     ASSERT_NE(off, smt::SolveResult::kUnknown);
@@ -295,14 +292,12 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
       options.scope = Scope(3);
       options.backend = solver;
       std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
-      backend->Assert(formula);
-      smt::SolveResult expected = backend->Check(f);
+      smt::SolveResult expected = backend->Check(f, {formula});
       ASSERT_NE(expected, smt::SolveResult::kUnknown);
       for (auto [a, b] : {std::pair<int, int>{0, 1}, {1, 2}, {0, 2}}) {
         Term image = TransposeRefs(f, formula, a, b);
         std::unique_ptr<smt::SolverBackend> pb = smt::MakeBackend(options);
-        pb->Assert(image);
-        EXPECT_EQ(pb->Check(f), expected)
+        EXPECT_EQ(pb->Check(f, {image}), expected)
             << backend->name() << " transposition (" << a << " " << b
             << ") moved the verdict: " << formula->ToString();
       }

@@ -575,8 +575,7 @@ class SolverTest : public ::testing::TestWithParam<Procedure> {
   SolveResult Check(const std::vector<Term>& assertions) {
     std::unique_ptr<SolverBackend> backend = MakeBackend(options);
     last_model.values.clear();
-    backend->AssertAll(assertions);
-    SolveResult r = backend->Check(f);
+    SolveResult r = backend->Check(f, assertions);
     if (r == SolveResult::kSat) {
       last_model = backend->model();
     }
@@ -781,8 +780,7 @@ TEST(SolverTest, NodeBudgetIsExact) {
       SolverOptions options;
       options.budget.max_nodes = max_nodes;
       std::unique_ptr<SolverBackend> backend = MakeBackend(options);
-      backend->AssertAll(query);
-      const SolveResult r = backend->Check(f);
+      const SolveResult r = backend->Check(f, query);
       return std::make_pair(r, backend->stats().nodes_visited);
     };
     const auto [decided, n] = solve(SolverOptions{}.budget.max_nodes);
@@ -855,12 +853,10 @@ TEST_P(ScopeSweepTest, PigeonholePrinciple) {
     refs.push_back(f.Const("r" + std::to_string(i), f.RefSort(0)));
   }
   std::unique_ptr<SolverBackend> backend = MakeBackend(options);
-  backend->AssertAll({f.Distinct(refs)});
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
+  EXPECT_EQ(backend->Check(f, {f.Distinct(refs)}), SolveResult::kUnsat);
   refs.pop_back();
   std::unique_ptr<SolverBackend> backend2 = MakeBackend(options);
-  backend2->AssertAll({f.Distinct(refs)});
-  EXPECT_EQ(backend2->Check(f), SolveResult::kSat);
+  EXPECT_EQ(backend2->Check(f, {f.Distinct(refs)}), SolveResult::kSat);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -874,12 +870,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Incremental solving ------------------------------------------------------------------
 
-// Push/Pop round-trips are invisible: after a Pop the assertion stack is exactly the
-// pre-Push stack (same interned Terms, same order), and an incremental model finder that
-// has already solved framed queries answers the next one exactly like a fresh instance
-// fed the same goal-first conjunction — same verdict, same model, byte for byte. The
-// second framed Check must also report ground-cache reuse for the unchanged frame roots.
-TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
+// A backend that has already decided a query over a shared frame answers the next one
+// exactly like a fresh instance fed the same goal-first conjunction: same verdict, same
+// model, byte for byte. The second Check must also report ground-cache reuse for the
+// frame roots the first one grounded.
+TEST(IncrementalBackendTest, SecondCheckMatchesAFreshBackend) {
   TermFactory f;
   SolverOptions options;
 
@@ -895,32 +890,16 @@ TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
   Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
 
   std::unique_ptr<SolverBackend> inc = MakeBackend(options);
-  inc->AssertAll({wf, both_in});
-  const std::vector<Term> frame = inc->assertions();
-
-  inc->Push();
-  inc->AddAssertion(same_pk);
-  inc->AddAssertion(f.Neq(x, y));
-  EXPECT_EQ(inc->Check(f), SolveResult::kUnsat);
-  inc->Pop();
-  EXPECT_EQ(inc->num_frames(), 0u);
-  EXPECT_EQ(inc->assertions(), frame);
-
-  inc->Push();
-  inc->AddAssertion(f.Eq(x, y));
-  SolveResult r = inc->Check(f);
+  EXPECT_EQ(inc->Check(f, {same_pk, f.Neq(x, y), wf, both_in}), SolveResult::kUnsat);
+  const std::vector<Term> query = {f.Eq(x, y), wf, both_in};
+  SolveResult r = inc->Check(f, query);
   ASSERT_EQ(r, SolveResult::kSat);
   EXPECT_GT(inc->stats().incremental_reuse_hits, 0u);
-  const std::string inc_model = inc->model().ToString();
-  inc->Pop();
-  EXPECT_EQ(inc->assertions(), frame);
 
-  // Check() hands the innermost frame to the procedure first, so the fresh twin
-  // asserts the goal ahead of the frame.
   std::unique_ptr<SolverBackend> fresh = MakeBackend(options);
-  fresh->AssertAll({f.Eq(x, y), wf, both_in});
-  ASSERT_EQ(fresh->Check(f), r);
-  EXPECT_EQ(fresh->model().ToString(), inc_model);
+  ASSERT_EQ(fresh->Check(f, query), r);
+  EXPECT_EQ(fresh->stats().incremental_reuse_hits, 0u);
+  EXPECT_EQ(fresh->model().ToString(), inc->model().ToString());
 }
 
 }  // namespace

@@ -221,14 +221,14 @@ TEST(OrderEncoding, OrderUsingPathsAreConservativeWithoutOrder) {
 
 // --- PairSession -----------------------------------------------------------------------------
 
-// The pair session is the verifier's only pair code path: one backend whose base switches
-// between the commutativity query and the NotInvalidate frame, each direction pushed on
-// top and popped after its Check. Asked out of report order, a session must answer exactly
-// like a fresh session asked in report order: a switch that kept the wrong base asserted,
-// or an unpopped goal, would change a later verdict. The mixed order runs NotInvalidate
-// directions back to back, because only there does a goal left unpopped meet another
-// direction's. Every effectful pair of SmallBank and Todo, prefilter off so every query
-// reaches the solver, with incremental solving on and off — which must agree too.
+// The pair session is the verifier's only pair code path: its three queries go to one
+// backend, whose ground cache carries over from Check to Check. Asked out of report order,
+// a session must answer exactly like a fresh session asked in report order: a cached
+// grounding served for the wrong root, or anything else an earlier Check left behind,
+// would change a later verdict. The mixed order runs NotInvalidate directions back to
+// back, because only they share a frame and differ in their goals alone. Every effectful
+// pair of SmallBank and Todo, prefilter off so every query reaches the solver, with
+// incremental solving on and off — which must agree too.
 TEST(PairSessionTest, OutOfOrderQueriesMatchAFreshSessionInReportOrder) {
   for (app::App (*make)() : {&apps::MakeSmallBankApp, &apps::MakeTodoApp}) {
     app::App a = make();
@@ -339,9 +339,12 @@ TEST(PairSessionTest, NotInvalidateServesItsFrameFromTheCommutativityGrounding) 
 // pair's own, ord(p) ∪ ord(q). Where the two materialize differently (order arrays for
 // different models of the pair's footprint), the session builds a second encoding for
 // NotInvalidate with the same code, and each rule must decide exactly as a session asked
-// that rule alone: same outcome, same search. Todo with every path as an order observer,
-// read-only ones too, as the enforcement tables verify it: its read-only paths observe
-// orders its effectful ones do not.
+// that rule alone: same outcome, same search. NotInvalidate must also decide as a
+// session given no app-wide set: read under the app-wide encoding, five of these
+// NotInvalidate verdicts turn from pass to fail (the order arrays widen the integer
+// domain). Todo with every path as an order observer, read-only ones too, as the
+// enforcement tables verify it: its read-only paths observe orders its effectful ones do
+// not.
 TEST(PairSessionTest, RulesUnderDifferentOrderSetsMatchSessionsAskedOneRule) {
   app::App a = apps::MakeTodoApp();
   const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
@@ -382,19 +385,27 @@ TEST(PairSessionTest, RulesUnderDifferentOrderSetsMatchSessionsAskedOneRule) {
 
       Checker::PairSession all(checker, facts[i], facts[j], &app_order);
       obs::Collector collector(obs::ObsOptions{.enabled = true});
-      for (Rule rule : rules) {
-        CheckStats together;
-        CheckOutcome outcome = (all.*rule)(&together);
+      CheckOutcome outcomes[3];
+      CheckStats together[3];
+      for (size_t r = 0; r < 3; ++r) {
+        outcomes[r] = (all.*rules[r])(&together[r]);
         Checker::PairSession alone(checker, facts[i], facts[j], &app_order);
         CheckStats by_itself;
-        EXPECT_EQ((alone.*rule)(&by_itself), outcome) << pair;
-        EXPECT_EQ(by_itself.solver_nodes, together.solver_nodes) << pair;
+        EXPECT_EQ((alone.*rules[r])(&by_itself), outcomes[r]) << pair;
+        EXPECT_EQ(by_itself.solver_nodes, together[r].solver_nodes) << pair;
       }
       collector.Stop();
       // One encoding per distinct materialized order set: the session's, plus one in
       // each of the three sessions asked a single rule.
       EXPECT_EQ(collector.histogram(obs::Hist::kEncodeMicros).count, (differs ? 2u : 1u) + 3u)
           << pair;
+      // NotInvalidate's two directions under the pair's own order set.
+      Checker::PairSession own(checker, facts[i], facts[j]);
+      for (size_t r = 1; r < 3; ++r) {
+        CheckStats by_own_set;
+        EXPECT_EQ((own.*rules[r])(&by_own_set), outcomes[r]) << pair;
+        EXPECT_EQ(by_own_set.solver_nodes, together[r].solver_nodes) << pair;
+      }
     }
   }
   // Not vacuous: some pair's rules compare under different order sets.

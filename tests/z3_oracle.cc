@@ -342,8 +342,7 @@ class Z3OracleBackend : public SolverBackend {
   const SmtModel& model() const override { return model_; }
   const SolverStats& stats() const override { return stats_; }
 
- protected:
-  SolveResult DoCheck(TermFactory& f, const std::vector<Term>& assertions) override {
+  SolveResult Check(TermFactory& f, const std::vector<Term>& assertions) override {
     Stopwatch watch;
     stats_ = SolverStats{};
     model_.values.clear();
