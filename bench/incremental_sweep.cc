@@ -15,7 +15,7 @@
 // Emits one JSON document on stdout (progress goes to stderr):
 //
 //   {"apps": [{"app": "Zhihu", "pairs": N, "cold_seconds": ...,
-//              "edits": [{"edit": "edit_handler", "changed_endpoints": ["VoteAnswer"],
+//              "edits": [{"edit": "edit_handler",
 //                         "cold_seconds": ..., "warm_seconds": ..., "speedup": ...,
 //                         "pairs_replayed": ..., "pairs_computed": ...,
 //                         "verdicts_replayed": ...,
@@ -230,11 +230,7 @@ int main() {
               identical ? "" : "  RESTRICTIONS DIVERGED");
 
       json.BeginObject().Key("edit").String(edit.name);
-      json.Key("changed_endpoints").BeginArray();
-      for (const std::string& endpoint : warm.changed_endpoints) {
-        json.String(endpoint);
-      }
-      json.EndArray().Key("cold_seconds").Double(cold.total_seconds, 3);
+      json.Key("cold_seconds").Double(cold.total_seconds, 3);
       json.Key("warm_seconds").Double(warm.total_seconds, 3);
       json.Key("speedup").Double(speedup, 2);
       json.Key("pairs_replayed").Uint(warm.stats().pairs_replayed);

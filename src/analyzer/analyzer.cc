@@ -5,7 +5,6 @@
 #include "src/analyzer/trace.h"
 #include "src/analyzer/view_ctx.h"
 #include "src/obs/obs.h"
-#include "src/soir/serialize.h"
 #include "src/support/stopwatch.h"
 
 namespace noctua::analyzer {
@@ -21,8 +20,8 @@ const std::vector<soir::CodePath>& AnalysisResult::EffectfulPaths() const {
 
 namespace {
 
-// Analyzes a single view function (Fig. 5 AnalyzeFunc), appending its paths, counters
-// and digest to `result`.
+// Analyzes a single view function (Fig. 5 AnalyzeFunc), appending its paths and counters
+// to `result`.
 void AnalyzeView(const soir::Schema& schema, const app::View& view,
                  const AnalyzerOptions& options, AnalysisResult* result) {
   obs::ScopedSpan span(obs::Enabled() ? view.name : std::string(), obs::kCatAnalyze);
@@ -52,16 +51,6 @@ void AnalyzeView(const soir::Schema& schema, const app::View& view,
     ++path_index;
   } while (finder.NextPath());
   result->num_code_paths += code_paths;
-  // The endpoint's digest: each path's renaming-invariant digest plus the explored-path
-  // counter, so "same effectful paths, different abort branches" still registers as a
-  // change in Table-4 accounting.
-  std::string material;
-  for (size_t i = first_path; i < result->paths.size(); ++i) {
-    material += soir::PathDigest(schema, result->paths[i]);
-    material += ';';
-  }
-  material += "#code_paths=" + std::to_string(code_paths);
-  result->endpoint_digests[view.name] = soir::DigestHex(soir::Fnv1a64(material));
   span.Arg("code_paths", code_paths);
   span.Arg("paths_kept", result->paths.size() - first_path);
 }

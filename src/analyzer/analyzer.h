@@ -4,15 +4,12 @@
 // finder until all code paths are traversed. Each completed run yields one SOIR code path;
 // runs ending in Abort (application-level rejection) are counted but carry no effects.
 //
-// Every endpoint also carries a renaming-invariant content digest over its paths
-// (soir::PathDigest): the artifact store keeps these digests, so a store-backed run can
-// report which endpoints an edit changed. Analysis itself is never memoized; it costs
-// milliseconds per app, against the verification it feeds.
+// Analysis is never memoized: it costs milliseconds per app, against the verification it
+// feeds. A path's canonical identity is computed by the verifier's path table
+// (soir::FingerprintPath in AnalyzeRestrictions), not here.
 #ifndef SRC_ANALYZER_ANALYZER_H_
 #define SRC_ANALYZER_ANALYZER_H_
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/analyzer/path_finder.h"
@@ -32,11 +29,6 @@ struct AnalysisResult {
   size_t num_code_paths = 0;  // including aborted paths (paper Table 4 "#Code Paths")
   size_t num_effectful = 0;   // paths with at least one non-guard command
   double seconds = 0;
-
-  // Per-endpoint content digests, keyed by view name: renaming-invariant identity over
-  // the endpoint's paths and its explored-path count. Equal digests mean the endpoint's
-  // paths are the same up to renaming.
-  std::map<std::string, std::string> endpoint_digests;
 
   // The effectful subset of `paths`, computed on first call and cached (benches call
   // this inside timing loops). Invalidated by nothing: results are treated as immutable

@@ -3,6 +3,7 @@
 #define SRC_APPS_APPS_H_
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,12 @@ struct AppEntry {
   std::string name;
   std::function<app::App()> make;
 };
+
+// Prints an entry as its name. gtest finds this overload for a test suite parameterized
+// by AppEntry and puts its output in the suite's full test names; without it gtest
+// prints the entry's raw bytes, which hold heap addresses, so the names would change
+// from run to run.
+inline void PrintTo(const AppEntry& entry, std::ostream* os) { *os << entry.name; }
 
 // The four real-world codebases followed by the two standard benchmarks, in the paper's
 // Table 4 order.

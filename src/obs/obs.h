@@ -47,7 +47,7 @@ struct ObsOptions {
   bool enabled = false;
   // When non-empty, the collector writes Chrome trace-event JSON here at the end of the
   // run ("" = keep the trace in memory only).
-  std::string trace_out;
+  std::string trace_out = {};
   // Keep every finished span until Stop(), for events(), the trace file and the
   // RunReport. False keeps none, so a long-lived recorder stays bounded: counters and
   // histograms still record, and spans still reach an active TraceCapture.

@@ -12,24 +12,6 @@ namespace noctua {
 
 namespace {
 
-// Endpoints whose digest differs between `prior` and `now`: edited, added, and removed.
-std::vector<std::string> ChangedEndpoints(const analyzer::AnalysisResult& prior,
-                                          const analyzer::AnalysisResult& now) {
-  std::vector<std::string> changed;
-  for (const auto& [view, digest] : now.endpoint_digests) {
-    auto it = prior.endpoint_digests.find(view);
-    if (it == prior.endpoint_digests.end() || it->second != digest) {
-      changed.push_back(view);
-    }
-  }
-  for (const auto& [view, digest] : prior.endpoint_digests) {
-    if (now.endpoint_digests.find(view) == now.endpoint_digests.end()) {
-      changed.push_back(view);
-    }
-  }
-  return changed;
-}
-
 // The verify stage with `resolved` as given; the caller holds the engine's run mutex.
 verifier::RestrictionReport CheckPairs(const app::App& app,
                                        const analyzer::AnalysisResult& analysis,
@@ -126,21 +108,17 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
       span.Arg("effectful", result.analysis.num_effectful);
     }
     const Session session(store_dir);
-    analyzer::AnalysisResult prior;
     verifier::VerdictCache verdicts;
     bool have_prior = false;
     if (stored) {
       obs::ScopedSpan span("load_prior", obs::kCatIncremental);
-      have_prior = session.LoadPrior(app, &prior, &verdicts);
+      have_prior = session.LoadPrior(app, nullptr, &verdicts);
       span.Arg("loaded", have_prior ? 1 : 0);
       span.Arg("verdicts", verdicts.size());
       obs::Add(have_prior ? obs::Counter::kArtifactLoads
                           : obs::Counter::kArtifactLoadFailures);
     }
     result.cold = !have_prior;
-    if (have_prior) {
-      result.changed_endpoints = ChangedEndpoints(prior, result.analysis);
-    }
     {
       obs::ScopedSpan span("verify", obs::kCatPipeline);
       Stopwatch phase;

@@ -72,10 +72,10 @@ class Engine {
   // Analyzes and verifies `app` on this engine's pool. Without a store the verdicts go
   // through the engine's shared verdict cache (unless the caller brought its own store).
   // With `store_dir`, the run goes against the on-disk artifact store there (session.h):
-  // it loads the prior verdicts and endpoint digests, analyzes the app, replays the
-  // prior verdicts so only pairs touched by the edit reach the solver, and saves the
-  // updated store back. A missing or invalid store degrades to a cold run
-  // (PipelineResult::cold), never to a crash or a wrong answer.
+  // it analyzes the app, loads the prior verdicts, replays them so only pairs touched
+  // by the edit reach the solver, and saves the updated store back. A missing or
+  // invalid store degrades to a cold run (PipelineResult::cold), never to a crash or a
+  // wrong answer.
   PipelineResult Run(const app::App& app, const PipelineOptions& options = {},
                      const std::string& store_dir = "");
   // The verifier stage alone, for callers that already hold an analysis (e.g. ablations

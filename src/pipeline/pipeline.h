@@ -5,9 +5,6 @@
 #ifndef SRC_PIPELINE_PIPELINE_H_
 #define SRC_PIPELINE_PIPELINE_H_
 
-#include <string>
-#include <vector>
-
 #include "src/analyzer/analyzer.h"
 #include "src/app/app.h"
 #include "src/obs/obs.h"
@@ -39,15 +36,14 @@ struct PipelineResult {
 
   // Store-backed runs (Engine::Run with a store_dir). `cold` is true when no usable
   // prior artifact existed (first run, or the store failed validation) and everything
-  // was computed from scratch; a store-less run is always cold.
+  // was computed from scratch; a store-less run is always cold. What an edit touched
+  // shows in `restrictions`: each pair's provenance (kComputed or kReplayed) and
+  // stats().pairs_computed.
   bool cold = true;
   // False when writing the artifacts back failed — the run's results are valid, but the
   // next run will be cold. A warning is also printed to stderr, because a persistently
   // unwritable store silently degrades every future run to a cold one.
   bool artifacts_saved = false;
-  // Endpoints whose content digest differs from the prior artifact: edited ones, added
-  // ones, and removed ones (renaming-invariant — a pure rename changes nothing here).
-  std::vector<std::string> changed_endpoints;
 
   // Populated only when this run owned a collector (see PipelineOptions::obs);
   // `has_report` distinguishes that from a default-constructed report.

@@ -13,9 +13,6 @@ namespace {
 
 constexpr const char* kManifestFile = "manifest";
 constexpr const char* kVerdictsFile = "verdicts";
-// Cap on the manifest's endpoint count: far above any real application, far below
-// anything that could make a corrupted count allocate unreasonably.
-constexpr size_t kMaxEndpoints = 1000000;
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -39,7 +36,7 @@ bool WriteFile(const std::string& path, const std::string& data) {
 
 }  // namespace
 
-bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
+bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* /*analysis*/,
                         verifier::VerdictCache* verdicts) const {
   std::string data;
   if (!ReadFile(Path(kManifestFile), &data)) {
@@ -47,21 +44,14 @@ bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
   }
   soir::ArtifactReader r(std::move(data));
   r.ExpectAtom("noctua-manifest");
-  if (r.Int() != soir::kArtifactVersion || r.Str() != app.name()) {
-    return false;
-  }
-  const size_t num_endpoints = r.Count(kMaxEndpoints);
-  for (size_t i = 0; r.ok() && i < num_endpoints; ++i) {
-    std::string view = r.Str();
-    analysis->endpoint_digests[std::move(view)] = r.Str();
-  }
-  if (!r.ok() || !r.AtEnd()) {
+  if (r.Int() != soir::kArtifactVersion || r.Str() != app.name() || !r.ok() ||
+      !r.AtEnd()) {
     return false;
   }
   return verdicts->LoadFromFile(Path(kVerdictsFile));
 }
 
-bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis,
+bool Session::Save(const app::App& app, const analyzer::AnalysisResult& /*analysis*/,
                    const verifier::VerdictCache& verdicts) const {
   std::error_code ec;
   std::filesystem::create_directories(store_dir_, ec);
@@ -73,11 +63,6 @@ bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis
   manifest.Atom("noctua-manifest");
   manifest.Int(soir::kArtifactVersion);
   manifest.Str(app.name());
-  manifest.Int(static_cast<int64_t>(analysis.endpoint_digests.size()));
-  for (const auto& [view, digest] : analysis.endpoint_digests) {
-    manifest.Str(view);
-    manifest.Str(digest);
-  }
   return verdicts.SaveToFile(Path(kVerdictsFile)) &&
          // Manifest last: a crash mid-save leaves the previous manifest (or none) next to
          // a verdicts file that either parses whole — every entry keyed by content, so

@@ -3,7 +3,7 @@
 //
 // A Session binds the pipeline to one directory per app, holding two files:
 //
-//   manifest   format version + app name + every endpoint's content digest
+//   manifest   format version + app name
 //   verdicts   the verdict cache: canonical query fingerprint -> solver outcome
 //
 // A store-backed run analyzes the app from scratch (analysis costs milliseconds), seeds
@@ -13,8 +13,8 @@
 // shape the query — so a stored verdict can only answer an unchanged query, whatever the
 // edit. Only pairs an edit touched miss and reach the solver. The emitted
 // RestrictionReport is the one a cold run would produce, with per-pair provenance
-// (computed vs replayed) attached. The endpoint digests only say which endpoints changed
-// (PipelineResult::changed_endpoints); no verdict depends on them.
+// (computed vs replayed) attached: that provenance, and ReportStats::pairs_computed, are
+// what say which pairs an edit touched.
 //
 // Loading fails closed: a missing, truncated, corrupted, or version-mismatched store
 // degrades to a cold run (PipelineResult::cold), never to a crash or a wrong answer. For
@@ -37,15 +37,17 @@ class Session {
   // `store_dir` is created on first save if it does not exist.
   explicit Session(std::string store_dir) : store_dir_(std::move(store_dir)) {}
 
-  // Loads the store's prior artifacts for `app`: the manifest's endpoint digests into
-  // `analysis->endpoint_digests` (nothing else of `analysis` is stored) and the verdicts
-  // into `verdicts`. Returns false — leaving outputs unspecified — unless both files
-  // parse, the manifest's version is current and its app name is `app`'s.
+  // Loads the store's verdicts for `app` into `verdicts`. Returns false — leaving
+  // `verdicts` unspecified — unless both files parse, the manifest's version is current
+  // and its app name is `app`'s.
+  //
+  // `analysis` is read by neither LoadPrior nor Save (it may be null here): the store
+  // keeps no analysis. The parameter stays because perfbench/service_mixed.cc calls both
+  // with it, and perfbench changes only together with the benchmark.
   bool LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
                  verifier::VerdictCache* verdicts) const;
 
-  // Overwrites the store with `verdicts` and `analysis.endpoint_digests`. Returns false
-  // on I/O failure.
+  // Overwrites the store with `verdicts`. Returns false on I/O failure.
   bool Save(const app::App& app, const analyzer::AnalysisResult& analysis,
             const verifier::VerdictCache& verdicts) const;
 

@@ -53,16 +53,11 @@ namespace noctua::repl {
 class ConflictTable;
 
 // Tuning of the coordination service, carried inside SimOptions.
+// The renewal period and the service-cost model are constants in simulator.cc.
 struct EnforceOptions {
   int num_shards = 4;       // lock shards; pair-locks hash across them
   double lease_ms = 80.0;   // lease duration granted per registration/renewal
-  double renew_interval_ms = 10.0;  // origin-side renewal period while an op runs
   int degrade_after_retries = 6;    // admission attempts before degrading to exclusive
-  // Service-cost model: issuing a grant costs a fixed overhead plus one unit per
-  // pair-lock acquired, so a larger restriction set is measurably slower to enforce
-  // (the "oversized set shows up as lost throughput" half of the oracle).
-  double acquire_overhead_ms = 0.02;
-  double per_lock_overhead_ms = 0.02;
 
   // One lock shard's request queue unreachable during [start_ms, end_ms): admissions
   // and renewals routed to it are lost. Whole-service outages stay in FaultPlan.

@@ -29,12 +29,13 @@ MessageFate FaultPlan::SampleFate(const LinkFaults& link_faults, Rng* rng) const
 }
 
 double FaultPlan::SampleExtraDelay(const LinkFaults& link_faults, Rng* rng) const {
+  constexpr double kReorderWindowMs = 2.0;  // displacement bound for reordered messages
   double extra = 0;
   if (link_faults.jitter_ms > 0) {
     extra += rng->NextUniform(0, link_faults.jitter_ms);
   }
   if (link_faults.reorder > 0 && rng->Chance(link_faults.reorder)) {
-    extra += rng->NextUniform(0, link_faults.reorder_window_ms);
+    extra += rng->NextUniform(0, kReorderWindowMs);
   }
   if (link_faults.spike > 0 && rng->Chance(link_faults.spike)) {
     extra += rng->NextExponential(link_faults.spike_mean_ms);

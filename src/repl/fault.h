@@ -28,8 +28,7 @@ inline constexpr int kCoordinatorEndpoint = -1;
 struct LinkFaults {
   double drop = 0;       // message lost in transit
   double duplicate = 0;  // link delivers a second copy (independently delayed)
-  double reorder = 0;    // message displaced by an extra uniform delay (overtaking)
-  double reorder_window_ms = 2.0;  // displacement bound for reordered messages
+  double reorder = 0;    // message displaced by up to 2 ms of extra delay (overtaking)
   double jitter_ms = 0;  // uniform extra latency in [0, jitter_ms) on every message
   double spike = 0;      // probability of a heavy-tailed latency spike
   double spike_mean_ms = 0;  // exponential mean of the spike magnitude

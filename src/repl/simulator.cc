@@ -26,6 +26,31 @@ bool ConflictTable::RemovePair(const std::string& a, const std::string& b) {
 
 namespace {
 
+// The deployment: the paper's §6.5 setup.
+constexpr int kNumSites = 3;
+constexpr int kClientsPerSite = 8;
+constexpr double kCrossSiteLatencyMs = 1.0;  // the paper's injected 1 ms
+constexpr double kLocalExecMs = 0.05;        // request execution cost at a replica
+constexpr int kSeedRowsPerModel = 10;
+
+// The recovery protocol's timers.
+constexpr double kRetryTimeoutMs = 6.0;      // initial retransmission timeout
+constexpr double kRetryBackoff = 2.0;        // timeout multiplier per attempt
+constexpr double kRetryTimeoutCapMs = 48.0;  // backoff ceiling
+constexpr int kMaxRetries = 10;              // retransmissions per message before giving up
+constexpr double kAntiEntropyIntervalMs = 25.0;  // per-replica background sync period
+constexpr double kDrainGraceMs = 300.0;  // no new transmissions after duration + grace, so
+                                         // the event queue quiesces even under persistent
+                                         // faults
+
+// The coordination service's renewal period and service-cost model. Issuing a grant
+// costs a fixed overhead plus one unit per pair-lock acquired, so a larger restriction set
+// is measurably slower to enforce (the "oversized set shows up as lost throughput" half
+// of the oracle).
+constexpr double kRenewIntervalMs = 10.0;  // origin-side renewal period while an op runs
+constexpr double kAcquireOverheadMs = 0.02;
+constexpr double kPerLockOverheadMs = 0.02;
+
 enum class EventKind : uint8_t {
   kClientIssue,      // a client issues its next request
   kAdmitArrive,      // admission request reaches the coordinator
@@ -156,13 +181,13 @@ SimResult Simulator::Run() {
 
   // Replicas: identical seeded initial state, per-site striped ID allocation.
   std::vector<Site> sites;
-  sites.reserve(options_.num_sites);
+  sites.reserve(kNumSites);
   orm::Database seeded(&schema_);
-  WorkloadGenerator::SeedDatabase(&seeded, options_.seed_rows_per_model, options_.seed);
-  for (int i = 0; i < options_.num_sites; ++i) {
-    sites.emplace_back(&schema_, options_.num_sites);
+  WorkloadGenerator::SeedDatabase(&seeded, kSeedRowsPerModel, options_.seed);
+  for (int i = 0; i < kNumSites; ++i) {
+    sites.emplace_back(&schema_, kNumSites);
     sites.back().db = seeded;
-    sites.back().db.StripeNewIds(i, options_.num_sites);
+    sites.back().db.StripeNewIds(i, kNumSites);
   }
 
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
@@ -184,12 +209,12 @@ SimResult Simulator::Run() {
   SimResult result;
   std::vector<double> latencies;  // successful requests only (see SimResult contract)
   const int coordinator_site = 0;
-  result.trace.Clear(options_.num_sites);
+  result.trace.Clear(kNumSites);
   LeaseCoordinator coord(conflicts_, LeaseCoordinator::Options{options_.enforce.num_shards,
                                                                options_.enforce.lease_ms});
 
   auto coord_delay = [&](int site) {
-    return site == coordinator_site ? 0.0 : options_.cross_site_latency_ms;
+    return site == coordinator_site ? 0.0 : kCrossSiteLatencyMs;
   };
   auto push = [&](double time, EventKind kind, int64_t op, int site = -1, int client = -1,
                   uint8_t stage = 0, int attempt = 0, double stamp = 0) {
@@ -198,14 +223,14 @@ SimResult Simulator::Run() {
   // Quiescence bound: no new transmissions once the drain grace expires, so retry chains
   // terminate and the event queue empties even under persistent faults.
   auto can_send = [&](double now) {
-    return now <= options_.duration_ms + options_.drain_grace_ms;
+    return now <= options_.duration_ms + kDrainGraceMs;
   };
   auto backoff = [&](int attempts) {
-    double t = options_.retry_timeout_ms;
+    double t = kRetryTimeoutMs;
     for (int i = 1; i < attempts; ++i) {
-      t = std::min(t * options_.retry_backoff, options_.retry_timeout_cap_ms);
+      t = std::min(t * kRetryBackoff, kRetryTimeoutCapMs);
     }
-    return std::min(t, options_.retry_timeout_cap_ms);
+    return std::min(t, kRetryTimeoutCapMs);
   };
   // Sends one protocol message over a (possibly faulty) link and schedules its arrivals.
   // `from`/`to` use kCoordinatorEndpoint for the coordination service side.
@@ -260,12 +285,10 @@ SimResult Simulator::Run() {
       if (!gop.interval_open) {
         record_grant(gop, now);
       }
-      double cost =
-          options_.enforce.acquire_overhead_ms +
-          options_.enforce.per_lock_overhead_ms *
-              static_cast<double>(gop.degraded
-                                      ? 1
-                                      : coord.NumLocks(gop.request.path->view_name));
+      double cost = kAcquireOverheadMs +
+                    kPerLockOverheadMs *
+                        static_cast<double>(
+                            gop.degraded ? 1 : coord.NumLocks(gop.request.path->view_name));
       transmit(now, kCoordinatorEndpoint, gop.site, coord_delay(gop.site) + cost,
                EventKind::kGrantArrive, gop.id);
       push(now + options_.enforce.lease_ms + 0.001, EventKind::kLeaseExpiryCheck, -1);
@@ -307,7 +330,7 @@ SimResult Simulator::Run() {
     }
     site.log_scan = log.size();
     // Buffered out-of-order deliveries below the cursor are now stale.
-    for (int o = 0; o < options_.num_sites; ++o) {
+    for (int o = 0; o < kNumSites; ++o) {
       std::erase_if(site.gap_buffer[o],
                     [&](const auto& e) { return e.first < site.expected[o]; });
     }
@@ -338,7 +361,7 @@ SimResult Simulator::Run() {
     bool progress = true;
     while (progress) {
       progress = false;
-      for (int o = 0; o < options_.num_sites; ++o) {
+      for (int o = 0; o < kNumSites; ++o) {
         auto& buffer = site.gap_buffer[o];
         for (auto it = buffer.find(site.expected[o]); it != buffer.end();
              it = buffer.find(site.expected[o])) {
@@ -348,8 +371,7 @@ SimResult Simulator::Run() {
           }
           apply_record(s, next);
           ++site.expected[o];
-          transmit(now, s, o, options_.cross_site_latency_ms,
-                   EventKind::kEffectAckArrive, next.id, s);
+          transmit(now, s, o, kCrossSiteLatencyMs, EventKind::kEffectAckArrive, next.id, s);
           buffer.erase(it);
           progress = true;
         }
@@ -365,8 +387,7 @@ SimResult Simulator::Run() {
     if (op.effect_seq < expected) {
       ++result.duplicates_ignored;
       // Re-ack: the origin may have missed the first ack.
-      transmit(now, s, origin, options_.cross_site_latency_ms, EventKind::kEffectAckArrive,
-               op.id, s);
+      transmit(now, s, origin, kCrossSiteLatencyMs, EventKind::kEffectAckArrive, op.id, s);
       return;
     }
     if (op.effect_seq > expected || !fence_covered(s, op.effect_prereq)) {
@@ -384,23 +405,22 @@ SimResult Simulator::Run() {
     }
     apply_record(s, op);
     ++expected;
-    transmit(now, s, origin, options_.cross_site_latency_ms, EventKind::kEffectAckArrive,
-             op.id, s);
+    transmit(now, s, origin, kCrossSiteLatencyMs, EventKind::kEffectAckArrive, op.id, s);
     drain_site(s, now);
   };
 
-  for (int s = 0; s < options_.num_sites; ++s) {
-    for (int c = 0; c < options_.clients_per_site; ++c) {
+  for (int s = 0; s < kNumSites; ++s) {
+    for (int c = 0; c < kClientsPerSite; ++c) {
       push(0.0, EventKind::kClientIssue, -1, s, c);
     }
   }
   for (const CrashSchedule& crash : options_.faults.crashes) {
-    NOCTUA_CHECK(crash.site >= 0 && crash.site < options_.num_sites);
+    NOCTUA_CHECK(crash.site >= 0 && crash.site < kNumSites);
     push(crash.at_ms, EventKind::kCrash, -1, crash.site);
     push(crash.restart_ms, EventKind::kRestart, -1, crash.site);
   }
-  for (int s = 0; s < options_.num_sites; ++s) {
-    push(options_.anti_entropy_interval_ms, EventKind::kAntiEntropy, -1, s);
+  for (int s = 0; s < kNumSites; ++s) {
+    push(kAntiEntropyIntervalMs, EventKind::kAntiEntropy, -1, s);
   }
 
   while (!queue.empty()) {
@@ -434,15 +454,14 @@ SimResult Simulator::Run() {
           ref.lease_deadline = ev.time + options_.enforce.lease_ms;
           // The renew chain runs from admission, covering the queued wait too; confirmed
           // renewals are the only thing that extends the deadline later.
-          push(ev.time + options_.enforce.renew_interval_ms, EventKind::kLeaseRenewTimer,
-               ref.id);
+          push(ev.time + kRenewIntervalMs, EventKind::kLeaseRenewTimer, ref.id);
           transmit(ev.time, ref.site, kCoordinatorEndpoint, coord_delay(ref.site),
                    EventKind::kAdmitArrive, ref.id);
           push(ev.time + backoff(ref.admit_attempts), EventKind::kRetryTimer, ref.id, -1, -1,
                kStageAdmit, ref.admit_attempts);
         } else {
           ref.phase = Phase::kExecuting;
-          push(ev.time + options_.local_exec_ms, EventKind::kExecute, ref.id);
+          push(ev.time + kLocalExecMs, EventKind::kExecute, ref.id);
         }
         break;
       }
@@ -478,7 +497,7 @@ SimResult Simulator::Run() {
           obs::Observe(obs::Hist::kLeaseAcquireMicros,
                        static_cast<uint64_t>((ev.time - op.issued_at) * 1000.0));
           // The renew chain has been running since admission; no new one here.
-          push(ev.time + options_.local_exec_ms, EventKind::kExecute, op.id);
+          push(ev.time + kLocalExecMs, EventKind::kExecute, op.id);
         } else if (op.phase == Phase::kGivenUp) {
           // The client moved on; free the coordination entry.
           if (can_send(ev.time)) {
@@ -501,7 +520,7 @@ SimResult Simulator::Run() {
           // would break the serialization. Go back to admission — if the registration
           // is in fact still live, the idempotent re-acquire renews it and re-grants.
           ++result.lease_laps;
-          if (op.admit_attempts >= options_.max_retries || !can_send(ev.time)) {
+          if (op.admit_attempts >= kMaxRetries || !can_send(ev.time)) {
             op.phase = Phase::kGivenUp;
             ++result.timed_out_requests;
             sites[op.site].live_ops.erase(op.id);
@@ -540,12 +559,12 @@ SimResult Simulator::Run() {
           result.trace.site_order[op.site].push_back(op.id);
           log.push_back({op.id, op.site, op.effect_seq});
           // Propagate the effect to every remote replica (asynchronous).
-          for (int s = 0; s < options_.num_sites; ++s) {
+          for (int s = 0; s < kNumSites; ++s) {
             if (s != op.site) {
               op.await_acks.insert(s);
               op.effect_attempts[s] = 1;
-              transmit(ev.time, op.site, s, options_.cross_site_latency_ms,
-                       EventKind::kEffectArrive, op.id, s);
+              transmit(ev.time, op.site, s, kCrossSiteLatencyMs, EventKind::kEffectArrive,
+                       op.id, s);
               push(ev.time + backoff(1), EventKind::kRetryTimer, op.id, s, -1, kStageEffect,
                    1);
             }
@@ -646,7 +665,7 @@ SimResult Simulator::Run() {
               // latch — strong consistency for one op beats giving up.
               op.degraded = true;
             }
-            if (op.admit_attempts >= options_.max_retries || !can_send(ev.time)) {
+            if (op.admit_attempts >= kMaxRetries || !can_send(ev.time)) {
               op.phase = Phase::kGivenUp;
               ++result.timed_out_requests;
               sites[op.site].live_ops.erase(op.id);
@@ -673,8 +692,7 @@ SimResult Simulator::Run() {
                 ev.attempt != op.effect_attempts[target]) {
               break;
             }
-            if (op.effect_attempts[target] >= options_.max_retries ||
-                !can_send(ev.time)) {
+            if (op.effect_attempts[target] >= kMaxRetries || !can_send(ev.time)) {
               // The replica is unreachable (typically crashed): release anyway; the
               // catch-up log replays this effect in order before it serves again.
               ++result.ack_giveups;
@@ -689,7 +707,7 @@ SimResult Simulator::Run() {
             }
             ++op.effect_attempts[target];
             ++result.retransmissions;
-            transmit(ev.time, op.site, target, options_.cross_site_latency_ms,
+            transmit(ev.time, op.site, target, kCrossSiteLatencyMs,
                      EventKind::kEffectArrive, op.id, target);
             push(ev.time + backoff(op.effect_attempts[target]), EventKind::kRetryTimer,
                  op.id, target, -1, kStageEffect, op.effect_attempts[target]);
@@ -700,7 +718,7 @@ SimResult Simulator::Run() {
                 ev.attempt != op.release_attempts) {
               break;
             }
-            if (op.release_attempts >= options_.max_retries || !can_send(ev.time)) {
+            if (op.release_attempts >= kMaxRetries || !can_send(ev.time)) {
               op.phase = Phase::kDone;  // assume the coordinator processed one release
               break;
             }
@@ -753,21 +771,20 @@ SimResult Simulator::Run() {
         // Anti-entropy catch-up: replay every missed effect in commit order before
         // serving clients again (restart-from-disk plus log sync).
         catch_up(ev.site);
-        double ready = ev.time + options_.cross_site_latency_ms;  // sync round trip
-        for (int c = 0; c < options_.clients_per_site; ++c) {
+        double ready = ev.time + kCrossSiteLatencyMs;  // sync round trip
+        for (int c = 0; c < kClientsPerSite; ++c) {
           push(ready, EventKind::kClientIssue, -1, ev.site, c);
         }
         break;
       }
       case EventKind::kAntiEntropy: {
-        if (ev.time > options_.duration_ms + options_.drain_grace_ms) {
+        if (ev.time > options_.duration_ms + kDrainGraceMs) {
           break;  // stop the background schedule so the queue can drain
         }
         if (!sites[ev.site].down) {
           catch_up(ev.site);
         }
-        push(ev.time + options_.anti_entropy_interval_ms, EventKind::kAntiEntropy, -1,
-             ev.site);
+        push(ev.time + kAntiEntropyIntervalMs, EventKind::kAntiEntropy, -1, ev.site);
         break;
       }
       case EventKind::kLeaseRenewTimer: {
@@ -781,8 +798,7 @@ SimResult Simulator::Run() {
         }
         transmit(ev.time, op.site, kCoordinatorEndpoint, coord_delay(op.site),
                  EventKind::kRenewArrive, op.id, -1, ev.time);
-        push(ev.time + options_.enforce.renew_interval_ms, EventKind::kLeaseRenewTimer,
-             op.id);
+        push(ev.time + kRenewIntervalMs, EventKind::kLeaseRenewTimer, op.id);
         break;
       }
       case EventKind::kRenewArrive: {
@@ -818,7 +834,7 @@ SimResult Simulator::Run() {
       case EventKind::kLeaseExpiryCheck: {
         if (options_.faults.CoordinatorDown(ev.time) && can_send(ev.time)) {
           // The whole service is out; its failure detector resumes afterwards.
-          push(ev.time + options_.retry_timeout_ms, EventKind::kLeaseExpiryCheck, -1);
+          push(ev.time + kRetryTimeoutMs, EventKind::kLeaseExpiryCheck, -1);
           break;
         }
         LeaseCoordinator::Outcome out = coord.ExpireDue(ev.time);
@@ -831,7 +847,7 @@ SimResult Simulator::Run() {
   // Quiescence sync: faults have stopped; anti-entropy finishes healing every replica
   // (including one that crashed and never restarted inside the horizon) before the
   // convergence verdict.
-  for (int s = 0; s < options_.num_sites; ++s) {
+  for (int s = 0; s < kNumSites; ++s) {
     catch_up(s);
   }
 
@@ -878,7 +894,7 @@ SimResult Simulator::Run() {
     order_models.insert(m.begin(), m.end());
   }
   result.converged = true;
-  for (int s = 1; s < options_.num_sites; ++s) {
+  for (int s = 1; s < kNumSites; ++s) {
     result.converged = result.converged && sites[0].db.SameState(sites[s].db, order_models);
   }
 

@@ -65,25 +65,15 @@ class ConflictTable {
   bool total_ = false;
 };
 
+// What a run varies. The deployment's shape (3 sites of 8 clients, 1 ms between sites)
+// and the protocol's timers are constants in simulator.cc.
 struct SimOptions {
-  int num_sites = 3;
-  int clients_per_site = 8;
-  double cross_site_latency_ms = 1.0;  // the paper's injected 1 ms
-  double local_exec_ms = 0.05;         // request execution cost at a replica
   double duration_ms = 2000;
   double write_ratio = 0.5;
-  int seed_rows_per_model = 10;
   uint64_t seed = 42;
 
-  // --- Fault injection & recovery protocol ---------------------------------------------
-  FaultPlan faults;                    // what goes wrong; default: perfect network
-  double retry_timeout_ms = 6.0;       // initial retransmission timeout
-  double retry_backoff = 2.0;          // timeout multiplier per attempt
-  double retry_timeout_cap_ms = 48.0;  // backoff ceiling
-  int max_retries = 10;                // retransmissions per message before giving up
-  double anti_entropy_interval_ms = 25.0;  // per-replica background sync period
-  double drain_grace_ms = 300.0;  // no new transmissions after duration + grace, so the
-                                  // event queue quiesces even under persistent faults
+  // --- Fault injection -----------------------------------------------------------------
+  FaultPlan faults;  // what goes wrong; default: perfect network
 
   // --- Coordination service (see src/repl/coord.h) -------------------------------------
   // Tuning of the sharded lease-based LeaseCoordinator that admits every coordinated
@@ -113,7 +103,7 @@ struct SimResult {
   // Under the default (zero) FaultPlan no message is dropped or duplicated and no
   // replica crashes. messages_sent and retransmissions still count: every coordinated
   // request speaks the protocol, and a queued admission re-sends every backoff period.
-  uint64_t timed_out_requests = 0;   // gave up after max_retries admission attempts
+  uint64_t timed_out_requests = 0;   // gave up after kMaxRetries admission attempts
   uint64_t crash_lost_requests = 0;  // in-flight requests killed by a replica crash
   uint64_t messages_sent = 0;        // transmissions, including retries and dup copies
   uint64_t messages_dropped = 0;     // lost to link faults, outages, or down replicas

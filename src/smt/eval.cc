@@ -10,10 +10,10 @@ namespace noctua::smt {
 
 int Scope::DomainSize(const Sort& sort) const {
   if (sort->is_ref()) {
-    return RefSize(sort->model_id());
+    return size();
   }
   if (sort->is_pair()) {
-    return RefSize(sort->children()[0]->model_id()) * RefSize(sort->children()[1]->model_id());
+    return size() * size();
   }
   NOCTUA_UNREACHABLE("domain size of non-finite sort");
 }
@@ -286,17 +286,16 @@ Value Evaluator::Eval(Term t) { return EvalRec(t); }
 std::vector<Value> Evaluator::DomainElements(const Sort& sort) const {
   std::vector<Value> out;
   if (sort->is_ref()) {
-    int n = scope_.RefSize(sort->model_id());
+    int n = scope_.size();
     out.reserve(n);
     for (int i = 0; i < n; ++i) {
       out.push_back(Value::Ref(i));
     }
   } else if (sort->is_pair()) {
-    int n1 = scope_.RefSize(sort->children()[0]->model_id());
-    int n2 = scope_.RefSize(sort->children()[1]->model_id());
-    out.reserve(static_cast<size_t>(n1) * n2);
-    for (int i = 0; i < n1; ++i) {
-      for (int j = 0; j < n2; ++j) {
+    int n = scope_.size();
+    out.reserve(static_cast<size_t>(n) * n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
         out.push_back(Value::Pair(i, j));
       }
     }
@@ -355,7 +354,7 @@ int64_t DomainIndex(const Scope& scope, const Sort& sort, const Value& v) {
   if (sort->is_ref()) {
     return v.int_v();
   }
-  int n2 = scope.RefSize(sort->children()[1]->model_id());
+  int n2 = scope.size();
   return v.pair_fst() * n2 + v.pair_snd();
 }
 }  // namespace

@@ -12,7 +12,6 @@
 #define SRC_SMT_EVAL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -22,26 +21,20 @@
 
 namespace noctua::smt {
 
-// The finite scope: how many distinct IDs each model's Ref sort ranges over.
+// The finite scope: how many distinct IDs every model's Ref sort ranges over, one size
+// for all models.
 class Scope {
  public:
-  explicit Scope(int default_size = 2) : default_size_(default_size) {}
+  explicit Scope(int size = 2) : size_(size) {}
 
-  void SetModelSize(int model_id, int size) { sizes_[model_id] = size; }
-
-  int RefSize(int model_id) const {
-    auto it = sizes_.find(model_id);
-    return it == sizes_.end() ? default_size_ : it->second;
-  }
+  // Elements of every Ref sort.
+  int size() const { return size_; }
 
   // Number of elements in the domain of a Ref or Pair sort.
   int DomainSize(const Sort& sort) const;
 
-  int default_size() const { return default_size_; }
-
  private:
-  int default_size_;
-  std::map<int, int> sizes_;
+  int size_;
 };
 
 // A ground (or partially-ground) value. Composite values may contain Unknown leaves.

@@ -9,7 +9,7 @@ namespace noctua::smt {
 std::vector<Term> Grounder::DomainElements(Sort sort) {
   std::vector<Term> out;
   if (sort->is_ref()) {
-    int n = scope_.RefSize(sort->model_id());
+    int n = scope_.size();
     out.reserve(n);
     for (int i = 0; i < n; ++i) {
       out.push_back(f_->RefLit(sort, i));
@@ -17,11 +17,10 @@ std::vector<Term> Grounder::DomainElements(Sort sort) {
   } else if (sort->is_pair()) {
     Sort s1 = sort->children()[0];
     Sort s2 = sort->children()[1];
-    int n1 = scope_.RefSize(s1->model_id());
-    int n2 = scope_.RefSize(s2->model_id());
-    out.reserve(static_cast<size_t>(n1) * n2);
-    for (int i = 0; i < n1; ++i) {
-      for (int j = 0; j < n2; ++j) {
+    int n = scope_.size();
+    out.reserve(static_cast<size_t>(n) * n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
         out.push_back(f_->MkPair(f_->RefLit(s1, i), f_->RefLit(s2, j)));
       }
     }

@@ -89,7 +89,7 @@ std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
       out.push_back(f.StrLit(s));
     }
   } else if (sort->is_ref()) {
-    int n = scope.RefSize(sort->model_id());
+    int n = scope.size();
     out.reserve(n);
     for (int i = 0; i < n; ++i) {
       out.push_back(f.RefLit(sort, i));
@@ -151,7 +151,7 @@ void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
       continue;
     }
     int m = a->sort()->model_id();
-    if (dirty.count(m) != 0 || scope.RefSize(m) < 2) {
+    if (dirty.count(m) != 0 || scope.size() < 2) {
       continue;
     }
     if (taken.Find(a) != nullptr) {

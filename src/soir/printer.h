@@ -69,8 +69,9 @@ std::string CanonicalPath(const Schema& schema, const CodePath& path, Canonicali
 
 // One path's share of every fingerprint it takes part in, rendered once: `text` is the
 // path's CanonicalPath under a fresh CanonicalizationCtx, a newline, and that context's
-// SchemaSignature (exactly what PathDigest hashes); `models` and `relations` are the
-// context's canonical lists, which a pair key needs to relate two paths' renamings.
+// SchemaSignature; `models` and `relations` are the context's canonical lists, which a
+// pair key needs to relate two paths' renamings. The verifier's path table computes one
+// per effectful path per run, the one place a path's canonical identity is computed.
 struct PathFingerprint {
   std::string text;
   std::vector<int> models;

@@ -29,9 +29,9 @@ struct FieldDef {
   FieldType type = FieldType::kInt;
   bool unique = false;      // unique=True — generates an injectivity axiom (§5.2)
   bool positive = false;    // PositiveIntegerField — value must be >= 0
-  std::vector<std::string> choices;  // ChoiceField — value must be one of these
+  std::vector<std::string> choices = {};  // ChoiceField — value must be one of these
   int64_t default_int = 0;
-  std::string default_string;
+  std::string default_string = {};
 };
 
 enum class RelationKind : uint8_t { kManyToOne, kManyToMany };

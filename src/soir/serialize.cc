@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "src/soir/printer.h"
-
 namespace noctua::soir {
 
 // --- Token stream ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ size_t ArtifactReader::Count(size_t max) {
 
 bool ArtifactReader::AtEnd() { return !SkipSpace(); }
 
-// --- Content digests ------------------------------------------------------------------------
+// --- Content hash ---------------------------------------------------------------------------
 
 uint64_t Fnv1a64(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -142,12 +140,6 @@ std::string DigestHex(uint64_t digest) {
     digest >>= 4;
   }
   return out;
-}
-
-std::string PathDigest(const Schema& schema, const CodePath& path) {
-  // The path's fingerprint part: its canonical text plus the canonical schema fragment
-  // it can reach — exactly what it contributes to every verdict key it takes part in.
-  return DigestHex(Fnv1a64(FingerprintPath(schema, path).text));
 }
 
 }  // namespace noctua::soir

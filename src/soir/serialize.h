@@ -1,14 +1,8 @@
-// The artifact store's token stream and the content digests of SOIR code paths.
+// The artifact store's token stream and a 64-bit content hash.
 //
 // Artifacts (the store's manifest and verdicts files) are versioned (kArtifactVersion)
 // and parsed defensively: a truncated, corrupted, or other-versioned artifact makes the
 // reader fail closed rather than crash, so callers can fall back to a cold run.
-//
-// The content digest of a path is renaming-invariant: it hashes the canonical rendering
-// (soir::CanonicalPath) plus the canonical schema fragment the path touches
-// (SchemaSignature). Renaming a model, field, relation, or argument does not change a
-// digest; changing a guard, a field's sort, a relation's on-delete policy, or anything
-// else the SMT encoding can see does.
 #ifndef SRC_SOIR_SERIALIZE_H_
 #define SRC_SOIR_SERIALIZE_H_
 
@@ -16,8 +10,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/soir/ast.h"
-#include "src/soir/schema.h"
 
 namespace noctua::soir {
 
@@ -27,7 +19,8 @@ namespace noctua::soir {
 // each part once (see verifier::VerdictCache::SaveToFile).
 // Version 3: the store is a manifest of endpoint digests plus the verdicts, and every
 // key head names the checker options the verdict depends on (verifier::KeyOptions).
-inline constexpr int64_t kArtifactVersion = 3;
+// Version 4: the manifest holds only the format version and the app name.
+inline constexpr int64_t kArtifactVersion = 4;
 
 // --- Token stream ---------------------------------------------------------------------------
 //
@@ -73,16 +66,13 @@ class ArtifactReader {
   bool ok_ = true;
 };
 
-// --- Content digests ------------------------------------------------------------------------
+// --- Content hash ---------------------------------------------------------------------------
 
 // FNV-1a, the 64-bit flavor: tiny, dependency-free, and stable across platforms. Not
 // cryptographic — the store trusts its own artifacts; paranoia sampling (see
 // verifier::ParallelOptions) is the defense against silent corruption.
 uint64_t Fnv1a64(std::string_view s);
 std::string DigestHex(uint64_t digest);
-
-// Renaming-invariant content digest of one code path (see file header).
-std::string PathDigest(const Schema& schema, const CodePath& path);
 
 }  // namespace noctua::soir
 

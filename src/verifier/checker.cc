@@ -31,7 +31,7 @@ std::string KeyOptions(const CheckerOptions& options) {
   return "o" + std::to_string(options.encoder.use_order) + "u" +
          std::to_string(options.encoder.unique_id_optimization) + "i" +
          std::to_string(options.solver.max_int_domain) + "k" +
-         std::to_string(options.solver.scope.default_size());
+         std::to_string(options.solver.scope.size());
 }
 
 Checker::PathFacts Checker::Facts(const soir::CodePath& path) const {

@@ -50,12 +50,11 @@ struct CheckerOptions {
 
 // The options a verdict depends on, rendered for the head of every verdict-cache key
 // (e.g. "o1u1i8k2"): encoder.use_order, encoder.unique_id_optimization,
-// solver.max_int_domain and the scope's default size. Queries checked under different
-// values of any of them never share a verdict, in a run's cache, the engine's, or a
-// store. Left out: the options proven verdict-preserving (solver.symmetry,
-// solver.incremental, project_footprint, independence_prefilter); the budget, which
-// decides only timeouts, and timeouts are never cached; and per-model scope sizes, which
-// only the solver's own tests set.
+// solver.max_int_domain and the scope's size. Queries checked under different values of
+// any of them never share a verdict, in a run's cache, the engine's, or a store. Left
+// out: the options proven verdict-preserving (solver.symmetry, solver.incremental,
+// project_footprint, independence_prefilter); and the budget, which decides only
+// timeouts, and timeouts are never cached.
 std::string KeyOptions(const CheckerOptions& options);
 
 struct CheckStats {

@@ -1,5 +1,5 @@
 // Tests for store-backed runs: stable serialization of verdicts (each path part stored
-// once); renaming-invariant content digests; verdict keys joined from per-path parts,
+// once); renaming-invariant path fingerprints; verdict keys joined from per-path parts,
 // which must classify queries exactly like the shared-context reference key; the on-disk
 // artifact store (a manifest and the verdicts) with its fail-closed loader and version
 // gate; and O(change) re-verification — a warm run must produce the byte-identical
@@ -40,7 +40,7 @@ using soir::RelationKind;
 //
 // A small lending app whose every name is a parameter captured by the handlers, so a
 // "codebase-wide rename" edit is literally the same program under different names —
-// the scenario the renaming-invariant digests must see through.
+// the scenario the renaming-invariant fingerprints must see through.
 
 struct LibraryNames {
   std::string book = "Book";
@@ -188,6 +188,21 @@ std::string NiKey(const soir::Schema& schema, const soir::CodePath& p,
   const std::set<int> oq = soir::OrderRelevantModels(q);
   return verifier::PairKey("ni", soir::FingerprintPath(schema, p),
                            soir::FingerprintPath(schema, q), {&op, &oq});
+}
+
+// The canonical identities (soir::FingerprintPath texts) of `view`'s paths, in discovery
+// order: what the verifier's path table computes for each path, renaming-invariant.
+std::vector<std::string> EndpointTexts(const soir::Schema& schema,
+                                       const analyzer::AnalysisResult& r,
+                                       const std::string& view) {
+  std::vector<std::string> texts;
+  for (const soir::CodePath& p : r.paths) {
+    if (p.view_name == view) {
+      texts.push_back(soir::FingerprintPath(schema, p).text);
+    }
+  }
+  EXPECT_FALSE(texts.empty()) << "no path for " << view;
+  return texts;
 }
 
 // The artifact token a string is stored as.
@@ -444,9 +459,11 @@ TEST(FingerprintAntiCollisionTest, DifferentGuardLiteralsGetDifferentKeys) {
   app::App a5 = MakeLibraryApp(five);
   analyzer::AnalysisResult r1 = analyzer::AnalyzeApp(a1);
   analyzer::AnalysisResult r5 = analyzer::AnalyzeApp(a5);
-  // Only the guard constant differs; the digests and the verdict keys must separate.
-  EXPECT_NE(r1.endpoint_digests.at("checkout"), r5.endpoint_digests.at("checkout"));
-  EXPECT_EQ(r1.endpoint_digests.at("add_book"), r5.endpoint_digests.at("add_book"));
+  // Only the guard constant differs; the fingerprints and the verdict keys must separate.
+  EXPECT_NE(EndpointTexts(a1.schema(), r1, "checkout"),
+            EndpointTexts(a5.schema(), r5, "checkout"));
+  EXPECT_EQ(EndpointTexts(a1.schema(), r1, "add_book"),
+            EndpointTexts(a5.schema(), r5, "add_book"));
 
   auto path_of = [](const analyzer::AnalysisResult& r, const std::string& view) {
     for (const soir::CodePath& p : r.EffectfulPaths()) {
@@ -492,12 +509,12 @@ TEST(FingerprintAntiCollisionTest, DirectionOrderAndPairingChangeKeys) {
 TEST(FingerprintAntiCollisionTest, SmallBankDigestsSeparateFieldSlots) {
   app::App a = apps::MakeSmallBankApp();
   analyzer::AnalysisResult r = analyzer::AnalyzeApp(a);
-  std::map<std::string, std::string> digest = r.endpoint_digests;
+  auto texts = [&](const std::string& view) { return EndpointTexts(a.schema(), r, view); };
   // SendPayment and Amalgamate are canonically the same operation (the cache's win)...
-  EXPECT_EQ(digest.at("SendPayment"), digest.at("Amalgamate"));
-  // ...but operations over different field slots must keep distinct digests.
-  EXPECT_NE(digest.at("DepositChecking"), digest.at("TransactSavings"));
-  EXPECT_NE(digest.at("DepositChecking"), digest.at("SendPayment"));
+  EXPECT_EQ(texts("SendPayment"), texts("Amalgamate"));
+  // ...but operations over different field slots must keep distinct fingerprints.
+  EXPECT_NE(texts("DepositChecking"), texts("TransactSavings"));
+  EXPECT_NE(texts("DepositChecking"), texts("SendPayment"));
 }
 
 // ------------------------------------------------------------------- incremental engine
@@ -513,7 +530,6 @@ TEST(IncrementalTest, WarmRunReplaysEverythingWhenNothingChanged) {
   app::App again = MakeLibraryApp(LibraryConfig{});
   PipelineResult warm = RunStored(again, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_TRUE(warm.changed_endpoints.empty());
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
   EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
@@ -528,7 +544,6 @@ TEST(IncrementalTest, HandlerEditReverifiesOnlyPairsTouchingIt) {
   app::App b = MakeLibraryApp(edited);
   PipelineResult warm = RunStored(b, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_EQ(warm.changed_endpoints, std::vector<std::string>{"checkout"});
   EXPECT_GT(warm.stats().pairs_replayed, 0u);
   ExpectUnchangedPairsReplayed(warm.restrictions, {"checkout"});
 
@@ -547,7 +562,6 @@ TEST(IncrementalTest, AddedEndpointReverifiesOnlyItsPairs) {
   app::App b = MakeLibraryApp(with_review);
   PipelineResult warm = RunStored(b, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_EQ(warm.changed_endpoints, std::vector<std::string>{"review"});
   ExpectUnchangedPairsReplayed(warm.restrictions, {"review"});
 
   std::string cold_store = TempStore("add_endpoint_cold");
@@ -560,14 +574,11 @@ TEST(IncrementalTest, RenameOnlyEditReplaysEveryVerdict) {
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult cold = RunStored(a, store);
 
-  // Every model, field and relation renamed: every digest and every verdict key is
-  // renaming-invariant, so nothing is re-verified and the restriction set is
-  // byte-identical.
+  // Every model, field and relation renamed: every verdict key is renaming-invariant,
+  // so nothing is re-verified and the restriction set is byte-identical.
   app::App renamed = MakeLibraryApp(RenamedConfig());
   PipelineResult warm = RunStored(renamed, store);
   EXPECT_FALSE(warm.cold);
-  EXPECT_TRUE(warm.changed_endpoints.empty())
-      << "a pure rename must not change any endpoint digest";
   EXPECT_EQ(warm.stats().pairs_computed, 0u) << "a pure rename must replay 100% of verdicts";
   ExpectUnchangedPairsReplayed(warm.restrictions, {});
   EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
@@ -668,7 +679,6 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
     app::App b = entry.make();
     PipelineResult warm = RunStored(b, store);
     EXPECT_FALSE(warm.cold) << entry.name;
-    EXPECT_TRUE(warm.changed_endpoints.empty()) << entry.name;
     EXPECT_EQ(warm.stats().pairs_computed, 0u) << entry.name;
     EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines())
         << entry.name;
@@ -676,7 +686,9 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
 }
 
 // A store written by an earlier build fails the version gate: that run is cold, saves a
-// store of the current version, and the next run replays from it.
+// store of the current version, and the next run replays from it. The earlier store here
+// is laid out as version 3 wrote it: the verdicts in today's format under the old version
+// token, and a manifest that also lists every endpoint's digest.
 TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
   std::string store = TempStore("version_earlier");
   app::App a = MakeLibraryApp(LibraryConfig{});
@@ -697,6 +709,11 @@ TEST(IncrementalTest, StoreFromAnEarlierVersionRunsColdOnce) {
     ASSERT_EQ(data.compare(at, current.size(), current), 0) << file;
     WriteAll(path, data.replace(at, current.size(), earlier));
   }
+  std::string manifest = ReadAll(store + "/manifest") + " 3";
+  for (const char* view : {"add_book", "checkout", "return_book"}) {
+    manifest += " " + Quoted(view) + " " + Quoted(soir::DigestHex(soir::Fnv1a64(view)));
+  }
+  WriteAll(store + "/manifest", manifest);
 
   analyzer::AnalysisResult analysis;
   verifier::VerdictCache verdicts;

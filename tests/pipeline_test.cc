@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <numeric>
-#include <ostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,16 +20,6 @@
 #include "src/soir/printer.h"
 #include "src/support/thread_pool.h"
 #include "src/verifier/cache.h"
-
-namespace noctua::apps {
-
-// Prints an entry as its name. gtest finds this overload for EngineAgreementTest's
-// AppEntry parameter and puts its output in the suite's full test names; without it
-// gtest prints the entry's raw bytes, which hold heap addresses, so the names would
-// change from run to run.
-void PrintTo(const AppEntry& entry, std::ostream* os) { *os << entry.name; }
-
-}  // namespace noctua::apps
 
 namespace noctua {
 namespace {

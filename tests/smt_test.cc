@@ -637,7 +637,7 @@ TEST_P(SolverTest, RefDistinctBeyondScopeIsUnsat) {
   Term c = f.Const("c", f.RefSort(0));
   // Scope is 2, so three pairwise-distinct refs cannot exist.
   EXPECT_EQ(Check({f.Distinct({a, b, c})}), SolveResult::kUnsat);
-  options.scope.SetModelSize(0, 3);
+  options.scope = Scope{3};
   EXPECT_EQ(Check({f.Distinct({a, b, c})}), SolveResult::kSat);
 }
 

@@ -84,7 +84,7 @@ class Encoder {
     }
     Sort s1 = index->children()[0];
     Sort s2 = index->children()[1];
-    const size_t n2 = static_cast<size_t>(scope_.RefSize(s2->model_id()));
+    const size_t n2 = static_cast<size_t>(scope_.size());
     return f_.MkPair(f_.RefLit(s1, static_cast<int64_t>(j / n2)),
                      f_.RefLit(s2, static_cast<int64_t>(j % n2)));
   }
@@ -100,7 +100,7 @@ class Encoder {
     if (index->is_ref()) {
       return static_cast<size_t>(v[0]);
     }
-    const int64_t n2 = scope_.RefSize(index->children()[1]->model_id());
+    const int64_t n2 = scope_.size();
     return static_cast<size_t>(v[0] * n2 + v[1]);
   }
 
@@ -181,7 +181,7 @@ class Encoder {
                  : s->is_string() ? ctx_.string_const(name.c_str())
                                   : ctx_.int_const(name.c_str());
     if (s->is_ref()) {
-      restrictions_.push_back(0 <= e && e < scope_.RefSize(s->model_id()));
+      restrictions_.push_back(0 <= e && e < scope_.size());
     } else if (!s->is_bool()) {
       z3::expr_vector in(ctx_);
       if (s->is_int()) {
