@@ -4,9 +4,10 @@
 // AnalyzeRestrictions did before the redesign — and then the full engine at 1/2/4/8
 // worker threads. Each row, the baseline included, reports the median of three runs on
 // fresh engines, taken in three interleaved rounds over the rows, so one stretch of host
-// noise does not bend the curve. Every run must produce byte-identical per-pair verdicts;
-// the bench exits nonzero if any run of any thread count (or of the legacy engine)
-// disagrees.
+// noise does not bend the curve. Every run must produce byte-identical per-pair verdicts,
+// and every run of the full engine the same work as its app's first 1-thread run (equal
+// solver_checks and cache_hits); the bench exits nonzero if any run of any thread count
+// (or of the legacy engine) disagrees.
 //
 // Emits one JSON document on stdout (progress goes to stderr):
 //
@@ -14,8 +15,10 @@
 //              "baseline": {"config": "legacy serial engine", "seconds": ...},
 //              "sweep": [{"threads": 1, "seconds": ..., "speedup": ...,
 //                         "speedup_vs_1thread": ..., "cache_hit_rate": ...,
-//                         "identical_restrictions": true}, ...]}, ...],
-//    "hardware_concurrency": N, "identical_everywhere": true}
+//                         "identical_restrictions": true, "identical_counts": true},
+//                        ...]}, ...],
+//    "hardware_concurrency": N, "identical_everywhere": true,
+//    "identical_counts_everywhere": true}
 //
 // "speedup" is the end-to-end AnalyzeRestrictions improvement over the baseline row —
 // what a caller of the old API gains by moving to this engine at that thread count.
@@ -68,6 +71,7 @@ int main() {
   const int kThreadCounts[] = {1, 2, 4, 8};
   constexpr int kRounds = 3;
   bool identical_everywhere = true;
+  bool identical_counts_everywhere = true;
 
   obs::JsonWriter json = bench::BenchDocument("parallel_sweep");
   json.Key("apps").BeginArray();
@@ -102,6 +106,15 @@ int main() {
         return r.VerdictLines() == reference;
       });
     };
+    // The full engine's work is a function of the app: every run of every width counts
+    // the checks and cache hits of the first 1-thread run.
+    const verifier::ReportStats& one_thread = rows[1].runs[0].stats;
+    auto identical_counts = [&](const Row& row) {
+      return std::all_of(row.runs.begin(), row.runs.end(), [&](const RestrictionReport& r) {
+        return r.stats.solver_checks == one_thread.solver_checks &&
+               r.stats.cache_hits == one_thread.cache_hits;
+      });
+    };
     identical_everywhere = identical_everywhere && identical_runs(rows[0]);
     const RestrictionReport& baseline = MedianRun(rows[0].runs);
     fprintf(stderr, "[parallel_sweep] %s: legacy %.3fs (%zu pairs, %zu restrictions)\n",
@@ -119,18 +132,21 @@ int main() {
     for (size_t i = 1; i < rows.size(); ++i) {
       const int threads = rows[i].threads;
       const bool identical = identical_runs(rows[i]);
+      const bool same_counts = identical_counts(rows[i]);
       const RestrictionReport& report = MedianRun(rows[i].runs);
       if (threads == 1) {
         one_thread_seconds = report.total_seconds;
       }
       identical_everywhere = identical_everywhere && identical;
+      identical_counts_everywhere = identical_counts_everywhere && same_counts;
       double speedup = baseline.total_seconds / report.total_seconds;
       double vs_one = one_thread_seconds / report.total_seconds;
       fprintf(stderr,
               "[parallel_sweep] %s: %d thread(s) %.3fs  speedup %.2fx  "
-              "(vs 1 thread %.2fx, cache hit rate %.2f)%s\n",
+              "(vs 1 thread %.2fx, cache hit rate %.2f)%s%s\n",
               app_case.name, threads, report.total_seconds, speedup, vs_one,
-              report.stats.CacheHitRate(), identical ? "" : "  VERDICTS DIVERGED");
+              report.stats.CacheHitRate(), identical ? "" : "  VERDICTS DIVERGED",
+              same_counts ? "" : "  COUNTS DIVERGED");
       json.BeginObject().Key("threads").Int(threads);
       json.Key("seconds").Double(report.total_seconds, 3).Key("speedup").Double(speedup, 2);
       json.Key("speedup_vs_1thread").Double(vs_one, 2);
@@ -139,15 +155,22 @@ int main() {
       json.Key("solver_checks").Uint(report.stats.solver_checks);
       json.Key("prefiltered").Uint(report.stats.prefiltered);
       bench::WritePhaseTiming(json.Key("phases"), report);
-      json.Key("identical_restrictions").Bool(identical).EndObject();
+      json.Key("identical_restrictions").Bool(identical);
+      json.Key("identical_counts").Bool(same_counts).EndObject();
     }
     json.EndArray().EndObject();
   }
   json.EndArray().Key("hardware_concurrency").Uint(std::thread::hardware_concurrency());
-  json.Key("identical_everywhere").Bool(identical_everywhere).EndObject();
+  json.Key("identical_everywhere").Bool(identical_everywhere);
+  json.Key("identical_counts_everywhere").Bool(identical_counts_everywhere).EndObject();
   printf("%s\n", json.Take().c_str());
   if (!identical_everywhere) {
     fprintf(stderr, "[parallel_sweep] FAILED: some engine config changed a verdict\n");
+    return 1;
+  }
+  if (!identical_counts_everywhere) {
+    fprintf(stderr, "[parallel_sweep] FAILED: some run's solver checks or cache hits differ "
+            "from its app's 1-thread run\n");
     return 1;
   }
   return 0;

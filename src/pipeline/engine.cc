@@ -119,6 +119,7 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
                           : obs::Counter::kArtifactLoadFailures);
     }
     result.cold = !have_prior;
+    const size_t loaded = verdicts.size();
     {
       obs::ScopedSpan span("verify", obs::kCatPipeline);
       Stopwatch phase;
@@ -132,7 +133,10 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options,
       verify_seconds = phase.ElapsedSeconds();
       span.Arg("restrictions", result.restrictions.num_restrictions());
     }
-    if (stored) {
+    // A store that loaded and gained no verdict already holds what a save would write
+    // (equal caches write equal bytes), so it is left as it is.
+    result.artifacts_saved = stored;
+    if (stored && (!have_prior || verdicts.size() != loaded)) {
       obs::ScopedSpan span("save_artifacts", obs::kCatIncremental);
       result.artifacts_saved = session.Save(app, result.analysis, verdicts);
       span.Arg("saved", result.artifacts_saved ? 1 : 0);

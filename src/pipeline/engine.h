@@ -11,7 +11,7 @@
 //     environment does.
 //   - Run/Verify are safe to call from many threads: they serialize on an internal mutex
 //     because the ThreadPool runs one batch at a time (one shared cursor over one
-//     dispatch order). Run holds the mutex for its whole pass (analysis, verify and,
+//     dispatch order) and the verdict cache takes one writer at a time (cache.h). Run holds the mutex for its whole pass (analysis, verify and,
 //     with a store, load and save), so no other run's work competes with its pool for
 //     cores; the wait is its engine_lock_wait span and a sample of the
 //     pipeline.engine_lock_wait_micros histogram. Callers queue; admission control
@@ -73,9 +73,9 @@ class Engine {
   // through the engine's shared verdict cache (unless the caller brought its own store).
   // With `store_dir`, the run goes against the on-disk artifact store there (session.h):
   // it analyzes the app, loads the prior verdicts, replays them so only pairs touched
-  // by the edit reach the solver, and saves the updated store back. A missing or
-  // invalid store degrades to a cold run (PipelineResult::cold), never to a crash or a
-  // wrong answer.
+  // by the edit reach the solver, and saves the store back if the run added a verdict
+  // (or loaded none). A missing or invalid store degrades to a cold run
+  // (PipelineResult::cold), never to a crash or a wrong answer.
   PipelineResult Run(const app::App& app, const PipelineOptions& options = {},
                      const std::string& store_dir = "");
   // The verifier stage alone, for callers that already hold an analysis (e.g. ablations

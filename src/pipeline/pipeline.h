@@ -41,7 +41,8 @@ struct PipelineResult {
   // stats().pairs_computed.
   bool cold = true;
   // False when writing the artifacts back failed — the run's results are valid, but the
-  // next run will be cold. A warning is also printed to stderr, because a persistently
+  // next run will be cold. A run that loaded the store and added no verdict writes
+  // nothing, and reports true. A warning is also printed to stderr, because a persistently
   // unwritable store silently degrades every future run to a cold one.
   bool artifacts_saved = false;
 

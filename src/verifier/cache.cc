@@ -10,49 +10,33 @@
 
 namespace noctua::verifier {
 
-std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& key) const {
+  auto it = map_.find(key);
+  if (it == map_.end()) {
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second;
 }
 
-void VerdictCache::Insert(const std::string& key, CheckOutcome outcome) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  InsertLocked(shard, key, Entry{outcome, false});
+void VerdictCache::Insert(std::string key, CheckOutcome outcome) {
+  Emplace(std::move(key), Entry{outcome, false});
 }
 
-// Inserts under the shard lock, evicting FIFO when a bounded shard is at its share of
-// the capacity. Duplicate keys keep the existing entry (and do not re-enter the FIFO).
-void VerdictCache::InsertLocked(Shard& shard, const std::string& key, Entry entry) {
-  if (!shard.map.emplace(key, entry).second) {
+// Duplicate keys keep the existing entry (and do not re-enter the FIFO).
+void VerdictCache::Emplace(std::string key, Entry entry) {
+  auto [it, inserted] = map_.try_emplace(std::move(key), entry);
+  if (!inserted) {
     return;
   }
-  if (capacity_ == 0) {
-    return;
+  if (capacity_ != 0) {
+    fifo_.push_back(it->first);
+    while (map_.size() > capacity_) {
+      map_.erase(fifo_.front());
+      fifo_.pop_front();
+      ++evictions_;
+    }
   }
-  shard.fifo.push_back(key);
-  size_t shard_capacity = std::max<size_t>(1, capacity_ / kNumShards);
-  while (shard.map.size() > shard_capacity && !shard.fifo.empty()) {
-    shard.map.erase(shard.fifo.front());
-    shard.fifo.pop_front();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-size_t VerdictCache::size() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(const_cast<Shard&>(s).mu);
-    n += s.map.size();
-  }
-  return n;
+  size_.store(map_.size(), std::memory_order_relaxed);
 }
 
 namespace {
@@ -140,35 +124,37 @@ std::string PairKey(std::string_view head, const soir::PathFingerprint& p,
   AppendField(&key, head);
   AppendField(&key, p.text);
   AppendField(&key, q.text);
-  key += "link:";
-  AppendLink(&key, q.models, p.models);
-  key += '/';
-  AppendLink(&key, q.relations, p.relations);
+  AppendPairTail(&key, p, q, order_sets);
+  return key;
+}
+
+void AppendPairTail(std::string* out, const soir::PathFingerprint& p,
+                    const soir::PathFingerprint& q,
+                    std::initializer_list<const std::set<int>*> order_sets) {
+  *out += "link:";
+  AppendLink(out, q.models, p.models);
+  *out += '/';
+  AppendLink(out, q.relations, p.relations);
   // Membership of models neither path mentions is irrelevant: they are projected out of
   // the query.
   auto append_order = [&](const std::vector<int>& models) {
     for (int m : models) {
       bool in_order = std::any_of(order_sets.begin(), order_sets.end(),
                                   [m](const std::set<int>* s) { return s->count(m) != 0; });
-      key += in_order ? '1' : '0';
+      *out += in_order ? '1' : '0';
     }
   };
-  key += "|ord:";
+  *out += "|ord:";
   append_order(p.models);
-  key += '/';
+  *out += '/';
   append_order(q.models);
-  return key;
 }
 
 bool VerdictCache::SaveToFile(const std::string& path) const {
-  // Keys by address: Save runs while no worker writes (see the header), so the map
-  // nodes stay put.
   std::vector<std::pair<const std::string*, CheckOutcome>> entries;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(const_cast<Shard&>(s).mu);
-    for (const auto& [key, entry] : s.map) {
-      entries.emplace_back(&key, entry.outcome);
-    }
+  entries.reserve(map_.size());
+  for (const auto& [key, entry] : map_) {
+    entries.emplace_back(&key, entry.outcome);
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
@@ -283,9 +269,7 @@ bool VerdictCache::LoadFromFile(const std::string& path) {
     return false;
   }
   for (auto& [key, outcome] : entries) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    InsertLocked(shard, key, Entry{outcome, true});
+    Emplace(std::move(key), Entry{outcome, true});
   }
   return true;
 }

@@ -21,21 +21,20 @@
 // membership, changed checker options — misses and is re-solved. The verifier never
 // inserts a timeout (see AnalyzeRestrictions), so every entry is a decided verdict.
 //
-// Thread-safety: sharded by key hash; lookups and inserts from concurrent verification
-// workers are safe. Two workers may race to compute the same fingerprint — both compute,
-// both insert the (equal) outcome; the cache trades that duplicated solver call for
-// never blocking a worker on another's multi-millisecond check. Such duplicates are
-// common: a traced cold run of the six evaluated apps at 4 threads solved 176-194
-// fingerprints twice in about 1,650 checks, about 11% of them, where one thread runs
-// 1,465 (the benchmark's cache.duplicate_solves). Save/Load are not concurrency-safe
-// against writers; call them before and after a run, not during.
+// Thread-safety: one map and no lock. Lookups are const and count nothing, so any number
+// of threads may look up at once while none inserts; Insert, LoadFromFile and SaveToFile
+// run on one thread, with no lookup in flight. The pair loop keeps to that: each query's
+// owner, fixed before any solve starts, looks it up inside the pool, and the calling
+// thread inserts the run's new verdicts after the pool has stopped (see
+// AnalyzeRestrictions), so no worker blocks on another and no fingerprint is solved
+// twice. Only size() may be read from another thread at any time (the daemon's
+// /metrics).
 #ifndef SRC_VERIFIER_CACHE_H_
 #define SRC_VERIFIER_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <initializer_list>
 #include <optional>
 #include <set>
@@ -58,18 +57,17 @@ class VerdictCache {
     bool replayed = false;
   };
 
-  // `capacity` bounds the total number of entries (0 = unbounded, the default). When a
-  // shard would exceed its share (capacity / kNumShards, at least 1), the oldest entries of
-  // that shard are evicted FIFO. Only meaningful for run-local caches under memory
+  // `capacity` bounds the number of entries (0 = unbounded, the default); past it, the
+  // oldest entries are evicted FIFO. Only meaningful for run-local caches under memory
   // pressure; a cache that will be persisted as an artifact should stay unbounded, since
   // evicted verdicts silently become cold misses on the next warm run.
   explicit VerdictCache(size_t capacity = 0) : capacity_(capacity) {}
   VerdictCache(const VerdictCache&) = delete;
   VerdictCache& operator=(const VerdictCache&) = delete;
 
-  // Returns the cached entry, counting a hit; nullopt counts a miss.
-  std::optional<Entry> LookupEntry(const std::string& key);
-  void Insert(const std::string& key, CheckOutcome outcome);
+  std::optional<Entry> LookupEntry(const std::string& key) const;
+  // A key already present keeps its entry.
+  void Insert(std::string key, CheckOutcome outcome);
 
   // Persists every entry. The file holds a table of the path parts the keys share, each
   // written once, then the entries sorted by key: a pair key as its head, the indices of
@@ -84,31 +82,18 @@ class VerdictCache {
   // overwrites a computed verdict.
   bool LoadFromFile(const std::string& path);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
+  uint64_t evictions() const { return evictions_; }
   size_t capacity() const { return capacity_; }
-  size_t size() const;
-
-  // Entries are spread over this many independently locked shards by key hash.
-  static constexpr size_t kNumShards = 16;
+  size_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string, Entry> map;
-    std::deque<std::string> fifo;  // insertion order, only maintained when bounded
-  };
-  Shard& ShardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kNumShards];
-  }
-  void InsertLocked(Shard& shard, const std::string& key, Entry entry);
+  void Emplace(std::string key, Entry entry);
 
   const size_t capacity_;
-  Shard shards_[kNumShards];
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
+  std::unordered_map<std::string, Entry> map_;
+  std::deque<std::string> fifo_;  // insertion order, only maintained when bounded
+  uint64_t evictions_ = 0;
+  std::atomic<size_t> size_{0};  // map_.size(), for readers on other threads
 };
 
 // Fingerprint of one verification query over the ordered pair (p, q), joined from the
@@ -130,6 +115,11 @@ class VerdictCache {
 // back into head, parts and tail without a separator that a string literal in a path
 // could contain.
 std::string PairKey(std::string_view head, const soir::PathFingerprint& p,
+                    const soir::PathFingerprint& q,
+                    std::initializer_list<const std::set<int>*> order_sets);
+// Appends the key's tail alone, its link and order bits, to *out: two keys with equal
+// heads are equal exactly when their parts' texts and their tails are.
+void AppendPairTail(std::string* out, const soir::PathFingerprint& p,
                     const soir::PathFingerprint& q,
                     std::initializer_list<const std::set<int>*> order_sets);
 

@@ -125,23 +125,6 @@ void Checker::ApplyProjection(const PathFacts& p, const PathFacts& q,
   enc_options->active_relations = std::move(scope.relations);
 }
 
-CheckOutcome Checker::WorseOutcome(CheckOutcome a, CheckOutcome b) {
-  auto severity = [](CheckOutcome o) {
-    switch (o) {
-      case CheckOutcome::kPass:
-        return 0;
-      case CheckOutcome::kFail:
-        return 1;
-      case CheckOutcome::kTimeout:
-        return 2;
-      case CheckOutcome::kUnsupported:
-        return 3;
-    }
-    return 3;
-  };
-  return severity(a) >= severity(b) ? a : b;
-}
-
 CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
                                   const std::vector<Term>& query, CheckStats* stats) const {
   obs::ScopedSpan span("solve", obs::kCatSolve);

@@ -59,8 +59,6 @@ std::string KeyOptions(const CheckerOptions& options);
 
 struct CheckStats {
   uint64_t solver_nodes = 0;
-  bool cache_hit = false;  // verdict served by the report-level fingerprint cache
-  bool replayed = false;   // the serving cache entry was loaded from a prior run's store
 };
 
 class Checker {
@@ -187,10 +185,6 @@ class Checker {
     std::set<int> relations;
   };
   static PairScope ComputeScope(const PathFacts& p, const PathFacts& q);
-
-  // Severity order of outcomes (pass < fail < timeout < unsupported): the worse of two
-  // directions decides a semantic check.
-  static CheckOutcome WorseOutcome(CheckOutcome a, CheckOutcome b);
 
  private:
   // True when the two paths' footprints are disjoint, so both rules trivially pass.

@@ -1,9 +1,11 @@
 #include "src/verifier/report.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <numeric>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/obs/obs.h"
 #include "src/smt/backend.h"
@@ -109,12 +111,30 @@ std::string RestrictionReport::ToString() const {
 
 namespace {
 
-// One unordered pair of path indices, with its scheduling estimate.
+// A pair's queries: commutativity, NotInvalidate(P, Q), and NotInvalidate(Q, P), which
+// the pair asks only when NotInvalidate(P, Q) passes.
+enum Rule { kCom, kPQ, kQP };
+
+// One unordered pair of path indices, with its scheduling estimate and, unless
+// prefiltered, its queries (indices into the run's distinct queries, by Rule).
 struct PairJob {
   size_t i = 0;
   size_t j = 0;
   bool prefiltered = false;
   uint64_t cost = 0;
+  std::array<size_t, 3> queries{};
+};
+
+// One distinct query of a run. The plan names its owner, the one pair that answers it;
+// only the owner writes the rest, in the pool, and the calling thread reads it after.
+struct Query {
+  size_t owner = 0;
+  bool answered = false;
+  bool hit = false;       // served by the verdict cache
+  bool replayed = false;  // served by an entry loaded from a prior store
+  uint8_t checks = 0;     // solver calls spent: a solve, or a paranoia re-solve of a hit
+  CheckOutcome outcome = CheckOutcome::kPass;
+  std::string key;  // the verdict-cache key, when caching
 };
 
 // One row of the path table: everything the pair loop needs about one path, computed
@@ -213,153 +233,167 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   const std::string com_head = options_key + "|com";
   const std::string ni_head = options_key + "|ni";
 
-  // A caller-provided store makes verdicts persistent across runs; its counters
-  // accumulate, so report stats are computed as deltas from this snapshot.
+  // A caller-provided store makes verdicts persistent across runs.
   VerdictCache local_cache;
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
-  const uint64_t hits_before = cache->hits();
-  const uint64_t misses_before = cache->misses();
-  const uint64_t evictions_before = cache->evictions();
   const bool use_cache = parallel.cache;
-  std::atomic<uint64_t> prefiltered_count{0};
-  std::atomic<uint64_t> solver_checks{0};
-  std::atomic<uint64_t> solver_nodes{0};
-  std::atomic<uint64_t> replayed_queries{0};
-  std::atomic<uint64_t> paranoia_rechecks{0};
+
+  // The plan, on this thread: every distinct query of the run gets one slot and one
+  // owner, the first pair in dispatch order that asks it unconditionally, else the first
+  // that asks it as NotInvalidate(Q, P). A query is named by its rule, the classes of
+  // its two rows' fingerprint texts and its key's tail, which is what its key says
+  // without building it. Swapping a NotInvalidate key's parts, link and order bits gives
+  // the key of the other direction, so pairs that share a NotInvalidate(Q, P) query share
+  // their NotInvalidate(P, Q) query too. So the first pair to ask a NotInvalidate(Q, P)
+  // query that no pair asks unconditionally also owns its NotInvalidate(P, Q) query, and
+  // decides in its own session whether the first is needed: no worker waits on another.
+  // Without caching each pair owns its own three queries.
+  std::vector<Query> queries;
+  {
+    std::vector<uint32_t> text_class(rows.size());
+    std::unordered_map<std::string_view, uint32_t> classes;
+    for (size_t i = 0; use_cache && i < rows.size(); ++i) {
+      text_class[i] = classes.emplace(rows[i].fingerprint.text, classes.size()).first->second;
+    }
+    std::unordered_map<std::string, size_t> named;
+    std::string name;
+    for (Rule rule : {kCom, kPQ, kQP}) {
+      for (size_t k : dispatch) {
+        PairJob& job = jobs[k];
+        if (job.prefiltered) {
+          continue;
+        }
+        const size_t a = rule == kQP ? job.j : job.i;
+        const size_t b = rule == kQP ? job.i : job.j;
+        size_t& slot = job.queries[rule];
+        slot = queries.size();
+        if (use_cache) {
+          name.clear();
+          name += std::to_string(text_class[a]) + ',' + std::to_string(text_class[b]);
+          if (rule == kCom) {
+            name += 'c';
+            AppendPairTail(&name, rows[a].fingerprint, rows[b].fingerprint, {&order_models});
+          } else {
+            name += 'n';
+            AppendPairTail(&name, rows[a].fingerprint, rows[b].fingerprint,
+                           {&rows[a].facts.order, &rows[b].facts.order});
+          }
+          slot = named.try_emplace(name, slot).first->second;
+        }
+        if (slot == queries.size()) {
+          queries.emplace_back().owner = k;
+        }
+        NOCTUA_CHECK_MSG(rule != kQP || queries[slot].owner != k ||
+                             queries[job.queries[kPQ]].owner == k,
+                         "the owner of a NotInvalidate(Q, P) query must own its "
+                         "NotInvalidate(P, Q) query");
+      }
+    }
+  }
 
   RestrictionReport report;
   report.pairs.resize(jobs.size());
-
-  // One solver-level query, answered from the verdict cache when an isomorphic query
-  // already ran. Both outcomes and cache contents are scheduling-independent: isomorphic
-  // queries have equal verdicts, so whichever worker computes first inserts the same
-  // answer every interleaving. A timeout is never inserted: it says how much budget the
-  // run had, not what the query's answer is (no key names max_nodes), so a twin query
-  // re-solves it and no store keeps it. Replayed hits (entries loaded from a prior store) are additionally
-  // subject to paranoia sampling: a per-fingerprint coin decides whether to re-solve and
-  // cross-check, so the audited subset is the same for any thread count. A re-solve that
-  // times out decides nothing, so it cannot disagree.
-  auto cached_query = [&](const auto& key_fn, CheckStats* cs, const auto& compute) {
-    std::string key;
-    if (use_cache) {
-      key = key_fn();
-      std::optional<VerdictCache::Entry> hit;
-      {
-        obs::ScopedSpan probe("cache_probe", obs::kCatCache);
-        hit = cache->LookupEntry(key);
-        probe.Arg("hit", hit.has_value() ? 1 : 0);
-      }
-      if (hit) {
-        cs->cache_hit = true;
-        cs->replayed = hit->replayed;
-        if (hit->replayed) {
-          replayed_queries.fetch_add(1, std::memory_order_relaxed);
-          if (parallel.paranoia > 0) {
-            Rng coin(soir::Fnv1a64(key) ^ parallel.paranoia_seed);
-            if (coin.Chance(parallel.paranoia)) {
-              CheckStats recheck;
-              CheckOutcome fresh = compute(&recheck);
-              solver_checks.fetch_add(1, std::memory_order_relaxed);
-              solver_nodes.fetch_add(recheck.solver_nodes, std::memory_order_relaxed);
-              paranoia_rechecks.fetch_add(1, std::memory_order_relaxed);
-              NOCTUA_CHECK_MSG(fresh == hit->outcome || fresh == CheckOutcome::kTimeout,
-                               "paranoia recheck disagrees with replayed verdict ("
-                                   << CheckOutcomeName(fresh) << " vs "
-                                   << CheckOutcomeName(hit->outcome)
-                                   << ") — the artifact store is corrupt; key: " << key);
-            }
-          }
-        }
-        return hit->outcome;
-      }
-    }
-    CheckOutcome o = compute(cs);
-    solver_checks.fetch_add(1, std::memory_order_relaxed);
-    solver_nodes.fetch_add(cs->solver_nodes, std::memory_order_relaxed);
-    if (use_cache && o != CheckOutcome::kTimeout) {
-      cache->Insert(key, o);
-    }
-    return o;
-  };
 
   // The submitting thread's request-scoped trace context, captured once so every pool
   // task below re-installs it: per-pair spans inherit the service request (if any) that
   // scheduled this run, even when they execute on a shared pool worker.
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
 
+  // A pair task answers the queries its pair owns and writes only those and its own
+  // report slot. An owner probes the cache, and solves on a miss; the cache is only read
+  // while the pool runs. Replayed hits (entries loaded from a prior store) are subject
+  // to paranoia sampling: a per-fingerprint coin decides whether the owner re-solves and
+  // cross-checks, so each sampled key is audited once, at any thread count. A re-solve
+  // that times out decides nothing, so it cannot disagree.
   auto run_job = [&](size_t k) {
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
     const PathRow& rp = rows[job.i];
     const PathRow& rq = rows[job.j];
-    const soir::CodePath& p = paths[job.i];
-    const soir::CodePath& q = paths[job.j];
+    PairVerdict& v = report.pairs[k];
+    v.p = paths[job.i].op_name;
+    v.q = paths[job.j].op_name;
     // Dynamic span name only when recording — the concatenation is not free.
     std::string span_name;
     if (obs::Enabled()) {
-      span_name = p.op_name + "|" + q.op_name;
+      span_name = v.p + "|" + v.q;
     }
     obs::ScopedSpan pair_span(std::move(span_name), obs::kCatPair);
     Stopwatch pair_watch;
-    PairVerdict v;
-    v.p = p.op_name;
-    v.q = q.op_name;
+    uint64_t hits = 0;
     if (job.prefiltered) {
       v.prefiltered = true;
       v.provenance = PairProvenance::kPrefiltered;
-      prefiltered_count.fetch_add(1, std::memory_order_relaxed);
     } else {
-      // One session per pair: the commutativity query and both NotInvalidate directions
-      // share a term factory, a backend, and the grounding of their common frame. A
-      // cache hit just skips the session's corresponding query; a pair whose three
-      // verdicts all hit never builds anything.
+      // One session per pair: its queries share a term factory, a backend, and one
+      // encoding. A pair whose owned queries all hit, or that owns none, builds nothing.
       Checker::PairSession session(checker, rp.facts, rq.facts, &order_models);
-      Stopwatch com_watch;
-      CheckStats cs;
-      v.commutativity = cached_query(
-          [&] { return PairKey(com_head, rp.fingerprint, rq.fingerprint, {&order_models}); },
-          &cs, [&](CheckStats* st) { return session.Commutativity(st); });
-      v.com_seconds = com_watch.ElapsedSeconds();
-      v.solver_nodes += cs.solver_nodes;
-      v.cache_hits += cs.cache_hit ? 1 : 0;
-
-      // The semantic rule, with each direction cached separately: NotInvalidate(P, P)
-      // appears twice in every self-pair, and viewset twins share both directions.
-      Stopwatch sem_watch;
-      CheckStats s1, s2;
-      // NotInvalidate compares under the pair's own order set in both directions.
       const std::set<int>* ord_p = &rp.facts.order;
       const std::set<int>* ord_q = &rq.facts.order;
-      CheckOutcome a = cached_query(
-          [&] { return PairKey(ni_head, rp.fingerprint, rq.fingerprint, {ord_p, ord_q}); },
-          &s1, [&](CheckStats* st) { return session.NotInvalidatePQ(st); });
-      CheckOutcome b = CheckOutcome::kPass;
-      if (a == CheckOutcome::kPass) {
-        b = cached_query(
-            [&] { return PairKey(ni_head, rq.fingerprint, rp.fingerprint, {ord_p, ord_q}); },
-            &s2, [&](CheckStats* st) { return session.NotInvalidateQP(st); });
+      // A self-pair asks one NotInvalidate query in both directions; it answers it once.
+      auto answer = [&](Rule rule, CheckOutcome (Checker::PairSession::*ask)(CheckStats*)) {
+        Query& s = queries[job.queries[rule]];
+        if (s.owner != k || s.answered) {
+          return;
+        }
+        s.answered = true;
+        if (use_cache) {
+          s.key = rule == kCom ? PairKey(com_head, rp.fingerprint, rq.fingerprint,
+                                         {&order_models})
+                  : rule == kPQ
+                      ? PairKey(ni_head, rp.fingerprint, rq.fingerprint, {ord_p, ord_q})
+                      : PairKey(ni_head, rq.fingerprint, rp.fingerprint, {ord_p, ord_q});
+          std::optional<VerdictCache::Entry> hit;
+          {
+            obs::ScopedSpan probe("cache_probe", obs::kCatCache);
+            hit = cache->LookupEntry(s.key);
+            probe.Arg("hit", hit.has_value() ? 1 : 0);
+          }
+          if (hit) {
+            s.hit = true;
+            s.replayed = hit->replayed;
+            s.outcome = hit->outcome;
+            ++hits;
+            if (!hit->replayed || parallel.paranoia <= 0 ||
+                !Rng(soir::Fnv1a64(s.key) ^ parallel.paranoia_seed).Chance(parallel.paranoia)) {
+              return;
+            }
+          }
+        }
+        CheckStats stats;
+        const CheckOutcome fresh = (session.*ask)(&stats);
+        s.checks = 1;
+        v.solver_nodes += stats.solver_nodes;
+        NOCTUA_CHECK_MSG(!s.hit || fresh == s.outcome || fresh == CheckOutcome::kTimeout,
+                         "paranoia recheck disagrees with replayed verdict ("
+                             << CheckOutcomeName(fresh) << " vs " << CheckOutcomeName(s.outcome)
+                             << ") — the artifact store is corrupt; key: " << s.key);
+        if (!s.hit) {
+          s.outcome = fresh;
+        }
+      };
+      Stopwatch com_watch;
+      answer(kCom, &Checker::PairSession::Commutativity);
+      v.com_seconds = com_watch.ElapsedSeconds();
+      Stopwatch sem_watch;
+      answer(kPQ, &Checker::PairSession::NotInvalidatePQ);
+      // The plan gave this pair its NotInvalidate(P, Q) query if it gave it the mirror.
+      if (queries[job.queries[kQP]].owner == k &&
+          queries[job.queries[kPQ]].outcome == CheckOutcome::kPass) {
+        answer(kQP, &Checker::PairSession::NotInvalidateQP);
       }
-      v.semantic = Checker::WorseOutcome(a, b);
       v.sem_seconds = sem_watch.ElapsedSeconds();
-      v.solver_nodes += s1.solver_nodes + s2.solver_nodes;
-      v.cache_hits += (s1.cache_hit ? 1 : 0) + (s2.cache_hit ? 1 : 0);
-
-      // A pair replays only if *every* verdict it needed came from the prior store; a
-      // twin-cache hit computed this run still means this run did the (shared) work.
-      bool all_replayed = cs.replayed && s1.replayed &&
-                          (a != CheckOutcome::kPass || s2.replayed);
-      v.provenance = all_replayed ? PairProvenance::kReplayed : PairProvenance::kComputed;
     }
     if (obs::Enabled()) {
+      // What this pair itself solved and was served.
       pair_span.Arg("solver_nodes", v.solver_nodes);
-      pair_span.Arg("cache_hits", v.cache_hits);
+      pair_span.Arg("cache_hits", hits);
       pair_span.Arg("prefiltered", v.prefiltered ? 1 : 0);
       if (!v.prefiltered) {
         obs::Observe(obs::Hist::kPairMicros,
                      static_cast<uint64_t>(pair_watch.ElapsedSeconds() * 1e6));
       }
     }
-    report.pairs[k] = std::move(v);
   };
 
   // Either borrow the caller's long-lived pool (engine mode) or spin up a run-local one.
@@ -371,31 +405,62 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   }
   pool->ParallelFor(jobs.size(), run_job, parallel.cheapest_first ? &dispatch : nullptr);
 
-  report.stats.threads_used = pool->threads();
-  report.stats.pairs = jobs.size();
-  report.stats.prefiltered = prefiltered_count.load();
-  report.stats.solver_checks = solver_checks.load();
-  report.stats.cache_hits = cache->hits() - hits_before;
-  report.stats.cache_misses = cache->misses() - misses_before;
-  report.stats.replayed = replayed_queries.load();
-  report.stats.paranoia_rechecks = paranoia_rechecks.load();
-  report.stats.solver_nodes = solver_nodes.load();
-  report.stats.cache_evictions = cache->evictions() - evictions_before;
-  report.stats.solver_backend = smt::MakeBackend(checker.options().solver)->name();
-  for (const PairVerdict& v : report.pairs) {
-    report.stats.check_seconds += v.com_seconds + v.sem_seconds;
-    if (v.provenance == PairProvenance::kReplayed) {
-      ++report.stats.pairs_replayed;
-    } else if (v.provenance == PairProvenance::kComputed) {
-      ++report.stats.pairs_computed;
+  // Assembly, on this thread again: each pair reads its verdicts from the slots. Each
+  // read other than an owner's probe is served without a solve and counts as a cache
+  // hit, as it would at one thread with the twin's verdict inserted.
+  ReportStats& st = report.stats;
+  uint64_t reads = 0;
+  for (size_t k = 0; k < jobs.size(); ++k) {
+    PairVerdict& v = report.pairs[k];
+    if (!v.prefiltered) {
+      bool all_replayed = true;
+      auto read = [&](Rule rule) {
+        const Query& s = queries[jobs[k].queries[rule]];
+        NOCTUA_CHECK_MSG(s.answered, "no pair answered a query that (" << v.p << ", " << v.q
+                                                                        << ") needs");
+        ++reads;
+        st.replayed += s.replayed ? 1 : 0;
+        all_replayed = all_replayed && s.replayed;
+        return s.outcome;
+      };
+      v.commutativity = read(kCom);
+      const CheckOutcome a = read(kPQ);
+      v.semantic = a == CheckOutcome::kPass ? read(kQP) : a;
+      // A pair replays only if *every* verdict it needed came from the prior store; a
+      // verdict its owner computed this run means this run did the (shared) work.
+      v.provenance = all_replayed ? PairProvenance::kReplayed : PairProvenance::kComputed;
+    }
+    st.prefiltered += v.prefiltered ? 1 : 0;
+    st.pairs_replayed += v.provenance == PairProvenance::kReplayed ? 1 : 0;
+    st.pairs_computed += v.provenance == PairProvenance::kComputed ? 1 : 0;
+    st.solver_nodes += v.solver_nodes;
+    st.check_seconds += v.com_seconds + v.sem_seconds;
+  }
+  // The new verdicts join the cache. A timeout is never inserted: it says how much
+  // budget the run had, not what the query's answer is (no key names max_nodes), so no
+  // store keeps it; within the run its twins read it, since they share its budget.
+  const uint64_t evictions_before = cache->evictions();
+  for (Query& s : queries) {
+    st.solver_checks += s.checks;
+    if (s.hit) {
+      st.paranoia_rechecks += s.checks;
+    } else if (s.answered && use_cache) {
+      ++st.cache_misses;
+      if (s.outcome != CheckOutcome::kTimeout) {
+        cache->Insert(std::move(s.key), s.outcome);
+      }
     }
   }
+  st.cache_hits = use_cache ? reads - st.cache_misses : 0;
+  st.cache_evictions = cache->evictions() - evictions_before;
+  st.threads_used = pool->threads();
+  st.pairs = jobs.size();
+  st.solver_backend = smt::MakeBackend(checker.options().solver)->name();
   report.total_seconds = watch.ElapsedSeconds();
 
   if (obs::Enabled()) {
     // One-shot counter feed from the assembled stats — nothing in the pair loop
     // incremented obs counters directly.
-    const ReportStats& st = report.stats;
     obs::Add(obs::Counter::kPairsChecked, st.pairs);
     obs::Add(obs::Counter::kPairsPrefiltered, st.prefiltered);
     obs::Add(obs::Counter::kSolverChecks, st.solver_checks);

@@ -4,9 +4,10 @@
 //
 // The pair loop is parallel (one pool cursor, per-worker term factories), cached
 // (canonical-fingerprint verdict cache shared across pairs), and scheduled cheapest
-// first (prefilter hits retire before expensive SMT pairs start). Results are written
-// into index-addressed slots, so the report's pair order — and every verdict in it — is
-// identical for any thread count.
+// first (prefilter hits retire before expensive SMT pairs start). Before the pool starts,
+// each distinct query gets one owner pair, the only one that probes the cache for it or
+// solves it. Results are written into index-addressed slots, so the report's pair order
+// — and every verdict and count in it — is identical for any thread count.
 #ifndef SRC_VERIFIER_REPORT_H_
 #define SRC_VERIFIER_REPORT_H_
 
@@ -40,9 +41,10 @@ struct ParallelOptions {
   VerdictCache* store = nullptr;
   // Probability of re-solving a *replayed* verdict anyway and CHECK-failing if the fresh
   // outcome disagrees (a fresh timeout decides nothing and is not compared) — a
-  // randomized audit of artifact integrity (FNV fingerprints are not cryptographic). Sampling is derandomized per fingerprint (seeded by the key and
-  // `paranoia_seed`), so the audited subset is thread-schedule independent. 0 disables;
-  // 1.0 re-solves everything replayed.
+  // randomized audit of artifact integrity (FNV fingerprints are not cryptographic).
+  // Sampling is derandomized per fingerprint (seeded by the key and `paranoia_seed`), and
+  // the key's owner re-solves it once, so the audited subset is thread-schedule
+  // independent. 0 disables; 1.0 re-solves everything replayed.
   double paranoia = 0;
   uint64_t paranoia_seed = 0;
   // Borrowed worker pool to run the pair loop on instead of constructing a run-local
@@ -66,9 +68,8 @@ struct PairVerdict {
   CheckOutcome semantic = CheckOutcome::kPass;
   double com_seconds = 0;
   double sem_seconds = 0;
-  uint64_t solver_nodes = 0;  // nodes the solver explored for this pair (0 if cached)
+  uint64_t solver_nodes = 0;  // nodes the solver explored for the queries this pair owns
   bool prefiltered = false;   // retired by the independence prefilter, no solver run
-  uint8_t cache_hits = 0;     // verdicts of this pair served from the cache (0..3)
   PairProvenance provenance = PairProvenance::kComputed;
 
   bool Restricted() const {
@@ -76,18 +77,17 @@ struct PairVerdict {
   }
 };
 
-// Aggregate execution statistics for one AnalyzeRestrictions run. Cache counters are
-// deltas over this run (a persistent store accumulates across runs; the report
-// snapshots its counters before and after).
+// Aggregate execution statistics for one AnalyzeRestrictions run, summed after the pool
+// from what each query's owner recorded, so every count is the same at any thread count.
 struct ReportStats {
   int threads_used = 1;
   uint64_t pairs = 0;            // pairs examined
   uint64_t prefiltered = 0;      // pairs retired by the independence prefilter
   uint64_t solver_checks = 0;    // solver-level queries actually executed
-  uint64_t cache_hits = 0;       // queries answered from the verdict cache
-  uint64_t cache_misses = 0;     // cache lookups that went to the solver
-  uint64_t replayed = 0;         // queries answered by entries loaded from a prior store
-  uint64_t paranoia_rechecks = 0;  // replayed verdicts re-solved by paranoia sampling
+  uint64_t cache_hits = 0;       // query reads served by the cache or by a twin's answer
+  uint64_t cache_misses = 0;     // distinct queries the cache lacked, each solved once
+  uint64_t replayed = 0;         // query reads served by entries loaded from a prior store
+  uint64_t paranoia_rechecks = 0;  // distinct replayed verdicts re-solved by paranoia
   uint64_t pairs_replayed = 0;   // pairs with provenance kReplayed
   uint64_t pairs_computed = 0;   // pairs with provenance kComputed
   uint64_t solver_nodes = 0;     // total search nodes across all executed queries

@@ -86,14 +86,14 @@ INSTANTIATE_TEST_SUITE_P(
 // The tail gate, in the budget's own unit: no pair of the six apps spends more than
 // 10,000 dfs nodes. One costly pair holds a whole verify at 4 threads: Zhihu's
 // DeleteAnswer#p1 self-pair spent 60,830 nodes while the model finder searched the
-// negated goal as one residual. At 1 thread each query is solved by the first pair in
-// dispatch order that needs it, so every pair's node count is exact.
+// negated goal as one residual. Each query is solved by the one pair the verifier's plan
+// made its owner before any solve started, so every pair's node count is exact.
 //
-// For the same reason the whole verify's work is exact at 1 thread, and the test pins
-// it: each app's solver checks, search nodes, evaluations, binder expansions and verdict
-// cache hits, read from an obs::Collector. A change that moves any of them updates the
-// constants below in the same commit and says why. The parameter is the app's index in
-// EvaluatedApps(), which also indexes the constants.
+// For the same reason the whole verify's work is exact, at any thread count, and the
+// test pins it at 1 and 4 threads: each app's solver checks, search nodes, evaluations,
+// binder expansions and verdict cache hits, read from an obs::Collector. A change that
+// moves any of them updates the constants below in the same commit and says why. The
+// parameter is the app's index in EvaluatedApps(), which also indexes the constants.
 struct ExactWork {
   uint64_t checks;
   uint64_t nodes;
@@ -116,26 +116,30 @@ TEST_P(PairNodesTest, NoPairSpendsMoreThanTenThousandNodes) {
   ASSERT_EQ(std::size(kExactWork), apps::EvaluatedApps().size());
   app::App a = apps::EvaluatedApps()[GetParam()].make();
   const analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(a);
-  EngineConfig one_worker;
-  one_worker.threads = 1;
-  obs::Collector collector(obs::ObsOptions{.enabled = true});
-  const verifier::RestrictionReport report =
-      Engine(one_worker).Verify(a, analysis, PipelineOptions{});
-  collector.Stop();
-  ASSERT_FALSE(report.pairs.empty());
-  for (const verifier::PairVerdict& v : report.pairs) {
-    EXPECT_LE(v.solver_nodes, 10'000u) << v.p << " | " << v.q;
-  }
-
   const ExactWork& want = kExactWork[GetParam()];
-  EXPECT_EQ(collector.counter(obs::Counter::kSolverChecks), want.checks);
-  EXPECT_EQ(collector.counter(obs::Counter::kSolverNodes), want.nodes);
-  EXPECT_EQ(collector.counter(obs::Counter::kSolverAssignments), want.evaluations);
-  EXPECT_EQ(collector.counter(obs::Counter::kGroundExpansions), want.ground_expansions);
-  EXPECT_EQ(collector.counter(obs::Counter::kCacheHits), want.cache_hits);
-  // The report's own tallies agree with the registry's.
-  EXPECT_EQ(report.stats.solver_checks, want.checks);
-  EXPECT_EQ(report.stats.cache_hits, want.cache_hits);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineConfig config;
+    config.threads = threads;
+    obs::Collector collector(obs::ObsOptions{.enabled = true});
+    const verifier::RestrictionReport report =
+        Engine(config).Verify(a, analysis, PipelineOptions{});
+    collector.Stop();
+    ASSERT_FALSE(report.pairs.empty());
+    for (const verifier::PairVerdict& v : report.pairs) {
+      EXPECT_LE(v.solver_nodes, 10'000u) << v.p << " | " << v.q;
+    }
+
+    EXPECT_EQ(collector.counter(obs::Counter::kSolverChecks), want.checks);
+    EXPECT_EQ(collector.counter(obs::Counter::kSolverNodes), want.nodes);
+    EXPECT_EQ(collector.counter(obs::Counter::kSolverAssignments), want.evaluations);
+    EXPECT_EQ(collector.counter(obs::Counter::kGroundExpansions), want.ground_expansions);
+    EXPECT_EQ(collector.counter(obs::Counter::kCacheHits), want.cache_hits);
+    // The report's own tallies agree with the registry's.
+    EXPECT_EQ(report.stats.solver_checks, want.checks);
+    EXPECT_EQ(report.stats.solver_nodes, want.nodes);
+    EXPECT_EQ(report.stats.cache_hits, want.cache_hits);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -975,57 +974,51 @@ TEST(SolverProbes, TimeoutAndUnsupportedVerdictsAreCounted) {
 }
 
 // -----------------------------------------------------------------------------
-// Verdict cache: statistics and bounded eviction
+// Verdict cache: occupancy and bounded eviction
 
-TEST(CacheShardStats, HitsMissesAndOccupancyPerShard) {
+TEST(VerdictCacheStats, OccupancyCountsEveryEntry) {
   verifier::VerdictCache cache;  // unbounded
   for (int i = 0; i < 100; ++i) {
     cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
   }
-  // Every shard's entries count toward the size, and every probe toward the counters.
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_TRUE(cache.LookupEntry("key-3").has_value());
   EXPECT_FALSE(cache.LookupEntry("absent").has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(CacheShardStats, BoundedCacheEvictsFifoPerShard) {
-  // Per-shard share is capacity / kNumShards = 2: once a shard holds two entries, each
-  // insert hashing to it evicts that shard's oldest, so the last two keys inserted into
-  // each shard survive.
-  constexpr size_t kShards = verifier::VerdictCache::kNumShards;
-  verifier::VerdictCache cache(2 * kShards);
+TEST(VerdictCacheStats, BoundedCacheEvictsFifo) {
+  // Once the cache holds its capacity, each insert evicts the oldest entry, so the last
+  // kCapacity keys inserted survive.
+  constexpr size_t kCapacity = 32;
+  verifier::VerdictCache cache(kCapacity);
   constexpr int kInserts = 200;
-  std::map<size_t, std::vector<int>> by_shard;
   for (int i = 0; i < kInserts; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    cache.Insert(key, verifier::CheckOutcome::kPass);
-    by_shard[std::hash<std::string>{}(key) % kShards].push_back(i);  // the cache's shard rule
+    cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
   }
-  std::set<int> survivors;
-  for (const auto& [shard, keys] : by_shard) {
-    survivors.insert(keys.end() - std::min<size_t>(keys.size(), 2), keys.end());
-  }
-  EXPECT_EQ(cache.size(), survivors.size());
-  EXPECT_EQ(cache.evictions(), kInserts - cache.size());
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_EQ(cache.evictions(), kInserts - kCapacity);
   for (int i = 0; i < kInserts; ++i) {
     EXPECT_EQ(cache.LookupEntry("key-" + std::to_string(i)).has_value(),
-              survivors.count(i) != 0)
+              i >= kInserts - static_cast<int>(kCapacity))
         << i;
   }
 }
 
-TEST(CacheShardStats, DuplicateInsertKeepsExistingEntry) {
-  verifier::VerdictCache cache(verifier::VerdictCache::kNumShards);
+TEST(VerdictCacheStats, DuplicateInsertKeepsExistingEntry) {
+  verifier::VerdictCache cache(2);
   cache.Insert("same", verifier::CheckOutcome::kPass);
   cache.Insert("same", verifier::CheckOutcome::kFail);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.evictions(), 0u);
   auto entry = cache.LookupEntry("same");
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kPass);
+  // The duplicate took no place in the eviction order: two more keys evict only "same".
+  cache.Insert("second", verifier::CheckOutcome::kPass);
+  cache.Insert("third", verifier::CheckOutcome::kPass);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.LookupEntry("same").has_value());
 }
 
 }  // namespace
