@@ -113,9 +113,15 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        JsonPtr v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         std::string s;
         if (!ParseString(&s)) {
@@ -316,9 +322,15 @@ class Parser {
     return JsonValue::MakeNumber(std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr));
   }
 
+  // Each open array or object is one frame of recursion, so a bound on nesting keeps a
+  // hostile document (a request body of 100,000 '[') from overflowing the stack. The
+  // deepest document this program writes nests five levels.
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

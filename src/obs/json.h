@@ -65,7 +65,8 @@ class JsonValue {
 };
 
 // Parses `text` as one JSON document. Returns nullptr and sets `*error` (position and
-// reason) on malformed input or trailing garbage.
+// reason) on malformed input, trailing garbage, or arrays and objects nested more than
+// 256 deep.
 JsonPtr ParseJson(const std::string& text, std::string* error);
 
 // Escapes a string for embedding in a JSON string literal (quotes, backslashes, control

@@ -4,7 +4,8 @@
 // A Session binds the pipeline to one directory per app, holding two files:
 //
 //   manifest   format version + app name
-//   verdicts   the verdict cache: canonical query fingerprint -> solver outcome
+//   verdicts   the verdict cache: its part table, then canonical query key -> solver
+//              outcome
 //
 // A store-backed run analyzes the app from scratch (analysis costs milliseconds), seeds
 // the verifier's cache with the stored verdicts, and writes the union back. Replay rests
@@ -19,8 +20,7 @@
 // Loading fails closed: a missing, truncated, corrupted, or version-mismatched store
 // degrades to a cold run (PipelineResult::cold), never to a crash or a wrong answer. For
 // defense against silent corruption that still parses, verifier::ParallelOptions::
-// paranoia re-solves a seeded random sample of replayed verdicts and CHECK-fails on
-// disagreement.
+// paranoia re-solves every replayed verdict and CHECK-fails on disagreement.
 #ifndef SRC_PIPELINE_SESSION_H_
 #define SRC_PIPELINE_SESSION_H_
 

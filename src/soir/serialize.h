@@ -69,8 +69,8 @@ class ArtifactReader {
 // --- Content hash ---------------------------------------------------------------------------
 
 // FNV-1a, the 64-bit flavor: tiny, dependency-free, and stable across platforms. Not
-// cryptographic — the store trusts its own artifacts; paranoia sampling (see
-// verifier::ParallelOptions) is the defense against silent corruption.
+// cryptographic, and no store entry is digested: the store trusts its own artifacts, and
+// paranoia (see verifier::ParallelOptions) is the defense against silent corruption.
 uint64_t Fnv1a64(std::string_view s);
 std::string DigestHex(uint64_t digest);
 

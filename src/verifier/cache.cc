@@ -2,15 +2,36 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/soir/serialize.h"
+#include "src/support/check.h"
 
 namespace noctua::verifier {
 
-std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& key) const {
+size_t VerdictCache::KeyHash::operator()(const Key& key) const {
+  const std::hash<std::string_view> hash;
+  size_t h = hash(key.head);
+  for (size_t v : {size_t{key.p}, size_t{key.q}, hash(key.tail)}) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+uint32_t VerdictCache::InternPart(const std::string& text) {
+  auto [it, inserted] = part_ids_.try_emplace(text, static_cast<uint32_t>(parts_.size()));
+  if (inserted) {
+    parts_.push_back(&it->first);
+  }
+  return it->second;
+}
+
+std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const Key& key) const {
   auto it = map_.find(key);
   if (it == map_.end()) {
     return std::nullopt;
@@ -18,12 +39,14 @@ std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& 
   return it->second;
 }
 
-void VerdictCache::Insert(std::string key, CheckOutcome outcome) {
+void VerdictCache::Insert(Key key, CheckOutcome outcome) {
+  NOCTUA_CHECK_MSG(key.p < parts_.size() && key.q < parts_.size(),
+                   "a verdict key names a part this cache never issued");
   Emplace(std::move(key), Entry{outcome, false});
 }
 
 // Duplicate keys keep the existing entry (and do not re-enter the FIFO).
-void VerdictCache::Emplace(std::string key, Entry entry) {
+void VerdictCache::Emplace(Key key, Entry entry) {
   auto [it, inserted] = map_.try_emplace(std::move(key), entry);
   if (!inserted) {
     return;
@@ -45,62 +68,6 @@ constexpr size_t kMaxVerdicts = 10000000;
 // Every entry names at most two parts, so a valid store never needs more.
 constexpr size_t kMaxParts = 2 * kMaxVerdicts;
 
-// One length-prefixed field of a pair key: the length in decimal, ':', the bytes.
-void AppendField(std::string* key, std::string_view field) {
-  *key += std::to_string(field.size());
-  *key += ':';
-  key->append(field);
-}
-
-// Reads one field at *pos. The length must be canonical decimal (no sign, no leading
-// zero), so that re-appending the field reproduces the key byte for byte.
-bool ReadField(std::string_view key, size_t* pos, std::string_view* field) {
-  size_t i = *pos;
-  size_t len = 0;
-  const size_t digits_start = i;
-  while (i < key.size() && key[i] >= '0' && key[i] <= '9') {
-    if (i > digits_start && len == 0) {
-      return false;
-    }
-    len = len * 10 + static_cast<size_t>(key[i] - '0');
-    if (len > key.size()) {
-      return false;
-    }
-    ++i;
-  }
-  if (i == digits_start || i >= key.size() || key[i] != ':' || key.size() - i - 1 < len) {
-    return false;
-  }
-  *field = key.substr(i + 1, len);
-  *pos = i + 1 + len;
-  return true;
-}
-
-// A pair key's four pieces; AppendField(head, p, q) + tail is the key again.
-struct SplitKey {
-  std::string_view head, p, q, tail;
-};
-
-bool SplitPairKey(std::string_view key, SplitKey* out) {
-  size_t pos = 0;
-  if (!ReadField(key, &pos, &out->head) || !ReadField(key, &pos, &out->p) ||
-      !ReadField(key, &pos, &out->q)) {
-    return false;
-  }
-  out->tail = key.substr(pos);
-  return true;
-}
-
-std::string JoinPairKey(const SplitKey& k) {
-  std::string key;
-  key.reserve(k.head.size() + k.p.size() + k.q.size() + k.tail.size() + 24);
-  AppendField(&key, k.head);
-  AppendField(&key, k.p);
-  AppendField(&key, k.q);
-  key.append(k.tail);
-  return key;
-}
-
 // For each id of `ids`, its position in `base` or 'n' for an id `base` lacks.
 void AppendLink(std::string* key, const std::vector<int>& ids, const std::vector<int>& base) {
   for (int id : ids) {
@@ -115,18 +82,6 @@ void AppendLink(std::string* key, const std::vector<int>& ids, const std::vector
 }
 
 }  // namespace
-
-std::string PairKey(std::string_view head, const soir::PathFingerprint& p,
-                    const soir::PathFingerprint& q,
-                    std::initializer_list<const std::set<int>*> order_sets) {
-  std::string key;
-  key.reserve(head.size() + p.text.size() + q.text.size() + 64);  // link and order: a few ids
-  AppendField(&key, head);
-  AppendField(&key, p.text);
-  AppendField(&key, q.text);
-  AppendPairTail(&key, p, q, order_sets);
-  return key;
-}
 
 void AppendPairTail(std::string* out, const soir::PathFingerprint& p,
                     const soir::PathFingerprint& q,
@@ -151,58 +106,43 @@ void AppendPairTail(std::string* out, const soir::PathFingerprint& p,
 }
 
 bool VerdictCache::SaveToFile(const std::string& path) const {
-  std::vector<std::pair<const std::string*, CheckOutcome>> entries;
+  std::vector<const std::pair<const Key, Entry>*> entries;
   entries.reserve(map_.size());
-  for (const auto& [key, entry] : map_) {
-    entries.emplace_back(&key, entry.outcome);
+  for (const auto& entry : map_) {
+    entries.push_back(&entry);
   }
+  auto content = [&](const Key& k) { return std::tie(k.head, *parts_[k.p], *parts_[k.q], k.tail); };
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+            [&](const auto* a, const auto* b) { return content(a->first) < content(b->first); });
 
-  std::vector<std::string_view> parts;
-  std::unordered_map<std::string_view, int64_t> part_index;
-  auto index_of = [&](std::string_view part) {
-    auto [it, inserted] = part_index.emplace(part, static_cast<int64_t>(parts.size()));
-    if (inserted) {
-      parts.push_back(part);
-    }
-    return it->second;
-  };
-  // Each entry's key split into a pair key's pieces and part indices (p = -1: whole).
-  struct Row {
-    SplitKey split;
-    int64_t p = -1;
-    int64_t q = -1;
-  };
-  std::vector<Row> rows(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (SplitPairKey(*entries[i].first, &rows[i].split)) {
-      rows[i].p = index_of(rows[i].split.p);
-      rows[i].q = index_of(rows[i].split.q);
+  // File index of each part id the entries name, in order of first use.
+  std::vector<int64_t> index(parts_.size(), -1);
+  std::vector<uint32_t> used;
+  for (const auto* entry : entries) {
+    for (uint32_t id : {entry->first.p, entry->first.q}) {
+      if (index[id] < 0) {
+        index[id] = static_cast<int64_t>(used.size());
+        used.push_back(id);
+      }
     }
   }
 
   soir::ArtifactWriter w;
   w.Atom("noctua-verdicts");
   w.Int(soir::kArtifactVersion);
-  w.Int(static_cast<int64_t>(parts.size()));
-  for (std::string_view part : parts) {
-    w.Str(part);
+  w.Int(static_cast<int64_t>(used.size()));
+  for (uint32_t id : used) {
+    w.Str(*parts_[id]);
   }
   w.Int(static_cast<int64_t>(entries.size()));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Row& row = rows[i];
-    if (row.p >= 0) {
-      w.Atom("p");
-      w.Str(row.split.head);
-      w.Int(row.p);
-      w.Int(row.q);
-      w.Str(row.split.tail);
-    } else {
-      w.Atom("k");
-      w.Str(*entries[i].first);
-    }
-    w.Int(static_cast<int64_t>(entries[i].second));
+  for (const auto* entry : entries) {
+    const Key& key = entry->first;
+    w.Atom("p");
+    w.Str(key.head);
+    w.Int(index[key.p]);
+    w.Int(index[key.q]);
+    w.Str(key.tail);
+    w.Int(static_cast<int64_t>(entry->second.outcome));
   }
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -227,48 +167,46 @@ bool VerdictCache::LoadFromFile(const std::string& path) {
     return false;
   }
   // Parse everything before touching the cache: a corrupted tail must not leave a
-  // half-loaded store behind.
+  // half-loaded store behind. Until then an entry's part ids are file indices.
   const size_t num_parts = r.Count(kMaxParts);
   std::vector<std::string> parts;
   for (size_t i = 0; r.ok() && i < num_parts; ++i) {
     parts.push_back(r.Str());
   }
   const size_t n = r.Count(kMaxVerdicts);
-  std::vector<std::pair<std::string, CheckOutcome>> entries;
+  std::vector<std::pair<Key, CheckOutcome>> entries;
   entries.reserve(std::min<size_t>(n, 1 << 16));
   for (size_t i = 0; r.ok() && i < n; ++i) {
-    const std::string tag = r.Atom();
-    std::string key;
-    if (tag == "p") {
-      const std::string head = r.Str();
-      const int64_t p = r.Int();
-      const int64_t q = r.Int();
-      const std::string tail = r.Str();
-      const auto valid = [&](int64_t k) {
-        return k >= 0 && static_cast<uint64_t>(k) < parts.size();
-      };
-      if (!valid(p) || !valid(q)) {
-        r.Fail();
-        break;
-      }
-      key = JoinPairKey(SplitKey{head, parts[p], parts[q], tail});
-    } else if (tag == "k") {
-      key = r.Str();
-    } else {
+    r.ExpectAtom("p");
+    Key key;
+    key.head = r.Str();
+    const int64_t p = r.Int();
+    const int64_t q = r.Int();
+    key.tail = r.Str();
+    const int64_t outcome = r.Int();
+    const auto valid = [&](int64_t k) {
+      return k >= 0 && static_cast<uint64_t>(k) < parts.size();
+    };
+    if (!valid(p) || !valid(q) || outcome < 0 ||
+        outcome > static_cast<int64_t>(CheckOutcome::kUnsupported)) {
       r.Fail();
       break;
     }
-    int64_t outcome = r.Int();
-    if (outcome < 0 || outcome > static_cast<int64_t>(CheckOutcome::kUnsupported)) {
-      r.Fail();
-      break;
-    }
+    key.p = static_cast<uint32_t>(p);
+    key.q = static_cast<uint32_t>(q);
     entries.emplace_back(std::move(key), static_cast<CheckOutcome>(outcome));
   }
   if (!r.ok() || !r.AtEnd()) {
     return false;
   }
+  std::vector<uint32_t> ids;
+  ids.reserve(parts.size());
+  for (const std::string& part : parts) {
+    ids.push_back(InternPart(part));
+  }
   for (auto& [key, outcome] : entries) {
+    key.p = ids[key.p];
+    key.q = ids[key.q];
     Emplace(std::move(key), Entry{outcome, true});
   }
   return true;

@@ -4,14 +4,11 @@
 #include <array>
 #include <numeric>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 
 #include "src/obs/obs.h"
 #include "src/smt/backend.h"
-#include "src/soir/serialize.h"
 #include "src/support/check.h"
-#include "src/support/rng.h"
 #include "src/support/stopwatch.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
@@ -134,7 +131,7 @@ struct Query {
   bool replayed = false;  // served by an entry loaded from a prior store
   uint8_t checks = 0;     // solver calls spent: a solve, or a paranoia re-solve of a hit
   CheckOutcome outcome = CheckOutcome::kPass;
-  std::string key;  // the verdict-cache key, when caching
+  VerdictCache::Key key;  // the verdict-cache key, when caching
 };
 
 // One row of the path table: everything the pair loop needs about one path, computed
@@ -240,9 +237,9 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
 
   // The plan, on this thread: every distinct query of the run gets one slot and one
   // owner, the first pair in dispatch order that asks it unconditionally, else the first
-  // that asks it as NotInvalidate(Q, P). A query is named by its rule, the classes of
-  // its two rows' fingerprint texts and its key's tail, which is what its key says
-  // without building it. Swapping a NotInvalidate key's parts, link and order bits gives
+  // that asks it as NotInvalidate(Q, P). Each row's part is interned in the cache once,
+  // and each ask's key is built from its rows' part ids and its tail; the slot keeps the
+  // key of its first ask. Swapping a NotInvalidate key's parts, link and order bits gives
   // the key of the other direction, so pairs that share a NotInvalidate(Q, P) query share
   // their NotInvalidate(P, Q) query too. So the first pair to ask a NotInvalidate(Q, P)
   // query that no pair asks unconditionally also owns its NotInvalidate(P, Q) query, and
@@ -250,13 +247,12 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // Without caching each pair owns its own three queries.
   std::vector<Query> queries;
   {
-    std::vector<uint32_t> text_class(rows.size());
-    std::unordered_map<std::string_view, uint32_t> classes;
+    std::vector<uint32_t> part(rows.size());
     for (size_t i = 0; use_cache && i < rows.size(); ++i) {
-      text_class[i] = classes.emplace(rows[i].fingerprint.text, classes.size()).first->second;
+      part[i] = cache->InternPart(rows[i].fingerprint.text);
     }
-    std::unordered_map<std::string, size_t> named;
-    std::string name;
+    std::unordered_map<VerdictCache::Key, size_t, VerdictCache::KeyHash> named;
+    VerdictCache::Key key;  // each ask's, in one buffer; the map copies a new query's
     for (Rule rule : {kCom, kPQ, kQP}) {
       for (size_t k : dispatch) {
         PairJob& job = jobs[k];
@@ -268,17 +264,18 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
         size_t& slot = job.queries[rule];
         slot = queries.size();
         if (use_cache) {
-          name.clear();
-          name += std::to_string(text_class[a]) + ',' + std::to_string(text_class[b]);
+          key.head = rule == kCom ? com_head : ni_head;
+          key.p = part[a];
+          key.q = part[b];
+          key.tail.clear();
           if (rule == kCom) {
-            name += 'c';
-            AppendPairTail(&name, rows[a].fingerprint, rows[b].fingerprint, {&order_models});
+            AppendPairTail(&key.tail, rows[a].fingerprint, rows[b].fingerprint,
+                           {&order_models});
           } else {
-            name += 'n';
-            AppendPairTail(&name, rows[a].fingerprint, rows[b].fingerprint,
+            AppendPairTail(&key.tail, rows[a].fingerprint, rows[b].fingerprint,
                            {&rows[a].facts.order, &rows[b].facts.order});
           }
-          slot = named.try_emplace(name, slot).first->second;
+          slot = named.try_emplace(key, slot).first->second;
         }
         if (slot == queries.size()) {
           queries.emplace_back().owner = k;
@@ -288,6 +285,11 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
                          "the owner of a NotInvalidate(Q, P) query must own its "
                          "NotInvalidate(P, Q) query");
       }
+    }
+    // Each slot takes its query's key out of the map, which the plan no longer needs.
+    while (!named.empty()) {
+      auto node = named.extract(named.begin());
+      queries[node.mapped()].key = std::move(node.key());
     }
   }
 
@@ -300,11 +302,11 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
 
   // A pair task answers the queries its pair owns and writes only those and its own
-  // report slot. An owner probes the cache, and solves on a miss; the cache is only read
-  // while the pool runs. Replayed hits (entries loaded from a prior store) are subject
-  // to paranoia sampling: a per-fingerprint coin decides whether the owner re-solves and
-  // cross-checks, so each sampled key is audited once, at any thread count. A re-solve
-  // that times out decides nothing, so it cannot disagree.
+  // report slot. An owner probes the cache with the key the plan built, and solves on a
+  // miss; the cache is only read while the pool runs. Under paranoia the owner of a
+  // replayed hit (an entry loaded from a prior store) re-solves it and cross-checks, so
+  // each replayed verdict is audited once, at any thread count. A re-solve that times out
+  // decides nothing, so it cannot disagree.
   auto run_job = [&](size_t k) {
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
@@ -328,8 +330,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       // One session per pair: its queries share a term factory, a backend, and one
       // encoding. A pair whose owned queries all hit, or that owns none, builds nothing.
       Checker::PairSession session(checker, rp.facts, rq.facts, &order_models);
-      const std::set<int>* ord_p = &rp.facts.order;
-      const std::set<int>* ord_q = &rq.facts.order;
       // A self-pair asks one NotInvalidate query in both directions; it answers it once.
       auto answer = [&](Rule rule, CheckOutcome (Checker::PairSession::*ask)(CheckStats*)) {
         Query& s = queries[job.queries[rule]];
@@ -338,11 +338,6 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
         }
         s.answered = true;
         if (use_cache) {
-          s.key = rule == kCom ? PairKey(com_head, rp.fingerprint, rq.fingerprint,
-                                         {&order_models})
-                  : rule == kPQ
-                      ? PairKey(ni_head, rp.fingerprint, rq.fingerprint, {ord_p, ord_q})
-                      : PairKey(ni_head, rq.fingerprint, rp.fingerprint, {ord_p, ord_q});
           std::optional<VerdictCache::Entry> hit;
           {
             obs::ScopedSpan probe("cache_probe", obs::kCatCache);
@@ -354,8 +349,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
             s.replayed = hit->replayed;
             s.outcome = hit->outcome;
             ++hits;
-            if (!hit->replayed || parallel.paranoia <= 0 ||
-                !Rng(soir::Fnv1a64(s.key) ^ parallel.paranoia_seed).Chance(parallel.paranoia)) {
+            if (!hit->replayed || !parallel.paranoia) {
               return;
             }
           }
@@ -367,7 +361,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
         NOCTUA_CHECK_MSG(!s.hit || fresh == s.outcome || fresh == CheckOutcome::kTimeout,
                          "paranoia recheck disagrees with replayed verdict ("
                              << CheckOutcomeName(fresh) << " vs " << CheckOutcomeName(s.outcome)
-                             << ") — the artifact store is corrupt; key: " << s.key);
+                             << ") — the artifact store is corrupt; pair: (" << v.p << ", "
+                             << v.q << ")");
         if (!s.hit) {
           s.outcome = fresh;
         }

@@ -39,14 +39,11 @@ struct ParallelOptions {
   // replay without a solver call; new verdicts are inserted into it, so saving it after
   // the run persists the union. Ignored when `cache` is false. nullptr = run-local.
   VerdictCache* store = nullptr;
-  // Probability of re-solving a *replayed* verdict anyway and CHECK-failing if the fresh
-  // outcome disagrees (a fresh timeout decides nothing and is not compared) — a
-  // randomized audit of artifact integrity (FNV fingerprints are not cryptographic).
-  // Sampling is derandomized per fingerprint (seeded by the key and `paranoia_seed`), and
-  // the key's owner re-solves it once, so the audited subset is thread-schedule
-  // independent. 0 disables; 1.0 re-solves everything replayed.
-  double paranoia = 0;
-  uint64_t paranoia_seed = 0;
+  // Re-solve every *replayed* verdict anyway and CHECK-fail if the fresh outcome
+  // disagrees (a fresh timeout decides nothing and is not compared): an audit of artifact
+  // integrity, since a flipped outcome parses like a true one. Each replayed key's owner
+  // re-solves it once, however many pairs read it, at any thread count.
+  bool paranoia = false;
   // Borrowed worker pool to run the pair loop on instead of constructing a run-local
   // one. The caller must guarantee exclusive use for the duration of the run (a
   // ThreadPool supports one ParallelFor at a time). nullptr = a run-local pool of

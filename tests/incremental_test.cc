@@ -1,18 +1,23 @@
 // Tests for store-backed runs: stable serialization of verdicts (each path part stored
-// once); renaming-invariant path fingerprints; verdict keys joined from per-path parts,
+// once); renaming-invariant path fingerprints; verdict keys built from per-path part ids,
 // which must classify queries exactly like the shared-context reference key; the on-disk
 // artifact store (a manifest and the verdicts) with its fail-closed loader and version
 // gate; and O(change) re-verification — a warm run must produce the byte-identical
 // restriction set of a cold run while replaying every verdict the edit did not touch.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,20 +180,94 @@ void WriteAll(const std::string& path, const std::string& data) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// The keys the verifier builds for a pair's queries, joined from the two paths' parts:
-// commutativity under the given app-wide order set, NotInvalidate under the pair's own.
-std::string ComKey(const soir::Schema& schema, const soir::CodePath& p, const soir::CodePath& q,
-                   const std::set<int>& order) {
-  return verifier::PairKey("com", soir::FingerprintPath(schema, p),
-                           soir::FingerprintPath(schema, q), {&order});
+using Key = verifier::VerdictCache::Key;
+
+// A key of `cache` named by its parts' texts; the ids it holds mean nothing in another
+// cache.
+Key TextKey(verifier::VerdictCache& cache, const std::string& head, const std::string& p,
+            const std::string& q, const std::string& tail) {
+  return {head, cache.InternPart(p), cache.InternPart(q), tail};
 }
 
-std::string NiKey(const soir::Schema& schema, const soir::CodePath& p,
-                  const soir::CodePath& q) {
+// The key the verifier's plan builds in `cache` for one query over the pair (p, q).
+Key KeyOf(verifier::VerdictCache& cache, const std::string& head, const soir::PathFingerprint& p,
+          const soir::PathFingerprint& q, std::initializer_list<const std::set<int>*> order) {
+  Key key = TextKey(cache, head, p.text, q.text, "");
+  verifier::AppendPairTail(&key.tail, p, q, order);
+  return key;
+}
+
+// The keys of a pair's queries: commutativity under the given app-wide order set,
+// NotInvalidate under the pair's own.
+Key ComKey(verifier::VerdictCache& cache, const soir::Schema& schema, const soir::CodePath& p,
+           const soir::CodePath& q, const std::set<int>& order) {
+  return KeyOf(cache, "com", soir::FingerprintPath(schema, p), soir::FingerprintPath(schema, q),
+               {&order});
+}
+
+Key NiKey(verifier::VerdictCache& cache, const soir::Schema& schema, const soir::CodePath& p,
+          const soir::CodePath& q) {
   const std::set<int> op = soir::OrderRelevantModels(p);
   const std::set<int> oq = soir::OrderRelevantModels(q);
-  return verifier::PairKey("ni", soir::FingerprintPath(schema, p),
-                           soir::FingerprintPath(schema, q), {&op, &oq});
+  return KeyOf(cache, "ni", soir::FingerprintPath(schema, p), soir::FingerprintPath(schema, q),
+               {&op, &oq});
+}
+
+// A `verdicts` file taken apart: its part table and its entries, each a head, two part
+// indices, a tail and an outcome.
+struct StoredEntry {
+  std::string head;
+  int64_t p = 0;
+  int64_t q = 0;
+  std::string tail;
+  int64_t outcome = 0;
+};
+struct StoredVerdicts {
+  int64_t version = 0;
+  std::vector<std::string> parts;
+  std::vector<StoredEntry> entries;
+};
+
+StoredVerdicts ReadVerdicts(const std::string& file) {
+  soir::ArtifactReader r(ReadAll(file));
+  StoredVerdicts v;
+  r.ExpectAtom("noctua-verdicts");
+  v.version = r.Int();
+  v.parts.resize(r.Count(1000000));
+  for (std::string& part : v.parts) {
+    part = r.Str();
+  }
+  v.entries.resize(r.Count(1000000));
+  for (StoredEntry& e : v.entries) {
+    r.ExpectAtom("p");
+    e.head = r.Str();
+    e.p = r.Int();
+    e.q = r.Int();
+    e.tail = r.Str();
+    e.outcome = r.Int();
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd()) << file;
+  return v;
+}
+
+void WriteVerdicts(const std::string& file, const StoredVerdicts& v) {
+  soir::ArtifactWriter w;
+  w.Atom("noctua-verdicts");
+  w.Int(v.version);
+  w.Int(static_cast<int64_t>(v.parts.size()));
+  for (const std::string& part : v.parts) {
+    w.Str(part);
+  }
+  w.Int(static_cast<int64_t>(v.entries.size()));
+  for (const StoredEntry& e : v.entries) {
+    w.Atom("p");
+    w.Str(e.head);
+    w.Int(e.p);
+    w.Int(e.q);
+    w.Str(e.tail);
+    w.Int(e.outcome);
+  }
+  WriteAll(file, w.str());
 }
 
 // The canonical identities (soir::FingerprintPath texts) of `view`'s paths, in discovery
@@ -225,16 +304,19 @@ size_t Occurrences(const std::string& haystack, const std::string& needle) {
 // -------------------------------------------------------------- serialization round-trips
 
 TEST(SerializeTest, VerdictCachePersistsAndMarksReplayed) {
+  const std::string quoted_part = "a \"quoted\" part\nwith newline";
+  const std::string quoted_tail = "a \"quoted\" tail\nwith newline";
   verifier::VerdictCache cache;
-  cache.Insert("com|a \"quoted\" key\nwith newline", verifier::CheckOutcome::kFail);
-  cache.Insert("ni|simple", verifier::CheckOutcome::kPass);
+  cache.Insert(TextKey(cache, "com", quoted_part, "simple", quoted_tail),
+               verifier::CheckOutcome::kFail);
+  cache.Insert(TextKey(cache, "ni", "simple", "simple", "simple"), verifier::CheckOutcome::kPass);
   std::string file = TempStore("verdicts") + ".verdicts";
   ASSERT_TRUE(cache.SaveToFile(file));
 
   verifier::VerdictCache loaded;
   ASSERT_TRUE(loaded.LoadFromFile(file));
   EXPECT_EQ(loaded.size(), 2u);
-  auto entry = loaded.LookupEntry("com|a \"quoted\" key\nwith newline");
+  auto entry = loaded.LookupEntry(TextKey(loaded, "com", quoted_part, "simple", quoted_tail));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kFail);
   EXPECT_TRUE(entry->replayed);
@@ -261,9 +343,10 @@ TEST(VerdictStoreTest, EachPathPartIsWrittenOnce) {
   for (size_t i = 0; i < eff.size(); ++i) {
     parts.insert(soir::FingerprintPath(a.schema(), eff[i]).text);
     for (size_t j = i; j < eff.size(); ++j) {
-      cache.Insert(ComKey(a.schema(), eff[i], eff[j], none), verifier::CheckOutcome::kPass);
-      cache.Insert(NiKey(a.schema(), eff[i], eff[j]), verifier::CheckOutcome::kFail);
-      cache.Insert(NiKey(a.schema(), eff[j], eff[i]), verifier::CheckOutcome::kPass);
+      cache.Insert(ComKey(cache, a.schema(), eff[i], eff[j], none),
+                   verifier::CheckOutcome::kPass);
+      cache.Insert(NiKey(cache, a.schema(), eff[i], eff[j]), verifier::CheckOutcome::kFail);
+      cache.Insert(NiKey(cache, a.schema(), eff[j], eff[i]), verifier::CheckOutcome::kPass);
     }
   }
   ASSERT_LT(parts.size(), cache.size());
@@ -281,48 +364,106 @@ TEST(VerdictStoreTest, EachPathPartIsWrittenOnce) {
   }
 }
 
-// Pair keys and free-form keys (tests insert those; some even look like the start of a
-// pair key) come back exactly, and an equal cache writes the same bytes.
-TEST(VerdictStoreTest, RoundTripRestoresPairAndFreeFormKeys) {
+// Every key comes back exactly, and equal caches write the same bytes, whatever order
+// they interned their parts in.
+TEST(VerdictStoreTest, RoundTripRestoresPairKeys) {
   app::App a = apps::MakeSmallBankApp();
   std::vector<soir::CodePath> eff = analyzer::AnalyzeApp(a).EffectfulPaths();
   const std::set<int> order = {0};
-  std::vector<std::string> keys = {
-      "com|a \"quoted\" key\nwith newline",
-      "ni|simple",
-      "",
-      "3:ab",            // a field cut short
-      "01:x0:0:",        // a non-canonical length
-      "0:0:0:",          // the empty pair key
-      "1:\"2:\n\\1:\"tail",  // a pair key whose pieces need escaping
+  // Each key as its head, its parts' texts and its tail.
+  std::vector<std::array<std::string, 4>> keys = {
+      {"", "", "", ""},
+      {"com", "a \"quoted\" part\nwith newline", "simple", "a \"quoted\" tail\nwith newline"},
+      {"1:\"2:", "\n\\1:\"", "3:ab", "01:x0:0:"},
   };
-  for (size_t i = 0; i < eff.size(); ++i) {
-    for (size_t j = i; j < eff.size(); ++j) {
-      keys.push_back(ComKey(a.schema(), eff[i], eff[j], order));
-      keys.push_back(NiKey(a.schema(), eff[j], eff[i]));
+  std::vector<soir::PathFingerprint> parts;
+  for (const soir::CodePath& p : eff) {
+    parts.push_back(soir::FingerprintPath(a.schema(), p));
+  }
+  for (const soir::PathFingerprint& p : parts) {
+    for (const soir::PathFingerprint& q : parts) {
+      std::string tail;
+      verifier::AppendPairTail(&tail, p, q, {&order});
+      keys.push_back({"com", p.text, q.text, tail});
+      keys.push_back({"ni", q.text, p.text, tail});
     }
   }
+  auto key_in = [](verifier::VerdictCache& cache, const std::array<std::string, 4>& k) {
+    return TextKey(cache, k[0], k[1], k[2], k[3]);
+  };
   verifier::VerdictCache cache;
+  verifier::VerdictCache reversed;
   for (size_t k = 0; k < keys.size(); ++k) {
-    cache.Insert(keys[k], static_cast<verifier::CheckOutcome>(k % 4));
+    cache.Insert(key_in(cache, keys[k]), static_cast<verifier::CheckOutcome>(k % 4));
+  }
+  for (size_t k = keys.size(); k-- > 0;) {
+    reversed.Insert(key_in(reversed, keys[k]),
+                    cache.LookupEntry(key_in(cache, keys[k]))->outcome);
   }
   std::string file = TempStore("round_trip") + ".verdicts";
   ASSERT_TRUE(cache.SaveToFile(file));
+  std::string from_reversed = TempStore("round_trip_reversed") + ".verdicts";
+  ASSERT_TRUE(reversed.SaveToFile(from_reversed));
+  EXPECT_EQ(ReadAll(from_reversed), ReadAll(file));
 
   verifier::VerdictCache loaded;
   ASSERT_TRUE(loaded.LoadFromFile(file));
   EXPECT_EQ(loaded.size(), cache.size());
-  for (const std::string& key : keys) {
-    auto want = cache.LookupEntry(key);
-    auto got = loaded.LookupEntry(key);
+  for (const std::array<std::string, 4>& key : keys) {
+    auto want = cache.LookupEntry(key_in(cache, key));
+    auto got = loaded.LookupEntry(key_in(loaded, key));
     ASSERT_TRUE(want.has_value());
-    ASSERT_TRUE(got.has_value()) << key;
-    EXPECT_EQ(got->outcome, want->outcome) << key;
-    EXPECT_TRUE(got->replayed) << key;
+    ASSERT_TRUE(got.has_value()) << key[0] << " " << key[3];
+    EXPECT_EQ(got->outcome, want->outcome) << key[0] << " " << key[3];
+    EXPECT_TRUE(got->replayed) << key[0] << " " << key[3];
   }
   std::string again = TempStore("round_trip_again") + ".verdicts";
   ASSERT_TRUE(loaded.SaveToFile(again));
   EXPECT_EQ(ReadAll(again), ReadAll(file));
+}
+
+// A store's entries and parts may come in any order (another build sorts them
+// differently): every entry of a hand-written store loads, and a run's store with both
+// reversed still replays every pair.
+TEST(VerdictStoreTest, EntriesInAnyOrderLoad) {
+  const std::string file = TempStore("unsorted") + ".verdicts";
+  WriteAll(file, "noctua-verdicts " + std::to_string(soir::kArtifactVersion) +
+                     " 3 \"part c\" \"part a\" \"part b\" 3"
+                     " p \"ni\" 2 1 \"t2\" 1"
+                     " p \"com\" 0 1 \"t1\" 0"
+                     " p \"com\" 1 1 \"t0\" 3");
+  verifier::VerdictCache cache;
+  ASSERT_TRUE(cache.LoadFromFile(file));
+  EXPECT_EQ(cache.size(), 3u);
+  const std::pair<Key, verifier::CheckOutcome> kWant[] = {
+      {TextKey(cache, "ni", "part b", "part a", "t2"), verifier::CheckOutcome::kFail},
+      {TextKey(cache, "com", "part c", "part a", "t1"), verifier::CheckOutcome::kPass},
+      {TextKey(cache, "com", "part a", "part a", "t0"), verifier::CheckOutcome::kUnsupported},
+  };
+  for (const auto& [key, outcome] : kWant) {
+    auto entry = cache.LookupEntry(key);
+    ASSERT_TRUE(entry.has_value()) << key.head << " " << key.tail;
+    EXPECT_EQ(entry->outcome, outcome) << key.head << " " << key.tail;
+    EXPECT_TRUE(entry->replayed) << key.head << " " << key.tail;
+  }
+
+  const std::string store = TempStore("unsorted_store");
+  app::App a = MakeLibraryApp(LibraryConfig{});
+  PipelineResult cold = RunStored(a, store);
+  StoredVerdicts verdicts = ReadVerdicts(store + "/verdicts");
+  ASSERT_GT(verdicts.entries.size(), 1u);
+  const int64_t last = static_cast<int64_t>(verdicts.parts.size()) - 1;
+  std::reverse(verdicts.parts.begin(), verdicts.parts.end());
+  std::reverse(verdicts.entries.begin(), verdicts.entries.end());
+  for (StoredEntry& e : verdicts.entries) {
+    e.p = last - e.p;
+    e.q = last - e.q;
+  }
+  WriteVerdicts(store + "/verdicts", verdicts);
+  PipelineResult warm = RunStored(a, store);
+  EXPECT_FALSE(warm.cold);
+  EXPECT_EQ(warm.stats().pairs_computed, 0u);
+  EXPECT_EQ(warm.restrictions.VerdictLines(), cold.restrictions.VerdictLines());
 }
 
 // A bad part reference or a broken part table fails the whole load and leaves the cache
@@ -331,33 +472,34 @@ TEST(VerdictStoreTest, CorruptPartTablesFailClosed) {
   const std::string head = "noctua-verdicts " + std::to_string(soir::kArtifactVersion) + " ";
   const std::string file = TempStore("corrupt_parts") + ".verdicts";
 
-  // The well-formed store the corruptions start from: two parts, one pair entry (head,
-  // part indices, tail, outcome), one whole key.
-  WriteAll(file, head + "2 \"part a\" \"part b\" 2 p \"com\" 0 1 \"tail\" 1 k \"free\" 2");
+  // The well-formed store the corruptions start from: two parts and one entry (head,
+  // part indices, tail, outcome).
+  WriteAll(file, head + "2 \"part a\" \"part b\" 1 p \"com\" 0 1 \"tail\" 1");
   {
     verifier::VerdictCache cache;
     ASSERT_TRUE(cache.LoadFromFile(file));
-    EXPECT_EQ(cache.size(), 2u);
-    auto pair_entry = cache.LookupEntry("3:com6:part a6:part btail");
-    auto free_entry = cache.LookupEntry("free");
-    ASSERT_TRUE(pair_entry.has_value() && free_entry.has_value());
-    EXPECT_EQ(pair_entry->outcome, verifier::CheckOutcome::kFail);
-    EXPECT_EQ(free_entry->outcome, verifier::CheckOutcome::kTimeout);
+    EXPECT_EQ(cache.size(), 1u);
+    auto entry = cache.LookupEntry(TextKey(cache, "com", "part a", "part b", "tail"));
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kFail);
   }
 
   const std::pair<const char*, std::string> kCorruptions[] = {
       {"index out of range", "2 \"part a\" \"part b\" 1 p \"com\" 0 2 \"tail\" 1"},
       {"negative index", "2 \"part a\" \"part b\" 1 p \"com\" -1 1 \"tail\" 1"},
-      {"part count over the cap", "99999999999 \"part a\" 1 k \"free\" 2"},
+      {"part count over the cap", "99999999999 \"part a\" 1 p \"com\" 0 0 \"tail\" 1"},
       {"truncated part table", "3 \"part a\" \"part b\""},
+      {"a whole key instead of parts",
+       "2 \"part a\" \"part b\" 2 p \"com\" 0 1 \"tail\" 1 k \"free\" 2"},
   };
   for (const auto& [what, body] : kCorruptions) {
     WriteAll(file, head + body);
     verifier::VerdictCache cache;
-    cache.Insert("computed", verifier::CheckOutcome::kFail);
+    const Key computed = TextKey(cache, "com", "computed", "computed", "");
+    cache.Insert(computed, verifier::CheckOutcome::kFail);
     EXPECT_FALSE(cache.LoadFromFile(file)) << what;
     EXPECT_EQ(cache.size(), 1u) << what;
-    auto entry = cache.LookupEntry("computed");
+    auto entry = cache.LookupEntry(computed);
     ASSERT_TRUE(entry.has_value()) << what;
     EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kFail) << what;
     EXPECT_FALSE(entry->replayed) << what;
@@ -390,16 +532,17 @@ std::string SharedContextKey(const std::string& rule, const soir::Schema& schema
 // For every query of the six apps (every pair i <= j, commutativity and both
 // NotInvalidate directions), the map from the reference key to the part-built key is a
 // bijection: the two keys put queries into the same classes, so the cache hits and
-// misses exactly as before. The engine's cache is shared across apps, so the classes
-// are compared across all six at once, and commutativity is keyed under both app-wide
-// order sets the verifier uses: the effectful paths' alone, and with the read-only
-// paths as order observers.
+// misses exactly as before. The engine's cache is shared across apps, so the keys are
+// built through one cache for all six and their classes compared across all six at once,
+// and commutativity is keyed under both app-wide order sets the verifier uses: the
+// effectful paths' alone, and with the read-only paths as order observers.
 TEST(FingerprintEquivalenceTest, PartKeysClassifyQueriesLikeSharedContextKeys) {
-  std::map<std::string, std::string> to_key;
-  std::map<std::string, std::string> to_reference;
+  verifier::VerdictCache cache;
+  std::map<std::string, Key> to_key;
+  std::unordered_map<Key, std::string, verifier::VerdictCache::KeyHash> to_reference;
   size_t queries = 0;
   size_t conflicts = 0;
-  auto record = [&](const std::string& reference, const std::string& key) {
+  auto record = [&](const std::string& reference, const Key& key) {
     ++queries;
     auto [it, added] = to_key.emplace(reference, key);
     conflicts += !added && it->second != key ? 1 : 0;
@@ -431,14 +574,14 @@ TEST(FingerprintEquivalenceTest, PartKeysClassifyQueriesLikeSharedContextKeys) {
       for (size_t j = i; j < eff.size(); ++j) {
         for (const std::set<int>* order : {&app_order, &observed_order}) {
           record(SharedContextKey("com", schema, eff[i], eff[j], *order),
-                 verifier::PairKey("com", parts[i], parts[j], {order}));
+                 KeyOf(cache, "com", parts[i], parts[j], {order}));
         }
         std::set<int> pair_order = ord[i];
         pair_order.insert(ord[j].begin(), ord[j].end());
         record(SharedContextKey("ni", schema, eff[i], eff[j], pair_order),
-               verifier::PairKey("ni", parts[i], parts[j], {&ord[i], &ord[j]}));
+               KeyOf(cache, "ni", parts[i], parts[j], {&ord[i], &ord[j]}));
         record(SharedContextKey("ni", schema, eff[j], eff[i], pair_order),
-               verifier::PairKey("ni", parts[j], parts[i], {&ord[j], &ord[i]}));
+               KeyOf(cache, "ni", parts[j], parts[i], {&ord[j], &ord[i]}));
       }
     }
   }
@@ -478,8 +621,9 @@ TEST(FingerprintAntiCollisionTest, DifferentGuardLiteralsGetDifferentKeys) {
   soir::CodePath p1 = path_of(r1, "checkout");
   soir::CodePath p5 = path_of(r5, "checkout");
   const std::set<int> none;
-  EXPECT_NE(ComKey(a1.schema(), p1, p1, none), ComKey(a5.schema(), p5, p5, none));
-  EXPECT_NE(NiKey(a1.schema(), p1, p1), NiKey(a5.schema(), p5, p5));
+  verifier::VerdictCache cache;
+  EXPECT_NE(ComKey(cache, a1.schema(), p1, p1, none), ComKey(cache, a5.schema(), p5, p5, none));
+  EXPECT_NE(NiKey(cache, a1.schema(), p1, p1), NiKey(cache, a5.schema(), p5, p5));
 }
 
 TEST(FingerprintAntiCollisionTest, DirectionOrderAndPairingChangeKeys) {
@@ -496,15 +640,17 @@ TEST(FingerprintAntiCollisionTest, DirectionOrderAndPairingChangeKeys) {
   ASSERT_TRUE(checkout != nullptr && add_book != nullptr && ret != nullptr);
 
   // NotInvalidate is directed: (p, q) and (q, p) are different queries.
-  EXPECT_NE(NiKey(a.schema(), *checkout, *add_book), NiKey(a.schema(), *add_book, *checkout));
+  verifier::VerdictCache cache;
+  EXPECT_NE(NiKey(cache, a.schema(), *checkout, *add_book),
+            NiKey(cache, a.schema(), *add_book, *checkout));
   // Pairing the same path with different partners separates.
   const std::set<int> none;
-  EXPECT_NE(ComKey(a.schema(), *checkout, *add_book, none),
-            ComKey(a.schema(), *checkout, *ret, none));
+  EXPECT_NE(ComKey(cache, a.schema(), *checkout, *add_book, none),
+            ComKey(cache, a.schema(), *checkout, *ret, none));
   // Order membership of a mentioned model is part of the commutativity fingerprint.
   const std::set<int> book = {a.schema().ModelId("Book")};
-  EXPECT_NE(ComKey(a.schema(), *checkout, *add_book, none),
-            ComKey(a.schema(), *checkout, *add_book, book));
+  EXPECT_NE(ComKey(cache, a.schema(), *checkout, *add_book, none),
+            ComKey(cache, a.schema(), *checkout, *add_book, book));
 }
 
 TEST(FingerprintAntiCollisionTest, SmallBankDigestsSeparateFieldSlots) {
@@ -832,21 +978,20 @@ TEST(ArtifactRootDeathTest, RootUnderARegularFileFailsNamingThePath) {
 // ---------------------------------------------------------------------------- paranoia
 
 // Paranoia audits keys, not reads: each verdict the cold run solved is stored once, and
-// at p = 1 its owner in the warm run re-solves it once, however many pairs read it.
+// its owner in the warm run re-solves it once, however many pairs read it.
 TEST(IncrementalTest, FullParanoiaAgreesOnAnHonestStore) {
   std::string store = TempStore("paranoia_honest");
   app::App a = MakeLibraryApp(LibraryConfig{});
   PipelineResult cold = RunStored(a, store);
 
   PipelineOptions opts;
-  opts.parallel.paranoia = 1.0;
-  opts.parallel.paranoia_seed = 7;
+  opts.parallel.paranoia = true;
   PipelineResult warm = RunStored(a, store, opts);
   EXPECT_FALSE(warm.cold);
   const verifier::ReportStats& stats = warm.restrictions.stats;
   EXPECT_GT(stats.replayed, 0u);
   EXPECT_EQ(stats.paranoia_rechecks, cold.stats().solver_checks)
-      << "paranoia=1.0 must re-solve every replayed verdict once";
+      << "paranoia must re-solve every replayed verdict once";
   EXPECT_EQ(stats.solver_checks, stats.paranoia_rechecks);
   EXPECT_EQ(warm.stats().pairs_computed, 0u);
 }
@@ -860,7 +1005,7 @@ TEST(IncrementalTest, ParanoiaUnderAStarvedBudgetKeepsAnHonestStore) {
 
   PipelineOptions opts;
   opts.checker.solver.budget.max_nodes = 1;
-  opts.parallel.paranoia = 1.0;
+  opts.parallel.paranoia = true;
   PipelineResult warm = RunStored(a, store, opts);
   EXPECT_FALSE(warm.cold);
   EXPECT_GT(warm.restrictions.stats.paranoia_rechecks, 0u);
@@ -874,49 +1019,17 @@ TEST(IncrementalDeathTest, ParanoiaCatchesAPoisonedStore) {
   app::App a = MakeLibraryApp(LibraryConfig{});
   RunStored(a, store, {}, 1);
 
-  // Flip the first stored verdict — the silent corruption FNV fingerprints can't catch.
-  // The file is the part table, then the entries: a pair key's head, part indices and
-  // tail ("p"), or a whole key ("k"), each followed by its outcome.
-  std::string file = store + "/verdicts";
-  soir::ArtifactReader r(ReadAll(file));
-  r.ExpectAtom("noctua-verdicts");
-  int64_t version = r.Int();
-  soir::ArtifactWriter w;
-  w.Atom("noctua-verdicts");
-  w.Int(version);
-  size_t num_parts = r.Count(1000000);
-  w.Int(static_cast<int64_t>(num_parts));
-  for (size_t i = 0; i < num_parts; ++i) {
-    w.Str(r.Str());
-  }
-  size_t n = r.Count(1000000);
-  ASSERT_TRUE(r.ok());
-  ASSERT_GT(n, 0u);
-  w.Int(static_cast<int64_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    std::string tag = r.Atom();
-    w.Atom(tag);
-    if (tag == "p") {
-      w.Str(r.Str());
-      w.Int(r.Int());
-      w.Int(r.Int());
-      w.Str(r.Str());
-    } else {
-      ASSERT_EQ(tag, "k");
-      w.Str(r.Str());
-    }
-    int64_t outcome = r.Int();
-    if (i == 0) {
-      outcome = outcome == 0 ? 1 : 0;
-    }
-    w.Int(outcome);
-  }
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r.AtEnd());
-  WriteAll(file, w.str());
+  // Flip the first stored verdict: a corruption that still parses, which no key check
+  // can catch.
+  const std::string file = store + "/verdicts";
+  StoredVerdicts verdicts = ReadVerdicts(file);
+  ASSERT_FALSE(verdicts.entries.empty());
+  int64_t& outcome = verdicts.entries[0].outcome;
+  outcome = outcome == 0 ? 1 : 0;
+  WriteVerdicts(file, verdicts);
 
   PipelineOptions opts;
-  opts.parallel.paranoia = 1.0;
+  opts.parallel.paranoia = true;
   EXPECT_DEATH(RunStored(a, store, opts, 1), "paranoia recheck disagrees");
 }
 

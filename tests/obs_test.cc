@@ -578,6 +578,27 @@ TEST(JsonParser, AcceptsAndRejects) {
   EXPECT_EQ(ParseJson("\"unterminated", &error), nullptr);
 }
 
+// Each open array or object is one level of the parser's recursion, so nesting is
+// bounded: 256 levels parse, and deeper documents are errors, not stack overflows.
+TEST(JsonParser, NestingPastTheBoundIsAnError) {
+  auto arrays = [](size_t depth) { return std::string(depth, '[') + std::string(depth, ']'); };
+  auto objects = [](size_t depth) {
+    std::string doc;
+    for (size_t i = 0; i < depth; ++i) {
+      doc += "{\"a\": ";
+    }
+    return doc + "1" + std::string(depth, '}');
+  };
+  std::string error;
+  EXPECT_NE(ParseJson(arrays(256), &error), nullptr) << error;
+  EXPECT_NE(ParseJson(objects(256), &error), nullptr) << error;
+  for (const std::string& deep : {arrays(257), objects(257), arrays(100000)}) {
+    error.clear();
+    EXPECT_EQ(ParseJson(deep, &error), nullptr);
+    EXPECT_NE(error.find("nesting deeper than 256 levels"), std::string::npos) << error;
+  }
+}
+
 TEST(JsonWriter, EscapedStringsRoundTripUnchanged) {
   const std::string text =
       "quote \" backslash \\ newline \n tab \t control \x01 e-acute \xc3\xa9";
@@ -976,14 +997,20 @@ TEST(SolverProbes, TimeoutAndUnsupportedVerdictsAreCounted) {
 // -----------------------------------------------------------------------------
 // Verdict cache: occupancy and bounded eviction
 
+// A key of `cache` told apart from the others by its tail alone.
+verifier::VerdictCache::Key TestKey(verifier::VerdictCache& cache, const std::string& tail) {
+  const uint32_t part = cache.InternPart("part");
+  return {"com", part, part, tail};
+}
+
 TEST(VerdictCacheStats, OccupancyCountsEveryEntry) {
   verifier::VerdictCache cache;  // unbounded
   for (int i = 0; i < 100; ++i) {
-    cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
+    cache.Insert(TestKey(cache, "key-" + std::to_string(i)), verifier::CheckOutcome::kPass);
   }
   EXPECT_EQ(cache.size(), 100u);
-  EXPECT_TRUE(cache.LookupEntry("key-3").has_value());
-  EXPECT_FALSE(cache.LookupEntry("absent").has_value());
+  EXPECT_TRUE(cache.LookupEntry(TestKey(cache, "key-3")).has_value());
+  EXPECT_FALSE(cache.LookupEntry(TestKey(cache, "absent")).has_value());
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
@@ -994,12 +1021,12 @@ TEST(VerdictCacheStats, BoundedCacheEvictsFifo) {
   verifier::VerdictCache cache(kCapacity);
   constexpr int kInserts = 200;
   for (int i = 0; i < kInserts; ++i) {
-    cache.Insert("key-" + std::to_string(i), verifier::CheckOutcome::kPass);
+    cache.Insert(TestKey(cache, "key-" + std::to_string(i)), verifier::CheckOutcome::kPass);
   }
   EXPECT_EQ(cache.size(), kCapacity);
   EXPECT_EQ(cache.evictions(), kInserts - kCapacity);
   for (int i = 0; i < kInserts; ++i) {
-    EXPECT_EQ(cache.LookupEntry("key-" + std::to_string(i)).has_value(),
+    EXPECT_EQ(cache.LookupEntry(TestKey(cache, "key-" + std::to_string(i))).has_value(),
               i >= kInserts - static_cast<int>(kCapacity))
         << i;
   }
@@ -1007,18 +1034,18 @@ TEST(VerdictCacheStats, BoundedCacheEvictsFifo) {
 
 TEST(VerdictCacheStats, DuplicateInsertKeepsExistingEntry) {
   verifier::VerdictCache cache(2);
-  cache.Insert("same", verifier::CheckOutcome::kPass);
-  cache.Insert("same", verifier::CheckOutcome::kFail);
+  cache.Insert(TestKey(cache, "same"), verifier::CheckOutcome::kPass);
+  cache.Insert(TestKey(cache, "same"), verifier::CheckOutcome::kFail);
   EXPECT_EQ(cache.size(), 1u);
-  auto entry = cache.LookupEntry("same");
+  auto entry = cache.LookupEntry(TestKey(cache, "same"));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->outcome, verifier::CheckOutcome::kPass);
   // The duplicate took no place in the eviction order: two more keys evict only "same".
-  cache.Insert("second", verifier::CheckOutcome::kPass);
-  cache.Insert("third", verifier::CheckOutcome::kPass);
+  cache.Insert(TestKey(cache, "second"), verifier::CheckOutcome::kPass);
+  cache.Insert(TestKey(cache, "third"), verifier::CheckOutcome::kPass);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.LookupEntry("same").has_value());
+  EXPECT_FALSE(cache.LookupEntry(TestKey(cache, "same")).has_value());
 }
 
 }  // namespace

@@ -207,12 +207,17 @@ TEST(CanonicalFingerprintTest, SeparatesAndMergesSmallBankPaths) {
 
 TEST(VerdictCacheTest, LookupInsertAndCounters) {
   verifier::VerdictCache cache;
+  // The part table gives equal texts equal ids, and each new text its own.
+  const uint32_t part = cache.InternPart("part");
+  EXPECT_EQ(cache.InternPart("part"), part);
+  EXPECT_NE(cache.InternPart("other part"), part);
+  const verifier::VerdictCache::Key key{"com", part, part, "k"};
   // Lookups are const: the pair loop's owners probe at once while nothing inserts.
   const verifier::VerdictCache& reader = cache;
-  EXPECT_FALSE(reader.LookupEntry("k").has_value());
+  EXPECT_FALSE(reader.LookupEntry(key).has_value());
   EXPECT_EQ(cache.size(), 0u);
-  cache.Insert("k", verifier::CheckOutcome::kFail);
-  auto hit = reader.LookupEntry("k");
+  cache.Insert(key, verifier::CheckOutcome::kFail);
+  auto hit = reader.LookupEntry(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->outcome, verifier::CheckOutcome::kFail);
   EXPECT_FALSE(hit->replayed);

@@ -154,6 +154,22 @@ TEST(ServiceProtocolTest, OverflowingContentLengthIs400NotACrash) {
   EXPECT_EQ(resp.status, 200);
 }
 
+TEST(ServiceProtocolTest, DeeplyNestedBodyIs400NotACrash) {
+  // Regression: the JSON parser recursed once per nesting level with no bound, so a body
+  // of 100,000 '[' overflowed a handler thread's stack and killed the daemon.
+  TestServer ts{ServiceOptions{}};
+  HttpResponse resp;
+  std::string error;
+  ASSERT_TRUE(ts.client().Post("/v1/analyze", std::string(100000, '['), &resp, &error))
+      << error;
+  EXPECT_EQ(resp.status, 400);
+  EXPECT_NE(resp.body.find("nesting deeper than 256 levels"), std::string::npos) << resp.body;
+
+  // The daemon survived and still serves.
+  ASSERT_TRUE(ts.client().Get("/healthz", &resp, &error)) << error;
+  EXPECT_EQ(resp.status, 200);
+}
+
 TEST(ServiceControlPlaneTest, StalledClientDoesNotBlockControlPlane) {
   // Regression: request reading used to run inline on the accept thread, so one client
   // that connected and sent nothing stalled /healthz (and all admission) for the whole
